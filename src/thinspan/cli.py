@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 malformed input (parse, typing, refinement), 2
 usage, 3 a budget is required but none was given, 4 an identity check
 failed.  The budget falls back to the THINSPAN_BUDGET environment variable
-when --budget is absent; corpus verification defaults to 4.
+when --budget is absent; corpus entries then fall back to their own budget
+field, or 4.  A negative budget is a usage error.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ import time
 import click
 
 from .syntax import (
-    ParseError, Term, TypeCheckError, TypingContext,
+    ParseError, TypeCheckError, TypingContext,
     annotate, beta_normalize, ensure_distinct_binders, is_beta_normal, parse_context,
     parse_simple_type, parse_term, term_to_text, type_to_text,
 )
 from .rigidtypes import (
-    PointSpec, RefinementError, ctx_to_text, it_to_text, mit_to_text, mset_to_text,
-    point_from_json, point_to_json,
+    PointSpec, RefinementError, ctx_to_text, it_to_text, point_from_json, point_to_json,
 )
 from .symmetry import MorphismError
 from .derivation import (
@@ -68,9 +68,12 @@ def _resolve_budget(budget: int | None) -> int | None:
     env = os.environ.get("THINSPAN_BUDGET")
     if env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
-            _fail(f"THINSPAN_BUDGET must be an integer, got {env!r}", 2)
+            value = None
+        if value is None or value < 0:
+            _fail(f"THINSPAN_BUDGET must be a non-negative integer, got {env!r}", 2)
+        return value
     return None
 
 
@@ -151,7 +154,7 @@ def check(ctx_text: str, term_text: str, type_text: str | None, as_json: bool) -
 @click.option("--type", "type_text", default=None, help="expected simple type")
 @click.option("--point", "point_arg", required=True,
               help="point as inline JSON or a path to a JSON file")
-@click.option("--budget", type=int, default=None,
+@click.option("--budget", type=click.IntRange(min=0), default=None,
               help="bound on cut sequence sizes for non-normal terms")
 @click.option("--json", "as_json", is_flag=True)
 def witnesses(ctx_text, term_text, type_text, point_arg, budget, as_json) -> None:
@@ -183,7 +186,7 @@ def witnesses(ctx_text, term_text, type_text, point_arg, budget, as_json) -> Non
 @click.option("--term", "term_text", required=True)
 @click.option("--type", "type_text", default=None)
 @click.option("--point", "point_arg", required=True)
-@click.option("--budget", type=int, default=None)
+@click.option("--budget", type=click.IntRange(min=0), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def weight(ctx_text, term_text, type_text, point_arg, budget, as_json) -> None:
     """Coefficient of a term at a point, by counting and by class weights."""
@@ -198,7 +201,7 @@ def weight(ctx_text, term_text, type_text, point_arg, budget, as_json) -> None:
     except _INPUT_ERRORS as e:
         _fail(str(e), 1)
     obj = {
-        "coefficient": coeff.value if not coeff.is_infinite else "inf",
+        "coefficient": coeff.value,
         "witnesses": report.wit_plus,
         "class_weighted": by_classes,
         "classes": len(report.classes),
@@ -212,22 +215,21 @@ def weight(ctx_text, term_text, type_text, point_arg, budget, as_json) -> None:
     ])
 
 
-def _entry_budget(entry: dict, budget: int | None) -> int:
+def _entry_budget(entry: dict, budget: int | None, default: int | None) -> int | None:
     if budget is not None:
         return budget
-    env = os.environ.get("THINSPAN_BUDGET")
-    if env is not None:
-        return int(env)
-    return int(entry.get("budget", DEFAULT_CORPUS_BUDGET))
+    if "budget" in entry:
+        return int(entry["budget"])
+    return default
 
 
-def _verify_entry(entry: dict, budget: int | None) -> IdentityReport:
+def _verify_entry(entry: dict, budget: int | None, default: int | None) -> IdentityReport:
     ctx = parse_context(entry.get("ctx", ""))
     term = ensure_distinct_binders(parse_term(entry["term"]), set(ctx.names()))
     expected_type = (parse_simple_type(entry["type"]) if "type" in entry else None)
     term, ty = annotate(ctx, term, expected_type)
     point = point_from_json(entry["point"], ctx, ty)
-    b = None if is_beta_normal(term) else _entry_budget(entry, budget)
+    b = None if is_beta_normal(term) else _entry_budget(entry, budget, default)
     return verify_identities(ctx, term, point, b, entry.get("expected"))
 
 
@@ -240,15 +242,17 @@ def _verify_entry(entry: dict, budget: int | None) -> IdentityReport:
 @click.option("--point", "point_arg", default=None)
 @click.option("--expected", type=int, default=None,
               help="independently known coefficient to check against")
-@click.option("--budget", type=int, default=None)
+@click.option("--budget", type=click.IntRange(min=0), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
            budget, as_json) -> None:
     """Check every counting identity, per corpus entry or for one subject."""
     entries: list[dict] = []
+    default_budget = None
     if corpus_path:
         with open(corpus_path) as f:
             entries = json.load(f)
+        default_budget = DEFAULT_CORPUS_BUDGET
     elif term_text and point_arg:
         entries = [{"name": "(cli)", "ctx": ctx_text or "", "term": term_text,
                     "point": point_arg, "expected": expected}]
@@ -256,6 +260,7 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
             entries[0]["type"] = type_text
     else:
         _fail("need --corpus, or --term with --point", 2)
+    budget = _resolve_budget(budget)
 
     results = []
     any_failed = False
@@ -267,12 +272,13 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
                 entry = dict(entry)
                 entry["point"] = json.loads(entry["point"])
             started = time.monotonic()
-            rep = _verify_entry(entry, _resolve_budget(budget))
+            rep = _verify_entry(entry, budget, default_budget)
             elapsed = time.monotonic() - started
         except BudgetRequiredError as e:
             budget_missing = True
             results.append({"name": name, "ok": False, "error": str(e)})
-            click.echo(f"FAIL {name}: {e}")
+            if not as_json:
+                click.echo(f"FAIL {name}: {e}")
             continue
         except _INPUT_ERRORS as e:
             _fail(f"{name}: {e}", 1)

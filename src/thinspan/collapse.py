@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .syntax import (
-    Term, TypingContext, annotate, ensure_distinct_binders, is_beta_normal, term_to_text,
-)
+from .syntax import Term, TypingContext, annotate, ensure_distinct_binders
 from .rigidtypes import (
     IType, PointSpec, ResourceContext, canonicalize_point, ctx_to_text, it_to_text,
 )
@@ -35,7 +33,7 @@ from .symmetry import (
     neg_targets_ctx, pos_sources_it, sym_degrees_ctx, sym_degrees_it,
 )
 from .derivation import (
-    BoundedAt, Completeness, Derivation, Exact, WitnessSet,
+    BoundedAt, Completeness, Derivation, Exact,
     endo_count, enumerate_witnesses, partition_by_symmetry,
 )
 from .wrel import NatInf, wrel_coefficient
@@ -204,8 +202,7 @@ def verify_identities(ctx: TypingContext, term: Term, point: PointSpec,
         f"enumerated {esp}, degrees give {report.esp}")
 
     divisor = report.ctx_degrees.negative * report.res_degrees.positive
-    add("coefficient-division",
-        coeff.value is not None and coeff.value * divisor == esp,
+    add("coefficient-division", coeff.value * divisor == esp,
         f"{esp} = {coeff} * {divisor}")
 
     if expected is not None:

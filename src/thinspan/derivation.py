@@ -37,15 +37,15 @@ from .syntax import (
     annotate, binders, is_beta_normal, spine, term_to_text, type_to_text, typecheck,
 )
 from .rigidtypes import (
-    IArrow, IType, MArrow, MStar, MSTAR, MultisetIType, ResourceContext, SeqType, Star,
-    canonicalize_ctx, canonicalize_it, collapse_it, concat_ctx, ctx_refines, ctx_to_text,
-    empty_ctx_like, it_to_text, key_mit, refines, singleton_ctx,
+    IArrow, IType, ResourceContext, SeqType, Star,
+    canonicalize_it, concat_ctx, ctx_refines, ctx_to_text,
+    empty_ctx_like, it_to_text, key_it, refines, singleton_ctx,
 )
 from .symmetry import (
     ArrowMorphism, CtxMorphism, ITMorphism, MorphismError, SeqMorphism,
     compose_it, compose_perm, ctx_sigma_action, concat_ctxm, empty_ctxm_like,
     enumerate_homs_it, identity_it, identity_perm, invert_it, inverse_perm,
-    singleton_ctxm, src_ctx, src_it, src_seq, tgt_ctx, tgt_it, tgt_seq,
+    singleton_ctxm, src_ctx, src_it, tgt_ctx, tgt_it,
 )
 
 
@@ -322,66 +322,30 @@ def omega_substitute(r: ResourceTerm) -> ResourceTerm:
 ####################################################################
 # multiset collapse of resource terms
 
-@dataclass(frozen=True)
-class MRVar:
-    name: str
-    label: MultisetIType
-
-
-@dataclass(frozen=True)
-class MRLam:
-    binder: str
-    body: "MResourceTerm"
-
-
-@dataclass(frozen=True)
-class MRApp:
-    fn: "MResourceTerm"
-    args: tuple["MResourceTerm", ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(sorted(self.args, key=key_mrt)))
-
-
-MResourceTerm = MRVar | MRLam | MRApp
-
-
-def key_mrt(t: MResourceTerm):
-    match t:
-        case MRVar(x, a):
-            return (0, x, key_mit(a))
-        case MRLam(x, b):
-            return (1, x, key_mrt(b))
-        case MRApp(f, args):
-            return (2, key_mrt(f), tuple(key_mrt(a) for a in args))
-    raise TypeError(f"not a multiset resource term: {t!r}")
-
-
-def multiset_collapse_term(r: ResourceTerm) -> MResourceTerm:
+def key_rt(r: ResourceTerm):
+    """A total order on resource terms, extending key_it on labels."""
     match r:
         case RVar(x, a):
-            return MRVar(x, collapse_it(a))
+            return (0, x, key_it(a))
         case RLam(x, b, _):
-            return MRLam(x, multiset_collapse_term(b))
+            return (1, x, key_rt(b))
         case RApp(f, args):
-            return MRApp(multiset_collapse_term(f),
-                         tuple(multiset_collapse_term(a) for a in args))
+            return (2, key_rt(f), tuple(key_rt(a) for a in args))
     raise TypeError(f"not a resource term: {r!r}")
 
 
-def mresource_to_text(t: MResourceTerm) -> str:
-    match t:
-        case MRVar(x, a):
-            from .rigidtypes import mit_to_text
-            return f"{x}^{{{mit_to_text(a)}}}"
-        case MRLam(x, b):
-            return f"\\{x}. {mresource_to_text(b)}"
-        case MRApp(f, args):
-            fs = mresource_to_text(f)
-            if isinstance(f, MRLam):
-                fs = f"({fs})"
-            return f"{fs} [" + ",".join(mresource_to_text(a) for a in args) + "]"
-    raise TypeError(f"not a multiset resource term: {t!r}")
+def multiset_collapse_term(r: ResourceTerm) -> ResourceTerm:
+    """The canonical resource term of r's multiset collapse: labels
+    canonicalized and the copies of every argument sorted by key_rt."""
+    match r:
+        case RVar(x, a):
+            return RVar(x, canonicalize_it(a))
+        case RLam(x, b, ann):
+            return RLam(x, multiset_collapse_term(b), ann)
+        case RApp(f, args):
+            return RApp(multiset_collapse_term(f),
+                        tuple(sorted((multiset_collapse_term(a) for a in args), key=key_rt)))
+    raise TypeError(f"not a resource term: {r!r}")
 
 
 ####################################################################

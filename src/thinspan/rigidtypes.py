@@ -1,9 +1,12 @@
-"""Rigid and multiset intersection types refining simple types.
+"""Rigid intersection types refining simple types, and multiset types as
+their canonical representatives.
 
 Rigid types use ordered sequences <a1,...,an>; collapsing the order gives
-the usual non-idempotent multiset types [a1,...,an].  Multiset domains are
-stored sorted under a fixed total order so that multiset equality is plain
-structural equality.
+the usual non-idempotent multiset types [a1,...,an].  There is one
+representation: a multiset type is the canonical rigid type, every
+sequence sorted under a fixed total order, so multiset equality is plain
+structural equality.  The [...] notation parses to and prints canonical
+types.
 
 A sequence type is represented as a bare tuple of ITypes.
 """
@@ -17,7 +20,7 @@ from .syntax import Arrow, Base, SimpleType, TypingContext, type_to_text
 
 
 class RefinementError(Exception):
-    """Raised when a rigid or multiset type does not refine the simple type."""
+    """Raised when a type does not refine the simple type."""
 
 
 ####################################################################
@@ -45,33 +48,6 @@ STAR = Star()
 
 
 ####################################################################
-# multiset types
-
-@dataclass(frozen=True)
-class MStar:
-    def __repr__(self) -> str:
-        return "*"
-
-
-@dataclass(frozen=True)
-class MArrow:
-    domain: tuple["MultisetIType", ...]
-    codomain: "MultisetIType"
-
-    def __post_init__(self):
-        # multiset domains are kept sorted; order of construction is irrelevant
-        object.__setattr__(self, "domain", tuple(sorted(self.domain, key=key_mit)))
-
-    def __repr__(self) -> str:
-        return mit_to_text(self)
-
-
-MultisetIType = MStar | MArrow
-
-MSTAR = MStar()
-
-
-####################################################################
 # total orders
 #
 # star sorts before arrows; arrows sort by domain length, then by the
@@ -84,25 +60,6 @@ def key_it(a: IType):
         case IArrow(d, c):
             return (1, len(d), tuple(key_it(x) for x in d), key_it(c))
     raise TypeError(f"not a rigid type: {a!r}")
-
-
-def key_mit(a: MultisetIType):
-    match a:
-        case MStar():
-            return (0,)
-        case MArrow(d, c):
-            return (1, len(d), tuple(key_mit(x) for x in d), key_mit(c))
-    raise TypeError(f"not a multiset type: {a!r}")
-
-
-def compare_it(a: IType, b: IType) -> int:
-    ka, kb = key_it(a), key_it(b)
-    return -1 if ka < kb else (0 if ka == kb else 1)
-
-
-def compare_mit(a: MultisetIType, b: MultisetIType) -> int:
-    ka, kb = key_mit(a), key_mit(b)
-    return -1 if ka < kb else (0 if ka == kb else 1)
 
 
 ####################################################################
@@ -122,36 +79,8 @@ def refines_seq(seq: SeqType, t: SimpleType) -> bool:
     return all(refines(a, t) for a in seq)
 
 
-def mrefines(m: MultisetIType, t: SimpleType) -> bool:
-    match m, t:
-        case MStar(), Base():
-            return True
-        case MArrow(d, c), Arrow(td, tc):
-            return all(mrefines(x, td) for x in d) and mrefines(c, tc)
-        case _:
-            return False
-
-
-def require_refines(a: IType, t: SimpleType, what: str = "type") -> None:
-    if not refines(a, t):
-        raise RefinementError(f"{what} {it_to_text(a)} does not refine {type_to_text(t)}")
-
-
 ####################################################################
-# collapse and canonical representatives
-
-def collapse_it(a: IType) -> MultisetIType:
-    match a:
-        case Star():
-            return MSTAR
-        case IArrow(d, c):
-            return MArrow(tuple(collapse_it(x) for x in d), collapse_it(c))
-    raise TypeError(f"not a rigid type: {a!r}")
-
-
-def collapse_seq(seq: SeqType) -> tuple[MultisetIType, ...]:
-    return tuple(sorted((collapse_it(a) for a in seq), key=key_mit))
-
+# canonical representatives
 
 def canonicalize_it(a: IType) -> IType:
     """Sort every sequence after canonicalizing its components."""
@@ -169,21 +98,6 @@ def canonicalize_seq(seq: SeqType) -> SeqType:
 
 def is_canonical(a: IType) -> bool:
     return canonicalize_it(a) == a
-
-
-def rigidify_mit(m: MultisetIType) -> IType:
-    """The canonical rigid representative of a multiset type."""
-    match m:
-        case MStar():
-            return STAR
-        case MArrow(d, c):
-            return IArrow(tuple(sorted((rigidify_mit(x) for x in d), key=key_it)),
-                          rigidify_mit(c))
-    raise TypeError(f"not a multiset type: {m!r}")
-
-
-def rigidify_mset(ms: tuple[MultisetIType, ...]) -> SeqType:
-    return tuple(sorted((rigidify_mit(m) for m in ms), key=key_it))
 
 
 ####################################################################
@@ -209,9 +123,6 @@ class ResourceContext:
 
     def is_empty(self) -> bool:
         return all(len(seq) == 0 for _, seq, _ in self.entries)
-
-    def __add__(self, other: "ResourceContext") -> "ResourceContext":
-        return concat_ctx(self, other)
 
     def __repr__(self) -> str:
         return ctx_to_text(self)
@@ -252,16 +163,21 @@ def ctx_refines(c: ResourceContext) -> bool:
 
 @dataclass(frozen=True)
 class PointSpec:
-    """A context of per-variable multisets plus a result multiset type."""
+    """A context of per-variable multisets plus a result multiset type.
 
-    ctx: tuple[tuple[str, tuple[MultisetIType, ...]], ...]
-    result: MultisetIType
+    Every entry and the result are kept canonical, so equal multisets are
+    equal values whatever order they were built in.
+    """
+
+    ctx: tuple[tuple[str, SeqType], ...]
+    result: IType
 
     def __post_init__(self):
         object.__setattr__(self, "ctx", tuple(
-            (x, tuple(sorted(ms, key=key_mit))) for x, ms in self.ctx))
+            (x, canonicalize_seq(ms)) for x, ms in self.ctx))
+        object.__setattr__(self, "result", canonicalize_it(self.result))
 
-    def ctx_lookup(self, name: str) -> tuple[MultisetIType, ...]:
+    def ctx_lookup(self, name: str) -> SeqType:
         for x, ms in self.ctx:
             if x == name:
                 return ms
@@ -270,7 +186,7 @@ class PointSpec:
 
 def canonicalize_point(p: PointSpec, ctx: TypingContext,
                        result_type: SimpleType) -> tuple[ResourceContext, IType]:
-    """Turn a multiset point into its canonical rigid point, checking refinement.
+    """The canonical rigid point of a multiset point, checking refinement.
 
     The resource context ranges over every variable of ctx, in ctx order;
     variables missing from the point get the empty sequence.
@@ -283,14 +199,14 @@ def canonicalize_point(p: PointSpec, ctx: TypingContext,
     for x, t in ctx:
         ms = p.ctx_lookup(x)
         for m in ms:
-            if not mrefines(m, t):
+            if not refines(m, t):
                 raise RefinementError(
                     f"entry {mit_to_text(m)} for variable {x!r} does not refine {type_to_text(t)}")
-        entries.append((x, rigidify_mset(ms), t))
-    if not mrefines(p.result, result_type):
+        entries.append((x, ms, t))
+    if not refines(p.result, result_type):
         raise RefinementError(
             f"result {mit_to_text(p.result)} does not refine {type_to_text(result_type)}")
-    return ResourceContext(tuple(entries)), rigidify_mit(p.result)
+    return ResourceContext(tuple(entries)), p.result
 
 
 ####################################################################
@@ -298,7 +214,8 @@ def canonicalize_point(p: PointSpec, ctx: TypingContext,
 #
 #   *                      base
 #   <a1,...,an> -o b       rigid arrow (ordered domain)
-#   [a1,...,an] -o b       multiset arrow
+#   [a1,...,an] -o b       multiset arrow, read and printed as the
+#                          canonical rigid arrow
 #
 # -o is right-associative; whitespace is free.
 
@@ -387,20 +304,22 @@ def parse_itype(text: str) -> IType:
     return t
 
 
-def parse_mit(text: str) -> MultisetIType:
-    """Multiset type notation; rigid sequence brackets are accepted and collapsed."""
+def parse_mit(text: str) -> IType:
+    """Multiset type notation, as a canonical type; rigid sequence brackets
+    are accepted and collapsed."""
     p = _ITParser(text, allow_multiset=True, allow_seq=True)
     t = p.parse_type()
     p.finish()
-    return collapse_it(t)
+    return canonicalize_it(t)
 
 
-def parse_mset(text: str) -> tuple[MultisetIType, ...]:
-    """A bare multiset of types, e.g. "[[*,*]-o*]"; used for context entries."""
+def parse_mset(text: str) -> SeqType:
+    """A bare multiset of types, e.g. "[[*,*]-o*]", as a canonical sequence;
+    used for context entries."""
     p = _ITParser(text, allow_multiset=True, allow_seq=True)
     seq = p.parse_seq()
     p.finish()
-    return tuple(sorted((collapse_it(t) for t in seq), key=key_mit))
+    return canonicalize_seq(seq)
 
 
 def it_to_text(a: IType) -> str:
@@ -416,16 +335,17 @@ def seq_to_text(seq: SeqType) -> str:
     return "<" + ",".join(it_to_text(a) for a in seq) + ">"
 
 
-def mit_to_text(m: MultisetIType) -> str:
-    match m:
-        case MStar():
+def mit_to_text(a: IType) -> str:
+    """A canonical type in multiset notation."""
+    match a:
+        case Star():
             return "*"
-        case MArrow(d, c):
+        case IArrow(d, c):
             return f"{mset_to_text(d)}-o{mit_to_text(c)}"
-    raise TypeError(f"not a multiset type: {m!r}")
+    raise TypeError(f"not a rigid type: {a!r}")
 
 
-def mset_to_text(ms: tuple[MultisetIType, ...]) -> str:
+def mset_to_text(ms: SeqType) -> str:
     return "[" + ",".join(mit_to_text(m) for m in ms) + "]"
 
 

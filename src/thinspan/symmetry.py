@@ -1,7 +1,7 @@
 """Morphisms between rigid intersection types, and their polarities.
 
 A morphism witnesses that two rigid types collapse to the same multiset
-type.  The grammar mirrors the types: the base type has only the identity,
+type, that is, have the same canonical representative.  The grammar mirrors the types: the base type has only the identity,
 and an arrow morphism pairs a sequence morphism with a codomain morphism.
 A sequence morphism is a permutation together with componentwise morphisms;
 component i runs from source slot i to target slot sigma(i), so the target
@@ -196,13 +196,6 @@ def _compose_seq(g: SeqMorphism, f: SeqMorphism) -> SeqMorphism:
     return SeqMorphism(sigma, comps)
 
 
-def compose_ctx(g: CtxMorphism, f: CtxMorphism) -> CtxMorphism:
-    if [e[0] for e in g.entries] != [e[0] for e in f.entries]:
-        raise MorphismError("cannot compose context morphisms over different variables")
-    return CtxMorphism(tuple(
-        (x, compose_seq(gm, fm), t)
-        for (x, gm, t), (_, fm, _) in zip(g.entries, f.entries)))
-
 
 def identity_it(a: IType) -> ITMorphism:
     match a:
@@ -216,9 +209,6 @@ def identity_it(a: IType) -> ITMorphism:
 def identity_seq(seq: SeqType) -> SeqMorphism:
     return SeqMorphism(identity_perm(len(seq)), tuple(identity_it(a) for a in seq))
 
-
-def identity_ctx(theta: ResourceContext) -> CtxMorphism:
-    return CtxMorphism(tuple((x, identity_seq(seq), t) for x, seq, t in theta.entries))
 
 
 def invert_it(phi: ITMorphism) -> ITMorphism:
@@ -235,9 +225,6 @@ def invert_seq(sm: SeqMorphism) -> SeqMorphism:
     comps = tuple(invert_it(sm.components[inv[j]]) for j in range(len(sm.components)))
     return SeqMorphism(inv, comps)
 
-
-def invert_ctx(cm: CtxMorphism) -> CtxMorphism:
-    return CtxMorphism(tuple((x, invert_seq(sm), t) for x, sm, t in cm.entries))
 
 
 ####################################################################
@@ -406,9 +393,6 @@ def polarity_it(phi: ITMorphism, t: SimpleType) -> Polarity:
     return _classify(is_positive_it(phi, t), is_negative_it(phi, t))
 
 
-def polarity_ctx(cm: CtxMorphism) -> Polarity:
-    return _classify(is_positive_ctx(cm), is_negative_ctx(cm))
-
 
 ####################################################################
 # polar factorization: phi = negative after positive, uniquely
@@ -432,22 +416,6 @@ def polar_factorize_it(phi: ITMorphism, t: SimpleType) -> tuple[ITMorphism, ITMo
             neg = ArrowMorphism(SeqMorphism(identity_perm(n), tuple(ns)), cn)  # type: ignore[arg-type]
             return pos, neg
     raise MorphismError(f"morphism {phi!r} does not refine {t!r}")
-
-
-def polar_factorize_seq(sm: SeqMorphism, t: SimpleType) -> tuple[SeqMorphism, SeqMorphism]:
-    pairs = [polar_factorize_it(f, t) for f in sm.components]
-    pos = SeqMorphism(identity_perm(len(pairs)), tuple(p for p, _ in pairs))
-    neg = SeqMorphism(sm.sigma, tuple(n for _, n in pairs))
-    return pos, neg
-
-
-def polar_factorize_ctx(cm: CtxMorphism) -> tuple[CtxMorphism, CtxMorphism]:
-    pos, neg = [], []
-    for x, sm, t in cm.entries:
-        p, n = polar_factorize_seq(sm, t)
-        pos.append((x, p, t))
-        neg.append((x, n, t))
-    return CtxMorphism(tuple(pos)), CtxMorphism(tuple(neg))
 
 
 ####################################################################

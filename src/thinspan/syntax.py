@@ -60,15 +60,6 @@ def type_to_text(t: SimpleType) -> str:
     raise TypeError(f"not a simple type: {t!r}")
 
 
-def type_order(t: SimpleType) -> int:
-    match t:
-        case Base():
-            return 0
-        case Arrow(d, c):
-            return max(type_order(d) + 1, type_order(c))
-    raise TypeError(f"not a simple type: {t!r}")
-
-
 ####################################################################
 # terms
 

@@ -1,12 +1,15 @@
-"""Weighted-relational coefficients over natural numbers with infinity.
+"""Weighted-relational coefficients.
 
 The coefficient of a term at a point (a multiset context together with a
-multiset result type) is computed by structural recursion on the beta-normal
-form.  At a variable-headed spine the head consumes one element of the
-variable's multiset; the sum ranges over the distinct element values, since
-consuming either of two equal copies leaves the same residual.  The residual
-context is then distributed over the argument positions: each element of
-each argument multiset receives a sub-multiset, summed over all ordered
+multiset result type) is a natural number, computed by structural recursion
+on the beta-normal form.  A multiset type is its canonical rigid type, so
+the environment and the targets are plain ITypes with sorted sequences.
+
+At a variable-headed spine the head consumes one element of the variable's
+multiset; the sum ranges over the distinct element values, since consuming
+either of two equal copies leaves the same residual.  The residual context
+is then distributed over the argument positions: each element of each
+argument multiset receives a sub-multiset, summed over all ordered
 decompositions against the fixed sorted presentation of the argument
 multisets.
 """
@@ -18,62 +21,43 @@ from functools import lru_cache
 from itertools import product
 
 from .syntax import (
-    App, Lam, Term, TypingContext, Var,
+    Lam, Term, TypingContext, Var,
     annotate, beta_normalize, ensure_distinct_binders, spine,
 )
 from .rigidtypes import (
-    MArrow, MStar, MultisetIType, PointSpec, RefinementError, mit_to_text, mrefines,
+    IArrow, IType, PointSpec, RefinementError, SeqType, mit_to_text, refines,
 )
 
 
 @dataclass(frozen=True)
 class NatInf:
-    """A natural number or infinity (value None)."""
-    value: int | None = 0
+    """A coefficient of the weighted-relational model."""
+    value: int = 0
 
     def __post_init__(self):
-        if self.value is not None and self.value < 0:
+        if self.value < 0:
             raise ValueError("negative coefficient")
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __add__(self, other: "NatInf") -> "NatInf":
-        if self.is_infinite or other.is_infinite:
-            return INF
-        return NatInf(self.value + other.value)
-
-    def __mul__(self, other: "NatInf") -> "NatInf":
-        # 0 times infinity is 0, as in the usual complete semiring
-        if self.value == 0 or other.value == 0:
-            return NatInf(0)
-        if self.is_infinite or other.is_infinite:
-            return INF
-        return NatInf(self.value * other.value)
 
     def __bool__(self) -> bool:
         return self.value != 0
 
     def __repr__(self) -> str:
-        return "inf" if self.is_infinite else str(self.value)
+        return str(self.value)
 
-
-INF = NatInf(None)
 
 # environment: per-variable multisets, keyed by name, sorted for memoization
-Env = tuple[tuple[str, tuple[MultisetIType, ...]], ...]
+Env = tuple[tuple[str, SeqType], ...]
 
 
 def wrel_coefficient(ctx: TypingContext, term: Term, point: PointSpec) -> NatInf:
     """Coefficient of the term's interpretation at the given point."""
     term, ty = annotate(ctx, term)
-    if not mrefines(point.result, ty):
+    if not refines(point.result, ty):
         raise RefinementError(
             f"point result {mit_to_text(point.result)} does not refine the term's type")
     for name, _ in ctx.bindings:
         for m in point.ctx_lookup(name):
-            if not mrefines(m, ctx.lookup(name)):
+            if not refines(m, ctx.lookup(name)):
                 raise RefinementError(f"point entry for {name!r} fails refinement")
     extra = set(n for n, _ in point.ctx) - set(ctx.names())
     if extra:
@@ -89,16 +73,12 @@ def rel_inhabited(ctx: TypingContext, term: Term, point: PointSpec) -> bool:
     return bool(wrel_coefficient(ctx, term, point))
 
 
-def _env_set(env: Env, name: str, mset: tuple[MultisetIType, ...]) -> Env:
+def _env_set(env: Env, name: str, mset: SeqType) -> Env:
     return tuple(sorted(((n, ms) for n, ms in env if n != name), key=lambda e: e[0])
                  + [(name, mset)])
 
 
-def _env_drop(env: Env, name: str) -> Env:
-    return tuple((n, ms) for n, ms in env if n != name)
-
-
-def _lookup(env: Env, name: str) -> tuple[MultisetIType, ...]:
+def _lookup(env: Env, name: str) -> SeqType:
     for n, ms in env:
         if n == name:
             return ms
@@ -108,7 +88,7 @@ def _lookup(env: Env, name: str) -> tuple[MultisetIType, ...]:
 _memo: dict = {}
 
 
-def _coeff(env: Env, term: Term, target: MultisetIType) -> int:
+def _coeff(env: Env, term: Term, target: IType) -> int:
     key = (env, term, target)
     hit = _memo.get(key)
     if hit is not None:
@@ -118,9 +98,9 @@ def _coeff(env: Env, term: Term, target: MultisetIType) -> int:
     return out
 
 
-def _coeff_raw(env: Env, term: Term, target: MultisetIType) -> int:
+def _coeff_raw(env: Env, term: Term, target: IType) -> int:
     if isinstance(term, Lam):
-        if not isinstance(target, MArrow):
+        if not isinstance(target, IArrow):
             return 0
         assert term.annot is not None
         inner = tuple(sorted(env + ((term.binder, target.domain),), key=lambda e: e[0]))
@@ -130,11 +110,11 @@ def _coeff_raw(env: Env, term: Term, target: MultisetIType) -> int:
     assert isinstance(head, Var), "coefficient recursion expects a beta-normal term"
     total = 0
     for b in dict.fromkeys(_lookup(env, head.name)):
-        doms: list[tuple[MultisetIType, ...]] = []
-        cur: MultisetIType = b
+        doms: list[SeqType] = []
+        cur: IType = b
         fits = True
         for _ in args:
-            if not isinstance(cur, MArrow):
+            if not isinstance(cur, IArrow):
                 fits = False
                 break
             doms.append(cur.domain)
@@ -147,19 +127,19 @@ def _coeff_raw(env: Env, term: Term, target: MultisetIType) -> int:
     return total
 
 
-def _remove_one(env: Env, name: str, b: MultisetIType) -> Env:
+def _remove_one(env: Env, name: str, b: IType) -> Env:
     ms = list(_lookup(env, name))
     ms.remove(b)
     return _env_set(env, name, tuple(ms))
 
 
-def _distribute(env: Env, targets: list[tuple[Term, MultisetIType]]) -> int:
+def _distribute(env: Env, targets: list[tuple[Term, IType]]) -> int:
     """Sum over ordered decompositions of env across the targets of the
     product of the recursive coefficients."""
     if not targets:
         return 1 if all(not ms for _, ms in env) else 0
     k = len(targets)
-    per_var: list[tuple[str, list[list[tuple[MultisetIType, ...]]]]] = []
+    per_var: list[tuple[str, list[list[SeqType]]]] = []
     for name, ms in env:
         per_var.append((name, [list(d) for d in _mset_decompositions(ms, k)]))
     total = 0
@@ -179,13 +159,13 @@ def _distribute(env: Env, targets: list[tuple[Term, MultisetIType]]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _mset_decompositions(ms: tuple[MultisetIType, ...], k: int):
+def _mset_decompositions(ms: SeqType, k: int):
     """All ways to split a multiset into an ordered tuple of k sub-multisets.
 
     Equal elements are interchangeable, so each distinct value contributes
     the compositions of its multiplicity.
     """
-    groups: list[tuple[MultisetIType, int]] = []
+    groups: list[tuple[IType, int]] = []
     for v in ms:
         if groups and groups[-1][0] == v:
             groups[-1] = (v, groups[-1][1] + 1)
@@ -195,7 +175,7 @@ def _mset_decompositions(ms: tuple[MultisetIType, ...], k: int):
     for counts in product(*(_ncompositions(mult, k) for _, mult in groups)):
         parts = []
         for j in range(k):
-            part: list[MultisetIType] = []
+            part: list[IType] = []
             for g, (v, _) in enumerate(groups):
                 part.extend([v] * counts[g][j])
             parts.append(tuple(part))

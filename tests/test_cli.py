@@ -179,3 +179,31 @@ def test_verify_mixed_corpus(tmp_path):
     res = run("verify", "--corpus", str(cf))
     assert res.exit_code == 0
     assert res.output.count("PASS") == 2
+
+
+def test_verify_adhoc_redex_needs_budget():
+    # corpus entries fall back to a budget of 4; an ad-hoc subject does not
+    args = ["verify", "--ctx", "g:o->o, y:o", "--term", "(\\x. x) (g y)", "--point",
+            '{"ctx":{"g":"[[*]-o*]","y":"[*]"},"type":"*"}']
+    res = run(*args)
+    assert res.exit_code == 3
+    assert res.output.startswith("FAIL (cli)")
+    assert "budget" in res.output
+    res = run(*args, "--json")
+    assert res.exit_code == 3
+    [result] = json.loads(res.output)
+    assert result["ok"] is False and "budget" in result["error"]
+    res = run(*args, "--budget", "4")
+    assert res.exit_code == 0
+    assert res.output.startswith("PASS (cli)")
+
+
+def test_negative_budget_is_a_usage_error():
+    for cmd, args in [("witnesses", REDEX), ("weight", REDEX), ("verify", REDEX)]:
+        res = run(cmd, *args, "--budget", "-1")
+        assert res.exit_code == 2, cmd
+        res = run(cmd, *args, env={"THINSPAN_BUDGET": "-1"})
+        assert res.exit_code == 2, cmd
+        assert "THINSPAN_BUDGET" in res.stderr
+    res = run("verify", "--corpus", str(CORPUS_PATH), "--budget", "-1")
+    assert res.exit_code == 2

@@ -9,7 +9,7 @@ from thinspan.derivation import (
     AppRule, BoundedAt, BudgetRequiredError, DerivationError, Exact, RApp, RLam, RVar,
     check_derivation, compose_dm, derivation_to_resource, dm_app, endo_count,
     enumerate_derivation_morphisms, enumerate_resource_morphisms, enumerate_witnesses,
-    identity_dm, invert_dm, mk_app, mk_lam, mk_multi, mk_var, mresource_to_text,
+    identity_dm, invert_dm, mk_app, mk_lam, mk_multi, mk_var,
     multiset_collapse_term, omega_substitute, partition_by_symmetry,
     resource_to_derivation, resource_to_text, rt_occurrence_labels, rt_type,
     src_dm, symmetric, tgt_dm,
@@ -162,7 +162,10 @@ def test_multiset_collapse_identifies_the_pair():
     _, _, shared = across_points("shared-head-two-ways")
     s1, s2 = (derivation_to_resource(d) for d in shared)
     assert multiset_collapse_term(s1) != multiset_collapse_term(s2)
-    assert mresource_to_text(multiset_collapse_term(r1))
+    # the collapse is a canonical resource term, so collapsing is idempotent
+    c1 = multiset_collapse_term(r1)
+    assert multiset_collapse_term(c1) == c1
+    assert resource_to_text(c1)
 
 
 def test_collapse_equal_but_not_symmetric():

@@ -1,18 +1,19 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from thinspan.syntax import Arrow, Base, parse_context, parse_simple_type
+from thinspan.syntax import Base, parse_context, parse_simple_type
 from thinspan.rigidtypes import (
-    IArrow, MArrow, MStar, PointSpec, RefinementError, ResourceContext, Star,
-    canonicalize_ctx, canonicalize_it, canonicalize_point, collapse_it, compare_mit,
-    concat_ctx, ctx_refines, ctx_to_text, is_canonical, it_to_text, key_it, key_mit,
-    mit_to_text, mrefines, mset_to_text, parse_itype, parse_mit, parse_mset,
-    point_from_json, point_to_json, refines, rigidify_mit, seq_to_text, singleton_ctx,
+    IArrow, PointSpec, RefinementError, Star,
+    canonicalize_ctx, canonicalize_it, canonicalize_point,
+    concat_ctx, ctx_refines, ctx_to_text, is_canonical, it_to_text,
+    mit_to_text, parse_itype, parse_mit, parse_mset,
+    point_from_json, point_to_json, refines, singleton_ctx,
 )
+from thinspan.symmetry import enumerate_homs_it
 
-from support import rand_itype, rand_stype
+from support import rand_itype, rand_reorder, rand_stype
 
 S = Star()
 O = Base()
@@ -44,8 +45,11 @@ def test_multiset_types_sort_their_elements():
     assert m1 == m2
     assert mit_to_text(m1) == "[[]-o*,[*]-o*]-o*"
     assert parse_mset("[[*]-o*, []-o*]") == parse_mset("[[]-o*, [*]-o*]")
-    # rigid brackets are accepted and collapsed
-    assert parse_mit("<*>-o*") == MArrow((MStar(),), MStar())
+    # a multiset type is its canonical rigid type; rigid brackets are
+    # accepted and collapsed
+    assert is_canonical(m1)
+    assert m1 == canonicalize_it(parse_itype("<<*>-o*, <>-o*>-o*"))
+    assert parse_mit("<*>-o*") == IArrow((S,), S)
 
 
 def test_refinement():
@@ -53,12 +57,7 @@ def test_refinement():
     assert refines(parse_itype("<*,*>-o*"), oo)
     assert not refines(S, oo)
     assert not refines(parse_itype("<*>-o*"), O)
-    assert mrefines(parse_mit("[[*]-o*]-o*"), parse_simple_type("(o->o)->o"))
-
-
-@given(itypes())
-def test_collapse_then_rigidify_is_canonicalization(a):
-    assert rigidify_mit(collapse_it(a)) == canonicalize_it(a)
+    assert refines(parse_mit("[[*]-o*]-o*"), parse_simple_type("(o->o)->o"))
 
 
 @given(itypes())
@@ -66,14 +65,17 @@ def test_canonicalize_idempotent_and_collapse_invariant(a):
     c = canonicalize_it(a)
     assert canonicalize_it(c) == c
     assert is_canonical(c)
-    assert collapse_it(c) == collapse_it(a)
+    # collapsing the rigid notation lands on the same canonical type
+    assert parse_mit(it_to_text(a)) == c
+    assert parse_mit(mit_to_text(c)) == c
 
 
-@given(itypes(), itypes())
-def test_key_orders_agree_with_collapse(a, b):
-    if collapse_it(a) == collapse_it(b):
-        assert canonicalize_it(a) == canonicalize_it(b)
-        assert key_mit(collapse_it(a)) == key_mit(collapse_it(b))
+@given(itypes(), itypes(), st.randoms(use_true_random=False))
+def test_homs_exist_iff_same_canonical_form(a, b, rng):
+    # morphisms witness exactly that two rigid types collapse to the same
+    # multiset type; a reordering of a is always such a pair
+    for x, y in [(a, b), (a, rand_reorder(rng, a))]:
+        assert bool(enumerate_homs_it(x, y)) == (canonicalize_it(x) == canonicalize_it(y))
 
 
 def test_random_refinements_respect_simple_types():
@@ -83,7 +85,6 @@ def test_random_refinements_respect_simple_types():
         a = rand_itype(rng, t)
         assert refines(a, t)
         assert refines(canonicalize_it(a), t)
-        assert mrefines(collapse_it(a), t)
 
 
 def test_context_concat_is_per_variable():
@@ -115,6 +116,12 @@ def test_point_spec_sorts_and_validates():
     assert p.ctx_lookup("missing") == ()
     back = point_to_json(p)
     assert point_from_json(back, ctx, O) == p
+    # entries and the result are canonical however the point is built
+    assert PointSpec(tuple((x, ms[::-1]) for x, ms in p.ctx), p.result) == p
+    a = parse_itype("<<*>-o*, <>-o*>-o*")
+    q = PointSpec((("f", (a, S)),), a)
+    assert q.result == parse_mit("[[]-o*, [*]-o*]-o*")
+    assert q.ctx_lookup("f") == (S, q.result)
 
 
 def test_point_refinement_errors():

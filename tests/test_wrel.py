@@ -3,28 +3,22 @@ from math import comb
 import pytest
 
 from thinspan.syntax import beta_normalize, ensure_distinct_binders, is_beta_normal
-from thinspan.rigidtypes import MArrow, MStar, PointSpec, RefinementError, parse_mit
-from thinspan.wrel import INF, NatInf, wrel_coefficient, rel_inhabited, _mset_decompositions
+from thinspan.rigidtypes import IArrow, PointSpec, RefinementError, Star, parse_mit
+from thinspan.wrel import NatInf, wrel_coefficient, rel_inhabited, _mset_decompositions
 
 from support import load_corpus, parse_entry
 
-M = MStar()
+M = Star()
 
 
 def test_natinf_arithmetic():
     assert NatInf() == NatInf(0)
-    assert NatInf(2) + NatInf(3) == NatInf(5)
-    assert NatInf(2) * NatInf(3) == NatInf(6)
-    assert INF + NatInf(1) == INF
-    assert NatInf(4) * INF == INF
-    # zero absorbs infinity
-    assert NatInf(0) * INF == NatInf(0)
-    assert INF * NatInf(0) == NatInf(0)
+    assert NatInf(5) == NatInf(5) != NatInf(6)
     assert not NatInf(0)
-    assert NatInf(1) and INF
+    assert NatInf(1)
     with pytest.raises(ValueError):
         NatInf(-1)
-    assert repr(INF) == "inf" and repr(NatInf(7)) == "7"
+    assert repr(NatInf(7)) == "7"
 
 
 def test_corpus_coefficients():
@@ -55,7 +49,7 @@ def test_coefficient_is_beta_invariant():
 
 def test_refinement_validation():
     ctx, term, ty, point = parse_entry(load_corpus()[0])
-    bad_result = PointSpec(point.ctx, MArrow((), M))
+    bad_result = PointSpec(point.ctx, IArrow((), M))
     with pytest.raises(RefinementError):
         wrel_coefficient(ctx, term, bad_result)
     bad_entry = PointSpec((("f", (M,)),) + point.ctx[1:], point.result)
