@@ -38,12 +38,18 @@ from .wrel import wrel_coefficient
 DEFAULT_CORPUS_BUDGET = 4
 
 _INPUT_ERRORS = (ParseError, TypeCheckError, RefinementError, DerivationError,
-                 MorphismError, json.JSONDecodeError)
+                 MorphismError, json.JSONDecodeError, OSError, RecursionError)
 
 
 def _fail(message: str, code: int) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _input_error(e: Exception) -> str:
+    if isinstance(e, RecursionError):
+        return "the input is nested too deeply for Python's recursion limit"
+    return str(e)
 
 
 def _parse_subject(ctx_text: str, term_text: str, type_text: str | None):
@@ -54,12 +60,17 @@ def _parse_subject(ctx_text: str, term_text: str, type_text: str | None):
     return ctx, term, ty
 
 
-def _load_point(point_arg: str, ctx: TypingContext, ty) -> PointSpec:
+def _point_json(point_arg: str):
+    """A point given as inline JSON or as the path to a JSON file."""
     text = point_arg
     if not text.lstrip().startswith("{"):
         with open(text) as f:
             text = f.read()
-    return point_from_json(json.loads(text), ctx, ty)
+    return json.loads(text)
+
+
+def _load_point(point_arg: str, ctx: TypingContext, ty) -> PointSpec:
+    return point_from_json(_point_json(point_arg), ctx, ty)
 
 
 def _resolve_budget(budget: int | None) -> int | None:
@@ -134,7 +145,7 @@ def check(ctx_text: str, term_text: str, type_text: str | None, as_json: bool) -
         ctx, term, ty = _parse_subject(ctx_text, term_text, type_text)
         nf = beta_normalize(term)
     except _INPUT_ERRORS as e:
-        _fail(str(e), 1)
+        _fail(_input_error(e), 1)
     obj = {
         "term": term_to_text(term),
         "type": type_to_text(ty),
@@ -166,7 +177,7 @@ def witnesses(ctx_text, term_text, type_text, point_arg, budget, as_json) -> Non
     except BudgetRequiredError as e:
         _fail(str(e), 3)
     except _INPUT_ERRORS as e:
-        _fail(str(e), 1)
+        _fail(_input_error(e), 1)
     obj = _report_json(report)
     lines = [
         f"canonical point: {obj['canonical']['ctx']} |- {obj['canonical']['type']}",
@@ -199,7 +210,7 @@ def weight(ctx_text, term_text, type_text, point_arg, budget, as_json) -> None:
     except BudgetRequiredError as e:
         _fail(str(e), 3)
     except _INPUT_ERRORS as e:
-        _fail(str(e), 1)
+        _fail(_input_error(e), 1)
     obj = {
         "coefficient": coeff.value,
         "witnesses": report.wit_plus,
@@ -215,11 +226,31 @@ def weight(ctx_text, term_text, type_text, point_arg, budget, as_json) -> None:
     ])
 
 
+# the JSON type of each corpus entry field, as docs/formats.md gives them
+_ENTRY_FIELDS = {"ctx": (str, "a string"), "term": (str, "a string"), "type": (str, "a string"),
+                 "point": ((dict, str), "an object"), "expected": (int, "an integer"),
+                 "budget": (int, "a non-negative integer")}
+
+
+def _entry_problem(entry: dict) -> str | None:
+    missing = [field for field in ("term", "point") if field not in entry]
+    if missing:
+        return f"entry has no {' or '.join(map(repr, missing))} field"
+    for field, (kind, what) in _ENTRY_FIELDS.items():
+        value = entry.get(field)
+        if value is None:
+            continue
+        if (not isinstance(value, kind) or isinstance(value, bool)
+                or (field == "budget" and value < 0)):
+            return f"field {field!r} must be {what}, got {json.dumps(value)}"
+    return None
+
+
 def _entry_budget(entry: dict, budget: int | None, default: int | None) -> int | None:
     if budget is not None:
         return budget
-    if "budget" in entry:
-        return int(entry["budget"])
+    if entry.get("budget") is not None:
+        return entry["budget"]
     return default
 
 
@@ -250,8 +281,13 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
     entries: list[dict] = []
     default_budget = None
     if corpus_path:
-        with open(corpus_path) as f:
-            entries = json.load(f)
+        try:
+            with open(corpus_path) as f:
+                entries = json.load(f)
+        except (OSError, json.JSONDecodeError) as e:
+            _fail(f"{corpus_path}: {e}", 1)
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            _fail(f"{corpus_path}: a corpus must be a JSON list of objects", 1)
         default_budget = DEFAULT_CORPUS_BUDGET
     elif term_text and point_arg:
         entries = [{"name": "(cli)", "ctx": ctx_text or "", "term": term_text,
@@ -267,10 +303,13 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
     budget_missing = False
     for entry in entries:
         name = entry.get("name", entry.get("term", "?"))
+        problem = _entry_problem(entry)
+        if problem:
+            _fail(f"{name}: {problem}", 1)
         try:
-            if isinstance(entry.get("point"), str):
+            if isinstance(entry["point"], str):
                 entry = dict(entry)
-                entry["point"] = json.loads(entry["point"])
+                entry["point"] = _point_json(entry["point"])
             started = time.monotonic()
             rep = _verify_entry(entry, budget, default_budget)
             elapsed = time.monotonic() - started
@@ -281,7 +320,7 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
                 click.echo(f"FAIL {name}: {e}")
             continue
         except _INPUT_ERRORS as e:
-            _fail(f"{name}: {e}", 1)
+            _fail(f"{name}: {_input_error(e)}", 1)
         ok = rep.ok
         any_failed = any_failed or not ok
         results.append({

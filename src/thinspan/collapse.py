@@ -30,7 +30,8 @@ from .rigidtypes import (
 from .symmetry import (
     CtxMorphism, Degrees, ITMorphism,
     enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_positive_it,
-    neg_targets_ctx, pos_sources_it, sym_degrees_ctx, sym_degrees_it,
+    neg_targets_ctx, negative_hom_ctx, pos_sources_it, positive_hom_it,
+    sym_degrees_ctx, sym_degrees_it,
 )
 from .derivation import (
     BoundedAt, Completeness, Derivation, Exact,
@@ -83,7 +84,7 @@ def positive_witnesses(ctx: TypingContext, term: Term, point: PointSpec,
     for theta in neg_targets_ctx(gamma):
         neg = _first_negative(gamma, theta)
         for alpha in pos_sources_it(a, ty):
-            pos = _first_positive(alpha, a, ty)
+            pos = _first_positive(alpha, a)
             ws = enumerate_witnesses(ctx, term, theta, alpha, budget)
             if isinstance(ws.completeness, BoundedAt):
                 completeness = ws.completeness
@@ -99,18 +100,18 @@ def positive_witnesses(ctx: TypingContext, term: Term, point: PointSpec,
 
 
 def _first_negative(gamma: ResourceContext, theta: ResourceContext) -> CtxMorphism:
-    for cm in enumerate_homs_ctx(gamma, theta):
-        if is_negative_ctx(cm):
-            return cm
-    raise AssertionError(
-        f"no negative morphism {ctx_to_text(gamma)} -> {ctx_to_text(theta)}")
+    cm = negative_hom_ctx(gamma, theta)
+    if cm is None:
+        raise AssertionError(
+            f"no negative morphism {ctx_to_text(gamma)} -> {ctx_to_text(theta)}")
+    return cm
 
 
-def _first_positive(alpha: IType, a: IType, ty) -> ITMorphism:
-    for phi in enumerate_homs_it(alpha, a):
-        if is_positive_it(phi, ty):
-            return phi
-    raise AssertionError(f"no positive morphism {it_to_text(alpha)} -> {it_to_text(a)}")
+def _first_positive(alpha: IType, a: IType) -> ITMorphism:
+    phi = positive_hom_it(alpha, a)
+    if phi is None:
+        raise AssertionError(f"no positive morphism {it_to_text(alpha)} -> {it_to_text(a)}")
+    return phi
 
 
 def weight_by_classes(report: WitnessReport) -> int:
@@ -141,14 +142,23 @@ def class_counts_check(report: WitnessReport) -> list[str]:
 
 
 def esp_explicit(report: WitnessReport) -> int:
-    """Count witness triples by full enumeration of the polarized morphisms."""
+    """Count witness triples by enumerating the polarized morphisms.
+
+    A context morphism is one sequence morphism per variable, and it is
+    negative exactly when each of them is, so the negative morphisms are
+    counted one variable at a time and multiplied.
+    """
     gamma, a = report.rep
     ty = annotate(report.ctx, report.term)[1]
     total = 0
     for w in report.witnesses:
         theta = w.derivation.context
         alpha = w.derivation.result
-        negs = sum(1 for cm in enumerate_homs_ctx(gamma, theta) if is_negative_ctx(cm))
+        negs = 1
+        for x, seq, t in gamma.entries:
+            homs = enumerate_homs_ctx(ResourceContext(((x, seq, t),)),
+                                      ResourceContext(((x, theta.lookup(x), t),)))
+            negs *= sum(1 for cm in homs if is_negative_ctx(cm))
         poss = sum(1 for phi in enumerate_homs_it(alpha, a) if is_positive_it(phi, ty))
         total += negs * poss
     return total

@@ -364,7 +364,11 @@ def point_from_json(obj: dict, ctx: TypingContext, result_type: SimpleType) -> P
     for x, text in raw_ctx.items():
         if ctx.lookup(x) is None:
             raise RefinementError(f"point mentions variable {x!r} not bound in the context")
+        if not isinstance(text, str):
+            raise RefinementError(f"point entry for {x!r} must be multiset notation, got {text!r}")
         entries.append((x, parse_mset(text)))
+    if not isinstance(obj["type"], str):
+        raise RefinementError(f'point "type" must be multiset notation, got {obj["type"]!r}')
     result = parse_mit(obj["type"])
     p = PointSpec(tuple(entries), result)
     # fail fast on refinement errors

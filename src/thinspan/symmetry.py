@@ -23,6 +23,21 @@ context entries the variance flips: positive means identity permutation
 with positive components, negative means any permutation with negative
 components.  Every morphism factors uniquely as a negative morphism after
 a positive one.
+
+Because of that factorization the symmetry degrees have a closed form.  For
+a canonical a = <d_k^m_k> -o c, with the d_k distinct and m_k copies of
+each, the endomorphisms permute equal elements and act componentwise:
+
+  tot(a) = tot(c) * prod m_k! * tot(d_k)^m_k
+  pos(a) = pos(c) * prod m_k! * neg(d_k)^m_k
+  neg(a) = neg(c) * prod pos(d_k)^m_k
+
+A context entry flips the variance, and a context's degrees are the
+product of its entries'.  The polarized morphisms that witness
+reachability are built directly from their structure as well.  Listing
+whole hom-sets (enumerate_homs_*) takes factorial time; it serves as the
+oracle in the tests and in the explicit triple count, not on the path of
+a query.
 """
 
 from __future__ import annotations
@@ -30,12 +45,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, combinations_with_replacement, groupby, permutations, product
+from math import factorial, prod
 
 from .syntax import Arrow, Base, SimpleType
 from .rigidtypes import (
     IArrow, IType, ResourceContext, SeqType, Star, STAR,
-    it_to_text, key_it, refines,
+    canonicalize_ctx, ctx_refines, ctx_to_text, is_canonical, it_to_text, key_it, refines,
 )
 
 
@@ -419,6 +435,85 @@ def polar_factorize_it(phi: ITMorphism, t: SimpleType) -> tuple[ITMorphism, ITMo
 
 
 ####################################################################
+# polarized morphisms, built directly
+#
+# Each function below returns a morphism of its polarity between two types,
+# or None when there is none.  A negative arrow morphism keeps the domain
+# order with positive components; a positive one permutes the domain with
+# negative components.  Negative morphisms form a subgroupoid, so being
+# linked by one is an equivalence relation and a greedy matching of
+# domain slots never blocks a complete one.  Taking the first free target
+# slot each time gives the first morphism of that polarity in the order
+# enumerate_homs_* lists them.
+
+def negative_hom_it(a: IType, b: IType) -> ITMorphism | None:
+    match a, b:
+        case Star(), Star():
+            return STAR_ID
+        case IArrow(ad, ac), IArrow(bd, bc):
+            d = positive_hom_seq(ad, bd)
+            c = negative_hom_it(ac, bc) if d is not None else None
+            return ArrowMorphism(d, c) if c is not None else None
+    return None
+
+
+def positive_hom_it(a: IType, b: IType) -> ITMorphism | None:
+    match a, b:
+        case Star(), Star():
+            return STAR_ID
+        case IArrow(ad, ac), IArrow(bd, bc):
+            d = negative_hom_seq(ad, bd)
+            c = positive_hom_it(ac, bc) if d is not None else None
+            return ArrowMorphism(d, c) if c is not None else None
+    return None
+
+
+def positive_hom_seq(sa: SeqType, sb: SeqType) -> SeqMorphism | None:
+    """Identity permutation, positive components (a context entry's variance)."""
+    if len(sa) != len(sb):
+        return None
+    comps = []
+    for x, y in zip(sa, sb):
+        f = positive_hom_it(x, y)
+        if f is None:
+            return None
+        comps.append(f)
+    return SeqMorphism(identity_perm(len(sa)), tuple(comps))
+
+
+def negative_hom_seq(sa: SeqType, sb: SeqType) -> SeqMorphism | None:
+    """Any permutation, negative components (a context entry's variance)."""
+    if len(sa) != len(sb):
+        return None
+    free = list(range(len(sb)))
+    sigma: list[int] = []
+    comps: list[ITMorphism] = []
+    for x in sa:
+        for k, j in enumerate(free):
+            f = negative_hom_it(x, sb[j])
+            if f is not None:
+                break
+        else:
+            return None
+        del free[k]
+        sigma.append(j)
+        comps.append(f)
+    return SeqMorphism(tuple(sigma), tuple(comps))
+
+
+def negative_hom_ctx(ca: ResourceContext, cb: ResourceContext) -> CtxMorphism | None:
+    if ca.shape() != cb.shape():
+        return None
+    entries = []
+    for x, sa, t in ca.entries:
+        sm = negative_hom_seq(sa, cb.lookup(x))
+        if sm is None:
+            return None
+        entries.append((x, sm, t))
+    return CtxMorphism(tuple(entries))
+
+
+####################################################################
 # symmetry degrees
 
 @dataclass(frozen=True)
@@ -429,23 +524,46 @@ class Degrees:
 
 
 def sym_degrees_it(a: IType, t: SimpleType) -> Degrees:
-    from .rigidtypes import canonicalize_it
-    if canonicalize_it(a) != a:
+    if not is_canonical(a):
         raise MorphismError(f"symmetry degrees need a canonical representative, got {it_to_text(a)}")
-    endos = enumerate_homs_it(a, a)
-    return Degrees(len(endos),
-                   sum(1 for e in endos if is_positive_it(e, t)),
-                   sum(1 for e in endos if is_negative_it(e, t)))
+    if not refines(a, t):
+        raise MorphismError(f"type {it_to_text(a)} does not refine {t!r}")
+    return _degrees_it(a)
 
 
 def sym_degrees_ctx(theta: ResourceContext) -> Degrees:
-    from .rigidtypes import canonicalize_ctx
     if canonicalize_ctx(theta) != theta:
         raise MorphismError("symmetry degrees need a canonical representative context")
-    endos = enumerate_homs_ctx(theta, theta)
-    return Degrees(len(endos),
-                   sum(1 for e in endos if is_positive_ctx(e)),
-                   sum(1 for e in endos if is_negative_ctx(e)))
+    if not ctx_refines(theta):
+        raise MorphismError(f"context {ctx_to_text(theta)} does not refine its simple types")
+    entries = [_degrees_seq(seq) for _, seq, _ in theta.entries]
+    return Degrees(prod(d.total for d in entries), prod(d.positive for d in entries),
+                   prod(d.negative for d in entries))
+
+
+def _degrees_it(a: IType) -> Degrees:
+    match a:
+        case Star():
+            return Degrees(1, 1, 1)
+        case IArrow(d, c):
+            # the domain is read as a context entry, with the variance flipped
+            dom, cod = _degrees_seq(d), _degrees_it(c)
+            return Degrees(dom.total * cod.total, dom.negative * cod.positive,
+                           dom.positive * cod.negative)
+    raise TypeError(f"not a rigid type: {a!r}")
+
+
+def _degrees_seq(seq: SeqType) -> Degrees:
+    """Degrees of a canonical sequence as a context entry: equal elements sit
+    next to each other, and only they may be permuted."""
+    total = positive = negative = 1
+    for x, group in groupby(seq):
+        m = len(list(group))
+        d = _degrees_it(x)
+        total *= factorial(m) * d.total ** m
+        positive *= d.positive ** m
+        negative *= factorial(m) * d.negative ** m
+    return Degrees(total, positive, negative)
 
 
 ####################################################################
@@ -462,12 +580,10 @@ def neg_targets_it(a: IType, t: SimpleType) -> tuple[IType, ...]:
         case Star(), Base():
             return (STAR,)
         case IArrow(d, c), Arrow(td, tc):
-            out = []
             pools = [pos_targets_it(x, td) for x in d]
-            for doms in product(*pools):
-                for c2 in neg_targets_it(c, tc):
-                    out.append(IArrow(tuple(doms), c2))
-            return _dedup_it(out)
+            return tuple(sorted((IArrow(tuple(doms), c2)
+                                 for doms in product(*pools)
+                                 for c2 in neg_targets_it(c, tc)), key=key_it))
     raise MorphismError(f"type {it_to_text(a)} does not refine {t!r}")
 
 
@@ -477,17 +593,11 @@ def pos_targets_it(a: IType, t: SimpleType) -> tuple[IType, ...]:
         case Star(), Base():
             return (STAR,)
         case IArrow(d, c), Arrow(td, tc):
-            out = []
-            n = len(d)
-            pools = [neg_targets_it(x, td) for x in d]
-            for choices in product(*pools):
-                for sigma in permutations(range(n)):
-                    placed: list[IType | None] = [None] * n
-                    for i in range(n):
-                        placed[sigma[i]] = choices[i]
-                    for c2 in pos_targets_it(c, tc):
-                        out.append(IArrow(tuple(placed), c2))  # type: ignore[arg-type]
-            return _dedup_it(out)
+            # a positive morphism reorders the domain freely and moves each
+            # element negatively: the domain's negative targets as an entry
+            return tuple(sorted((IArrow(doms, c2)
+                                 for doms in neg_targets_seq(d, td)
+                                 for c2 in pos_targets_it(c, tc)), key=key_it))
     raise MorphismError(f"type {it_to_text(a)} does not refine {t!r}")
 
 
@@ -496,16 +606,18 @@ pos_sources_it = pos_targets_it
 
 @lru_cache(maxsize=None)
 def neg_targets_seq(seq: SeqType, t: SimpleType) -> tuple[SeqType, ...]:
-    n = len(seq)
-    out = []
-    pools = [neg_targets_it(x, t) for x in seq]
-    for choices in product(*pools):
-        for sigma in permutations(range(n)):
-            placed: list[IType | None] = [None] * n
-            for i in range(n):
-                placed[sigma[i]] = choices[i]
-            out.append(tuple(placed))
-    return _dedup_seq(out)
+    """Every distinct arrangement of a choice of negative targets per element.
+
+    Equal elements have equal targets, so each group of m equal elements
+    chooses a bag of m targets; each distinct bag is then laid out in each
+    of its distinct orders.
+    """
+    groups = [(x, len(list(g))) for x, g in groupby(seq)]
+    per_group = [combinations_with_replacement(neg_targets_it(x, t), m) for x, m in groups]
+    bags = dict.fromkeys(tuple(sorted(chain.from_iterable(choice), key=key_it))
+                         for choice in product(*per_group))
+    return tuple(sorted((arr for bag in bags for arr in _arrangements(bag)),
+                        key=lambda s: tuple(key_it(a) for a in s)))
 
 
 def neg_targets_ctx(theta: ResourceContext) -> tuple[ResourceContext, ...]:
@@ -513,12 +625,24 @@ def neg_targets_ctx(theta: ResourceContext) -> tuple[ResourceContext, ...]:
     return tuple(ResourceContext(tuple(choice)) for choice in product(*pools))
 
 
-def _dedup_it(items: list[IType]) -> tuple[IType, ...]:
-    return tuple(sorted(dict.fromkeys(items), key=key_it))
-
-
-def _dedup_seq(items: list[SeqType]) -> tuple[SeqType, ...]:
-    return tuple(sorted(dict.fromkeys(items), key=lambda s: tuple(key_it(a) for a in s)))
+def _arrangements(bag: SeqType) -> list[SeqType]:
+    """The distinct orderings of a bag whose equal elements are adjacent, in
+    lexicographic order of the slots' group ranks."""
+    values = [x for x, _ in groupby(bag)]
+    ranks = [r for r, (_, group) in enumerate(groupby(bag)) for _ in group]
+    out: list[SeqType] = []
+    while True:
+        out.append(tuple(values[r] for r in ranks))
+        i = len(ranks) - 2
+        while i >= 0 and ranks[i] >= ranks[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(ranks) - 1
+        while ranks[j] <= ranks[i]:
+            j -= 1
+        ranks[i], ranks[j] = ranks[j], ranks[i]
+        ranks[i + 1:] = reversed(ranks[i + 1:])
 
 
 ####################################################################

@@ -1,13 +1,22 @@
-"""Shared helpers: corpus loading, subject parsing, seeded random generators."""
+"""Shared helpers: corpus loading, subject parsing, seeded random generators,
+and brute-force oracles for what the library computes in closed form."""
 
 from __future__ import annotations
 
 import json
 import random
+from itertools import permutations, product
 from pathlib import Path
 
 from thinspan.syntax import Arrow, Base, SimpleType, annotate, parse_context, parse_simple_type, parse_term
-from thinspan.rigidtypes import IArrow, IType, Star, canonicalize_it, point_from_json
+from thinspan.rigidtypes import (
+    IArrow, IType, ResourceContext, SeqType, Star, canonicalize_it, canonicalize_seq, key_it,
+    point_from_json,
+)
+from thinspan.symmetry import (
+    Degrees, enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_negative_it,
+    is_positive_ctx, is_positive_it,
+)
 
 CORPUS_PATH = Path(__file__).resolve().parent.parent / "corpus" / "points.json"
 
@@ -56,3 +65,69 @@ def rand_reorder(rng: random.Random, a: IType) -> IType:
     elems = [rand_reorder(rng, x) for x in a.domain]
     rng.shuffle(elems)
     return IArrow(tuple(elems), rand_reorder(rng, a.codomain))
+
+
+def rand_context(rng: random.Random, nvars: int = 2, width: int = 3) -> ResourceContext:
+    """A random canonical resource context over variables x0, x1, ..."""
+    entries = []
+    for i in range(rng.randint(1, nvars)):
+        t = rand_stype(rng, 2)
+        seq = tuple(rand_itype(rng, t, 2) for _ in range(rng.randint(0, width)))
+        entries.append((f"x{i}", canonicalize_seq(seq), t))
+    return ResourceContext(tuple(entries))
+
+
+####################################################################
+# brute-force oracles: enumerate every morphism, then classify
+
+def brute_degrees_it(a: IType, t: SimpleType) -> Degrees:
+    endos = enumerate_homs_it(a, a)
+    return Degrees(len(endos),
+                   sum(1 for e in endos if is_positive_it(e, t)),
+                   sum(1 for e in endos if is_negative_it(e, t)))
+
+
+def brute_degrees_ctx(theta: ResourceContext) -> Degrees:
+    endos = enumerate_homs_ctx(theta, theta)
+    return Degrees(len(endos),
+                   sum(1 for e in endos if is_positive_ctx(e)),
+                   sum(1 for e in endos if is_negative_ctx(e)))
+
+
+# brute-force reachability: every placement of every choice, then deduplicate
+
+def _dedup(items, key):
+    return tuple(sorted(dict.fromkeys(items), key=key))
+
+
+def _all_placements(pools) -> list[SeqType]:
+    n = len(pools)
+    out = []
+    for choices in product(*pools):
+        for sigma in permutations(range(n)):
+            placed = [None] * n
+            for i in range(n):
+                placed[sigma[i]] = choices[i]
+            out.append(tuple(placed))
+    return out
+
+
+def brute_neg_targets_it(a: IType, t: SimpleType) -> tuple[IType, ...]:
+    if isinstance(a, Star):
+        return (a,)
+    pools = [brute_pos_targets_it(x, t.domain) for x in a.domain]
+    return _dedup([IArrow(tuple(doms), c2) for doms in product(*pools)
+                   for c2 in brute_neg_targets_it(a.codomain, t.codomain)], key_it)
+
+
+def brute_pos_targets_it(a: IType, t: SimpleType) -> tuple[IType, ...]:
+    if isinstance(a, Star):
+        return (a,)
+    pools = [brute_neg_targets_it(x, t.domain) for x in a.domain]
+    return _dedup([IArrow(doms, c2) for doms in _all_placements(pools)
+                   for c2 in brute_pos_targets_it(a.codomain, t.codomain)], key_it)
+
+
+def brute_neg_targets_seq(seq: SeqType, t: SimpleType) -> tuple[SeqType, ...]:
+    pools = [brute_neg_targets_it(x, t) for x in seq]
+    return _dedup(_all_placements(pools), lambda s: tuple(key_it(a) for a in s))

@@ -1,15 +1,23 @@
-"""The names the benchmark under perfbench/ relies on stay in place.
+"""The names the benchmark under perfbench/ relies on stay in place, and the
+work its ladders measure stays small.
 
 The benchmark's tracer wraps names imported into thinspan.collapse and
 thinspan.wrel, and reads the coefficient off verify_identities; a refactor
 that moves either would break the benchmark without failing any other test.
+The work guards count morphisms instead of timing anything.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+import thinspan.collapse
+import thinspan.symmetry
 from thinspan.collapse import verify_identities
+from thinspan.rigidtypes import canonicalize_point, point_from_json
+from thinspan.syntax import annotate, parse_context, parse_term
 
 from support import load_corpus, parse_entry
 
@@ -37,3 +45,74 @@ def test_coefficient_is_a_plain_int():
     value = verify_identities(ctx, term, point).wrel.value
     assert type(value) is int
     assert value == entry["expected"]
+
+
+def stars(n):
+    return "[" + ",".join(["*"] * n) + "]"
+
+
+def symmetric_point(n):
+    """`g y` at g:[[*^n]-o*], y:[*^n]: one witness, n!*n! context endomorphisms."""
+    return "g y", {"g": f"[{stars(n)}-o*]", "y": stars(n)}
+
+
+def fanout_point(n):
+    """`g (g (g y))` at g:[n x ([*,*]-o*), (n+1) x ([*]-o*)], y:[*^(n+1)]."""
+    g = ",".join(["[*,*]-o*"] * n + ["[*]-o*"] * (n + 1))
+    return "g (g (g y))", {"g": f"[{g}]", "y": stars(n + 1)}
+
+
+def subject(term_text, point_ctx):
+    ctx = parse_context("g:o->o, y:o")
+    term, ty = annotate(ctx, parse_term(term_text))
+    return ctx, term, ty, point_from_json({"ctx": point_ctx, "type": "*"}, ctx, ty)
+
+
+def counting(fn, sizes):
+    def wrapped(*args):
+        out = fn(*args)
+        sizes.append(len(out))
+        return out
+    return wrapped
+
+
+# The largest hom-set of one variable's entry: 6! for y (and g) at
+# symmetric n = 6; 3!*4!*2^3 for g at fan-out n = 3.  The whole-context
+# hom-sets these points used to enumerate hold 518,400 and 27,648.
+@pytest.mark.parametrize("point, bound", [
+    (symmetric_point(6), 720),
+    (fanout_point(3), 1152),
+], ids=["symmetric-6", "fanout-3"])
+def test_no_factorial_products_of_morphisms(monkeypatch, point, bound):
+    sizes = []
+    for name in ("enumerate_homs_ctx", "enumerate_homs_it"):
+        monkeypatch.setattr(thinspan.collapse, name,
+                            counting(getattr(thinspan.collapse, name), sizes))
+    ctx, term, _, pt = subject(*point)
+    assert verify_identities(ctx, term, pt).ok
+    assert sizes and max(sizes) <= bound
+
+
+def test_degrees_and_witness_morphisms_enumerate_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("hom-set enumerated")
+    for name in ("enumerate_homs_ctx", "enumerate_homs_seq", "enumerate_homs_it"):
+        monkeypatch.setattr(thinspan.symmetry, name, refuse)
+    ctx, term, ty, point = subject(*fanout_point(3))
+    gamma, a = canonicalize_point(point, ctx, ty)
+    assert thinspan.symmetry.sym_degrees_ctx(gamma).total == 1152 * 24
+    assert thinspan.symmetry.sym_degrees_it(a, ty).total == 1
+    thetas = thinspan.symmetry.neg_targets_ctx(gamma)
+    assert len(thetas) == 35
+    for theta in thetas:
+        assert thinspan.symmetry.negative_hom_ctx(gamma, theta) is not None
+    assert thinspan.symmetry.positive_hom_it(a, a) is not None
+
+
+def test_larger_rungs_verify():
+    ctx, term, _, point = subject(*symmetric_point(7))
+    rep = verify_identities(ctx, term, point)
+    assert rep.ok and rep.wrel.value == 1
+    ctx, term, _, point = subject(*fanout_point(4))
+    rep = verify_identities(ctx, term, point)
+    assert rep.ok and rep.wrel.value == 0

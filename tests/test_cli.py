@@ -207,3 +207,77 @@ def test_negative_budget_is_a_usage_error():
         assert "THINSPAN_BUDGET" in res.stderr
     res = run("verify", "--corpus", str(CORPUS_PATH), "--budget", "-1")
     assert res.exit_code == 2
+
+
+def test_verify_point_from_file(tmp_path):
+    pf = tmp_path / "point.json"
+    pf.write_text('{"ctx": {"g": "[[*]-o*]", "y": "[*]"}, "type": "*"}')
+    res = run("verify", "--ctx", "g:o->o, y:o", "--term", "g y", "--point", str(pf),
+              "--expected", "1")
+    assert res.exit_code == 0, res.output
+    assert res.output.startswith("PASS (cli)")
+
+
+def assert_clean_input_error(res):
+    assert res.exit_code == 1, res.output
+    assert res.stderr.startswith("error:")
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
+def test_missing_point_file_is_an_input_error(tmp_path):
+    missing = str(tmp_path / "absent.json")
+    for cmd in ("witnesses", "weight", "verify"):
+        res = run(cmd, "--ctx", "g:o->o, y:o", "--term", "g y", "--point", missing)
+        assert_clean_input_error(res)
+        assert "absent.json" in res.stderr
+
+
+def test_corpus_entry_without_term_or_point(tmp_path):
+    entry = {"name": "partial", "ctx": "y:o", "term": "y",
+             "point": {"ctx": {"y": "[*]"}, "type": "*"}}
+    for field in ("term", "point"):
+        cf = tmp_path / f"no-{field}.json"
+        cf.write_text(json.dumps([{k: v for k, v in entry.items() if k != field}]))
+        res = run("verify", "--corpus", str(cf))
+        assert_clean_input_error(res)
+        assert field in res.stderr
+
+
+def test_corpus_of_the_wrong_shape(tmp_path):
+    entry = {"name": "ok", "ctx": "y:o", "term": "y",
+             "point": {"ctx": {"y": "[*]"}, "type": "*"}}
+    for corpus in ({"entries": [entry]}, [entry, "not an object"], [3]):
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps(corpus))
+        res = run("verify", "--corpus", str(cf))
+        assert_clean_input_error(res)
+        assert "list of objects" in res.stderr
+
+
+def test_deeply_nested_term_is_an_input_error():
+    n = 400
+    term = "y"
+    for _ in range(n):
+        term = f"f ({term})"
+    point = json.dumps({"ctx": {"f": "[" + ",".join(["[*]-o*"] * n) + "]", "y": "[*]"},
+                        "type": "*"})
+    for cmd in ("witnesses", "weight", "verify"):
+        res = run(cmd, "--ctx", "f:o->o, y:o", "--term", term, "--point", point)
+        assert_clean_input_error(res)
+
+
+def test_corpus_fields_of_the_wrong_type(tmp_path):
+    entry = {"name": "typed", "ctx": "y:o", "term": "(\\x:o. x) y",
+             "point": {"ctx": {"y": "[*]"}, "type": "*"}, "expected": 1, "budget": 1}
+    bad = [("ctx", 5), ("term", ["y"]), ("type", 0), ("expected", "1"),
+           ("budget", "x"), ("budget", -1), ("point", 3),
+           ("point", {"ctx": {"y": 5}, "type": "*"}), ("point", {"ctx": {"y": "[*]"}, "type": 5})]
+    for field, value in bad:
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps([dict(entry, **{field: value})]))
+        res = run("verify", "--corpus", str(cf))
+        assert_clean_input_error(res)
+        assert res.stderr.startswith("error: typed:"), res.stderr
+    cf.write_text(json.dumps([entry]))
+    assert run("verify", "--corpus", str(cf)).exit_code == 0

@@ -3,20 +3,27 @@ from itertools import permutations
 
 import pytest
 
-from thinspan.syntax import Arrow, Base, parse_context, parse_simple_type
-from thinspan.rigidtypes import Star, canonicalize_it, parse_itype, point_from_json, canonicalize_point
+from thinspan.syntax import Arrow, Base, is_beta_normal, parse_context, parse_simple_type
+from thinspan.rigidtypes import (
+    ResourceContext, Star, canonicalize_it, parse_itype, point_from_json, canonicalize_point,
+)
 from thinspan.symmetry import (
     ArrowMorphism, MorphismError, SeqMorphism, StarId,
     compose_it, compose_perm, compose_seq, concat_seqm, enumerate_homs_ctx,
     enumerate_homs_it, enumerate_homs_seq, identity_it, identity_perm, identity_seq,
     inverse_perm, invert_it, is_identity_perm, is_negative_ctx, is_negative_it,
     is_negative_seq, is_positive_ctx, is_positive_it, is_positive_seq,
-    neg_targets_ctx, neg_targets_it, polar_factorize_it, polarity_it,
-    pos_targets_it, sigma_action, src_it, src_seq, sym_degrees_ctx, sym_degrees_it,
-    tgt_it, tgt_seq,
+    neg_targets_ctx, neg_targets_it, neg_targets_seq, negative_hom_ctx, negative_hom_it,
+    polar_factorize_it, polarity_it, pos_targets_it, positive_hom_it, sigma_action,
+    src_ctx, src_it, src_seq, sym_degrees_ctx, sym_degrees_it, tgt_ctx, tgt_it, tgt_seq,
 )
+from thinspan.collapse import esp_explicit, positive_witnesses
 
-from support import rand_canonical, rand_reorder, rand_stype
+from support import (
+    brute_degrees_ctx, brute_degrees_it, brute_neg_targets_it, brute_neg_targets_seq,
+    brute_pos_targets_it, entry_budget, load_corpus, parse_entry, rand_canonical,
+    rand_context, rand_itype, rand_reorder, rand_stype,
+)
 
 S = Star()
 O = Base()
@@ -228,3 +235,124 @@ def test_ctx_polarity_through_enumeration():
         assert any(is_negative_ctx(cm) for cm in enumerate_homs_ctx(gamma, theta))
     endos = enumerate_homs_ctx(gamma, gamma)
     assert sum(1 for cm in endos if is_positive_ctx(cm)) == 1
+
+
+MAX_ENDOS = 20_000
+
+
+def test_closed_form_degrees_match_enumeration():
+    rng = random.Random(2024)
+    types = contexts = 0
+    while types < 500:
+        t = rand_stype(rng, 3)
+        a = rand_canonical(rng, t, 3)
+        d = sym_degrees_it(a, t)
+        if d.total > MAX_ENDOS:
+            continue
+        assert d == brute_degrees_it(a, t), a
+        types += 1
+    while contexts < 200:
+        theta = rand_context(rng)
+        d = sym_degrees_ctx(theta)
+        if d.total > MAX_ENDOS:
+            continue
+        assert d == brute_degrees_ctx(theta), theta
+        contexts += 1
+
+
+def test_degrees_reject_bad_input():
+    with pytest.raises(MorphismError):
+        sym_degrees_it(parse_itype("<<*>-o*,*>-o*"), OO)  # not canonical
+    with pytest.raises(MorphismError):
+        sym_degrees_it(parse_itype("<*>-o*"), O)  # does not refine o
+    with pytest.raises(MorphismError):
+        sym_degrees_ctx(ResourceContext((("x", (parse_itype("<>-o*"),), O),)))
+
+
+def first_with(homs, polar):
+    return next((h for h in homs if polar(h)), None)
+
+
+def test_direct_type_morphisms_match_enumeration():
+    rng = random.Random(77)
+    built = absent = 0
+    for _ in range(300):
+        # depth 3, so that codomains have domains of distinct elements
+        t = rand_stype(rng, 3)
+        a = rand_canonical(rng, t, 2)
+        # every positive source, plus reorderings and unrelated refinements
+        sources = list(pos_targets_it(a, t)) + [rand_reorder(rng, a), rand_itype(rng, t, 3)]
+        for b in sources:
+            homs = enumerate_homs_it(b, a)
+            if len(homs) > MAX_ENDOS:
+                continue
+            phi = positive_hom_it(b, a)
+            assert phi == first_with(homs, lambda h: is_positive_it(h, t))
+            if phi is None:
+                assert b not in pos_targets_it(a, t)
+                absent += 1
+                continue
+            assert src_it(phi) == b and tgt_it(phi) == a and is_positive_it(phi, t)
+            built += 1
+        for b in neg_targets_it(a, t) + (rand_reorder(rng, a),):
+            homs = enumerate_homs_it(a, b)
+            if len(homs) > MAX_ENDOS:
+                continue
+            phi = negative_hom_it(a, b)
+            assert phi == first_with(homs, lambda h: is_negative_it(h, t))
+            if phi is None:
+                absent += 1
+                continue
+            assert src_it(phi) == a and tgt_it(phi) == b and is_negative_it(phi, t)
+            built += 1
+    assert built >= 300 and absent >= 30
+
+
+def test_direct_negative_context_morphisms_match_enumeration():
+    rng = random.Random(78)
+    built = absent = 0
+    for _ in range(200):
+        gamma = rand_context(rng)
+        shuffled = ResourceContext(tuple(
+            (x, tuple(rng.sample([rand_reorder(rng, a) for a in seq], len(seq))), t)
+            for x, seq, t in gamma.entries))
+        for theta in neg_targets_ctx(gamma) + (shuffled,):
+            homs = enumerate_homs_ctx(gamma, theta)
+            if len(homs) > MAX_ENDOS:
+                continue
+            cm = negative_hom_ctx(gamma, theta)
+            assert cm == first_with(homs, is_negative_ctx)
+            if cm is None:
+                absent += 1
+                continue
+            assert src_ctx(cm) == gamma and tgt_ctx(cm) == theta and is_negative_ctx(cm)
+            built += 1
+    assert built >= 200 and absent >= 10
+
+
+def test_reachability_matches_all_orderings_oracle():
+    rng = random.Random(79)
+    for _ in range(200):
+        t = rand_stype(rng, 3)
+        a = rand_canonical(rng, t, 3)
+        assert pos_targets_it(a, t) == brute_pos_targets_it(a, t), a
+        assert neg_targets_it(a, t) == brute_neg_targets_it(a, t), a
+        t = rand_stype(rng, 2)
+        seq = tuple(rand_itype(rng, t, 2) for _ in range(rng.randint(0, 5)))
+        assert neg_targets_seq(seq, t) == brute_neg_targets_seq(seq, t), seq
+
+
+def test_per_variable_triple_count_matches_whole_contexts():
+    for entry in load_corpus():
+        ctx, term, ty, point = parse_entry(entry)
+        budget = None if is_beta_normal(term) else entry_budget(entry)
+        report = positive_witnesses(ctx, term, point, budget)
+        gamma, a = report.rep
+        whole = 0
+        for w in report.witnesses:
+            negs = sum(1 for cm in enumerate_homs_ctx(gamma, w.derivation.context)
+                       if is_negative_ctx(cm))
+            poss = sum(1 for phi in enumerate_homs_it(w.derivation.result, a)
+                       if is_positive_it(phi, ty))
+            whole += negs * poss
+        assert esp_explicit(report) == whole, entry["name"]
