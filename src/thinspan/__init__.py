@@ -21,8 +21,9 @@ from .symmetry import (
 )
 from .derivation import (
     BudgetRequiredError, DerivationError, WitnessSet,
-    derivation_to_resource, enumerate_derivation_morphisms, enumerate_witnesses,
-    multiset_collapse_term, partition_by_symmetry, resource_to_text, symmetric,
+    check_derivation, enumerate_derivation_morphisms, enumerate_witnesses,
+    multiset_collapse_term, partition_by_symmetry, resource_to_text, rt_context, rt_type,
+    symmetric,
 )
 from .wrel import NatInf, rel_inhabited, wrel_coefficient
 from .collapse import (

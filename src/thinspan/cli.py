@@ -26,8 +26,7 @@ from .rigidtypes import (
 )
 from .symmetry import MorphismError
 from .derivation import (
-    BoundedAt, BudgetRequiredError, DerivationError, derivation_to_resource,
-    resource_to_text,
+    BoundedAt, BudgetRequiredError, DerivationError, resource_to_text, rt_context, rt_type,
 )
 from .collapse import (
     IdentityReport, WitnessReport, positive_witnesses, verify_identities,
@@ -103,9 +102,9 @@ def _report_json(report: WitnessReport) -> dict:
         "canonical": {"ctx": ctx_to_text(gamma), "type": it_to_text(alpha)},
         "witnesses": [
             {
-                "term": resource_to_text(derivation_to_resource(w.derivation)),
-                "ctx": ctx_to_text(w.derivation.context),
-                "type": it_to_text(w.derivation.result),
+                "term": resource_to_text(w.derivation),
+                "ctx": ctx_to_text(rt_context(gamma.shape(), w.derivation)),
+                "type": it_to_text(rt_type(w.derivation)),
             }
             for w in report.witnesses
         ],
@@ -188,7 +187,7 @@ def witnesses(ctx_text, term_text, type_text, point_arg, budget, as_json) -> Non
                      f"{report.class_endos[i]} endomorphisms")
         for j in cls:
             w = report.witnesses[j]
-            lines.append("  " + resource_to_text(derivation_to_resource(w.derivation)))
+            lines.append("  " + resource_to_text(w.derivation))
     _emit(obj, as_json, lines)
 
 

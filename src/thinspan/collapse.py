@@ -34,15 +34,15 @@ from .symmetry import (
     sym_degrees_ctx, sym_degrees_it,
 )
 from .derivation import (
-    BoundedAt, Completeness, Derivation, Exact,
-    endo_count, enumerate_witnesses, partition_by_symmetry,
+    BoundedAt, Completeness, Exact, ResourceTerm,
+    endo_count, enumerate_witnesses, partition_by_symmetry, rt_context, rt_type,
 )
 from .wrel import NatInf, wrel_coefficient
 
 
 @dataclass(frozen=True)
 class PositiveWitness:
-    derivation: Derivation
+    derivation: ResourceTerm
     neg: CtxMorphism   # canonical context -> derivation context, negative
     pos: ITMorphism    # derivation result -> canonical result, positive
 
@@ -152,8 +152,8 @@ def esp_explicit(report: WitnessReport) -> int:
     ty = annotate(report.ctx, report.term)[1]
     total = 0
     for w in report.witnesses:
-        theta = w.derivation.context
-        alpha = w.derivation.result
+        theta = rt_context(gamma.shape(), w.derivation)
+        alpha = rt_type(w.derivation)
         negs = 1
         for x, seq, t in gamma.entries:
             homs = enumerate_homs_ctx(ResourceContext(((x, seq, t),)),

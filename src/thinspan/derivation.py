@@ -1,5 +1,5 @@
-"""Rigid derivations, resource terms, witness enumeration, and the
-groupoid of derivations.
+"""Rigid derivations as rigid resource terms, witness enumeration, and
+the groupoid of derivations.
 
 A derivation assigns a rigid point (resource context, rigid type) to a
 simply-typed term.  The rules, one per node kind:
@@ -14,9 +14,13 @@ simply-typed term.  The rules, one per node kind:
   lam:    the binder's entry (last in the body context) moves into the
           arrow domain.
 
-Derivations of a fixed term biject with rigid resource terms, so resource
-terms double as a canonical serialization, and morphisms between
-derivations are enumerated structurally on the underlying resource terms.
+Derivations of a fixed term biject with rigid resource terms, so a
+derivation is represented by its resource term: a var node is an RVar
+carrying its label, an app node an RApp whose argument tuple is the multi
+node, a lam node an RLam.  The conclusion is computed, not stored: the
+context entry of a variable lists the labels of its occurrences left to
+right (rt_context), and the result is rt_type.  check_derivation validates
+a resource term against the term it derives.
 
 Morphisms between derivations rebase every node: var nodes carry a label
 morphism, multi nodes a permutation acting on children, app nodes share
@@ -38,143 +42,24 @@ from .syntax import (
 )
 from .rigidtypes import (
     IArrow, IType, ResourceContext, SeqType, Star,
-    canonicalize_it, concat_ctx, ctx_refines, ctx_to_text,
-    empty_ctx_like, it_to_text, key_it, refines, singleton_ctx,
+    canonicalize_it, ctx_refines, ctx_to_text, it_to_text, key_it, refines,
 )
 from .symmetry import (
-    ArrowMorphism, CtxMorphism, ITMorphism, MorphismError, SeqMorphism,
-    compose_it, compose_perm, ctx_sigma_action, concat_ctxm, empty_ctxm_like,
-    enumerate_homs_it, identity_it, identity_perm, invert_it, inverse_perm,
-    singleton_ctxm, src_ctx, src_it, tgt_ctx, tgt_it,
+    ArrowMorphism, ITMorphism, MorphismError, SeqMorphism,
+    compose_it, compose_perm, concat_seqm, enumerate_homs_it, identity_it, identity_perm,
+    invert_it, inverse_perm, sigma_action, src_it, tgt_it,
 )
 
 
 class DerivationError(Exception):
-    """Raised when derivation pieces do not fit a rule."""
+    """Raised when a resource term does not fit a rule."""
 
 
 class BudgetRequiredError(Exception):
     """Raised when enumerating witnesses of a non-normal term without a budget."""
 
 
-####################################################################
-# derivations
-
-@dataclass(frozen=True)
-class VarRule:
-    name: str
-    label: IType
-    context: ResourceContext
-
-    @property
-    def result(self) -> IType:
-        return self.label
-
-
-@dataclass(frozen=True)
-class MultiDerivation:
-    children: tuple["Derivation", ...]
-    context: ResourceContext
-    result: SeqType
-
-
-@dataclass(frozen=True)
-class AppRule:
-    fn: "Derivation"
-    arg: MultiDerivation
-    context: ResourceContext
-    result: IType
-
-
-@dataclass(frozen=True)
-class LamRule:
-    binder: str
-    binder_type: SimpleType
-    body: "Derivation"
-    context: ResourceContext
-    result: IType
-
-
-Derivation = VarRule | AppRule | LamRule
-
 Shape = tuple[tuple[str, SimpleType], ...]
-
-
-def mk_var(shape: Shape, name: str, label: IType) -> VarRule:
-    ty = dict(shape).get(name)
-    if ty is None:
-        raise DerivationError(f"variable {name!r} not in scope")
-    if not refines(label, ty):
-        raise DerivationError(f"label {it_to_text(label)} does not refine {type_to_text(ty)}")
-    return VarRule(name, label, singleton_ctx(shape, name, label))
-
-
-def mk_multi(shape: Shape, children: tuple[Derivation, ...]) -> MultiDerivation:
-    ctx = empty_ctx_like(shape)
-    for c in children:
-        ctx = concat_ctx(ctx, c.context)
-    return MultiDerivation(tuple(children), ctx, tuple(c.result for c in children))
-
-
-def mk_app(fn: Derivation, arg: MultiDerivation) -> AppRule:
-    if not isinstance(fn.result, IArrow):
-        raise DerivationError(f"function part concludes {it_to_text(fn.result)}, not an arrow")
-    if fn.result.domain != arg.result:
-        raise DerivationError(
-            f"argument multi concludes {arg.result}, function domain is {fn.result.domain}")
-    return AppRule(fn, arg, concat_ctx(fn.context, arg.context), fn.result.codomain)
-
-
-def mk_lam(binder: str, binder_type: SimpleType, body: Derivation) -> LamRule:
-    entries = body.context.entries
-    if not entries or entries[-1][0] != binder or entries[-1][2] != binder_type:
-        raise DerivationError(f"body context does not end with binder {binder!r}")
-    dom = entries[-1][1]
-    return LamRule(binder, binder_type, body,
-                   ResourceContext(entries[:-1]), IArrow(dom, body.result))
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    message: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_derivation(d: Derivation | MultiDerivation) -> CheckResult:
-    """Re-validate every node against its rule."""
-    try:
-        _check(d)
-    except DerivationError as e:
-        return CheckResult(False, str(e))
-    return CheckResult(True)
-
-
-def _check(d: Derivation | MultiDerivation) -> None:
-    match d:
-        case VarRule(name, label, context):
-            rebuilt = mk_var(context.shape(), name, label)
-            if rebuilt != d:
-                raise DerivationError(f"var node for {name!r} has a wrong context")
-        case MultiDerivation(children, context, result):
-            for c in children:
-                _check(c)
-            rebuilt = mk_multi(context.shape(), children)
-            if rebuilt != d:
-                raise DerivationError("multi node conclusion does not match its children")
-        case AppRule(fn, arg, _, _):
-            _check(fn)
-            _check(arg)
-            if mk_app(fn, arg) != d:
-                raise DerivationError("app node conclusion does not match its parts")
-        case LamRule(binder, btype, body, _, _):
-            _check(body)
-            if mk_lam(binder, btype, body) != d:
-                raise DerivationError(f"lam node for {binder!r} does not match its body")
-        case _:
-            raise DerivationError(f"not a derivation node: {d!r}")
 
 
 ####################################################################
@@ -190,7 +75,7 @@ class RVar:
 class RLam:
     binder: str
     body: "ResourceTerm"
-    annot: SimpleType | None = None
+    annot: SimpleType
 
 
 @dataclass(frozen=True)
@@ -216,44 +101,6 @@ def resource_to_text(r: ResourceTerm) -> str:
     raise TypeError(f"not a resource term: {r!r}")
 
 
-def derivation_to_resource(d: Derivation) -> ResourceTerm:
-    match d:
-        case VarRule(name, label, _):
-            return RVar(name, label)
-        case AppRule(fn, arg, _, _):
-            return RApp(derivation_to_resource(fn),
-                        tuple(derivation_to_resource(c) for c in arg.children))
-        case LamRule(binder, btype, body, _, _):
-            return RLam(binder, derivation_to_resource(body), btype)
-    raise TypeError(f"not a derivation: {d!r}")
-
-
-def resource_to_derivation(ctx: TypingContext, term: Term, r: ResourceTerm) -> Derivation:
-    """Rebuild the unique derivation of `term` with underlying resource term r."""
-    term, _ = annotate(ctx, term)
-    return _rebuild(tuple(ctx.bindings), term, r)
-
-
-def _rebuild(shape: Shape, term: Term, r: ResourceTerm) -> Derivation:
-    match term, r:
-        case Var(x), RVar(y, label):
-            if x != y:
-                raise DerivationError(f"resource term mentions {y!r} where the term has {x!r}")
-            return mk_var(shape, x, label)
-        case App(f, a), RApp(rf, rargs):
-            dfn = _rebuild(shape, f, rf)
-            children = tuple(_rebuild(shape, a, ra) for ra in rargs)
-            return mk_app(dfn, mk_multi(shape, children))
-        case Lam(x, b, ann), RLam(y, rb, _):
-            if x != y:
-                raise DerivationError(f"resource binder {y!r} differs from term binder {x!r}")
-            assert ann is not None
-            body = _rebuild(shape + ((x, ann),), b, rb)
-            return mk_lam(x, ann, body)
-    raise DerivationError(
-        f"resource term {resource_to_text(r)} does not match term {term_to_text(term)}")
-
-
 def rt_occurrence_labels(r: ResourceTerm, x: str) -> list[IType]:
     """Labels of the free occurrences of x, left to right."""
     match r:
@@ -267,6 +114,12 @@ def rt_occurrence_labels(r: ResourceTerm, x: str) -> list[IType]:
                 out.extend(rt_occurrence_labels(a, x))
             return out
     raise TypeError(f"not a resource term: {r!r}")
+
+
+def rt_context(shape: Shape, r: ResourceTerm) -> ResourceContext:
+    """The resource context a resource term concludes, over the variables of shape."""
+    return ResourceContext(tuple(
+        (x, tuple(rt_occurrence_labels(r, x)), t) for x, t in shape))
 
 
 def rt_type(r: ResourceTerm) -> IType:
@@ -287,6 +140,54 @@ def rt_type(r: ResourceTerm) -> IType:
                     f"{tuple(map(it_to_text, ft.domain))}")
             return ft.codomain
     raise TypeError(f"not a resource term: {r!r}")
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    ok: bool
+    message: str = ""
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def check_derivation(ctx: TypingContext, term: Term, r: ResourceTerm) -> CheckResult:
+    """Check that r is a derivation of term: it has the term's shape, every
+    label refines its variable's simple type, and every argument sequence
+    fits its function's domain."""
+    term, _ = annotate(ctx, term)
+    try:
+        _check(tuple(ctx.bindings), term, r)
+        rt_type(r)
+    except DerivationError as e:
+        return CheckResult(False, str(e))
+    return CheckResult(True)
+
+
+def _check(shape: Shape, term: Term, r: ResourceTerm) -> None:
+    match term, r:
+        case Var(x), RVar(y, label):
+            if x != y:
+                raise DerivationError(f"resource term mentions {y!r} where the term has {x!r}")
+            ty = dict(shape)[x]
+            if not refines(label, ty):
+                raise DerivationError(
+                    f"label {it_to_text(label)} does not refine {type_to_text(ty)}")
+            return
+        case App(f, a), RApp(rf, rargs):
+            _check(shape, f, rf)
+            for ra in rargs:
+                _check(shape, a, ra)
+            return
+        case Lam(x, b, ann), RLam(y, rb, rann):
+            if x != y or ann != rann:
+                raise DerivationError(
+                    f"resource binder {y}:{type_to_text(rann)} differs from term binder "
+                    f"{x}:{type_to_text(ann)}")
+            _check(shape + ((x, ann),), b, rb)
+            return
+    raise DerivationError(
+        f"resource term {resource_to_text(r)} does not match term {term_to_text(term)}")
 
 
 def omega_substitute(r: ResourceTerm) -> ResourceTerm:
@@ -373,7 +274,7 @@ class WitnessSet:
     ctx: TypingContext
     term: Term
     point: tuple[ResourceContext, IType]
-    derivations: tuple[Derivation, ...]
+    derivations: tuple[ResourceTerm, ...]
     completeness: Completeness
 
     def __len__(self) -> int:
@@ -407,7 +308,7 @@ def enumerate_witnesses(ctx: TypingContext, term: Term, theta: ResourceContext,
             f"term {term_to_text(term)} is not beta-normal; witness enumeration needs a budget")
     found = _enum(term, theta, alpha, budget if not normal else None)
     uniq = list(dict.fromkeys(found))
-    uniq.sort(key=lambda d: resource_to_text(derivation_to_resource(d)))
+    uniq.sort(key=resource_to_text)
     return WitnessSet(ctx, term, (theta, alpha), tuple(uniq),
                       Exact() if normal else BoundedAt(budget))  # type: ignore[arg-type]
 
@@ -418,7 +319,7 @@ _enum_cache: dict = {}
 
 
 def _enum(term: Term, theta: ResourceContext, alpha: IType,
-          budget: int | None) -> list[Derivation]:
+          budget: int | None) -> list[ResourceTerm]:
     key = (term, theta, alpha, budget)
     hit = _enum_cache.get(key)
     if hit is None:
@@ -427,53 +328,44 @@ def _enum(term: Term, theta: ResourceContext, alpha: IType,
 
 
 def _enum_raw(term: Term, theta: ResourceContext, alpha: IType,
-              budget: int | None) -> list[Derivation]:
-    shape = theta.shape()
+              budget: int | None) -> list[ResourceTerm]:
     match term:
         case Lam(x, b, ann):
             if not isinstance(alpha, IArrow):
                 return []
             assert ann is not None
             inner = ResourceContext(theta.entries + ((x, alpha.domain, ann),))
-            return [mk_lam(x, ann, d) for d in _enum(b, inner, alpha.codomain, budget)]
+            return [RLam(x, r, ann) for r in _enum(b, inner, alpha.codomain, budget)]
         case Var(_) | App(_, _):
             head, args = spine(term)
             if isinstance(head, Var):
                 return _enum_spine(head.name, args, theta, alpha, budget)
             assert isinstance(term, App)
             f, a = term.fn, term.arg
-            out: list[Derivation] = []
-            if isinstance(a, Var):
-                # the cut is forced: each copy of a bare variable consumes
-                # exactly one context element, in order
-                for th_f, th_a in _split_ctx(theta, 2):
-                    if any(s for x, s, _ in th_a.entries if x != a.name):
-                        continue
-                    abar = th_a.lookup(a.name)
-                    fns = _enum(f, th_f, IArrow(abar, alpha), budget)
-                    if not fns:
-                        continue
-                    for m in _enum_multi(a, th_a, abar, budget):
-                        for dfn in fns:
-                            out.append(mk_app(dfn, m))
-                return out
-            # otherwise cut over candidate sequence types for the argument
-            aty = typecheck(TypingContext(shape), a)
+            aty = typecheck(TypingContext(theta.shape()), a)
+            out: list[ResourceTerm] = []
             for th_f, th_a in _split_ctx(theta, 2):
-                for abar in _bounded_seqs(aty, budget):
+                if not isinstance(a, Var):
+                    cuts = _bounded_seqs(aty, budget)
+                elif any(s for x, s, _ in th_a.entries if x != a.name):
+                    cuts = ()
+                else:
+                    # the cut is forced: each copy of a bare variable
+                    # consumes exactly one context element, in order
+                    cuts = (th_a.lookup(a.name),)
+                for abar in cuts:
                     fns = _enum(f, th_f, IArrow(abar, alpha), budget)
                     if not fns:
                         continue
                     for m in _enum_multi(a, th_a, abar, budget):
-                        for dfn in fns:
-                            out.append(mk_app(dfn, m))
+                        for rf in fns:
+                            out.append(RApp(rf, m))
             return out
     raise TypeError(f"not a term: {term!r}")
 
 
 def _enum_spine(name: str, args: list[Term], theta: ResourceContext, alpha: IType,
-                budget: int | None) -> list[Derivation]:
-    shape = theta.shape()
+                budget: int | None) -> list[ResourceTerm]:
     seq = theta.lookup(name)
     if not seq:
         return []
@@ -489,13 +381,13 @@ def _enum_spine(name: str, args: list[Term], theta: ResourceContext, alpha: ITyp
         return []
     rest = ResourceContext(tuple(
         (x, s[1:] if x == name else s, t) for x, s, t in theta.entries))
-    out: list[Derivation] = []
+    out: list[ResourceTerm] = []
     if not args:
         if rest.is_empty():
-            out.append(mk_var(shape, name, label))
+            out.append(RVar(name, label))
         return out
     for parts in _split_ctx(rest, len(args)):
-        multis: list[list[MultiDerivation]] = []
+        multis: list[list[tuple[ResourceTerm, ...]]] = []
         for j, arg in enumerate(args):
             ms = _enum_multi(arg, parts[j], doms[j], budget)
             if not ms:
@@ -504,15 +396,15 @@ def _enum_spine(name: str, args: list[Term], theta: ResourceContext, alpha: ITyp
         if len(multis) != len(args):
             continue
         for choice in product(*multis):
-            d: Derivation = mk_var(shape, name, label)
+            r: ResourceTerm = RVar(name, label)
             for m in choice:
-                d = mk_app(d, m)
-            out.append(d)
+                r = RApp(r, m)
+            out.append(r)
     return out
 
 
 def _enum_multi(term: Term, theta: ResourceContext, targets: SeqType,
-                budget: int | None) -> list[MultiDerivation]:
+                budget: int | None) -> list[tuple[ResourceTerm, ...]]:
     key = (term, theta, targets, budget)
     hit = _enum_cache.get(key)
     if hit is None:
@@ -521,17 +413,15 @@ def _enum_multi(term: Term, theta: ResourceContext, targets: SeqType,
 
 
 def _enum_multi_raw(term: Term, theta: ResourceContext, targets: SeqType,
-                    budget: int | None) -> list[MultiDerivation]:
-    shape = theta.shape()
+                    budget: int | None) -> list[tuple[ResourceTerm, ...]]:
     if not targets:
-        return [mk_multi(shape, ())] if theta.is_empty() else []
+        return [()] if theta.is_empty() else []
     out = []
     for blocks in _split_ctx(theta, len(targets)):
         pools = [_enum(term, blocks[i], targets[i], budget) for i in range(len(targets))]
         if any(not p for p in pools):
             continue
-        for children in product(*pools):
-            out.append(mk_multi(shape, tuple(children)))
+        out.extend(product(*pools))
     return out
 
 
@@ -600,7 +490,6 @@ def _bounded_seqs(t: SimpleType, budget: int | None) -> tuple[SeqType, ...]:
 class VarMorphism:
     name: str
     phi: ITMorphism
-    ctxm: CtxMorphism
 
 
 @dataclass(frozen=True)
@@ -608,7 +497,6 @@ class MultiMorphism:
     sigma: tuple[int, ...]
     children: tuple["DerivationMorphism", ...]
     phi: SeqMorphism
-    ctxm: CtxMorphism
 
 
 @dataclass(frozen=True)
@@ -616,7 +504,6 @@ class AppMorphism:
     fn: "DerivationMorphism"
     arg: MultiMorphism
     phi: ITMorphism
-    ctxm: CtxMorphism
 
 
 @dataclass(frozen=True)
@@ -625,24 +512,13 @@ class LamMorphism:
     binder_type: SimpleType
     body: "DerivationMorphism"
     phi: ITMorphism
-    ctxm: CtxMorphism
 
 
 DerivationMorphism = VarMorphism | AppMorphism | LamMorphism
 
 
-def dm_var(shape: Shape, name: str, phi: ITMorphism) -> VarMorphism:
-    return VarMorphism(name, phi, singleton_ctxm(shape, name, phi))
-
-
-def dm_multi(shape: Shape, sigma: tuple[int, ...],
-             children: tuple[DerivationMorphism, ...]) -> MultiMorphism:
-    phi = SeqMorphism(sigma, tuple(c.phi for c in children))
-    if children:
-        ctxm = ctx_sigma_action(sigma, [c.ctxm for c in children])
-    else:
-        ctxm = empty_ctxm_like(shape)
-    return MultiMorphism(sigma, tuple(children), phi, ctxm)
+def dm_multi(sigma: tuple[int, ...], children: tuple[DerivationMorphism, ...]) -> MultiMorphism:
+    return MultiMorphism(sigma, tuple(children), SeqMorphism(sigma, tuple(c.phi for c in children)))
 
 
 def dm_app(fn: DerivationMorphism, arg: MultiMorphism) -> AppMorphism:
@@ -650,116 +526,118 @@ def dm_app(fn: DerivationMorphism, arg: MultiMorphism) -> AppMorphism:
         raise MorphismError("function side of an app morphism must be an arrow morphism")
     if fn.phi.domain != arg.phi:
         raise MorphismError("app morphism must share its sequence morphism on both sides")
-    return AppMorphism(fn, arg, fn.phi.codomain, concat_ctxm(fn.ctxm, arg.ctxm))
+    return AppMorphism(fn, arg, fn.phi.codomain)
 
 
-def dm_lam(body: DerivationMorphism) -> LamMorphism:
-    entries = body.ctxm.entries
-    if not entries:
-        raise MorphismError("lam morphism needs a binder entry in the body context")
-    x, sm, t = entries[-1]
-    return LamMorphism(x, t, body, ArrowMorphism(sm, body.phi),
-                       CtxMorphism(entries[:-1]))
+def dm_lam(binder: str, binder_type: SimpleType, body: DerivationMorphism) -> LamMorphism:
+    return LamMorphism(binder, binder_type, body,
+                       ArrowMorphism(dm_occurrences(body, binder), body.phi))
+
+
+def dm_occurrences(m: DerivationMorphism | MultiMorphism, x: str) -> SeqMorphism:
+    """The sequence morphism m induces on the free occurrences of x, whose
+    source and target are the labels of those occurrences, left to right."""
+    match m:
+        case VarMorphism(y, phi):
+            return SeqMorphism((0,), (phi,)) if y == x else SeqMorphism((), ())
+        case MultiMorphism(sigma, children, _):
+            return sigma_action(sigma, [dm_occurrences(c, x) for c in children])
+        case AppMorphism(fn, arg, _):
+            return concat_seqm(dm_occurrences(fn, x), dm_occurrences(arg, x))
+        case LamMorphism(y, _, body, _):
+            return SeqMorphism((), ()) if y == x else dm_occurrences(body, x)
+    raise TypeError(f"not a derivation morphism: {m!r}")
 
 
 def src_dm(m: DerivationMorphism | MultiMorphism):
     match m:
-        case VarMorphism(name, phi, ctxm):
-            return mk_var(src_ctx(ctxm).shape(), name, src_it(phi))
-        case MultiMorphism(_, children, phi, ctxm):
-            return mk_multi(src_ctx(ctxm).shape(), tuple(src_dm(c) for c in children))
-        case AppMorphism(fn, arg, _, _):
-            return mk_app(src_dm(fn), src_dm(arg))
-        case LamMorphism(binder, btype, body, _, _):
-            return mk_lam(binder, btype, src_dm(body))
+        case VarMorphism(name, phi):
+            return RVar(name, src_it(phi))
+        case MultiMorphism(_, children, _):
+            return tuple(src_dm(c) for c in children)
+        case AppMorphism(fn, arg, _):
+            return RApp(src_dm(fn), src_dm(arg))
+        case LamMorphism(binder, btype, body, _):
+            return RLam(binder, src_dm(body), btype)
     raise TypeError(f"not a derivation morphism: {m!r}")
 
 
 def tgt_dm(m: DerivationMorphism | MultiMorphism):
     match m:
-        case VarMorphism(name, phi, ctxm):
-            return mk_var(tgt_ctx(ctxm).shape(), name, tgt_it(phi))
-        case MultiMorphism(sigma, children, phi, ctxm):
+        case VarMorphism(name, phi):
+            return RVar(name, tgt_it(phi))
+        case MultiMorphism(sigma, children, _):
             inv = inverse_perm(sigma)
-            kids = tuple(tgt_dm(children[inv[j]]) for j in range(len(children)))
-            return mk_multi(tgt_ctx(ctxm).shape(), kids)
-        case AppMorphism(fn, arg, _, _):
-            return mk_app(tgt_dm(fn), tgt_dm(arg))
-        case LamMorphism(binder, btype, body, _, _):
-            return mk_lam(binder, btype, tgt_dm(body))
+            return tuple(tgt_dm(children[inv[j]]) for j in range(len(children)))
+        case AppMorphism(fn, arg, _):
+            return RApp(tgt_dm(fn), tgt_dm(arg))
+        case LamMorphism(binder, btype, body, _):
+            return RLam(binder, tgt_dm(body), btype)
     raise TypeError(f"not a derivation morphism: {m!r}")
 
 
-def identity_dm(d: Derivation | MultiDerivation):
-    match d:
-        case VarRule(name, label, context):
-            return dm_var(context.shape(), name, identity_it(label))
-        case MultiDerivation(children, context, _):
-            return dm_multi(context.shape(), identity_perm(len(children)),
-                            tuple(identity_dm(c) for c in children))
-        case AppRule(fn, arg, _, _):
-            return dm_app(identity_dm(fn), identity_dm(arg))
-        case LamRule(binder, btype, body, _, _):
-            return dm_lam(identity_dm(body))
-    raise TypeError(f"not a derivation: {d!r}")
+def identity_dm(r: ResourceTerm) -> DerivationMorphism:
+    match r:
+        case RVar(name, label):
+            return VarMorphism(name, identity_it(label))
+        case RApp(f, args):
+            return dm_app(identity_dm(f), dm_multi(identity_perm(len(args)),
+                                                   tuple(identity_dm(a) for a in args)))
+        case RLam(binder, body, btype):
+            return dm_lam(binder, btype, identity_dm(body))
+    raise TypeError(f"not a resource term: {r!r}")
 
 
 def compose_dm(g, f):
     """g after f, defined when tgt(f) = src(g); both must rebase the same term."""
     match g, f:
-        case VarMorphism(gn, gphi, gctx), VarMorphism(fn_, fphi, _):
+        case VarMorphism(gn, gphi), VarMorphism(fn_, fphi):
             if gn != fn_:
                 raise MorphismError(f"cannot compose morphisms at {fn_!r} and {gn!r}")
-            return dm_var(src_ctx(gctx).shape(), gn, compose_it(gphi, fphi))
-        case MultiMorphism(gs, gc, _, gctx), MultiMorphism(fs, fc, _, _):
+            return VarMorphism(gn, compose_it(gphi, fphi))
+        case MultiMorphism(gs, gc, _), MultiMorphism(fs, fc, _):
             if len(gc) != len(fc):
                 raise MorphismError("cannot compose multi morphisms of different widths")
             sigma = compose_perm(gs, fs)
             kids = tuple(compose_dm(gc[fs[i]], fc[i]) for i in range(len(fc)))
-            return dm_multi(src_ctx(gctx).shape(), sigma, kids)
-        case AppMorphism(gfn, garg, _, _), AppMorphism(ffn, farg, _, _):
+            return dm_multi(sigma, kids)
+        case AppMorphism(gfn, garg, _), AppMorphism(ffn, farg, _):
             return dm_app(compose_dm(gfn, ffn), compose_dm(garg, farg))
-        case LamMorphism(_, _, gb, _, _), LamMorphism(_, _, fb, _, _):
-            return dm_lam(compose_dm(gb, fb))
+        case LamMorphism(gx, gt, gb, _), LamMorphism(fx, _, fb, _):
+            if gx != fx:
+                raise MorphismError(f"cannot compose morphisms under {fx!r} and {gx!r}")
+            return dm_lam(gx, gt, compose_dm(gb, fb))
     raise MorphismError(f"cannot compose {f!r} then {g!r}")
 
 
 def invert_dm(m):
     match m:
-        case VarMorphism(name, phi, ctxm):
-            return dm_var(src_ctx(ctxm).shape(), name, invert_it(phi))
-        case MultiMorphism(sigma, children, _, ctxm):
+        case VarMorphism(name, phi):
+            return VarMorphism(name, invert_it(phi))
+        case MultiMorphism(sigma, children, _):
             inv = inverse_perm(sigma)
             kids = tuple(invert_dm(children[inv[j]]) for j in range(len(children)))
-            return dm_multi(tgt_ctx(ctxm).shape(), inv, kids)
-        case AppMorphism(fn, arg, _, _):
+            return dm_multi(inv, kids)
+        case AppMorphism(fn, arg, _):
             return dm_app(invert_dm(fn), invert_dm(arg))
-        case LamMorphism(_, _, body, _, _):
-            return dm_lam(invert_dm(body))
+        case LamMorphism(binder, btype, body, _):
+            return dm_lam(binder, btype, invert_dm(body))
     raise TypeError(f"not a derivation morphism: {m!r}")
 
 
 ####################################################################
 # enumeration of derivation morphisms
 #
-# Works on the underlying resource terms: a derivation is determined by its
-# term and resource term, and every rule constraint is local.
+# A derivation is its resource term, and every rule constraint is local,
+# so morphisms are enumerated structurally on the two resource terms.
 
-def enumerate_derivation_morphisms(d1: Derivation, d2: Derivation) -> tuple[DerivationMorphism, ...]:
-    """All morphisms d1 -> d2; both must derive the same term."""
-    if d1.context.shape() != d2.context.shape():
-        return ()
-    r1 = derivation_to_resource(d1)
-    r2 = derivation_to_resource(d2)
-    return enumerate_resource_morphisms(d1.context.shape(), r1, r2)
-
-
-def enumerate_resource_morphisms(shape: Shape, r1: ResourceTerm,
-                                 r2: ResourceTerm) -> tuple[DerivationMorphism, ...]:
+def enumerate_derivation_morphisms(r1: ResourceTerm,
+                                   r2: ResourceTerm) -> tuple[DerivationMorphism, ...]:
+    """All morphisms r1 -> r2; both must derive the same term."""
     cache: dict = {}
 
-    def go(shape: Shape, a: ResourceTerm, b: ResourceTerm) -> tuple[DerivationMorphism, ...]:
-        key = (shape, a, b)
+    def go(a: ResourceTerm, b: ResourceTerm) -> tuple[DerivationMorphism, ...]:
+        key = (a, b)
         hit = cache.get(key)
         if hit is not None:
             return hit
@@ -767,20 +645,15 @@ def enumerate_resource_morphisms(shape: Shape, r1: ResourceTerm,
         match a, b:
             case RVar(x, la), RVar(y, lb):
                 if x == y:
-                    out = [dm_var(shape, x, phi) for phi in enumerate_homs_it(la, lb)]
+                    out = [VarMorphism(x, phi) for phi in enumerate_homs_it(la, lb)]
             case RLam(x, ba, ta), RLam(y, bb, tb):
                 if x == y and ta == tb:
-                    if ta is None:
-                        raise MorphismError(
-                            f"binder {x!r} needs a simple type to enumerate morphisms")
-                    inner = shape + ((x, ta),)
-                    out = [dm_lam(m) for m in go(inner, ba, bb)]
+                    out = [dm_lam(x, ta, m) for m in go(ba, bb)]
             case RApp(fa, argsa), RApp(fb, argsb):
-                fns = go(shape, fa, fb)
+                fns = go(fa, fb)
                 if fns:
-                    multis = multi_go(shape, argsa, argsb)
                     by_dom: dict[SeqMorphism, list[MultiMorphism]] = {}
-                    for m in multis:
+                    for m in multi_go(argsa, argsb):
                         by_dom.setdefault(m.phi, []).append(m)
                     for fm in fns:
                         if isinstance(fm.phi, ArrowMorphism):
@@ -789,40 +662,40 @@ def enumerate_resource_morphisms(shape: Shape, r1: ResourceTerm,
         cache[key] = tuple(out)
         return cache[key]
 
-    def multi_go(shape: Shape, aa: tuple[ResourceTerm, ...],
+    def multi_go(aa: tuple[ResourceTerm, ...],
                  bb: tuple[ResourceTerm, ...]) -> list[MultiMorphism]:
         n = len(aa)
         if n != len(bb):
             return []
-        pair = [[go(shape, aa[i], bb[j]) for j in range(n)] for i in range(n)]
+        pair = [[go(aa[i], bb[j]) for j in range(n)] for i in range(n)]
         out = []
         for sigma in permutations(range(n)):
             pools = [pair[i][sigma[i]] for i in range(n)]
             if any(not p for p in pools):
                 continue
             for kids in product(*pools):
-                out.append(dm_multi(shape, sigma, tuple(kids)))
+                out.append(dm_multi(sigma, tuple(kids)))
         return out
 
-    return go(shape, r1, r2)
+    return go(r1, r2)
 
 
-def symmetric(d1: Derivation, d2: Derivation) -> bool:
-    return bool(enumerate_derivation_morphisms(d1, d2))
+def symmetric(r1: ResourceTerm, r2: ResourceTerm) -> bool:
+    return bool(enumerate_derivation_morphisms(r1, r2))
 
 
-def endo_count(d: Derivation) -> int:
-    return len(enumerate_derivation_morphisms(d, d))
+def endo_count(r: ResourceTerm) -> int:
+    return len(enumerate_derivation_morphisms(r, r))
 
 
-def partition_by_symmetry(derivations) -> tuple[tuple[Derivation, ...], ...]:
+def partition_by_symmetry(derivations) -> tuple[tuple[ResourceTerm, ...], ...]:
     """Group derivations of a common term into symmetry classes."""
-    classes: list[list[Derivation]] = []
-    for d in derivations:
+    classes: list[list[ResourceTerm]] = []
+    for r in derivations:
         for cls in classes:
-            if symmetric(cls[0], d):
-                cls.append(d)
+            if symmetric(cls[0], r):
+                cls.append(r)
                 break
         else:
-            classes.append([d])
+            classes.append([r])
     return tuple(tuple(c) for c in classes)

@@ -128,27 +128,6 @@ class ResourceContext:
         return ctx_to_text(self)
 
 
-def concat_ctx(a: ResourceContext, b: ResourceContext) -> ResourceContext:
-    if a.shape() != b.shape():
-        raise RefinementError(
-            f"cannot concatenate contexts over different variables: "
-            f"{a.shape()} vs {b.shape()}")
-    return ResourceContext(tuple(
-        (x, sa + sb, t)
-        for (x, sa, t), (_, sb, _) in zip(a.entries, b.entries)))
-
-
-def empty_ctx_like(shape: tuple[tuple[str, SimpleType], ...]) -> ResourceContext:
-    return ResourceContext(tuple((x, (), t) for x, t in shape))
-
-
-def singleton_ctx(shape: tuple[tuple[str, SimpleType], ...], name: str, a: IType) -> ResourceContext:
-    if name not in [x for x, _ in shape]:
-        raise RefinementError(f"variable {name!r} not in context")
-    return ResourceContext(tuple(
-        (x, (a,) if x == name else (), t) for x, t in shape))
-
-
 def canonicalize_ctx(c: ResourceContext) -> ResourceContext:
     return ResourceContext(tuple(
         (x, canonicalize_seq(seq), t) for x, seq, t in c.entries))

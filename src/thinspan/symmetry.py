@@ -276,34 +276,6 @@ def sigma_action(rho: tuple[int, ...], parts: list[SeqMorphism]) -> SeqMorphism:
     return SeqMorphism(tuple(sigma), tuple(comps))
 
 
-def concat_ctxm(a: CtxMorphism, b: CtxMorphism) -> CtxMorphism:
-    return ctx_sigma_action(identity_perm(2), [a, b])
-
-
-def ctx_sigma_action(rho: tuple[int, ...], parts: list[CtxMorphism]) -> CtxMorphism:
-    if not parts:
-        raise MorphismError("permutation action needs at least one block")
-    names = [e[0] for e in parts[0].entries]
-    for p in parts[1:]:
-        if [e[0] for e in p.entries] != names:
-            raise MorphismError("context morphisms range over different variables")
-    entries = []
-    for k, (x, _, t) in enumerate(parts[0].entries):
-        entries.append((x, sigma_action(rho, [p.entries[k][1] for p in parts]), t))
-    return CtxMorphism(tuple(entries))
-
-
-def empty_ctxm_like(shape: tuple[tuple[str, SimpleType], ...]) -> CtxMorphism:
-    return CtxMorphism(tuple((x, SeqMorphism((), ()), t) for x, t in shape))
-
-
-def singleton_ctxm(shape: tuple[tuple[str, SimpleType], ...], name: str,
-                   phi: ITMorphism) -> CtxMorphism:
-    return CtxMorphism(tuple(
-        (x, SeqMorphism((0,), (phi,)) if x == name else SeqMorphism((), ()), t)
-        for x, t in shape))
-
-
 ####################################################################
 # hom-set enumeration
 

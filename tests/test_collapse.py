@@ -2,7 +2,7 @@ import pytest
 
 from thinspan.syntax import is_beta_normal
 from thinspan.symmetry import is_negative_ctx, is_positive_it, src_ctx, src_it, tgt_ctx, tgt_it
-from thinspan.derivation import BoundedAt, BudgetRequiredError, Exact
+from thinspan.derivation import BoundedAt, BudgetRequiredError, Exact, rt_context, rt_type
 from thinspan.collapse import (
     class_counts_check, esp_explicit, positive_witnesses, verify_identities,
     weight_by_classes,
@@ -72,9 +72,9 @@ def test_witness_morphism_orientation():
         gamma, a = rep.rep
         for w in rep.witnesses:
             assert src_ctx(w.neg) == gamma
-            assert tgt_ctx(w.neg) == w.derivation.context
+            assert tgt_ctx(w.neg) == rt_context(gamma.shape(), w.derivation)
             assert is_negative_ctx(w.neg)
-            assert src_it(w.pos) == w.derivation.result
+            assert src_it(w.pos) == rt_type(w.derivation)
             assert tgt_it(w.pos) == a
             assert is_positive_it(w.pos, ty)
 

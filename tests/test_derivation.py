@@ -2,23 +2,26 @@ import dataclasses
 
 import pytest
 
-from thinspan.syntax import Base, parse_simple_type
+from thinspan.syntax import Base, is_beta_normal, parse_context, parse_simple_type, parse_term
 from thinspan.rigidtypes import IArrow, ResourceContext, Star, canonicalize_point
-from thinspan.symmetry import MorphismError, neg_targets_ctx, pos_targets_it
+from thinspan.symmetry import (
+    MorphismError, neg_targets_ctx, pos_targets_it, src_it, src_seq, tgt_ctx, tgt_it, tgt_seq,
+)
 from thinspan.derivation import (
-    AppRule, BoundedAt, BudgetRequiredError, DerivationError, Exact, RApp, RLam, RVar,
-    check_derivation, compose_dm, derivation_to_resource, dm_app, endo_count,
-    enumerate_derivation_morphisms, enumerate_resource_morphisms, enumerate_witnesses,
-    identity_dm, invert_dm, mk_app, mk_lam, mk_multi, mk_var,
+    BoundedAt, BudgetRequiredError, DerivationError, Exact, RApp, RLam, RVar,
+    check_derivation, compose_dm, dm_app, dm_occurrences, endo_count,
+    enumerate_derivation_morphisms, enumerate_witnesses, identity_dm, invert_dm,
     multiset_collapse_term, omega_substitute, partition_by_symmetry,
-    resource_to_derivation, resource_to_text, rt_occurrence_labels, rt_type,
+    resource_to_text, rt_context, rt_occurrence_labels, rt_type,
     src_dm, symmetric, tgt_dm,
 )
+from thinspan.collapse import positive_witnesses
 
-from support import load_corpus, parse_entry
+from support import entry_budget, load_corpus, parse_entry
 
 S = Star()
-BY_NAME = {e["name"]: e for e in load_corpus()}
+CORPUS = load_corpus()
+BY_NAME = {e["name"]: e for e in CORPUS}
 
 
 def subject(name):
@@ -49,7 +52,18 @@ def across_points(name, budget=None):
 
 
 def texts(ds):
-    return sorted(resource_to_text(derivation_to_resource(d)) for d in ds)
+    return sorted(resource_to_text(r) for r in ds)
+
+
+def replace_var(r, name, new):
+    """r with every occurrence of the variable `name` replaced by `new`."""
+    match r:
+        case RVar(x, _):
+            return new if x == name else r
+        case RLam(x, b, t):
+            return RLam(x, replace_var(b, name, new), t)
+        case RApp(f, args):
+            return RApp(replace_var(f, name, new), tuple(replace_var(a, name, new) for a in args))
 
 
 def test_witnesses_shared_head():
@@ -81,64 +95,119 @@ def test_witnesses_fan():
 def test_every_witness_checks():
     for name in ("shared-head-two-ways", "one-term-two-witnesses", "vacuous-binder-pair",
                  "bound-argument-collapse", "eta-expanded-identity", "fan-out"):
-        _, _, ds = across_points(name)
+        ctx, term, ds = across_points(name)
         assert ds
-        for d in ds:
-            assert check_derivation(d)
+        for r in ds:
+            assert check_derivation(ctx, term, r)
 
 
 def test_tampered_derivation_fails_check():
-    _, _, ds = across_points("one-term-two-witnesses")
-    d = ds[0]
-    assert isinstance(d, AppRule)
-    bad = dataclasses.replace(d, result=IArrow((), S))
-    res = check_derivation(bad)
+    ctx, term, ds = across_points("one-term-two-witnesses")
+    r = ds[0]
+    assert isinstance(r, RApp) and check_derivation(ctx, term, r)
+    # a label that does not refine its variable's simple type
+    res = check_derivation(ctx, term, replace_var(r, "y", RVar("y", IArrow((), S))))
     assert not res.ok and res.message
-    bad2 = dataclasses.replace(d, context=ResourceContext())
-    assert not check_derivation(bad2)
+    # a label that refines, but whose domain does not fit the arguments
+    assert not check_derivation(ctx, term, replace_var(r, "f", RVar("f", IArrow((S,), S))))
+    # a variable that is not in scope
+    assert not check_derivation(ctx, term, replace_var(r, "y", RVar("zz", S)))
+    # a derivation of another term
+    assert not check_derivation(ctx, parse_term("f y"), r)
+    # a wrong binder, by name or by simple type
+    ctx, term, ds = across_points("vacuous-binder-pair")
+    r = ds[0]
+    lam = r.args[0]
+    assert isinstance(lam, RLam) and check_derivation(ctx, term, r)
+    for bad in (dataclasses.replace(lam, binder="z"),
+                dataclasses.replace(lam, annot=parse_simple_type("o->o"))):
+        res = check_derivation(ctx, term, RApp(r.fn, (bad,) + r.args[1:]))
+        assert not res.ok and res.message
 
 
-def test_smart_constructor_validation():
-    shape = (("f", parse_simple_type("o->o")), ("x", Base()))
+def test_check_enforces_each_rule():
+    ctx = parse_context("f:o->o, x:o")
+    f, x = RVar("f", IArrow((S,), S)), RVar("x", S)
+    # var: the label refines the variable's simple type, and names match
+    assert check_derivation(ctx, parse_term("x"), x)
+    assert not check_derivation(ctx, parse_term("x"), RVar("g", S))
+    assert not check_derivation(ctx, parse_term("f"), RVar("f", S))
+    # app: the function part concludes an arrow whose domain the arguments fit
     with pytest.raises(DerivationError):
-        mk_var(shape, "g", S)
-    with pytest.raises(DerivationError):
-        mk_var(shape, "f", S)
-    f = mk_var(shape, "f", IArrow((S,), S))
-    x = mk_var(shape, "x", S)
-    with pytest.raises(DerivationError):
-        mk_app(x, mk_multi(shape, ()))
-    with pytest.raises(DerivationError):
-        mk_app(f, mk_multi(shape, ()))
-    app = mk_app(f, mk_multi(shape, (x,)))
-    assert app.result == S
-    with pytest.raises(DerivationError):
-        mk_lam("y", Base(), app)
+        rt_type(RApp(x, ()))
+    assert not check_derivation(ctx, parse_term("f x"), RApp(f, ()))
+    app = RApp(f, (x,))
+    assert check_derivation(ctx, parse_term("f x"), app)
+    assert rt_type(app) == S
+    # lam: the binder's occurrences move into the arrow domain
+    lam_term = parse_term("\\y:o. f x")
+    assert not check_derivation(ctx, lam_term, RLam("z", app, Base()))
+    assert not check_derivation(ctx, lam_term, RLam("y", app, parse_simple_type("o->o")))
+    assert check_derivation(ctx, lam_term, RLam("y", app, Base()))
+    assert rt_type(RLam("y", app, Base())) == IArrow((), S)
 
 
 def test_resource_round_trip():
-    for name in ("shared-head-two-ways", "one-term-two-witnesses", "fan-out",
-                 "eta-expanded-identity", "vacuous-binder-pair"):
-        ctx, term, ds = across_points(name)
-        for d in ds:
-            r = derivation_to_resource(d)
-            assert resource_to_derivation(ctx, term, r) == d
+    # every witness enumerated across the corpus checks against its term and
+    # concludes exactly the point it was enumerated at
+    seen = 0
+    for entry in CORPUS:
+        ctx, term, ty, point = parse_entry(entry)
+        gamma, alpha = canonicalize_point(point, ctx, ty)
+        budget = None if is_beta_normal(term) else entry_budget(entry)
+        for th in neg_targets_ctx(gamma):
+            for al in pos_targets_it(alpha, ty):
+                for r in enumerate_witnesses(ctx, term, th, al, budget).derivations:
+                    assert check_derivation(ctx, term, r), entry["name"]
+                    assert rt_context(th.shape(), r) == th, entry["name"]
+                    assert rt_type(r) == al, entry["name"]
+                    seen += 1
+    assert seen >= len(CORPUS)
 
 
 def test_rt_basics():
-    _, _, ds = across_points("fan-out")
-    r = derivation_to_resource(ds[0])
+    ctx, _, ds = across_points("fan-out")
+    r = ds[0]
     assert rt_type(r) == S
     labels = rt_occurrence_labels(r, "g")
     assert labels == [IArrow((S, S), S), IArrow((S,), S), IArrow((S,), S)]
     assert rt_occurrence_labels(r, "y") == [S, S]
+    theta = rt_context(tuple(ctx.bindings), r)
+    assert theta.lookup("g") == tuple(labels) and theta.lookup("y") == (S, S)
+    assert rt_context((), r) == ResourceContext()
+
+
+def test_dm_occurrences_match_context_entries():
+    # the sequence morphism a derivation morphism induces on a variable's
+    # occurrences runs between the two witnesses' entries for that variable
+    checked = 0
+    for entry in CORPUS:
+        ctx, term, ty, point = parse_entry(entry)
+        budget = None if is_beta_normal(term) else entry_budget(entry)
+        ws = positive_witnesses(ctx, term, point, budget).witnesses
+        for w1 in ws:
+            for w2 in ws:
+                th1, th2 = tgt_ctx(w1.neg), tgt_ctx(w2.neg)
+                for m in enumerate_derivation_morphisms(w1.derivation, w2.derivation):
+                    assert src_it(m.phi) == rt_type(w1.derivation)
+                    assert tgt_it(m.phi) == rt_type(w2.derivation)
+                    for x, seq, _ in th1.entries:
+                        sm = dm_occurrences(m, x)
+                        assert src_seq(sm) == seq, entry["name"]
+                        assert tgt_seq(sm) == th2.lookup(x), entry["name"]
+                        checked += 1
+    assert checked >= len(CORPUS)
+    # an inner binder of the same name hides its occurrences, as in
+    # rt_occurrence_labels
+    r = RApp(RVar("x", IArrow((S,), S)), (RApp(RLam("x", RVar("x", S), Base()), (RVar("x", S),)),))
+    seq = dm_occurrences(identity_dm(r), "x")
+    assert src_seq(seq) == tuple(rt_occurrence_labels(r, "x")) == (IArrow((S,), S), S)
 
 
 def test_omega_substitute_contracts_redex():
     ctx, term, ws = at_point("duplicating-redex", budget=1)
     assert ws.completeness == BoundedAt(1)
-    [d] = ws.derivations
-    r = derivation_to_resource(d)
+    [r] = ws.derivations
     fl = IArrow((S,), IArrow((S,), S))
     contracted = omega_substitute(r)
     assert contracted == RApp(RApp(RVar("f", fl), (RVar("y", S),)), (RVar("y", S),))
@@ -156,11 +225,11 @@ def test_omega_substitute_errors():
 
 def test_multiset_collapse_identifies_the_pair():
     _, _, ds = across_points("one-term-two-witnesses")
-    r1, r2 = (derivation_to_resource(d) for d in ds)
+    r1, r2 = ds
     assert r1 != r2
     assert multiset_collapse_term(r1) == multiset_collapse_term(r2)
     _, _, shared = across_points("shared-head-two-ways")
-    s1, s2 = (derivation_to_resource(d) for d in shared)
+    s1, s2 = shared
     assert multiset_collapse_term(s1) != multiset_collapse_term(s2)
     # the collapse is a canonical resource term, so collapsing is idempotent
     c1 = multiset_collapse_term(r1)
@@ -176,15 +245,14 @@ def test_collapse_equal_but_not_symmetric():
     cut = RLam("y", body, Base())
     m1 = RApp(cut, (RVar("z", S), RVar("w", S)))
     m2 = RApp(cut, (RVar("w", S), RVar("z", S)))
-    shape = (("x", parse_simple_type("o->o->o")), ("z", Base()), ("w", Base()))
     assert multiset_collapse_term(m1) == multiset_collapse_term(m2)
-    assert enumerate_resource_morphisms(shape, m1, m2) == ()
-    assert len(enumerate_resource_morphisms(shape, m1, m1)) == 1
-    assert len(enumerate_resource_morphisms(shape, m2, m2)) == 1
+    assert enumerate_derivation_morphisms(m1, m2) == ()
+    assert len(enumerate_derivation_morphisms(m1, m1)) == 1
+    assert len(enumerate_derivation_morphisms(m2, m2)) == 1
     c1, c2 = omega_substitute(m1), omega_substitute(m2)
     assert c1 == RApp(RApp(RVar("x", xl), (RVar("z", S),)), (RVar("w", S),))
     assert c2 == RApp(RApp(RVar("x", xl), (RVar("w", S),)), (RVar("z", S),))
-    assert enumerate_resource_morphisms(shape, c1, c2) == ()
+    assert enumerate_derivation_morphisms(c1, c2) == ()
 
 
 def test_budget_required_for_redexes():

@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 
 from thinspan.syntax import Base, parse_context, parse_simple_type
 from thinspan.rigidtypes import (
-    IArrow, PointSpec, RefinementError, Star,
+    IArrow, PointSpec, RefinementError, ResourceContext, Star,
     canonicalize_ctx, canonicalize_it, canonicalize_point,
-    concat_ctx, ctx_refines, ctx_to_text, is_canonical, it_to_text,
+    ctx_refines, ctx_to_text, is_canonical, it_to_text,
     mit_to_text, parse_itype, parse_mit, parse_mset,
-    point_from_json, point_to_json, refines, singleton_ctx,
+    point_from_json, point_to_json, refines,
 )
 from thinspan.symmetry import enumerate_homs_it
 
@@ -87,24 +87,10 @@ def test_random_refinements_respect_simple_types():
         assert refines(canonicalize_it(a), t)
 
 
-def test_context_concat_is_per_variable():
-    ctx = parse_context("f:o->o, y:o")
-    shape = tuple(ctx.bindings)
-    a = singleton_ctx(shape, "f", parse_itype("<*>-o*"))
-    b = singleton_ctx(shape, "y", S)
-    c = concat_ctx(a, b)
-    assert c.lookup("f") == (parse_itype("<*>-o*"),)
-    assert c.lookup("y") == (S,)
-    assert concat_ctx(b, a) == c  # disjoint supports commute
-    d = concat_ctx(a, a)
-    assert d.lookup("f") == (parse_itype("<*>-o*"),) * 2
-
-
 def test_context_text():
     ctx = parse_context("f:o->o, y:o")
-    shape = tuple(ctx.bindings)
-    c = concat_ctx(singleton_ctx(shape, "f", parse_itype("<*>-o*")),
-                   singleton_ctx(shape, "y", S))
+    (f, tf), (y, ty) = ctx.bindings
+    c = ResourceContext(((f, (parse_itype("<*>-o*"),), tf), (y, (S,), ty)))
     assert ctx_to_text(c) == "f:<<*>-o*>, y:<*>"
 
 

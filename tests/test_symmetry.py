@@ -17,6 +17,7 @@ from thinspan.symmetry import (
     polar_factorize_it, polarity_it, pos_targets_it, positive_hom_it, sigma_action,
     src_ctx, src_it, src_seq, sym_degrees_ctx, sym_degrees_it, tgt_ctx, tgt_it, tgt_seq,
 )
+from thinspan.derivation import rt_context, rt_type
 from thinspan.collapse import esp_explicit, positive_witnesses
 
 from support import (
@@ -350,9 +351,9 @@ def test_per_variable_triple_count_matches_whole_contexts():
         gamma, a = report.rep
         whole = 0
         for w in report.witnesses:
-            negs = sum(1 for cm in enumerate_homs_ctx(gamma, w.derivation.context)
-                       if is_negative_ctx(cm))
-            poss = sum(1 for phi in enumerate_homs_it(w.derivation.result, a)
+            theta = rt_context(gamma.shape(), w.derivation)
+            negs = sum(1 for cm in enumerate_homs_ctx(gamma, theta) if is_negative_ctx(cm))
+            poss = sum(1 for phi in enumerate_homs_it(rt_type(w.derivation), a)
                        if is_positive_it(phi, ty))
             whole += negs * poss
         assert esp_explicit(report) == whole, entry["name"]
