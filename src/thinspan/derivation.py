@@ -22,6 +22,11 @@ context entry of a variable lists the labels of its occurrences left to
 right (rt_context), and the result is rt_type.  check_derivation validates
 a resource term against the term it derives.
 
+Contexts are linear: each element is consumed by exactly one occurrence.
+So in every derivation of a term, a variable that is not free in it has
+the empty entry, and the witness enumerator splits a context only among
+the subterms where each variable is free (_split_ctx).
+
 Morphisms between derivations rebase every node: var nodes carry a label
 morphism, multi nodes a permutation acting on children, app nodes share
 the argument sequence morphism with the function side's domain.  This last
@@ -38,7 +43,8 @@ from itertools import permutations, product
 
 from .syntax import (
     App, Lam, SimpleType, Term, TypingContext, Var,
-    annotate, binders, is_beta_normal, spine, term_to_text, type_to_text, typecheck,
+    annotate, binders, free_vars, is_beta_normal, spine, term_to_text, type_to_text,
+    typecheck,
 )
 from .rigidtypes import (
     IArrow, IType, ResourceContext, SeqType, Star,
@@ -344,11 +350,9 @@ def _enum_raw(term: Term, theta: ResourceContext, alpha: IType,
             f, a = term.fn, term.arg
             aty = typecheck(TypingContext(theta.shape()), a)
             out: list[ResourceTerm] = []
-            for th_f, th_a in _split_ctx(theta, 2):
+            for th_f, th_a in _split_ctx(theta, [f, a]):
                 if not isinstance(a, Var):
                     cuts = _bounded_seqs(aty, budget)
-                elif any(s for x, s, _ in th_a.entries if x != a.name):
-                    cuts = ()
                 else:
                     # the cut is forced: each copy of a bare variable
                     # consumes exactly one context element, in order
@@ -386,7 +390,7 @@ def _enum_spine(name: str, args: list[Term], theta: ResourceContext, alpha: ITyp
         if rest.is_empty():
             out.append(RVar(name, label))
         return out
-    for parts in _split_ctx(rest, len(args)):
+    for parts in _split_ctx(rest, args):
         multis: list[list[tuple[ResourceTerm, ...]]] = []
         for j, arg in enumerate(args):
             ms = _enum_multi(arg, parts[j], doms[j], budget)
@@ -417,7 +421,7 @@ def _enum_multi_raw(term: Term, theta: ResourceContext, targets: SeqType,
     if not targets:
         return [()] if theta.is_empty() else []
     out = []
-    for blocks in _split_ctx(theta, len(targets)):
+    for blocks in _split_ctx(theta, [term] * len(targets)):
         pools = [_enum(term, blocks[i], targets[i], budget) for i in range(len(targets))]
         if any(not p for p in pools):
             continue
@@ -438,16 +442,28 @@ def _compositions(total: int, k: int):
             yield (first,) + rest
 
 
-def _split_ctx(theta: ResourceContext, k: int):
-    """All ways to write theta as a concatenation of k contexts."""
+def _split_ctx(theta: ResourceContext, terms: list[Term]):
+    """All ways to write theta as a concatenation of contexts, one per term,
+    in which each variable's elements go, in order, only to the terms it is
+    free in.
+
+    The pruning is exact.  Contexts are linear: every element of an entry is
+    consumed by exactly one occurrence of its variable (rt_context), so in
+    any derivation of a term the variables it does not have free get the
+    empty entry.  A block that gives such a variable an element has no
+    derivation, and a variable with elements that no term has free leaves
+    no split at all.
+    """
+    frees = [free_vars(term) for term in terms]
     per_var = []
     for x, seq, t in theta.entries:
+        owners = [j for j, fv in enumerate(frees) if x in fv]
         options = []
-        for comp in _compositions(len(seq), k):
-            blocks = []
+        for comp in _compositions(len(seq), len(owners)):
+            blocks = [()] * len(terms)
             i = 0
-            for c in comp:
-                blocks.append(seq[i:i + c])
+            for j, c in zip(owners, comp):
+                blocks[j] = seq[i:i + c]
                 i += c
             options.append(blocks)
         per_var.append((x, t, options))
@@ -456,7 +472,7 @@ def _split_ctx(theta: ResourceContext, k: int):
             ResourceContext(tuple(
                 (x, choice[v][j], t)
                 for v, (x, t, _) in enumerate(per_var)))
-            for j in range(k))
+            for j in range(len(terms)))
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
 from thinspan.syntax import Arrow, Base, SimpleType, annotate, parse_context, parse_simple_type, parse_term
@@ -38,6 +38,37 @@ def parse_entry(entry: dict):
 
 def entry_budget(entry: dict, default: int = 4) -> int:
     return int(entry.get("budget", default))
+
+
+def stars(n: int) -> str:
+    return "[" + ",".join(["*"] * n) + "]"
+
+
+def symmetric_point(n: int):
+    """`g y` at g:[[*^n]-o*], y:[*^n]: one witness, n!*n! context endomorphisms."""
+    return "g y", {"g": f"[{stars(n)}-o*]", "y": stars(n)}
+
+
+def fanout_point(n: int):
+    """`g (g (g y))` at g:[n x ([*,*]-o*), (n+1) x ([*]-o*)], y:[*^(n+1)]."""
+    g = ",".join(["[*,*]-o*"] * n + ["[*]-o*"] * (n + 1))
+    return "g (g (g y))", {"g": f"[{g}]", "y": stars(n + 1)}
+
+
+def church_point(k: int):
+    """The Church numeral k applied to g and y, at g:[k x ([*]-o*)], y:[*]."""
+    body = "x"
+    for _ in range(k):
+        body = f"f {body}" if body == "x" else f"f ({body})"
+    return (f"(\\f:o->o. \\x:o. {body}) g y",
+            {"g": "[" + ",".join(["[*]-o*"] * k) + "]", "y": "[*]"})
+
+
+def point_subject(term_text: str, point_ctx: dict, ctx_text: str = "g:o->o, y:o"):
+    """(ctx, annotated term, type, point) for a term at a point of result type *."""
+    ctx = parse_context(ctx_text)
+    term, ty = annotate(ctx, parse_term(term_text))
+    return ctx, term, ty, point_from_json({"ctx": point_ctx, "type": "*"}, ctx, ty)
 
 
 def rand_stype(rng: random.Random, depth: int) -> SimpleType:
@@ -131,3 +162,20 @@ def brute_pos_targets_it(a: IType, t: SimpleType) -> tuple[IType, ...]:
 def brute_neg_targets_seq(seq: SeqType, t: SimpleType) -> tuple[SeqType, ...]:
     pools = [brute_neg_targets_it(x, t) for x in seq]
     return _dedup(_all_placements(pools), lambda s: tuple(key_it(a) for a in s))
+
+
+# the unpruned context splitter: every variable's elements go to every block
+
+def brute_split_ctx(theta: ResourceContext, terms):
+    """Every way to write theta as a concatenation of len(terms) contexts.
+    The terms count blocks and are otherwise ignored."""
+    k = len(terms)
+    per_var = []
+    for x, seq, t in theta.entries:
+        options = []
+        for cuts in combinations_with_replacement(range(len(seq) + 1), k - 1):
+            ends = (0,) + cuts + (len(seq),)
+            options.append([(x, seq[ends[j]:ends[j + 1]], t) for j in range(k)])
+        per_var.append(options)
+    for choice in product(*per_var):
+        yield tuple(ResourceContext(tuple(entries[j] for entries in choice)) for j in range(k))

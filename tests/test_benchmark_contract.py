@@ -4,7 +4,8 @@ work its ladders measure stays small.
 The benchmark's tracer wraps names imported into thinspan.collapse and
 thinspan.wrel, and reads the coefficient off verify_identities; a refactor
 that moves either would break the benchmark without failing any other test.
-The work guards count morphisms instead of timing anything.
+The work guards count morphisms and enumerator subproblems instead of timing
+anything.
 """
 
 import importlib
@@ -14,12 +15,12 @@ from pathlib import Path
 import pytest
 
 import thinspan.collapse
+import thinspan.derivation
 import thinspan.symmetry
 from thinspan.collapse import verify_identities
-from thinspan.rigidtypes import canonicalize_point, point_from_json
-from thinspan.syntax import annotate, parse_context, parse_term
+from thinspan.rigidtypes import canonicalize_point
 
-from support import load_corpus, parse_entry
+from support import fanout_point, load_corpus, parse_entry, point_subject, symmetric_point
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -47,27 +48,6 @@ def test_coefficient_is_a_plain_int():
     assert value == entry["expected"]
 
 
-def stars(n):
-    return "[" + ",".join(["*"] * n) + "]"
-
-
-def symmetric_point(n):
-    """`g y` at g:[[*^n]-o*], y:[*^n]: one witness, n!*n! context endomorphisms."""
-    return "g y", {"g": f"[{stars(n)}-o*]", "y": stars(n)}
-
-
-def fanout_point(n):
-    """`g (g (g y))` at g:[n x ([*,*]-o*), (n+1) x ([*]-o*)], y:[*^(n+1)]."""
-    g = ",".join(["[*,*]-o*"] * n + ["[*]-o*"] * (n + 1))
-    return "g (g (g y))", {"g": f"[{g}]", "y": stars(n + 1)}
-
-
-def subject(term_text, point_ctx):
-    ctx = parse_context("g:o->o, y:o")
-    term, ty = annotate(ctx, parse_term(term_text))
-    return ctx, term, ty, point_from_json({"ctx": point_ctx, "type": "*"}, ctx, ty)
-
-
 def counting(fn, sizes):
     def wrapped(*args):
         out = fn(*args)
@@ -88,7 +68,7 @@ def test_no_factorial_products_of_morphisms(monkeypatch, point, bound):
     for name in ("enumerate_homs_ctx", "enumerate_homs_it"):
         monkeypatch.setattr(thinspan.collapse, name,
                             counting(getattr(thinspan.collapse, name), sizes))
-    ctx, term, _, pt = subject(*point)
+    ctx, term, _, pt = point_subject(*point)
     assert verify_identities(ctx, term, pt).ok
     assert sizes and max(sizes) <= bound
 
@@ -98,7 +78,7 @@ def test_degrees_and_witness_morphisms_enumerate_nothing(monkeypatch):
         raise AssertionError("hom-set enumerated")
     for name in ("enumerate_homs_ctx", "enumerate_homs_seq", "enumerate_homs_it"):
         monkeypatch.setattr(thinspan.symmetry, name, refuse)
-    ctx, term, ty, point = subject(*fanout_point(3))
+    ctx, term, ty, point = point_subject(*fanout_point(3))
     gamma, a = canonicalize_point(point, ctx, ty)
     assert thinspan.symmetry.sym_degrees_ctx(gamma).total == 1152 * 24
     assert thinspan.symmetry.sym_degrees_it(a, ty).total == 1
@@ -110,9 +90,27 @@ def test_degrees_and_witness_morphisms_enumerate_nothing(monkeypatch):
 
 
 def test_larger_rungs_verify():
-    ctx, term, _, point = subject(*symmetric_point(7))
+    ctx, term, _, point = point_subject(*symmetric_point(7))
     rep = verify_identities(ctx, term, point)
     assert rep.ok and rep.wrel.value == 1
-    ctx, term, _, point = subject(*fanout_point(4))
+    ctx, term, _, point = point_subject(*fanout_point(4))
     rep = verify_identities(ctx, term, point)
     assert rep.ok and rep.wrel.value == 0
+
+
+# church-two-twice guesses the cut at its outer redex, and its context gives
+# g four elements, which a split may hand only to subterms that use g.  The
+# unpruned splitter missed the enumerator cache 4618 times at budget 3, and
+# 38,485 times at budget 4.
+def test_cut_guessing_stays_small(monkeypatch):
+    entry = next(e for e in load_corpus() if e["name"] == "church-two-twice")
+    ctx, term, _, point = parse_entry(entry)
+    for budget, bound in ((3, 600), (4, 4000)):
+        sizes = []
+        thinspan.derivation._enum_cache.clear()
+        monkeypatch.setattr(thinspan.derivation, "_enum_raw",
+                            counting(thinspan.derivation._enum_raw, sizes))
+        rep = verify_identities(ctx, term, point, budget)
+        monkeypatch.undo()
+        assert rep.ok and rep.wrel.value == 1, budget
+        assert len(sizes) <= bound, (budget, len(sizes))

@@ -2,10 +2,12 @@ import dataclasses
 
 import pytest
 
+import thinspan.derivation
 from thinspan.syntax import Base, is_beta_normal, parse_context, parse_simple_type, parse_term
 from thinspan.rigidtypes import IArrow, ResourceContext, Star, canonicalize_point
 from thinspan.symmetry import (
-    MorphismError, neg_targets_ctx, pos_targets_it, src_it, src_seq, tgt_ctx, tgt_it, tgt_seq,
+    MorphismError, neg_targets_ctx, pos_sources_it, pos_targets_it, src_it, src_seq, tgt_ctx,
+    tgt_it, tgt_seq,
 )
 from thinspan.derivation import (
     BoundedAt, BudgetRequiredError, DerivationError, Exact, RApp, RLam, RVar,
@@ -17,7 +19,10 @@ from thinspan.derivation import (
 )
 from thinspan.collapse import positive_witnesses
 
-from support import entry_budget, load_corpus, parse_entry
+from support import (
+    brute_split_ctx, church_point, entry_budget, fanout_point, load_corpus, parse_entry,
+    point_subject, symmetric_point,
+)
 
 S = Star()
 CORPUS = load_corpus()
@@ -273,8 +278,53 @@ def test_forced_cuts_ignore_budget():
 def test_candidate_cuts_respect_budget():
     _, _, tight = across_points("church-two-twice", budget=1)
     assert tight == []
-    _, _, ds = across_points("church-two-twice", budget=2)
-    assert len(ds) == 1
+    for budget in (2, 3, 4):
+        _, _, ds = across_points("church-two-twice", budget=budget)
+        assert len(ds) == 1, budget
+
+
+def oracle_subjects():
+    """{(label, budget): (ctx, term, type, point)} for the splitter comparison."""
+    out = {}
+    for entry in CORPUS:
+        for budget in (entry_budget(entry), entry_budget(entry) + 1):
+            out[entry["name"], budget] = parse_entry(entry)
+    out["church-two-twice", 3] = parse_entry(BY_NAME["church-two-twice"])
+    for k in range(1, 5):
+        out[f"church-{k}", k] = point_subject(*church_point(k))
+    for n in (1, 2):
+        out[f"fanout-{n}", None] = point_subject(*fanout_point(n))
+    for n in (1, 2, 3):
+        out[f"symmetric-{n}", None] = point_subject(*symmetric_point(n))
+    # z holds an element but `g y` does not use it: no derivation at all
+    out["unused-z", None] = point_subject(
+        "g y", {"g": "[[*]-o*]", "y": "[*]", "z": "[*]"}, "g:o->o, y:o, z:o")
+    return out
+
+
+def witnesses_everywhere(ctx, term, ty, point, budget):
+    gamma, alpha = canonicalize_point(point, ctx, ty)
+    thinspan.derivation._enum_cache.clear()
+    found = [enumerate_witnesses(ctx, term, th, al, budget).derivations
+             for th in neg_targets_ctx(gamma) for al in pos_sources_it(alpha, ty)]
+    thinspan.derivation._enum_cache.clear()
+    return found
+
+
+def test_pruned_splits_match_unpruned_oracle(monkeypatch):
+    # the splitter hands a variable's elements only to the subterms it is
+    # free in; the unpruned splitter must find exactly the same witnesses
+    compared = 0
+    for (label, budget), (ctx, term, ty, point) in oracle_subjects().items():
+        pruned = witnesses_everywhere(ctx, term, ty, point, budget)
+        with monkeypatch.context() as m:
+            m.setattr(thinspan.derivation, "_split_ctx", brute_split_ctx)
+            unpruned = witnesses_everywhere(ctx, term, ty, point, budget)
+        assert pruned == unpruned, (label, budget)
+        compared += sum(map(len, pruned))
+        if label == "unused-z":
+            assert not any(pruned)
+    assert compared >= len(CORPUS)
 
 
 def test_enumeration_validates_inputs():
