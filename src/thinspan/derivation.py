@@ -22,10 +22,12 @@ context entry of a variable lists the labels of its occurrences left to
 right (rt_context), and the result is rt_type.  check_derivation validates
 a resource term against the term it derives.
 
-Contexts are linear: each element is consumed by exactly one occurrence.
-So in every derivation of a term, a variable that is not free in it has
-the empty entry, and the witness enumerator splits a context only among
-the subterms where each variable is free (_split_ctx).
+Contexts are linear: each element is consumed by exactly one occurrence,
+and the occurrences of a variable consume its sequence in order, left to
+right.  So the witness enumerator never guesses how a context splits among
+subterms: it threads the context through the term, and each subterm
+returns, with each of its derivations, the suffix of every entry it left
+for the subterms to its right.
 
 Morphisms between derivations rebase every node: var nodes carry a label
 morphism, multi nodes a permutation acting on children, app nodes share
@@ -289,13 +291,13 @@ class WitnessSet:
 
 def enumerate_witnesses(ctx: TypingContext, term: Term, theta: ResourceContext,
                         alpha: IType, budget: int | None = None) -> WitnessSet:
-    """All derivations of term at the rigid point (theta, alpha).
+    """All derivations of term at the rigid point (theta, alpha), each once.
 
     Exact for beta-normal terms.  Otherwise a budget is required and the
     result contains at least the derivations all of whose cut types (the
     sequence types introduced at redexes) have length and width at most
-    the budget.  Cuts on bare-variable arguments are determined by the
-    context split and are always enumerated in full, whatever the budget.
+    the budget.  The cut on a bare-variable argument is a window of that
+    variable's remaining elements, of any length, whatever the budget.
     """
     term, ty = annotate(ctx, term)
     bs = binders(term)
@@ -312,66 +314,100 @@ def enumerate_witnesses(ctx: TypingContext, term: Term, theta: ResourceContext,
     if not normal and budget is None:
         raise BudgetRequiredError(
             f"term {term_to_text(term)} is not beta-normal; witness enumeration needs a budget")
-    found = _enum(term, theta, alpha, budget if not normal else None)
-    uniq = list(dict.fromkeys(found))
-    uniq.sort(key=resource_to_text)
-    return WitnessSet(ctx, term, (theta, alpha), tuple(uniq),
+    start = {x: (seq, t) for x, seq, t in theta.entries}
+    found = sorted((r for r, _ in _enum(term, start, alpha, budget if not normal else None,
+                                        frozenset(start))), key=resource_to_text)
+    return WitnessSet(ctx, term, (theta, alpha), tuple(found),
                       Exact() if normal else BoundedAt(budget))  # type: ignore[arg-type]
 
 
-# candidate cut types at redexes make subproblems recur across splits,
-# so both enumerators share a cache
+# The enumerator threads the context through the term, left to right, as
+# the occurrences consume it: each call takes what the subterms to its left
+# did not consume, and returns every derivation paired with what it leaves
+# in turn.  A context maps each variable in scope to its remaining sequence
+# and its simple type.  A call must use up the variables in `must`; the
+# others it may leave to the subterms to its right.
+Ctx = dict[str, tuple[SeqType, SimpleType]]
+Found = list[tuple[ResourceTerm, Ctx]]
+
+# term -> (its free variables, {(their entries, target, budget, which of
+# them must be used up): [(derivation, elements consumed of each)]})
 _enum_cache: dict = {}
 
 
-def _enum(term: Term, theta: ResourceContext, alpha: IType,
-          budget: int | None) -> list[ResourceTerm]:
-    key = (term, theta, alpha, budget)
-    hit = _enum_cache.get(key)
+def _enum(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
+          must: frozenset[str]) -> Found:
+    fvs, memo = _term_info(term)
+    if any(ctx[x][0] for x in must if x not in fvs):
+        return []
+    key = (tuple(ctx[x] for x in fvs), alpha, budget, tuple(x in must for x in fvs))
+    hit = memo.get(key)
     if hit is None:
-        hit = _enum_cache[key] = _enum_raw(term, theta, alpha, budget)
-    return hit
+        hit = memo[key] = [
+            (r, tuple(len(ctx[x][0]) - len(left[x][0]) for x in fvs))
+            for r, left in _enum_raw(term, ctx, alpha, budget, must)]
+    out = []
+    for r, used in hit:
+        left = dict(ctx)
+        for x, n in zip(fvs, used):
+            if n:
+                seq, t = ctx[x]
+                left[x] = (seq[n:], t)
+        out.append((r, left))
+    return out
 
 
-def _enum_raw(term: Term, theta: ResourceContext, alpha: IType,
-              budget: int | None) -> list[ResourceTerm]:
+def _term_info(term: Term) -> tuple[tuple[str, ...], dict]:
+    info = _enum_cache.get(term)
+    if info is None:
+        info = _enum_cache[term] = (tuple(sorted(free_vars(term))), {})
+    return info
+
+
+def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
+              must: frozenset[str]) -> Found:
     match term:
         case Lam(x, b, ann):
             if not isinstance(alpha, IArrow):
                 return []
             assert ann is not None
-            inner = ResourceContext(theta.entries + ((x, alpha.domain, ann),))
-            return [RLam(x, r, ann) for r in _enum(b, inner, alpha.codomain, budget)]
+            inner = {**ctx, x: (alpha.domain, ann)}
+            return [(RLam(x, r, ann), left)
+                    for r, left in _enum(b, inner, alpha.codomain, budget, must | {x})]
         case Var(_) | App(_, _):
             head, args = spine(term)
             if isinstance(head, Var):
-                return _enum_spine(head.name, args, theta, alpha, budget)
+                return _enum_spine(head.name, args, ctx, alpha, budget, must)
             assert isinstance(term, App)
             f, a = term.fn, term.arg
-            aty = typecheck(TypingContext(theta.shape()), a)
-            out: list[ResourceTerm] = []
-            for th_f, th_a in _split_ctx(theta, [f, a]):
-                if not isinstance(a, Var):
-                    cuts = _bounded_seqs(aty, budget)
-                else:
-                    # the cut is forced: each copy of a bare variable
-                    # consumes exactly one context element, in order
-                    cuts = (th_a.lookup(a.name),)
-                for abar in cuts:
-                    fns = _enum(f, th_f, IArrow(abar, alpha), budget)
-                    if not fns:
-                        continue
-                    for m in _enum_multi(a, th_a, abar, budget):
-                        for rf in fns:
-                            out.append(RApp(rf, m))
+            must_f = must - free_vars(a)
+            out: Found = []
+            if isinstance(a, Var):
+                # each copy of a bare variable consumes one element, so the
+                # cut is the window seq[i:j] of what f leaves of it
+                y = a.name
+                seq, t = ctx[y]
+                n = len(seq)
+                for i in range(n + 1) if y in free_vars(f) else (0,):
+                    for j in (n,) if y in must else range(i, n + 1):
+                        copies = tuple(RVar(y, c) for c in seq[i:j])
+                        for rf, left in _enum(f, ctx, IArrow(seq[i:j], alpha), budget, must_f):
+                            if len(left[y][0]) == n - i:
+                                out.append((RApp(rf, copies), {**left, y: (seq[j:], t)}))
+                return out
+            aty = typecheck(TypingContext(tuple((x, t) for x, (_, t) in ctx.items())), a)
+            for abar in _bounded_seqs(aty, budget):
+                for rf, left in _enum(f, ctx, IArrow(abar, alpha), budget, must_f):
+                    for m, rest in _enum_multi(a, left, abar, budget, must):
+                        out.append((RApp(rf, m), rest))
             return out
     raise TypeError(f"not a term: {term!r}")
 
 
-def _enum_spine(name: str, args: list[Term], theta: ResourceContext, alpha: IType,
-                budget: int | None) -> list[ResourceTerm]:
-    seq = theta.lookup(name)
-    if not seq:
+def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: IType,
+                budget: int | None, must: frozenset[str]) -> Found:
+    seq, t = ctx[name]
+    if not seq or (not args and name in must and len(seq) > 1):
         return []
     label = seq[0]
     doms: list[SeqType] = []
@@ -383,96 +419,27 @@ def _enum_spine(name: str, args: list[Term], theta: ResourceContext, alpha: ITyp
         cur = cur.codomain
     if cur != alpha:
         return []
-    rest = ResourceContext(tuple(
-        (x, s[1:] if x == name else s, t) for x, s, t in theta.entries))
-    out: list[ResourceTerm] = []
-    if not args:
-        if rest.is_empty():
-            out.append(RVar(name, label))
-        return out
-    for parts in _split_ctx(rest, args):
-        multis: list[list[tuple[ResourceTerm, ...]]] = []
-        for j, arg in enumerate(args):
-            ms = _enum_multi(arg, parts[j], doms[j], budget)
-            if not ms:
-                break
-            multis.append(ms)
-        if len(multis) != len(args):
-            continue
-        for choice in product(*multis):
-            r: ResourceTerm = RVar(name, label)
-            for m in choice:
-                r = RApp(r, m)
-            out.append(r)
+    out: Found = [(RVar(name, label), {**ctx, name: (seq[1:], t)})]
+    for j, (arg, dom) in enumerate(zip(args, doms)):
+        later = set().union(*map(free_vars, args[j + 1:]))
+        out = [(RApp(r, m), rest) for r, left in out
+               for m, rest in _enum_multi(arg, left, dom, budget, must - later)]
     return out
 
 
-def _enum_multi(term: Term, theta: ResourceContext, targets: SeqType,
-                budget: int | None) -> list[tuple[ResourceTerm, ...]]:
-    key = (term, theta, targets, budget)
-    hit = _enum_cache.get(key)
-    if hit is None:
-        hit = _enum_cache[key] = _enum_multi_raw(term, theta, targets, budget)
-    return hit
-
-
-def _enum_multi_raw(term: Term, theta: ResourceContext, targets: SeqType,
-                    budget: int | None) -> list[tuple[ResourceTerm, ...]]:
+def _enum_multi(term: Term, ctx: Ctx, targets: SeqType, budget: int | None,
+                must: frozenset[str]) -> list[tuple[tuple[ResourceTerm, ...], Ctx]]:
+    """One copy of term per target, threaded left to right; every copy but
+    the last may leave term's free variables to the copies after it."""
     if not targets:
-        return [()] if theta.is_empty() else []
-    out = []
-    for blocks in _split_ctx(theta, [term] * len(targets)):
-        pools = [_enum(term, blocks[i], targets[i], budget) for i in range(len(targets))]
-        if any(not p for p in pools):
-            continue
-        out.extend(product(*pools))
+        return [((), ctx)] if not any(ctx[x][0] for x in must) else []
+    lax = must.difference(_term_info(term)[0])
+    out: list[tuple[tuple[ResourceTerm, ...], Ctx]] = [((), ctx)]
+    for i, target in enumerate(targets):
+        m = must if i == len(targets) - 1 else lax
+        out = [(done + (r,), rest) for done, left in out
+               for r, rest in _enum(term, left, target, budget, m)]
     return out
-
-
-def _compositions(total: int, k: int):
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    if k == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
-
-
-def _split_ctx(theta: ResourceContext, terms: list[Term]):
-    """All ways to write theta as a concatenation of contexts, one per term,
-    in which each variable's elements go, in order, only to the terms it is
-    free in.
-
-    The pruning is exact.  Contexts are linear: every element of an entry is
-    consumed by exactly one occurrence of its variable (rt_context), so in
-    any derivation of a term the variables it does not have free get the
-    empty entry.  A block that gives such a variable an element has no
-    derivation, and a variable with elements that no term has free leaves
-    no split at all.
-    """
-    frees = [free_vars(term) for term in terms]
-    per_var = []
-    for x, seq, t in theta.entries:
-        owners = [j for j, fv in enumerate(frees) if x in fv]
-        options = []
-        for comp in _compositions(len(seq), len(owners)):
-            blocks = [()] * len(terms)
-            i = 0
-            for j, c in zip(owners, comp):
-                blocks[j] = seq[i:i + c]
-                i += c
-            options.append(blocks)
-        per_var.append((x, t, options))
-    for choice in product(*[opts for _, _, opts in per_var]):
-        yield tuple(
-            ResourceContext(tuple(
-                (x, choice[v][j], t)
-                for v, (x, t, _) in enumerate(per_var)))
-            for j in range(len(terms)))
 
 
 @lru_cache(maxsize=None)

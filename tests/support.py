@@ -8,11 +8,15 @@ import random
 from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
-from thinspan.syntax import Arrow, Base, SimpleType, annotate, parse_context, parse_simple_type, parse_term
-from thinspan.rigidtypes import (
-    IArrow, IType, ResourceContext, SeqType, Star, canonicalize_it, canonicalize_seq, key_it,
-    point_from_json,
+from thinspan.syntax import (
+    App, Arrow, Base, Lam, SimpleType, TypingContext, Var, annotate, is_beta_normal,
+    parse_context, parse_simple_type, parse_term, spine, typecheck,
 )
+from thinspan.rigidtypes import (
+    IArrow, IType, PointSpec, ResourceContext, SeqType, Star, canonicalize_it, canonicalize_seq,
+    key_it, point_from_json,
+)
+from thinspan.derivation import RApp, RLam, RVar, _bounded_seqs, resource_to_text
 from thinspan.symmetry import (
     Degrees, enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_negative_it,
     is_positive_ctx, is_positive_it,
@@ -64,6 +68,16 @@ def church_point(k: int):
             {"g": "[" + ",".join(["[*]-o*"] * k) + "]", "y": "[*]"})
 
 
+def distinct_g_point(k: int):
+    """`f (g y)` at f:[[*^k]-o*], g:[[]-o*, [*]-o*, ..., [*^(k-1)]-o*],
+    y:[*^(k(k-1)/2)]: each copy of `g y` takes another element of g, so
+    there are k! witnesses."""
+    g = ",".join(f"{stars(i)}-o*" for i in range(k))
+    return ("f (g y)",
+            {"f": f"[{stars(k)}-o*]", "g": f"[{g}]", "y": stars(k * (k - 1) // 2)},
+            "f:o->o, g:o->o, y:o")
+
+
 def point_subject(term_text: str, point_ctx: dict, ctx_text: str = "g:o->o, y:o"):
     """(ctx, annotated term, type, point) for a term at a point of result type *."""
     ctx = parse_context(ctx_text)
@@ -96,6 +110,15 @@ def rand_reorder(rng: random.Random, a: IType) -> IType:
     elems = [rand_reorder(rng, x) for x in a.domain]
     rng.shuffle(elems)
     return IArrow(tuple(elems), rand_reorder(rng, a.codomain))
+
+
+def rand_point(rng: random.Random, ctx: TypingContext, ty: SimpleType, size: int = 2,
+               width: int = 2) -> PointSpec:
+    """A random point over ctx at result type ty: every variable gets up to
+    `size` elements, each refining its simple type."""
+    bags = tuple((x, tuple(rand_itype(rng, t, width) for _ in range(rng.randint(0, size))))
+                 for x, t in ctx)
+    return PointSpec(bags, rand_itype(rng, ty, width))
 
 
 def rand_context(rng: random.Random, nvars: int = 2, width: int = 3) -> ResourceContext:
@@ -179,3 +202,92 @@ def brute_split_ctx(theta: ResourceContext, terms):
         per_var.append(options)
     for choice in product(*per_var):
         yield tuple(ResourceContext(tuple(entries[j] for entries in choice)) for j in range(k))
+
+
+# The enumerator that guessed context splits: every way to split the context
+# among the subterms (brute_split_ctx), then each block solved on its own.
+# derivation threads the context instead; this is its oracle.
+
+def split_witnesses(ctx, term, theta: ResourceContext, alpha: IType, budget=None,
+                    cache=None) -> tuple:
+    """The derivations of term at (theta, alpha), as enumerate_witnesses
+    returns them.  Subproblems are memoized in `cache`, which the calls on
+    one subject may share."""
+    term, _ = annotate(ctx, term)
+    found = _split_enum(term, theta, alpha, None if is_beta_normal(term) else budget,
+                        {} if cache is None else cache)
+    return tuple(sorted(dict.fromkeys(found), key=resource_to_text))
+
+
+def _split_enum(term, theta, alpha, budget, cache):
+    key = (term, theta, alpha, budget)
+    if key not in cache:
+        cache[key] = _split_enum_raw(term, theta, alpha, budget, cache)
+    return cache[key]
+
+
+def _split_enum_raw(term, theta, alpha, budget, cache):
+    match term:
+        case Lam(x, b, ann):
+            if not isinstance(alpha, IArrow):
+                return []
+            inner = ResourceContext(theta.entries + ((x, alpha.domain, ann),))
+            return [RLam(x, r, ann) for r in _split_enum(b, inner, alpha.codomain, budget, cache)]
+        case Var(_) | App(_, _):
+            head, args = spine(term)
+            if isinstance(head, Var):
+                return _split_enum_spine(head.name, args, theta, alpha, budget, cache)
+            f, a = term.fn, term.arg
+            aty = typecheck(TypingContext(theta.shape()), a)
+            out = []
+            for th_f, th_a in brute_split_ctx(theta, [f, a]):
+                cuts = (th_a.lookup(a.name),) if isinstance(a, Var) else _bounded_seqs(aty, budget)
+                for abar in cuts:
+                    fns = _split_enum(f, th_f, IArrow(abar, alpha), budget, cache)
+                    if fns:
+                        for m in _split_enum_multi(a, th_a, abar, budget, cache):
+                            out.extend(RApp(rf, m) for rf in fns)
+            return out
+    raise TypeError(f"not a term: {term!r}")
+
+
+def _split_enum_spine(name, args, theta, alpha, budget, cache):
+    seq = theta.lookup(name)
+    if not seq:
+        return []
+    label = seq[0]
+    doms = []
+    cur = label
+    for _ in args:
+        if not isinstance(cur, IArrow):
+            return []
+        doms.append(cur.domain)
+        cur = cur.codomain
+    if cur != alpha:
+        return []
+    rest = ResourceContext(tuple(
+        (x, s[1:] if x == name else s, t) for x, s, t in theta.entries))
+    if not args:
+        return [RVar(name, label)] if rest.is_empty() else []
+    out = []
+    for parts in brute_split_ctx(rest, args):
+        multis = [_split_enum_multi(arg, parts[j], doms[j], budget, cache)
+                  for j, arg in enumerate(args)]
+        for choice in product(*multis):
+            r = RVar(name, label)
+            for m in choice:
+                r = RApp(r, m)
+            out.append(r)
+    return out
+
+
+def _split_enum_multi(term, theta, targets, budget, cache):
+    key = (term, theta, targets, budget, "multi")
+    if key not in cache:
+        if not targets:
+            cache[key] = [()] if theta.is_empty() else []
+        else:
+            cache[key] = [m for blocks in brute_split_ctx(theta, [term] * len(targets))
+                          for m in product(*[_split_enum(term, blocks[i], targets[i], budget, cache)
+                                             for i in range(len(targets))])]
+    return cache[key]

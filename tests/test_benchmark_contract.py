@@ -20,7 +20,9 @@ import thinspan.symmetry
 from thinspan.collapse import verify_identities
 from thinspan.rigidtypes import canonicalize_point
 
-from support import fanout_point, load_corpus, parse_entry, point_subject, symmetric_point
+from support import (
+    distinct_g_point, fanout_point, load_corpus, parse_entry, point_subject, symmetric_point,
+)
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -98,19 +100,39 @@ def test_larger_rungs_verify():
     assert rep.ok and rep.wrel.value == 0
 
 
+def enumerator_misses(monkeypatch, ctx, term, point, budget=None, coefficient=1):
+    """Verify at the point from a cold enumerator cache, checking the
+    coefficient; the number of subproblems the enumerator solved."""
+    sizes = []
+    thinspan.derivation._enum_cache.clear()
+    with monkeypatch.context() as m:
+        m.setattr(thinspan.derivation, "_enum_raw",
+                  counting(thinspan.derivation._enum_raw, sizes))
+        rep = verify_identities(ctx, term, point, budget)
+    assert rep.ok and rep.wrel.value == coefficient
+    return len(sizes)
+
+
 # church-two-twice guesses the cut at its outer redex, and its context gives
-# g four elements, which a split may hand only to subterms that use g.  The
-# unpruned splitter missed the enumerator cache 4618 times at budget 3, and
-# 38,485 times at budget 4.
+# g four elements.  Guessing every split of the context among the subterms
+# missed the enumerator cache 4618 times at budget 3 and 38,485 times at
+# budget 4; splitting only among the subterms that use each variable, 380
+# and 2,763 times.
 def test_cut_guessing_stays_small(monkeypatch):
     entry = next(e for e in load_corpus() if e["name"] == "church-two-twice")
     ctx, term, _, point = parse_entry(entry)
     for budget, bound in ((3, 600), (4, 4000)):
-        sizes = []
-        thinspan.derivation._enum_cache.clear()
-        monkeypatch.setattr(thinspan.derivation, "_enum_raw",
-                            counting(thinspan.derivation._enum_raw, sizes))
-        rep = verify_identities(ctx, term, point, budget)
-        monkeypatch.undo()
-        assert rep.ok and rep.wrel.value == 1, budget
-        assert len(sizes) <= bound, (budget, len(sizes))
+        misses = enumerator_misses(monkeypatch, ctx, term, point, budget)
+        assert misses <= bound, (budget, misses)
+
+
+# Splitting the context among the subterms that use each variable missed
+# 10,451 times at fan-out n = 5 and 486 times at distinct-g k = 4.
+@pytest.mark.parametrize("point, coefficient, bound", [
+    (fanout_point(5), 0, 3000),
+    (distinct_g_point(4), 24, 200),
+], ids=["fanout-5", "distinct-g-4"])
+def test_threaded_enumeration_stays_small(monkeypatch, point, coefficient, bound):
+    ctx, term, _, pt = point_subject(*point)
+    misses = enumerator_misses(monkeypatch, ctx, term, pt, coefficient=coefficient)
+    assert misses <= bound, misses

@@ -1,8 +1,8 @@
 import dataclasses
+import random
 
 import pytest
 
-import thinspan.derivation
 from thinspan.syntax import Base, is_beta_normal, parse_context, parse_simple_type, parse_term
 from thinspan.rigidtypes import IArrow, ResourceContext, Star, canonicalize_point
 from thinspan.symmetry import (
@@ -17,11 +17,11 @@ from thinspan.derivation import (
     resource_to_text, rt_context, rt_occurrence_labels, rt_type,
     src_dm, symmetric, tgt_dm,
 )
-from thinspan.collapse import positive_witnesses
+from thinspan.collapse import positive_witnesses, verify_identities
 
 from support import (
-    brute_split_ctx, church_point, entry_budget, fanout_point, load_corpus, parse_entry,
-    point_subject, symmetric_point,
+    church_point, distinct_g_point, entry_budget, fanout_point, load_corpus, parse_entry,
+    point_subject, rand_point, split_witnesses, symmetric_point,
 )
 
 S = Star()
@@ -269,8 +269,8 @@ def test_budget_required_for_redexes():
 
 
 def test_forced_cuts_ignore_budget():
-    # the cut sequence for a bare-variable argument is fixed by the context
-    # split, so even a three element cut appears at budget 1
+    # the cut for a bare-variable argument is a window of that variable's
+    # remaining elements, so even a three element cut appears at budget 1
     _, _, ds = across_points("church-two-at-fan", budget=1)
     assert len(ds) == 1
 
@@ -284,7 +284,8 @@ def test_candidate_cuts_respect_budget():
 
 
 def oracle_subjects():
-    """{(label, budget): (ctx, term, type, point)} for the splitter comparison."""
+    """{(label, budget): (ctx, term, type, point)} for the comparison with the
+    split-guessing oracle."""
     out = {}
     for entry in CORPUS:
         for budget in (entry_budget(entry), entry_budget(entry) + 1):
@@ -296,6 +297,15 @@ def oracle_subjects():
         out[f"fanout-{n}", None] = point_subject(*fanout_point(n))
     for n in (1, 2, 3):
         out[f"symmetric-{n}", None] = point_subject(*symmetric_point(n))
+    for k in (1, 2, 3):
+        out[f"distinct-g-{k}", None] = point_subject(*distinct_g_point(k))
+    # the function part uses g before the argument's window of it starts
+    out["argument-free-in-function", 1] = point_subject(
+        "(\\h:o->o. h (g y)) g", {"g": "[[*]-o*,[*]-o*]", "y": "[*]"})
+    # the redex's window of y ends before y's last element, which the second
+    # argument takes
+    out["window-before-a-later-use", 1] = point_subject(
+        "f ((\\x:o. x) y) y", {"f": "[[*]-o[*]-o*]", "y": "[*,*]"}, "f:o->o->o, y:o")
     # z holds an element but `g y` does not use it: no derivation at all
     out["unused-z", None] = point_subject(
         "g y", {"g": "[[*]-o*]", "y": "[*]", "z": "[*]"}, "g:o->o, y:o, z:o")
@@ -303,28 +313,46 @@ def oracle_subjects():
 
 
 def witnesses_everywhere(ctx, term, ty, point, budget):
+    """The derivations at every negative target and positive source of the
+    point: (threaded enumerator's, split oracle's)."""
     gamma, alpha = canonicalize_point(point, ctx, ty)
-    thinspan.derivation._enum_cache.clear()
-    found = [enumerate_witnesses(ctx, term, th, al, budget).derivations
-             for th in neg_targets_ctx(gamma) for al in pos_sources_it(alpha, ty)]
-    thinspan.derivation._enum_cache.clear()
-    return found
+    targets = [(th, al) for th in neg_targets_ctx(gamma) for al in pos_sources_it(alpha, ty)]
+    cache: dict = {}
+    return ([enumerate_witnesses(ctx, term, th, al, budget).derivations for th, al in targets],
+            [split_witnesses(ctx, term, th, al, budget, cache) for th, al in targets])
 
 
-def test_pruned_splits_match_unpruned_oracle(monkeypatch):
-    # the splitter hands a variable's elements only to the subterms it is
-    # free in; the unpruned splitter must find exactly the same witnesses
+def test_threaded_enumeration_matches_split_oracle():
+    # the enumerator threads the context through the term left to right; the
+    # oracle guesses every split of it among the subterms instead
+    counts = {"unused-z": 0, "distinct-g-3": 6, "argument-free-in-function": 1,
+              "window-before-a-later-use": 1}
     compared = 0
     for (label, budget), (ctx, term, ty, point) in oracle_subjects().items():
-        pruned = witnesses_everywhere(ctx, term, ty, point, budget)
-        with monkeypatch.context() as m:
-            m.setattr(thinspan.derivation, "_split_ctx", brute_split_ctx)
-            unpruned = witnesses_everywhere(ctx, term, ty, point, budget)
-        assert pruned == unpruned, (label, budget)
-        compared += sum(map(len, pruned))
-        if label == "unused-z":
-            assert not any(pruned)
+        threaded, oracle = witnesses_everywhere(ctx, term, ty, point, budget)
+        assert threaded == oracle, (label, budget)
+        assert all(len(set(ds)) == len(ds) for ds in threaded), (label, budget)
+        found = sum(map(len, threaded))
+        assert found == counts.get(label, found), label
+        compared += found
     assert compared >= len(CORPUS)
+
+
+def test_generated_points_match_split_oracle():
+    # every corpus term at random points whose bags hold up to two elements
+    rng = random.Random(20240)
+    inhabited = 0
+    for entry in CORPUS:
+        ctx, term, ty, _ = parse_entry(entry)
+        for _ in range(25):
+            point = rand_point(rng, ctx, ty)
+            threaded, oracle = witnesses_everywhere(ctx, term, ty, point, entry_budget(entry))
+            assert threaded == oracle, (entry["name"], point)
+            assert all(len(set(ds)) == len(ds) for ds in threaded)
+            inhabited += any(threaded)
+            if is_beta_normal(term):
+                assert verify_identities(ctx, term, point).ok, (entry["name"], point)
+    assert inhabited >= 20
 
 
 def test_enumeration_validates_inputs():
