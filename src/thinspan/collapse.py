@@ -22,17 +22,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .syntax import Term, TypingContext, annotate, ensure_distinct_binders
 from .rigidtypes import (
     IType, PointSpec, ResourceContext, canonicalize_point, ctx_to_text, it_to_text,
 )
 from .symmetry import (
-    CtxMorphism, Degrees, ITMorphism,
-    enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_positive_it,
+    CtxMorphism, Degrees, ITMorphism, count_negative_seq, count_positive_it,
     neg_targets_ctx, negative_hom_ctx, pos_sources_it, positive_hom_it,
     sym_degrees_ctx, sym_degrees_it,
 )
+# not called here: the tracer in perfbench/tracing.py wraps these names in this module
+from .symmetry import enumerate_homs_ctx, enumerate_homs_it  # noqa: F401
 from .derivation import (
     BoundedAt, Completeness, Exact, ResourceTerm,
     endo_count, enumerate_witnesses, partition_by_symmetry, rt_context, rt_type,
@@ -142,25 +144,21 @@ def class_counts_check(report: WitnessReport) -> list[str]:
 
 
 def esp_explicit(report: WitnessReport) -> int:
-    """Count witness triples by enumerating the polarized morphisms.
+    """Count witness triples by counting the polarized morphisms.
 
-    A context morphism is one sequence morphism per variable, and it is
-    negative exactly when each of them is, so the negative morphisms are
-    counted one variable at a time and multiplied.
+    For each witness d at (theta, alpha), the negative context morphisms
+    gamma -> theta are counted one variable at a time and multiplied, and
+    the positive morphisms alpha -> a beside them.  The counts are
+    permanents and products over the pairs of types, so this never reads a
+    degree or a symmetry class.
     """
     gamma, a = report.rep
-    ty = annotate(report.ctx, report.term)[1]
+    memo: dict = {}
     total = 0
     for w in report.witnesses:
         theta = rt_context(gamma.shape(), w.derivation)
-        alpha = rt_type(w.derivation)
-        negs = 1
-        for x, seq, t in gamma.entries:
-            homs = enumerate_homs_ctx(ResourceContext(((x, seq, t),)),
-                                      ResourceContext(((x, theta.lookup(x), t),)))
-            negs *= sum(1 for cm in homs if is_negative_ctx(cm))
-        poss = sum(1 for phi in enumerate_homs_it(alpha, a) if is_positive_it(phi, ty))
-        total += negs * poss
+        negs = prod(count_negative_seq(seq, theta.lookup(x), memo) for x, seq, _ in gamma.entries)
+        total += negs * count_positive_it(rt_type(w.derivation), a, memo)
     return total
 
 

@@ -34,10 +34,12 @@ each, the endomorphisms permute equal elements and act componentwise:
 
 A context entry flips the variance, and a context's degrees are the
 product of its entries'.  The polarized morphisms that witness
-reachability are built directly from their structure as well.  Listing
-whole hom-sets (enumerate_homs_*) takes factorial time; it serves as the
-oracle in the tests and in the explicit triple count, not on the path of
-a query.
+reachability are built directly from their structure as well, and the
+explicit triple count gets the size of a polarized hom-set from the same
+rules (count_*): a permanent where the domain may be permuted, a product
+where it may not.  Listing whole hom-sets (enumerate_homs_*) takes
+factorial time; it serves as the oracle in the tests, and for the
+derivation morphisms, not for counting.
 """
 
 from __future__ import annotations
@@ -483,6 +485,72 @@ def negative_hom_ctx(ca: ResourceContext, cb: ResourceContext) -> CtxMorphism | 
             return None
         entries.append((x, sm, t))
     return CtxMorphism(tuple(entries))
+
+
+####################################################################
+# polarized hom counts
+#
+# The size of a polarized hom-set, counted from the rules above without
+# listing it.  A positive arrow morphism permutes the domain with negative
+# components, so its domain contributes the permanent of the matrix of
+# negative counts; a negative one keeps the order with positive components,
+# so its domain contributes their product.  A context entry flips the
+# variance.  The caller owns the memo, keyed on (positive, a, b) for
+# types and on (sa, sb) for context entries.
+
+def count_positive_it(a: IType, b: IType, memo: dict | None = None) -> int:
+    return _count_it(True, a, b, {} if memo is None else memo)
+
+
+def count_negative_it(a: IType, b: IType, memo: dict | None = None) -> int:
+    return _count_it(False, a, b, {} if memo is None else memo)
+
+
+def count_negative_seq(sa: SeqType, sb: SeqType, memo: dict | None = None) -> int:
+    """Any permutation, negative components (a context entry's variance)."""
+    if len(sa) != len(sb):
+        return 0
+    memo = {} if memo is None else memo
+    if (sa, sb) not in memo:
+        memo[sa, sb] = permanent([[_count_it(False, x, y, memo) for y in sb] for x in sa])
+    return memo[sa, sb]
+
+
+def _count_it(positive: bool, a: IType, b: IType, memo: dict) -> int:
+    key = (positive, a, b)
+    if key not in memo:
+        match a, b:
+            case Star(), Star():
+                memo[key] = 1
+            case IArrow(ad, ac), IArrow(bd, bc) if len(ad) == len(bd):
+                n = _count_it(positive, ac, bc, memo)
+                if n and positive:
+                    n *= count_negative_seq(ad, bd, memo)
+                elif n:
+                    n *= prod(_count_it(True, x, y, memo) for x, y in zip(ad, bd))
+                memo[key] = n
+            case _:
+                memo[key] = 0
+    return memo[key]
+
+
+def permanent(m: list[list[int]]) -> int:
+    """Ryser's formula, visiting the column subsets in Gray-code order so
+    that each step adds or removes one column: O(2^n * n)."""
+    n = len(m)
+    if any(not any(row) for row in m):
+        return 0
+    sums = [0] * n
+    total = 0 if n else 1
+    for k in range(1, 1 << n):
+        j = (k & -k).bit_length() - 1
+        gray = k ^ (k >> 1)
+        step = 1 if gray >> j & 1 else -1
+        for i, row in enumerate(m):
+            sums[i] += step * row[j]
+        term = prod(sums)
+        total += -term if (n - gray.bit_count()) & 1 else term
+    return total
 
 
 ####################################################################

@@ -16,7 +16,9 @@ from thinspan.rigidtypes import (
     IArrow, IType, PointSpec, ResourceContext, SeqType, Star, canonicalize_it, canonicalize_seq,
     key_it, point_from_json,
 )
-from thinspan.derivation import RApp, RLam, RVar, _bounded_seqs, resource_to_text
+from thinspan.derivation import (
+    RApp, RLam, RVar, _bounded_seqs, resource_to_text, rt_context, rt_type,
+)
 from thinspan.symmetry import (
     Degrees, enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_negative_it,
     is_positive_ctx, is_positive_it,
@@ -121,6 +123,16 @@ def rand_point(rng: random.Random, ctx: TypingContext, ty: SimpleType, size: int
     return PointSpec(bags, rand_itype(rng, ty, width))
 
 
+def generated_points(seed: int = 20240, per_entry: int = 25):
+    """The seeded draw of generated subjects: every corpus term at random
+    points whose bags hold up to two elements, as (entry, ctx, term, ty, point)."""
+    rng = random.Random(seed)
+    for entry in load_corpus():
+        ctx, term, ty, _ = parse_entry(entry)
+        for _ in range(per_entry):
+            yield entry, ctx, term, ty, rand_point(rng, ctx, ty)
+
+
 def rand_context(rng: random.Random, nvars: int = 2, width: int = 3) -> ResourceContext:
     """A random canonical resource context over variables x0, x1, ..."""
     entries = []
@@ -146,6 +158,26 @@ def brute_degrees_ctx(theta: ResourceContext) -> Degrees:
     return Degrees(len(endos),
                    sum(1 for e in endos if is_positive_ctx(e)),
                    sum(1 for e in endos if is_negative_ctx(e)))
+
+
+def listed_esp(report) -> int:
+    """The triple count with each polarized morphism listed: per witness, the
+    negative context morphisms one variable at a time and the positive
+    result morphisms, filtered out of the whole hom-sets."""
+    gamma, a = report.rep
+    ty = annotate(report.ctx, report.term)[1]
+    total = 0
+    for w in report.witnesses:
+        theta = rt_context(gamma.shape(), w.derivation)
+        negs = 1
+        for x, seq, t in gamma.entries:
+            homs = enumerate_homs_ctx(ResourceContext(((x, seq, t),)),
+                                      ResourceContext(((x, theta.lookup(x), t),)))
+            negs *= sum(1 for cm in homs if is_negative_ctx(cm))
+        poss = sum(1 for phi in enumerate_homs_it(rt_type(w.derivation), a)
+                   if is_positive_it(phi, ty))
+        total += negs * poss
+    return total
 
 
 # brute-force reachability: every placement of every choice, then deduplicate

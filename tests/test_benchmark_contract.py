@@ -4,12 +4,13 @@ work its ladders measure stays small.
 The benchmark's tracer wraps names imported into thinspan.collapse and
 thinspan.wrel, and reads the coefficient off verify_identities; a refactor
 that moves either would break the benchmark without failing any other test.
-The work guards count morphisms and enumerator subproblems instead of timing
-anything.
+The work guards refuse hom-set listings and count enumerator subproblems
+instead of timing anything.
 """
 
 import importlib
 import importlib.util
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -18,10 +19,11 @@ import thinspan.collapse
 import thinspan.derivation
 import thinspan.symmetry
 from thinspan.collapse import verify_identities
-from thinspan.rigidtypes import canonicalize_point
+from thinspan.rigidtypes import STAR, IArrow, canonicalize_point
 
 from support import (
-    distinct_g_point, fanout_point, load_corpus, parse_entry, point_subject, symmetric_point,
+    church_point, distinct_g_point, fanout_point, load_corpus, parse_entry, point_subject,
+    symmetric_point,
 )
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -58,26 +60,34 @@ def counting(fn, sizes):
     return wrapped
 
 
-# The largest hom-set of one variable's entry: 6! for y (and g) at
-# symmetric n = 6; 3!*4!*2^3 for g at fan-out n = 3.  The whole-context
-# hom-sets these points used to enumerate hold 518,400 and 27,648.
-@pytest.mark.parametrize("point, bound", [
-    (symmetric_point(6), 720),
-    (fanout_point(3), 1152),
-], ids=["symmetric-6", "fanout-3"])
-def test_no_factorial_products_of_morphisms(monkeypatch, point, bound):
-    sizes = []
+def refuse(*args):
+    raise AssertionError("hom-set enumerated")
+
+
+# Listing one variable's hom-set at a time, the triple count would go
+# through 6! morphisms for y at symmetric n = 6, 3!*4!*2^3 for g at fan-out
+# n = 3 and 7! for g at Church k = 7; it counts them without listing any.
+@pytest.mark.parametrize("point, budget", [
+    (symmetric_point(6), None),
+    (fanout_point(3), None),
+    (church_point(7), 7),
+], ids=["symmetric-6", "fanout-3", "church-7"])
+def test_no_factorial_products_of_morphisms(monkeypatch, point, budget):
     for name in ("enumerate_homs_ctx", "enumerate_homs_it"):
-        monkeypatch.setattr(thinspan.collapse, name,
-                            counting(getattr(thinspan.collapse, name), sizes))
+        monkeypatch.setattr(thinspan.collapse, name, refuse)
     ctx, term, _, pt = point_subject(*point)
-    assert verify_identities(ctx, term, pt).ok
-    assert sizes and max(sizes) <= bound
+    assert verify_identities(ctx, term, pt, budget).ok
+
+
+# 12 copies of [*]-o* have 12! = 479,001,600 negative entry morphisms.
+def test_entry_count_past_what_listing_reaches(monkeypatch):
+    for name in ("enumerate_homs_ctx", "enumerate_homs_seq", "enumerate_homs_it"):
+        monkeypatch.setattr(thinspan.symmetry, name, refuse)
+    seq = (IArrow((STAR,), STAR),) * 12
+    assert thinspan.symmetry.count_negative_seq(seq, seq) == factorial(12)
 
 
 def test_degrees_and_witness_morphisms_enumerate_nothing(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("hom-set enumerated")
     for name in ("enumerate_homs_ctx", "enumerate_homs_seq", "enumerate_homs_it"):
         monkeypatch.setattr(thinspan.symmetry, name, refuse)
     ctx, term, ty, point = point_subject(*fanout_point(3))

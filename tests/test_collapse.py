@@ -8,7 +8,7 @@ from thinspan.collapse import (
     weight_by_classes,
 )
 
-from support import entry_budget, load_corpus, parse_entry
+from support import entry_budget, generated_points, listed_esp, load_corpus, parse_entry
 
 BY_NAME = {e["name"]: e for e in load_corpus()}
 
@@ -129,3 +129,13 @@ def test_verify_identities_wrong_expectation():
     bad = [c for c in rep.checks if not c.ok]
     assert [c.name for c in bad] == ["expected-value"]
     assert bad[0].detail
+
+
+def test_triple_count_matches_listing_on_generated_points():
+    compared = 0
+    for entry, ctx, term, _, point in generated_points():
+        report = positive_witnesses(ctx, term, point, entry_budget(entry))
+        if report.witnesses:
+            assert esp_explicit(report) == listed_esp(report), (entry["name"], point)
+            compared += 1
+    assert compared >= 20

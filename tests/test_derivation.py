@@ -1,5 +1,4 @@
 import dataclasses
-import random
 
 import pytest
 
@@ -21,7 +20,7 @@ from thinspan.collapse import positive_witnesses, verify_identities
 
 from support import (
     church_point, distinct_g_point, entry_budget, fanout_point, load_corpus, parse_entry,
-    point_subject, rand_point, split_witnesses, symmetric_point,
+    generated_points, point_subject, split_witnesses, symmetric_point,
 )
 
 S = Star()
@@ -339,19 +338,14 @@ def test_threaded_enumeration_matches_split_oracle():
 
 
 def test_generated_points_match_split_oracle():
-    # every corpus term at random points whose bags hold up to two elements
-    rng = random.Random(20240)
     inhabited = 0
-    for entry in CORPUS:
-        ctx, term, ty, _ = parse_entry(entry)
-        for _ in range(25):
-            point = rand_point(rng, ctx, ty)
-            threaded, oracle = witnesses_everywhere(ctx, term, ty, point, entry_budget(entry))
-            assert threaded == oracle, (entry["name"], point)
-            assert all(len(set(ds)) == len(ds) for ds in threaded)
-            inhabited += any(threaded)
-            if is_beta_normal(term):
-                assert verify_identities(ctx, term, point).ok, (entry["name"], point)
+    for entry, ctx, term, ty, point in generated_points():
+        threaded, oracle = witnesses_everywhere(ctx, term, ty, point, entry_budget(entry))
+        assert threaded == oracle, (entry["name"], point)
+        assert all(len(set(ds)) == len(ds) for ds in threaded)
+        inhabited += any(threaded)
+        if is_beta_normal(term):
+            assert verify_identities(ctx, term, point).ok, (entry["name"], point)
     assert inhabited >= 20
 
 

@@ -5,11 +5,13 @@ import pytest
 
 from thinspan.syntax import Arrow, Base, is_beta_normal, parse_context, parse_simple_type
 from thinspan.rigidtypes import (
-    ResourceContext, Star, canonicalize_it, parse_itype, point_from_json, canonicalize_point,
+    ResourceContext, Star, canonicalize_it, canonicalize_point, canonicalize_seq, parse_itype,
+    point_from_json,
 )
 from thinspan.symmetry import (
     ArrowMorphism, MorphismError, SeqMorphism, StarId,
-    compose_it, compose_perm, compose_seq, concat_seqm, enumerate_homs_ctx,
+    compose_it, compose_perm, compose_seq, concat_seqm, count_negative_it,
+    count_negative_seq, count_positive_it, enumerate_homs_ctx,
     enumerate_homs_it, enumerate_homs_seq, identity_it, identity_perm, identity_seq,
     inverse_perm, invert_it, is_identity_perm, is_negative_ctx, is_negative_it,
     is_negative_seq, is_positive_ctx, is_positive_it, is_positive_seq,
@@ -357,3 +359,35 @@ def test_per_variable_triple_count_matches_whole_contexts():
                        if is_positive_it(phi, ty))
             whole += negs * poss
         assert esp_explicit(report) == whole, entry["name"]
+
+
+def test_polarized_counts_match_listing_oracle():
+    # The target is a reordering of the source (its hom-set is inhabited) or
+    # an independent draw (often empty, often of another length); neither
+    # side is canonicalized.
+    rng = random.Random(83)
+    seen = dict.fromkeys(("inhabited", "empty", "entries", "lengths", "noncanonical"), 0)
+    for _ in range(600):
+        t = rand_stype(rng, 2)
+        a = rand_itype(rng, t, 3)
+        b = rand_reorder(rng, a) if rng.random() < 0.6 else rand_itype(rng, t, 3)
+        homs = enumerate_homs_it(a, b)
+        assert count_positive_it(a, b) == sum(1 for f in homs if is_positive_it(f, t)), (a, b)
+        assert count_negative_it(a, b) == sum(1 for f in homs if is_negative_it(f, t)), (a, b)
+        seen["inhabited" if homs else "empty"] += 1
+        seen["noncanonical"] += bool(homs) and canonicalize_it(a) != a and canonicalize_it(b) != b
+
+        t = rand_stype(rng, 2)
+        sa = tuple(rand_itype(rng, t, 2) for _ in range(rng.randint(0, 4)))
+        if rng.random() < 0.6:
+            sb = tuple(rand_reorder(rng, x) for x in rng.sample(sa, len(sa)))
+        else:
+            sb = tuple(rand_itype(rng, t, 2) for _ in range(rng.randint(0, 4)))
+        homs = enumerate_homs_ctx(ResourceContext((("x", sa, t),)),
+                                  ResourceContext((("x", sb, t),)))
+        assert count_negative_seq(sa, sb) == sum(1 for cm in homs if is_negative_ctx(cm)), (sa, sb)
+        seen["entries"] += bool(homs)
+        seen["noncanonical"] += (bool(homs) and canonicalize_seq(sa) != sa
+                                 and canonicalize_seq(sb) != sb)
+        seen["lengths"] += len(sa) != len(sb)
+    assert min(seen.values()) >= 20, seen
