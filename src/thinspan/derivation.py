@@ -35,6 +35,13 @@ the argument sequence morphism with the function side's domain.  This last
 constraint is what distinguishes rigid terms from plain multiset resource
 terms: in a redex, the argument sequence can only be permuted together
 with the matching occurrences of the bound variable.
+
+A symmetry class's degree (the number of endomorphisms of one of its
+derivations) and the test for symmetry count morphisms without listing
+them.  Under a variable head, the argument multis fix the head's label
+morphism on every domain, so a spine counts the morphisms between the
+head's codomains times a permanent per multi.  Only a spine under a lambda
+head, a redex, has its morphisms listed to count them.
 """
 
 from __future__ import annotations
@@ -54,8 +61,8 @@ from .rigidtypes import (
 )
 from .symmetry import (
     ArrowMorphism, ITMorphism, MorphismError, SeqMorphism,
-    compose_it, compose_perm, concat_seqm, enumerate_homs_it, identity_it, identity_perm,
-    invert_it, inverse_perm, sigma_action, src_it, tgt_it,
+    compose_it, compose_perm, concat_seqm, count_homs_it, enumerate_homs_it, identity_it,
+    identity_perm, invert_it, inverse_perm, permanent, sigma_action, src_it, tgt_it,
 )
 
 
@@ -609,10 +616,12 @@ def invert_dm(m):
 
 
 ####################################################################
-# enumeration of derivation morphisms
+# enumeration and counting of derivation morphisms
 #
 # A derivation is its resource term, and every rule constraint is local,
 # so morphisms are enumerated structurally on the two resource terms.
+# Listing them takes factorial time: it is the oracle in the tests, and
+# the counts below fall back on it only under a redex.
 
 def enumerate_derivation_morphisms(r1: ResourceTerm,
                                    r2: ResourceTerm) -> tuple[DerivationMorphism, ...]:
@@ -663,16 +672,78 @@ def enumerate_derivation_morphisms(r1: ResourceTerm,
     return go(r1, r2)
 
 
+def count_derivation_morphisms(r1: ResourceTerm, r2: ResourceTerm) -> int:
+    """The number of morphisms r1 -> r2; both must derive the same term.
+
+    A var node counts the morphisms between its labels, and a lam node its
+    body's.  In a spine x <M1> ... <Mk>, each argument multi morphism fixes
+    the matching domain of the head's label morphism, so only the head's
+    codomain is free: the spine counts the morphisms between the codomains
+    times, per multi, the permanent of the counts between its copies.
+    Under a lambda head the binder's occurrences are coupled with the
+    argument multi, and that node's morphisms are listed and counted.
+    """
+    memo: dict = {}
+    homs: dict = {}
+
+    def go(a: ResourceTerm, b: ResourceTerm) -> int:
+        key = (a, b)
+        if key not in memo:
+            memo[key] = count(a, b)
+        return memo[key]
+
+    def count(a: ResourceTerm, b: ResourceTerm) -> int:
+        match a, b:
+            case RVar(x, la), RVar(y, lb):
+                return count_homs_it(la, lb, homs) if x == y else 0
+            case RLam(x, ba, ta), RLam(y, bb, tb):
+                return go(ba, bb) if x == y and ta == tb else 0
+            case RApp(), RApp():
+                ha, multis_a = _rt_spine(a)
+                hb, multis_b = _rt_spine(b)
+                if isinstance(ha, RLam):
+                    return len(enumerate_derivation_morphisms(a, b))
+                if not (isinstance(hb, RVar) and ha.name == hb.name
+                        and len(multis_a) == len(multis_b)):
+                    return 0
+                ca, cb = ha.label, hb.label
+                for _ in multis_a:
+                    ca, cb = ca.codomain, cb.codomain
+                n = count_homs_it(ca, cb, homs)
+                for aa, bb in zip(multis_a, multis_b):
+                    if not n or len(aa) != len(bb):
+                        return 0
+                    n *= permanent([[go(x, y) for y in bb] for x in aa])
+                return n
+        return 0
+
+    return go(r1, r2)
+
+
+def _rt_spine(r: ResourceTerm) -> tuple[ResourceTerm, list[tuple[ResourceTerm, ...]]]:
+    """The head of a resource term and its argument multis, left to right."""
+    multis = []
+    while isinstance(r, RApp):
+        multis.append(r.args)
+        r = r.fn
+    return r, multis[::-1]
+
+
 def symmetric(r1: ResourceTerm, r2: ResourceTerm) -> bool:
-    return bool(enumerate_derivation_morphisms(r1, r2))
+    """Whether some morphism r1 -> r2 exists, by counting them."""
+    return count_derivation_morphisms(r1, r2) > 0
 
 
 def endo_count(r: ResourceTerm) -> int:
-    return len(enumerate_derivation_morphisms(r, r))
+    """deg(r): the number of endomorphisms of r, counted, not listed, except
+    under a redex."""
+    return count_derivation_morphisms(r, r)
 
 
 def partition_by_symmetry(derivations) -> tuple[tuple[ResourceTerm, ...], ...]:
-    """Group derivations of a common term into symmetry classes."""
+    """Group derivations of a common term into symmetry classes, comparing
+    each with the first member of every class found so far by counting the
+    morphisms between them."""
     classes: list[list[ResourceTerm]] = []
     for r in derivations:
         for cls in classes:

@@ -34,12 +34,13 @@ each, the endomorphisms permute equal elements and act componentwise:
 
 A context entry flips the variance, and a context's degrees are the
 product of its entries'.  The polarized morphisms that witness
-reachability are built directly from their structure as well, and the
-explicit triple count gets the size of a polarized hom-set from the same
-rules (count_*): a permanent where the domain may be permuted, a product
-where it may not.  Listing whole hom-sets (enumerate_homs_*) takes
-factorial time; it serves as the oracle in the tests, and for the
-derivation morphisms, not for counting.
+reachability are built directly from their structure as well.  The
+explicit triple count gets the size of a polarized hom-set, and the count
+of derivation morphisms that of a whole hom-set, from the same rules
+(count_*): a permanent where the domain may be permuted, a product where
+it may not.  Listing whole hom-sets (enumerate_homs_*) takes factorial
+time; it serves as the oracle in the tests, and for listing derivation
+morphisms, not for counting.
 """
 
 from __future__ import annotations
@@ -488,15 +489,35 @@ def negative_hom_ctx(ca: ResourceContext, cb: ResourceContext) -> CtxMorphism | 
 
 
 ####################################################################
-# polarized hom counts
+# hom-set counts
 #
-# The size of a polarized hom-set, counted from the rules above without
-# listing it.  A positive arrow morphism permutes the domain with negative
-# components, so its domain contributes the permanent of the matrix of
-# negative counts; a negative one keeps the order with positive components,
-# so its domain contributes their product.  A context entry flips the
-# variance.  The caller owns the memo, keyed on (positive, a, b) for
-# types and on (sa, sb) for context entries.
+# The size of a hom-set, polarized or not, counted from the rules above
+# without listing it.  A positive arrow morphism permutes the domain with
+# negative components, so its domain contributes the permanent of the
+# matrix of negative counts; a negative one keeps the order with positive
+# components, so its domain contributes their product.  A context entry
+# flips the variance.  Without a polarity the domain is permuted freely
+# with any components (count_homs_it).  The caller owns the memo, keyed on
+# (positive, a, b) for polarized types, on (a, b) for unpolarized ones and
+# on (sa, sb) for context entries.
+
+def count_homs_it(a: IType, b: IType, memo: dict | None = None) -> int:
+    """The number of morphisms a -> b of any polarity: the domain may be
+    permuted, with any components."""
+    memo = {} if memo is None else memo
+    key = (a, b)
+    if key not in memo:
+        match a, b:
+            case Star(), Star():
+                memo[key] = 1
+            case IArrow(ad, ac), IArrow(bd, bc) if len(ad) == len(bd):
+                n = count_homs_it(ac, bc, memo)
+                memo[key] = n and n * permanent(
+                    [[count_homs_it(x, y, memo) for y in bd] for x in ad])
+            case _:
+                memo[key] = 0
+    return memo[key]
+
 
 def count_positive_it(a: IType, b: IType, memo: dict | None = None) -> int:
     return _count_it(True, a, b, {} if memo is None else memo)

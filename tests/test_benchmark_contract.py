@@ -4,8 +4,8 @@ work its ladders measure stays small.
 The benchmark's tracer wraps names imported into thinspan.collapse and
 thinspan.wrel, and reads the coefficient off verify_identities; a refactor
 that moves either would break the benchmark without failing any other test.
-The work guards refuse hom-set listings and count enumerator subproblems
-instead of timing anything.
+The work guards refuse listings of hom-sets and of derivation morphisms,
+and count enumerator subproblems, instead of timing anything.
 """
 
 import importlib
@@ -19,7 +19,9 @@ import thinspan.collapse
 import thinspan.derivation
 import thinspan.symmetry
 from thinspan.collapse import verify_identities
+from thinspan.derivation import RApp, RVar
 from thinspan.rigidtypes import STAR, IArrow, canonicalize_point
+from thinspan.syntax import is_beta_normal
 
 from support import (
     church_point, distinct_g_point, fanout_point, load_corpus, parse_entry, point_subject,
@@ -61,7 +63,7 @@ def counting(fn, sizes):
 
 
 def refuse(*args):
-    raise AssertionError("hom-set enumerated")
+    raise AssertionError("morphisms listed where they are counted")
 
 
 # Listing one variable's hom-set at a time, the triple count would go
@@ -101,10 +103,35 @@ def test_degrees_and_witness_morphisms_enumerate_nothing(monkeypatch):
     assert thinspan.symmetry.positive_hom_it(a, a) is not None
 
 
+# Class degrees and the symmetry test count derivation morphisms; listing
+# them is left to spines under a redex.  The one class endomorphism group
+# at symmetric n = 8 has 8! elements.
+def test_beta_normal_classes_list_no_morphisms(monkeypatch):
+    monkeypatch.setattr(thinspan.derivation, "enumerate_derivation_morphisms", refuse)
+    for point in (symmetric_point(8), fanout_point(3)):
+        ctx, term, _, pt = point_subject(*point)
+        assert verify_identities(ctx, term, pt).ok
+    normal = [e for e in load_corpus() if is_beta_normal(parse_entry(e)[1])]
+    assert len(normal) >= 8
+    for entry in normal:
+        ctx, term, _, point = parse_entry(entry)
+        assert verify_identities(ctx, term, point, expected=entry["expected"]).ok, entry["name"]
+
+
+# g^{<*^12>-o*} <y^*, ..., y^*> has 12! = 479,001,600 endomorphisms.
+def test_class_degree_past_what_listing_reaches(monkeypatch):
+    monkeypatch.setattr(thinspan.derivation, "enumerate_derivation_morphisms", refuse)
+    for name in ("enumerate_homs_ctx", "enumerate_homs_seq", "enumerate_homs_it"):
+        monkeypatch.setattr(thinspan.symmetry, name, refuse)
+    r = RApp(RVar("g", IArrow((STAR,) * 12, STAR)), (RVar("y", STAR),) * 12)
+    assert thinspan.derivation.endo_count(r) == factorial(12)
+
+
 def test_larger_rungs_verify():
-    ctx, term, _, point = point_subject(*symmetric_point(7))
-    rep = verify_identities(ctx, term, point)
-    assert rep.ok and rep.wrel.value == 1
+    for n in (7, 8):
+        ctx, term, _, point = point_subject(*symmetric_point(n))
+        rep = verify_identities(ctx, term, point)
+        assert rep.ok and rep.wrel.value == 1
     ctx, term, _, point = point_subject(*fanout_point(4))
     rep = verify_identities(ctx, term, point)
     assert rep.ok and rep.wrel.value == 0

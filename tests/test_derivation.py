@@ -10,8 +10,8 @@ from thinspan.symmetry import (
 )
 from thinspan.derivation import (
     BoundedAt, BudgetRequiredError, DerivationError, Exact, RApp, RLam, RVar,
-    check_derivation, compose_dm, dm_app, dm_occurrences, endo_count,
-    enumerate_derivation_morphisms, enumerate_witnesses, identity_dm, invert_dm,
+    check_derivation, compose_dm, count_derivation_morphisms, dm_app, dm_occurrences,
+    endo_count, enumerate_derivation_morphisms, enumerate_witnesses, identity_dm, invert_dm,
     multiset_collapse_term, omega_substitute, partition_by_symmetry,
     resource_to_text, rt_context, rt_occurrence_labels, rt_type,
     src_dm, symmetric, tgt_dm,
@@ -367,6 +367,76 @@ def test_symmetry_partition():
     assert partition_by_symmetry(ds) == ((d1, d2),)
     _, _, shared = across_points("shared-head-two-ways")
     assert len(partition_by_symmetry(shared)) == 2
+
+
+def nodes(r):
+    yield r
+    match r:
+        case RLam(_, b, _):
+            yield from nodes(b)
+        case RApp(f, args):
+            yield from nodes(f)
+            for a in args:
+                yield from nodes(a)
+
+
+def morphism_count_subjects():
+    """(label, ctx, term, point, budget) for comparing the morphism count with
+    the listing."""
+    for entry in CORPUS:
+        ctx, term, _, point = parse_entry(entry)
+        yield (entry["name"], ctx, term, point,
+               None if is_beta_normal(term) else entry_budget(entry))
+    families = ([(f"symmetric-{n}", symmetric_point(n), None) for n in range(1, 6)]
+                + [(f"fanout-{n}", fanout_point(n), None) for n in range(1, 4)]
+                + [(f"church-{k}", church_point(k), k) for k in range(1, 6)]
+                + [(f"distinct-g-{k}", distinct_g_point(k), None) for k in range(1, 4)])
+    # arguments of arrow type: a bare variable, and partial applications
+    # whose codomains have endomorphisms of their own
+    ho = "k:(o->o)->o, f:o->o->o, g:o->o, x:o"
+    families += [
+        ("bare-higher-order-argument",
+         ("k g", {"k": "[[[*,*]-o*]-o*]", "g": "[[*,*]-o*]"}, ho), None),
+        ("partial-applications",
+         ("k (f x)", {"k": "[[[*,*]-o*,[*,*]-o*]-o*]",
+                      "f": "[[*]-o[*,*]-o*,[*]-o[*,*]-o*]", "x": "[*,*]"}, ho), None),
+        ("partial-applications-apart",
+         ("k (f x)", {"k": "[[[*,*]-o*,[*]-o*]-o*]",
+                      "f": "[[*]-o[*,*]-o*,[*]-o[*]-o*]", "x": "[*,*]"}, ho), None),
+    ]
+    for label, pt, budget in families:
+        ctx, term, _, point = point_subject(*pt)
+        yield label, ctx, term, point, budget
+    for entry, ctx, term, _, point in generated_points():
+        yield (entry["name"], ctx, term, point,
+               None if is_beta_normal(term) else entry_budget(entry))
+
+
+def test_morphism_count_matches_listing():
+    # every witness with itself, and both ways with the two witnesses of the
+    # same term before it, at its point or at the one before
+    seen = dict.fromkeys(("redex", "lambda-argument", "symmetric", "asymmetric"), 0)
+    window: list = []
+    last_term = None
+    for label, ctx, term, point, budget in morphism_count_subjects():
+        if term != last_term:
+            window, last_term = [], term
+        for d in (w.derivation for w in positive_witnesses(ctx, term, point, budget).witnesses):
+            assert count_derivation_morphisms(d, d) == len(
+                enumerate_derivation_morphisms(d, d)), (label, resource_to_text(d))
+            if any(isinstance(n, RApp) and isinstance(n.fn, RLam) for n in nodes(d)):
+                seen["redex"] += 1
+            elif any(isinstance(n, RApp) and any(isinstance(a, RLam) for a in n.args)
+                     for n in nodes(d)):
+                seen["lambda-argument"] += 1
+            for e in window:
+                for x, y in ((d, e), (e, d)):
+                    n = count_derivation_morphisms(x, y)
+                    assert n == len(enumerate_derivation_morphisms(x, y)), (
+                        label, resource_to_text(x), resource_to_text(y))
+                    seen["symmetric" if n else "asymmetric"] += 1
+            window = [d] + window[:1]
+    assert min(seen.values()) >= 3, seen
 
 
 def test_derivation_morphism_groupoid():

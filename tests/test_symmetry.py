@@ -10,7 +10,7 @@ from thinspan.rigidtypes import (
 )
 from thinspan.symmetry import (
     ArrowMorphism, MorphismError, SeqMorphism, StarId,
-    compose_it, compose_perm, compose_seq, concat_seqm, count_negative_it,
+    compose_it, compose_perm, compose_seq, concat_seqm, count_homs_it, count_negative_it,
     count_negative_seq, count_positive_it, enumerate_homs_ctx,
     enumerate_homs_it, enumerate_homs_seq, identity_it, identity_perm, identity_seq,
     inverse_perm, invert_it, is_identity_perm, is_negative_ctx, is_negative_it,
@@ -362,19 +362,22 @@ def test_per_variable_triple_count_matches_whole_contexts():
 
 
 def test_polarized_counts_match_listing_oracle():
-    # The target is a reordering of the source (its hom-set is inhabited) or
-    # an independent draw (often empty, often of another length); neither
-    # side is canonicalized.
+    # The counts of polarized morphisms and of all morphisms.  The target is
+    # a reordering of the source (its hom-set is inhabited) or an
+    # independent draw (often empty, often of another length); neither side
+    # is canonicalized.
     rng = random.Random(83)
-    seen = dict.fromkeys(("inhabited", "empty", "entries", "lengths", "noncanonical"), 0)
+    seen = dict.fromkeys(("inhabited", "empty", "many", "entries", "lengths", "noncanonical"), 0)
     for _ in range(600):
         t = rand_stype(rng, 2)
         a = rand_itype(rng, t, 3)
         b = rand_reorder(rng, a) if rng.random() < 0.6 else rand_itype(rng, t, 3)
         homs = enumerate_homs_it(a, b)
+        assert count_homs_it(a, b) == len(homs), (a, b)
         assert count_positive_it(a, b) == sum(1 for f in homs if is_positive_it(f, t)), (a, b)
         assert count_negative_it(a, b) == sum(1 for f in homs if is_negative_it(f, t)), (a, b)
         seen["inhabited" if homs else "empty"] += 1
+        seen["many"] += len(homs) > 2
         seen["noncanonical"] += bool(homs) and canonicalize_it(a) != a and canonicalize_it(b) != b
 
         t = rand_stype(rng, 2)
