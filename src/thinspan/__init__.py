@@ -25,7 +25,7 @@ from .derivation import (
     multiset_collapse_term, partition_by_symmetry, resource_to_text, rt_context, rt_type,
     symmetric,
 )
-from .wrel import NatInf, rel_inhabited, wrel_coefficient
+from .wrel import NatInf, wrel_coefficient
 from .collapse import (
     WitnessReport, positive_witnesses, verify_identities, weight_by_classes,
 )

@@ -9,12 +9,13 @@ from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
 from thinspan.syntax import (
-    App, Arrow, Base, Lam, SimpleType, TypingContext, Var, annotate, is_beta_normal,
-    parse_context, parse_simple_type, parse_term, spine, typecheck,
+    App, Arrow, Base, Lam, SimpleType, TypingContext, Var, annotate, beta_normalize,
+    ensure_distinct_binders, is_beta_normal, parse_context, parse_simple_type, parse_term, spine,
+    typecheck,
 )
 from thinspan.rigidtypes import (
-    IArrow, IType, PointSpec, ResourceContext, SeqType, Star, canonicalize_it, canonicalize_seq,
-    key_it, point_from_json,
+    IArrow, IType, PointSpec, ResourceContext, SeqType, Star, canonicalize_it, canonicalize_point,
+    canonicalize_seq, key_it, point_from_json,
 )
 from thinspan.derivation import (
     RApp, RLam, RVar, _bounded_seqs, resource_to_text, rt_context, rt_type,
@@ -323,3 +324,96 @@ def _split_enum_multi(term, theta, targets, budget, cache):
                           for m in product(*[_split_enum(term, blocks[i], targets[i], budget, cache)
                                              for i in range(len(targets))])]
     return cache[key]
+
+
+# The coefficient recursion that guessed decompositions: at a spine, every
+# ordered decomposition of every variable's bag among all the argument
+# copies, each copy then solved on its own.  wrel threads the leftovers
+# instead; this is its oracle.
+
+def split_wrel_coefficient(ctx, term, point: PointSpec, memo=None) -> int:
+    """The coefficient of term at point, as wrel_coefficient gives it.
+    Subproblems are memoized in `memo`, which the calls may share."""
+    term, ty = annotate(ctx, term)
+    gamma, result = canonicalize_point(point, ctx, ty)
+    nf = ensure_distinct_binders(beta_normalize(term), set(ctx.names()))
+    env = tuple(sorted((x, seq) for x, seq, _ in gamma.entries))
+    return _split_coeff(env, nf, result, {} if memo is None else memo)
+
+
+def _split_coeff(env, term, target, memo):
+    key = (env, term, target)
+    if key not in memo:
+        memo[key] = _split_coeff_raw(env, term, target, memo)
+    return memo[key]
+
+
+def _split_coeff_raw(env, term, target, memo):
+    if isinstance(term, Lam):
+        if not isinstance(target, IArrow):
+            return 0
+        inner = tuple(sorted(env + ((term.binder, target.domain),)))
+        return _split_coeff(inner, term.body, target.codomain, memo)
+    head, args = spine(term)
+    bag = dict(env)[head.name]
+    total = 0
+    for b in dict.fromkeys(bag):
+        doms = []
+        cur = b
+        for _ in args:
+            if not isinstance(cur, IArrow):
+                break
+            doms.append(cur.domain)
+            cur = cur.codomain
+        if len(doms) < len(args) or cur != target:
+            continue
+        rest = list(bag)
+        rest.remove(b)
+        residual = tuple((x, tuple(rest) if x == head.name else seq) for x, seq in env)
+        targets = [(arg, d) for arg, dom in zip(args, doms) for d in dom]
+        total += _split_distribute(residual, targets, memo)
+    return total
+
+
+def _split_distribute(env, targets, memo):
+    """Sum over ordered decompositions of env across the targets of the
+    product of the recursive coefficients."""
+    if not targets:
+        return 1 if all(not seq for _, seq in env) else 0
+    per_var = [mset_decompositions(seq, len(targets)) for _, seq in env]
+    total = 0
+    for choice in product(*per_var):
+        prod = 1
+        for j, (sub, tgt) in enumerate(targets):
+            part = tuple((x, choice[v][j]) for v, (x, _) in enumerate(env))
+            prod *= _split_coeff(part, sub, tgt, memo)
+            if not prod:
+                break
+        total += prod
+    return total
+
+
+def mset_decompositions(ms: SeqType, k: int) -> tuple:
+    """All ways to split a sorted multiset into an ordered tuple of k
+    sub-multisets.  Equal elements are interchangeable, so each distinct
+    value contributes the compositions of its multiplicity."""
+    groups: list[tuple[IType, int]] = []
+    for v in ms:
+        if groups and groups[-1][0] == v:
+            groups[-1] = (v, groups[-1][1] + 1)
+        else:
+            groups.append((v, 1))
+    out = []
+    for counts in product(*(_ncompositions(mult, k) for _, mult in groups)):
+        out.append(tuple(tuple(v for g, (v, _) in enumerate(groups) for _ in range(counts[g][j]))
+                         for j in range(k)))
+    return tuple(out)
+
+
+def _ncompositions(total: int, k: int) -> tuple[tuple[int, ...], ...]:
+    if k == 0:
+        return ((),) if total == 0 else ()
+    if k == 1:
+        return ((total,),)
+    return tuple((first,) + rest for first in range(total + 1)
+                 for rest in _ncompositions(total - first, k - 1))

@@ -5,7 +5,8 @@ The benchmark's tracer wraps names imported into thinspan.collapse and
 thinspan.wrel, and reads the coefficient off verify_identities; a refactor
 that moves either would break the benchmark without failing any other test.
 The work guards refuse listings of hom-sets and of derivation morphisms,
-and count enumerator subproblems, instead of timing anything.
+and count enumerator and coefficient subproblems, instead of timing
+anything.
 """
 
 import importlib
@@ -18,10 +19,12 @@ import pytest
 import thinspan.collapse
 import thinspan.derivation
 import thinspan.symmetry
+import thinspan.wrel
 from thinspan.collapse import verify_identities
 from thinspan.derivation import RApp, RVar
 from thinspan.rigidtypes import STAR, IArrow, canonicalize_point
 from thinspan.syntax import is_beta_normal
+from thinspan.wrel import wrel_coefficient
 
 from support import (
     church_point, distinct_g_point, fanout_point, load_corpus, parse_entry, point_subject,
@@ -173,3 +176,20 @@ def test_threaded_enumeration_stays_small(monkeypatch, point, coefficient, bound
     ctx, term, _, pt = point_subject(*point)
     misses = enumerator_misses(monkeypatch, ctx, term, pt, coefficient=coefficient)
     assert misses <= bound, misses
+
+
+# Guessing every decomposition of every bag among the argument copies made
+# 4.1 M coefficient calls at distinct-g k = 5 and 2,364 uncached ones at
+# fan-out n = 8; threading the leftovers solves 42 and 37 subproblems.
+@pytest.mark.parametrize("point, coefficient", [
+    (distinct_g_point(5), 120),
+    (fanout_point(8), 0),
+], ids=["distinct-g-5", "fanout-8"])
+def test_threaded_coefficient_stays_small(monkeypatch, point, coefficient):
+    ctx, term, _, pt = point_subject(*point)
+    sizes = []
+    thinspan.wrel._cache.clear()
+    monkeypatch.setattr(thinspan.wrel, "_leftovers_raw",
+                        counting(thinspan.wrel._leftovers_raw, sizes))
+    assert wrel_coefficient(ctx, term, pt).value == coefficient
+    assert len(sizes) <= 200, len(sizes)

@@ -1,12 +1,18 @@
 from math import comb
+import random
 
 import pytest
 
-from thinspan.syntax import beta_normalize, ensure_distinct_binders, is_beta_normal
+from thinspan.syntax import (
+    annotate, beta_normalize, ensure_distinct_binders, is_beta_normal, parse_context, parse_term,
+)
 from thinspan.rigidtypes import IArrow, PointSpec, RefinementError, Star, parse_mit
-from thinspan.wrel import NatInf, wrel_coefficient, rel_inhabited, _mset_decompositions
+from thinspan.wrel import NatInf, wrel_coefficient
 
-from support import load_corpus, parse_entry
+from support import (
+    load_corpus, mset_decompositions, parse_entry, point_subject, rand_point,
+    split_wrel_coefficient,
+)
 
 M = Star()
 
@@ -34,7 +40,7 @@ def test_uninhabited_point_gives_zero():
                       "type": "*"}
     ctx, term, _, point = parse_entry(entry)
     assert wrel_coefficient(ctx, term, point) == NatInf(0)
-    assert not rel_inhabited(ctx, term, point)
+    assert not wrel_coefficient(ctx, term, point)
 
 
 def test_coefficient_is_beta_invariant():
@@ -63,15 +69,54 @@ def test_refinement_validation():
 def test_mset_decompositions_counts():
     a = parse_mit("[]-o*")
     b = parse_mit("[*]-o*")
-    ds = _mset_decompositions((a, a, b), 2)
+    ds = mset_decompositions((a, a, b), 2)
     assert len(ds) == comb(2 + 1, 1) * comb(1 + 1, 1)
     for parts in ds:
         assert len(parts) == 2
         merged = sorted(parts[0] + parts[1], key=repr)
         assert merged == sorted((a, a, b), key=repr)
-    assert _mset_decompositions((), 3) == (((), (), ()),)
-    assert _mset_decompositions((a,), 0) == ()
-    assert len(_mset_decompositions((a, a, a, a), 3)) == comb(4 + 2, 2)
+    assert mset_decompositions((), 3) == (((), (), ()),)
+    assert mset_decompositions((a,), 0) == ()
+    assert len(mset_decompositions((a, a, a, a), 3)) == comb(4 + 2, 2)
+
+
+# Higher-order terms, each over a context of its own free variables, with
+# points of known coefficient.  A binder the body never uses must get the
+# empty bag: z in the second point of the third term, and x in the last,
+# the corpus term vacuous-binder-pair at a point that gives x two elements.
+HIGHER_ORDER = (
+    ("f:(o->o)->o, g:o->o", "f (\\x:o. g (g x))", (
+        ({"f": "[[[*]-o*]-o*]", "g": "[[]-o*,[*]-o*,[*,*]-o*]"}, 2),)),
+    ("h:(o->o)->o->o, g:o->o, y:o", "h g (h g y)", (
+        ({"h": "[[]-o[*]-o*,[]-o[*,*]-o*,[[]-o*]-o[*,*]-o*]", "g": "[[]-o*]", "y": "[*,*,*]"},
+         4),)),
+    ("f:(o->o)->o, k:(o->o)->o", "f (\\x:o. k (\\z:o. x))", (
+        ({"f": "[[[*,*]-o*]-o*]", "k": "[[[]-o*,[]-o*]-o*]"}, 1),
+        ({"f": "[[[*,*]-o*]-o*]", "k": "[[[*]-o*,[]-o*]-o*]"}, 0))),
+    ("f:(o->o)->o, g:o->o, y:o", "f (\\x:o. g y)", (
+        ({"f": "[[[*,*]-o*]-o*]", "g": "[[*,*]-o*]", "y": "[*,*]"}, 0),)),
+)
+
+
+def test_threaded_coefficient_matches_split_oracle():
+    rng = random.Random(20241)
+    memo: dict = {}
+    subjects = [(*parse_entry(e)[:3], 15, 2) for e in load_corpus()]
+    for ctx_text, term_text, points in HIGHER_ORDER:
+        ctx = parse_context(ctx_text)
+        subjects.append((ctx, *annotate(ctx, parse_term(term_text)), 30, 1))
+        for bags, expected in points:
+            _, term, _, point = point_subject(term_text, bags, ctx_text)
+            assert wrel_coefficient(ctx, term, point).value == expected, (term_text, bags)
+            assert split_wrel_coefficient(ctx, term, point, memo) == expected, (term_text, bags)
+    nonzero = 0
+    for ctx, term, ty, draws, width in subjects:
+        for _ in range(draws):
+            point = rand_point(rng, ctx, ty, size=3, width=width)
+            got = wrel_coefficient(ctx, term, point).value
+            assert got == split_wrel_coefficient(ctx, term, point, memo), (term, point)
+            nonzero += bool(got)
+    assert nonzero >= 20
 
 
 def test_repeat_calls_are_consistent():
