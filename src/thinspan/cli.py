@@ -60,12 +60,16 @@ def _parse_subject(ctx_text: str, term_text: str, type_text: str | None):
 
 
 def _point_json(point_arg: str):
-    """A point given as inline JSON or as the path to a JSON file."""
-    text = point_arg
-    if not text.lstrip().startswith("{"):
-        with open(text) as f:
-            text = f.read()
-    return json.loads(text)
+    """A point given as inline JSON or as the path to a JSON file.  Text that
+    parses as JSON is inline, whatever its value; text that does not is a
+    path, unless it opens an object or an array."""
+    try:
+        return json.loads(point_arg)
+    except json.JSONDecodeError:
+        if point_arg.lstrip().startswith(("{", "[")):
+            raise
+    with open(point_arg) as f:
+        return json.load(f)
 
 
 def _load_point(point_arg: str, ctx: TypingContext, ty) -> PointSpec:

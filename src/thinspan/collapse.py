@@ -4,7 +4,9 @@ A point is given up to symmetry by a multiset context and a multiset result
 type; its canonical rigid representative (gamma, a) is fixed by sorting.  A
 positive witness for a term at that point is a derivation d at some rigid
 point (Theta, alpha) together with a negative context morphism
-gamma -> Theta and a positive type morphism alpha -> a.
+gamma -> Theta and a positive type morphism alpha -> a.  The witnesses are
+enumerated once per alpha over the bags of gamma, and d determines Theta,
+so the rigid contexts reachable from gamma are never listed.
 
 The identities checked here:
 
@@ -26,18 +28,18 @@ from math import prod
 
 from .syntax import Term, TypingContext, annotate, ensure_distinct_binders
 from .rigidtypes import (
-    IType, PointSpec, ResourceContext, canonicalize_point, ctx_to_text, it_to_text,
+    IType, PointSpec, ResourceContext, canonicalize_point, ctx_to_text, it_to_text, key_it,
 )
 from .symmetry import (
     CtxMorphism, Degrees, ITMorphism, count_negative_seq, count_positive_it,
-    neg_targets_ctx, negative_hom_ctx, pos_sources_it, positive_hom_it,
-    sym_degrees_ctx, sym_degrees_it,
+    negative_hom_ctx, pos_sources_it, positive_hom_it, sym_degrees_ctx, sym_degrees_it, tgt_ctx,
 )
 # not called here: the tracer in perfbench/tracing.py wraps these names in this module
-from .symmetry import enumerate_homs_ctx, enumerate_homs_it  # noqa: F401
+from .symmetry import enumerate_homs_ctx, enumerate_homs_it, neg_targets_ctx  # noqa: F401
+from .derivation import enumerate_witnesses  # noqa: F401
 from .derivation import (
     BoundedAt, Completeness, Exact, ResourceTerm,
-    endo_count, enumerate_witnesses, partition_by_symmetry, rt_context, rt_type,
+    endo_count, enumerate_bag_witnesses, partition_by_symmetry, rt_context, rt_type,
 )
 from .wrel import NatInf, wrel_coefficient
 
@@ -74,24 +76,37 @@ class WitnessReport:
 
 def positive_witnesses(ctx: TypingContext, term: Term, point: PointSpec,
                        budget: int | None = None) -> WitnessReport:
-    """Enumerate positive witnesses at a point, grouped into symmetry classes."""
+    """Enumerate positive witnesses at a point, grouped into symmetry classes.
+
+    The enumerator runs once per positive source alpha of the canonical
+    result a, over the bags of the canonical context gamma.  Each
+    derivation d it returns concludes its own context theta, read off its
+    occurrences, and the negative morphism gamma -> theta is built once per
+    distinct theta.  Witnesses are ordered by _witness_key.
+    """
     term = ensure_distinct_binders(term, set(ctx.names()))
     term, ty = annotate(ctx, term)
     gamma, a = canonicalize_point(point, ctx, ty)
     cdeg = sym_degrees_ctx(gamma)
     rdeg = sym_degrees_it(a, ty)
 
-    witnesses: list[PositiveWitness] = []
+    found = []
     completeness: Completeness = Exact()
-    for theta in neg_targets_ctx(gamma):
-        neg = _first_negative(gamma, theta)
-        for alpha in pos_sources_it(a, ty):
-            pos = _first_positive(alpha, a)
-            ws = enumerate_witnesses(ctx, term, theta, alpha, budget)
-            if isinstance(ws.completeness, BoundedAt):
-                completeness = ws.completeness
-            for d in ws.derivations:
-                witnesses.append(PositiveWitness(d, neg, pos))
+    for alpha in pos_sources_it(a, ty):
+        pos = _first_positive(alpha, a)
+        ws = enumerate_bag_witnesses(ctx, term, gamma, alpha, budget)
+        if isinstance(ws.completeness, BoundedAt):
+            completeness = ws.completeness
+        found.extend((rt_context(gamma.shape(), d), alpha, d, pos) for d in ws.derivations)
+    # each alpha's derivations arrive sorted by their text, and sort is stable
+    found.sort(key=lambda f: _witness_key(*f[:2]))
+
+    negs: dict[ResourceContext, CtxMorphism] = {}
+    witnesses = []
+    for theta, _, d, pos in found:
+        if theta not in negs:
+            negs[theta] = _first_negative(gamma, theta)
+        witnesses.append(PositiveWitness(d, negs[theta], pos))
 
     classes = partition_by_symmetry([w.derivation for w in witnesses])
     index = {w.derivation: i for i, w in enumerate(witnesses)}
@@ -99,6 +114,13 @@ def positive_witnesses(ctx: TypingContext, term: Term, point: PointSpec,
     endos = tuple(endo_count(cls[0]) for cls in classes)
     return WitnessReport(ctx, term, point, (gamma, a), tuple(witnesses),
                          class_ix, endos, cdeg, rdeg, completeness)
+
+
+def _witness_key(theta: ResourceContext, alpha: IType):
+    """The order of the witnesses: by context, in the order neg_targets_ctx
+    lists the negative targets, then by result, in the order pos_sources_it
+    lists the positive sources.  Ties keep the derivations' text order."""
+    return (tuple(tuple(map(key_it, seq)) for _, seq, _ in theta.entries), key_it(alpha))
 
 
 def _first_negative(gamma: ResourceContext, theta: ResourceContext) -> CtxMorphism:
@@ -156,7 +178,7 @@ def esp_explicit(report: WitnessReport) -> int:
     memo: dict = {}
     total = 0
     for w in report.witnesses:
-        theta = rt_context(gamma.shape(), w.derivation)
+        theta = tgt_ctx(w.neg)
         negs = prod(count_negative_seq(seq, theta.lookup(x), memo) for x, seq, _ in gamma.entries)
         total += negs * count_positive_it(rt_type(w.derivation), a, memo)
     return total

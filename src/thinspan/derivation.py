@@ -26,8 +26,14 @@ Contexts are linear: each element is consumed by exactly one occurrence,
 and the occurrences of a variable consume its sequence in order, left to
 right.  So the witness enumerator never guesses how a context splits among
 subterms: it threads the context through the term, and each subterm
-returns, with each of its derivations, the suffix of every entry it left
-for the subterms to its right.
+returns, with each of its derivations, what it left of every entry for the
+subterms to its right.  At a rigid point every entry is a sequence and
+what is left of it a suffix.  Started from a canonical context instead,
+each context variable's entry is a bag: an occurrence takes any one of its
+values, labelled by any negative target of that value, so one enumeration
+finds the derivations at every rigid context a negative morphism reaches
+from it, and each derivation's context is read off its labels.  Binders
+stay sequences.
 
 Morphisms between derivations rebase every node: var nodes carry a label
 morphism, multi nodes a permutation acting on children, app nodes share
@@ -57,12 +63,13 @@ from .syntax import (
 )
 from .rigidtypes import (
     IArrow, IType, ResourceContext, SeqType, Star,
-    canonicalize_it, ctx_refines, ctx_to_text, it_to_text, key_it, refines,
+    canonicalize_it, canonicalize_seq, ctx_refines, ctx_to_text, it_to_text, key_it, refines,
 )
 from .symmetry import (
     ArrowMorphism, ITMorphism, MorphismError, SeqMorphism,
     compose_it, compose_perm, concat_seqm, count_homs_it, enumerate_homs_it, identity_it,
-    identity_perm, invert_it, inverse_perm, permanent, sigma_action, src_it, tgt_it,
+    identity_perm, invert_it, inverse_perm, neg_targets_it, permanent, sigma_action, src_it,
+    tgt_it,
 )
 
 
@@ -306,6 +313,32 @@ def enumerate_witnesses(ctx: TypingContext, term: Term, theta: ResourceContext,
     the budget.  The cut on a bare-variable argument is a window of that
     variable's remaining elements, of any length, whatever the budget.
     """
+    return _witness_set(ctx, term, theta, alpha, budget, bags=False)
+
+
+def enumerate_bag_witnesses(ctx: TypingContext, term: Term, gamma: ResourceContext,
+                            alpha: IType, budget: int | None = None) -> WitnessSet:
+    """All derivations of term with result alpha whose context some negative
+    context morphism reaches from gamma, each once.
+
+    Every entry of gamma is a bag, a sorted sequence of canonical types.  An
+    occurrence of a context variable takes one value of what is left of its
+    bag, and its label is any negative target of that value.  Negative
+    reachability is an equivalence under which distinct canonical types lie
+    apart, so a label fixes the value it took: each derivation arises once,
+    and its context is its rt_context.  The cut on a bare-variable argument
+    is an ordered pick of the variable's remaining values, of any length.
+    Completeness is as for enumerate_witnesses.  The set's point is
+    (gamma, alpha), the canonical source point, not the point the
+    derivations conclude: each concludes its own rt_context.
+    """
+    if any(seq != canonicalize_seq(seq) for _, seq, _ in gamma.entries):
+        raise DerivationError(f"context {ctx_to_text(gamma)} is not canonical")
+    return _witness_set(ctx, term, gamma, alpha, budget, bags=True)
+
+
+def _witness_set(ctx: TypingContext, term: Term, theta: ResourceContext, alpha: IType,
+                 budget: int | None, bags: bool) -> WitnessSet:
     term, ty = annotate(ctx, term)
     bs = binders(term)
     if len(set(bs)) != len(bs) or set(bs) & set(ctx.names()):
@@ -321,7 +354,7 @@ def enumerate_witnesses(ctx: TypingContext, term: Term, theta: ResourceContext,
     if not normal and budget is None:
         raise BudgetRequiredError(
             f"term {term_to_text(term)} is not beta-normal; witness enumeration needs a budget")
-    start = {x: (seq, t) for x, seq, t in theta.entries}
+    start = {x: (seq, t, bags) for x, seq, t in theta.entries}
     found = sorted((r for r, _ in _enum(term, start, alpha, budget if not normal else None,
                                         frozenset(start))), key=resource_to_text)
     return WitnessSet(ctx, term, (theta, alpha), tuple(found),
@@ -331,14 +364,17 @@ def enumerate_witnesses(ctx: TypingContext, term: Term, theta: ResourceContext,
 # The enumerator threads the context through the term, left to right, as
 # the occurrences consume it: each call takes what the subterms to its left
 # did not consume, and returns every derivation paired with what it leaves
-# in turn.  A context maps each variable in scope to its remaining sequence
-# and its simple type.  A call must use up the variables in `must`; the
-# others it may leave to the subterms to its right.
-Ctx = dict[str, tuple[SeqType, SimpleType]]
+# in turn.  A context maps each variable in scope to its entry: what is
+# left of it, its simple type, and whether it is a bag, whose values the
+# occurrences take in any order, or a sequence, which they consume in
+# order.  Binders are sequences.  A call must use up the variables in
+# `must`; the others it may leave to the subterms to its right.
+Entry = tuple[SeqType, SimpleType, bool]
+Ctx = dict[str, Entry]
 Found = list[tuple[ResourceTerm, Ctx]]
 
 # term -> (its free variables, {(their entries, target, budget, which of
-# them must be used up): [(derivation, elements consumed of each)]})
+# them must be used up): [(derivation, what it leaves of each entry)]})
 _enum_cache: dict = {}
 
 
@@ -351,15 +387,12 @@ def _enum(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
     hit = memo.get(key)
     if hit is None:
         hit = memo[key] = [
-            (r, tuple(len(ctx[x][0]) - len(left[x][0]) for x in fvs))
+            (r, tuple(left[x] for x in fvs))
             for r, left in _enum_raw(term, ctx, alpha, budget, must)]
     out = []
-    for r, used in hit:
+    for r, entries in hit:
         left = dict(ctx)
-        for x, n in zip(fvs, used):
-            if n:
-                seq, t = ctx[x]
-                left[x] = (seq[n:], t)
+        left.update(zip(fvs, entries))
         out.append((r, left))
     return out
 
@@ -378,7 +411,7 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
             if not isinstance(alpha, IArrow):
                 return []
             assert ann is not None
-            inner = {**ctx, x: (alpha.domain, ann)}
+            inner = {**ctx, x: (alpha.domain, ann, False)}
             return [(RLam(x, r, ann), left)
                     for r, left in _enum(b, inner, alpha.codomain, budget, must | {x})]
         case Var(_) | App(_, _):
@@ -390,19 +423,31 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
             must_f = must - free_vars(a)
             out: Found = []
             if isinstance(a, Var):
+                y = a.name
+                seq, t, bag = ctx[y]
+                if bag:
+                    # the copies take an ordered pick of y's bag, and f
+                    # runs on what they leave of it
+                    cuts = _bag_cuts(seq, t)
+                    if y in must and y not in free_vars(f):
+                        cuts = [(cut, rest) for cut, rest in cuts if not rest]
+                    for cut, rest in cuts:
+                        copies = tuple(RVar(y, c) for c in cut)
+                        for rf, left in _enum(f, {**ctx, y: (rest, t, True)},
+                                              IArrow(cut, alpha), budget, must):
+                            out.append((RApp(rf, copies), left))
+                    return out
                 # each copy of a bare variable consumes one element, so the
                 # cut is the window seq[i:j] of what f leaves of it
-                y = a.name
-                seq, t = ctx[y]
                 n = len(seq)
                 for i in range(n + 1) if y in free_vars(f) else (0,):
                     for j in (n,) if y in must else range(i, n + 1):
                         copies = tuple(RVar(y, c) for c in seq[i:j])
                         for rf, left in _enum(f, ctx, IArrow(seq[i:j], alpha), budget, must_f):
                             if len(left[y][0]) == n - i:
-                                out.append((RApp(rf, copies), {**left, y: (seq[j:], t)}))
+                                out.append((RApp(rf, copies), {**left, y: (seq[j:], t, False)}))
                 return out
-            aty = typecheck(TypingContext(tuple((x, t) for x, (_, t) in ctx.items())), a)
+            aty = typecheck(TypingContext(tuple((x, t) for x, (_, t, _) in ctx.items())), a)
             for abar in _bounded_seqs(aty, budget):
                 for rf, left in _enum(f, ctx, IArrow(abar, alpha), budget, must_f):
                     for m, rest in _enum_multi(a, left, abar, budget, must):
@@ -411,26 +456,50 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
     raise TypeError(f"not a term: {term!r}")
 
 
+def _takes(seq: SeqType, t: SimpleType, bag: bool) -> list[tuple[IType, SeqType]]:
+    """The labels one occurrence may take from an entry, each with what it
+    leaves: a sequence's first element; or any distinct value of a bag,
+    labelled by any of its negative targets."""
+    if not bag:
+        return [(seq[0], seq[1:])] if seq else []
+    return [(label, seq[:i] + seq[i + 1:])
+            for i, v in enumerate(seq) if not i or seq[i - 1] != v
+            for label in neg_targets_it(v, t)]
+
+
+def _bag_cuts(bag: SeqType, t: SimpleType) -> list[tuple[SeqType, SeqType]]:
+    """Every ordered pick of labels from a bag, one take after another, with
+    what it leaves of the bag."""
+    out = frontier = [((), bag)]
+    while frontier:
+        frontier = [(cut + (label,), left) for cut, rest in frontier
+                    for label, left in _takes(rest, t, True)]
+        out = out + frontier
+    return out
+
+
 def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: IType,
                 budget: int | None, must: frozenset[str]) -> Found:
-    seq, t = ctx[name]
-    if not seq or (not args and name in must and len(seq) > 1):
+    seq, t, bag = ctx[name]
+    if not args and name in must and len(seq) > 1:
         return []
-    label = seq[0]
-    doms: list[SeqType] = []
-    cur: IType = label
-    for _ in args:
-        if not isinstance(cur, IArrow):
-            return []
-        doms.append(cur.domain)
-        cur = cur.codomain
-    if cur != alpha:
-        return []
-    out: Found = [(RVar(name, label), {**ctx, name: (seq[1:], t)})]
-    for j, (arg, dom) in enumerate(zip(args, doms)):
-        later = set().union(*map(free_vars, args[j + 1:]))
-        out = [(RApp(r, m), rest) for r, left in out
-               for m, rest in _enum_multi(arg, left, dom, budget, must - later)]
+    out: Found = []
+    for label, rest in _takes(seq, t, bag):
+        doms: list[SeqType] = []
+        cur: IType = label
+        for _ in args:
+            if not isinstance(cur, IArrow):
+                break
+            doms.append(cur.domain)
+            cur = cur.codomain
+        if len(doms) < len(args) or cur != alpha:
+            continue
+        found: Found = [(RVar(name, label), {**ctx, name: (rest, t, bag)})]
+        for j, (arg, dom) in enumerate(zip(args, doms)):
+            later = set().union(*map(free_vars, args[j + 1:]))
+            found = [(RApp(r, m), after) for r, left in found
+                     for m, after in _enum_multi(arg, left, dom, budget, must - later)]
+        out.extend(found)
     return out
 
 

@@ -18,11 +18,11 @@ from thinspan.rigidtypes import (
     canonicalize_seq, key_it, point_from_json,
 )
 from thinspan.derivation import (
-    RApp, RLam, RVar, _bounded_seqs, resource_to_text, rt_context, rt_type,
+    RApp, RLam, RVar, _bounded_seqs, enumerate_witnesses, resource_to_text, rt_context, rt_type,
 )
 from thinspan.symmetry import (
     Degrees, enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_negative_it,
-    is_positive_ctx, is_positive_it,
+    is_positive_ctx, is_positive_it, neg_targets_ctx, pos_sources_it,
 )
 
 CORPUS_PATH = Path(__file__).resolve().parent.parent / "corpus" / "points.json"
@@ -179,6 +179,26 @@ def listed_esp(report) -> int:
                    if is_positive_it(phi, ty))
         total += negs * poss
     return total
+
+
+# The witness search that visited every reachable rigid point: one
+# enumeration per negative target theta of the canonical context and
+# positive source alpha of the canonical result.  positive_witnesses
+# enumerates once over the context's bags instead; this is its oracle.
+
+def per_target_witnesses(ctx, term, gamma: ResourceContext, a: IType, budget=None,
+                         enumerator=None) -> list:
+    """Every (theta, alpha, derivation) at the rigid points reachable from
+    (gamma, a), in the order positive_witnesses lists its witnesses.
+    `enumerator(ctx, term, theta, alpha, budget)` gives the derivations at
+    one point, sorted by resource_to_text; by default enumerate_witnesses'."""
+    if enumerator is None:
+        def enumerator(*args):
+            return enumerate_witnesses(*args).derivations
+    ty = annotate(ctx, term)[1]
+    return [(theta, alpha, d) for theta in neg_targets_ctx(gamma)
+            for alpha in pos_sources_it(a, ty)
+            for d in enumerator(ctx, term, theta, alpha, budget)]
 
 
 # brute-force reachability: every placement of every choice, then deduplicate

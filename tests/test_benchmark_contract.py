@@ -4,9 +4,9 @@ work its ladders measure stays small.
 The benchmark's tracer wraps names imported into thinspan.collapse and
 thinspan.wrel, and reads the coefficient off verify_identities; a refactor
 that moves either would break the benchmark without failing any other test.
-The work guards refuse listings of hom-sets and of derivation morphisms,
-and count enumerator and coefficient subproblems, instead of timing
-anything.
+The work guards refuse listings of hom-sets, of derivation morphisms and of
+reachable contexts, and count enumerator and coefficient subproblems and
+negative context morphisms, instead of timing anything.
 """
 
 import importlib
@@ -20,15 +20,16 @@ import thinspan.collapse
 import thinspan.derivation
 import thinspan.symmetry
 import thinspan.wrel
-from thinspan.collapse import verify_identities
+from thinspan.collapse import positive_witnesses, verify_identities
 from thinspan.derivation import RApp, RVar
 from thinspan.rigidtypes import STAR, IArrow, canonicalize_point
+from thinspan.symmetry import tgt_ctx
 from thinspan.syntax import is_beta_normal
 from thinspan.wrel import wrel_coefficient
 
 from support import (
-    church_point, distinct_g_point, fanout_point, load_corpus, parse_entry, point_subject,
-    symmetric_point,
+    church_point, distinct_g_point, entry_budget, fanout_point, load_corpus, parse_entry,
+    point_subject, symmetric_point,
 )
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -135,9 +136,48 @@ def test_larger_rungs_verify():
         ctx, term, _, point = point_subject(*symmetric_point(n))
         rep = verify_identities(ctx, term, point)
         assert rep.ok and rep.wrel.value == 1
-    ctx, term, _, point = point_subject(*fanout_point(4))
-    rep = verify_identities(ctx, term, point)
-    assert rep.ok and rep.wrel.value == 0
+    for n in (4, 6, 8):
+        ctx, term, _, point = point_subject(*fanout_point(n))
+        rep = verify_identities(ctx, term, point)
+        assert rep.ok and rep.wrel.value == 0, n
+
+
+def refuse_targets(*args):
+    raise AssertionError("reachable contexts listed on the query path")
+
+
+# The witnesses are enumerated once over the context's bags, never once per
+# reachable context: fan-out n = 4 reaches 126 contexts and n = 8 24,310.
+def test_reachable_contexts_are_not_listed(monkeypatch):
+    for module in (thinspan.symmetry, thinspan.collapse):
+        monkeypatch.setattr(module, "neg_targets_ctx", refuse_targets)
+    for n in range(1, 5):
+        ctx, term, _, point = point_subject(*fanout_point(n))
+        assert verify_identities(ctx, term, point).ok, n
+    for entry in load_corpus():
+        ctx, term, _, point = parse_entry(entry)
+        budget = None if is_beta_normal(term) else entry_budget(entry)
+        rep = verify_identities(ctx, term, point, budget, expected=entry["expected"])
+        assert rep.ok, entry["name"]
+
+
+# A negative context morphism is built once per distinct context that has a
+# witness, and not at all at fan-out n = 8, which has none.
+@pytest.mark.parametrize("point, contexts", [
+    (fanout_point(2), 2),
+    (fanout_point(3), 1),
+    (fanout_point(8), 0),
+    (distinct_g_point(3), 6),
+], ids=["fanout-2", "fanout-3", "fanout-8", "distinct-g-3"])
+def test_negative_morphisms_per_witness_context(monkeypatch, point, contexts):
+    calls = []
+    build = thinspan.collapse.negative_hom_ctx
+    monkeypatch.setattr(thinspan.collapse, "negative_hom_ctx",
+                        lambda *args: calls.append(args) or build(*args))
+    ctx, term, _, pt = point_subject(*point)
+    rep = positive_witnesses(ctx, term, pt)
+    assert len({tgt_ctx(w.neg) for w in rep.witnesses}) == contexts
+    assert len(calls) == contexts
 
 
 def enumerator_misses(monkeypatch, ctx, term, point, budget=None, coefficient=1):

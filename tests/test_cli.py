@@ -233,6 +233,15 @@ def test_missing_point_file_is_an_input_error(tmp_path):
         assert "absent.json" in res.stderr
 
 
+def test_inline_point_that_is_not_an_object():
+    # valid inline JSON is never opened as a path
+    for point in ("[1,2]", "3", '"g y"'):
+        for cmd in ("witnesses", "weight", "verify"):
+            res = run(cmd, "--ctx", "g:o->o, y:o", "--term", "g y", "--point", point)
+            assert_clean_input_error(res)
+            assert "must be an object" in res.stderr, res.stderr
+
+
 def test_corpus_entry_without_term_or_point(tmp_path):
     entry = {"name": "partial", "ctx": "y:o", "term": "y",
              "point": {"ctx": {"y": "[*]"}, "type": "*"}}

@@ -1,14 +1,20 @@
 import pytest
 
 from thinspan.syntax import is_beta_normal
+from thinspan.rigidtypes import is_canonical, parse_itype
 from thinspan.symmetry import is_negative_ctx, is_positive_it, src_ctx, src_it, tgt_ctx, tgt_it
-from thinspan.derivation import BoundedAt, BudgetRequiredError, Exact, rt_context, rt_type
+from thinspan.derivation import (
+    BoundedAt, BudgetRequiredError, Exact, check_derivation, rt_context, rt_type,
+)
 from thinspan.collapse import (
     class_counts_check, esp_explicit, positive_witnesses, verify_identities,
     weight_by_classes,
 )
 
-from support import entry_budget, generated_points, listed_esp, load_corpus, parse_entry
+from support import (
+    church_point, distinct_g_point, entry_budget, fanout_point, generated_points, listed_esp,
+    load_corpus, parse_entry, per_target_witnesses, point_subject, symmetric_point,
+)
 
 BY_NAME = {e["name"]: e for e in load_corpus()}
 
@@ -139,3 +145,100 @@ def test_triple_count_matches_listing_on_generated_points():
             assert esp_explicit(report) == listed_esp(report), (entry["name"], point)
             compared += 1
     assert compared >= 20
+
+
+# Subjects of the bag enumerator's differential test that no seeded draw
+# reaches, kept out of corpus/points.json, which the benchmark reads:
+# label -> ((term, point context, typing context), budget).
+HAND = {
+    # x's one occurrence takes the bag's value under a non-canonical label
+    "non-canonical-label": (("x (\\h:o->o. h (h y))",
+                             {"x": "[[[[]-o*,[*]-o*]-o*]-o*]", "y": "[]"},
+                             "x:((o->o)->o)->o, y:o"), None),
+    # the same, with x the bare-variable argument of a redex
+    "non-canonical-cut": (("(\\k:((o->o)->o)->o. k (\\h:o->o. h (h y))) x",
+                           {"x": "[[[[]-o*,[*]-o*]-o*]-o*]", "y": "[]"},
+                           "x:((o->o)->o)->o, y:o"), 1),
+    # the redex's bare-variable argument picks g's two values in either order
+    "redex-over-two-values": (("(\\h:o->o. f (h y)) g",
+                               {"f": "[[*,*]-o*]", "g": "[[]-o*,[*]-o*]", "y": "[*]"},
+                               "f:o->o, g:o->o, y:o"), 1),
+    # and here its three values, in every order
+    "redex-over-three-values": (("(\\h:o->o. f (h y) (h y)) g",
+                                 {"f": "[[*]-o[*,*]-o*]", "g": "[[]-o*,[*]-o*,[*,*]-o*]",
+                                  "y": "[*,*,*]"},
+                                 "f:o->o->o, g:o->o, y:o"), 1),
+}
+
+
+def corpus_subjects():
+    for entry in load_corpus():
+        ctx, term, _, point = parse_entry(entry)
+        yield entry["name"], ctx, term, point, entry_budget(entry)
+
+
+def generated_subjects():
+    for entry, ctx, term, _, point in generated_points():
+        yield entry["name"], ctx, term, point, entry_budget(entry)
+
+
+def family_subjects():
+    points = ([(f"symmetric-{n}", symmetric_point(n), None) for n in range(1, 6)]
+              + [(f"fanout-{n}", fanout_point(n), None) for n in range(1, 5)]
+              + [(f"church-{k}", church_point(k), k) for k in range(1, 6)]
+              + [(f"distinct-g-{k}", distinct_g_point(k), None) for k in range(1, 5)])
+    for label, point, budget in points:
+        ctx, term, _, pt = point_subject(*point)
+        yield label, ctx, term, pt, budget
+
+
+def hand_subjects():
+    for label, (point, budget) in HAND.items():
+        ctx, term, _, pt = point_subject(*point)
+        yield label, ctx, term, pt, budget
+
+
+# the fewest witnesses each group of subjects must reach
+BAG_SUBJECTS = {"corpus": (corpus_subjects, 25), "generated": (generated_subjects, 50),
+                "families": (family_subjects, 47), "hand": (hand_subjects, 10)}
+
+
+@pytest.mark.parametrize("group", sorted(BAG_SUBJECTS))
+def test_bag_enumeration_matches_per_target_oracle(group):
+    # positive_witnesses enumerates once over the context's bags; the oracle
+    # once per reachable rigid point.  Both list the same (theta, d) pairs,
+    # in the same order, and every d is a derivation concluding its theta.
+    subjects, least = BAG_SUBJECTS[group]
+    found = 0
+    for label, ctx, term, point, budget in subjects():
+        rep = positive_witnesses(ctx, term, point, budget)
+        gamma, a = rep.rep
+        got = [(tgt_ctx(w.neg), w.derivation) for w in rep.witnesses]
+        want = [(theta, d) for theta, _, d in per_target_witnesses(ctx, rep.term, gamma, a,
+                                                                   budget)]
+        assert got == want, label
+        for theta, d in got:
+            assert check_derivation(ctx, rep.term, d), label
+            assert rt_context(gamma.shape(), d) == theta, label
+        found += len(got)
+    assert found >= least, found
+
+
+def test_witness_label_outside_canonical_form():
+    point, _ = HAND["non-canonical-label"]
+    ctx, term, _, pt = point_subject(*point)
+    rep = positive_witnesses(ctx, term, pt)
+    assert rep.wit_plus == 1
+    (label,) = tgt_ctx(rep.witnesses[0].neg).lookup("x")
+    assert label == parse_itype("<<<*>-o*,<>-o*>-o*>-o*")
+    assert not is_canonical(label)
+    assert verify_identities(ctx, term, pt).ok
+
+
+def test_redex_cut_over_distinct_values():
+    for label, count in (("redex-over-two-values", 2), ("redex-over-three-values", 6)):
+        point, budget = HAND[label]
+        ctx, term, _, pt = point_subject(*point)
+        rep = verify_identities(ctx, term, pt, budget, expected=count)
+        assert rep.ok, label
+        assert rep.report.wit_plus == count, label

@@ -5,14 +5,13 @@ import pytest
 from thinspan.syntax import Base, is_beta_normal, parse_context, parse_simple_type, parse_term
 from thinspan.rigidtypes import IArrow, ResourceContext, Star, canonicalize_point
 from thinspan.symmetry import (
-    MorphismError, neg_targets_ctx, pos_sources_it, pos_targets_it, src_it, src_seq, tgt_ctx,
-    tgt_it, tgt_seq,
+    MorphismError, src_it, src_seq, tgt_ctx, tgt_it, tgt_seq,
 )
 from thinspan.derivation import (
     BoundedAt, BudgetRequiredError, DerivationError, Exact, RApp, RLam, RVar,
     check_derivation, compose_dm, count_derivation_morphisms, dm_app, dm_occurrences,
-    endo_count, enumerate_derivation_morphisms, enumerate_witnesses, identity_dm, invert_dm,
-    multiset_collapse_term, omega_substitute, partition_by_symmetry,
+    endo_count, enumerate_bag_witnesses, enumerate_derivation_morphisms, enumerate_witnesses,
+    identity_dm, invert_dm, multiset_collapse_term, omega_substitute, partition_by_symmetry,
     resource_to_text, rt_context, rt_occurrence_labels, rt_type,
     src_dm, symmetric, tgt_dm,
 )
@@ -20,7 +19,7 @@ from thinspan.collapse import positive_witnesses, verify_identities
 
 from support import (
     church_point, distinct_g_point, entry_budget, fanout_point, load_corpus, parse_entry,
-    generated_points, point_subject, split_witnesses, symmetric_point,
+    generated_points, per_target_witnesses, point_subject, split_witnesses, symmetric_point,
 )
 
 S = Star()
@@ -47,12 +46,8 @@ def across_points(name, budget=None):
     so counting at the representative alone undercounts; this is the raw
     enumeration underlying the positive witness count.
     """
-    ctx, term, ty, gamma, alpha = subject(name)
-    out = []
-    for th in neg_targets_ctx(gamma):
-        for al in pos_targets_it(alpha, ty):
-            out.extend(enumerate_witnesses(ctx, term, th, al, budget).derivations)
-    return ctx, term, out
+    ctx, term, _, gamma, alpha = subject(name)
+    return ctx, term, [d for _, _, d in per_target_witnesses(ctx, term, gamma, alpha, budget)]
 
 
 def texts(ds):
@@ -159,13 +154,11 @@ def test_resource_round_trip():
         ctx, term, ty, point = parse_entry(entry)
         gamma, alpha = canonicalize_point(point, ctx, ty)
         budget = None if is_beta_normal(term) else entry_budget(entry)
-        for th in neg_targets_ctx(gamma):
-            for al in pos_targets_it(alpha, ty):
-                for r in enumerate_witnesses(ctx, term, th, al, budget).derivations:
-                    assert check_derivation(ctx, term, r), entry["name"]
-                    assert rt_context(th.shape(), r) == th, entry["name"]
-                    assert rt_type(r) == al, entry["name"]
-                    seen += 1
+        for th, al, r in per_target_witnesses(ctx, term, gamma, alpha, budget):
+            assert check_derivation(ctx, term, r), entry["name"]
+            assert rt_context(th.shape(), r) == th, entry["name"]
+            assert rt_type(r) == al, entry["name"]
+            seen += 1
     assert seen >= len(CORPUS)
 
 
@@ -315,10 +308,10 @@ def witnesses_everywhere(ctx, term, ty, point, budget):
     """The derivations at every negative target and positive source of the
     point: (threaded enumerator's, split oracle's)."""
     gamma, alpha = canonicalize_point(point, ctx, ty)
-    targets = [(th, al) for th in neg_targets_ctx(gamma) for al in pos_sources_it(alpha, ty)]
     cache: dict = {}
-    return ([enumerate_witnesses(ctx, term, th, al, budget).derivations for th, al in targets],
-            [split_witnesses(ctx, term, th, al, budget, cache) for th, al in targets])
+    return (per_target_witnesses(ctx, term, gamma, alpha, budget),
+            per_target_witnesses(ctx, term, gamma, alpha, budget,
+                                 lambda *args: split_witnesses(*args, cache=cache)))
 
 
 def test_threaded_enumeration_matches_split_oracle():
@@ -330,8 +323,8 @@ def test_threaded_enumeration_matches_split_oracle():
     for (label, budget), (ctx, term, ty, point) in oracle_subjects().items():
         threaded, oracle = witnesses_everywhere(ctx, term, ty, point, budget)
         assert threaded == oracle, (label, budget)
-        assert all(len(set(ds)) == len(ds) for ds in threaded), (label, budget)
-        found = sum(map(len, threaded))
+        assert len(set(threaded)) == len(threaded), (label, budget)
+        found = len(threaded)
         assert found == counts.get(label, found), label
         compared += found
     assert compared >= len(CORPUS)
@@ -342,8 +335,8 @@ def test_generated_points_match_split_oracle():
     for entry, ctx, term, ty, point in generated_points():
         threaded, oracle = witnesses_everywhere(ctx, term, ty, point, entry_budget(entry))
         assert threaded == oracle, (entry["name"], point)
-        assert all(len(set(ds)) == len(ds) for ds in threaded)
-        inhabited += any(threaded)
+        assert len(set(threaded)) == len(threaded)
+        inhabited += bool(threaded)
         if is_beta_normal(term):
             assert verify_identities(ctx, term, point).ok, (entry["name"], point)
     assert inhabited >= 20
@@ -358,6 +351,13 @@ def test_enumeration_validates_inputs():
     flipped = ResourceContext(tuple(reversed(gamma.entries)))
     with pytest.raises(DerivationError):
         enumerate_witnesses(ctx, term, flipped, alpha)
+    # the bag enumerator takes a canonical context, with every bag sorted
+    unsorted = ResourceContext(tuple((x, tuple(reversed(seq)), t)
+                                     for x, seq, t in gamma.entries))
+    assert unsorted != gamma
+    with pytest.raises(DerivationError):
+        enumerate_bag_witnesses(ctx, term, unsorted, alpha)
+    assert len(enumerate_bag_witnesses(ctx, term, gamma, alpha)) == 1
 
 
 def test_symmetry_partition():
