@@ -2,8 +2,10 @@
 
 The package interprets a simply-typed term at a point (a multiset context
 and result type), enumerates the rigid derivations witnessing the point,
-partitions them under the groupoid of derivation morphisms, and checks that
-the resulting counts agree with the weighted-relational coefficient.
+partitions them into symmetry classes by counting the morphisms between
+them, and checks that the resulting counts agree with the
+weighted-relational coefficient.  The groupoid of derivation morphisms is
+listed only by the reference module groupoid, which no query uses.
 """
 
 from .syntax import (
@@ -21,10 +23,10 @@ from .symmetry import (
 )
 from .derivation import (
     BudgetRequiredError, DerivationError, WitnessSet,
-    check_derivation, enumerate_derivation_morphisms, enumerate_witnesses,
-    multiset_collapse_term, partition_by_symmetry, resource_to_text, rt_context, rt_type,
-    symmetric,
+    check_derivation, enumerate_witnesses, multiset_collapse_term, partition_by_symmetry,
+    resource_to_text, rt_context, rt_type, symmetric,
 )
+from .groupoid import enumerate_derivation_morphisms
 from .wrel import NatInf, wrel_coefficient
 from .collapse import (
     WitnessReport, positive_witnesses, verify_identities, weight_by_classes,

@@ -1,5 +1,5 @@
 """Rigid derivations as rigid resource terms, witness enumeration, and
-the groupoid of derivations.
+the count of morphisms between derivations.
 
 A derivation assigns a rigid point (resource context, rigid type) to a
 simply-typed term.  The rules, one per node kind:
@@ -35,26 +35,20 @@ finds the derivations at every rigid context a negative morphism reaches
 from it, and each derivation's context is read off its labels.  Binders
 stay sequences.
 
-Morphisms between derivations rebase every node: var nodes carry a label
-morphism, multi nodes a permutation acting on children, app nodes share
-the argument sequence morphism with the function side's domain.  This last
-constraint is what distinguishes rigid terms from plain multiset resource
-terms: in a redex, the argument sequence can only be permuted together
-with the matching occurrences of the bound variable.
-
 A symmetry class's degree (the number of endomorphisms of one of its
 derivations) and the test for symmetry count morphisms without listing
 them.  Under a variable head, the argument multis fix the head's label
 morphism on every domain, so a spine counts the morphisms between the
-head's codomains times a permanent per multi.  Only a spine under a lambda
-head, a redex, has its morphisms listed to count them.
+head's codomains times a permanent per multi.  A redex counts as its
+contractum.  The morphisms themselves, and their listing, are in the
+reference module groupoid, which no query uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 
 from .syntax import (
     App, Lam, SimpleType, Term, TypingContext, Var,
@@ -65,12 +59,7 @@ from .rigidtypes import (
     IArrow, IType, ResourceContext, SeqType, Star,
     canonicalize_it, canonicalize_seq, ctx_refines, ctx_to_text, it_to_text, key_it, refines,
 )
-from .symmetry import (
-    ArrowMorphism, ITMorphism, MorphismError, SeqMorphism,
-    compose_it, compose_perm, concat_seqm, count_homs_it, enumerate_homs_it, identity_it,
-    identity_perm, invert_it, inverse_perm, neg_targets_it, permanent, sigma_action, src_it,
-    tgt_it,
-)
+from .symmetry import count_homs_it, neg_targets_it, permanent
 
 
 class DerivationError(Exception):
@@ -240,6 +229,24 @@ def omega_substitute(r: ResourceTerm) -> ResourceTerm:
         raise TypeError(f"not a resource term: {t!r}")
 
     return go(body)
+
+
+def contract(r: ResourceTerm) -> ResourceTerm:
+    """r's normal form: every redex contracted by omega_substitute, innermost
+    first, until every spine has a variable head.  Each contraction drops a
+    lambda, its application and the binder's occurrences, so this ends."""
+    match r:
+        case RVar():
+            return r
+        case RLam(x, b, ann):
+            return RLam(x, contract(b), ann)
+        case RApp(f, args):
+            f, args = contract(f), tuple(contract(a) for a in args)
+            if isinstance(f, RLam):
+                # a lambda argument may land at a head of the body
+                return contract(omega_substitute(RApp(f, args)))
+            return RApp(f, args)
+    raise TypeError(f"not a resource term: {r!r}")
 
 
 ####################################################################
@@ -543,203 +550,7 @@ def _bounded_seqs(t: SimpleType, budget: int | None) -> tuple[SeqType, ...]:
 
 
 ####################################################################
-# morphisms between derivations
-
-@dataclass(frozen=True)
-class VarMorphism:
-    name: str
-    phi: ITMorphism
-
-
-@dataclass(frozen=True)
-class MultiMorphism:
-    sigma: tuple[int, ...]
-    children: tuple["DerivationMorphism", ...]
-    phi: SeqMorphism
-
-
-@dataclass(frozen=True)
-class AppMorphism:
-    fn: "DerivationMorphism"
-    arg: MultiMorphism
-    phi: ITMorphism
-
-
-@dataclass(frozen=True)
-class LamMorphism:
-    binder: str
-    binder_type: SimpleType
-    body: "DerivationMorphism"
-    phi: ITMorphism
-
-
-DerivationMorphism = VarMorphism | AppMorphism | LamMorphism
-
-
-def dm_multi(sigma: tuple[int, ...], children: tuple[DerivationMorphism, ...]) -> MultiMorphism:
-    return MultiMorphism(sigma, tuple(children), SeqMorphism(sigma, tuple(c.phi for c in children)))
-
-
-def dm_app(fn: DerivationMorphism, arg: MultiMorphism) -> AppMorphism:
-    if not isinstance(fn.phi, ArrowMorphism):
-        raise MorphismError("function side of an app morphism must be an arrow morphism")
-    if fn.phi.domain != arg.phi:
-        raise MorphismError("app morphism must share its sequence morphism on both sides")
-    return AppMorphism(fn, arg, fn.phi.codomain)
-
-
-def dm_lam(binder: str, binder_type: SimpleType, body: DerivationMorphism) -> LamMorphism:
-    return LamMorphism(binder, binder_type, body,
-                       ArrowMorphism(dm_occurrences(body, binder), body.phi))
-
-
-def dm_occurrences(m: DerivationMorphism | MultiMorphism, x: str) -> SeqMorphism:
-    """The sequence morphism m induces on the free occurrences of x, whose
-    source and target are the labels of those occurrences, left to right."""
-    match m:
-        case VarMorphism(y, phi):
-            return SeqMorphism((0,), (phi,)) if y == x else SeqMorphism((), ())
-        case MultiMorphism(sigma, children, _):
-            return sigma_action(sigma, [dm_occurrences(c, x) for c in children])
-        case AppMorphism(fn, arg, _):
-            return concat_seqm(dm_occurrences(fn, x), dm_occurrences(arg, x))
-        case LamMorphism(y, _, body, _):
-            return SeqMorphism((), ()) if y == x else dm_occurrences(body, x)
-    raise TypeError(f"not a derivation morphism: {m!r}")
-
-
-def src_dm(m: DerivationMorphism | MultiMorphism):
-    match m:
-        case VarMorphism(name, phi):
-            return RVar(name, src_it(phi))
-        case MultiMorphism(_, children, _):
-            return tuple(src_dm(c) for c in children)
-        case AppMorphism(fn, arg, _):
-            return RApp(src_dm(fn), src_dm(arg))
-        case LamMorphism(binder, btype, body, _):
-            return RLam(binder, src_dm(body), btype)
-    raise TypeError(f"not a derivation morphism: {m!r}")
-
-
-def tgt_dm(m: DerivationMorphism | MultiMorphism):
-    match m:
-        case VarMorphism(name, phi):
-            return RVar(name, tgt_it(phi))
-        case MultiMorphism(sigma, children, _):
-            inv = inverse_perm(sigma)
-            return tuple(tgt_dm(children[inv[j]]) for j in range(len(children)))
-        case AppMorphism(fn, arg, _):
-            return RApp(tgt_dm(fn), tgt_dm(arg))
-        case LamMorphism(binder, btype, body, _):
-            return RLam(binder, tgt_dm(body), btype)
-    raise TypeError(f"not a derivation morphism: {m!r}")
-
-
-def identity_dm(r: ResourceTerm) -> DerivationMorphism:
-    match r:
-        case RVar(name, label):
-            return VarMorphism(name, identity_it(label))
-        case RApp(f, args):
-            return dm_app(identity_dm(f), dm_multi(identity_perm(len(args)),
-                                                   tuple(identity_dm(a) for a in args)))
-        case RLam(binder, body, btype):
-            return dm_lam(binder, btype, identity_dm(body))
-    raise TypeError(f"not a resource term: {r!r}")
-
-
-def compose_dm(g, f):
-    """g after f, defined when tgt(f) = src(g); both must rebase the same term."""
-    match g, f:
-        case VarMorphism(gn, gphi), VarMorphism(fn_, fphi):
-            if gn != fn_:
-                raise MorphismError(f"cannot compose morphisms at {fn_!r} and {gn!r}")
-            return VarMorphism(gn, compose_it(gphi, fphi))
-        case MultiMorphism(gs, gc, _), MultiMorphism(fs, fc, _):
-            if len(gc) != len(fc):
-                raise MorphismError("cannot compose multi morphisms of different widths")
-            sigma = compose_perm(gs, fs)
-            kids = tuple(compose_dm(gc[fs[i]], fc[i]) for i in range(len(fc)))
-            return dm_multi(sigma, kids)
-        case AppMorphism(gfn, garg, _), AppMorphism(ffn, farg, _):
-            return dm_app(compose_dm(gfn, ffn), compose_dm(garg, farg))
-        case LamMorphism(gx, gt, gb, _), LamMorphism(fx, _, fb, _):
-            if gx != fx:
-                raise MorphismError(f"cannot compose morphisms under {fx!r} and {gx!r}")
-            return dm_lam(gx, gt, compose_dm(gb, fb))
-    raise MorphismError(f"cannot compose {f!r} then {g!r}")
-
-
-def invert_dm(m):
-    match m:
-        case VarMorphism(name, phi):
-            return VarMorphism(name, invert_it(phi))
-        case MultiMorphism(sigma, children, _):
-            inv = inverse_perm(sigma)
-            kids = tuple(invert_dm(children[inv[j]]) for j in range(len(children)))
-            return dm_multi(inv, kids)
-        case AppMorphism(fn, arg, _):
-            return dm_app(invert_dm(fn), invert_dm(arg))
-        case LamMorphism(binder, btype, body, _):
-            return dm_lam(binder, btype, invert_dm(body))
-    raise TypeError(f"not a derivation morphism: {m!r}")
-
-
-####################################################################
-# enumeration and counting of derivation morphisms
-#
-# A derivation is its resource term, and every rule constraint is local,
-# so morphisms are enumerated structurally on the two resource terms.
-# Listing them takes factorial time: it is the oracle in the tests, and
-# the counts below fall back on it only under a redex.
-
-def enumerate_derivation_morphisms(r1: ResourceTerm,
-                                   r2: ResourceTerm) -> tuple[DerivationMorphism, ...]:
-    """All morphisms r1 -> r2; both must derive the same term."""
-    cache: dict = {}
-
-    def go(a: ResourceTerm, b: ResourceTerm) -> tuple[DerivationMorphism, ...]:
-        key = (a, b)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        out: list[DerivationMorphism] = []
-        match a, b:
-            case RVar(x, la), RVar(y, lb):
-                if x == y:
-                    out = [VarMorphism(x, phi) for phi in enumerate_homs_it(la, lb)]
-            case RLam(x, ba, ta), RLam(y, bb, tb):
-                if x == y and ta == tb:
-                    out = [dm_lam(x, ta, m) for m in go(ba, bb)]
-            case RApp(fa, argsa), RApp(fb, argsb):
-                fns = go(fa, fb)
-                if fns:
-                    by_dom: dict[SeqMorphism, list[MultiMorphism]] = {}
-                    for m in multi_go(argsa, argsb):
-                        by_dom.setdefault(m.phi, []).append(m)
-                    for fm in fns:
-                        if isinstance(fm.phi, ArrowMorphism):
-                            for m in by_dom.get(fm.phi.domain, []):
-                                out.append(dm_app(fm, m))
-        cache[key] = tuple(out)
-        return cache[key]
-
-    def multi_go(aa: tuple[ResourceTerm, ...],
-                 bb: tuple[ResourceTerm, ...]) -> list[MultiMorphism]:
-        n = len(aa)
-        if n != len(bb):
-            return []
-        pair = [[go(aa[i], bb[j]) for j in range(n)] for i in range(n)]
-        out = []
-        for sigma in permutations(range(n)):
-            pools = [pair[i][sigma[i]] for i in range(n)]
-            if any(not p for p in pools):
-                continue
-            for kids in product(*pools):
-                out.append(dm_multi(sigma, tuple(kids)))
-        return out
-
-    return go(r1, r2)
-
+# counting derivation morphisms
 
 def count_derivation_morphisms(r1: ResourceTerm, r2: ResourceTerm) -> int:
     """The number of morphisms r1 -> r2; both must derive the same term.
@@ -749,8 +560,19 @@ def count_derivation_morphisms(r1: ResourceTerm, r2: ResourceTerm) -> int:
     the matching domain of the head's label morphism, so only the head's
     codomain is free: the spine counts the morphisms between the codomains
     times, per multi, the permanent of the counts between its copies.
-    Under a lambda head the binder's occurrences are coupled with the
-    argument multi, and that node's morphisms are listed and counted.
+
+    A spine under a lambda head, a redex (\\x. M) <N1, ..., Nn> applied to
+    any further multis, counts as its contractum.  A morphism of the redex
+    is a body morphism m together with an argument multi morphism whose
+    permutation s and label morphisms are groupoid.dm_occurrences(m, x):
+    m sends the i-th occurrence of x to the s(i)-th, and the i-th copy goes
+    to the s(i)-th by a morphism Ni -> N's(i) whose result morphism is the
+    one m gives occurrence i.  omega_substitute puts Ni at occurrence i and
+    N's(i) at occurrence s(i), so the same data is a morphism of the
+    contracta: m with its var morphism at each occurrence i replaced by that
+    morphism of Ni.  The rules see a node's morphism only through its result
+    morphism, so this is a bijection, in any context around the redex, and
+    contracting every redex keeps the count.
     """
     memo: dict = {}
     homs: dict = {}
@@ -771,7 +593,7 @@ def count_derivation_morphisms(r1: ResourceTerm, r2: ResourceTerm) -> int:
                 ha, multis_a = _rt_spine(a)
                 hb, multis_b = _rt_spine(b)
                 if isinstance(ha, RLam):
-                    return len(enumerate_derivation_morphisms(a, b))
+                    return go(contract(a), contract(b))
                 if not (isinstance(hb, RVar) and ha.name == hb.name
                         and len(multis_a) == len(multis_b)):
                     return 0
@@ -804,8 +626,7 @@ def symmetric(r1: ResourceTerm, r2: ResourceTerm) -> bool:
 
 
 def endo_count(r: ResourceTerm) -> int:
-    """deg(r): the number of endomorphisms of r, counted, not listed, except
-    under a redex."""
+    """deg(r): the number of endomorphisms of r, counted, not listed."""
     return count_derivation_morphisms(r, r)
 
 

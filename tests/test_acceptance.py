@@ -17,10 +17,8 @@ from thinspan.symmetry import (
     is_positive_it, polar_factorize_it, pos_targets_it, src_it, sym_degrees_ctx,
     sym_degrees_it, tgt_it,
 )
-from thinspan.derivation import (
-    RApp, RLam, RVar, compose_dm, enumerate_derivation_morphisms, identity_dm, invert_dm,
-    multiset_collapse_term, symmetric,
-)
+from thinspan.derivation import RApp, RLam, RVar, multiset_collapse_term, symmetric
+from thinspan.groupoid import compose_dm, enumerate_derivation_morphisms, identity_dm, invert_dm
 from thinspan.wrel import wrel_coefficient
 from thinspan.collapse import esp_explicit, positive_witnesses, verify_identities
 

@@ -4,8 +4,8 @@ work its ladders measure stays small.
 The benchmark's tracer wraps names imported into thinspan.collapse and
 thinspan.wrel, and reads the coefficient off verify_identities; a refactor
 that moves either would break the benchmark without failing any other test.
-The work guards refuse listings of hom-sets, of derivation morphisms and of
-reachable contexts, and count enumerator and coefficient subproblems and
+The work guards refuse listings of hom-sets, of derivation morphisms (the
+reference module thinspan.groupoid) and of reachable contexts, and count enumerator and coefficient subproblems and
 negative context morphisms, instead of timing anything.
 """
 
@@ -18,6 +18,7 @@ import pytest
 
 import thinspan.collapse
 import thinspan.derivation
+import thinspan.groupoid
 import thinspan.symmetry
 import thinspan.wrel
 from thinspan.collapse import positive_witnesses, verify_identities
@@ -107,26 +108,37 @@ def test_degrees_and_witness_morphisms_enumerate_nothing(monkeypatch):
     assert thinspan.symmetry.positive_hom_it(a, a) is not None
 
 
-# Class degrees and the symmetry test count derivation morphisms; listing
-# them is left to spines under a redex.  The one class endomorphism group
-# at symmetric n = 8 has 8! elements.
-def test_beta_normal_classes_list_no_morphisms(monkeypatch):
-    monkeypatch.setattr(thinspan.derivation, "enumerate_derivation_morphisms", refuse)
+def refuse_listings(monkeypatch):
+    monkeypatch.setattr(thinspan.groupoid, "enumerate_derivation_morphisms", refuse)
+    for name in ("enumerate_homs_ctx", "enumerate_homs_seq", "enumerate_homs_it"):
+        monkeypatch.setattr(thinspan.symmetry, name, refuse)
+
+
+# Class degrees and the symmetry test count derivation morphisms, a redex
+# by its contractum, and list none of them nor any hom-set.  The one class
+# endomorphism group at symmetric n = 8 has 8! elements; listing the
+# morphisms of the Church k = 9 witness went through 9! permutations.
+def test_classes_list_no_morphisms(monkeypatch):
+    refuse_listings(monkeypatch)
     for point in (symmetric_point(8), fanout_point(3)):
         ctx, term, _, pt = point_subject(*point)
         assert verify_identities(ctx, term, pt).ok
-    normal = [e for e in load_corpus() if is_beta_normal(parse_entry(e)[1])]
-    assert len(normal) >= 8
-    for entry in normal:
+    for k in range(1, 10):
+        ctx, term, _, pt = point_subject(*church_point(k))
+        rep = verify_identities(ctx, term, pt, k)
+        assert rep.ok and rep.wrel.value == 1, k
+    corpus = load_corpus()
+    assert len(corpus) == 20
+    for entry in corpus:
         ctx, term, _, point = parse_entry(entry)
-        assert verify_identities(ctx, term, point, expected=entry["expected"]).ok, entry["name"]
+        budget = None if is_beta_normal(term) else entry_budget(entry)
+        rep = verify_identities(ctx, term, point, budget, expected=entry["expected"])
+        assert rep.ok, entry["name"]
 
 
 # g^{<*^12>-o*} <y^*, ..., y^*> has 12! = 479,001,600 endomorphisms.
 def test_class_degree_past_what_listing_reaches(monkeypatch):
-    monkeypatch.setattr(thinspan.derivation, "enumerate_derivation_morphisms", refuse)
-    for name in ("enumerate_homs_ctx", "enumerate_homs_seq", "enumerate_homs_it"):
-        monkeypatch.setattr(thinspan.symmetry, name, refuse)
+    refuse_listings(monkeypatch)
     r = RApp(RVar("g", IArrow((STAR,) * 12, STAR)), (RVar("y", STAR),) * 12)
     assert thinspan.derivation.endo_count(r) == factorial(12)
 
@@ -140,6 +152,9 @@ def test_larger_rungs_verify():
         ctx, term, _, point = point_subject(*fanout_point(n))
         rep = verify_identities(ctx, term, point)
         assert rep.ok and rep.wrel.value == 0, n
+    ctx, term, _, point = point_subject(*church_point(9))
+    rep = verify_identities(ctx, term, point, 9)
+    assert rep.ok and rep.wrel.value == 1
 
 
 def refuse_targets(*args):

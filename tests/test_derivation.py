@@ -1,19 +1,27 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
-from thinspan.syntax import Base, is_beta_normal, parse_context, parse_simple_type, parse_term
+from thinspan.syntax import (
+    App, Base, Lam, Var, binders, fresh_name, is_beta_normal, parse_context, parse_simple_type,
+    parse_term, substitute,
+)
 from thinspan.rigidtypes import IArrow, ResourceContext, Star, canonicalize_point
 from thinspan.symmetry import (
     MorphismError, src_it, src_seq, tgt_ctx, tgt_it, tgt_seq,
 )
 from thinspan.derivation import (
     BoundedAt, BudgetRequiredError, DerivationError, Exact, RApp, RLam, RVar,
-    check_derivation, compose_dm, count_derivation_morphisms, dm_app, dm_occurrences,
-    endo_count, enumerate_bag_witnesses, enumerate_derivation_morphisms, enumerate_witnesses,
-    identity_dm, invert_dm, multiset_collapse_term, omega_substitute, partition_by_symmetry,
-    resource_to_text, rt_context, rt_occurrence_labels, rt_type,
-    src_dm, symmetric, tgt_dm,
+    check_derivation, contract, count_derivation_morphisms, endo_count,
+    enumerate_bag_witnesses, enumerate_witnesses, multiset_collapse_term, omega_substitute,
+    partition_by_symmetry, resource_to_text, rt_context, rt_occurrence_labels, rt_type,
+    symmetric,
+)
+from thinspan.groupoid import (
+    compose_dm, dm_app, dm_occurrences, enumerate_derivation_morphisms, identity_dm, invert_dm,
+    src_dm, tgt_dm,
 )
 from thinspan.collapse import positive_witnesses, verify_identities
 
@@ -250,6 +258,11 @@ def test_collapse_equal_but_not_symmetric():
     assert c1 == RApp(RApp(RVar("x", xl), (RVar("z", S),)), (RVar("w", S),))
     assert c2 == RApp(RApp(RVar("x", xl), (RVar("w", S),)), (RVar("z", S),))
     assert enumerate_derivation_morphisms(c1, c2) == ()
+    # and so on the counting path, which counts a redex by its contractum
+    assert contract(m1) == c1 and contract(m2) == c2
+    assert count_derivation_morphisms(m1, m2) == 0
+    assert endo_count(m1) == endo_count(m2) == 1
+    assert partition_by_symmetry((m1, m2)) == ((m1,), (m2,))
 
 
 def test_budget_required_for_redexes():
@@ -380,6 +393,21 @@ def nodes(r):
                 yield from nodes(a)
 
 
+def has_redex(r):
+    return any(isinstance(n, RApp) and isinstance(n.fn, RLam) for n in nodes(r))
+
+
+def beta_expansions(ctx, term):
+    """For each context variable v of type T, (\\u:T. M[u/v]) v and
+    (\\u:T. (\\w:T. M[w/v]) u) v, where M is term."""
+    taken = set(ctx.names()) | set(binders(term))
+    u = fresh_name("u", taken)
+    w = fresh_name("w", taken | {u})
+    for v, t in ctx.bindings:
+        yield App(Lam(u, substitute(term, v, Var(u)), t), Var(v))
+        yield App(Lam(u, App(Lam(w, substitute(term, v, Var(w)), t), Var(u)), t), Var(v))
+
+
 def morphism_count_subjects():
     """(label, ctx, term, point, budget) for comparing the morphism count with
     the listing."""
@@ -387,6 +415,13 @@ def morphism_count_subjects():
         ctx, term, _, point = parse_entry(entry)
         yield (entry["name"], ctx, term, point,
                None if is_beta_normal(term) else entry_budget(entry))
+    # redexes with several witnesses, some in several classes
+    for entry in CORPUS:
+        ctx, term, _, point = parse_entry(entry)
+        if is_beta_normal(term):
+            for i, expanded in enumerate(beta_expansions(ctx, term)):
+                for budget in (2, 3):
+                    yield f"{entry['name']}-expanded-{i}", ctx, expanded, point, budget
     families = ([(f"symmetric-{n}", symmetric_point(n), None) for n in range(1, 6)]
                 + [(f"fanout-{n}", fanout_point(n), None) for n in range(1, 4)]
                 + [(f"church-{k}", church_point(k), k) for k in range(1, 6)]
@@ -412,19 +447,48 @@ def morphism_count_subjects():
                None if is_beta_normal(term) else entry_budget(entry))
 
 
+def listed_partition(derivations):
+    """The symmetry classes of derivations, comparing each with the first
+    member of every class found so far by listing the morphisms between
+    them."""
+    classes: list[list] = []
+    for r in derivations:
+        for cls in classes:
+            if enumerate_derivation_morphisms(cls[0], r):
+                cls.append(r)
+                break
+        else:
+            classes.append([r])
+    return tuple(tuple(c) for c in classes)
+
+
 def test_morphism_count_matches_listing():
     # every witness with itself, and both ways with the two witnesses of the
-    # same term before it, at its point or at the one before
+    # same term before it, at its point or at the one before; at a subject
+    # whose witnesses have a redex, every ordered pair of its first five
+    # witnesses, and the partition by counts against the one by listing
     seen = dict.fromkeys(("redex", "lambda-argument", "symmetric", "asymmetric"), 0)
+    redex_subjects = dict.fromkeys(("several witnesses", "several classes"), 0)
     window: list = []
     last_term = None
     for label, ctx, term, point, budget in morphism_count_subjects():
         if term != last_term:
             window, last_term = [], term
-        for d in (w.derivation for w in positive_witnesses(ctx, term, point, budget).witnesses):
+        ds = [w.derivation for w in positive_witnesses(ctx, term, point, budget).witnesses]
+        if len(ds) > 1 and any(map(has_redex, ds)):
+            for x in ds[:5]:
+                for y in ds[:5]:
+                    assert count_derivation_morphisms(x, y) == len(
+                        enumerate_derivation_morphisms(x, y)), (
+                        label, resource_to_text(x), resource_to_text(y))
+            classes = partition_by_symmetry(ds)
+            assert classes == listed_partition(ds), label
+            redex_subjects["several witnesses"] += 1
+            redex_subjects["several classes"] += len(classes) > 1
+        for d in ds:
             assert count_derivation_morphisms(d, d) == len(
                 enumerate_derivation_morphisms(d, d)), (label, resource_to_text(d))
-            if any(isinstance(n, RApp) and isinstance(n.fn, RLam) for n in nodes(d)):
+            if has_redex(d):
                 seen["redex"] += 1
             elif any(isinstance(n, RApp) and any(isinstance(a, RLam) for a in n.args)
                      for n in nodes(d)):
@@ -437,6 +501,8 @@ def test_morphism_count_matches_listing():
                     seen["symmetric" if n else "asymmetric"] += 1
             window = [d] + window[:1]
     assert min(seen.values()) >= 3, seen
+    assert redex_subjects["several witnesses"] >= 40, redex_subjects
+    assert redex_subjects["several classes"] >= 10, redex_subjects
 
 
 def test_derivation_morphism_groupoid():
@@ -474,3 +540,24 @@ def test_app_morphism_shares_sequence_morphism():
     (swap,) = [e for e in endos if e != ident]
     with pytest.raises(MorphismError):
         dm_app(ident.fn, swap.arg)
+
+
+def imported_modules(tree):
+    """The modules an ast imports from, dotted, with relative ones under
+    thinspan: `from . import x` counts as thinspan.x."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("thinspan." if node.level else "") + (node.module or "")
+            yield base.rstrip(".")
+            yield from (f"{base.rstrip('.')}.{alias.name}" for alias in node.names)
+
+
+def test_only_the_package_imports_the_listing_groupoid():
+    src = Path(__file__).resolve().parent.parent / "src" / "thinspan"
+    modules = sorted(src.glob("*.py"))
+    assert "groupoid.py" in [p.name for p in modules]
+    importers = [p.name for p in modules
+                 if "thinspan.groupoid" in imported_modules(ast.parse(p.read_text()))]
+    assert importers == ["__init__.py"]
