@@ -25,9 +25,7 @@ from .rigidtypes import (
     PointSpec, RefinementError, ctx_to_text, it_to_text, point_from_json, point_to_json,
 )
 from .symmetry import MorphismError
-from .derivation import (
-    BoundedAt, BudgetRequiredError, DerivationError, resource_to_text, rt_context, rt_type,
-)
+from .derivation import BoundedAt, BudgetRequiredError, DerivationError, resource_to_text
 from .collapse import (
     IdentityReport, WitnessReport, positive_witnesses, verify_identities,
     weight_by_classes,
@@ -100,15 +98,15 @@ def _emit(obj: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def _report_json(report: WitnessReport) -> dict:
-    gamma, alpha = report.rep
+    gamma, a = report.rep
     return {
         "point": point_to_json(report.point),
-        "canonical": {"ctx": ctx_to_text(gamma), "type": it_to_text(alpha)},
+        "canonical": {"ctx": ctx_to_text(gamma), "type": it_to_text(a)},
         "witnesses": [
             {
                 "term": resource_to_text(w.derivation),
-                "ctx": ctx_to_text(rt_context(gamma.shape(), w.derivation)),
-                "type": it_to_text(rt_type(w.derivation)),
+                "ctx": ctx_to_text(w.theta),
+                "type": it_to_text(w.alpha),
             }
             for w in report.witnesses
         ],

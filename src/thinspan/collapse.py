@@ -3,10 +3,12 @@
 A point is given up to symmetry by a multiset context and a multiset result
 type; its canonical rigid representative (gamma, a) is fixed by sorting.  A
 positive witness for a term at that point is a derivation d at some rigid
-point (Theta, alpha) together with a negative context morphism
-gamma -> Theta and a positive type morphism alpha -> a.  The witnesses are
-enumerated once per alpha over the bags of gamma, and d determines Theta,
-so the rigid contexts reachable from gamma are never listed.
+point (Theta, alpha) such that a negative context morphism gamma -> Theta
+and a positive type morphism alpha -> a exist.  Only their existence
+matters, so a witness records its rigid point and no morphism is built.
+The witnesses are enumerated once per alpha over the bags of gamma, and d
+determines Theta, so the rigid contexts reachable from gamma are never
+listed.
 
 The identities checked here:
 
@@ -27,19 +29,17 @@ from fractions import Fraction
 from math import prod
 
 from .syntax import Term, TypingContext, annotate, ensure_distinct_binders
-from .rigidtypes import (
-    IType, PointSpec, ResourceContext, canonicalize_point, ctx_to_text, it_to_text, key_it,
-)
+from .rigidtypes import IType, PointSpec, ResourceContext, canonicalize_point, key_it
 from .symmetry import (
-    CtxMorphism, Degrees, ITMorphism, count_negative_seq, count_positive_it,
-    negative_hom_ctx, pos_sources_it, positive_hom_it, sym_degrees_ctx, sym_degrees_it, tgt_ctx,
+    Degrees, count_negative_seq, count_positive_it, pos_sources_it, sym_degrees_ctx,
+    sym_degrees_it,
 )
 # not called here: the tracer in perfbench/tracing.py wraps these names in this module
 from .symmetry import enumerate_homs_ctx, enumerate_homs_it, neg_targets_ctx  # noqa: F401
 from .derivation import enumerate_witnesses  # noqa: F401
 from .derivation import (
     BoundedAt, Completeness, Exact, ResourceTerm,
-    endo_count, enumerate_bag_witnesses, partition_by_symmetry, rt_context, rt_type,
+    endo_count, enumerate_bag_witnesses, partition_by_symmetry, rt_context,
 )
 from .wrel import NatInf, wrel_coefficient
 
@@ -47,8 +47,8 @@ from .wrel import NatInf, wrel_coefficient
 @dataclass(frozen=True)
 class PositiveWitness:
     derivation: ResourceTerm
-    neg: CtxMorphism   # canonical context -> derivation context, negative
-    pos: ITMorphism    # derivation result -> canonical result, positive
+    theta: ResourceContext   # its context, a negative target of the canonical context
+    alpha: IType             # its result, a positive source of the canonical result
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ def positive_witnesses(ctx: TypingContext, term: Term, point: PointSpec,
     The enumerator runs once per positive source alpha of the canonical
     result a, over the bags of the canonical context gamma.  Each
     derivation d it returns concludes its own context theta, read off its
-    occurrences, and the negative morphism gamma -> theta is built once per
-    distinct theta.  Witnesses are ordered by _witness_key.
+    occurrences, and the witness records d at (theta, alpha).  Witnesses
+    are ordered by _witness_key.
     """
     term = ensure_distinct_binders(term, set(ctx.names()))
     term, ty = annotate(ctx, term)
@@ -90,23 +90,16 @@ def positive_witnesses(ctx: TypingContext, term: Term, point: PointSpec,
     cdeg = sym_degrees_ctx(gamma)
     rdeg = sym_degrees_it(a, ty)
 
-    found = []
+    witnesses = []
     completeness: Completeness = Exact()
     for alpha in pos_sources_it(a, ty):
-        pos = _first_positive(alpha, a)
         ws = enumerate_bag_witnesses(ctx, term, gamma, alpha, budget)
         if isinstance(ws.completeness, BoundedAt):
             completeness = ws.completeness
-        found.extend((rt_context(gamma.shape(), d), alpha, d, pos) for d in ws.derivations)
+        witnesses.extend(PositiveWitness(d, rt_context(gamma.shape(), d), alpha)
+                         for d in ws.derivations)
     # each alpha's derivations arrive sorted by their text, and sort is stable
-    found.sort(key=lambda f: _witness_key(*f[:2]))
-
-    negs: dict[ResourceContext, CtxMorphism] = {}
-    witnesses = []
-    for theta, _, d, pos in found:
-        if theta not in negs:
-            negs[theta] = _first_negative(gamma, theta)
-        witnesses.append(PositiveWitness(d, negs[theta], pos))
+    witnesses.sort(key=lambda w: _witness_key(w.theta, w.alpha))
 
     classes = partition_by_symmetry([w.derivation for w in witnesses])
     index = {w.derivation: i for i, w in enumerate(witnesses)}
@@ -121,21 +114,6 @@ def _witness_key(theta: ResourceContext, alpha: IType):
     lists the negative targets, then by result, in the order pos_sources_it
     lists the positive sources.  Ties keep the derivations' text order."""
     return (tuple(tuple(map(key_it, seq)) for _, seq, _ in theta.entries), key_it(alpha))
-
-
-def _first_negative(gamma: ResourceContext, theta: ResourceContext) -> CtxMorphism:
-    cm = negative_hom_ctx(gamma, theta)
-    if cm is None:
-        raise AssertionError(
-            f"no negative morphism {ctx_to_text(gamma)} -> {ctx_to_text(theta)}")
-    return cm
-
-
-def _first_positive(alpha: IType, a: IType) -> ITMorphism:
-    phi = positive_hom_it(alpha, a)
-    if phi is None:
-        raise AssertionError(f"no positive morphism {it_to_text(alpha)} -> {it_to_text(a)}")
-    return phi
 
 
 def weight_by_classes(report: WitnessReport) -> int:
@@ -172,15 +150,17 @@ def esp_explicit(report: WitnessReport) -> int:
     gamma -> theta are counted one variable at a time and multiplied, and
     the positive morphisms alpha -> a beside them.  The counts are
     permanents and products over the pairs of types, so this never reads a
-    degree or a symmetry class.
+    degree or a symmetry class.  A witness whose theta or alpha no
+    polarized morphism reaches would count 0 here, and the factorization
+    would fail.
     """
     gamma, a = report.rep
     memo: dict = {}
     total = 0
     for w in report.witnesses:
-        theta = tgt_ctx(w.neg)
-        negs = prod(count_negative_seq(seq, theta.lookup(x), memo) for x, seq, _ in gamma.entries)
-        total += negs * count_positive_it(rt_type(w.derivation), a, memo)
+        negs = prod(count_negative_seq(seq, w.theta.lookup(x), memo)
+                    for x, seq, _ in gamma.entries)
+        total += negs * count_positive_it(w.alpha, a, memo)
     return total
 
 

@@ -51,7 +51,7 @@ from functools import lru_cache
 from itertools import product
 
 from .syntax import (
-    App, Lam, SimpleType, Term, TypingContext, Var,
+    App, Arrow, Base, Lam, SimpleType, Term, TypingContext, Var,
     annotate, binders, free_vars, is_beta_normal, spine, term_to_text, type_to_text,
     typecheck,
 )
@@ -527,7 +527,6 @@ def _enum_multi(term: Term, ctx: Ctx, targets: SeqType, budget: int | None,
 
 @lru_cache(maxsize=None)
 def _bounded_refinements(t: SimpleType, budget: int) -> tuple[IType, ...]:
-    from .syntax import Arrow, Base
     match t:
         case Base():
             return (Star(),)

@@ -33,12 +33,11 @@ each, the endomorphisms permute equal elements and act componentwise:
   neg(a) = neg(c) * prod pos(d_k)^m_k
 
 A context entry flips the variance, and a context's degrees are the
-product of its entries'.  The polarized morphisms that witness
-reachability are built directly from their structure as well.  The
-explicit triple count gets the size of a polarized hom-set, and the count
-of derivation morphisms that of a whole hom-set, from the same rules
-(count_*): a permanent where the domain may be permuted, a product where
-it may not.  Listing whole hom-sets (enumerate_homs_*) takes factorial
+product of its entries'.  The explicit triple count gets the size of a
+polarized hom-set, and the count of derivation morphisms that of a whole
+hom-set, from the same rules (count_*): a permanent where the domain may
+be permuted, a product where it may not.  No morphism is built on the
+query path.  Listing whole hom-sets (enumerate_homs_*) takes factorial
 time; it serves as the oracle in the tests, and for listing derivation
 morphisms, not for counting.
 """
@@ -407,85 +406,6 @@ def polar_factorize_it(phi: ITMorphism, t: SimpleType) -> tuple[ITMorphism, ITMo
             neg = ArrowMorphism(SeqMorphism(identity_perm(n), tuple(ns)), cn)  # type: ignore[arg-type]
             return pos, neg
     raise MorphismError(f"morphism {phi!r} does not refine {t!r}")
-
-
-####################################################################
-# polarized morphisms, built directly
-#
-# Each function below returns a morphism of its polarity between two types,
-# or None when there is none.  A negative arrow morphism keeps the domain
-# order with positive components; a positive one permutes the domain with
-# negative components.  Negative morphisms form a subgroupoid, so being
-# linked by one is an equivalence relation and a greedy matching of
-# domain slots never blocks a complete one.  Taking the first free target
-# slot each time gives the first morphism of that polarity in the order
-# enumerate_homs_* lists them.
-
-def negative_hom_it(a: IType, b: IType) -> ITMorphism | None:
-    match a, b:
-        case Star(), Star():
-            return STAR_ID
-        case IArrow(ad, ac), IArrow(bd, bc):
-            d = positive_hom_seq(ad, bd)
-            c = negative_hom_it(ac, bc) if d is not None else None
-            return ArrowMorphism(d, c) if c is not None else None
-    return None
-
-
-def positive_hom_it(a: IType, b: IType) -> ITMorphism | None:
-    match a, b:
-        case Star(), Star():
-            return STAR_ID
-        case IArrow(ad, ac), IArrow(bd, bc):
-            d = negative_hom_seq(ad, bd)
-            c = positive_hom_it(ac, bc) if d is not None else None
-            return ArrowMorphism(d, c) if c is not None else None
-    return None
-
-
-def positive_hom_seq(sa: SeqType, sb: SeqType) -> SeqMorphism | None:
-    """Identity permutation, positive components (a context entry's variance)."""
-    if len(sa) != len(sb):
-        return None
-    comps = []
-    for x, y in zip(sa, sb):
-        f = positive_hom_it(x, y)
-        if f is None:
-            return None
-        comps.append(f)
-    return SeqMorphism(identity_perm(len(sa)), tuple(comps))
-
-
-def negative_hom_seq(sa: SeqType, sb: SeqType) -> SeqMorphism | None:
-    """Any permutation, negative components (a context entry's variance)."""
-    if len(sa) != len(sb):
-        return None
-    free = list(range(len(sb)))
-    sigma: list[int] = []
-    comps: list[ITMorphism] = []
-    for x in sa:
-        for k, j in enumerate(free):
-            f = negative_hom_it(x, sb[j])
-            if f is not None:
-                break
-        else:
-            return None
-        del free[k]
-        sigma.append(j)
-        comps.append(f)
-    return SeqMorphism(tuple(sigma), tuple(comps))
-
-
-def negative_hom_ctx(ca: ResourceContext, cb: ResourceContext) -> CtxMorphism | None:
-    if ca.shape() != cb.shape():
-        return None
-    entries = []
-    for x, sa, t in ca.entries:
-        sm = negative_hom_seq(sa, cb.lookup(x))
-        if sm is None:
-            return None
-        entries.append((x, sm, t))
-    return CtxMorphism(tuple(entries))
 
 
 ####################################################################

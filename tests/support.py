@@ -3,6 +3,7 @@ and brute-force oracles for what the library computes in closed form."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 from itertools import combinations_with_replacement, permutations, product
@@ -26,6 +27,15 @@ from thinspan.symmetry import (
 )
 
 CORPUS_PATH = Path(__file__).resolve().parent.parent / "corpus" / "points.json"
+TRACING_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    """The benchmark's tracer module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_corpus() -> list[dict]:

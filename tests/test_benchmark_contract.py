@@ -5,14 +5,13 @@ The benchmark's tracer wraps names imported into thinspan.collapse and
 thinspan.wrel, and reads the coefficient off verify_identities; a refactor
 that moves either would break the benchmark without failing any other test.
 The work guards refuse listings of hom-sets, of derivation morphisms (the
-reference module thinspan.groupoid) and of reachable contexts, and count enumerator and coefficient subproblems and
-negative context morphisms, instead of timing anything.
+reference module thinspan.groupoid) and of reachable contexts, refuse to
+build any type morphism, and count enumerator and coefficient subproblems,
+instead of timing anything.
 """
 
 import importlib
-import importlib.util
 from math import factorial
-from pathlib import Path
 
 import pytest
 
@@ -21,27 +20,16 @@ import thinspan.derivation
 import thinspan.groupoid
 import thinspan.symmetry
 import thinspan.wrel
-from thinspan.collapse import positive_witnesses, verify_identities
+from thinspan.collapse import verify_identities
 from thinspan.derivation import RApp, RVar
 from thinspan.rigidtypes import STAR, IArrow, canonicalize_point
-from thinspan.symmetry import tgt_ctx
 from thinspan.syntax import is_beta_normal
 from thinspan.wrel import wrel_coefficient
 
 from support import (
-    church_point, distinct_g_point, entry_budget, fanout_point, load_corpus, parse_entry,
-    point_subject, symmetric_point,
+    church_point, distinct_g_point, entry_budget, fanout_point, load_corpus, load_tracing,
+    parse_entry, point_subject, symmetric_point,
 )
-
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def test_traced_names_resolve():
     wrapped = load_tracing().WRAPPED
@@ -103,9 +91,13 @@ def test_degrees_and_witness_morphisms_enumerate_nothing(monkeypatch):
     assert thinspan.symmetry.sym_degrees_it(a, ty).total == 1
     thetas = thinspan.symmetry.neg_targets_ctx(gamma)
     assert len(thetas) == 35
-    for theta in thetas:
-        assert thinspan.symmetry.negative_hom_ctx(gamma, theta) is not None
-    assert thinspan.symmetry.positive_hom_it(a, a) is not None
+
+
+def refuse_morphisms(monkeypatch):
+    def refuse_built(self):
+        raise AssertionError("a type morphism built on the query path")
+    # every morphism but an identity at the base type holds a SeqMorphism
+    monkeypatch.setattr(thinspan.symmetry.SeqMorphism, "__post_init__", refuse_built)
 
 
 def refuse_listings(monkeypatch):
@@ -115,11 +107,13 @@ def refuse_listings(monkeypatch):
 
 
 # Class degrees and the symmetry test count derivation morphisms, a redex
-# by its contractum, and list none of them nor any hom-set.  The one class
-# endomorphism group at symmetric n = 8 has 8! elements; listing the
-# morphisms of the Church k = 9 witness went through 9! permutations.
+# by its contractum, and list none of them nor any hom-set; no query builds
+# a type morphism at all.  The one class endomorphism group at symmetric
+# n = 8 has 8! elements; listing the morphisms of the Church k = 9 witness
+# went through 9! permutations.
 def test_classes_list_no_morphisms(monkeypatch):
     refuse_listings(monkeypatch)
+    refuse_morphisms(monkeypatch)
     for point in (symmetric_point(8), fanout_point(3)):
         ctx, term, _, pt = point_subject(*point)
         assert verify_identities(ctx, term, pt).ok
@@ -176,8 +170,8 @@ def test_reachable_contexts_are_not_listed(monkeypatch):
         assert rep.ok, entry["name"]
 
 
-# A negative context morphism is built once per distinct context that has a
-# witness, and not at all at fan-out n = 8, which has none.
+# A witness keeps its rigid point, so no query builds a polarized morphism to
+# it, however many distinct contexts its witnesses have.
 @pytest.mark.parametrize("point, contexts", [
     (fanout_point(2), 2),
     (fanout_point(3), 1),
@@ -185,14 +179,12 @@ def test_reachable_contexts_are_not_listed(monkeypatch):
     (distinct_g_point(3), 6),
 ], ids=["fanout-2", "fanout-3", "fanout-8", "distinct-g-3"])
 def test_negative_morphisms_per_witness_context(monkeypatch, point, contexts):
-    calls = []
-    build = thinspan.collapse.negative_hom_ctx
-    monkeypatch.setattr(thinspan.collapse, "negative_hom_ctx",
-                        lambda *args: calls.append(args) or build(*args))
+    refuse_morphisms(monkeypatch)
     ctx, term, _, pt = point_subject(*point)
-    rep = positive_witnesses(ctx, term, pt)
-    assert len({tgt_ctx(w.neg) for w in rep.witnesses}) == contexts
-    assert len(calls) == contexts
+    rep = verify_identities(ctx, term, pt)
+    assert rep.ok
+    assert len({w.theta for w in rep.report.witnesses}) == contexts
+
 
 
 def enumerator_misses(monkeypatch, ctx, term, point, budget=None, coefficient=1):

@@ -2,7 +2,7 @@ import pytest
 
 from thinspan.syntax import is_beta_normal
 from thinspan.rigidtypes import is_canonical, parse_itype
-from thinspan.symmetry import is_negative_ctx, is_positive_it, src_ctx, src_it, tgt_ctx, tgt_it
+from thinspan.symmetry import enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_positive_it
 from thinspan.derivation import (
     BoundedAt, BudgetRequiredError, Exact, check_derivation, rt_context, rt_type,
 )
@@ -72,17 +72,17 @@ def test_report_vacuous_pair():
 
 
 def test_witness_morphism_orientation():
+    # a witness keeps its rigid point; the polarized morphisms that make it
+    # a witness exist in the listed hom-sets
     for name in ("one-term-two-witnesses", "shared-head-two-ways", "fan-out"):
         ctx, term, ty, point = parse_entry(BY_NAME[name])
         rep = positive_witnesses(ctx, term, point)
         gamma, a = rep.rep
         for w in rep.witnesses:
-            assert src_ctx(w.neg) == gamma
-            assert tgt_ctx(w.neg) == rt_context(gamma.shape(), w.derivation)
-            assert is_negative_ctx(w.neg)
-            assert src_it(w.pos) == rt_type(w.derivation)
-            assert tgt_it(w.pos) == a
-            assert is_positive_it(w.pos, ty)
+            assert w.theta == rt_context(gamma.shape(), w.derivation)
+            assert w.alpha == rt_type(w.derivation)
+            assert any(is_negative_ctx(cm) for cm in enumerate_homs_ctx(gamma, w.theta))
+            assert any(is_positive_it(phi, ty) for phi in enumerate_homs_it(w.alpha, a))
 
 
 def test_esp_explicit_matches_counting():
@@ -213,7 +213,7 @@ def test_bag_enumeration_matches_per_target_oracle(group):
     for label, ctx, term, point, budget in subjects():
         rep = positive_witnesses(ctx, term, point, budget)
         gamma, a = rep.rep
-        got = [(tgt_ctx(w.neg), w.derivation) for w in rep.witnesses]
+        got = [(w.theta, w.derivation) for w in rep.witnesses]
         want = [(theta, d) for theta, _, d in per_target_witnesses(ctx, rep.term, gamma, a,
                                                                    budget)]
         assert got == want, label
@@ -229,7 +229,7 @@ def test_witness_label_outside_canonical_form():
     ctx, term, _, pt = point_subject(*point)
     rep = positive_witnesses(ctx, term, pt)
     assert rep.wit_plus == 1
-    (label,) = tgt_ctx(rep.witnesses[0].neg).lookup("x")
+    (label,) = rep.witnesses[0].theta.lookup("x")
     assert label == parse_itype("<<<*>-o*,<>-o*>-o*>-o*")
     assert not is_canonical(label)
     assert verify_identities(ctx, term, pt).ok

@@ -5,13 +5,11 @@ from pathlib import Path
 import pytest
 
 from thinspan.syntax import (
-    App, Base, Lam, Var, binders, fresh_name, is_beta_normal, parse_context, parse_simple_type,
-    parse_term, substitute,
+    App, Base, Lam, Var, beta_normalize, binders, fresh_name, is_beta_normal, parse_context,
+    parse_simple_type, parse_term, substitute,
 )
 from thinspan.rigidtypes import IArrow, ResourceContext, Star, canonicalize_point
-from thinspan.symmetry import (
-    MorphismError, src_it, src_seq, tgt_ctx, tgt_it, tgt_seq,
-)
+from thinspan.symmetry import MorphismError, src_it, src_seq, tgt_it, tgt_seq
 from thinspan.derivation import (
     BoundedAt, BudgetRequiredError, DerivationError, Exact, RApp, RLam, RVar,
     check_derivation, contract, count_derivation_morphisms, endo_count,
@@ -192,7 +190,7 @@ def test_dm_occurrences_match_context_entries():
         ws = positive_witnesses(ctx, term, point, budget).witnesses
         for w1 in ws:
             for w2 in ws:
-                th1, th2 = tgt_ctx(w1.neg), tgt_ctx(w2.neg)
+                th1, th2 = w1.theta, w2.theta
                 for m in enumerate_derivation_morphisms(w1.derivation, w2.derivation):
                     assert src_it(m.phi) == rt_type(w1.derivation)
                     assert tgt_it(m.phi) == rt_type(w2.derivation)
@@ -408,6 +406,52 @@ def beta_expansions(ctx, term):
         yield App(Lam(u, App(Lam(w, substitute(term, v, Var(w)), t), Var(u)), t), Var(v))
 
 
+def expansion_subjects():
+    """(label, ctx, redex, point, budget): the beta-expansions of each normal
+    corpus term at its point, at budgets 2 and 3."""
+    for entry in CORPUS:
+        ctx, term, _, point = parse_entry(entry)
+        if is_beta_normal(term):
+            for i, expanded in enumerate(beta_expansions(ctx, term)):
+                for budget in (2, 3):
+                    yield f"{entry['name']}-expanded-{i}", ctx, expanded, point, budget
+
+
+def beta_invariance_subjects():
+    """(label, ctx, redex, point, budget): the corpus entries that are not
+    beta-normal, also at generated points, and the expansions of those that
+    are."""
+    for entry in CORPUS:
+        ctx, term, _, point = parse_entry(entry)
+        if not is_beta_normal(term):
+            yield entry["name"], ctx, term, point, entry_budget(entry)
+    yield from expansion_subjects()
+    for entry, ctx, term, _, point in generated_points():
+        if not is_beta_normal(term):
+            yield entry["name"], ctx, term, point, entry_budget(entry)
+
+
+def test_counts_are_beta_invariant():
+    # a redex passes every identity and has the coefficient, the witness
+    # count and the symmetry classes (size and endomorphisms) of its
+    # beta-normal form
+    def counts(rep):
+        return rep.wit_plus, sorted(zip(map(len, rep.classes), rep.class_endos))
+
+    seen = dict.fromkeys(("subjects", "with witnesses", "several classes"), 0)
+    for label, ctx, term, point, budget in beta_invariance_subjects():
+        normal = positive_witnesses(ctx, beta_normalize(term), point)
+        checked = verify_identities(ctx, term, point, budget)
+        assert checked.ok, label
+        assert checked.wrel.value == normal.wit_plus, label
+        assert counts(checked.report) == counts(normal), label
+        seen["subjects"] += 1
+        seen["with witnesses"] += normal.wit_plus > 0
+        seen["several classes"] += len(normal.classes) > 1
+    assert seen["subjects"] >= 380 and seen["with witnesses"] >= 120, seen
+    assert seen["several classes"] >= 10, seen
+
+
 def morphism_count_subjects():
     """(label, ctx, term, point, budget) for comparing the morphism count with
     the listing."""
@@ -416,12 +460,7 @@ def morphism_count_subjects():
         yield (entry["name"], ctx, term, point,
                None if is_beta_normal(term) else entry_budget(entry))
     # redexes with several witnesses, some in several classes
-    for entry in CORPUS:
-        ctx, term, _, point = parse_entry(entry)
-        if is_beta_normal(term):
-            for i, expanded in enumerate(beta_expansions(ctx, term)):
-                for budget in (2, 3):
-                    yield f"{entry['name']}-expanded-{i}", ctx, expanded, point, budget
+    yield from expansion_subjects()
     families = ([(f"symmetric-{n}", symmetric_point(n), None) for n in range(1, 6)]
                 + [(f"fanout-{n}", fanout_point(n), None) for n in range(1, 4)]
                 + [(f"church-{k}", church_point(k), k) for k in range(1, 6)]
