@@ -20,7 +20,9 @@ carrying its label, an app node an RApp whose argument tuple is the multi
 node, a lam node an RLam.  The conclusion is computed, not stored: the
 context entry of a variable lists the labels of its occurrences left to
 right (rt_context), and the result is rt_type.  check_derivation validates
-a resource term against the term it derives.
+a resource term against the term it derives.  Resource terms are interned
+(interning.Node), like the terms and labels they are built from: equal
+derivations are one object, and equality is identity.
 
 Contexts are linear: each element is consumed by exactly one occurrence,
 and the occurrences of a variable consume its sequence in order, left to
@@ -47,9 +49,10 @@ reference module groupoid, which no query uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 
+from .interning import Node
 from .syntax import (
     App, Arrow, Base, Lam, SimpleType, Term, TypingContext, Var,
     annotate, binders, free_vars, is_beta_normal, spine, term_to_text, type_to_text,
@@ -76,21 +79,18 @@ Shape = tuple[tuple[str, SimpleType], ...]
 ####################################################################
 # resource terms
 
-@dataclass(frozen=True)
-class RVar:
+class RVar(Node):
     name: str
     label: IType
 
 
-@dataclass(frozen=True)
-class RLam:
+class RLam(Node):
     binder: str
     body: "ResourceTerm"
     annot: SimpleType
 
 
-@dataclass(frozen=True)
-class RApp:
+class RApp(Node):
     fn: "ResourceTerm"
     args: tuple["ResourceTerm", ...]
 
@@ -571,8 +571,16 @@ def count_derivation_morphisms(r1: ResourceTerm, r2: ResourceTerm) -> int:
     contracta: m with its var morphism at each occurrence i replaced by that
     morphism of Ni.  The rules see a node's morphism only through its result
     morphism, so this is a bijection, in any context around the redex, and
-    contracting every redex keeps the count.
+    contracting every redex keeps the count.  So both derivations are
+    contracted first, and each once.
     """
+    c1 = contract(r1)
+    return _count_contracted(c1, c1 if r2 is r1 else contract(r2))
+
+
+def _count_contracted(r1: ResourceTerm, r2: ResourceTerm) -> int:
+    """count_derivation_morphisms on contracted derivations, whose spines
+    all have a variable head."""
     memo: dict = {}
     homs: dict = {}
 
@@ -591,10 +599,7 @@ def count_derivation_morphisms(r1: ResourceTerm, r2: ResourceTerm) -> int:
             case RApp(), RApp():
                 ha, multis_a = _rt_spine(a)
                 hb, multis_b = _rt_spine(b)
-                if isinstance(ha, RLam):
-                    return go(contract(a), contract(b))
-                if not (isinstance(hb, RVar) and ha.name == hb.name
-                        and len(multis_a) == len(multis_b)):
+                if ha.name != hb.name or len(multis_a) != len(multis_b):
                     return 0
                 ca, cb = ha.label, hb.label
                 for _ in multis_a:
@@ -632,13 +637,15 @@ def endo_count(r: ResourceTerm) -> int:
 def partition_by_symmetry(derivations) -> tuple[tuple[ResourceTerm, ...], ...]:
     """Group derivations of a common term into symmetry classes, comparing
     each with the first member of every class found so far by counting the
-    morphisms between them."""
+    morphisms between them.  A derivation is contracted when it is first
+    compared, and only then."""
     classes: list[list[ResourceTerm]] = []
+    contracted = cache(contract)
     for r in derivations:
         for cls in classes:
-            if symmetric(cls[0], r):
+            if _count_contracted(contracted(cls[0]), contracted(r)):
                 cls.append(r)
                 break
         else:
             classes.append([r])
-    return tuple(tuple(c) for c in classes)
+    return tuple(tuple(cls) for cls in classes)

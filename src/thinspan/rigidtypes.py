@@ -4,8 +4,10 @@ their canonical representatives.
 Rigid types use ordered sequences <a1,...,an>; collapsing the order gives
 the usual non-idempotent multiset types [a1,...,an].  There is one
 representation: a multiset type is the canonical rigid type, every
-sequence sorted under a fixed total order, so multiset equality is plain
-structural equality.  The [...] notation parses to and prints canonical
+sequence sorted under a fixed total order.  Rigid types are interned
+(interning.Node): equal types are one object, so equality is identity,
+and two multiset types are equal exactly when their canonical types are
+the same object.  The [...] notation parses to and prints canonical
 types.
 
 A sequence type is represented as a bare tuple of ITypes.
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import re
 
+from .interning import Node
 from .syntax import Arrow, Base, SimpleType, TypingContext, type_to_text
 
 
@@ -26,14 +29,12 @@ class RefinementError(Exception):
 ####################################################################
 # rigid types
 
-@dataclass(frozen=True)
-class Star:
+class Star(Node):
     def __repr__(self) -> str:
         return "*"
 
 
-@dataclass(frozen=True)
-class IArrow:
+class IArrow(Node):
     domain: tuple["IType", ...]
     codomain: "IType"
 

@@ -5,6 +5,11 @@ normalization) all binders are pairwise distinct and distinct from every
 free variable.  The rest of the package leans on this -- resource contexts
 are keyed by variable name, so shadowing is never allowed to survive.
 
+Simple types and terms are interned (interning.Node): equal trees are one
+object, so equality is identity and a term or type hashes in constant
+time however deep it is.  Alpha-equivalent terms with different binder
+names are different trees; alpha_eq compares them.
+
 Binder annotations are optional in the concrete syntax.  An unannotated
 binder is only legal when the full simple type of the term is supplied,
 in which case annotations are filled in by structural matching against
@@ -15,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import re
+
+from .interning import Node
 
 
 class ParseError(Exception):
@@ -28,14 +35,12 @@ class TypeCheckError(Exception):
 ####################################################################
 # simple types
 
-@dataclass(frozen=True)
-class Base:
+class Base(Node):
     def __repr__(self) -> str:
         return "o"
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(Node):
     domain: "SimpleType"
     codomain: "SimpleType"
 
@@ -63,19 +68,16 @@ def type_to_text(t: SimpleType) -> str:
 ####################################################################
 # terms
 
-@dataclass(frozen=True)
-class Var:
+class Var(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class App:
+class App(Node):
     fn: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Lam:
+class Lam(Node):
     binder: str
     body: "Term"
     annot: SimpleType | None = None

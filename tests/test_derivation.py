@@ -434,7 +434,7 @@ def beta_invariance_subjects():
 def test_counts_are_beta_invariant():
     # a redex passes every identity and has the coefficient, the witness
     # count and the symmetry classes (size and endomorphisms) of its
-    # beta-normal form
+    # beta-normal form, at its budget and at one more
     def counts(rep):
         return rep.wit_plus, sorted(zip(map(len, rep.classes), rep.class_endos))
 
@@ -445,6 +445,7 @@ def test_counts_are_beta_invariant():
         assert checked.ok, label
         assert checked.wrel.value == normal.wit_plus, label
         assert counts(checked.report) == counts(normal), label
+        assert counts(positive_witnesses(ctx, term, point, budget + 1)) == counts(normal), label
         seen["subjects"] += 1
         seen["with witnesses"] += normal.wit_plus > 0
         seen["several classes"] += len(normal.classes) > 1

@@ -1,8 +1,14 @@
+import copy
+import dataclasses
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
+from thinspan import derivation, rigidtypes, syntax
 from thinspan.syntax import Base, parse_context, parse_simple_type
 from thinspan.rigidtypes import (
     IArrow, PointSpec, RefinementError, ResourceContext, Star,
@@ -17,6 +23,30 @@ from support import rand_itype, rand_reorder, rand_stype
 
 S = Star()
 O = Base()
+
+
+def test_equal_rigid_types_are_one_object():
+    assert S is rigidtypes.STAR
+    assert parse_itype("<*,*>-o*") is IArrow((Star(), Star()), Star())
+    assert parse_mit("[[*]-o*,*]-o*") is IArrow((S, IArrow((S,), S)), S)
+    assert IArrow(codomain=S, domain=()) is IArrow((), S)
+    a = parse_itype("<<*>-o*>-o*")
+    assert dataclasses.replace(a, domain=()) is IArrow((), S)
+    assert copy.deepcopy(a) is a and pickle.loads(pickle.dumps(a)) is a
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.codomain = a
+
+
+def test_tree_nodes_compare_and_hash_by_identity():
+    classes = [syntax.Base, syntax.Arrow, syntax.Var, syntax.App, syntax.Lam,
+               rigidtypes.Star, rigidtypes.IArrow,
+               derivation.RVar, derivation.RLam, derivation.RApp]
+    for cls in classes:
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
+    # the intern table holds its nodes weakly
+    ref = weakref.ref(derivation.RVar("only_here_in_this_test", S))
+    gc.collect()
+    assert ref() is None
 
 
 def itypes(depth=3):

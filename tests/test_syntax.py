@@ -1,5 +1,10 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
+from thinspan import syntax
 from thinspan.syntax import (
     App, Arrow, Base, Lam, ParseError, TypeCheckError, Var,
     alpha_eq, annotate, beta_normalize, binders, ensure_distinct_binders, free_vars,
@@ -8,6 +13,24 @@ from thinspan.syntax import (
 )
 
 O = Base()
+
+
+def test_equal_terms_and_types_are_one_object():
+    assert O is syntax.O
+    assert parse_term("f (g y)") is parse_term("f (g y)")
+    assert parse_simple_type("(o->o)->o") is Arrow(Arrow(O, O), O)
+    assert Lam("x", Var("x")) is Lam("x", Var("x"), None)
+    assert Lam(body=Var("x"), binder="x") is Lam("x", Var("x"))
+    lam = parse_term("\\x:o. x")
+    assert dataclasses.replace(lam, annot=None) is Lam("x", Var("x"))
+    assert dataclasses.replace(lam, binder="x") is lam
+    for node in (lam, App(Var("f"), lam), Arrow(O, O), O):
+        assert copy.copy(node) is node and copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lam.binder = "y"
+    with pytest.raises(TypeError):
+        Lam("x")
 
 
 def test_type_parsing_right_associative():

@@ -1,8 +1,14 @@
 from math import comb
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import thinspan
 from thinspan.syntax import (
     annotate, beta_normalize, ensure_distinct_binders, is_beta_normal, parse_context, parse_term,
 )
@@ -123,3 +129,23 @@ def test_repeat_calls_are_consistent():
     ctx, term, _, point = parse_entry(load_corpus()[7])
     first = wrel_coefficient(ctx, term, point)
     assert wrel_coefficient(ctx, term, point) == first
+
+
+def test_deep_term_queried_twice():
+    # the second query finds the deep term in the caches; a fresh
+    # interpreter keeps the stack depth independent of pytest's
+    script = textwrap.dedent("""
+        from thinspan import PointSpec, parse_context, parse_mit, parse_mset, parse_term
+        from thinspan import wrel_coefficient
+        n = 400
+        ctx = parse_context("f:o->o, y:o")
+        term = parse_term("f (" * (n - 1) + "f y" + ")" * (n - 1))
+        f_bag = parse_mset("[" + ",".join(["[*]-o*"] * n) + "]")
+        point = PointSpec((("f", f_bag), ("y", parse_mset("[*]"))), parse_mit("*"))
+        print(wrel_coefficient(ctx, term, point).value, wrel_coefficient(ctx, term, point).value)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(thinspan.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert res.stdout.split() == ["1", "1"]
