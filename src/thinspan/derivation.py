@@ -17,12 +17,14 @@ simply-typed term.  The rules, one per node kind:
 Derivations of a fixed term biject with rigid resource terms, so a
 derivation is represented by its resource term: a var node is an RVar
 carrying its label, an app node an RApp whose argument tuple is the multi
-node, a lam node an RLam.  The conclusion is computed, not stored: the
+node, a lam node an RLam.  The conclusion is computed from the tree: the
 context entry of a variable lists the labels of its occurrences left to
 right (rt_context), and the result is rt_type.  check_derivation validates
 a resource term against the term it derives.  Resource terms are interned
 (interning.Node), like the terms and labels they are built from: equal
-derivations are one object, and equality is identity.
+derivations are one object, and equality is identity.  rt_type and
+endo_count are facts (interning.fact), computed once and kept on the
+resource term.
 
 Contexts are linear: each element is consumed by exactly one occurrence,
 and the occurrences of a variable consume its sequence in order, left to
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
 
-from .interning import Node
+from .interning import Node, fact
 from .syntax import (
     App, Arrow, Base, Lam, SimpleType, Term, TypingContext, Var,
     annotate, binders, free_vars, is_beta_normal, spine, term_to_text, type_to_text,
@@ -79,18 +81,24 @@ Shape = tuple[tuple[str, SimpleType], ...]
 ####################################################################
 # resource terms
 
-class RVar(Node):
+class _RTNode(Node):
+    """A resource term, with slots for its facts rt_type and endo_count."""
+
+    __slots__ = ("rt_type", "endo_count")
+
+
+class RVar(_RTNode):
     name: str
     label: IType
 
 
-class RLam(Node):
+class RLam(_RTNode):
     binder: str
     body: "ResourceTerm"
     annot: SimpleType
 
 
-class RApp(Node):
+class RApp(_RTNode):
     fn: "ResourceTerm"
     args: tuple["ResourceTerm", ...]
 
@@ -128,11 +136,33 @@ def rt_occurrence_labels(r: ResourceTerm, x: str) -> list[IType]:
 
 
 def rt_context(shape: Shape, r: ResourceTerm) -> ResourceContext:
-    """The resource context a resource term concludes, over the variables of shape."""
-    return ResourceContext(tuple(
-        (x, tuple(rt_occurrence_labels(r, x)), t) for x, t in shape))
+    """The resource context a resource term concludes, over the variables of
+    shape: each entry lists the labels of the variable's free occurrences,
+    left to right, all gathered in one walk."""
+    labels: dict[str, list[IType]] = {x: [] for x, _ in shape}
+    _gather_labels(r, labels, frozenset())
+    return ResourceContext(tuple((x, tuple(labels[x]), t) for x, t in shape))
 
 
+def _gather_labels(r: ResourceTerm, labels: dict[str, list[IType]],
+                   bound: frozenset[str]) -> None:
+    """Append to labels[x] the label of each occurrence of x in r, left to
+    right, but not under a binder of x."""
+    match r:
+        case RVar(y, a):
+            if y in labels and y not in bound:
+                labels[y].append(a)
+        case RLam(y, b, _):
+            _gather_labels(b, labels, bound | {y} if y in labels else bound)
+        case RApp(f, args):
+            _gather_labels(f, labels, bound)
+            for a in args:
+                _gather_labels(a, labels, bound)
+        case _:
+            raise TypeError(f"not a resource term: {r!r}")
+
+
+@fact
 def rt_type(r: ResourceTerm) -> IType:
     """The rigid type a resource term concludes; determined bottom-up."""
     match r:
@@ -234,18 +264,20 @@ def omega_substitute(r: ResourceTerm) -> ResourceTerm:
 def contract(r: ResourceTerm) -> ResourceTerm:
     """r's normal form: every redex contracted by omega_substitute, innermost
     first, until every spine has a variable head.  Each contraction drops a
-    lambda, its application and the binder's occurrences, so this ends."""
+    lambda, its application and the binder's occurrences, so this ends.  A
+    subterm without a redex comes back as it is."""
     match r:
         case RVar():
             return r
         case RLam(x, b, ann):
-            return RLam(x, contract(b), ann)
+            b2 = contract(b)
+            return r if b2 is b else RLam(x, b2, ann)
         case RApp(f, args):
-            f, args = contract(f), tuple(contract(a) for a in args)
-            if isinstance(f, RLam):
+            f2, args2 = contract(f), tuple(map(contract, args))
+            if isinstance(f2, RLam):
                 # a lambda argument may land at a head of the body
-                return contract(omega_substitute(RApp(f, args)))
-            return RApp(f, args)
+                return contract(omega_substitute(RApp(f2, args2)))
+            return r if f2 is f and args2 == args else RApp(f2, args2)
     raise TypeError(f"not a resource term: {r!r}")
 
 
@@ -362,9 +394,19 @@ def _witness_set(ctx: TypingContext, term: Term, theta: ResourceContext, alpha: 
         raise BudgetRequiredError(
             f"term {term_to_text(term)} is not beta-normal; witness enumeration needs a budget")
     start = {x: (seq, t, bags) for x, seq, t in theta.entries}
-    found = sorted((r for r, _ in _enum(term, start, alpha, budget if not normal else None,
-                                        frozenset(start))), key=resource_to_text)
-    return WitnessSet(ctx, term, (theta, alpha), tuple(found),
+    cut_budget = budget if not normal else None
+    # the derivations at a whole start context, sorted by their text, sit
+    # in the term's memo beside the enumerator's entries, whose keys have
+    # four components; a start context fixes the variables that are not
+    # free in the term too, which must be used up
+    memo = _term_info(term)[1]
+    key = (tuple(start.items()), alpha, cut_budget)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = tuple(sorted(
+            (r for r, _ in _enum(term, start, alpha, cut_budget, frozenset(start))),
+            key=resource_to_text))
+    return WitnessSet(ctx, term, (theta, alpha), found,
                       Exact() if normal else BoundedAt(budget))  # type: ignore[arg-type]
 
 
@@ -381,7 +423,8 @@ Ctx = dict[str, Entry]
 Found = list[tuple[ResourceTerm, Ctx]]
 
 # term -> (its free variables, {(their entries, target, budget, which of
-# them must be used up): [(derivation, what it leaves of each entry)]})
+# them must be used up): [(derivation, what it leaves of each entry)]});
+# _witness_set keeps its sorted derivations in the same dict
 _enum_cache: dict = {}
 
 
@@ -427,7 +470,6 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
                 return _enum_spine(head.name, args, ctx, alpha, budget, must)
             assert isinstance(term, App)
             f, a = term.fn, term.arg
-            must_f = must - free_vars(a)
             out: Found = []
             if isinstance(a, Var):
                 y = a.name
@@ -436,7 +478,7 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
                     # the copies take an ordered pick of y's bag, and f
                     # runs on what they leave of it
                     cuts = _bag_cuts(seq, t)
-                    if y in must and y not in free_vars(f):
+                    if y in must and y not in _term_info(f)[0]:
                         cuts = [(cut, rest) for cut, rest in cuts if not rest]
                     for cut, rest in cuts:
                         copies = tuple(RVar(y, c) for c in cut)
@@ -446,8 +488,8 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
                     return out
                 # each copy of a bare variable consumes one element, so the
                 # cut is the window seq[i:j] of what f leaves of it
-                n = len(seq)
-                for i in range(n + 1) if y in free_vars(f) else (0,):
+                n, must_f = len(seq), must - {y}
+                for i in range(n + 1) if y in _term_info(f)[0] else (0,):
                     for j in (n,) if y in must else range(i, n + 1):
                         copies = tuple(RVar(y, c) for c in seq[i:j])
                         for rf, left in _enum(f, ctx, IArrow(seq[i:j], alpha), budget, must_f):
@@ -455,6 +497,7 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
                                 out.append((RApp(rf, copies), {**left, y: (seq[j:], t, False)}))
                 return out
             aty = typecheck(TypingContext(tuple((x, t) for x, (_, t, _) in ctx.items())), a)
+            must_f = must.difference(_term_info(a)[0])
             for abar in _bounded_seqs(aty, budget):
                 for rf, left in _enum(f, ctx, IArrow(abar, alpha), budget, must_f):
                     for m, rest in _enum_multi(a, left, abar, budget, must):
@@ -503,7 +546,7 @@ def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: IType,
             continue
         found: Found = [(RVar(name, label), {**ctx, name: (rest, t, bag)})]
         for j, (arg, dom) in enumerate(zip(args, doms)):
-            later = set().union(*map(free_vars, args[j + 1:]))
+            later = set().union(*(_term_info(a)[0] for a in args[j + 1:]))
             found = [(RApp(r, m), after) for r, left in found
                      for m, after in _enum_multi(arg, left, dom, budget, must - later)]
         out.extend(found)
@@ -578,41 +621,35 @@ def count_derivation_morphisms(r1: ResourceTerm, r2: ResourceTerm) -> int:
     return _count_contracted(c1, c1 if r2 is r1 else contract(r2))
 
 
-def _count_contracted(r1: ResourceTerm, r2: ResourceTerm) -> int:
+def _count_contracted(a: ResourceTerm, b: ResourceTerm, memo: dict | None = None) -> int:
     """count_derivation_morphisms on contracted derivations, whose spines
-    all have a variable head."""
-    memo: dict = {}
-    homs: dict = {}
-
-    def go(a: ResourceTerm, b: ResourceTerm) -> int:
-        key = (a, b)
-        if key not in memo:
-            memo[key] = count(a, b)
+    all have a variable head.  The memo keeps the counts between pairs of
+    subterms and, as count_homs_it keeps them, between pairs of labels."""
+    memo = {} if memo is None else memo
+    key = (a, b)
+    if key in memo:
         return memo[key]
-
-    def count(a: ResourceTerm, b: ResourceTerm) -> int:
-        match a, b:
-            case RVar(x, la), RVar(y, lb):
-                return count_homs_it(la, lb, homs) if x == y else 0
-            case RLam(x, ba, ta), RLam(y, bb, tb):
-                return go(ba, bb) if x == y and ta == tb else 0
-            case RApp(), RApp():
-                ha, multis_a = _rt_spine(a)
-                hb, multis_b = _rt_spine(b)
-                if ha.name != hb.name or len(multis_a) != len(multis_b):
-                    return 0
+    n = 0
+    match a, b:
+        case RVar(x, la), RVar(y, lb):
+            n = count_homs_it(la, lb, memo) if x == y else 0
+        case RLam(x, ba, ta), RLam(y, bb, tb):
+            n = _count_contracted(ba, bb, memo) if x == y and ta == tb else 0
+        case RApp(), RApp():
+            ha, multis_a = _rt_spine(a)
+            hb, multis_b = _rt_spine(b)
+            if ha.name == hb.name and len(multis_a) == len(multis_b):
                 ca, cb = ha.label, hb.label
                 for _ in multis_a:
                     ca, cb = ca.codomain, cb.codomain
-                n = count_homs_it(ca, cb, homs)
+                n = count_homs_it(ca, cb, memo)
                 for aa, bb in zip(multis_a, multis_b):
                     if not n or len(aa) != len(bb):
-                        return 0
-                    n *= permanent([[go(x, y) for y in bb] for x in aa])
-                return n
-        return 0
-
-    return go(r1, r2)
+                        n = 0
+                        break
+                    n *= permanent([[_count_contracted(x, y, memo) for y in bb] for x in aa])
+    memo[key] = n
+    return n
 
 
 def _rt_spine(r: ResourceTerm) -> tuple[ResourceTerm, list[tuple[ResourceTerm, ...]]]:
@@ -629,6 +666,7 @@ def symmetric(r1: ResourceTerm, r2: ResourceTerm) -> bool:
     return count_derivation_morphisms(r1, r2) > 0
 
 
+@fact
 def endo_count(r: ResourceTerm) -> int:
     """deg(r): the number of endomorphisms of r, counted, not listed."""
     return count_derivation_morphisms(r, r)

@@ -1,4 +1,4 @@
-"""Hash-consing of the package's trees.
+"""Hash-consing of the package's trees, and the facts kept on their nodes.
 
 Simple types and terms (syntax), rigid types (rigidtypes) and resource
 terms (derivation) are immutable trees built bottom-up.  Their classes
@@ -11,11 +11,23 @@ of interned nodes.
 
 The table holds its nodes weakly: a node lives as long as something else
 holds it, and its entry goes when it dies.
+
+A fact is a pure function of one node, such as a type's canonical form or
+a resource term's result type.  A function decorated with @fact computes
+its value once per node and keeps it in a slot of the node named after the
+function.  The node's family declares that slot: an intermediate base
+between Node and the family's classes whose __slots__ names its facts.  A
+fact lives in its node, so it dies with it; no table outside the nodes
+keeps one.  A fact never points back at its node: a value that is the node
+itself is kept as a marker, so no fact makes a reference cycle that only
+the cyclic collector could free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
+from operator import attrgetter
 import inspect
 from weakref import ref
 
@@ -29,6 +41,10 @@ class _Entry(ref):
 # (class, *fields) -> a weak reference to the one node with those fields
 _table: dict[tuple, _Entry] = {}
 
+# a fact slot not filled yet, and one whose fact is the node itself
+_UNSET = object()
+_SELF = object()
+
 
 def _drop(entry: _Entry, table=_table) -> None:
     # table is bound here so that nodes dying while the interpreter tears
@@ -41,7 +57,8 @@ def _drop(entry: _Entry, table=_table) -> None:
 class _Interning(type):
     """The metaclass of Node.  Each subclass becomes a frozen, slotted
     dataclass without eq or hash, so its instances compare and hash by
-    identity, and building one returns the interned node."""
+    identity, and building one returns the interned node.  A subclass that
+    declares __slots__ itself is a family's base, and its slots are facts."""
 
     def __new__(mcls, name, bases, namespace):
         cls = super().__new__(mcls, name, bases, namespace)
@@ -49,6 +66,13 @@ class _Interning(type):
         # __slots__ set
         if bases and "__slots__" not in namespace:
             cls = dataclass(frozen=True, eq=False, slots=True)(cls)
+            facts = tuple(s for base in cls.__mro__[1:]
+                          for s in base.__dict__.get("__slots__", ()) if s != "__weakref__")
+            # a new node gets its fields, then every fact slot unfilled; a
+            # slot's own setter skips the frozen __setattr__
+            cls._setters = tuple(getattr(cls, s).__set__
+                                 for s in cls.__match_args__ + facts)
+            cls._unset = (_UNSET,) * len(facts)
         return cls
 
     def __call__(cls, *args, **kwargs):
@@ -61,8 +85,8 @@ class _Interning(type):
         node = entry() if entry is not None else None
         if node is None:
             node = object.__new__(cls)
-            for name, value in zip(cls.__match_args__, args):
-                object.__setattr__(node, name, value)
+            for set_slot, value in zip(cls._setters, args + cls._unset):
+                set_slot(node, value)
             entry = _table[key] = _Entry(node, _drop)
             entry.key = key
         return node
@@ -81,3 +105,25 @@ class Node(metaclass=_Interning):
 
     def __deepcopy__(self, memo):
         return self
+
+
+def fact(fn):
+    """Keep fn(node) in the node's slot named fn.__name__, computed on the
+    first call for that node.  On anything without that slot, fn runs
+    uncached and reports the argument it cannot take."""
+    name = fn.__name__
+    read = attrgetter(name)
+
+    @wraps(fn)
+    def get(node):
+        try:
+            value = read(node)
+        except AttributeError:
+            return fn(node)
+        if value is _UNSET:
+            value = fn(node)
+            object.__setattr__(node, name, _SELF if value is node else value)
+            return value
+        return node if value is _SELF else value
+
+    return get

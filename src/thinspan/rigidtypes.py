@@ -7,8 +7,9 @@ representation: a multiset type is the canonical rigid type, every
 sequence sorted under a fixed total order.  Rigid types are interned
 (interning.Node): equal types are one object, so equality is identity,
 and two multiset types are equal exactly when their canonical types are
-the same object.  The [...] notation parses to and prints canonical
-types.
+the same object.  A type's order key, its canonical form and its symmetry
+degrees are facts (interning.fact): each is computed once and kept on the
+type.  The [...] notation parses to and prints canonical types.
 
 A sequence type is represented as a bare tuple of ITypes.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import re
 
-from .interning import Node
+from .interning import Node, fact
 from .syntax import Arrow, Base, SimpleType, TypingContext, type_to_text
 
 
@@ -29,12 +30,19 @@ class RefinementError(Exception):
 ####################################################################
 # rigid types
 
-class Star(Node):
+class _ITNode(Node):
+    """A rigid type, with slots for its facts: key_it, canonicalize_it and
+    symmetry._degrees_it."""
+
+    __slots__ = ("key_it", "canonicalize_it", "_degrees_it")
+
+
+class Star(_ITNode):
     def __repr__(self) -> str:
         return "*"
 
 
-class IArrow(Node):
+class IArrow(_ITNode):
     domain: tuple["IType", ...]
     codomain: "IType"
 
@@ -54,6 +62,7 @@ STAR = Star()
 # star sorts before arrows; arrows sort by domain length, then by the
 # domain components lexicographically, then by the codomain.
 
+@fact
 def key_it(a: IType):
     match a:
         case Star():
@@ -83,6 +92,7 @@ def refines_seq(seq: SeqType, t: SimpleType) -> bool:
 ####################################################################
 # canonical representatives
 
+@fact
 def canonicalize_it(a: IType) -> IType:
     """Sort every sequence after canonicalizing its components."""
     match a:
@@ -98,7 +108,7 @@ def canonicalize_seq(seq: SeqType) -> SeqType:
 
 
 def is_canonical(a: IType) -> bool:
-    return canonicalize_it(a) == a
+    return canonicalize_it(a) is a
 
 
 ####################################################################

@@ -50,6 +50,7 @@ from functools import lru_cache
 from itertools import chain, combinations_with_replacement, groupby, permutations, product
 from math import factorial, prod
 
+from .interning import fact
 from .syntax import Arrow, Base, SimpleType
 from .rigidtypes import (
     IArrow, IType, ResourceContext, SeqType, Star, STAR,
@@ -522,6 +523,7 @@ def sym_degrees_ctx(theta: ResourceContext) -> Degrees:
                    prod(d.negative for d in entries))
 
 
+@fact
 def _degrees_it(a: IType) -> Degrees:
     match a:
         case Star():

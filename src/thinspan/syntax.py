@@ -8,7 +8,8 @@ are keyed by variable name, so shadowing is never allowed to survive.
 Simple types and terms are interned (interning.Node): equal trees are one
 object, so equality is identity and a term or type hashes in constant
 time however deep it is.  Alpha-equivalent terms with different binder
-names are different trees; alpha_eq compares them.
+names are different trees; alpha_eq compares them.  Whether a term is
+beta-normal is a fact (interning.fact), computed once and kept on it.
 
 Binder annotations are optional in the concrete syntax.  An unannotated
 binder is only legal when the full simple type of the term is supplied,
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import re
 
-from .interning import Node
+from .interning import Node, fact
 
 
 class ParseError(Exception):
@@ -68,16 +69,22 @@ def type_to_text(t: SimpleType) -> str:
 ####################################################################
 # terms
 
-class Var(Node):
+class _TermNode(Node):
+    """A term, with a slot for its fact is_beta_normal."""
+
+    __slots__ = ("is_beta_normal",)
+
+
+class Var(_TermNode):
     name: str
 
 
-class App(Node):
+class App(_TermNode):
     fn: "Term"
     arg: "Term"
 
 
-class Lam(Node):
+class Lam(_TermNode):
     binder: str
     body: "Term"
     annot: SimpleType | None = None
@@ -332,19 +339,23 @@ def fresh_name(base: str, taken: set[str]) -> str:
 
 
 def ensure_distinct_binders(t: Term, reserved: set[str] | None = None) -> Term:
-    """Rename binders so all are distinct from each other and from free vars."""
-    taken = set(free_vars(t)) | (reserved or set())
+    """Rename binders so all are distinct from each other, from free vars and
+    from reserved.  A subterm that needs no renaming comes back as it is."""
+    taken = free_vars(t) | (reserved or set())
 
     def go(t: Term, env: dict[str, str]) -> Term:
         match t:
             case Var(x):
-                return Var(env.get(x, x))
+                x2 = env.get(x, x)
+                return t if x2 == x else Var(x2)
             case App(f, a):
-                return App(go(f, env), go(a, env))
+                f2, a2 = go(f, env), go(a, env)
+                return t if f2 is f and a2 is a else App(f2, a2)
             case Lam(x, b, ann):
                 x2 = fresh_name(x, taken)
                 taken.add(x2)
-                return Lam(x2, go(b, {**env, x: x2}), ann)
+                b2 = go(b, {**env, x: x2})
+                return t if x2 == x and b2 is b else Lam(x2, b2, ann)
         raise TypeError(f"not a term: {t!r}")
 
     return go(t, {})
@@ -356,7 +367,8 @@ def ensure_distinct_binders(t: Term, reserved: set[str] | None = None) -> Term:
 def annotate(ctx: TypingContext, t: Term, expected: SimpleType | None = None) -> tuple[Term, SimpleType]:
     """Return a fully annotated copy of t together with its simple type.
 
-    With expected=None every binder must already carry an annotation.
+    With expected=None every binder must already carry an annotation.  A
+    subterm already annotated comes back as it is.
     """
     match t:
         case Var(x):
@@ -376,12 +388,14 @@ def annotate(ctx: TypingContext, t: Term, expected: SimpleType | None = None) ->
                     raise TypeCheckError(
                         f"binder {x!r} annotated {type_to_text(ann)} but expected {type_to_text(expected.domain)}")
                 b2, _ = annotate(ctx.extend(x, expected.domain), b, expected.codomain)
+                if b2 is b and ann is expected.domain:
+                    return t, expected
                 return Lam(x, b2, expected.domain), expected
             if ann is None:
                 raise TypeCheckError(
                     f"binder {x!r} lacks an annotation and no expected type is available")
             b2, bt = annotate(ctx.extend(x, ann), b, None)
-            return Lam(x, b2, ann), Arrow(ann, bt)
+            return t if b2 is b else Lam(x, b2, ann), Arrow(ann, bt)
         case App(f, a):
             if isinstance(f, Lam) and f.annot is None:
                 # redex with an unannotated binder: the argument determines it
@@ -396,7 +410,7 @@ def annotate(ctx: TypingContext, t: Term, expected: SimpleType | None = None) ->
             if expected is not None and ft.codomain != expected:
                 raise TypeCheckError(
                     f"application has type {type_to_text(ft.codomain)}, expected {type_to_text(expected)}")
-            return App(f2, a2), ft.codomain
+            return t if f2 is f and a2 is a else App(f2, a2), ft.codomain
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -426,6 +440,7 @@ def substitute(t: Term, x: str, s: Term) -> Term:
     raise TypeError(f"not a term: {t!r}")
 
 
+@fact
 def is_beta_normal(t: Term) -> bool:
     match t:
         case Var(_):
@@ -449,6 +464,8 @@ def _whnf(t: Term) -> Term:
 
 
 def _nf(t: Term) -> Term:
+    if is_beta_normal(t):
+        return t
     t = _whnf(t)
     match t:
         case Var(_):
@@ -461,9 +478,10 @@ def _nf(t: Term) -> Term:
     raise TypeError(f"not a term: {t!r}")
 
 
-def beta_normalize(t: Term) -> Term:
-    """Leftmost-outermost reduction to beta-normal form, then re-freshened."""
-    return ensure_distinct_binders(_nf(t))
+def beta_normalize(t: Term, reserved: set[str] | None = None) -> Term:
+    """Leftmost-outermost reduction to beta-normal form, then re-freshened:
+    binders distinct from each other, from free vars and from reserved."""
+    return ensure_distinct_binders(_nf(t), reserved)
 
 
 ####################################################################

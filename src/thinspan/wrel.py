@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .syntax import (
     Lam, Term, TypingContext, Var,
-    annotate, beta_normalize, ensure_distinct_binders, free_vars, spine,
+    annotate, beta_normalize, free_vars, spine,
 )
 from .rigidtypes import IArrow, IType, PointSpec, SeqType, canonicalize_point
 
@@ -57,7 +57,7 @@ def wrel_coefficient(ctx: TypingContext, term: Term, point: PointSpec) -> NatInf
     term, ty = annotate(ctx, term)
     gamma, result = canonicalize_point(point, ctx, ty)
     # renaming keeps binders clear of context names after reduction
-    nf = ensure_distinct_binders(beta_normalize(term), set(ctx.names()))
+    nf = beta_normalize(term, set(ctx.names()))
     env = {x: seq for x, seq, _ in gamma.entries}
     fvs = _term_info(nf)[0]
     if any(seq for x, seq in env.items() if x not in fvs):

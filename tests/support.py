@@ -6,9 +6,11 @@ from __future__ import annotations
 import importlib.util
 import json
 import random
+from contextlib import contextmanager
 from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
+from thinspan import interning
 from thinspan.syntax import (
     App, Arrow, Base, Lam, SimpleType, TypingContext, Var, annotate, beta_normalize,
     ensure_distinct_binders, is_beta_normal, parse_context, parse_simple_type, parse_term, spine,
@@ -36,6 +38,24 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@contextmanager
+def built_nodes():
+    """The classes of the interned nodes built inside the block, in order,
+    whether the table had an equal node or not."""
+    built = []
+    call = interning._Interning.__call__
+
+    def counted(cls, *args, **kwargs):
+        built.append(cls)
+        return call(cls, *args, **kwargs)
+
+    interning._Interning.__call__ = counted
+    try:
+        yield built
+    finally:
+        interning._Interning.__call__ = call
 
 
 def load_corpus() -> list[dict]:

@@ -11,6 +11,7 @@ instead of timing anything.
 """
 
 import importlib
+import sys
 from math import factorial
 
 import pytest
@@ -91,6 +92,35 @@ def test_degrees_and_witness_morphisms_enumerate_nothing(monkeypatch):
     assert thinspan.symmetry.sym_degrees_it(a, ty).total == 1
     thetas = thinspan.symmetry.neg_targets_ctx(gamma)
     assert len(thetas) == 35
+
+
+# A type's order key, canonical form and degrees and a derivation's result
+# type and endomorphism count are kept on the node, and the enumerator keeps
+# each start context's sorted derivations: asked again while the first
+# report holds its nodes, a query contracts nothing, renders no derivation
+# and computes no degree.  The subject has one witness, since the partition
+# contracts two witnesses each time it compares them.
+def test_repeated_query_recomputes_no_fact():
+    ctx, term, _, pt = point_subject(*symmetric_point(3))
+    first = verify_identities(ctx, term, pt)
+    assert first.ok and first.report.wit_plus == 1
+    bodies = {thinspan.derivation.contract.__code__,
+              thinspan.derivation.resource_to_text.__code__,
+              thinspan.symmetry._degrees_it.__wrapped__.__code__}
+    ran = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in bodies:
+            ran.append(frame.f_code.co_name)
+
+    ctx, term, _, pt = point_subject(*symmetric_point(3))
+    sys.setprofile(profile)
+    try:
+        second = verify_identities(ctx, term, pt)
+    finally:
+        sys.setprofile(None)
+    assert second.ok and second.report.witnesses == first.report.witnesses
+    assert ran == []
 
 
 def refuse_morphisms(monkeypatch):

@@ -24,8 +24,9 @@ from thinspan.groupoid import (
 from thinspan.collapse import positive_witnesses, verify_identities
 
 from support import (
-    church_point, distinct_g_point, entry_budget, fanout_point, load_corpus, parse_entry,
-    generated_points, per_target_witnesses, point_subject, split_witnesses, symmetric_point,
+    built_nodes, church_point, distinct_g_point, entry_budget, fanout_point, load_corpus,
+    parse_entry, generated_points, per_target_witnesses, point_subject, split_witnesses,
+    symmetric_point,
 )
 
 S = Star()
@@ -178,6 +179,44 @@ def test_rt_basics():
     theta = rt_context(tuple(ctx.bindings), r)
     assert theta.lookup("g") == tuple(labels) and theta.lookup("y") == (S, S)
     assert rt_context((), r) == ResourceContext()
+
+
+def test_rt_context_gathers_every_entry_in_one_walk():
+    # each entry lists the labels rt_occurrence_labels gives its variable,
+    # on every witness of the corpus and of the generated points, and under
+    # an inner binder of the same name
+    checked = 0
+    subjects = [(e, *parse_entry(e)) for e in CORPUS] + list(generated_points())
+    for entry, ctx, term, _, point in subjects:
+        budget = None if is_beta_normal(term) else entry_budget(entry)
+        for w in positive_witnesses(ctx, term, point, budget).witnesses:
+            theta = rt_context(tuple(ctx.bindings), w.derivation)
+            assert theta.names() == ctx.names()
+            for x, seq, _ in theta.entries:
+                assert seq == tuple(rt_occurrence_labels(w.derivation, x)), entry["name"]
+            checked += 1
+    assert checked >= 70, checked
+    r = RApp(RVar("x", IArrow((S,), S)), (RApp(RLam("x", RVar("x", S), Base()), (RVar("x", S),)),))
+    shape = (("x", Base()), ("z", Base()))
+    assert rt_context(shape, r).entries == (("x", (IArrow((S,), S), S), Base()), ("z", (), Base()))
+
+
+def test_contract_returns_a_redex_free_derivation_itself():
+    seen = {"redex-free": 0, "with a redex": 0}
+    for entry in CORPUS:
+        ctx, term, _, point = parse_entry(entry)
+        budget = None if is_beta_normal(term) else entry_budget(entry)
+        for w in positive_witnesses(ctx, term, point, budget).witnesses:
+            r = w.derivation
+            if has_redex(r):
+                assert contract(r) is not r and not has_redex(contract(r))
+                seen["with a redex"] += 1
+            else:
+                with built_nodes() as built:
+                    assert contract(r) is r, entry["name"]
+                assert built == [], entry["name"]
+                seen["redex-free"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_dm_occurrences_match_context_entries():

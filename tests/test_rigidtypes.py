@@ -8,12 +8,12 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
-from thinspan import derivation, rigidtypes, syntax
+from thinspan import derivation, rigidtypes, symmetry, syntax
 from thinspan.syntax import Base, parse_context, parse_simple_type
 from thinspan.rigidtypes import (
     IArrow, PointSpec, RefinementError, ResourceContext, Star,
     canonicalize_ctx, canonicalize_it, canonicalize_point,
-    ctx_refines, ctx_to_text, is_canonical, it_to_text,
+    ctx_refines, ctx_to_text, is_canonical, it_to_text, key_it,
     mit_to_text, parse_itype, parse_mit, parse_mset,
     point_from_json, point_to_json, refines,
 )
@@ -47,6 +47,29 @@ def test_tree_nodes_compare_and_hash_by_identity():
     ref = weakref.ref(derivation.RVar("only_here_in_this_test", S))
     gc.collect()
     assert ref() is None
+
+
+def test_facts_are_kept_and_make_no_cycles():
+    # a fact is computed once and kept on its node; a canonical type is its
+    # own canonical form, yet keeping that makes no reference cycle, so
+    # with the cyclic collector off the nodes die as soon as they are dropped
+    gc.disable()
+    try:
+        a = IArrow((S,) * 6, IArrow((S,) * 5, S))
+        r = derivation.RVar("only_in_the_fact_test", a)
+        t = syntax.Lam("only_in_the_fact_test", syntax.Var("only_in_the_fact_test"), O)
+        assert canonicalize_it(a) is a and is_canonical(a)
+        assert key_it(a) is key_it(a)
+        assert symmetry._degrees_it(a) is symmetry._degrees_it(a)
+        assert derivation.rt_type(r) is a
+        assert derivation.endo_count(r) == 720 * 120
+        assert derivation.endo_count(r) is derivation.endo_count(r)
+        assert syntax.is_beta_normal(t)
+        refs = [weakref.ref(node) for node in (a, r, t)]
+        del a, r, t
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def itypes(depth=3):

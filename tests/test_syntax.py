@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from support import built_nodes
 from thinspan import syntax
 from thinspan.syntax import (
     App, Arrow, Base, Lam, ParseError, TypeCheckError, Var,
@@ -150,3 +151,19 @@ def test_ensure_distinct_binders_respects_reserved():
     t2 = ensure_distinct_binders(t, {"x"})
     assert t2.binder != "x"
     assert alpha_eq(t, t2)
+
+
+def test_rewriters_return_an_unchanged_term_itself():
+    ctx = parse_context("g:o->o, y:o")
+    t, ty = annotate(ctx, parse_term("(\\f. \\x:o. f (f x)) g y"))
+    u = App(Lam("x", Var("x"), O), Lam("y", Var("y"), O))
+    with built_nodes() as built:
+        assert annotate(ctx, t)[0] is t and annotate(ctx, t, ty)[0] is t
+        assert ensure_distinct_binders(t) is t
+        assert ensure_distinct_binders(t, {"g", "y"}) is t
+    assert [cls for cls in built if cls in (Var, App, Lam)] == []
+    # only the path to a renamed binder is rebuilt
+    with built_nodes() as built:
+        v = ensure_distinct_binders(u, {"y"})
+    assert v is not u and v.fn is u.fn and v.arg.binder != "y"
+    assert built == [Var, Lam, App]
