@@ -2,10 +2,11 @@
 
 The package interprets a simply-typed term at a point (a multiset context
 and result type), enumerates the rigid derivations witnessing the point,
-partitions them into symmetry classes by counting the morphisms between
-them, and checks that the resulting counts agree with the
-weighted-relational coefficient.  The groupoid of derivation morphisms is
-listed only by the reference module groupoid, which no query uses.
+partitions them into symmetry classes by the multiset collapse of their
+contracta, counts each class's endomorphisms, and checks that the
+resulting counts agree with the weighted-relational coefficient.  The
+groupoid of derivation morphisms is listed only by the reference module
+groupoid, which no query uses.
 """
 
 from .syntax import (
@@ -24,7 +25,7 @@ from .symmetry import (
 from .derivation import (
     BudgetRequiredError, DerivationError, WitnessSet,
     check_derivation, enumerate_witnesses, multiset_collapse_term, partition_by_symmetry,
-    resource_to_text, rt_context, rt_type, symmetric,
+    resource_to_text, rt_context, rt_type,
 )
 from .groupoid import enumerate_derivation_morphisms
 from .wrel import NatInf, wrel_coefficient

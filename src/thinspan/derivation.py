@@ -22,8 +22,8 @@ context entry of a variable lists the labels of its occurrences left to
 right (rt_context), and the result is rt_type.  check_derivation validates
 a resource term against the term it derives.  Resource terms are interned
 (interning.Node), like the terms and labels they are built from: equal
-derivations are one object, and equality is identity.  rt_type and
-endo_count are facts (interning.fact), computed once and kept on the
+derivations are one object, and equality is identity.  rt_type, contract
+and endo_count are facts (interning.fact), computed once and kept on the
 resource term.
 
 Contexts are linear: each element is consumed by exactly one occurrence,
@@ -39,19 +39,27 @@ finds the derivations at every rigid context a negative morphism reaches
 from it, and each derivation's context is read off its labels.  Binders
 stay sequences.
 
-A symmetry class's degree (the number of endomorphisms of one of its
-derivations) and the test for symmetry count morphisms without listing
-them.  Under a variable head, the argument multis fix the head's label
-morphism on every domain, so a spine counts the morphisms between the
-head's codomains times a permanent per multi.  A redex counts as its
-contractum.  The morphisms themselves, and their listing, are in the
-reference module groupoid, which no query uses.
+A symmetry class's degree, the number of endomorphisms of one of its
+derivations, is counted without listing them: under a variable head the
+argument multis fix the head's label morphism on every domain, so a spine
+counts the morphisms between the head's codomains times a permanent per
+multi.  The morphisms themselves, and their listing, are in the reference
+module groupoid, which no query uses.  Two derivations are symmetric (some
+morphism joins them) iff their contracta have the same multiset collapse,
+the paper's quotient to multiset resource terms, because
+  - a label hom-set is non-empty iff both labels have one canonical form;
+  - a permanent of counts is non-zero iff the copies match in some order;
+  - a redex counts as its contractum.
+So that collapse keys the classes.  Contracting comes first: a redex's
+collapse forgets which copy meets which occurrence of its binder, so
+(\\y. x <y> <y>) <z, w> and (\\y. x <y> <y>) <w, z> collapse alike but
+admit no morphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import product
 
 from .interning import Node, fact
@@ -82,9 +90,9 @@ Shape = tuple[tuple[str, SimpleType], ...]
 # resource terms
 
 class _RTNode(Node):
-    """A resource term, with slots for its facts rt_type and endo_count."""
+    """A resource term, with slots for its facts rt_type, contract, endo_count."""
 
-    __slots__ = ("rt_type", "endo_count")
+    __slots__ = ("rt_type", "contract", "endo_count")
 
 
 class RVar(_RTNode):
@@ -261,22 +269,28 @@ def omega_substitute(r: ResourceTerm) -> ResourceTerm:
     return go(body)
 
 
+@fact
 def contract(r: ResourceTerm) -> ResourceTerm:
     """r's normal form: every redex contracted by omega_substitute, innermost
     first, until every spine has a variable head.  Each contraction drops a
     lambda, its application and the binder's occurrences, so this ends.  A
-    subterm without a redex comes back as it is."""
+    subterm without a redex comes back as it is.  Kept on r alone: kept on
+    its subterms, the partial contracta would live as long as r."""
+    return _contract(r)
+
+
+def _contract(r: ResourceTerm) -> ResourceTerm:
     match r:
         case RVar():
             return r
         case RLam(x, b, ann):
-            b2 = contract(b)
+            b2 = _contract(b)
             return r if b2 is b else RLam(x, b2, ann)
         case RApp(f, args):
-            f2, args2 = contract(f), tuple(map(contract, args))
+            f2, args2 = _contract(f), tuple(map(_contract, args))
             if isinstance(f2, RLam):
                 # a lambda argument may land at a head of the body
-                return contract(omega_substitute(RApp(f2, args2)))
+                return _contract(omega_substitute(RApp(f2, args2)))
             return r if f2 is f and args2 == args else RApp(f2, args2)
     raise TypeError(f"not a resource term: {r!r}")
 
@@ -378,6 +392,8 @@ def enumerate_bag_witnesses(ctx: TypingContext, term: Term, gamma: ResourceConte
 
 def _witness_set(ctx: TypingContext, term: Term, theta: ResourceContext, alpha: IType,
                  budget: int | None, bags: bool) -> WitnessSet:
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise DerivationError(f"budget must be a non-negative integer, got {budget!r}")
     term, ty = annotate(ctx, term)
     bs = binders(term)
     if len(set(bs)) != len(bs) or set(bs) & set(ctx.names()):
@@ -615,10 +631,9 @@ def count_derivation_morphisms(r1: ResourceTerm, r2: ResourceTerm) -> int:
     morphism of Ni.  The rules see a node's morphism only through its result
     morphism, so this is a bijection, in any context around the redex, and
     contracting every redex keeps the count.  So both derivations are
-    contracted first, and each once.
+    contracted first.
     """
-    c1 = contract(r1)
-    return _count_contracted(c1, c1 if r2 is r1 else contract(r2))
+    return _count_contracted(contract(r1), contract(r2))
 
 
 def _count_contracted(a: ResourceTerm, b: ResourceTerm, memo: dict | None = None) -> int:
@@ -661,11 +676,6 @@ def _rt_spine(r: ResourceTerm) -> tuple[ResourceTerm, list[tuple[ResourceTerm, .
     return r, multis[::-1]
 
 
-def symmetric(r1: ResourceTerm, r2: ResourceTerm) -> bool:
-    """Whether some morphism r1 -> r2 exists, by counting them."""
-    return count_derivation_morphisms(r1, r2) > 0
-
-
 @fact
 def endo_count(r: ResourceTerm) -> int:
     """deg(r): the number of endomorphisms of r, counted, not listed."""
@@ -673,17 +683,10 @@ def endo_count(r: ResourceTerm) -> int:
 
 
 def partition_by_symmetry(derivations) -> tuple[tuple[ResourceTerm, ...], ...]:
-    """Group derivations of a common term into symmetry classes, comparing
-    each with the first member of every class found so far by counting the
-    morphisms between them.  A derivation is contracted when it is first
-    compared, and only then."""
-    classes: list[list[ResourceTerm]] = []
-    contracted = cache(contract)
+    """Group derivations of a common term into symmetry classes, in the
+    order of their first members, keyed by the multiset collapse of their
+    contracta; no morphism is counted."""
+    classes: dict[ResourceTerm, list[ResourceTerm]] = {}
     for r in derivations:
-        for cls in classes:
-            if _count_contracted(contracted(cls[0]), contracted(r)):
-                cls.append(r)
-                break
-        else:
-            classes.append([r])
-    return tuple(tuple(cls) for cls in classes)
+        classes.setdefault(multiset_collapse_term(contract(r)), []).append(r)
+    return tuple(map(tuple, classes.values()))

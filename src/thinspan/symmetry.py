@@ -174,14 +174,6 @@ def tgt_seq(sm: SeqMorphism) -> SeqType:
     return tuple(out)  # type: ignore[arg-type]
 
 
-def src_ctx(cm: CtxMorphism) -> ResourceContext:
-    return ResourceContext(tuple((x, src_seq(sm), t) for x, sm, t in cm.entries))
-
-
-def tgt_ctx(cm: CtxMorphism) -> ResourceContext:
-    return ResourceContext(tuple((x, tgt_seq(sm), t) for x, sm, t in cm.entries))
-
-
 ####################################################################
 # groupoid operations
 

@@ -21,7 +21,8 @@ from thinspan.rigidtypes import (
     canonicalize_seq, key_it, point_from_json,
 )
 from thinspan.derivation import (
-    RApp, RLam, RVar, _bounded_seqs, enumerate_witnesses, resource_to_text, rt_context, rt_type,
+    RApp, RLam, RVar, _bounded_seqs, count_derivation_morphisms, enumerate_witnesses,
+    resource_to_text, rt_context, rt_type,
 )
 from thinspan.symmetry import (
     Degrees, enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_negative_it,
@@ -229,6 +230,26 @@ def per_target_witnesses(ctx, term, gamma: ResourceContext, a: IType, budget=Non
     return [(theta, alpha, d) for theta in neg_targets_ctx(gamma)
             for alpha in pos_sources_it(a, ty)
             for d in enumerator(ctx, term, theta, alpha, budget)]
+
+
+# The symmetry partition that compared witnesses pairwise: each with the
+# first member of every class found so far, by the morphisms between them.
+# partition_by_symmetry keys each witness by the multiset collapse of its
+# contractum instead; this is its oracle.
+
+def pairwise_partition(derivations, morphisms=count_derivation_morphisms) -> tuple:
+    """The symmetry classes of derivations, in the order of their first
+    members: r joins the first class whose first member c has
+    morphisms(c, r), a count or a listing, non-zero."""
+    classes: list[list] = []
+    for r in derivations:
+        for cls in classes:
+            if morphisms(cls[0], r):
+                cls.append(r)
+                break
+        else:
+            classes.append([r])
+    return tuple(tuple(c) for c in classes)
 
 
 # brute-force reachability: every placement of every choice, then deduplicate

@@ -8,8 +8,7 @@ import random
 import time
 
 from thinspan.syntax import (
-    annotate, beta_normalize, is_beta_normal, parse_context, parse_simple_type,
-    parse_term,
+    annotate, is_beta_normal, parse_context, parse_simple_type, parse_term,
 )
 from thinspan.rigidtypes import IArrow, Star, canonicalize_point, parse_itype, point_from_json
 from thinspan.symmetry import (
@@ -17,7 +16,9 @@ from thinspan.symmetry import (
     is_positive_it, polar_factorize_it, pos_targets_it, src_it, sym_degrees_ctx,
     sym_degrees_it, tgt_it,
 )
-from thinspan.derivation import RApp, RLam, RVar, multiset_collapse_term, symmetric
+from thinspan.derivation import (
+    RApp, RLam, RVar, count_derivation_morphisms, multiset_collapse_term,
+)
 from thinspan.groupoid import compose_dm, enumerate_derivation_morphisms, identity_dm, invert_dm
 from thinspan.wrel import wrel_coefficient
 from thinspan.collapse import esp_explicit, positive_witnesses, verify_identities
@@ -215,7 +216,7 @@ def test_symmetry_matches_multiset_collapse_on_normal_forms():
         rs = [pw.derivation for pw in rep.witnesses]
         for i in range(len(rs)):
             for j in range(i + 1, len(rs)):
-                same_class = symmetric(rs[i], rs[j])
+                same_class = count_derivation_morphisms(rs[i], rs[j]) > 0
                 same_collapse = multiset_collapse_term(rs[i]) == multiset_collapse_term(rs[j])
                 assert same_class == same_collapse, entry["name"]
                 pairs += 1
@@ -228,22 +229,6 @@ def test_symmetry_matches_multiset_collapse_on_normal_forms():
     m2 = RApp(cut, (RVar("w", S), RVar("z", S)))
     assert multiset_collapse_term(m1) == multiset_collapse_term(m2)
     assert enumerate_derivation_morphisms(m1, m2) == ()
+    assert count_derivation_morphisms(m1, m2) == 0
     print(f"PASS collapse correspondence: {pairs} beta-normal witness pairs, "
           f"plus the strictness example at a cut")
-
-
-def test_counts_survive_reduction():
-    checked = 0
-    for entry in CORPUS:
-        ctx, term, ty, point = parse_entry(entry)
-        if is_beta_normal(term):
-            continue
-        b = entry_budget(entry)
-        at_b = positive_witnesses(ctx, term, point, b).wit_plus
-        at_b1 = positive_witnesses(ctx, term, point, b + 1).wit_plus
-        nf = beta_normalize(term)
-        exact = positive_witnesses(ctx, nf, point).wit_plus
-        assert at_b == at_b1 == exact, entry["name"]
-        checked += 1
-    print(f"PASS reduction invariance: witness counts stable across budgets "
-          f"and equal to the normal form's on {checked} subjects")

@@ -40,6 +40,26 @@ def test_traced_names_resolve():
         assert callable(getattr(target, name, None)), f"thinspan.{module}.{name}"
 
 
+# The tracer installs on the live modules, and a query reaches the layers it
+# times through the names it replaces: collapse calls the partition and the
+# class degrees through its own module globals.
+def test_tracer_installs_and_sees_every_layer(monkeypatch):
+    tracing = load_tracing()
+    modules = {"collapse": thinspan.collapse, "wrel": thinspan.wrel}
+    for module, name, _ in tracing.WRAPPED:
+        # put back when the test ends, once the tracer has replaced it
+        monkeypatch.setattr(modules[module], name, getattr(modules[module], name))
+    tracer = tracing.Tracer()
+    tracer.install(modules)
+    ctx, term, _, pt = point_subject(*fanout_point(2))
+    checked = verify_identities(ctx, term, pt)
+    assert checked.ok
+    names = [span[3] for span in tracer.spans]
+    assert {"positive_witnesses", "esp_explicit", "wrel_coefficient"} <= set(names)
+    assert names.count("partition_by_symmetry") == 1
+    assert names.count("endo_count") == len(checked.report.classes)
+
+
 def test_coefficient_is_a_plain_int():
     entry = load_corpus()[0]
     ctx, term, _, point = parse_entry(entry)
@@ -95,16 +115,12 @@ def test_degrees_and_witness_morphisms_enumerate_nothing(monkeypatch):
 
 
 # A type's order key, canonical form and degrees and a derivation's result
-# type and endomorphism count are kept on the node, and the enumerator keeps
-# each start context's sorted derivations: asked again while the first
-# report holds its nodes, a query contracts nothing, renders no derivation
-# and computes no degree.  The subject has one witness, since the partition
-# contracts two witnesses each time it compares them.
+# type, contractum and endomorphism count are kept on the node, and the
+# enumerator keeps each start context's sorted derivations: asked again
+# while the first report holds its nodes, a query contracts nothing, renders
+# no derivation and computes no degree.
 def test_repeated_query_recomputes_no_fact():
-    ctx, term, _, pt = point_subject(*symmetric_point(3))
-    first = verify_identities(ctx, term, pt)
-    assert first.ok and first.report.wit_plus == 1
-    bodies = {thinspan.derivation.contract.__code__,
+    bodies = {thinspan.derivation.contract.__wrapped__.__code__,
               thinspan.derivation.resource_to_text.__code__,
               thinspan.symmetry._degrees_it.__wrapped__.__code__}
     ran = []
@@ -113,14 +129,18 @@ def test_repeated_query_recomputes_no_fact():
         if event == "call" and frame.f_code in bodies:
             ran.append(frame.f_code.co_name)
 
-    ctx, term, _, pt = point_subject(*symmetric_point(3))
-    sys.setprofile(profile)
-    try:
-        second = verify_identities(ctx, term, pt)
-    finally:
-        sys.setprofile(None)
-    assert second.ok and second.report.witnesses == first.report.witnesses
-    assert ran == []
+    for point, witnesses in ((symmetric_point(3), 1), (fanout_point(2), 2)):
+        ctx, term, _, pt = point_subject(*point)
+        first = verify_identities(ctx, term, pt)
+        assert first.ok and first.report.wit_plus == witnesses
+        ctx, term, _, pt = point_subject(*point)
+        sys.setprofile(profile)
+        try:
+            second = verify_identities(ctx, term, pt)
+        finally:
+            sys.setprofile(None)
+        assert second.ok and second.report.witnesses == first.report.witnesses
+        assert ran == [], point
 
 
 def refuse_morphisms(monkeypatch):
@@ -136,11 +156,11 @@ def refuse_listings(monkeypatch):
         monkeypatch.setattr(thinspan.symmetry, name, refuse)
 
 
-# Class degrees and the symmetry test count derivation morphisms, a redex
-# by its contractum, and list none of them nor any hom-set; no query builds
-# a type morphism at all.  The one class endomorphism group at symmetric
-# n = 8 has 8! elements; listing the morphisms of the Church k = 9 witness
-# went through 9! permutations.
+# Class degrees count derivation morphisms, a redex by its contractum, and
+# list none of them nor any hom-set; no query builds a type morphism at all.
+# The one class endomorphism group at symmetric n = 8 has 8! elements;
+# listing the morphisms of the Church k = 9 witness went through 9!
+# permutations.
 def test_classes_list_no_morphisms(monkeypatch):
     refuse_listings(monkeypatch)
     refuse_morphisms(monkeypatch)
@@ -158,6 +178,40 @@ def test_classes_list_no_morphisms(monkeypatch):
         budget = None if is_beta_normal(term) else entry_budget(entry)
         rep = verify_identities(ctx, term, point, budget, expected=entry["expected"])
         assert rep.ok, entry["name"]
+
+
+# The classes are keyed by the multiset collapse of each witness's
+# contractum: forming them counts no derivation morphism, and each class's
+# degree is counted once.  Distinct-g k = 6 has 720 witnesses in one class.
+def test_partition_counts_no_morphisms(monkeypatch):
+    partition = thinspan.derivation.partition_by_symmetry
+    endo_count = thinspan.derivation.endo_count
+    endos = []
+
+    def keyed(derivations):
+        with monkeypatch.context() as m:
+            m.setattr(thinspan.derivation, "_count_contracted", refuse)
+            return partition(derivations)
+
+    def counted(r):
+        endos.append(r)
+        return endo_count(r)
+
+    monkeypatch.setattr(thinspan.collapse, "partition_by_symmetry", keyed)
+    monkeypatch.setattr(thinspan.collapse, "endo_count", counted)
+    subjects = []
+    for entry in load_corpus():
+        ctx, term, _, point = parse_entry(entry)
+        subjects.append((entry["name"], ctx, term, point,
+                         None if is_beta_normal(term) else entry_budget(entry)))
+    ctx, term, _, point = point_subject(*distinct_g_point(6))
+    subjects.append(("distinct-g-6", ctx, term, point, None))
+    for label, ctx, term, point, budget in subjects:
+        endos.clear()
+        rep = verify_identities(ctx, term, point, budget)
+        assert rep.ok, label
+        assert len(endos) == len(rep.report.classes), label
+    assert rep.report.wit_plus == factorial(6) and len(rep.report.classes) == 1
 
 
 # g^{<*^12>-o*} <y^*, ..., y^*> has 12! = 479,001,600 endomorphisms.

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,6 @@ from thinspan.derivation import (
     check_derivation, contract, count_derivation_morphisms, endo_count,
     enumerate_bag_witnesses, enumerate_witnesses, multiset_collapse_term, omega_substitute,
     partition_by_symmetry, resource_to_text, rt_context, rt_occurrence_labels, rt_type,
-    symmetric,
 )
 from thinspan.groupoid import (
     compose_dm, dm_app, dm_occurrences, enumerate_derivation_morphisms, identity_dm, invert_dm,
@@ -25,8 +25,8 @@ from thinspan.collapse import positive_witnesses, verify_identities
 
 from support import (
     built_nodes, church_point, distinct_g_point, entry_budget, fanout_point, load_corpus,
-    parse_entry, generated_points, per_target_witnesses, point_subject, split_witnesses,
-    symmetric_point,
+    pairwise_partition, parse_entry, generated_points, per_target_witnesses, point_subject,
+    split_witnesses, symmetric_point,
 )
 
 S = Star()
@@ -310,6 +310,18 @@ def test_budget_required_for_redexes():
     assert len(ws) == 1 and ws.completeness == BoundedAt(1)
 
 
+@pytest.mark.parametrize("budget", [-1, True, False, 2.0, "2"])
+def test_budget_must_be_a_non_negative_int(budget):
+    # also where the term is normal and no cut reads the budget
+    for point, term_budget in ((church_point(2), 2), (symmetric_point(2), None)):
+        ctx, term, _, pt = point_subject(*point)
+        assert verify_identities(ctx, term, pt, term_budget).ok
+        with pytest.raises(DerivationError, match="budget"):
+            verify_identities(ctx, term, pt, budget)
+        with pytest.raises(DerivationError, match="budget"):
+            positive_witnesses(ctx, term, pt, budget)
+
+
 def test_forced_cuts_ignore_budget():
     # the cut for a bare-variable argument is a window of that variable's
     # remaining elements, so even a three element cut appears at budget 1
@@ -413,10 +425,13 @@ def test_enumeration_validates_inputs():
 def test_symmetry_partition():
     _, _, ds = across_points("one-term-two-witnesses")
     d1, d2 = ds
-    assert symmetric(d1, d2)
+    assert count_derivation_morphisms(d1, d2) > 0
     assert partition_by_symmetry(ds) == ((d1, d2),)
     _, _, shared = across_points("shared-head-two-ways")
-    assert len(partition_by_symmetry(shared)) == 2
+    s1, s2 = shared
+    assert count_derivation_morphisms(s1, s2) == count_derivation_morphisms(s2, s1) == 0
+    assert partition_by_symmetry(shared) == ((s1,), (s2,))
+    assert partition_by_symmetry(()) == ()
 
 
 def nodes(r):
@@ -526,44 +541,33 @@ def morphism_count_subjects():
                None if is_beta_normal(term) else entry_budget(entry))
 
 
-def listed_partition(derivations):
-    """The symmetry classes of derivations, comparing each with the first
-    member of every class found so far by listing the morphisms between
-    them."""
-    classes: list[list] = []
-    for r in derivations:
-        for cls in classes:
-            if enumerate_derivation_morphisms(cls[0], r):
-                cls.append(r)
-                break
-        else:
-            classes.append([r])
-    return tuple(tuple(c) for c in classes)
-
-
 def test_morphism_count_matches_listing():
     # every witness with itself, and both ways with the two witnesses of the
     # same term before it, at its point or at the one before; at a subject
     # whose witnesses have a redex, every ordered pair of its first five
-    # witnesses, and the partition by counts against the one by listing
+    # witnesses; at every subject with several witnesses, the partition by
+    # the collapse key against the pairwise ones by counts and by listing
     seen = dict.fromkeys(("redex", "lambda-argument", "symmetric", "asymmetric"), 0)
-    redex_subjects = dict.fromkeys(("several witnesses", "several classes"), 0)
+    partitioned = dict.fromkeys(("several witnesses", "with a redex", "several classes"), 0)
     window: list = []
     last_term = None
     for label, ctx, term, point, budget in morphism_count_subjects():
         if term != last_term:
             window, last_term = [], term
         ds = [w.derivation for w in positive_witnesses(ctx, term, point, budget).witnesses]
-        if len(ds) > 1 and any(map(has_redex, ds)):
-            for x in ds[:5]:
-                for y in ds[:5]:
-                    assert count_derivation_morphisms(x, y) == len(
-                        enumerate_derivation_morphisms(x, y)), (
-                        label, resource_to_text(x), resource_to_text(y))
+        if len(ds) > 1:
             classes = partition_by_symmetry(ds)
-            assert classes == listed_partition(ds), label
-            redex_subjects["several witnesses"] += 1
-            redex_subjects["several classes"] += len(classes) > 1
+            assert classes == pairwise_partition(ds), label
+            assert classes == pairwise_partition(ds, enumerate_derivation_morphisms), label
+            partitioned["several witnesses"] += 1
+            partitioned["several classes"] += len(classes) > 1
+            if any(map(has_redex, ds)):
+                for x in ds[:5]:
+                    for y in ds[:5]:
+                        assert count_derivation_morphisms(x, y) == len(
+                            enumerate_derivation_morphisms(x, y)), (
+                            label, resource_to_text(x), resource_to_text(y))
+                partitioned["with a redex"] += 1
         for d in ds:
             assert count_derivation_morphisms(d, d) == len(
                 enumerate_derivation_morphisms(d, d)), (label, resource_to_text(d))
@@ -580,8 +584,15 @@ def test_morphism_count_matches_listing():
                     seen["symmetric" if n else "asymmetric"] += 1
             window = [d] + window[:1]
     assert min(seen.values()) >= 3, seen
-    assert redex_subjects["several witnesses"] >= 40, redex_subjects
-    assert redex_subjects["several classes"] >= 10, redex_subjects
+    assert partitioned["several witnesses"] >= 55, partitioned
+    assert partitioned["with a redex"] >= 40, partitioned
+    assert partitioned["several classes"] >= 10, partitioned
+    # k! witnesses in one class, too many endomorphisms each to list them
+    for k in (4, 5):
+        ctx, term, _, point = point_subject(*distinct_g_point(k))
+        ds = [w.derivation for w in positive_witnesses(ctx, term, point).witnesses]
+        assert len(ds) == factorial(k)
+        assert partition_by_symmetry(ds) == pairwise_partition(ds) == (tuple(ds),), k
 
 
 def test_derivation_morphism_groupoid():
