@@ -685,7 +685,10 @@ def endo_count(r: ResourceTerm) -> int:
 def partition_by_symmetry(derivations) -> tuple[tuple[ResourceTerm, ...], ...]:
     """Group derivations of a common term into symmetry classes, in the
     order of their first members, keyed by the multiset collapse of their
-    contracta; no morphism is counted."""
+    contracta, counting no morphism; a lone derivation is not keyed."""
+    derivations = tuple(derivations)
+    if len(derivations) == 1:
+        return (derivations,)
     classes: dict[ResourceTerm, list[ResourceTerm]] = {}
     for r in derivations:
         classes.setdefault(multiset_collapse_term(contract(r)), []).append(r)
