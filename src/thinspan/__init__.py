@@ -15,7 +15,7 @@ from .syntax import (
     term_to_text, type_to_text, typecheck,
 )
 from .rigidtypes import (
-    PointSpec, RefinementError, ResourceContext,
+    PointSpec, RefinementError, ResourceContext, Subject,
     canonicalize_point, parse_itype, parse_mit, parse_mset, point_from_json,
 )
 from .symmetry import (
@@ -30,7 +30,7 @@ from .derivation import (
 from .groupoid import enumerate_derivation_morphisms
 from .wrel import NatInf, wrel_coefficient
 from .collapse import (
-    WitnessReport, positive_witnesses, verify_identities, weight_by_classes,
+    WitnessReport, positive_witnesses, prepare, verify_identities, weight_by_classes,
 )
 
 __version__ = "0.1.0"

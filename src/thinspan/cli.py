@@ -27,7 +27,7 @@ from .rigidtypes import (
 from .symmetry import MorphismError
 from .derivation import BoundedAt, BudgetRequiredError, DerivationError, resource_to_text
 from .collapse import (
-    IdentityReport, WitnessReport, positive_witnesses, verify_identities,
+    IdentityReport, WitnessReport, positive_witnesses, prepare, verify_identities,
     weight_by_classes,
 )
 from .wrel import wrel_coefficient
@@ -98,10 +98,10 @@ def _emit(obj: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def _report_json(report: WitnessReport) -> dict:
-    gamma, a = report.rep
+    subject = report.subject
     return {
-        "point": point_to_json(report.point),
-        "canonical": {"ctx": ctx_to_text(gamma), "type": it_to_text(a)},
+        "point": point_to_json(subject.point),
+        "canonical": {"ctx": ctx_to_text(subject.gamma), "type": it_to_text(subject.result)},
         "witnesses": [
             {
                 "term": resource_to_text(w.derivation),
@@ -173,8 +173,8 @@ def witnesses(ctx_text, term_text, type_text, point_arg, budget, as_json) -> Non
     """Enumerate the positive witnesses at a point, grouped by symmetry."""
     try:
         ctx, term, ty = _parse_subject(ctx_text, term_text, type_text)
-        point = _load_point(point_arg, ctx, ty)
-        report = positive_witnesses(ctx, term, point, _resolve_budget(budget))
+        subject = prepare(ctx, term, _load_point(point_arg, ctx, ty))
+        report = positive_witnesses(subject, _resolve_budget(budget))
     except BudgetRequiredError as e:
         _fail(str(e), 3)
     except _INPUT_ERRORS as e:
@@ -204,9 +204,9 @@ def weight(ctx_text, term_text, type_text, point_arg, budget, as_json) -> None:
     """Coefficient of a term at a point, by counting and by class weights."""
     try:
         ctx, term, ty = _parse_subject(ctx_text, term_text, type_text)
-        point = _load_point(point_arg, ctx, ty)
-        coeff = wrel_coefficient(ctx, term, point)
-        report = positive_witnesses(ctx, term, point, _resolve_budget(budget))
+        subject = prepare(ctx, term, _load_point(point_arg, ctx, ty))
+        coeff = wrel_coefficient(subject)
+        report = positive_witnesses(subject, _resolve_budget(budget))
         by_classes = weight_by_classes(report)
     except BudgetRequiredError as e:
         _fail(str(e), 3)

@@ -20,6 +20,12 @@ The identities checked here:
     polarized morphisms factors as deg-(gamma) * #witnesses * deg+(a),
     which is the coefficient of the term in the plain (symmetrized) model,
     so the two models differ exactly by that product of degrees.
+
+A query's inputs are checked once, by prepare: it freshens the term's
+binders, annotates the term and checks the point, and the Subject it
+returns carries the result.  positive_witnesses and wrel_coefficient take
+that Subject and check none of it again; only the budget, which comes with
+positive_witnesses, is checked there.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from fractions import Fraction
 from math import prod
 
 from .syntax import Term, TypingContext, annotate, ensure_distinct_binders
-from .rigidtypes import IType, PointSpec, ResourceContext, canonicalize_point, key_it
+from .rigidtypes import IType, PointSpec, ResourceContext, Subject, canonicalize_point, key_it
 from .symmetry import (
     Degrees, count_negative_seq, count_positive_it, pos_sources_it, sym_degrees_ctx,
     sym_degrees_it,
@@ -39,7 +45,7 @@ from .symmetry import enumerate_homs_ctx, enumerate_homs_it, neg_targets_ctx  # 
 from .derivation import enumerate_witnesses  # noqa: F401
 from .derivation import (
     BoundedAt, Completeness, Exact, ResourceTerm,
-    endo_count, enumerate_bag_witnesses, partition_by_symmetry, rt_context,
+    endo_count, partition_by_symmetry, rt_context, witness_set,
 )
 from .wrel import NatInf, wrel_coefficient
 
@@ -53,10 +59,7 @@ class PositiveWitness:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    ctx: TypingContext
-    term: Term
-    point: PointSpec
-    rep: tuple[ResourceContext, IType]
+    subject: Subject
     witnesses: tuple[PositiveWitness, ...]
     classes: tuple[tuple[int, ...], ...]      # indices into witnesses
     class_endos: tuple[int, ...]              # deg(s) per class
@@ -74,8 +77,18 @@ class WitnessReport:
         return self.ctx_degrees.negative * self.wit_plus * self.res_degrees.positive
 
 
-def positive_witnesses(ctx: TypingContext, term: Term, point: PointSpec,
-                       budget: int | None = None) -> WitnessReport:
+def prepare(ctx: TypingContext, term: Term, point: PointSpec) -> Subject:
+    """Check a query's subject once: the term's binders made distinct and
+    apart from the context's names, the term annotated, and the point's
+    canonical rigid representative checked against the context and the
+    term's type."""
+    term = ensure_distinct_binders(term, set(ctx.names()))
+    term, ty = annotate(ctx, term)
+    gamma, result = canonicalize_point(point, ctx, ty)
+    return Subject(ctx, term, ty, point, gamma, result)
+
+
+def positive_witnesses(subject: Subject, budget: int | None = None) -> WitnessReport:
     """Enumerate positive witnesses at a point, grouped into symmetry classes.
 
     The enumerator runs once per positive source alpha of the canonical
@@ -84,16 +97,14 @@ def positive_witnesses(ctx: TypingContext, term: Term, point: PointSpec,
     occurrences, and the witness records d at (theta, alpha).  Witnesses
     are ordered by _witness_key.
     """
-    term = ensure_distinct_binders(term, set(ctx.names()))
-    term, ty = annotate(ctx, term)
-    gamma, a = canonicalize_point(point, ctx, ty)
+    gamma, a, ty = subject.gamma, subject.result, subject.ty
     cdeg = sym_degrees_ctx(gamma)
     rdeg = sym_degrees_it(a, ty)
 
     witnesses = []
     completeness: Completeness = Exact()
     for alpha in pos_sources_it(a, ty):
-        ws = enumerate_bag_witnesses(ctx, term, gamma, alpha, budget)
+        ws = witness_set(subject.ctx, subject.term, gamma, alpha, budget, bags=True)
         if isinstance(ws.completeness, BoundedAt):
             completeness = ws.completeness
         witnesses.extend(PositiveWitness(d, rt_context(gamma.shape(), d), alpha)
@@ -105,8 +116,7 @@ def positive_witnesses(ctx: TypingContext, term: Term, point: PointSpec,
     index = {w.derivation: i for i, w in enumerate(witnesses)}
     class_ix = tuple(tuple(sorted(index[d] for d in cls)) for cls in classes)
     endos = tuple(endo_count(cls[0]) for cls in classes)
-    return WitnessReport(ctx, term, point, (gamma, a), tuple(witnesses),
-                         class_ix, endos, cdeg, rdeg, completeness)
+    return WitnessReport(subject, tuple(witnesses), class_ix, endos, cdeg, rdeg, completeness)
 
 
 def _witness_key(theta: ResourceContext, alpha: IType):
@@ -154,7 +164,7 @@ def esp_explicit(report: WitnessReport) -> int:
     polarized morphism reaches would count 0 here, and the factorization
     would fail.
     """
-    gamma, a = report.rep
+    gamma, a = report.subject.gamma, report.subject.result
     memo: dict = {}
     total = 0
     for w in report.witnesses:
@@ -186,8 +196,9 @@ def verify_identities(ctx: TypingContext, term: Term, point: PointSpec,
                       budget: int | None = None,
                       expected: int | None = None) -> IdentityReport:
     """Run every collapse identity at one point and report each outcome."""
-    report = positive_witnesses(ctx, term, point, budget)
-    coeff = wrel_coefficient(ctx, term, point)
+    subject = prepare(ctx, term, point)
+    report = positive_witnesses(subject, budget)
+    coeff = wrel_coefficient(subject)
     checks: list[IdentityCheck] = []
 
     def add(name: str, ok: bool, detail: str) -> None:

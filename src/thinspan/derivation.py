@@ -54,6 +54,12 @@ So that collapse keys the classes.  Contracting comes first: a redex's
 collapse forgets which copy meets which occurrence of its binder, so
 (\\y. x <y> <y>) <z, w> and (\\y. x <y> <y>) <w, z> collapse alike but
 admit no morphism.
+
+Inputs are checked where they arrive.  enumerate_witnesses and
+enumerate_bag_witnesses check the term against the point, then run
+witness_set, which checks only the budget.  A query's subject is checked
+once, by collapse.prepare, and collapse.positive_witnesses calls
+witness_set directly.
 """
 
 from __future__ import annotations
@@ -70,7 +76,7 @@ from .syntax import (
 )
 from .rigidtypes import (
     IArrow, IType, ResourceContext, SeqType, Star,
-    canonicalize_it, canonicalize_seq, ctx_refines, ctx_to_text, it_to_text, key_it, refines,
+    canonicalize_it, ctx_refines, ctx_to_text, is_canonical_seq, it_to_text, key_it, refines,
 )
 from .symmetry import count_homs_it, neg_targets_it, permanent
 
@@ -366,7 +372,8 @@ def enumerate_witnesses(ctx: TypingContext, term: Term, theta: ResourceContext,
     the budget.  The cut on a bare-variable argument is a window of that
     variable's remaining elements, of any length, whatever the budget.
     """
-    return _witness_set(ctx, term, theta, alpha, budget, bags=False)
+    term = _checked_term(ctx, term, theta, alpha)
+    return witness_set(ctx, term, theta, alpha, budget, bags=False)
 
 
 def enumerate_bag_witnesses(ctx: TypingContext, term: Term, gamma: ResourceContext,
@@ -385,15 +392,15 @@ def enumerate_bag_witnesses(ctx: TypingContext, term: Term, gamma: ResourceConte
     (gamma, alpha), the canonical source point, not the point the
     derivations conclude: each concludes its own rt_context.
     """
-    if any(seq != canonicalize_seq(seq) for _, seq, _ in gamma.entries):
+    if not all(is_canonical_seq(seq) for _, seq, _ in gamma.entries):
         raise DerivationError(f"context {ctx_to_text(gamma)} is not canonical")
-    return _witness_set(ctx, term, gamma, alpha, budget, bags=True)
+    term = _checked_term(ctx, term, gamma, alpha)
+    return witness_set(ctx, term, gamma, alpha, budget, bags=True)
 
 
-def _witness_set(ctx: TypingContext, term: Term, theta: ResourceContext, alpha: IType,
-                 budget: int | None, bags: bool) -> WitnessSet:
-    if budget is not None and (type(budget) is not int or budget < 0):
-        raise DerivationError(f"budget must be a non-negative integer, got {budget!r}")
+def _checked_term(ctx: TypingContext, term: Term, theta: ResourceContext,
+                  alpha: IType) -> Term:
+    """The annotated term, once the point is checked to fit it."""
     term, ty = annotate(ctx, term)
     bs = binders(term)
     if len(set(bs)) != len(bs) or set(bs) & set(ctx.names()):
@@ -405,6 +412,19 @@ def _witness_set(ctx: TypingContext, term: Term, theta: ResourceContext, alpha: 
         raise DerivationError(f"context {ctx_to_text(theta)} fails refinement")
     if not refines(alpha, ty):
         raise DerivationError(f"result {it_to_text(alpha)} does not refine {type_to_text(ty)}")
+    return term
+
+
+def witness_set(ctx: TypingContext, term: Term, theta: ResourceContext, alpha: IType,
+                budget: int | None, bags: bool) -> WitnessSet:
+    """The enumeration behind enumerate_witnesses (bags false) and
+    enumerate_bag_witnesses (bags true), on a subject already checked: the
+    term annotated, its binders distinct and apart from ctx's names, theta
+    over ctx's variables and refining them, canonical if bags, and alpha
+    refining the term's type.  Only the budget, given with each call, is
+    checked here."""
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise DerivationError(f"budget must be a non-negative integer, got {budget!r}")
     normal = is_beta_normal(term)
     if not normal and budget is None:
         raise BudgetRequiredError(
@@ -440,7 +460,7 @@ Found = list[tuple[ResourceTerm, Ctx]]
 
 # term -> (its free variables, {(their entries, target, budget, which of
 # them must be used up): [(derivation, what it leaves of each entry)]});
-# _witness_set keeps its sorted derivations in the same dict
+# witness_set keeps its sorted derivations in the same dict
 _enum_cache: dict = {}
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import re
 
 from .interning import Node, fact
-from .syntax import Arrow, Base, SimpleType, TypingContext, type_to_text
+from .syntax import Arrow, Base, SimpleType, Term, TypingContext, type_to_text
 
 
 class RefinementError(Exception):
@@ -111,6 +111,13 @@ def is_canonical(a: IType) -> bool:
     return canonicalize_it(a) is a
 
 
+def is_canonical_seq(seq: SeqType) -> bool:
+    """Every element canonical and the elements in key_it order, so that
+    canonicalize_seq would give seq back; nothing is built."""
+    return (all(map(is_canonical, seq))
+            and all(key_it(a) <= key_it(b) for a, b in zip(seq, seq[1:])))
+
+
 ####################################################################
 # resource contexts
 
@@ -137,11 +144,6 @@ class ResourceContext:
 
     def __repr__(self) -> str:
         return ctx_to_text(self)
-
-
-def canonicalize_ctx(c: ResourceContext) -> ResourceContext:
-    return ResourceContext(tuple(
-        (x, canonicalize_seq(seq), t) for x, seq, t in c.entries))
 
 
 def ctx_refines(c: ResourceContext) -> bool:
@@ -197,6 +199,22 @@ def canonicalize_point(p: PointSpec, ctx: TypingContext,
         raise RefinementError(
             f"result {mit_to_text(p.result)} does not refine {type_to_text(result_type)}")
     return ResourceContext(tuple(entries)), p.result
+
+
+@dataclass(frozen=True)
+class Subject:
+    """A query prepared once (collapse.prepare): the term annotated, with its
+    binders distinct and apart from the context's names, its simple type,
+    the point, and the point's canonical rigid representative (gamma,
+    result), whose refinement of the context and of ty has been checked.
+    The witness and coefficient paths read it and check none of it again."""
+
+    ctx: TypingContext
+    term: Term
+    ty: SimpleType
+    point: PointSpec
+    gamma: ResourceContext
+    result: IType
 
 
 ####################################################################

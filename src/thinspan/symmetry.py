@@ -54,7 +54,7 @@ from .interning import fact
 from .syntax import Arrow, Base, SimpleType
 from .rigidtypes import (
     IArrow, IType, ResourceContext, SeqType, Star, STAR,
-    canonicalize_ctx, ctx_refines, ctx_to_text, is_canonical, it_to_text, key_it, refines,
+    ctx_refines, ctx_to_text, is_canonical, is_canonical_seq, it_to_text, key_it, refines,
 )
 
 
@@ -506,7 +506,7 @@ def sym_degrees_it(a: IType, t: SimpleType) -> Degrees:
 
 
 def sym_degrees_ctx(theta: ResourceContext) -> Degrees:
-    if canonicalize_ctx(theta) != theta:
+    if not all(is_canonical_seq(seq) for _, seq, _ in theta.entries):
         raise MorphismError("symmetry degrees need a canonical representative context")
     if not ctx_refines(theta):
         raise MorphismError(f"context {ctx_to_text(theta)} does not refine its simple types")

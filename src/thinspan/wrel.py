@@ -23,17 +23,20 @@ every bag is empty.
 Each bag stays sorted, since entries and domains are canonical and removing
 an element keeps the order; the head skips an element equal to the one
 before it.
+
+The inputs are checked before the recursion starts: wrel_coefficient takes
+a Subject from collapse.prepare, which annotated the term and checked the
+point once for every path a query takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import (
-    Lam, Term, TypingContext, Var,
-    annotate, beta_normalize, free_vars, spine,
-)
-from .rigidtypes import IArrow, IType, PointSpec, SeqType, canonicalize_point
+from .syntax import Lam, Term, Var, beta_normalize, free_vars, spine
+# not called here: the tracer in perfbench/tracing.py wraps this name in this module
+from .syntax import annotate  # noqa: F401
+from .rigidtypes import IArrow, IType, SeqType, Subject
 
 
 @dataclass(frozen=True)
@@ -52,17 +55,15 @@ class NatInf:
         return str(self.value)
 
 
-def wrel_coefficient(ctx: TypingContext, term: Term, point: PointSpec) -> NatInf:
-    """Coefficient of the term's interpretation at the given point."""
-    term, ty = annotate(ctx, term)
-    gamma, result = canonicalize_point(point, ctx, ty)
+def wrel_coefficient(subject: Subject) -> NatInf:
+    """Coefficient of the subject's term at its point."""
     # renaming keeps binders clear of context names after reduction
-    nf = beta_normalize(term, set(ctx.names()))
-    env = {x: seq for x, seq, _ in gamma.entries}
+    nf = beta_normalize(subject.term, set(subject.ctx.names()))
+    env = {x: seq for x, seq, _ in subject.gamma.entries}
     fvs = _term_info(nf)[0]
     if any(seq for x, seq in env.items() if x not in fvs):
         return NatInf(0)
-    return NatInf(_leftovers(env, nf, result).get(((),) * len(fvs), 0))
+    return NatInf(_leftovers(env, nf, subject.result).get(((),) * len(fvs), 0))
 
 
 # leftovers: the bags of a term's free variables, in sorted name order, that

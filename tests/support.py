@@ -165,6 +165,12 @@ def generated_points(seed: int = 20240, per_entry: int = 25):
             yield entry, ctx, term, ty, rand_point(rng, ctx, ty)
 
 
+def canonicalize_ctx(c: ResourceContext) -> ResourceContext:
+    """Every entry of c canonicalized."""
+    return ResourceContext(tuple(
+        (x, canonicalize_seq(seq), t) for x, seq, t in c.entries))
+
+
 def rand_context(rng: random.Random, nvars: int = 2, width: int = 3) -> ResourceContext:
     """A random canonical resource context over variables x0, x1, ..."""
     entries = []
@@ -196,8 +202,7 @@ def listed_esp(report) -> int:
     """The triple count with each polarized morphism listed: per witness, the
     negative context morphisms one variable at a time and the positive
     result morphisms, filtered out of the whole hom-sets."""
-    gamma, a = report.rep
-    ty = annotate(report.ctx, report.term)[1]
+    gamma, a, ty = report.subject.gamma, report.subject.result, report.subject.ty
     total = 0
     for w in report.witnesses:
         theta = rt_context(gamma.shape(), w.derivation)

@@ -21,7 +21,7 @@ from thinspan.derivation import (
 )
 from thinspan.groupoid import compose_dm, enumerate_derivation_morphisms, identity_dm, invert_dm
 from thinspan.wrel import wrel_coefficient
-from thinspan.collapse import esp_explicit, positive_witnesses, verify_identities
+from thinspan.collapse import esp_explicit, positive_witnesses, prepare, verify_identities
 
 from support import entry_budget, load_corpus, parse_entry, rand_canonical, rand_reorder, rand_stype
 
@@ -37,8 +37,9 @@ def subject(name):
 def test_first_order_shared_head_counts_two():
     started = time.monotonic()
     ctx, term, ty, point = subject("shared-head-two-ways")
-    coeff = wrel_coefficient(ctx, term, point)
-    rep = positive_witnesses(ctx, term, point)
+    prepared = prepare(ctx, term, point)
+    coeff = wrel_coefficient(prepared)
+    rep = positive_witnesses(prepared)
     elapsed = time.monotonic() - started
     assert coeff.value == 2
     assert rep.wit_plus == 2
@@ -50,13 +51,15 @@ def test_first_order_shared_head_counts_two():
 def test_higher_order_pair_and_bound_variant():
     started = time.monotonic()
     ctx, term, ty, point = subject("one-term-two-witnesses")
-    coeff = wrel_coefficient(ctx, term, point)
-    rep = positive_witnesses(ctx, term, point)
+    prepared = prepare(ctx, term, point)
+    coeff = wrel_coefficient(prepared)
+    rep = positive_witnesses(prepared)
     assert coeff.value == 2 and rep.wit_plus == 2
     assert rep.classes == ((0, 1),)
     ctx2, term2, ty2, point2 = subject("bound-argument-collapse")
-    coeff2 = wrel_coefficient(ctx2, term2, point2)
-    rep2 = positive_witnesses(ctx2, term2, point2)
+    prepared2 = prepare(ctx2, term2, point2)
+    coeff2 = wrel_coefficient(prepared2)
+    rep2 = positive_witnesses(prepared2)
     assert coeff2.value == 1 and rep2.wit_plus == 1
     elapsed = time.monotonic() - started
     assert elapsed < 1.0
@@ -152,7 +155,7 @@ def test_groupoid_laws_in_bulk():
         {"ctx": {"g": "[[*,*,*,*]-o*]", "y": "[*,*,*,*]"}, "type": "*"}, ctx,
         parse_simple_type("o"))
     term, _ = annotate(ctx, parse_term("g y"))
-    rep = positive_witnesses(ctx, term, point)
+    rep = positive_witnesses(prepare(ctx, term, point))
     [w] = [pw.derivation for pw in rep.witnesses]
     dendos = enumerate_derivation_morphisms(w, w)
     assert len(dendos) == 24
@@ -169,7 +172,7 @@ def test_groupoid_laws_in_bulk():
                 dm_cases += 1
     # and across distinct witnesses, where the permutation part is forced
     ctx2, term2, ty2, point2 = subject("one-term-two-witnesses")
-    rep2 = positive_witnesses(ctx2, term2, point2)
+    rep2 = positive_witnesses(prepare(ctx2, term2, point2))
     ds = [pw.derivation for pw in rep2.witnesses]
     for d1 in ds:
         for d2 in ds:
@@ -187,7 +190,7 @@ def test_triple_counts_factor_through_witnesses():
     for entry in CORPUS:
         ctx, term, ty, point = parse_entry(entry)
         budget = None if is_beta_normal(term) else entry_budget(entry)
-        rep = positive_witnesses(ctx, term, point, budget)
+        rep = positive_witnesses(prepare(ctx, term, point), budget)
         assert esp_explicit(rep) == rep.esp, entry["name"]
         assert rep.esp == rep.ctx_degrees.negative * rep.wit_plus * rep.res_degrees.positive
     print(f"PASS triple counts: explicit enumeration matches the torsor "
@@ -198,8 +201,9 @@ def test_division_identity():
     for entry in CORPUS:
         ctx, term, ty, point = parse_entry(entry)
         budget = None if is_beta_normal(term) else entry_budget(entry)
-        rep = positive_witnesses(ctx, term, point, budget)
-        coeff = wrel_coefficient(ctx, term, point)
+        prepared = prepare(ctx, term, point)
+        rep = positive_witnesses(prepared, budget)
+        coeff = wrel_coefficient(prepared)
         lhs = coeff.value * rep.ctx_degrees.negative * rep.res_degrees.positive
         assert lhs == rep.esp, entry["name"]
     print(f"PASS division identity: coefficient * m-(ctx) * m+(result) = triples "
@@ -212,7 +216,7 @@ def test_symmetry_matches_multiset_collapse_on_normal_forms():
         ctx, term, ty, point = parse_entry(entry)
         if not is_beta_normal(term):
             continue
-        rep = positive_witnesses(ctx, term, point)
+        rep = positive_witnesses(prepare(ctx, term, point))
         rs = [pw.derivation for pw in rep.witnesses]
         for i in range(len(rs)):
             for j in range(i + 1, len(rs)):

@@ -21,7 +21,7 @@ import thinspan.derivation
 import thinspan.groupoid
 import thinspan.symmetry
 import thinspan.wrel
-from thinspan.collapse import verify_identities
+from thinspan.collapse import prepare, verify_identities
 from thinspan.derivation import RApp, RVar
 from thinspan.rigidtypes import STAR, IArrow, canonicalize_point
 from thinspan.syntax import is_beta_normal
@@ -58,6 +58,41 @@ def test_tracer_installs_and_sees_every_layer(monkeypatch):
     assert {"positive_witnesses", "esp_explicit", "wrel_coefficient"} <= set(names)
     assert names.count("partition_by_symmetry") == 1
     assert names.count("endo_count") == len(checked.report.classes)
+
+
+def counting_calls(fn, seen):
+    def counted(*args):
+        seen.append(args)
+        return fn(*args)
+    return counted
+
+
+# A query is prepared once: verify_identities annotates the term and checks
+# the point once, and neither the coefficient nor the witness enumeration
+# checks them again.  Each name is counted in every module that imports it,
+# so a call from syntax or rigidtypes to itself is not counted.
+@pytest.mark.parametrize("name", ["fanout-2", "church-two-twice", "shared-head-two-ways"])
+def test_a_query_is_prepared_once(monkeypatch, name):
+    if name == "fanout-2":
+        ctx, term, _, point = point_subject(*fanout_point(2))
+        budget = None
+    else:
+        entry = next(e for e in load_corpus() if e["name"] == name)
+        ctx, term, _, point = parse_entry(entry)
+        budget = None if is_beta_normal(term) else entry_budget(entry)
+    calls = {}
+    for module in (thinspan.collapse, thinspan.derivation, thinspan.symmetry, thinspan.wrel):
+        for fn in ("annotate", "canonicalize_point", "ctx_refines"):
+            if hasattr(module, fn):
+                key = f"{module.__name__.split('.')[-1]}.{fn}"
+                calls[key] = []
+                monkeypatch.setattr(module, fn, counting_calls(getattr(module, fn), calls[key]))
+    assert verify_identities(ctx, term, point, budget).ok
+    count = {key: len(seen) for key, seen in calls.items()}
+    assert sum(n for key, n in count.items() if key.endswith(".annotate")) == 1, count
+    assert sum(n for key, n in count.items() if key.endswith(".canonicalize_point")) == 1, count
+    assert count.get("wrel.annotate", 0) == 0, count
+    assert count.get("derivation.ctx_refines", 0) == 0, count
 
 
 def test_coefficient_is_a_plain_int():
@@ -322,5 +357,5 @@ def test_threaded_coefficient_stays_small(monkeypatch, point, coefficient):
     thinspan.wrel._cache.clear()
     monkeypatch.setattr(thinspan.wrel, "_leftovers_raw",
                         counting(thinspan.wrel._leftovers_raw, sizes))
-    assert wrel_coefficient(ctx, term, pt).value == coefficient
+    assert wrel_coefficient(prepare(ctx, term, pt)).value == coefficient
     assert len(sizes) <= 200, len(sizes)

@@ -1,13 +1,16 @@
 import pytest
 
-from thinspan.syntax import is_beta_normal
-from thinspan.rigidtypes import is_canonical, parse_itype
+from thinspan.syntax import TypeCheckError, is_beta_normal, parse_context, parse_term
+from thinspan.rigidtypes import (
+    PointSpec, RefinementError, is_canonical, parse_itype, parse_mit, parse_mset,
+)
 from thinspan.symmetry import enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_positive_it
 from thinspan.derivation import (
-    BoundedAt, BudgetRequiredError, Exact, check_derivation, rt_context, rt_type,
+    BoundedAt, BudgetRequiredError, DerivationError, Exact, check_derivation, rt_context,
+    rt_type,
 )
 from thinspan.collapse import (
-    class_counts_check, esp_explicit, positive_witnesses, verify_identities,
+    class_counts_check, esp_explicit, positive_witnesses, prepare, verify_identities,
     weight_by_classes,
 )
 
@@ -21,7 +24,7 @@ BY_NAME = {e["name"]: e for e in load_corpus()}
 
 def report_for(name, budget=None):
     ctx, term, ty, point = parse_entry(BY_NAME[name])
-    return ty, positive_witnesses(ctx, term, point, budget)
+    return ty, positive_witnesses(prepare(ctx, term, point), budget)
 
 
 def test_report_one_term_two_witnesses():
@@ -76,8 +79,8 @@ def test_witness_morphism_orientation():
     # a witness exist in the listed hom-sets
     for name in ("one-term-two-witnesses", "shared-head-two-ways", "fan-out"):
         ctx, term, ty, point = parse_entry(BY_NAME[name])
-        rep = positive_witnesses(ctx, term, point)
-        gamma, a = rep.rep
+        rep = positive_witnesses(prepare(ctx, term, point))
+        gamma, a = rep.subject.gamma, rep.subject.result
         for w in rep.witnesses:
             assert w.theta == rt_context(gamma.shape(), w.derivation)
             assert w.alpha == rt_type(w.derivation)
@@ -140,7 +143,7 @@ def test_verify_identities_wrong_expectation():
 def test_triple_count_matches_listing_on_generated_points():
     compared = 0
     for entry, ctx, term, _, point in generated_points():
-        report = positive_witnesses(ctx, term, point, entry_budget(entry))
+        report = positive_witnesses(prepare(ctx, term, point), entry_budget(entry))
         if report.witnesses:
             assert esp_explicit(report) == listed_esp(report), (entry["name"], point)
             compared += 1
@@ -211,14 +214,15 @@ def test_bag_enumeration_matches_per_target_oracle(group):
     subjects, least = BAG_SUBJECTS[group]
     found = 0
     for label, ctx, term, point, budget in subjects():
-        rep = positive_witnesses(ctx, term, point, budget)
-        gamma, a = rep.rep
+        subject = prepare(ctx, term, point)
+        rep = positive_witnesses(subject, budget)
+        gamma, a = subject.gamma, subject.result
         got = [(w.theta, w.derivation) for w in rep.witnesses]
-        want = [(theta, d) for theta, _, d in per_target_witnesses(ctx, rep.term, gamma, a,
+        want = [(theta, d) for theta, _, d in per_target_witnesses(ctx, subject.term, gamma, a,
                                                                    budget)]
         assert got == want, label
         for theta, d in got:
-            assert check_derivation(ctx, rep.term, d), label
+            assert check_derivation(ctx, subject.term, d), label
             assert rt_context(gamma.shape(), d) == theta, label
         found += len(got)
     assert found >= least, found
@@ -227,7 +231,7 @@ def test_bag_enumeration_matches_per_target_oracle(group):
 def test_witness_label_outside_canonical_form():
     point, _ = HAND["non-canonical-label"]
     ctx, term, _, pt = point_subject(*point)
-    rep = positive_witnesses(ctx, term, pt)
+    rep = positive_witnesses(prepare(ctx, term, pt))
     assert rep.wit_plus == 1
     (label,) = rep.witnesses[0].theta.lookup("x")
     assert label == parse_itype("<<<*>-o*,<>-o*>-o*>-o*")
@@ -242,3 +246,49 @@ def test_redex_cut_over_distinct_values():
         rep = verify_identities(ctx, term, pt, budget, expected=count)
         assert rep.ok, label
         assert rep.report.wit_plus == count, label
+
+
+def multiset_point(entries: dict, result: str = "*") -> PointSpec:
+    """A point built as it is given, with no check against a context."""
+    return PointSpec(tuple((x, parse_mset(m)) for x, m in entries.items()), parse_mit(result))
+
+
+GY = {"g": "[[*]-o*]", "y": "[*]"}
+
+# Each input is checked once, where the query is prepared or, for the
+# budget, where the enumeration starts; a caller sees the same exception
+# and message as when every layer checked its own inputs.
+MALFORMED = [
+    ("unbound variable", "g z", multiset_point(GY), None,
+     TypeCheckError, "unbound variable 'z'"),
+    ("unannotated binder", "\\x. g x", multiset_point(GY), None,
+     TypeCheckError, "binder 'x' lacks an annotation and no expected type is available"),
+    ("ill-typed application", "y g", multiset_point(GY), None,
+     TypeCheckError, "cannot apply y of base type to g"),
+    ("point names an unbound variable", "g y", multiset_point({**GY, "z": "[*]"}), None,
+     RefinementError, "point mentions variable 'z' not bound in the context"),
+    ("entry does not refine", "g y", multiset_point({**GY, "y": "[[]-o*]"}), None,
+     RefinementError, "entry []-o* for variable 'y' does not refine o"),
+    ("result does not refine", "g y", multiset_point(GY, "[]-o*"), None,
+     RefinementError, "result []-o* does not refine o"),
+    ("negative budget", "g y", multiset_point(GY), -1,
+     DerivationError, "budget must be a non-negative integer, got -1"),
+    ("bool budget", "g y", multiset_point(GY), True,
+     DerivationError, "budget must be a non-negative integer, got True"),
+    ("redex without a budget", "(\\f:o->o. f y) g", multiset_point(GY), None,
+     BudgetRequiredError,
+     "term (\\f:o -> o. f y) g is not beta-normal; witness enumeration needs a budget"),
+    ("redex binding a context name, without a budget", "(\\y:o. g y) y", multiset_point(GY),
+     None, BudgetRequiredError,
+     "term (\\y1:o. g y1) y is not beta-normal; witness enumeration needs a budget"),
+]
+
+
+@pytest.mark.parametrize("term, point, budget, error, message",
+                         [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
+def test_malformed_subjects_raise_as_before(term, point, budget, error, message):
+    ctx = parse_context("g:o->o, y:o")
+    with pytest.raises(error) as raised:
+        verify_identities(ctx, parse_term(term), point, budget)
+    assert type(raised.value) is error
+    assert str(raised.value) == message

@@ -21,7 +21,7 @@ from thinspan.groupoid import (
     compose_dm, dm_app, dm_occurrences, enumerate_derivation_morphisms, identity_dm, invert_dm,
     src_dm, tgt_dm,
 )
-from thinspan.collapse import positive_witnesses, verify_identities
+from thinspan.collapse import positive_witnesses, prepare, verify_identities
 
 from support import (
     built_nodes, church_point, distinct_g_point, entry_budget, fanout_point, load_corpus,
@@ -189,7 +189,7 @@ def test_rt_context_gathers_every_entry_in_one_walk():
     subjects = [(e, *parse_entry(e)) for e in CORPUS] + list(generated_points())
     for entry, ctx, term, _, point in subjects:
         budget = None if is_beta_normal(term) else entry_budget(entry)
-        for w in positive_witnesses(ctx, term, point, budget).witnesses:
+        for w in positive_witnesses(prepare(ctx, term, point), budget).witnesses:
             theta = rt_context(tuple(ctx.bindings), w.derivation)
             assert theta.names() == ctx.names()
             for x, seq, _ in theta.entries:
@@ -206,7 +206,7 @@ def test_contract_returns_a_redex_free_derivation_itself():
     for entry in CORPUS:
         ctx, term, _, point = parse_entry(entry)
         budget = None if is_beta_normal(term) else entry_budget(entry)
-        for w in positive_witnesses(ctx, term, point, budget).witnesses:
+        for w in positive_witnesses(prepare(ctx, term, point), budget).witnesses:
             r = w.derivation
             if has_redex(r):
                 assert contract(r) is not r and not has_redex(contract(r))
@@ -226,7 +226,7 @@ def test_dm_occurrences_match_context_entries():
     for entry in CORPUS:
         ctx, term, ty, point = parse_entry(entry)
         budget = None if is_beta_normal(term) else entry_budget(entry)
-        ws = positive_witnesses(ctx, term, point, budget).witnesses
+        ws = positive_witnesses(prepare(ctx, term, point), budget).witnesses
         for w1 in ws:
             for w2 in ws:
                 th1, th2 = w1.theta, w2.theta
@@ -319,7 +319,7 @@ def test_budget_must_be_a_non_negative_int(budget):
         with pytest.raises(DerivationError, match="budget"):
             verify_identities(ctx, term, pt, budget)
         with pytest.raises(DerivationError, match="budget"):
-            positive_witnesses(ctx, term, pt, budget)
+            positive_witnesses(prepare(ctx, term, pt), budget)
 
 
 def test_forced_cuts_ignore_budget():
@@ -494,12 +494,13 @@ def test_counts_are_beta_invariant():
 
     seen = dict.fromkeys(("subjects", "with witnesses", "several classes"), 0)
     for label, ctx, term, point, budget in beta_invariance_subjects():
-        normal = positive_witnesses(ctx, beta_normalize(term), point)
+        normal = positive_witnesses(prepare(ctx, beta_normalize(term), point))
         checked = verify_identities(ctx, term, point, budget)
         assert checked.ok, label
         assert checked.wrel.value == normal.wit_plus, label
         assert counts(checked.report) == counts(normal), label
-        assert counts(positive_witnesses(ctx, term, point, budget + 1)) == counts(normal), label
+        wider = positive_witnesses(prepare(ctx, term, point), budget + 1)
+        assert counts(wider) == counts(normal), label
         seen["subjects"] += 1
         seen["with witnesses"] += normal.wit_plus > 0
         seen["several classes"] += len(normal.classes) > 1
@@ -554,7 +555,8 @@ def test_morphism_count_matches_listing():
     for label, ctx, term, point, budget in morphism_count_subjects():
         if term != last_term:
             window, last_term = [], term
-        ds = [w.derivation for w in positive_witnesses(ctx, term, point, budget).witnesses]
+        rep = positive_witnesses(prepare(ctx, term, point), budget)
+        ds = [w.derivation for w in rep.witnesses]
         if len(ds) > 1:
             classes = partition_by_symmetry(ds)
             assert classes == pairwise_partition(ds), label
@@ -590,7 +592,7 @@ def test_morphism_count_matches_listing():
     # k! witnesses in one class, too many endomorphisms each to list them
     for k in (4, 5):
         ctx, term, _, point = point_subject(*distinct_g_point(k))
-        ds = [w.derivation for w in positive_witnesses(ctx, term, point).witnesses]
+        ds = [w.derivation for w in positive_witnesses(prepare(ctx, term, point)).witnesses]
         assert len(ds) == factorial(k)
         assert partition_by_symmetry(ds) == pairwise_partition(ds) == (tuple(ds),), k
 

@@ -12,14 +12,14 @@ from thinspan import derivation, rigidtypes, symmetry, syntax
 from thinspan.syntax import Base, parse_context, parse_simple_type
 from thinspan.rigidtypes import (
     IArrow, PointSpec, RefinementError, ResourceContext, Star,
-    canonicalize_ctx, canonicalize_it, canonicalize_point,
-    ctx_refines, ctx_to_text, is_canonical, it_to_text, key_it,
+    canonicalize_it, canonicalize_point, canonicalize_seq,
+    ctx_refines, ctx_to_text, is_canonical, is_canonical_seq, it_to_text, key_it,
     mit_to_text, parse_itype, parse_mit, parse_mset,
     point_from_json, point_to_json, refines,
 )
 from thinspan.symmetry import enumerate_homs_it
 
-from support import rand_itype, rand_reorder, rand_stype
+from support import canonicalize_ctx, rand_itype, rand_reorder, rand_stype
 
 S = Star()
 O = Base()
@@ -129,6 +129,19 @@ def test_homs_exist_iff_same_canonical_form(a, b, rng):
     # multiset type; a reordering of a is always such a pair
     for x, y in [(a, b), (a, rand_reorder(rng, a))]:
         assert bool(enumerate_homs_it(x, y)) == (canonicalize_it(x) == canonicalize_it(y))
+
+
+def test_canonical_sequences_are_recognized_without_rebuilding():
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        t = rand_stype(rng, 2)
+        seq = tuple(rand_itype(rng, t, 2) for _ in range(rng.randint(0, 4)))
+        for s in (seq, canonicalize_seq(seq), tuple(map(canonicalize_it, seq))):
+            got = is_canonical_seq(s)
+            assert got == (canonicalize_seq(s) == s), s
+            seen[got] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_random_refinements_respect_simple_types():

@@ -5,8 +5,8 @@ import pytest
 
 from thinspan.syntax import Base, is_beta_normal, parse_context, parse_simple_type
 from thinspan.rigidtypes import (
-    ResourceContext, Star, canonicalize_it, canonicalize_point, canonicalize_seq, parse_itype,
-    point_from_json,
+    ResourceContext, Star, canonicalize_it, canonicalize_point, canonicalize_seq, ctx_refines,
+    parse_itype, point_from_json,
 )
 from thinspan.symmetry import (
     ArrowMorphism, MorphismError, SeqMorphism, StarId,
@@ -20,7 +20,7 @@ from thinspan.symmetry import (
     src_it, src_seq, sym_degrees_ctx, sym_degrees_it, tgt_it, tgt_seq,
 )
 from thinspan.derivation import rt_context, rt_type
-from thinspan.collapse import esp_explicit, positive_witnesses
+from thinspan.collapse import esp_explicit, positive_witnesses, prepare
 
 from support import (
     brute_degrees_ctx, brute_degrees_it, brute_neg_targets_it, brute_neg_targets_seq,
@@ -270,6 +270,15 @@ def test_degrees_reject_bad_input():
         sym_degrees_it(parse_itype("<*>-o*"), O)  # does not refine o
     with pytest.raises(MorphismError):
         sym_degrees_ctx(ResourceContext((("x", (parse_itype("<>-o*"),), O),)))
+    # both refine (o->o)->o, so only their order rejects them: an entry out
+    # of order, and an element whose own domain is out of order
+    unsorted = (parse_itype("<<*>-o*>-o*"), parse_itype("<>-o*"))
+    noncanonical = (parse_itype("<<*>-o*,<>-o*>-o*"),)
+    for seq in (unsorted, noncanonical):
+        theta = ResourceContext((("f", seq, parse_simple_type("(o->o)->o")),))
+        assert ctx_refines(theta)
+        with pytest.raises(MorphismError, match="canonical"):
+            sym_degrees_ctx(theta)
 
 
 def test_reachability_matches_all_orderings_oracle():
@@ -288,8 +297,8 @@ def test_per_variable_triple_count_matches_whole_contexts():
     for entry in load_corpus():
         ctx, term, ty, point = parse_entry(entry)
         budget = None if is_beta_normal(term) else entry_budget(entry)
-        report = positive_witnesses(ctx, term, point, budget)
-        gamma, a = report.rep
+        report = positive_witnesses(prepare(ctx, term, point), budget)
+        gamma, a = report.subject.gamma, report.subject.result
         whole = 0
         for w in report.witnesses:
             theta = rt_context(gamma.shape(), w.derivation)

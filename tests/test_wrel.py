@@ -13,6 +13,7 @@ from thinspan.syntax import (
     annotate, beta_normalize, ensure_distinct_binders, is_beta_normal, parse_context, parse_term,
 )
 from thinspan.rigidtypes import IArrow, PointSpec, RefinementError, Star, parse_mit
+from thinspan.collapse import prepare
 from thinspan.wrel import NatInf, wrel_coefficient
 
 from support import (
@@ -36,7 +37,7 @@ def test_natinf_arithmetic():
 def test_corpus_coefficients():
     for entry in load_corpus():
         ctx, term, _, point = parse_entry(entry)
-        got = wrel_coefficient(ctx, term, point)
+        got = wrel_coefficient(prepare(ctx, term, point))
         assert got == NatInf(entry["expected"]), entry["name"]
 
 
@@ -45,8 +46,8 @@ def test_uninhabited_point_gives_zero():
     entry["point"] = {"ctx": {"f": "[[*]-o[]-o*, []-o[*]-o*]", "x": "[]", "y": "[]"},
                       "type": "*"}
     ctx, term, _, point = parse_entry(entry)
-    assert wrel_coefficient(ctx, term, point) == NatInf(0)
-    assert not wrel_coefficient(ctx, term, point)
+    assert wrel_coefficient(prepare(ctx, term, point)) == NatInf(0)
+    assert not wrel_coefficient(prepare(ctx, term, point))
 
 
 def test_coefficient_is_beta_invariant():
@@ -55,21 +56,21 @@ def test_coefficient_is_beta_invariant():
         if is_beta_normal(term):
             continue
         nf = ensure_distinct_binders(beta_normalize(term), set(ctx.names()))
-        assert wrel_coefficient(ctx, nf, point) == wrel_coefficient(ctx, term, point), \
-            entry["name"]
+        got = wrel_coefficient(prepare(ctx, nf, point))
+        assert got == wrel_coefficient(prepare(ctx, term, point)), entry["name"]
 
 
 def test_refinement_validation():
     ctx, term, ty, point = parse_entry(load_corpus()[0])
     bad_result = PointSpec(point.ctx, IArrow((), M))
     with pytest.raises(RefinementError):
-        wrel_coefficient(ctx, term, bad_result)
+        wrel_coefficient(prepare(ctx, term, bad_result))
     bad_entry = PointSpec((("f", (M,)),) + point.ctx[1:], point.result)
     with pytest.raises(RefinementError):
-        wrel_coefficient(ctx, term, bad_entry)
+        wrel_coefficient(prepare(ctx, term, bad_entry))
     extra = PointSpec(point.ctx + (("zz", (M,)),), point.result)
     with pytest.raises(RefinementError):
-        wrel_coefficient(ctx, term, extra)
+        wrel_coefficient(prepare(ctx, term, extra))
 
 
 def test_mset_decompositions_counts():
@@ -113,13 +114,13 @@ def test_threaded_coefficient_matches_split_oracle():
         subjects.append((ctx, *annotate(ctx, parse_term(term_text)), 30, 1))
         for bags, expected in points:
             _, term, _, point = point_subject(term_text, bags, ctx_text)
-            assert wrel_coefficient(ctx, term, point).value == expected, (term_text, bags)
+            assert wrel_coefficient(prepare(ctx, term, point)).value == expected, (term_text, bags)
             assert split_wrel_coefficient(ctx, term, point, memo) == expected, (term_text, bags)
     nonzero = 0
     for ctx, term, ty, draws, width in subjects:
         for _ in range(draws):
             point = rand_point(rng, ctx, ty, size=3, width=width)
-            got = wrel_coefficient(ctx, term, point).value
+            got = wrel_coefficient(prepare(ctx, term, point)).value
             assert got == split_wrel_coefficient(ctx, term, point, memo), (term, point)
             nonzero += bool(got)
     assert nonzero >= 20
@@ -127,8 +128,8 @@ def test_threaded_coefficient_matches_split_oracle():
 
 def test_repeat_calls_are_consistent():
     ctx, term, _, point = parse_entry(load_corpus()[7])
-    first = wrel_coefficient(ctx, term, point)
-    assert wrel_coefficient(ctx, term, point) == first
+    first = wrel_coefficient(prepare(ctx, term, point))
+    assert wrel_coefficient(prepare(ctx, term, point)) == first
 
 
 def test_deep_term_queried_twice():
@@ -136,13 +137,14 @@ def test_deep_term_queried_twice():
     # interpreter keeps the stack depth independent of pytest's
     script = textwrap.dedent("""
         from thinspan import PointSpec, parse_context, parse_mit, parse_mset, parse_term
-        from thinspan import wrel_coefficient
+        from thinspan import prepare, wrel_coefficient
         n = 400
         ctx = parse_context("f:o->o, y:o")
         term = parse_term("f (" * (n - 1) + "f y" + ")" * (n - 1))
         f_bag = parse_mset("[" + ",".join(["[*]-o*"] * n) + "]")
         point = PointSpec((("f", f_bag), ("y", parse_mset("[*]"))), parse_mit("*"))
-        print(wrel_coefficient(ctx, term, point).value, wrel_coefficient(ctx, term, point).value)
+        for _ in range(2):
+            print(wrel_coefficient(prepare(ctx, term, point)).value)
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(thinspan.__file__).parents[1]))
     res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
