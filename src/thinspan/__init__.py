@@ -4,9 +4,11 @@ The package interprets a simply-typed term at a point (a multiset context
 and result type), enumerates the rigid derivations witnessing the point,
 partitions them into symmetry classes by the multiset collapse of their
 contracta, counts each class's endomorphisms, and checks that the
-resulting counts agree with the weighted-relational coefficient.  The
-groupoid of derivation morphisms is listed only by the reference module
-groupoid, which no query uses.
+resulting counts agree with the weighted-relational coefficient.  Every
+count is taken without building a morphism: symmetry counts the
+symmetries of types and derivation those of derivations.  The morphisms
+of both groupoids, with their polarity, and their factorial-time listing
+are only in the reference module groupoid, which no query imports.
 """
 
 from .syntax import (
@@ -18,16 +20,15 @@ from .rigidtypes import (
     PointSpec, RefinementError, ResourceContext, Subject,
     canonicalize_point, parse_itype, parse_mit, parse_mset, point_from_json,
 )
-from .symmetry import (
-    MorphismError, Polarity,
-    enumerate_homs_it, polar_factorize_it, polarity_it, sym_degrees_ctx, sym_degrees_it,
-)
+from .symmetry import MorphismError, sym_degrees_ctx, sym_degrees_it
 from .derivation import (
     BudgetRequiredError, DerivationError, WitnessSet,
     check_derivation, enumerate_witnesses, multiset_collapse_term, partition_by_symmetry,
     resource_to_text, rt_context, rt_type,
 )
-from .groupoid import enumerate_derivation_morphisms
+from .groupoid import (
+    Polarity, enumerate_derivation_morphisms, enumerate_homs_it, polar_factorize_it, polarity_it,
+)
 from .wrel import NatInf, wrel_coefficient
 from .collapse import (
     WitnessReport, positive_witnesses, prepare, verify_identities, weight_by_classes,

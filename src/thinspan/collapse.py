@@ -41,7 +41,8 @@ from .symmetry import (
     sym_degrees_it,
 )
 # not called here: the tracer in perfbench/tracing.py wraps these names in this module
-from .symmetry import enumerate_homs_ctx, enumerate_homs_it, neg_targets_ctx  # noqa: F401
+from .groupoid import enumerate_homs_ctx, enumerate_homs_it  # noqa: F401
+from .symmetry import neg_targets_ctx  # noqa: F401
 from .derivation import enumerate_witnesses  # noqa: F401
 from .derivation import (
     BoundedAt, Completeness, Exact, ResourceTerm,

@@ -1,4 +1,36 @@
-"""The groupoid of derivations, listed: a reference for the counts.
+"""The listed groupoids of type morphisms and of derivations: a reference
+for the counts.
+
+Both groupoids are counted elsewhere, without building a morphism:
+symmetry counts hom-sets, polarized or not, and the symmetry degrees in
+closed form, and derivation counts the morphisms between derivations.
+Listing a hom-set takes factorial time, so no query imports this module:
+the tests compare each count with the listing here and check the groupoid
+laws on it, and tests/test_imports.py checks that only the package's
+__init__ imports it.
+
+A type morphism witnesses that two rigid types collapse to the same
+multiset type, that is, have the same canonical representative.  The
+grammar mirrors the types: the base type has only the identity, and an
+arrow morphism pairs a sequence morphism with a codomain morphism.  A
+sequence morphism is a permutation together with componentwise morphisms;
+component i runs from source slot i to target slot sigma(i), so the target
+sequence reads tgt[sigma(i)] = tgt(component_i).  Endpoints are not
+stored: src/tgt are computed structurally, which is well-defined because a
+morphism determines both of its endpoints.  Composition is written
+compose(g, f) = g after f.  Permutations compose the same way:
+(s2 . s1)(i) = s2(s1(i)).
+
+Polarity is defined against the simple type being refined.  At the base
+type the identity is both positive and negative.  At an arrow type a
+morphism is positive when its domain permutation is unconstrained but the
+domain components are negative and the codomain is positive; it is negative
+when the domain permutation is the identity, the domain components are
+positive and the codomain is negative.  For sequence morphisms used as
+context entries the variance flips: positive means identity permutation
+with positive components, negative means any permutation with negative
+components.  Every morphism factors uniquely as a negative morphism after
+a positive one (polar_factorize_it).
 
 Morphisms between derivations rebase every node: var nodes carry a label
 morphism, multi nodes a permutation acting on children, app nodes share
@@ -6,24 +38,368 @@ the argument sequence morphism with the function side's domain.  This last
 constraint is what distinguishes rigid terms from plain multiset resource
 terms: in a redex, the argument sequence can only be permuted together
 with the matching occurrences of the bound variable.
-
-Listing morphisms takes factorial time, so no query uses this module:
-derivation.count_derivation_morphisms counts them, and the tests compare
-that count with the listing here and check the groupoid laws on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
+from functools import lru_cache
 from itertools import permutations, product
 
-from .syntax import SimpleType
+from .syntax import Arrow, Base, SimpleType
+from .rigidtypes import IArrow, IType, ResourceContext, SeqType, Star, STAR, it_to_text, refines
+from .symmetry import MorphismError
 from .derivation import RApp, RLam, RVar, ResourceTerm
-from .symmetry import (
-    ArrowMorphism, ITMorphism, MorphismError, SeqMorphism,
-    compose_it, compose_perm, concat_seqm, enumerate_homs_it, identity_it, identity_perm,
-    invert_it, inverse_perm, sigma_action, src_it, tgt_it,
-)
+
+
+####################################################################
+# permutations (tuples, 0-based; sigma[i] is where slot i is sent)
+
+def identity_perm(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
+
+
+def is_identity_perm(s: tuple[int, ...]) -> bool:
+    return all(v == i for i, v in enumerate(s))
+
+
+def compose_perm(s2: tuple[int, ...], s1: tuple[int, ...]) -> tuple[int, ...]:
+    # (s2 . s1)(i) = s2(s1(i))
+    if len(s1) != len(s2):
+        raise MorphismError(f"permutation arity mismatch: {len(s1)} vs {len(s2)}")
+    return tuple(s2[s1[i]] for i in range(len(s1)))
+
+
+def inverse_perm(s: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(s)
+    for i, v in enumerate(s):
+        inv[v] = i
+    return tuple(inv)
+
+
+def _matchings(pools: list[list[tuple]]) -> list[tuple[tuple[int, ...], tuple]]:
+    """(sigma, choice) for every permutation sigma of the n slots of an n x n
+    matrix of pools and every choice of one element from each pool
+    pools[i][sigma(i)]; a permutation meeting an empty pool gives none."""
+    n = len(pools)
+    return [(sigma, choice) for sigma in permutations(range(n))
+            for choice in product(*(pools[i][sigma[i]] for i in range(n)))]
+
+
+####################################################################
+# type morphisms
+
+@dataclass(frozen=True)
+class StarId:
+    def __repr__(self) -> str:
+        return "*"
+
+
+@dataclass(frozen=True)
+class SeqMorphism:
+    sigma: tuple[int, ...]
+    components: tuple["ITMorphism", ...]
+
+    def __post_init__(self):
+        if len(self.sigma) != len(self.components):
+            raise MorphismError(
+                f"permutation of arity {len(self.sigma)} over {len(self.components)} components")
+        if sorted(self.sigma) != list(range(len(self.sigma))):
+            raise MorphismError(f"not a permutation: {self.sigma}")
+
+    def __repr__(self) -> str:
+        return seqm_to_text(self)
+
+
+@dataclass(frozen=True)
+class ArrowMorphism:
+    domain: SeqMorphism
+    codomain: "ITMorphism"
+
+    def __repr__(self) -> str:
+        return morph_to_text(self)
+
+
+ITMorphism = StarId | ArrowMorphism
+
+STAR_ID = StarId()
+
+
+@dataclass(frozen=True)
+class CtxMorphism:
+    """Per-variable sequence morphisms over a fixed list of typed variables."""
+
+    entries: tuple[tuple[str, SeqMorphism, SimpleType], ...]
+
+    def __repr__(self) -> str:
+        return ", ".join(f"{x}:{seqm_to_text(sm)}" for x, sm, _ in self.entries)
+
+
+####################################################################
+# endpoints
+
+def src_it(phi: ITMorphism) -> IType:
+    match phi:
+        case StarId():
+            return STAR
+        case ArrowMorphism(d, c):
+            return IArrow(src_seq(d), src_it(c))
+    raise TypeError(f"not a morphism: {phi!r}")
+
+
+def tgt_it(phi: ITMorphism) -> IType:
+    match phi:
+        case StarId():
+            return STAR
+        case ArrowMorphism(d, c):
+            return IArrow(tgt_seq(d), tgt_it(c))
+    raise TypeError(f"not a morphism: {phi!r}")
+
+
+def src_seq(sm: SeqMorphism) -> SeqType:
+    return tuple(src_it(f) for f in sm.components)
+
+
+def tgt_seq(sm: SeqMorphism) -> SeqType:
+    out: list[IType | None] = [None] * len(sm.components)
+    for i, f in enumerate(sm.components):
+        out[sm.sigma[i]] = tgt_it(f)
+    return tuple(out)  # type: ignore[arg-type]
+
+
+####################################################################
+# groupoid operations
+
+def compose_it(g: ITMorphism, f: ITMorphism) -> ITMorphism:
+    """g after f."""
+    if tgt_it(f) != src_it(g):
+        raise MorphismError(
+            f"cannot compose: target {it_to_text(tgt_it(f))} differs from source {it_to_text(src_it(g))}")
+    return _compose_it(g, f)
+
+
+def _compose_it(g: ITMorphism, f: ITMorphism) -> ITMorphism:
+    match g, f:
+        case StarId(), StarId():
+            return STAR_ID
+        case ArrowMorphism(gd, gc), ArrowMorphism(fd, fc):
+            return ArrowMorphism(_compose_seq(gd, fd), _compose_it(gc, fc))
+    raise MorphismError(f"cannot compose {f!r} then {g!r}")
+
+
+def compose_seq(g: SeqMorphism, f: SeqMorphism) -> SeqMorphism:
+    if tgt_seq(f) != src_seq(g):
+        raise MorphismError("cannot compose sequence morphisms: endpoint mismatch")
+    return _compose_seq(g, f)
+
+
+def _compose_seq(g: SeqMorphism, f: SeqMorphism) -> SeqMorphism:
+    sigma = compose_perm(g.sigma, f.sigma)
+    comps = tuple(_compose_it(g.components[f.sigma[i]], f.components[i])
+                  for i in range(len(f.components)))
+    return SeqMorphism(sigma, comps)
+
+
+def identity_it(a: IType) -> ITMorphism:
+    match a:
+        case Star():
+            return STAR_ID
+        case IArrow(d, c):
+            return ArrowMorphism(identity_seq(d), identity_it(c))
+    raise TypeError(f"not a rigid type: {a!r}")
+
+
+def identity_seq(seq: SeqType) -> SeqMorphism:
+    return SeqMorphism(identity_perm(len(seq)), tuple(identity_it(a) for a in seq))
+
+
+def invert_it(phi: ITMorphism) -> ITMorphism:
+    match phi:
+        case StarId():
+            return STAR_ID
+        case ArrowMorphism(d, c):
+            return ArrowMorphism(invert_seq(d), invert_it(c))
+    raise TypeError(f"not a morphism: {phi!r}")
+
+
+def invert_seq(sm: SeqMorphism) -> SeqMorphism:
+    inv = inverse_perm(sm.sigma)
+    comps = tuple(invert_it(sm.components[inv[j]]) for j in range(len(sm.components)))
+    return SeqMorphism(inv, comps)
+
+
+####################################################################
+# sequence concatenation and the permutation action
+#
+# Concatenating sequence morphisms block-sums the permutations.  More
+# generally, a permutation rho of m blocks acts on a family of sequence
+# morphisms by concatenating the components in their original order while
+# the target blocks are laid out in rho-permuted order.
+
+def concat_seqm(a: SeqMorphism, b: SeqMorphism) -> SeqMorphism:
+    return sigma_action(identity_perm(2), [a, b])
+
+
+def sigma_action(rho: tuple[int, ...], parts: list[SeqMorphism]) -> SeqMorphism:
+    if len(rho) != len(parts):
+        raise MorphismError(f"permutation of arity {len(rho)} over {len(parts)} blocks")
+    lens = [len(p.components) for p in parts]
+    inv = inverse_perm(rho)
+    # offset of target block t is the total length of target blocks before it
+    tgt_off = [0] * len(parts)
+    acc = 0
+    for t in range(len(parts)):
+        tgt_off[t] = acc
+        acc += lens[inv[t]]
+    sigma: list[int] = []
+    comps: list[ITMorphism] = []
+    for j, p in enumerate(parts):
+        base = tgt_off[rho[j]]
+        for l in range(lens[j]):
+            sigma.append(base + p.sigma[l])
+        comps.extend(p.components)
+    return SeqMorphism(tuple(sigma), tuple(comps))
+
+
+####################################################################
+# hom-set listing
+
+@lru_cache(maxsize=None)
+def enumerate_homs_it(a: IType, b: IType) -> tuple[ITMorphism, ...]:
+    match a, b:
+        case Star(), Star():
+            return (STAR_ID,)
+        case IArrow(ad, ac), IArrow(bd, bc):
+            return tuple(ArrowMorphism(d, c)
+                         for d in enumerate_homs_seq(ad, bd)
+                         for c in enumerate_homs_it(ac, bc))
+        case _:
+            return ()
+
+
+@lru_cache(maxsize=None)
+def enumerate_homs_seq(sa: SeqType, sb: SeqType) -> tuple[SeqMorphism, ...]:
+    if len(sa) != len(sb):
+        return ()
+    pools = [[enumerate_homs_it(x, y) for y in sb] for x in sa]
+    return tuple(SeqMorphism(sigma, comps) for sigma, comps in _matchings(pools))
+
+
+def enumerate_homs_ctx(ca: ResourceContext, cb: ResourceContext) -> tuple[CtxMorphism, ...]:
+    if ca.shape() != cb.shape():
+        return ()
+    pools = [[(x, sm, t) for sm in enumerate_homs_seq(sa, cb.lookup(x))]
+             for (x, sa, t) in ca.entries]
+    if any(not p for p in pools):
+        return ()
+    return tuple(CtxMorphism(tuple(choice)) for choice in product(*pools))
+
+
+####################################################################
+# polarity
+
+class Polarity(Enum):
+    POSITIVE = "positive"
+    NEGATIVE = "negative"
+    BOTH = "both"
+    NEITHER = "neither"
+
+
+def is_positive_it(phi: ITMorphism, t: SimpleType) -> bool:
+    match phi, t:
+        case StarId(), Base():
+            return True
+        case ArrowMorphism(d, c), Arrow(td, tc):
+            return (all(is_negative_it(f, td) for f in d.components)
+                    and is_positive_it(c, tc))
+    raise MorphismError(f"morphism {phi!r} does not refine {t!r}")
+
+
+def is_negative_it(phi: ITMorphism, t: SimpleType) -> bool:
+    match phi, t:
+        case StarId(), Base():
+            return True
+        case ArrowMorphism(d, c), Arrow(td, tc):
+            return (is_identity_perm(d.sigma)
+                    and all(is_positive_it(f, td) for f in d.components)
+                    and is_negative_it(c, tc))
+    raise MorphismError(f"morphism {phi!r} does not refine {t!r}")
+
+
+def is_positive_seq(sm: SeqMorphism, t: SimpleType) -> bool:
+    # context entries flip variance: positive keeps the order
+    return is_identity_perm(sm.sigma) and all(is_positive_it(f, t) for f in sm.components)
+
+
+def is_negative_seq(sm: SeqMorphism, t: SimpleType) -> bool:
+    return all(is_negative_it(f, t) for f in sm.components)
+
+
+def is_positive_ctx(cm: CtxMorphism) -> bool:
+    return all(is_positive_seq(sm, t) for _, sm, t in cm.entries)
+
+
+def is_negative_ctx(cm: CtxMorphism) -> bool:
+    return all(is_negative_seq(sm, t) for _, sm, t in cm.entries)
+
+
+def _classify(pos: bool, neg: bool) -> Polarity:
+    if pos and neg:
+        return Polarity.BOTH
+    if pos:
+        return Polarity.POSITIVE
+    if neg:
+        return Polarity.NEGATIVE
+    return Polarity.NEITHER
+
+
+def polarity_it(phi: ITMorphism, t: SimpleType) -> Polarity:
+    if not refines(src_it(phi), t):
+        raise MorphismError(f"morphism source {it_to_text(src_it(phi))} does not refine {t!r}")
+    return _classify(is_positive_it(phi, t), is_negative_it(phi, t))
+
+
+####################################################################
+# polar factorization: phi = negative after positive, uniquely
+
+def polar_factorize_it(phi: ITMorphism, t: SimpleType) -> tuple[ITMorphism, ITMorphism]:
+    """Return (pos, neg) with compose(neg, pos) == phi."""
+    match phi, t:
+        case StarId(), Base():
+            return STAR_ID, STAR_ID
+        case ArrowMorphism(d, c), Arrow(td, tc):
+            cp, cn = polar_factorize_it(c, tc)
+            n = len(d.components)
+            ps: list[ITMorphism] = []
+            ns: list[ITMorphism | None] = [None] * n
+            for i, f in enumerate(d.components):
+                # the domain factors in the opposite order; factor the inverse
+                q, r = polar_factorize_it(invert_it(f), td)
+                ps.append(invert_it(r))
+                ns[d.sigma[i]] = invert_it(q)
+            pos = ArrowMorphism(SeqMorphism(d.sigma, tuple(ps)), cp)
+            neg = ArrowMorphism(SeqMorphism(identity_perm(n), tuple(ns)), cn)  # type: ignore[arg-type]
+            return pos, neg
+    raise MorphismError(f"morphism {phi!r} does not refine {t!r}")
+
+
+####################################################################
+# printing
+
+def morph_to_text(phi: ITMorphism) -> str:
+    match phi:
+        case StarId():
+            return "*"
+        case ArrowMorphism(d, c):
+            return f"{seqm_to_text(d)} -o {morph_to_text(c)}"
+    raise TypeError(f"not a morphism: {phi!r}")
+
+
+def seqm_to_text(sm: SeqMorphism) -> str:
+    perm = "[" + ",".join(str(i + 1) for i in sm.sigma) + "]"
+    comps = "<" + ",".join(morph_to_text(f) for f in sm.components) + ">"
+    return f"({perm};{comps})"
 
 
 ####################################################################
@@ -169,10 +545,10 @@ def invert_dm(m):
 
 
 ####################################################################
-# enumeration of derivation morphisms
+# listing derivation morphisms
 #
 # A derivation is its resource term, and every rule constraint is local,
-# so morphisms are enumerated structurally on the two resource terms.
+# so morphisms are listed structurally on the two resource terms.
 
 def enumerate_derivation_morphisms(r1: ResourceTerm,
                                    r2: ResourceTerm) -> tuple[DerivationMorphism, ...]:
@@ -207,17 +583,9 @@ def enumerate_derivation_morphisms(r1: ResourceTerm,
 
     def multi_go(aa: tuple[ResourceTerm, ...],
                  bb: tuple[ResourceTerm, ...]) -> list[MultiMorphism]:
-        n = len(aa)
-        if n != len(bb):
+        if len(aa) != len(bb):
             return []
-        pair = [[go(aa[i], bb[j]) for j in range(n)] for i in range(n)]
-        out = []
-        for sigma in permutations(range(n)):
-            pools = [pair[i][sigma[i]] for i in range(n)]
-            if any(not p for p in pools):
-                continue
-            for kids in product(*pools):
-                out.append(dm_multi(sigma, tuple(kids)))
-        return out
+        pools = [[go(a, b) for b in bb] for a in aa]
+        return [dm_multi(sigma, kids) for sigma, kids in _matchings(pools)]
 
     return go(r1, r2)

@@ -1,53 +1,37 @@
-"""Morphisms between rigid intersection types, and their polarities.
+"""Counting the symmetries of rigid types, without building a morphism.
 
-A morphism witnesses that two rigid types collapse to the same multiset
-type, that is, have the same canonical representative.  The grammar mirrors the types: the base type has only the identity,
-and an arrow morphism pairs a sequence morphism with a codomain morphism.
-A sequence morphism is a permutation together with componentwise morphisms;
-component i runs from source slot i to target slot sigma(i), so the target
-sequence reads tgt[sigma(i)] = tgt(component_i).
+Every morphism between rigid types factors uniquely as a negative morphism
+after a positive one, so the symmetries split into a positive and a
+negative sub-groupoid.  This module counts them on the query path:
 
-Endpoints are not stored: src/tgt are computed structurally, which is
-well-defined because a morphism determines both of its endpoints.
+  * the symmetry degrees (Degrees, sym_degrees_*) in closed form.  For a
+    canonical a = <d_k^m_k> -o c, with the d_k distinct and m_k copies of
+    each, the endomorphisms permute equal elements and act componentwise:
 
-Composition is written compose(g, f) = g after f.  Permutations compose the
-same way: (s2 . s1)(i) = s2(s1(i)).
+      tot(a) = tot(c) * prod m_k! * tot(d_k)^m_k
+      pos(a) = pos(c) * prod m_k! * neg(d_k)^m_k
+      neg(a) = neg(c) * prod pos(d_k)^m_k
 
-Polarity is defined against the simple type being refined.  At the base
-type the identity is both positive and negative.  At an arrow type a
-morphism is positive when its domain permutation is unconstrained but the
-domain components are negative and the codomain is positive; it is negative
-when the domain permutation is the identity, the domain components are
-positive and the codomain is negative.  For sequence morphisms used as
-context entries the variance flips: positive means identity permutation
-with positive components, negative means any permutation with negative
-components.  Every morphism factors uniquely as a negative morphism after
-a positive one.
+    A context entry flips the variance, and a context's degrees are the
+    product of its entries';
+  * the size of a hom-set, polarized or not (count_*): a permanent where
+    the domain may be permuted, a product where it may not.  The explicit
+    triple count and the count of derivation morphisms use them;
+  * polarized reachability: the types and contexts a negative morphism
+    reaches (neg_targets_*) and the types a positive one comes from
+    (pos_sources_it).
 
-Because of that factorization the symmetry degrees have a closed form.  For
-a canonical a = <d_k^m_k> -o c, with the d_k distinct and m_k copies of
-each, the endomorphisms permute equal elements and act componentwise:
-
-  tot(a) = tot(c) * prod m_k! * tot(d_k)^m_k
-  pos(a) = pos(c) * prod m_k! * neg(d_k)^m_k
-  neg(a) = neg(c) * prod pos(d_k)^m_k
-
-A context entry flips the variance, and a context's degrees are the
-product of its entries'.  The explicit triple count gets the size of a
-polarized hom-set, and the count of derivation morphisms that of a whole
-hom-set, from the same rules (count_*): a permanent where the domain may
-be permuted, a product where it may not.  No morphism is built on the
-query path.  Listing whole hom-sets (enumerate_homs_*) takes factorial
-time; it serves as the oracle in the tests, and for listing derivation
-morphisms, not for counting.
+The morphisms themselves, their polarity and factorization, and the
+listing of whole hom-sets live in the reference module groupoid, whose
+grammar the counts follow.  Listing takes factorial time, so no query
+imports it; the tests check each count here against that listing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, groupby, permutations, product
+from itertools import chain, combinations_with_replacement, groupby, product
 from math import factorial, prod
 
 from .interning import fact
@@ -59,352 +43,14 @@ from .rigidtypes import (
 
 
 class MorphismError(Exception):
-    """Raised on non-composable pairs and malformed morphisms."""
-
-
-####################################################################
-# permutations (tuples, 0-based; sigma[i] is where slot i is sent)
-
-def identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
-def is_identity_perm(s: tuple[int, ...]) -> bool:
-    return all(v == i for i, v in enumerate(s))
-
-
-def compose_perm(s2: tuple[int, ...], s1: tuple[int, ...]) -> tuple[int, ...]:
-    # (s2 . s1)(i) = s2(s1(i))
-    if len(s1) != len(s2):
-        raise MorphismError(f"permutation arity mismatch: {len(s1)} vs {len(s2)}")
-    return tuple(s2[s1[i]] for i in range(len(s1)))
-
-
-def inverse_perm(s: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(s)
-    for i, v in enumerate(s):
-        inv[v] = i
-    return tuple(inv)
-
-
-####################################################################
-# morphism trees
-
-@dataclass(frozen=True)
-class StarId:
-    def __repr__(self) -> str:
-        return "*"
-
-
-@dataclass(frozen=True)
-class SeqMorphism:
-    sigma: tuple[int, ...]
-    components: tuple["ITMorphism", ...]
-
-    def __post_init__(self):
-        if len(self.sigma) != len(self.components):
-            raise MorphismError(
-                f"permutation of arity {len(self.sigma)} over {len(self.components)} components")
-        if sorted(self.sigma) != list(range(len(self.sigma))):
-            raise MorphismError(f"not a permutation: {self.sigma}")
-
-    def __repr__(self) -> str:
-        return seqm_to_text(self)
-
-
-@dataclass(frozen=True)
-class ArrowMorphism:
-    domain: SeqMorphism
-    codomain: "ITMorphism"
-
-    def __repr__(self) -> str:
-        return morph_to_text(self)
-
-
-ITMorphism = StarId | ArrowMorphism
-
-STAR_ID = StarId()
-
-
-@dataclass(frozen=True)
-class CtxMorphism:
-    """Per-variable sequence morphisms over a fixed list of typed variables."""
-
-    entries: tuple[tuple[str, SeqMorphism, SimpleType], ...]
-
-    def lookup(self, name: str) -> SeqMorphism:
-        for x, sm, _ in self.entries:
-            if x == name:
-                return sm
-        raise KeyError(name)
-
-    def __repr__(self) -> str:
-        return ", ".join(f"{x}:{seqm_to_text(sm)}" for x, sm, _ in self.entries)
-
-
-####################################################################
-# endpoints
-
-def src_it(phi: ITMorphism) -> IType:
-    match phi:
-        case StarId():
-            return STAR
-        case ArrowMorphism(d, c):
-            return IArrow(src_seq(d), src_it(c))
-    raise TypeError(f"not a morphism: {phi!r}")
-
-
-def tgt_it(phi: ITMorphism) -> IType:
-    match phi:
-        case StarId():
-            return STAR
-        case ArrowMorphism(d, c):
-            return IArrow(tgt_seq(d), tgt_it(c))
-    raise TypeError(f"not a morphism: {phi!r}")
-
-
-def src_seq(sm: SeqMorphism) -> SeqType:
-    return tuple(src_it(f) for f in sm.components)
-
-
-def tgt_seq(sm: SeqMorphism) -> SeqType:
-    out: list[IType | None] = [None] * len(sm.components)
-    for i, f in enumerate(sm.components):
-        out[sm.sigma[i]] = tgt_it(f)
-    return tuple(out)  # type: ignore[arg-type]
-
-
-####################################################################
-# groupoid operations
-
-def compose_it(g: ITMorphism, f: ITMorphism) -> ITMorphism:
-    """g after f."""
-    if tgt_it(f) != src_it(g):
-        raise MorphismError(
-            f"cannot compose: target {it_to_text(tgt_it(f))} differs from source {it_to_text(src_it(g))}")
-    return _compose_it(g, f)
-
-
-def _compose_it(g: ITMorphism, f: ITMorphism) -> ITMorphism:
-    match g, f:
-        case StarId(), StarId():
-            return STAR_ID
-        case ArrowMorphism(gd, gc), ArrowMorphism(fd, fc):
-            return ArrowMorphism(_compose_seq(gd, fd), _compose_it(gc, fc))
-    raise MorphismError(f"cannot compose {f!r} then {g!r}")
-
-
-def compose_seq(g: SeqMorphism, f: SeqMorphism) -> SeqMorphism:
-    if tgt_seq(f) != src_seq(g):
-        raise MorphismError("cannot compose sequence morphisms: endpoint mismatch")
-    return _compose_seq(g, f)
-
-
-def _compose_seq(g: SeqMorphism, f: SeqMorphism) -> SeqMorphism:
-    sigma = compose_perm(g.sigma, f.sigma)
-    comps = tuple(_compose_it(g.components[f.sigma[i]], f.components[i])
-                  for i in range(len(f.components)))
-    return SeqMorphism(sigma, comps)
-
-
-
-def identity_it(a: IType) -> ITMorphism:
-    match a:
-        case Star():
-            return STAR_ID
-        case IArrow(d, c):
-            return ArrowMorphism(identity_seq(d), identity_it(c))
-    raise TypeError(f"not a rigid type: {a!r}")
-
-
-def identity_seq(seq: SeqType) -> SeqMorphism:
-    return SeqMorphism(identity_perm(len(seq)), tuple(identity_it(a) for a in seq))
-
-
-
-def invert_it(phi: ITMorphism) -> ITMorphism:
-    match phi:
-        case StarId():
-            return STAR_ID
-        case ArrowMorphism(d, c):
-            return ArrowMorphism(invert_seq(d), invert_it(c))
-    raise TypeError(f"not a morphism: {phi!r}")
-
-
-def invert_seq(sm: SeqMorphism) -> SeqMorphism:
-    inv = inverse_perm(sm.sigma)
-    comps = tuple(invert_it(sm.components[inv[j]]) for j in range(len(sm.components)))
-    return SeqMorphism(inv, comps)
-
-
-
-####################################################################
-# sequence concatenation and the permutation action
-#
-# Concatenating sequence morphisms block-sums the permutations.  More
-# generally, a permutation rho of m blocks acts on a family of sequence
-# morphisms by concatenating the components in their original order while
-# the target blocks are laid out in rho-permuted order.
-
-def concat_seqm(a: SeqMorphism, b: SeqMorphism) -> SeqMorphism:
-    return sigma_action(identity_perm(2), [a, b])
-
-
-def sigma_action(rho: tuple[int, ...], parts: list[SeqMorphism]) -> SeqMorphism:
-    if len(rho) != len(parts):
-        raise MorphismError(f"permutation of arity {len(rho)} over {len(parts)} blocks")
-    lens = [len(p.components) for p in parts]
-    inv = inverse_perm(rho)
-    # offset of target block t is the total length of target blocks before it
-    tgt_off = [0] * len(parts)
-    acc = 0
-    for t in range(len(parts)):
-        tgt_off[t] = acc
-        acc += lens[inv[t]]
-    sigma: list[int] = []
-    comps: list[ITMorphism] = []
-    for j, p in enumerate(parts):
-        base = tgt_off[rho[j]]
-        for l in range(lens[j]):
-            sigma.append(base + p.sigma[l])
-        comps.extend(p.components)
-    return SeqMorphism(tuple(sigma), tuple(comps))
-
-
-####################################################################
-# hom-set enumeration
-
-@lru_cache(maxsize=None)
-def enumerate_homs_it(a: IType, b: IType) -> tuple[ITMorphism, ...]:
-    match a, b:
-        case Star(), Star():
-            return (STAR_ID,)
-        case IArrow(ad, ac), IArrow(bd, bc):
-            return tuple(ArrowMorphism(d, c)
-                         for d in enumerate_homs_seq(ad, bd)
-                         for c in enumerate_homs_it(ac, bc))
-        case _:
-            return ()
-
-
-@lru_cache(maxsize=None)
-def enumerate_homs_seq(sa: SeqType, sb: SeqType) -> tuple[SeqMorphism, ...]:
-    n = len(sa)
-    if n != len(sb):
-        return ()
-    out = []
-    for sigma in permutations(range(n)):
-        pools = [enumerate_homs_it(sa[i], sb[sigma[i]]) for i in range(n)]
-        if any(not p for p in pools):
-            continue
-        for comps in product(*pools):
-            out.append(SeqMorphism(sigma, comps))
-    return tuple(out)
-
-
-def enumerate_homs_ctx(ca: ResourceContext, cb: ResourceContext) -> tuple[CtxMorphism, ...]:
-    if ca.shape() != cb.shape():
-        return ()
-    pools = [[(x, sm, t) for sm in enumerate_homs_seq(sa, cb.lookup(x))]
-             for (x, sa, t) in ca.entries]
-    if any(not p for p in pools):
-        return ()
-    return tuple(CtxMorphism(tuple(choice)) for choice in product(*pools))
-
-
-####################################################################
-# polarity
-
-class Polarity(Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    BOTH = "both"
-    NEITHER = "neither"
-
-
-def is_positive_it(phi: ITMorphism, t: SimpleType) -> bool:
-    match phi, t:
-        case StarId(), Base():
-            return True
-        case ArrowMorphism(d, c), Arrow(td, tc):
-            return (all(is_negative_it(f, td) for f in d.components)
-                    and is_positive_it(c, tc))
-    raise MorphismError(f"morphism {phi!r} does not refine {t!r}")
-
-
-def is_negative_it(phi: ITMorphism, t: SimpleType) -> bool:
-    match phi, t:
-        case StarId(), Base():
-            return True
-        case ArrowMorphism(d, c), Arrow(td, tc):
-            return (is_identity_perm(d.sigma)
-                    and all(is_positive_it(f, td) for f in d.components)
-                    and is_negative_it(c, tc))
-    raise MorphismError(f"morphism {phi!r} does not refine {t!r}")
-
-
-def is_positive_seq(sm: SeqMorphism, t: SimpleType) -> bool:
-    # context entries flip variance: positive keeps the order
-    return is_identity_perm(sm.sigma) and all(is_positive_it(f, t) for f in sm.components)
-
-
-def is_negative_seq(sm: SeqMorphism, t: SimpleType) -> bool:
-    return all(is_negative_it(f, t) for f in sm.components)
-
-
-def is_positive_ctx(cm: CtxMorphism) -> bool:
-    return all(is_positive_seq(sm, t) for _, sm, t in cm.entries)
-
-
-def is_negative_ctx(cm: CtxMorphism) -> bool:
-    return all(is_negative_seq(sm, t) for _, sm, t in cm.entries)
-
-
-def _classify(pos: bool, neg: bool) -> Polarity:
-    if pos and neg:
-        return Polarity.BOTH
-    if pos:
-        return Polarity.POSITIVE
-    if neg:
-        return Polarity.NEGATIVE
-    return Polarity.NEITHER
-
-
-def polarity_it(phi: ITMorphism, t: SimpleType) -> Polarity:
-    if not refines(src_it(phi), t):
-        raise MorphismError(f"morphism source {it_to_text(src_it(phi))} does not refine {t!r}")
-    return _classify(is_positive_it(phi, t), is_negative_it(phi, t))
-
-
-
-####################################################################
-# polar factorization: phi = negative after positive, uniquely
-
-def polar_factorize_it(phi: ITMorphism, t: SimpleType) -> tuple[ITMorphism, ITMorphism]:
-    """Return (pos, neg) with compose(neg, pos) == phi."""
-    match phi, t:
-        case StarId(), Base():
-            return STAR_ID, STAR_ID
-        case ArrowMorphism(d, c), Arrow(td, tc):
-            cp, cn = polar_factorize_it(c, tc)
-            n = len(d.components)
-            ps: list[ITMorphism] = []
-            ns: list[ITMorphism | None] = [None] * n
-            for i, f in enumerate(d.components):
-                # the domain factors in the opposite order; factor the inverse
-                q, r = polar_factorize_it(invert_it(f), td)
-                ps.append(invert_it(r))
-                ns[d.sigma[i]] = invert_it(q)
-            pos = ArrowMorphism(SeqMorphism(d.sigma, tuple(ps)), cp)
-            neg = ArrowMorphism(SeqMorphism(identity_perm(n), tuple(ns)), cn)  # type: ignore[arg-type]
-            return pos, neg
-    raise MorphismError(f"morphism {phi!r} does not refine {t!r}")
+    """Raised on inputs the degrees refuse, and on non-composable pairs and
+    malformed morphisms in groupoid."""
 
 
 ####################################################################
 # hom-set counts
 #
-# The size of a hom-set, polarized or not, counted from the rules above
+# The size of a hom-set, polarized or not, counted from groupoid's rules
 # without listing it.  A positive arrow morphism permutes the domain with
 # negative components, so its domain contributes the permanent of the
 # matrix of negative counts; a negative one keeps the order with positive
@@ -618,21 +264,3 @@ def _arrangements(bag: SeqType) -> list[SeqType]:
             j -= 1
         ranks[i], ranks[j] = ranks[j], ranks[i]
         ranks[i + 1:] = reversed(ranks[i + 1:])
-
-
-####################################################################
-# printing
-
-def morph_to_text(phi: ITMorphism) -> str:
-    match phi:
-        case StarId():
-            return "*"
-        case ArrowMorphism(d, c):
-            return f"{seqm_to_text(d)} -o {morph_to_text(c)}"
-    raise TypeError(f"not a morphism: {phi!r}")
-
-
-def seqm_to_text(sm: SeqMorphism) -> str:
-    perm = "[" + ",".join(str(i + 1) for i in sm.sigma) + "]"
-    comps = "<" + ",".join(morph_to_text(f) for f in sm.components) + ">"
-    return f"({perm};{comps})"

@@ -24,9 +24,10 @@ from thinspan.derivation import (
     RApp, RLam, RVar, _bounded_seqs, count_derivation_morphisms, enumerate_witnesses,
     resource_to_text, rt_context, rt_type,
 )
-from thinspan.symmetry import (
-    Degrees, enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_negative_it,
-    is_positive_ctx, is_positive_it, neg_targets_ctx, pos_sources_it,
+from thinspan.symmetry import Degrees, neg_targets_ctx, pos_sources_it
+from thinspan.groupoid import (
+    enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_negative_it, is_positive_ctx,
+    is_positive_it,
 )
 
 CORPUS_PATH = Path(__file__).resolve().parent.parent / "corpus" / "points.json"
@@ -235,6 +236,19 @@ def per_target_witnesses(ctx, term, gamma: ResourceContext, a: IType, budget=Non
     return [(theta, alpha, d) for theta in neg_targets_ctx(gamma)
             for alpha in pos_sources_it(a, ty)
             for d in enumerator(ctx, term, theta, alpha, budget)]
+
+
+def across_points(name: str, budget=None):
+    """(ctx, term, derivations) of the corpus entry `name` over every
+    negative target of its canonical point.
+
+    A derivation fixes the order in which each context sequence is consumed,
+    so counting at the representative alone undercounts; this is the raw
+    enumeration underlying the positive witness count.
+    """
+    ctx, term, ty, point = parse_entry(next(e for e in load_corpus() if e["name"] == name))
+    gamma, alpha = canonicalize_point(point, ctx, ty)
+    return ctx, term, [d for _, _, d in per_target_witnesses(ctx, term, gamma, alpha, budget)]
 
 
 # The symmetry partition that compared witnesses pairwise: each with the

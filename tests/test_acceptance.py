@@ -11,15 +11,15 @@ from thinspan.syntax import (
     annotate, is_beta_normal, parse_context, parse_simple_type, parse_term,
 )
 from thinspan.rigidtypes import IArrow, Star, canonicalize_point, parse_itype, point_from_json
-from thinspan.symmetry import (
-    compose_it, enumerate_homs_it, identity_it, invert_it, is_negative_it,
-    is_positive_it, polar_factorize_it, pos_targets_it, src_it, sym_degrees_ctx,
-    sym_degrees_it, tgt_it,
-)
+from thinspan.symmetry import pos_targets_it, sym_degrees_ctx, sym_degrees_it
 from thinspan.derivation import (
     RApp, RLam, RVar, count_derivation_morphisms, multiset_collapse_term,
 )
-from thinspan.groupoid import compose_dm, enumerate_derivation_morphisms, identity_dm, invert_dm
+from thinspan.groupoid import (
+    compose_dm, compose_it, enumerate_derivation_morphisms, enumerate_homs_it, identity_dm,
+    identity_it, invert_dm, invert_it, is_negative_it, is_positive_it, polar_factorize_it, src_it,
+    tgt_it,
+)
 from thinspan.wrel import wrel_coefficient
 from thinspan.collapse import esp_explicit, positive_witnesses, prepare, verify_identities
 

@@ -4,10 +4,13 @@ work its ladders measure stays small.
 The benchmark's tracer wraps names imported into thinspan.collapse and
 thinspan.wrel, and reads the coefficient off verify_identities; a refactor
 that moves either would break the benchmark without failing any other test.
-The work guards refuse listings of hom-sets, of derivation morphisms (the
-reference module thinspan.groupoid) and of reachable contexts, refuse to
-build any type morphism, and count enumerator and coefficient subproblems,
-instead of timing anything.
+The work guards refuse listings of hom-sets and of derivation morphisms,
+both in the reference module thinspan.groupoid, and of reachable
+contexts, refuse to build any type morphism, and count enumerator and
+coefficient subproblems, instead of timing anything.  Listing takes
+factorial time, so no query imports groupoid; tests/test_imports.py checks
+that by parsing the package, which the guards that patch groupoid
+confirm by running queries.
 """
 
 import importlib
@@ -133,14 +136,14 @@ def test_no_factorial_products_of_morphisms(monkeypatch, point, budget):
 # 12 copies of [*]-o* have 12! = 479,001,600 negative entry morphisms.
 def test_entry_count_past_what_listing_reaches(monkeypatch):
     for name in ("enumerate_homs_ctx", "enumerate_homs_seq", "enumerate_homs_it"):
-        monkeypatch.setattr(thinspan.symmetry, name, refuse)
+        monkeypatch.setattr(thinspan.groupoid, name, refuse)
     seq = (IArrow((STAR,), STAR),) * 12
     assert thinspan.symmetry.count_negative_seq(seq, seq) == factorial(12)
 
 
 def test_degrees_and_witness_morphisms_enumerate_nothing(monkeypatch):
     for name in ("enumerate_homs_ctx", "enumerate_homs_seq", "enumerate_homs_it"):
-        monkeypatch.setattr(thinspan.symmetry, name, refuse)
+        monkeypatch.setattr(thinspan.groupoid, name, refuse)
     ctx, term, ty, point = point_subject(*fanout_point(3))
     gamma, a = canonicalize_point(point, ctx, ty)
     assert thinspan.symmetry.sym_degrees_ctx(gamma).total == 1152 * 24
@@ -182,13 +185,13 @@ def refuse_morphisms(monkeypatch):
     def refuse_built(self):
         raise AssertionError("a type morphism built on the query path")
     # every morphism but an identity at the base type holds a SeqMorphism
-    monkeypatch.setattr(thinspan.symmetry.SeqMorphism, "__post_init__", refuse_built)
+    monkeypatch.setattr(thinspan.groupoid.SeqMorphism, "__post_init__", refuse_built)
 
 
 def refuse_listings(monkeypatch):
     monkeypatch.setattr(thinspan.groupoid, "enumerate_derivation_morphisms", refuse)
     for name in ("enumerate_homs_ctx", "enumerate_homs_seq", "enumerate_homs_it"):
-        monkeypatch.setattr(thinspan.symmetry, name, refuse)
+        monkeypatch.setattr(thinspan.groupoid, name, refuse)
 
 
 # Class degrees count derivation morphisms, a redex by its contractum, and

@@ -4,7 +4,7 @@ from thinspan.syntax import TypeCheckError, is_beta_normal, parse_context, parse
 from thinspan.rigidtypes import (
     PointSpec, RefinementError, is_canonical, parse_itype, parse_mit, parse_mset,
 )
-from thinspan.symmetry import enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_positive_it
+from thinspan.groupoid import enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_positive_it
 from thinspan.derivation import (
     BoundedAt, BudgetRequiredError, DerivationError, Exact, check_derivation, rt_context,
     rt_type,

@@ -1,7 +1,5 @@
-import ast
 import dataclasses
 from math import factorial
-from pathlib import Path
 
 import pytest
 
@@ -10,7 +8,6 @@ from thinspan.syntax import (
     parse_simple_type, parse_term, substitute,
 )
 from thinspan.rigidtypes import IArrow, ResourceContext, Star, canonicalize_point
-from thinspan.symmetry import MorphismError, src_it, src_seq, tgt_it, tgt_seq
 from thinspan.derivation import (
     BoundedAt, BudgetRequiredError, DerivationError, Exact, RApp, RLam, RVar,
     check_derivation, contract, count_derivation_morphisms, endo_count,
@@ -18,15 +15,14 @@ from thinspan.derivation import (
     partition_by_symmetry, resource_to_text, rt_context, rt_occurrence_labels, rt_type,
 )
 from thinspan.groupoid import (
-    compose_dm, dm_app, dm_occurrences, enumerate_derivation_morphisms, identity_dm, invert_dm,
-    src_dm, tgt_dm,
+    dm_occurrences, enumerate_derivation_morphisms, identity_dm, src_it, src_seq, tgt_it, tgt_seq,
 )
 from thinspan.collapse import positive_witnesses, prepare, verify_identities
 
 from support import (
-    built_nodes, church_point, distinct_g_point, entry_budget, fanout_point, load_corpus,
-    pairwise_partition, parse_entry, generated_points, per_target_witnesses, point_subject,
-    split_witnesses, symmetric_point,
+    across_points, built_nodes, church_point, distinct_g_point, entry_budget, fanout_point,
+    load_corpus, pairwise_partition, parse_entry, generated_points, per_target_witnesses,
+    point_subject, split_witnesses, symmetric_point,
 )
 
 S = Star()
@@ -44,17 +40,6 @@ def at_point(name, budget=None):
     """Witness set at the canonical rigid point itself."""
     ctx, term, _, gamma, alpha = subject(name)
     return ctx, term, enumerate_witnesses(ctx, term, gamma, alpha, budget)
-
-
-def across_points(name, budget=None):
-    """Derivations over every negative target of the canonical point.
-
-    A derivation fixes the order in which each context sequence is consumed,
-    so counting at the representative alone undercounts; this is the raw
-    enumeration underlying the positive witness count.
-    """
-    ctx, term, _, gamma, alpha = subject(name)
-    return ctx, term, [d for _, _, d in per_target_witnesses(ctx, term, gamma, alpha, budget)]
 
 
 def texts(ds):
@@ -595,61 +580,3 @@ def test_morphism_count_matches_listing():
         ds = [w.derivation for w in positive_witnesses(prepare(ctx, term, point)).witnesses]
         assert len(ds) == factorial(k)
         assert partition_by_symmetry(ds) == pairwise_partition(ds) == (tuple(ds),), k
-
-
-def test_derivation_morphism_groupoid():
-    _, _, ds = across_points("one-term-two-witnesses")
-    d1, d2 = ds
-    (m,) = enumerate_derivation_morphisms(d1, d2)
-    assert src_dm(m) == d1 and tgt_dm(m) == d2
-    assert compose_dm(invert_dm(m), m) == identity_dm(d1)
-    assert compose_dm(m, invert_dm(m)) == identity_dm(d2)
-    assert compose_dm(m, identity_dm(d1)) == m
-    assert compose_dm(identity_dm(d2), m) == m
-
-
-def test_multi_morphism_swap_endo():
-    _, _, ds = across_points("fan-out")
-    [w] = ds
-    endos = enumerate_derivation_morphisms(w, w)
-    assert len(endos) == 2
-    ident = identity_dm(w)
-    assert ident in endos
-    (swap,) = [e for e in endos if e != ident]
-    assert swap.arg.sigma == (1, 0)
-    assert compose_dm(swap, swap) == ident
-    for a in endos:
-        assert invert_dm(a) in endos
-        for b in endos:
-            assert compose_dm(a, b) in endos
-
-
-def test_app_morphism_shares_sequence_morphism():
-    _, _, ds = across_points("fan-out")
-    [w] = ds
-    ident = identity_dm(w)
-    endos = enumerate_derivation_morphisms(w, w)
-    (swap,) = [e for e in endos if e != ident]
-    with pytest.raises(MorphismError):
-        dm_app(ident.fn, swap.arg)
-
-
-def imported_modules(tree):
-    """The modules an ast imports from, dotted, with relative ones under
-    thinspan: `from . import x` counts as thinspan.x."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = ("thinspan." if node.level else "") + (node.module or "")
-            yield base.rstrip(".")
-            yield from (f"{base.rstrip('.')}.{alias.name}" for alias in node.names)
-
-
-def test_only_the_package_imports_the_listing_groupoid():
-    src = Path(__file__).resolve().parent.parent / "src" / "thinspan"
-    modules = sorted(src.glob("*.py"))
-    assert "groupoid.py" in [p.name for p in modules]
-    importers = [p.name for p in modules
-                 if "thinspan.groupoid" in imported_modules(ast.parse(p.read_text()))]
-    assert importers == ["__init__.py"]

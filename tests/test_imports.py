@@ -1,39 +1,91 @@
-"""Every module under src/thinspan uses the names it imports.
+"""What the modules under src/thinspan import, and what the package exports.
 
 No linter runs over the package, so this parses each module and reports an
 imported name that never appears in it.  The names that perfbench's tracer
 wraps in a module are exempt there: the module imports them so that the
 tracer can replace them, whether or not it calls them itself.
+
+The listings of both groupoids take factorial time, so no module on the
+query path may reach the reference module groupoid: only the package's
+__init__ imports it, and a module may import from it only names the tracer
+wraps there, which it must not use.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
 
+import thinspan
 from support import load_tracing
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thinspan"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
-def imported_names(tree: ast.Module) -> set[str]:
-    names = set()
+def parse(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
+def imports(tree: ast.Module):
+    """(module, name, bound) for each name a module imports: `from module
+    import name as bound`, a relative module resolved under thinspan, or
+    `import name as bound` with module ''."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            names.update(a.asname or a.name for a in node.names)
+            module = ".".join(filter(None, ["thinspan" if node.level else "", node.module]))
+            for a in node.names:
+                yield module, a.name, a.asname or a.name
         elif isinstance(node, ast.Import):
-            names.update(a.asname or a.name.split(".")[0] for a in node.names)
-    return names
+            for a in node.names:
+                yield "", a.name, a.asname or a.name.split(".")[0]
 
 
 def used_names(tree: ast.Module) -> set[str]:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def traced(module: str) -> set[str]:
+    return {name for mod, name, _ in load_tracing().WRAPPED if mod == module}
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-    traced = {name for mod, name, _ in load_tracing().WRAPPED if mod == module}
-    unused = imported_names(tree) - used_names(tree) - traced
+    tree = parse(module)
+    unused = {bound for _, _, bound in imports(tree)} - used_names(tree) - traced(module)
     assert not unused, sorted(unused)
+
+
+def test_no_query_module_reaches_the_listings():
+    assert "groupoid" in MODULES
+    reached = {}
+    for module in MODULES:
+        tree = parse(module)
+        names = {bound for source, name, bound in imports(tree)
+                 if "thinspan.groupoid" in (source, f"{source}.{name}".lstrip("."))}
+        if names - traced(module) or names & used_names(tree):
+            reached[module] = sorted(names)
+    assert not reached, reached
+
+
+# The names `import thinspan` exposes, modules aside: moving code between
+# modules keeps every one of them.
+EXPORTS = {
+    "BudgetRequiredError", "DerivationError", "MorphismError", "NatInf", "ParseError",
+    "PointSpec", "Polarity", "RefinementError", "ResourceContext", "Subject", "TypeCheckError",
+    "TypingContext", "WitnessReport", "WitnessSet", "annotate", "beta_normalize",
+    "canonicalize_point", "check_derivation", "enumerate_derivation_morphisms",
+    "enumerate_homs_it", "enumerate_witnesses", "multiset_collapse_term", "parse_context",
+    "parse_itype", "parse_mit", "parse_mset", "parse_simple_type", "parse_term",
+    "partition_by_symmetry", "point_from_json", "polar_factorize_it", "polarity_it",
+    "positive_witnesses", "prepare", "resource_to_text", "rt_context", "rt_type",
+    "sym_degrees_ctx", "sym_degrees_it", "term_to_text", "type_to_text", "typecheck",
+    "verify_identities", "weight_by_classes", "wrel_coefficient",
+}
+
+
+def test_the_package_exports_stay():
+    exported = {name for name, value in vars(thinspan).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == EXPORTS

@@ -17,7 +17,7 @@ from thinspan.rigidtypes import (
     mit_to_text, parse_itype, parse_mit, parse_mset,
     point_from_json, point_to_json, refines,
 )
-from thinspan.symmetry import enumerate_homs_it
+from thinspan.groupoid import enumerate_homs_it
 
 from support import canonicalize_ctx, rand_itype, rand_reorder, rand_stype
 
