@@ -239,7 +239,7 @@ def _entry_problem(entry: dict) -> str | None:
         return f"entry has no {' or '.join(map(repr, missing))} field"
     for field, (kind, what) in _ENTRY_FIELDS.items():
         value = entry.get(field)
-        if value is None:
+        if field not in entry or (value is None and field in ("expected", "budget")):
             continue
         if (not isinstance(value, kind) or isinstance(value, bool)
                 or (field == "budget" and value < 0)):

@@ -43,9 +43,10 @@ A symmetry class's degree, the number of endomorphisms of one of its
 derivations, is counted without listing them: under a variable head the
 argument multis fix the head's label morphism on every domain, so a spine
 counts the morphisms between the head's codomains times a permanent per
-multi.  The morphisms themselves, of derivations and of their labels, and
-their listing are in the reference module groupoid; listing takes
-factorial time, so no query imports it.  Two derivations are symmetric (some
+multi, a block product over the copies' isomorphism classes.  The
+morphisms themselves, of derivations and of their labels, and their
+listing are in the reference module groupoid; listing takes factorial
+time, so no query imports it.  Two derivations are symmetric (some
 morphism joins them) iff their contracta have the same multiset collapse,
 the paper's quotient to multiset resource terms, because
   - a label hom-set is non-empty iff both labels have one canonical form;

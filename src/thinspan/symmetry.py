@@ -15,8 +15,9 @@ negative sub-groupoid.  This module counts them on the query path:
     A context entry flips the variance, and a context's degrees are the
     product of its entries';
   * the size of a hom-set, polarized or not (count_*): a permanent where
-    the domain may be permuted, a product where it may not.  The explicit
-    triple count and the count of derivation morphisms use them;
+    the domain may be permuted, a product where it may not.  Permanents are
+    block products over isomorphism classes.  The explicit triple count and
+    the count of derivation morphisms use them;
   * polarized reachability: the types and contexts a negative morphism
     reaches (neg_targets_*) and the types a positive one comes from
     (pos_sources_it).
@@ -115,21 +116,20 @@ def _count_it(positive: bool, a: IType, b: IType, memo: dict) -> int:
 
 
 def permanent(m: list[list[int]]) -> int:
-    """Ryser's formula, visiting the column subsets in Gray-code order so
-    that each step adds or removes one column: O(2^n * n)."""
-    n = len(m)
-    if any(not any(row) for row in m):
-        return 0
-    sums = [0] * n
-    total = 0 if n else 1
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1
-        gray = k ^ (k >> 1)
-        step = 1 if gray >> j & 1 else -1
-        for i, row in enumerate(m):
-            sums[i] += step * row[j]
-        term = prod(sums)
-        total += -term if (n - gray.bit_count()) & 1 else term
+    """The permanent of #Hom(x, y) over objects x, y of a groupoid, as a block
+    product: isomorphic objects have equal rows, others share no non-zero
+    column.  So a distinct row met k times gives k! times its k non-zero
+    entries, or 0 without k of them; two sharing a column are refused."""
+    blocks: dict[tuple[int, ...], int] = {}
+    for row in map(tuple, m):
+        blocks[row] = blocks.get(row, 0) + 1
+    total, seen = 1, set()
+    for row, k in blocks.items():
+        cols = {j for j, w in enumerate(row) if w}
+        if cols & seen:
+            raise ValueError("not a matrix of hom-set sizes: distinct rows share a column")
+        seen |= cols
+        total *= factorial(k) * prod(filter(None, row)) if len(cols) == k else 0
     return total
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import Lam, Term, Var, beta_normalize, free_vars, spine
+from .syntax import Lam, Term, Var, beta_normalize, free_vars, is_beta_normal, spine
 # not called here: the tracer in perfbench/tracing.py wraps this name in this module
 from .syntax import annotate  # noqa: F401
 from .rigidtypes import IArrow, IType, SeqType, Subject
@@ -57,8 +57,9 @@ class NatInf:
 
 def wrel_coefficient(subject: Subject) -> NatInf:
     """Coefficient of the subject's term at its point."""
-    # renaming keeps binders clear of context names after reduction
-    nf = beta_normalize(subject.term, set(subject.ctx.names()))
+    # prepare freshened the binders; only reduction may need them renamed
+    term = subject.term
+    nf = term if is_beta_normal(term) else beta_normalize(term, set(subject.ctx.names()))
     env = {x: seq for x, seq, _ in subject.gamma.entries}
     fvs = _term_info(nf)[0]
     if any(seq for x, seq in env.items() if x not in fvs):

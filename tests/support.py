@@ -8,6 +8,7 @@ import json
 import random
 from contextlib import contextmanager
 from itertools import combinations_with_replacement, permutations, product
+from math import prod
 from pathlib import Path
 
 from thinspan import interning
@@ -113,6 +114,15 @@ def distinct_g_point(k: int):
             "f:o->o, g:o->o, y:o")
 
 
+def chain_point(d: int):
+    """`f (... (f y))`, d deep, at f:[d x ([*]-o*)], y:[*]: every occurrence
+    takes one of d equal elements, so the coefficient is 1."""
+    term = "y"
+    for _ in range(d):
+        term = f"f ({term})"
+    return term, {"f": "[" + ",".join(["[*]-o*"] * d) + "]", "y": "[*]"}, "f:o->o, y:o"
+
+
 def point_subject(term_text: str, point_ctx: dict, ctx_text: str = "g:o->o, y:o"):
     """(ctx, annotated term, type, point) for a term at a point of result type *."""
     ctx = parse_context(ctx_text)
@@ -184,6 +194,25 @@ def rand_context(rng: random.Random, nvars: int = 2, width: int = 3) -> Resource
 
 ####################################################################
 # brute-force oracles: enumerate every morphism, then classify
+
+def ryser_permanent(m: list[list[int]]) -> int:
+    """Ryser's formula, visiting the column subsets in Gray-code order so
+    that each step adds or removes one column: O(2^n * n)."""
+    n = len(m)
+    if any(not any(row) for row in m):
+        return 0
+    sums = [0] * n
+    total = 0 if n else 1
+    for k in range(1, 1 << n):
+        j = (k & -k).bit_length() - 1
+        gray = k ^ (k >> 1)
+        step = 1 if gray >> j & 1 else -1
+        for i, row in enumerate(m):
+            sums[i] += step * row[j]
+        term = prod(sums)
+        total += -term if (n - gray.bit_count()) & 1 else term
+    return total
+
 
 def brute_degrees_it(a: IType, t: SimpleType) -> Degrees:
     endos = enumerate_homs_it(a, a)

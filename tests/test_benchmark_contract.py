@@ -31,8 +31,8 @@ from thinspan.syntax import is_beta_normal
 from thinspan.wrel import wrel_coefficient
 
 from support import (
-    church_point, distinct_g_point, entry_budget, fanout_point, load_corpus, load_tracing,
-    parse_entry, point_subject, symmetric_point,
+    chain_point, church_point, distinct_g_point, entry_budget, fanout_point, load_corpus,
+    load_tracing, parse_entry, point_subject, symmetric_point,
 )
 
 def test_traced_names_resolve():
@@ -260,10 +260,16 @@ def test_class_degree_past_what_listing_reaches(monkeypatch):
 
 
 def test_larger_rungs_verify():
-    for n in (7, 8):
+    for n in (7, 8, 40):
         ctx, term, _, point = point_subject(*symmetric_point(n))
         rep = verify_identities(ctx, term, point)
-        assert rep.ok and rep.wrel.value == 1
+        assert rep.ok and rep.wrel.value == 1, n
+    ctx, term, _, point = point_subject(*chain_point(150))
+    rep = verify_identities(ctx, term, point)
+    assert rep.ok and rep.wrel.value == 1
+    ctx, term, _, point = point_subject(*distinct_g_point(6))
+    rep = verify_identities(ctx, term, point)
+    assert rep.ok and rep.wrel.value == factorial(6)
     for n in (4, 6, 8):
         ctx, term, _, point = point_subject(*fanout_point(n))
         rep = verify_identities(ctx, term, point)

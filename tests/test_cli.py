@@ -4,7 +4,7 @@ from click.testing import CliRunner
 
 from thinspan.cli import main
 
-from support import CORPUS_PATH
+from support import CORPUS_PATH, chain_point
 
 EX2 = ["--ctx", "f:o->o, g:o->o, y:o", "--term", "f (g y)", "--point",
        '{"ctx": {"f": "[[*,*]-o*]", "g": "[[]-o*, [*]-o*]", "y": "[*]"}, "type": "*"}']
@@ -265,21 +265,18 @@ def test_corpus_of_the_wrong_shape(tmp_path):
 
 
 def test_deeply_nested_term_is_an_input_error():
-    n = 400
-    term = "y"
-    for _ in range(n):
-        term = f"f ({term})"
-    point = json.dumps({"ctx": {"f": "[" + ",".join(["[*]-o*"] * n) + "]", "y": "[*]"},
-                        "type": "*"})
+    term, point_ctx, ctx = chain_point(400)
+    point = json.dumps({"ctx": point_ctx, "type": "*"})
     for cmd in ("witnesses", "weight", "verify"):
-        res = run(cmd, "--ctx", "f:o->o, y:o", "--term", term, "--point", point)
+        res = run(cmd, "--ctx", ctx, "--term", term, "--point", point)
         assert_clean_input_error(res)
 
 
 def test_corpus_fields_of_the_wrong_type(tmp_path):
     entry = {"name": "typed", "ctx": "y:o", "term": "(\\x:o. x) y",
              "point": {"ctx": {"y": "[*]"}, "type": "*"}, "expected": 1, "budget": 1}
-    bad = [("ctx", 5), ("term", ["y"]), ("type", 0), ("expected", "1"),
+    bad = [("ctx", 5), ("term", ["y"]), ("type", 0), ("ctx", None), ("term", None),
+           ("type", None), ("expected", "1"),
            ("budget", "x"), ("budget", -1), ("point", 3),
            ("point", {"ctx": {"y": 5}, "type": "*"}), ("point", {"ctx": {"y": "[*]"}, "type": 5})]
     for field, value in bad:
@@ -288,5 +285,9 @@ def test_corpus_fields_of_the_wrong_type(tmp_path):
         res = run("verify", "--corpus", str(cf))
         assert_clean_input_error(res)
         assert res.stderr.startswith("error: typed:"), res.stderr
-    cf.write_text(json.dumps([entry]))
-    assert run("verify", "--corpus", str(cf)).exit_code == 0
+        if value is None:
+            assert f"field {field!r} must be a string, got null" in res.stderr
+    # a null expected or budget means absent
+    for ok in (entry, dict(entry, expected=None, budget=None)):
+        cf.write_text(json.dumps([ok]))
+        assert run("verify", "--corpus", str(cf)).exit_code == 0

@@ -1,14 +1,16 @@
 import pytest
 
+import thinspan
 from thinspan.syntax import TypeCheckError, is_beta_normal, parse_context, parse_term
 from thinspan.rigidtypes import (
     PointSpec, RefinementError, is_canonical, parse_itype, parse_mit, parse_mset,
 )
 from thinspan.groupoid import enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_positive_it
 from thinspan.derivation import (
-    BoundedAt, BudgetRequiredError, DerivationError, Exact, check_derivation, rt_context,
-    rt_type,
+    BoundedAt, BudgetRequiredError, DerivationError, Exact, check_derivation,
+    count_derivation_morphisms, rt_context, rt_type,
 )
+from thinspan.symmetry import permanent
 from thinspan.collapse import (
     class_counts_check, esp_explicit, positive_witnesses, prepare, verify_identities,
     weight_by_classes,
@@ -16,7 +18,8 @@ from thinspan.collapse import (
 
 from support import (
     church_point, distinct_g_point, entry_budget, fanout_point, generated_points, listed_esp,
-    load_corpus, parse_entry, per_target_witnesses, point_subject, symmetric_point,
+    load_corpus, parse_entry, per_target_witnesses, point_subject, ryser_permanent,
+    symmetric_point,
 )
 
 BY_NAME = {e["name"]: e for e in load_corpus()}
@@ -226,6 +229,31 @@ def test_bag_enumeration_matches_per_target_oracle(group):
             assert rt_context(gamma.shape(), d) == theta, label
         found += len(got)
     assert found >= least, found
+
+
+def test_permanents_match_ryser_on_real_matrices(monkeypatch):
+    # every matrix of at most 10 rows that the triple count, the class
+    # degrees and the morphisms between witnesses take a permanent of
+    sizes = []
+
+    def checked(m):
+        got = permanent(m)
+        if len(m) <= 10:
+            assert got == ryser_permanent(m), m
+            sizes.append(len(m))
+        return got
+
+    for module in (thinspan.symmetry, thinspan.derivation):
+        monkeypatch.setattr(module, "permanent", checked)
+    for subjects in (corpus_subjects, generated_subjects, family_subjects):
+        for label, ctx, term, point, budget in subjects():
+            rep = verify_identities(ctx, term, point, budget)
+            assert rep.ok, label
+            derivations = [w.derivation for w in rep.report.witnesses[:6]]
+            for r1 in derivations:
+                for r2 in derivations:
+                    count_derivation_morphisms(r1, r2)
+    assert len(sizes) >= 500 and max(sizes) >= 6, (len(sizes), max(sizes))
 
 
 def test_witness_label_outside_canonical_form():

@@ -10,8 +10,8 @@ from thinspan.rigidtypes import (
 )
 from thinspan.symmetry import (
     MorphismError, count_homs_it, count_negative_it, count_negative_seq, count_positive_it,
-    neg_targets_ctx, neg_targets_it, neg_targets_seq, pos_targets_it, sym_degrees_ctx,
-    sym_degrees_it,
+    neg_targets_ctx, neg_targets_it, neg_targets_seq, permanent, pos_targets_it,
+    sym_degrees_ctx, sym_degrees_it,
 )
 from thinspan.groupoid import (
     enumerate_homs_ctx, enumerate_homs_it, enumerate_homs_seq, is_negative_ctx, is_negative_it,
@@ -23,7 +23,7 @@ from thinspan.collapse import esp_explicit, positive_witnesses, prepare
 from support import (
     brute_degrees_ctx, brute_degrees_it, brute_neg_targets_it, brute_neg_targets_seq,
     brute_pos_targets_it, entry_budget, load_corpus, parse_entry, rand_canonical,
-    rand_context, rand_itype, rand_reorder, rand_stype,
+    rand_context, rand_itype, rand_reorder, rand_stype, ryser_permanent,
 )
 
 S = Star()
@@ -48,6 +48,42 @@ def test_hom_count_is_a_permanent():
                 prod *= counts[i][p[i]]
             perm_total += prod
         assert len(enumerate_homs_seq(sa, sb)) == perm_total
+
+
+def rand_hom_matrix(rng: random.Random) -> list[list[int]]:
+    """A square matrix shaped like the hom-set sizes of a groupoid: blocks of
+    equal rows, one constant per block, rows and columns shuffled.  A block
+    may have more columns than rows or fewer; zero rows or zero columns
+    square the matrix up."""
+    blocks = []
+    for _ in range(rng.randint(1, 4)):
+        r = rng.randint(1, 3)
+        c = r if rng.random() < 0.6 else rng.randint(max(r - 1, 1), r + 1)
+        blocks.append((r, c, rng.randint(1, 5)))
+    rows, cols = sum(r for r, _, _ in blocks), sum(c for _, c, _ in blocks)
+    blocks.append((max(cols - rows, 0), max(rows - cols, 0), 1))
+    row_of = [b for b, (r, _, _) in enumerate(blocks) for _ in range(r)]
+    col_of = [b for b, (_, c, _) in enumerate(blocks) for _ in range(c)]
+    rng.shuffle(row_of)
+    rng.shuffle(col_of)
+    return [[blocks[i][2] if i == j else 0 for j in col_of] for i in row_of]
+
+
+def test_permanent_matches_ryser_on_random_hom_matrices():
+    rng = random.Random(19)
+    assert permanent([]) == ryser_permanent([]) == 1
+    nonzero = 0
+    for _ in range(400):
+        m = rand_hom_matrix(rng)
+        assert permanent(m) == ryser_permanent(m), m
+        nonzero += permanent(m) != 0
+    assert 100 <= nonzero <= 300, nonzero
+
+
+@pytest.mark.parametrize("m", [[[1, 1], [0, 1]], [[2, 1, 0], [1, 2, 0], [0, 0, 1]]])
+def test_permanent_refuses_rows_that_share_a_column(m):
+    with pytest.raises(ValueError, match="share a column"):
+        permanent(m)
 
 
 def test_degrees_pinned_values():
