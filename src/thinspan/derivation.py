@@ -73,7 +73,7 @@ from itertools import product
 from .interning import Node, fact
 from .syntax import (
     App, Arrow, Base, Lam, SimpleType, Term, TypingContext, Var,
-    annotate, binders, free_vars, is_beta_normal, spine, term_to_text, type_to_text,
+    annotate, binder_names, free_vars, is_beta_normal, spine, term_to_text, type_to_text,
     typecheck,
 )
 from .rigidtypes import (
@@ -318,18 +318,27 @@ def key_rt(r: ResourceTerm):
     raise TypeError(f"not a resource term: {r!r}")
 
 
-def multiset_collapse_term(r: ResourceTerm) -> ResourceTerm:
+def multiset_collapse_term(r: ResourceTerm, memo: dict | None = None) -> ResourceTerm:
     """The canonical resource term of r's multiset collapse: labels
-    canonicalized and the copies of every argument sorted by key_rt."""
-    match r:
-        case RVar(x, a):
-            return RVar(x, canonicalize_it(a))
-        case RLam(x, b, ann):
-            return RLam(x, multiset_collapse_term(b), ann)
-        case RApp(f, args):
-            return RApp(multiset_collapse_term(f),
-                        tuple(sorted((multiset_collapse_term(a) for a in args), key=key_rt)))
-    raise TypeError(f"not a resource term: {r!r}")
+    canonicalized and the copies of every argument sorted by key_rt.  The
+    memo keeps the collapse of every subterm, which terms derived from one
+    term share."""
+    memo = {} if memo is None else memo
+    out = memo.get(r)
+    if out is None:
+        match r:
+            case RVar(x, a):
+                out = RVar(x, canonicalize_it(a))
+            case RLam(x, b, ann):
+                out = RLam(x, multiset_collapse_term(b, memo), ann)
+            case RApp(f, args):
+                out = RApp(multiset_collapse_term(f, memo),
+                           tuple(sorted((multiset_collapse_term(a, memo) for a in args),
+                                        key=key_rt)))
+            case _:
+                raise TypeError(f"not a resource term: {r!r}")
+        memo[r] = out
+    return out
 
 
 ####################################################################
@@ -404,8 +413,8 @@ def _checked_term(ctx: TypingContext, term: Term, theta: ResourceContext,
                   alpha: IType) -> Term:
     """The annotated term, once the point is checked to fit it."""
     term, ty = annotate(ctx, term)
-    bs = binders(term)
-    if len(set(bs)) != len(bs) or set(bs) & set(ctx.names()):
+    bs = binder_names(term)
+    if bs is None or not set(ctx.names()).isdisjoint(bs):
         raise DerivationError("term must have distinct binders, disjoint from the context")
     if theta.shape() != tuple(ctx.bindings):
         raise DerivationError(
@@ -437,7 +446,7 @@ def witness_set(ctx: TypingContext, term: Term, theta: ResourceContext, alpha: I
     # in the term's memo beside the enumerator's entries, whose keys have
     # four components; a start context fixes the variables that are not
     # free in the term too, which must be used up
-    memo = _term_info(term)[1]
+    memo = _memo(term)
     key = (tuple(start.items()), alpha, cut_budget)
     found = memo.get(key)
     if found is None:
@@ -460,15 +469,15 @@ Entry = tuple[SeqType, SimpleType, bool]
 Ctx = dict[str, Entry]
 Found = list[tuple[ResourceTerm, Ctx]]
 
-# term -> (its free variables, {(their entries, target, budget, which of
-# them must be used up): [(derivation, what it leaves of each entry)]});
+# term -> {(the entries of its free variables, target, budget, which of
+# them must be used up): [(derivation, what it leaves of each entry)]};
 # witness_set keeps its sorted derivations in the same dict
 _enum_cache: dict = {}
 
 
 def _enum(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
           must: frozenset[str]) -> Found:
-    fvs, memo = _term_info(term)
+    fvs, memo = free_vars(term), _memo(term)
     if any(ctx[x][0] for x in must if x not in fvs):
         return []
     key = (tuple(ctx[x] for x in fvs), alpha, budget, tuple(x in must for x in fvs))
@@ -485,11 +494,11 @@ def _enum(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
     return out
 
 
-def _term_info(term: Term) -> tuple[tuple[str, ...], dict]:
-    info = _enum_cache.get(term)
-    if info is None:
-        info = _enum_cache[term] = (tuple(sorted(free_vars(term))), {})
-    return info
+def _memo(term: Term) -> dict:
+    memo = _enum_cache.get(term)
+    if memo is None:
+        memo = _enum_cache[term] = {}
+    return memo
 
 
 def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
@@ -516,7 +525,7 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
                     # the copies take an ordered pick of y's bag, and f
                     # runs on what they leave of it
                     cuts = _bag_cuts(seq, t)
-                    if y in must and y not in _term_info(f)[0]:
+                    if y in must and y not in free_vars(f):
                         cuts = [(cut, rest) for cut, rest in cuts if not rest]
                     for cut, rest in cuts:
                         copies = tuple(RVar(y, c) for c in cut)
@@ -527,7 +536,7 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
                 # each copy of a bare variable consumes one element, so the
                 # cut is the window seq[i:j] of what f leaves of it
                 n, must_f = len(seq), must - {y}
-                for i in range(n + 1) if y in _term_info(f)[0] else (0,):
+                for i in range(n + 1) if y in free_vars(f) else (0,):
                     for j in (n,) if y in must else range(i, n + 1):
                         copies = tuple(RVar(y, c) for c in seq[i:j])
                         for rf, left in _enum(f, ctx, IArrow(seq[i:j], alpha), budget, must_f):
@@ -535,7 +544,7 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
                                 out.append((RApp(rf, copies), {**left, y: (seq[j:], t, False)}))
                 return out
             aty = typecheck(TypingContext(tuple((x, t) for x, (_, t, _) in ctx.items())), a)
-            must_f = must.difference(_term_info(a)[0])
+            must_f = must.difference(free_vars(a))
             for abar in _bounded_seqs(aty, budget):
                 for rf, left in _enum(f, ctx, IArrow(abar, alpha), budget, must_f):
                     for m, rest in _enum_multi(a, left, abar, budget, must):
@@ -584,7 +593,7 @@ def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: IType,
             continue
         found: Found = [(RVar(name, label), {**ctx, name: (rest, t, bag)})]
         for j, (arg, dom) in enumerate(zip(args, doms)):
-            later = set().union(*(_term_info(a)[0] for a in args[j + 1:]))
+            later = set().union(*map(free_vars, args[j + 1:]))
             found = [(RApp(r, m), after) for r, left in found
                      for m, after in _enum_multi(arg, left, dom, budget, must - later)]
         out.extend(found)
@@ -597,7 +606,7 @@ def _enum_multi(term: Term, ctx: Ctx, targets: SeqType, budget: int | None,
     the last may leave term's free variables to the copies after it."""
     if not targets:
         return [((), ctx)] if not any(ctx[x][0] for x in must) else []
-    lax = must.difference(_term_info(term)[0])
+    lax = must.difference(free_vars(term))
     out: list[tuple[tuple[ResourceTerm, ...], Ctx]] = [((), ctx)]
     for i, target in enumerate(targets):
         m = must if i == len(targets) - 1 else lax
@@ -707,11 +716,13 @@ def endo_count(r: ResourceTerm) -> int:
 def partition_by_symmetry(derivations) -> tuple[tuple[ResourceTerm, ...], ...]:
     """Group derivations of a common term into symmetry classes, in the
     order of their first members, keyed by the multiset collapse of their
-    contracta, counting no morphism; a lone derivation is not keyed."""
+    contracta, counting no morphism; a lone derivation is not keyed.  The
+    collapses of the subterms the derivations share are taken once."""
     derivations = tuple(derivations)
     if len(derivations) == 1:
         return (derivations,)
     classes: dict[ResourceTerm, list[ResourceTerm]] = {}
+    memo: dict = {}
     for r in derivations:
-        classes.setdefault(multiset_collapse_term(contract(r)), []).append(r)
+        classes.setdefault(multiset_collapse_term(contract(r), memo), []).append(r)
     return tuple(map(tuple, classes.values()))

@@ -21,6 +21,11 @@ fact lives in its node, so it dies with it; no table outside the nodes
 keeps one.  A fact never points back at its node: a value that is the node
 itself is kept as a marker, so no fact makes a reference cycle that only
 the cyclic collector could free.
+
+A family's slot may also hold one value that depends on more than the node,
+such as the type annotate found for a term under given variable types:
+keep stores it, replacing the one before, and kept reads it back.  Its
+owner checks that the value still applies before it uses it.
 """
 
 from __future__ import annotations
@@ -127,3 +132,14 @@ def fact(fn):
         return node if value is _SELF else value
 
     return get
+
+
+def keep(node: Node, name: str, value) -> None:
+    """Keep value in the node's slot name, replacing what it held."""
+    object.__setattr__(node, name, value)
+
+
+def kept(node: Node, name: str):
+    """The value kept in the node's slot name, or None if none is."""
+    value = getattr(node, name)
+    return None if value is _UNSET else value

@@ -7,20 +7,30 @@ representation: a multiset type is the canonical rigid type, every
 sequence sorted under a fixed total order.  Rigid types are interned
 (interning.Node): equal types are one object, so equality is identity,
 and two multiset types are equal exactly when their canonical types are
-the same object.  A type's order key, its canonical form and its symmetry
-degrees are facts (interning.fact): each is computed once and kept on the
-type.  The [...] notation parses to and prints canonical types.
+the same object.  These facts (interning.fact) are computed once per type
+and kept on it:
+
+  key_it           its place in the total order on types;
+  canonicalize_it  its canonical form;
+  erasure          the one simple type it refines, or None when an empty
+                   domain at some depth leaves that type open, or it
+                   refines none; refines walks only such a type;
+  _degrees_it      its symmetry degrees (symmetry).
+
+The [...] notation parses to and prints canonical types.  A PointSpec
+keeps the check canonicalize_point last made on it, so that the checked
+point a query is parsed with is not checked again when it is prepared.
 
 A sequence type is represented as a bare tuple of ITypes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import re
 
 from .interning import Node, fact
-from .syntax import Arrow, Base, SimpleType, Term, TypingContext, type_to_text
+from .syntax import O, Arrow, SimpleType, Term, TypingContext, type_to_text
 
 
 class RefinementError(Exception):
@@ -31,10 +41,10 @@ class RefinementError(Exception):
 # rigid types
 
 class _ITNode(Node):
-    """A rigid type, with slots for its facts: key_it, canonicalize_it and
-    symmetry._degrees_it."""
+    """A rigid type, with slots for its facts: key_it, canonicalize_it,
+    erasure and symmetry._degrees_it."""
 
-    __slots__ = ("key_it", "canonicalize_it", "_degrees_it")
+    __slots__ = ("key_it", "canonicalize_it", "erasure", "_degrees_it")
 
 
 class Star(_ITNode):
@@ -75,14 +85,33 @@ def key_it(a: IType):
 ####################################################################
 # refinement
 
+@fact
+def erasure(a: IType) -> SimpleType | None:
+    """The one simple type a refines: o for the base; for an arrow, the
+    arrow from the one type all its domain's components erase to, to its
+    codomain's erasure.  None when the domain is empty, which leaves the
+    domain's type open, when a component's erasure is None, or when the
+    components' erasures differ."""
+    match a:
+        case Star():
+            return O
+        case IArrow(d, c):
+            ds = set(map(erasure, d))
+            cod = erasure(c)
+            if len(ds) != 1 or None in ds or cod is None:
+                return None
+            return Arrow(ds.pop(), cod)
+    raise TypeError(f"not a rigid type: {a!r}")
+
+
 def refines(a: IType, t: SimpleType) -> bool:
+    e = erasure(a)
+    if e is not None:
+        return e is t
     match a, t:
-        case Star(), Base():
-            return True
         case IArrow(d, c), Arrow(td, tc):
             return all(refines(x, td) for x in d) and refines(c, tc)
-        case _:
-            return False
+    return False
 
 
 def refines_seq(seq: SeqType, t: SimpleType) -> bool:
@@ -163,6 +192,9 @@ class PointSpec:
 
     ctx: tuple[tuple[str, SeqType], ...]
     result: IType
+    # (typing context, result type, canonical rigid point): the last check
+    # canonicalize_point made of this point
+    _checked: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ctx", tuple(
@@ -181,8 +213,20 @@ def canonicalize_point(p: PointSpec, ctx: TypingContext,
     """The canonical rigid point of a multiset point, checking refinement.
 
     The resource context ranges over every variable of ctx, in ctx order;
-    variables missing from the point get the empty sequence.
+    variables missing from the point get the empty sequence.  The point
+    keeps the last check, which answers again for an equal ctx and the
+    same result type.
     """
+    have = p._checked
+    if have is not None and have[1] is result_type and have[0] == ctx:
+        return have[2]
+    out = _rigid_point(p, ctx, result_type)
+    object.__setattr__(p, "_checked", (ctx, result_type, out))
+    return out
+
+
+def _rigid_point(p: PointSpec, ctx: TypingContext,
+                 result_type: SimpleType) -> tuple[ResourceContext, IType]:
     known = set(ctx.names())
     for x, _ in p.ctx:
         if x not in known:
@@ -227,20 +271,18 @@ class Subject:
 #
 # -o is right-associative; whitespace is free.
 
-_IT_TOKEN_RE = re.compile(r"\s*(?:(?P<lolli>-o)|(?P<punct>[*<>\[\](),]))")
+_IT_TOKEN_RE = re.compile(r"(?P<lolli>-o)|(?P<punct>[*<>\[\](),])|(?P<bad>\S)")
 
 
 def _it_tokenize(text: str) -> list[tuple[str, int]]:
+    """One scan of text: whitespace separates tokens, and a character that
+    starts no token is an error at its own position."""
     toks = []
-    pos = 0
-    while pos < len(text):
-        m = _IT_TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise RefinementError(f"unexpected character {text[pos]!r} at position {pos} in type notation")
-        toks.append(("-o" if m.lastgroup == "lolli" else m.group("punct"), m.start()))
-        pos = m.end()
+    for m in _IT_TOKEN_RE.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise RefinementError(f"unexpected character {value!r} at position {pos} in type notation")
+        toks.append((value, pos))
     toks.append(("eof", len(text)))
     return toks
 

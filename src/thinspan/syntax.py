@@ -8,8 +8,19 @@ are keyed by variable name, so shadowing is never allowed to survive.
 Simple types and terms are interned (interning.Node): equal trees are one
 object, so equality is identity and a term or type hashes in constant
 time however deep it is.  Alpha-equivalent terms with different binder
-names are different trees; alpha_eq compares them.  Whether a term is
-beta-normal is a fact (interning.fact), computed once and kept on it.
+names are different trees; alpha_eq compares them.  These facts
+(interning.fact) are computed once per term and kept on it:
+
+  free_vars       its free variables, a sorted tuple;
+  binder_names    its binder names, when they are pairwise distinct and
+                  apart from its free variables, else None; a term whose
+                  binders are apart from the reserved names too comes back
+                  from ensure_distinct_binders without a walk;
+  is_beta_normal  whether it is beta-normal;
+  _nf             its beta-normal form, before binders are re-freshened.
+
+annotate also keeps, on a term it returned unchanged, the type it found
+and the types of the free variables it found it under (interning.keep).
 
 Binder annotations are optional in the concrete syntax.  An unannotated
 binder is only legal when the full simple type of the term is supplied,
@@ -22,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import re
 
-from .interning import Node, fact
+from .interning import Node, fact, keep, kept
 
 
 class ParseError(Exception):
@@ -70,9 +81,10 @@ def type_to_text(t: SimpleType) -> str:
 # terms
 
 class _TermNode(Node):
-    """A term, with a slot for its fact is_beta_normal."""
+    """A term, with slots for its facts free_vars, binder_names,
+    is_beta_normal and _nf, and for the type annotate kept on it."""
 
-    __slots__ = ("is_beta_normal",)
+    __slots__ = ("free_vars", "binder_names", "is_beta_normal", "_nf", "_annotated")
 
 
 class Var(_TermNode):
@@ -93,25 +105,39 @@ class Lam(_TermNode):
 Term = Var | App | Lam
 
 
-def free_vars(t: Term) -> set[str]:
+@fact
+def free_vars(t: Term) -> tuple[str, ...]:
+    """The free variables of t, sorted.  A term whose free variables are
+    those of a child shares the child's tuple."""
     match t:
         case Var(x):
-            return {x}
+            return (x,)
         case App(f, a):
-            return free_vars(f) | free_vars(a)
+            vs, ws = free_vars(f), free_vars(a)
+            both = tuple(sorted({*vs, *ws}))
+            return vs if both == vs else ws if both == ws else both
         case Lam(x, b, _):
-            return free_vars(b) - {x}
+            vs = free_vars(b)
+            return tuple(v for v in vs if v != x) if x in vs else vs
     raise TypeError(f"not a term: {t!r}")
 
 
-def binders(t: Term) -> list[str]:
+@fact
+def binder_names(t: Term) -> tuple[str, ...] | None:
+    """t's binder names, when they are pairwise distinct and apart from t's
+    free variables; None otherwise."""
     match t:
         case Var(_):
-            return []
+            return ()
         case App(f, a):
-            return binders(f) + binders(a)
+            bs, cs = binder_names(f), binder_names(a)
+            if (bs is None or cs is None or not set(bs).isdisjoint((*cs, *free_vars(a)))
+                    or not set(cs).isdisjoint(free_vars(f))):
+                return None
+            return bs + cs if bs and cs else bs or cs
         case Lam(x, b, _):
-            return [x] + binders(b)
+            bs = binder_names(b)
+            return None if bs is None or x in bs else (x,) + bs
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -148,27 +174,19 @@ def _atom_text(t: Term) -> str:
 # tokenizer, shared by terms / simple types / contexts
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<ident>[a-zA-Z_][a-zA-Z0-9_']*)"
-    r"|(?P<punct>[\\.():,]))"
+    r"(?P<arrow>->)|(?P<ident>[a-zA-Z_][a-zA-Z0-9_']*)|(?P<punct>[\\.():,])|(?P<bad>\S)"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """One scan of text: whitespace separates tokens, and a character that
+    starts no token is an error at its own position."""
     toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        if m.lastgroup == "arrow":
-            toks.append(("arrow", "->", m.start()))
-        elif m.lastgroup == "ident":
-            toks.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            toks.append((m.group("punct"), m.group("punct"), m.start("punct")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r} at position {pos}")
+        toks.append((value if kind == "punct" else kind, value, pos))
     toks.append(("eof", "", len(text)))
     return toks
 
@@ -307,8 +325,7 @@ def context_to_text(ctx: TypingContext) -> str:
 
 
 def parse_context(text: str) -> TypingContext:
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return TypingContext()
     ts = _Tokens(text)
     bindings = []
@@ -340,25 +357,30 @@ def fresh_name(base: str, taken: set[str]) -> str:
 
 def ensure_distinct_binders(t: Term, reserved: set[str] | None = None) -> Term:
     """Rename binders so all are distinct from each other, from free vars and
-    from reserved.  A subterm that needs no renaming comes back as it is."""
-    taken = free_vars(t) | (reserved or set())
+    from reserved.  A subterm that needs no renaming comes back as it is,
+    and a term that needs none comes back without a walk."""
+    bs = binder_names(t)
+    if bs is not None and (not reserved or reserved.isdisjoint(bs)):
+        return t
+    return _freshen(t, {}, {*free_vars(t), *(reserved or ())})
 
-    def go(t: Term, env: dict[str, str]) -> Term:
-        match t:
-            case Var(x):
-                x2 = env.get(x, x)
-                return t if x2 == x else Var(x2)
-            case App(f, a):
-                f2, a2 = go(f, env), go(a, env)
-                return t if f2 is f and a2 is a else App(f2, a2)
-            case Lam(x, b, ann):
-                x2 = fresh_name(x, taken)
-                taken.add(x2)
-                b2 = go(b, {**env, x: x2})
-                return t if x2 == x and b2 is b else Lam(x2, b2, ann)
-        raise TypeError(f"not a term: {t!r}")
 
-    return go(t, {})
+def _freshen(t: Term, env: dict[str, str], taken: set[str]) -> Term:
+    """t with each binder renamed to the first fresh_name not in taken,
+    which then joins taken, and each bound variable renamed as env says."""
+    match t:
+        case Var(x):
+            x2 = env.get(x, x)
+            return t if x2 == x else Var(x2)
+        case App(f, a):
+            f2, a2 = _freshen(f, env, taken), _freshen(a, env, taken)
+            return t if f2 is f and a2 is a else App(f2, a2)
+        case Lam(x, b, ann):
+            x2 = fresh_name(x, taken)
+            taken.add(x2)
+            b2 = _freshen(b, {**env, x: x2}, taken)
+            return t if x2 == x and b2 is b else Lam(x2, b2, ann)
+    raise TypeError(f"not a term: {t!r}")
 
 
 ####################################################################
@@ -368,8 +390,25 @@ def annotate(ctx: TypingContext, t: Term, expected: SimpleType | None = None) ->
     """Return a fully annotated copy of t together with its simple type.
 
     With expected=None every binder must already carry an annotation.  A
-    subterm already annotated comes back as it is.
+    subterm already annotated comes back as it is.  A term that comes back
+    as it is keeps its type, with the types of its free variables: besides
+    expected, they are all that annotating it reads.  The kept type answers
+    again when they match, expected is None or that type, and no binder of
+    t is bound in ctx, where extending ctx would raise.
     """
+    key = tuple(map(ctx.lookup, free_vars(t)))
+    have = kept(t, "_annotated")
+    if have is not None and have[0] == key and expected in (None, have[1]):
+        bs = binder_names(t)
+        if bs is not None and not any(map(ctx.lookup, bs)):
+            return t, have[1]
+    t2, ty = _annotate(ctx, t, expected)
+    if t2 is t:
+        keep(t, "_annotated", (key, ty))
+    return t2, ty
+
+
+def _annotate(ctx: TypingContext, t: Term, expected: SimpleType | None) -> tuple[Term, SimpleType]:
     match t:
         case Var(x):
             ty = ctx.lookup(x)
@@ -387,26 +426,26 @@ def annotate(ctx: TypingContext, t: Term, expected: SimpleType | None = None) ->
                 if ann is not None and ann != expected.domain:
                     raise TypeCheckError(
                         f"binder {x!r} annotated {type_to_text(ann)} but expected {type_to_text(expected.domain)}")
-                b2, _ = annotate(ctx.extend(x, expected.domain), b, expected.codomain)
+                b2, _ = _annotate(ctx.extend(x, expected.domain), b, expected.codomain)
                 if b2 is b and ann is expected.domain:
                     return t, expected
                 return Lam(x, b2, expected.domain), expected
             if ann is None:
                 raise TypeCheckError(
                     f"binder {x!r} lacks an annotation and no expected type is available")
-            b2, bt = annotate(ctx.extend(x, ann), b, None)
+            b2, bt = _annotate(ctx.extend(x, ann), b, None)
             return t if b2 is b else Lam(x, b2, ann), Arrow(ann, bt)
         case App(f, a):
             if isinstance(f, Lam) and f.annot is None:
                 # redex with an unannotated binder: the argument determines it
-                a2, at = annotate(ctx, a, None)
-                b2, bt = annotate(ctx.extend(f.binder, at), f.body, expected)
+                a2, at = _annotate(ctx, a, None)
+                b2, bt = _annotate(ctx.extend(f.binder, at), f.body, expected)
                 return App(Lam(f.binder, b2, at), a2), bt
-            f2, ft = annotate(ctx, f, None)
+            f2, ft = _annotate(ctx, f, None)
             if not isinstance(ft, Arrow):
                 raise TypeCheckError(
                     f"cannot apply {term_to_text(f)} of base type to {term_to_text(a)}")
-            a2, _ = annotate(ctx, a, ft.domain)
+            a2, _ = _annotate(ctx, a, ft.domain)
             if expected is not None and ft.codomain != expected:
                 raise TypeCheckError(
                     f"application has type {type_to_text(ft.codomain)}, expected {type_to_text(expected)}")
@@ -433,7 +472,7 @@ def substitute(t: Term, x: str, s: Term) -> Term:
             if y == x:
                 return t
             if y in free_vars(s):
-                y2 = fresh_name(y, free_vars(s) | free_vars(b) | {x})
+                y2 = fresh_name(y, {*free_vars(s), *free_vars(b), x})
                 b = substitute(b, y, Var(y2))
                 return Lam(y2, substitute(b, x, s), ann)
             return Lam(y, substitute(b, x, s), ann)
@@ -463,6 +502,7 @@ def _whnf(t: Term) -> Term:
             return t
 
 
+@fact
 def _nf(t: Term) -> Term:
     if is_beta_normal(t):
         return t

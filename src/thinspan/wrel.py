@@ -26,7 +26,11 @@ before it.
 
 The inputs are checked before the recursion starts: wrel_coefficient takes
 a Subject from collapse.prepare, which annotated the term and checked the
-point once for every path a query takes.
+point once for every path a query takes.  The recursion reads facts kept
+on the terms (syntax): a term's free variables, sorted, fix the order of
+its bags in the memo keys and the leftovers; and the normal form of a
+redex term is kept on it, so a repeated query normalizes nothing, and
+re-freshening a normal form whose binders are already distinct is no walk.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ def wrel_coefficient(subject: Subject) -> NatInf:
     term = subject.term
     nf = term if is_beta_normal(term) else beta_normalize(term, set(subject.ctx.names()))
     env = {x: seq for x, seq, _ in subject.gamma.entries}
-    fvs = _term_info(nf)[0]
+    fvs = free_vars(nf)
     if any(seq for x, seq in env.items() if x not in fvs):
         return NatInf(0)
     return NatInf(_leftovers(env, nf, subject.result).get(((),) * len(fvs), 0))
@@ -71,19 +75,15 @@ def wrel_coefficient(subject: Subject) -> NatInf:
 # the term leaves unconsumed -> the number of ways it consumes the rest
 Leftovers = dict[tuple[SeqType, ...], int]
 
-# term -> (its free variables, sorted; {(their bags, target): leftovers})
+# term -> {(the bags of its free variables, target): leftovers}
 _cache: dict = {}
 
 
-def _term_info(term: Term) -> tuple[tuple[str, ...], dict]:
-    info = _cache.get(term)
-    if info is None:
-        info = _cache[term] = (tuple(sorted(free_vars(term))), {})
-    return info
-
-
 def _leftovers(env: dict[str, SeqType], term: Term, target: IType) -> Leftovers:
-    fvs, memo = _term_info(term)
+    fvs = free_vars(term)
+    memo = _cache.get(term)
+    if memo is None:
+        memo = _cache[term] = {}
     key = (tuple(env[x] for x in fvs), target)
     hit = memo.get(key)
     if hit is None:
@@ -92,13 +92,13 @@ def _leftovers(env: dict[str, SeqType], term: Term, target: IType) -> Leftovers:
 
 
 def _leftovers_raw(env: dict[str, SeqType], term: Term, target: IType) -> Leftovers:
-    fvs = _term_info(term)[0]
+    fvs = free_vars(term)
     if isinstance(term, Lam):
         if not isinstance(target, IArrow):
             return {}
         x = term.binder
         inner = _leftovers({**env, x: target.domain}, term.body, target.codomain)
-        body_fvs = _term_info(term.body)[0]
+        body_fvs = free_vars(term.body)
         out: Leftovers = {}
         for left, n in inner.items():
             rest = dict(zip(body_fvs, left))
@@ -126,7 +126,7 @@ def _leftovers_raw(env: dict[str, SeqType], term: Term, target: IType) -> Leftov
             continue
         states: Leftovers = {start[:at] + (bag[:i] + bag[i + 1:],) + start[at + 1:]: 1}
         for arg, dom in zip(args, doms):
-            where = [fvs.index(y) for y in _term_info(arg)[0]]
+            where = [fvs.index(y) for y in free_vars(arg)]
             for d in dom:
                 after: Leftovers = {}
                 for state, n in states.items():

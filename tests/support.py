@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import random
+import re
 from contextlib import contextmanager
 from itertools import combinations_with_replacement, permutations, product
 from math import prod
@@ -13,13 +14,13 @@ from pathlib import Path
 
 from thinspan import interning
 from thinspan.syntax import (
-    App, Arrow, Base, Lam, SimpleType, TypingContext, Var, annotate, beta_normalize,
+    App, Arrow, Base, Lam, ParseError, SimpleType, TypingContext, Var, annotate, beta_normalize,
     ensure_distinct_binders, is_beta_normal, parse_context, parse_simple_type, parse_term, spine,
     typecheck,
 )
 from thinspan.rigidtypes import (
-    IArrow, IType, PointSpec, ResourceContext, SeqType, Star, canonicalize_it, canonicalize_point,
-    canonicalize_seq, key_it, point_from_json,
+    IArrow, IType, PointSpec, RefinementError, ResourceContext, SeqType, Star, canonicalize_it,
+    canonicalize_point, canonicalize_seq, key_it, point_from_json,
 )
 from thinspan.derivation import (
     RApp, RLam, RVar, _bounded_seqs, count_derivation_morphisms, enumerate_witnesses,
@@ -174,6 +175,76 @@ def generated_points(seed: int = 20240, per_entry: int = 25):
         ctx, term, ty, _ = parse_entry(entry)
         for _ in range(per_entry):
             yield entry, ctx, term, ty, rand_point(rng, ctx, ty)
+
+
+def binders(t) -> list[str]:
+    """Every binder name of t, repeats included, by walking it: the oracle
+    for the binder names kept on a term."""
+    match t:
+        case Var(_):
+            return []
+        case App(f, a):
+            return binders(f) + binders(a)
+        case Lam(x, b, _):
+            return [x] + binders(b)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def walked_refines(a: IType, t: SimpleType) -> bool:
+    """Whether a refines t, by walking both: the oracle for the refinement
+    that reads a type's erasure."""
+    match a, t:
+        case Star(), Base():
+            return True
+        case IArrow(d, c), Arrow(td, tc):
+            return all(walked_refines(x, td) for x in d) and walked_refines(c, tc)
+    return False
+
+
+# The tokenizers that matched one token at a time, the oracles for the
+# one-scan tokenizers.  They report an error, and an arrow of the term syntax
+# and every token of the type notation, at the whitespace before it.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<arrow>->)|(?P<ident>[a-zA-Z_][a-zA-Z0-9_']*)"
+    r"|(?P<punct>[\\.():,]))"
+)
+_IT_TOKEN_RE = re.compile(r"\s*(?:(?P<lolli>-o)|(?P<punct>[*<>\[\](),]))")
+
+
+def per_token_tokenize(text: str) -> list[tuple[str, str, int]]:
+    toks = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
+        if m.lastgroup == "arrow":
+            toks.append(("arrow", "->", m.start()))
+        elif m.lastgroup == "ident":
+            toks.append(("ident", m.group("ident"), m.start("ident")))
+        else:
+            toks.append((m.group("punct"), m.group("punct"), m.start("punct")))
+        pos = m.end()
+    toks.append(("eof", "", len(text)))
+    return toks
+
+
+def per_token_it_tokenize(text: str) -> list[tuple[str, int]]:
+    toks = []
+    pos = 0
+    while pos < len(text):
+        m = _IT_TOKEN_RE.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise RefinementError(
+                f"unexpected character {text[pos]!r} at position {pos} in type notation")
+        toks.append(("-o" if m.lastgroup == "lolli" else m.group("punct"), m.start()))
+        pos = m.end()
+    toks.append(("eof", len(text)))
+    return toks
 
 
 def canonicalize_ctx(c: ResourceContext) -> ResourceContext:
@@ -536,3 +607,35 @@ def _ncompositions(total: int, k: int) -> tuple[tuple[int, ...], ...]:
         return ((total,),)
     return tuple((first,) + rest for first in range(total + 1)
                  for rest in _ncompositions(total - first, k - 1))
+
+
+def _past_space(text: str, pos: int) -> int:
+    return len(text) - len(text[pos:].lstrip())
+
+
+def assert_same_scan(scan, oracle, error, text: str) -> None:
+    """scan gives oracle's tokens and errors on text, with every position
+    that oracle put at the whitespace before a token or a bad character
+    moved past that whitespace."""
+    try:
+        want = oracle(text)
+    except error as e:
+        pos = int(re.search(r"at position (\d+)", str(e)).group(1))
+        moved = _past_space(text, pos)
+        try:
+            scan(text)
+        except error as got:
+            assert str(got) == str(e).replace(f"{text[pos]!r} at position {pos}",
+                                              f"{text[moved]!r} at position {moved}"), text
+            return
+        raise AssertionError(f"no error on {text!r}")
+    got = scan(text)
+    assert [tok[:-1] for tok in got] == [tok[:-1] for tok in want], text
+    assert [tok[-1] for tok in got] == [_past_space(text, tok[-1]) for tok in want], text
+
+
+def random_texts(seed: int, pieces: list[str], n: int = 2000, length: int = 12) -> list[str]:
+    """n seeded random strings, each up to length pieces drawn from pieces."""
+    rng = random.Random(seed)
+    return ["".join(rng.choice(pieces) for _ in range(rng.randint(0, length)))
+            for _ in range(n)]

@@ -22,7 +22,10 @@ import pytest
 import thinspan.collapse
 import thinspan.derivation
 import thinspan.groupoid
+import thinspan.interning
+import thinspan.rigidtypes
 import thinspan.symmetry
+import thinspan.syntax
 import thinspan.wrel
 from thinspan.collapse import prepare, verify_identities
 from thinspan.derivation import RApp, RVar
@@ -368,3 +371,57 @@ def test_threaded_coefficient_stays_small(monkeypatch, point, coefficient):
                         counting(thinspan.wrel._leftovers_raw, sizes))
     assert wrel_coefficient(prepare(ctx, term, pt)).value == coefficient
     assert len(sizes) <= 200, len(sizes)
+
+
+# What a query's input needs is derived once per node and kept on it, and
+# a parsed point keeps its check.  So a repeated query, parsed again as the
+# benchmark parses it, normalizes nothing, renames no binder and extends no
+# typing context, and checks its new point once, in point_from_json.  Even
+# the first time, the annotate in prepare reuses the type the caller's
+# annotate found.  church-two-twice and nested-redex reach wrel's
+# beta_normalize; eta-expanded-identity has a binder and a given type.
+@pytest.mark.parametrize("name", ["church-two-twice", "nested-redex", "eta-expanded-identity",
+                                  "shared-head-two-ways"])
+def test_a_repeated_query_checks_its_input_once(name):
+    entry = next(e for e in load_corpus() if e["name"] == name)
+    watched = {thinspan.syntax._nf.__wrapped__.__code__: "_nf",
+               thinspan.syntax._freshen.__code__: "_freshen",
+               thinspan.syntax.annotate.__code__: "annotate",
+               thinspan.syntax.TypingContext.extend.__code__: "extend",
+               thinspan.rigidtypes._rigid_point.__code__: "_rigid_point"}
+    runs = []
+    for _ in range(2):
+        ran = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                ran.append(watched[frame.f_code])
+
+        sys.setprofile(profile)
+        try:
+            ctx, term, _, point = parse_entry(entry)
+            budget = None if is_beta_normal(term) else entry_budget(entry)
+            assert verify_identities(ctx, term, point, budget).ok
+        finally:
+            sys.setprofile(None)
+        runs.append(ran)
+    first, second = runs
+    # parse_entry's annotate, then prepare's, which extends nothing
+    second_annotate = [i for i, n in enumerate(first) if n == "annotate"][1]
+    assert first[second_annotate + 1:second_annotate + 2] != ["extend"], first
+    assert first.count("_rigid_point") == 1, first
+    assert second == ["annotate", "_rigid_point", "annotate"], second
+
+
+# The facts keep no dead node alive: once a query's caches are filled, running
+# it again leaves the intern table as it was.
+@pytest.mark.parametrize("name", ["church-two-twice", "lambda-argument-redex", "fan-out"])
+def test_a_repeated_query_keeps_the_intern_table_bounded(name):
+    entry = next(e for e in load_corpus() if e["name"] == name)
+    sizes = []
+    for _ in range(3):
+        ctx, term, _, point = parse_entry(entry)
+        assert verify_identities(ctx, term, point, entry_budget(entry)).ok
+        del ctx, term, point
+        sizes.append(len(thinspan.interning._table))
+    assert sizes[1] == sizes[2], sizes

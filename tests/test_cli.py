@@ -264,6 +264,21 @@ def test_corpus_of_the_wrong_shape(tmp_path):
         assert "list of objects" in res.stderr
 
 
+# A bad character in a term, a context or type notation is named at its own
+# position, and ends the command with exit code 1 and no traceback.
+def test_bad_character_is_an_input_error_at_its_position():
+    cases = [
+        (("check", "--ctx", "x:o", "--term", "x  é"), "'é' at position 3"),
+        (("check", "--ctx", "x:o, #y:o", "--term", "x"), "'#' at position 5"),
+        (("witnesses", "--ctx", "y:o", "--term", "y", "--point",
+          '{"ctx": {"y": "[*,  é]"}, "type": "*"}'), "'é' at position 5 in type notation"),
+    ]
+    for args, where in cases:
+        res = run(*args)
+        assert_clean_input_error(res)
+        assert res.stderr == f"error: unexpected character {where}\n", res.stderr
+
+
 def test_deeply_nested_term_is_an_input_error():
     term, point_ctx, ctx = chain_point(400)
     point = json.dumps({"ctx": point_ctx, "type": "*"})

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from thinspan.syntax import (
-    App, Base, Lam, Var, beta_normalize, binders, fresh_name, is_beta_normal, parse_context,
+    App, Base, Lam, Var, beta_normalize, fresh_name, is_beta_normal, parse_context,
     parse_simple_type, parse_term, substitute,
 )
 from thinspan.rigidtypes import IArrow, ResourceContext, Star, canonicalize_point
@@ -20,9 +20,9 @@ from thinspan.groupoid import (
 from thinspan.collapse import positive_witnesses, prepare, verify_identities
 
 from support import (
-    across_points, built_nodes, church_point, distinct_g_point, entry_budget, fanout_point,
-    load_corpus, pairwise_partition, parse_entry, generated_points, per_target_witnesses,
-    point_subject, split_witnesses, symmetric_point,
+    across_points, binders, built_nodes, church_point, distinct_g_point, entry_budget,
+    fanout_point, load_corpus, pairwise_partition, parse_entry, generated_points,
+    per_target_witnesses, point_subject, split_witnesses, symmetric_point,
 )
 
 S = Star()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from thinspan import derivation, rigidtypes, symmetry, syntax
-from thinspan.syntax import Base, parse_context, parse_simple_type
+from thinspan.syntax import Arrow, Base, parse_context, parse_simple_type
 from thinspan.rigidtypes import (
     IArrow, PointSpec, RefinementError, ResourceContext, Star,
     canonicalize_it, canonicalize_point, canonicalize_seq,
@@ -19,7 +19,11 @@ from thinspan.rigidtypes import (
 )
 from thinspan.groupoid import enumerate_homs_it
 
-from support import canonicalize_ctx, rand_itype, rand_reorder, rand_stype
+from support import (
+    assert_same_scan, canonicalize_ctx, chain_point, church_point, distinct_g_point, fanout_point,
+    generated_points, load_corpus, parse_entry, per_token_it_tokenize, point_subject,
+    rand_itype, rand_reorder, rand_stype, random_texts, symmetric_point, walked_refines,
+)
 
 S = Star()
 O = Base()
@@ -64,7 +68,10 @@ def test_facts_are_kept_and_make_no_cycles():
         assert derivation.rt_type(r) is a
         assert derivation.endo_count(r) == 720 * 120
         assert derivation.endo_count(r) is derivation.endo_count(r)
-        assert syntax.is_beta_normal(t)
+        assert syntax.is_beta_normal(t) and syntax._nf(t) is t
+        assert syntax.free_vars(t) == () and syntax.binder_names(t) == ("only_in_the_fact_test",)
+        assert syntax.annotate(syntax.TypingContext(), t) == (t, Arrow(O, O))
+        assert rigidtypes.erasure(a) is parse_simple_type("o->o->o")
         refs = [weakref.ref(node) for node in (a, r, t)]
         del a, r, t
         assert [ref() for ref in refs] == [None, None, None]
@@ -196,3 +203,84 @@ def test_canonicalize_point_orders_and_rigidifies():
     assert gamma.lookup("y") == (S, S)
     assert ctx_refines(gamma)
     assert canonicalize_ctx(gamma) == gamma
+
+
+@pytest.mark.parametrize("text, char, pos", [
+    ("[*,  é]", "é", 5),
+    ("[*]\t-o #", "#", 7),
+])
+def test_notation_errors_point_at_the_bad_character(text, char, pos):
+    with pytest.raises(RefinementError) as e:
+        parse_mit(text)
+    assert str(e.value) == f"unexpected character {char!r} at position {pos} in type notation"
+
+
+def test_one_scan_notation_tokenizer_matches_the_per_token_one():
+    texts = [text for e in load_corpus()
+             for text in (*e["point"]["ctx"].values(), e["point"]["type"])]
+    texts += random_texts(21, ["*", "<", ">", "[", "]", "(", ")", ",", "-o", "-", " ", "\t", "é"])
+    for text in texts:
+        assert_same_scan(rigidtypes._it_tokenize, per_token_it_tokenize, RefinementError, text)
+
+
+def free_itype(rng, depth):
+    """A random rigid type, refining some simple type or none."""
+    if depth <= 0 or rng.random() < 0.3:
+        return S
+    return IArrow(tuple(free_itype(rng, depth - 1) for _ in range(rng.randint(0, 3))),
+                  free_itype(rng, depth - 1))
+
+
+def subtypes(a):
+    yield a
+    if isinstance(a, IArrow):
+        for x in a.domain:
+            yield from subtypes(x)
+        yield from subtypes(a.codomain)
+
+
+def simple_subtypes(t):
+    yield t
+    if isinstance(t, Arrow):
+        yield from simple_subtypes(t.domain)
+        yield from simple_subtypes(t.codomain)
+
+
+# An empty domain leaves the simple type a rigid type erases to open, at any
+# depth; so do mixed domains with an open component, and components that
+# erase to different types leave it none.  Random types that refine no
+# simple type have such domains too.
+HAND_TYPES = ["[]-o*", "[[]-o*]-o*", "[*,[*]-o*]-o*", "[[]-o*,[*]-o*]-o*",
+              "[[[]-o*]-o*,[[*]-o*]-o*]-o*", "[*]-o[]-o*", "[[]-o[]-o*]-o*"]
+
+
+def test_refinement_reads_the_erasure_as_the_walk_does():
+    subjects = [parse_entry(e) for e in load_corpus()]
+    subjects += [(ctx, term, ty, point) for _, ctx, term, ty, point in generated_points()]
+    families = ([symmetric_point(n) for n in range(1, 6)] + [fanout_point(n) for n in range(1, 4)]
+                + [church_point(k) for k in range(1, 5)])
+    subjects += [point_subject(*p) for p in families]
+    subjects += [point_subject(*p) for p in (distinct_g_point(4), chain_point(5))]
+    tops = {parse_mit(text) for text in HAND_TYPES}
+    simple = {parse_simple_type("(o->o)->o->o")}
+    for ctx, _, ty, point in subjects:
+        gamma, result = canonicalize_point(point, ctx, ty)
+        tops |= {a for _, seq, _ in gamma.entries for a in seq} | {result}
+        simple |= {t for _, t in ctx} | {ty}
+    rng = random.Random(22)
+    tops |= {rand_itype(rng, rand_stype(rng, 3)) for _ in range(300)}
+    tops |= {free_itype(rng, 3) for _ in range(300)}
+    types = {b for a in tops for b in subtypes(a)}
+    simple = {s for t in simple for s in simple_subtypes(t)}
+    opened = [a for a in types if rigidtypes.erasure(a) is None]
+    assert len(opened) > 100 and len(types) - len(opened) > 100 and len(simple) >= 5
+    for a in types:
+        e = rigidtypes.erasure(a)
+        assert e is None or walked_refines(a, e)
+        for t in simple:
+            assert refines(a, t) == walked_refines(a, t), (it_to_text(a), t)
+    # an open type refines more than one simple type
+    assert refines(parse_mit("[]-o*"), O) is False
+    assert all(refines(parse_mit("[]-o*"), t) for t in simple if isinstance(t, Arrow)
+               and t.codomain is O)
+    assert not refines(parse_mit("[*,[*]-o*]-o*"), parse_simple_type("o->o"))

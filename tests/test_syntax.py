@@ -1,14 +1,17 @@
 import copy
 import dataclasses
 import pickle
+import random
 
 import pytest
 
-from support import built_nodes
+from support import (
+    assert_same_scan, binders, built_nodes, load_corpus, per_token_tokenize, random_texts,
+)
 from thinspan import syntax
 from thinspan.syntax import (
     App, Arrow, Base, Lam, ParseError, TypeCheckError, Var,
-    alpha_eq, annotate, beta_normalize, binders, ensure_distinct_binders, free_vars,
+    alpha_eq, annotate, beta_normalize, binder_names, ensure_distinct_binders, free_vars,
     is_beta_normal, parse_context, parse_simple_type, parse_term, spine, substitute,
     term_to_text, type_to_text, typecheck,
 )
@@ -167,3 +170,65 @@ def test_rewriters_return_an_unchanged_term_itself():
         v = ensure_distinct_binders(u, {"y"})
     assert v is not u and v.fn is u.fn and v.arg.binder != "y"
     assert built == [Var, Lam, App]
+
+
+# A bad character is reported at its own position, not at the whitespace
+# before it.
+@pytest.mark.parametrize("parse, text, char, pos", [
+    (parse_term, "x  é", "é", 3),
+    (parse_term, "f (g\t#)", "#", 5),
+    (parse_simple_type, "o -> $", "$", 5),
+    (parse_context, "x:o, #y:o", "#", 5),
+    (parse_context, "  x:o, #y:o", "#", 7),
+])
+def test_parse_errors_point_at_the_bad_character(parse, text, char, pos):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == f"unexpected character {char!r} at position {pos}"
+
+
+def test_one_scan_tokenizer_matches_the_per_token_one():
+    texts = [e[field] for e in load_corpus() for field in ("ctx", "term", "type") if field in e]
+    texts += random_texts(20, ["x", "f'", "_1", " ", "  ", "\t", "\\", ".", "(", ")", ":", ",",
+                               "o", "->", "-", "é"])
+    for text in texts:
+        assert_same_scan(syntax._tokenize, per_token_tokenize, ParseError, text)
+
+
+def rand_term(rng, depth):
+    name = rng.choice("xyz")
+    if depth <= 0 or rng.random() < 0.3:
+        return Var(name)
+    if rng.random() < 0.5:
+        return Lam(name, rand_term(rng, depth - 1), O)
+    return App(rand_term(rng, depth - 1), rand_term(rng, depth - 1))
+
+
+def walked_free_vars(t):
+    match t:
+        case Var(x):
+            return {x}
+        case App(f, a):
+            return walked_free_vars(f) | walked_free_vars(a)
+        case Lam(x, b, _):
+            return walked_free_vars(b) - {x}
+
+
+# The free variables and binder names kept on a term agree with walking it,
+# and a term comes back from ensure_distinct_binders as it is exactly when
+# its binders are distinct and apart from its free and the reserved names.
+def test_kept_names_agree_with_walking_the_term():
+    rng = random.Random(23)
+    for _ in range(2000):
+        t = rand_term(rng, 5)
+        fvs, bs = walked_free_vars(t), binders(t)
+        assert free_vars(t) == tuple(sorted(fvs))
+        distinct = len(set(bs)) == len(bs) and fvs.isdisjoint(bs)
+        assert (binder_names(t) is not None) == distinct
+        if distinct:
+            assert sorted(binder_names(t)) == sorted(bs)
+        reserved = set(rng.sample("xyzw", 2))
+        u = ensure_distinct_binders(t, reserved)
+        us = binders(u)
+        assert len(set(us)) == len(us) and (fvs | reserved).isdisjoint(us)
+        assert alpha_eq(u, t) and (u is t) == (distinct and reserved.isdisjoint(bs))
