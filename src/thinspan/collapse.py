@@ -25,7 +25,18 @@ A query's inputs are checked once, by prepare: it freshens the term's
 binders, annotates the term and checks the point, and the Subject it
 returns carries the result.  positive_witnesses and wrel_coefficient take
 that Subject and check none of it again; only the budget, which comes with
-positive_witnesses, is checked there.
+positive_witnesses, is checked there, before anything kept is read.
+
+A repeated query is answered from what the first one kept in the term's
+memo (derivation.term_memo), which lives as long as the process: keyed by
+the canonical point's entries, its result and the budget, positive_witnesses
+keeps the witnesses, the classes, the class degrees, both points' degrees
+and the completeness, and esp_explicit keeps its triple count, keyed by
+the point and the completeness, which fix the witnesses.  Each keeps only
+its own result, so the witness count, the class-weighted sum and the
+triple count still come from separate computations; the wrel coefficient
+keeps its own cache.  A witness keeps no context: its theta is read off
+its derivation when it is asked for.
 """
 
 from __future__ import annotations
@@ -45,17 +56,22 @@ from .groupoid import enumerate_homs_ctx, enumerate_homs_it  # noqa: F401
 from .symmetry import neg_targets_ctx  # noqa: F401
 from .derivation import enumerate_witnesses  # noqa: F401
 from .derivation import (
-    BoundedAt, Completeness, Exact, ResourceTerm,
-    endo_count, partition_by_symmetry, rt_context, witness_set,
+    BoundedAt, Completeness, Exact, ResourceTerm, Shape,
+    check_budget, endo_count, partition_by_symmetry, rt_context, term_memo, witness_set,
 )
 from .wrel import NatInf, wrel_coefficient
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PositiveWitness:
     derivation: ResourceTerm
-    theta: ResourceContext   # its context, a negative target of the canonical context
     alpha: IType             # its result, a positive source of the canonical result
+    shape: Shape             # the canonical context's variables and simple types
+
+    @property
+    def theta(self) -> ResourceContext:
+        """Its context, a negative target of the canonical context."""
+        return rt_context(self.shape, self.derivation)
 
 
 @dataclass(frozen=True)
@@ -96,28 +112,43 @@ def positive_witnesses(subject: Subject, budget: int | None = None) -> WitnessRe
     result a, over the bags of the canonical context gamma.  Each
     derivation d it returns concludes its own context theta, read off its
     occurrences, and the witness records d at (theta, alpha).  Witnesses
-    are ordered by _witness_key.
+    are ordered by _witness_key.  The report's fields but the subject are
+    kept in the term's memo, and a later query at the same point and budget
+    reads them back.
     """
+    check_budget(budget)
+    memo = term_memo(subject.term)
+    key = ("witnesses", subject.gamma.entries, subject.result, budget)
+    kept = memo.get(key)
+    if kept is None:
+        kept = memo[key] = _witness_report(subject, budget)
+    return WitnessReport(subject, *kept)
+
+
+def _witness_report(subject: Subject, budget: int | None) -> tuple:
+    """The fields of the subject's WitnessReport that follow the subject."""
     gamma, a, ty = subject.gamma, subject.result, subject.ty
     cdeg = sym_degrees_ctx(gamma)
     rdeg = sym_degrees_it(a, ty)
 
+    shape = subject.ctx.bindings
     witnesses = []
     completeness: Completeness = Exact()
     for alpha in pos_sources_it(a, ty):
         ws = witness_set(subject.ctx, subject.term, gamma, alpha, budget, bags=True)
         if isinstance(ws.completeness, BoundedAt):
             completeness = ws.completeness
-        witnesses.extend(PositiveWitness(d, rt_context(gamma.shape(), d), alpha)
-                         for d in ws.derivations)
-    # each alpha's derivations arrive sorted by their text, and sort is stable
-    witnesses.sort(key=lambda w: _witness_key(w.theta, w.alpha))
+        witnesses.extend(PositiveWitness(d, alpha, shape) for d in ws.derivations)
+    # each alpha's derivations arrive sorted by their text, and sort is
+    # stable; a lone witness is not keyed, which would read its context
+    if len(witnesses) > 1:
+        witnesses.sort(key=lambda w: _witness_key(w.theta, w.alpha))
 
     classes = partition_by_symmetry([w.derivation for w in witnesses])
     index = {w.derivation: i for i, w in enumerate(witnesses)}
     class_ix = tuple(tuple(sorted(index[d] for d in cls)) for cls in classes)
     endos = tuple(endo_count(cls[0]) for cls in classes)
-    return WitnessReport(subject, tuple(witnesses), class_ix, endos, cdeg, rdeg, completeness)
+    return tuple(witnesses), class_ix, endos, cdeg, rdeg, completeness
 
 
 def _witness_key(theta: ResourceContext, alpha: IType):
@@ -163,15 +194,22 @@ def esp_explicit(report: WitnessReport) -> int:
     permanents and products over the pairs of types, so this never reads a
     degree or a symmetry class.  A witness whose theta or alpha no
     polarized morphism reaches would count 0 here, and the factorization
-    would fail.
+    would fail.  The count is kept in the term's memo under the point and
+    the report's completeness, which fix the witnesses.
     """
     gamma, a = report.subject.gamma, report.subject.result
-    memo: dict = {}
-    total = 0
-    for w in report.witnesses:
-        negs = prod(count_negative_seq(seq, w.theta.lookup(x), memo)
-                    for x, seq, _ in gamma.entries)
-        total += negs * count_positive_it(w.alpha, a, memo)
+    kept = term_memo(report.subject.term)
+    key = ("triples", gamma.entries, a, report.completeness)
+    total = kept.get(key)
+    if total is None:
+        memo: dict = {}
+        total = 0
+        for w in report.witnesses:
+            theta = w.theta
+            negs = prod(count_negative_seq(seq, theta.lookup(x), memo)
+                        for x, seq, _ in gamma.entries)
+            total += negs * count_positive_it(w.alpha, a, memo)
+        kept[key] = total
     return total
 
 

@@ -62,6 +62,11 @@ enumerate_bag_witnesses check the term against the point, then run
 witness_set, which checks only the budget.  A query's subject is checked
 once, by collapse.prepare, and collapse.positive_witnesses calls
 witness_set directly.
+
+Each term has a memo (term_memo) that lives as long as the process: the
+enumerator keeps its subproblems there, witness_set the sorted
+derivations at each start context, and collapse each point's witness
+report and triple count.
 """
 
 from __future__ import annotations
@@ -344,13 +349,13 @@ def multiset_collapse_term(r: ResourceTerm, memo: dict | None = None) -> Resourc
 ####################################################################
 # witness enumeration
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exact:
     def __repr__(self) -> str:
         return "exact"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundedAt:
     budget: int
 
@@ -426,6 +431,12 @@ def _checked_term(ctx: TypingContext, term: Term, theta: ResourceContext,
     return term
 
 
+def check_budget(budget) -> None:
+    """A budget is None or a non-negative int, and not a bool."""
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise DerivationError(f"budget must be a non-negative integer, got {budget!r}")
+
+
 def witness_set(ctx: TypingContext, term: Term, theta: ResourceContext, alpha: IType,
                 budget: int | None, bags: bool) -> WitnessSet:
     """The enumeration behind enumerate_witnesses (bags false) and
@@ -434,22 +445,21 @@ def witness_set(ctx: TypingContext, term: Term, theta: ResourceContext, alpha: I
     over ctx's variables and refining them, canonical if bags, and alpha
     refining the term's type.  Only the budget, given with each call, is
     checked here."""
-    if budget is not None and (type(budget) is not int or budget < 0):
-        raise DerivationError(f"budget must be a non-negative integer, got {budget!r}")
+    check_budget(budget)
     normal = is_beta_normal(term)
     if not normal and budget is None:
         raise BudgetRequiredError(
             f"term {term_to_text(term)} is not beta-normal; witness enumeration needs a budget")
-    start = {x: (seq, t, bags) for x, seq, t in theta.entries}
     cut_budget = budget if not normal else None
     # the derivations at a whole start context, sorted by their text, sit
-    # in the term's memo beside the enumerator's entries, whose keys have
-    # four components; a start context fixes the variables that are not
-    # free in the term too, which must be used up
-    memo = _memo(term)
-    key = (tuple(start.items()), alpha, cut_budget)
+    # in the term's memo beside the enumerator's entries; a start context
+    # fixes the variables that are not free in the term too, which must be
+    # used up
+    memo = term_memo(term)
+    key = ("derivations", theta.entries, bags, alpha, cut_budget)
     found = memo.get(key)
     if found is None:
+        start = {x: (seq, t, bags) for x, seq, t in theta.entries}
         found = memo[key] = tuple(sorted(
             (r for r, _ in _enum(term, start, alpha, cut_budget, frozenset(start))),
             key=resource_to_text))
@@ -471,13 +481,15 @@ Found = list[tuple[ResourceTerm, Ctx]]
 
 # term -> {(the entries of its free variables, target, budget, which of
 # them must be used up): [(derivation, what it leaves of each entry)]};
-# witness_set keeps its sorted derivations in the same dict
+# witness_set keeps its sorted derivations in the same dict, and collapse
+# its witness reports and triple counts, under keys that start with a
+# string
 _enum_cache: dict = {}
 
 
 def _enum(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
           must: frozenset[str]) -> Found:
-    fvs, memo = free_vars(term), _memo(term)
+    fvs, memo = free_vars(term), term_memo(term)
     if any(ctx[x][0] for x in must if x not in fvs):
         return []
     key = (tuple(ctx[x] for x in fvs), alpha, budget, tuple(x in must for x in fvs))
@@ -494,7 +506,9 @@ def _enum(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
     return out
 
 
-def _memo(term: Term) -> dict:
+def term_memo(term: Term) -> dict:
+    """The dict in which the enumerator, witness_set and collapse keep what
+    they derived of term, for the life of the process."""
     memo = _enum_cache.get(term)
     if memo is None:
         memo = _enum_cache[term] = {}

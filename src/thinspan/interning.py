@@ -26,12 +26,21 @@ A family's slot may also hold one value that depends on more than the node,
 such as the type annotate found for a term under given variable types:
 keep stores it, replacing the one before, and kept reads it back.  Its
 owner checks that the value still applies before it uses it.
+
+A parser of node notation decorated with @by_text maps each text it read
+before to the node it gave.  Like the table, the map holds its nodes
+weakly: an entry lives as long as its node, so reading a text again costs
+nothing while something holds what it parsed to, and the map never keeps a
+node alive.  A parser whose value is not a node (a sequence of types, a
+typing context) keeps its texts in a functools.lru_cache of TEXTS_KEPT
+entries instead, which drops the least recently read.  A text that fails
+to parse raises and is kept in neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import partial, wraps
 from operator import attrgetter
 import inspect
 from weakref import ref
@@ -45,6 +54,9 @@ class _Entry(ref):
 
 # (class, *fields) -> a weak reference to the one node with those fields
 _table: dict[tuple, _Entry] = {}
+
+# the most texts a parser whose values are not nodes keeps
+TEXTS_KEPT = 4096
 
 # a fact slot not filled yet, and one whose fact is the node itself
 _UNSET = object()
@@ -143,3 +155,23 @@ def kept(node: Node, name: str):
     """The value kept in the node's slot name, or None if none is."""
     value = getattr(node, name)
     return None if value is _UNSET else value
+
+
+def by_text(parse):
+    """Map each text parse read before to the node it gave, for as long as
+    that node lives; the map is parse.texts."""
+    texts: dict[str, _Entry] = {}
+    drop = partial(_drop, table=texts)
+
+    @wraps(parse)
+    def get(text):
+        entry = texts.get(text)
+        node = entry() if entry is not None else None
+        if node is None:
+            node = parse(text)
+            entry = texts[text] = _Entry(node, drop)
+            entry.key = text
+        return node
+
+    get.texts = texts
+    return get

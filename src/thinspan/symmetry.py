@@ -136,7 +136,7 @@ def permanent(m: list[list[int]]) -> int:
 ####################################################################
 # symmetry degrees
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Degrees:
     total: int
     positive: int

@@ -22,6 +22,12 @@ names are different trees; alpha_eq compares them.  These facts
 annotate also keeps, on a term it returned unchanged, the type it found
 and the types of the free variables it found it under (interning.keep).
 
+A text parsed before is not read again.  parse_term and parse_simple_type
+map each text to the node it gave, for as long as that node lives
+(interning.by_text); parse_context keeps the last interning.TEXTS_KEPT
+contexts it read, by text.  Kept values are immutable, so callers share
+them.
+
 Binder annotations are optional in the concrete syntax.  An unannotated
 binder is only legal when the full simple type of the term is supplied,
 in which case annotations are filled in by structural matching against
@@ -31,9 +37,10 @@ the expected type (`annotate`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 import re
 
-from .interning import Node, fact, keep, kept
+from .interning import TEXTS_KEPT, Node, by_text, fact, keep, kept
 
 
 class ParseError(Exception):
@@ -217,6 +224,7 @@ class _Tokens:
 ####################################################################
 # parsing
 
+@by_text
 def parse_simple_type(text: str) -> SimpleType:
     ts = _Tokens(text)
     t = _parse_stype(ts)
@@ -247,6 +255,7 @@ def _parse_stype_atom(ts: _Tokens) -> SimpleType:
     raise ParseError(f"expected a type but found {v or 'end of input'!r} at position {p}")
 
 
+@by_text
 def parse_term(text: str) -> Term:
     """Parse and freshen so the Barendregt convention holds."""
     ts = _Tokens(text)
@@ -324,6 +333,7 @@ def context_to_text(ctx: TypingContext) -> str:
     return ", ".join(f"{x}:{type_to_text(t)}" for x, t in ctx.bindings)
 
 
+@lru_cache(maxsize=TEXTS_KEPT)
 def parse_context(text: str) -> TypingContext:
     if not text.strip():
         return TypingContext()

@@ -131,6 +131,43 @@ def point_subject(term_text: str, point_ctx: dict, ctx_text: str = "g:o->o, y:o"
     return ctx, term, ty, point_from_json({"ctx": point_ctx, "type": "*"}, ctx, ty)
 
 
+# Redexes whose argument copies differ but conclude one type, so that they
+# meet the binder's occurrences in every order: each order is a witness of
+# its own class, since the contracta put different copies in different
+# places, while the redexes themselves collapse alike, the bag of copies
+# forgetting which occurrence each one meets.  So only a class key taken
+# after contraction tells their classes apart.  A bare-variable argument
+# cannot do this: its copy is its label, so copies that differ meet
+# occurrences whose labels differ too.
+# label -> (term, point context, typing context, budget, coefficient)
+COPIES_IN_EVERY_ORDER = {
+    "two-copies-of-an-application": (
+        "(\\f:o. x f f) (g y)",
+        {"x": "[[*]-o[*]-o*]", "g": "[[*]-o*,[]-o*]", "y": "[*]"},
+        "x:o->o->o, g:o->o, y:o", 2, 2),
+    "three-copies-two-alike": (
+        "(\\f:o. x f f f) (g y)",
+        {"x": "[[*]-o[*]-o[*]-o*]", "g": "[[*]-o*,[]-o*,[]-o*]", "y": "[*]"},
+        "x:o->o->o->o, g:o->o, y:o", 3, 3),
+    "copies-using-either-variable": (
+        "(\\f:o. x f f) (g y z)",
+        {"x": "[[*]-o[*]-o*]", "g": "[[*]-o[]-o*,[]-o[*]-o*]", "y": "[*]", "z": "[*]"},
+        "x:o->o->o, g:o->o->o, y:o, z:o", 2, 2),
+    "copies-of-a-lambda": (
+        "(\\f:o->o. x (f y) (f y)) (\\z:o. g z w)",
+        {"x": "[[*]-o[*]-o*]", "g": "[[*]-o[*]-o*,[*]-o[]-o*]", "w": "[*]", "y": "[*,*]"},
+        "x:o->o->o, g:o->o->o, w:o, y:o", 2, 2),
+}
+
+
+def copies_in_every_order():
+    """(label, ctx, term, point, budget, coefficient) for each subject of
+    COPIES_IN_EVERY_ORDER."""
+    for label, (term, point_ctx, ctx_text, budget, coefficient) in COPIES_IN_EVERY_ORDER.items():
+        ctx, term, _, point = point_subject(term, point_ctx, ctx_text)
+        yield label, ctx, term, point, budget, coefficient
+
+
 def rand_stype(rng: random.Random, depth: int) -> SimpleType:
     if depth <= 0 or rng.random() < 0.4:
         return Base()

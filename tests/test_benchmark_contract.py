@@ -49,7 +49,7 @@ def test_traced_names_resolve():
 # The tracer installs on the live modules, and a query reaches the layers it
 # times through the names it replaces: collapse calls the partition and the
 # class degrees through its own module globals.
-def test_tracer_installs_and_sees_every_layer(monkeypatch):
+def test_tracer_installs_and_sees_every_layer(monkeypatch, cold_memo):
     tracing = load_tracing()
     modules = {"collapse": thinspan.collapse, "wrel": thinspan.wrel}
     for module, name, _ in tracing.WRAPPED:
@@ -78,7 +78,7 @@ def counting_calls(fn, seen):
 # checks them again.  Each name is counted in every module that imports it,
 # so a call from syntax or rigidtypes to itself is not counted.
 @pytest.mark.parametrize("name", ["fanout-2", "church-two-twice", "shared-head-two-ways"])
-def test_a_query_is_prepared_once(monkeypatch, name):
+def test_a_query_is_prepared_once(monkeypatch, cold_memo, name):
     if name == "fanout-2":
         ctx, term, _, point = point_subject(*fanout_point(2))
         budget = None
@@ -184,6 +184,73 @@ def test_repeated_query_recomputes_no_fact():
         assert ran == [], point
 
 
+# A repeated query is answered from what the first one kept: its texts map
+# to what they parsed to, and its witness report and triple count sit in
+# the term's memo.  So, parsed again as the benchmark parses it, it
+# tokenizes no text, enumerates nothing, reads no witness's context, forms
+# no class and counts no morphism.  The maps from text hold nodes weakly,
+# so the first run's results are held while the second runs.
+@pytest.mark.parametrize("name", [e["name"] for e in load_corpus()])
+def test_a_repeated_query_reads_back_what_it_kept(name):
+    entry = next(e for e in load_corpus() if e["name"] == name)
+    watched = {thinspan.syntax._tokenize.__code__: "_tokenize",
+               thinspan.rigidtypes._it_tokenize.__code__: "_it_tokenize",
+               thinspan.derivation.rt_context.__code__: "rt_context",
+               thinspan.derivation._enum_raw.__code__: "_enum_raw",
+               thinspan.derivation.partition_by_symmetry.__code__: "partition_by_symmetry",
+               thinspan.derivation.endo_count.__wrapped__.__code__: "endo_count",
+               thinspan.symmetry.count_negative_seq.__code__: "count_negative_seq"}
+    ran = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            ran.append(watched[frame.f_code])
+
+    def query():
+        ctx = thinspan.syntax.parse_context(entry.get("ctx", ""))
+        parsed = thinspan.syntax.parse_term(entry["term"])
+        expected = (thinspan.syntax.parse_simple_type(entry["type"]) if "type" in entry
+                    else None)
+        term, ty = thinspan.syntax.annotate(ctx, parsed, expected)
+        point = thinspan.rigidtypes.point_from_json(entry["point"], ctx, ty)
+        budget = None if is_beta_normal(term) else entry_budget(entry)
+        return parsed, expected, verify_identities(ctx, term, point, budget)
+
+    first = query()
+    sys.setprofile(profile)
+    try:
+        second = query()
+    finally:
+        sys.setprofile(None)
+    assert first[2].ok and second[2].ok
+    assert second[2].report.witnesses == first[2].report.witnesses
+    assert second[2].checks == first[2].checks
+    assert ran == [], ran
+
+
+# Each map from text stays within its bound: the maps of contexts and of
+# multisets keep at most TEXTS_KEPT texts, and the maps to nodes keep a
+# text only while its node lives.
+def test_the_maps_from_text_stay_bounded():
+    bound = thinspan.interning.TEXTS_KEPT
+    for i in range(bound + 10):
+        thinspan.syntax.parse_context(f"v{i}:o")
+        # i's binary digits place the spaces
+        thinspan.rigidtypes.parse_mset("[" + "".join(" *," if d == "1" else "*,"
+                                                      for d in f"{i:b}") + "*]")
+    for bounded in (thinspan.syntax.parse_context, thinspan.rigidtypes.parse_mset):
+        assert bounded.cache_info().currsize == bound
+    weak = {thinspan.syntax.parse_term: lambda i: f"v{i} w{i}",
+            thinspan.syntax.parse_simple_type: lambda i: "o -> " * (i + 40) + "o",
+            thinspan.rigidtypes.parse_mit: lambda i: "[" + ",".join(["*"] * (i + 40)) + "]-o*"}
+    for parse, text in weak.items():
+        before = len(parse.texts)
+        held = [parse(text(i)) for i in range(100)]
+        assert len(parse.texts) == before + 100
+        del held
+        assert len(parse.texts) == before
+
+
 def refuse_morphisms(monkeypatch):
     def refuse_built(self):
         raise AssertionError("a type morphism built on the query path")
@@ -224,7 +291,9 @@ def test_classes_list_no_morphisms(monkeypatch):
 # The classes are keyed by the multiset collapse of each witness's
 # contractum: forming them counts no derivation morphism, and each class's
 # degree is counted once.  Distinct-g k = 6 has 720 witnesses in one class.
-def test_partition_counts_no_morphisms(monkeypatch):
+# The memos start empty: a query the session ran before reads its classes
+# back and counts none.
+def test_partition_counts_no_morphisms(monkeypatch, cold_memo):
     partition = thinspan.derivation.partition_by_symmetry
     endo_count = thinspan.derivation.endo_count
     endos = []

@@ -8,7 +8,7 @@ from thinspan.rigidtypes import (
 from thinspan.groupoid import enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_positive_it
 from thinspan.derivation import (
     BoundedAt, BudgetRequiredError, DerivationError, Exact, check_derivation,
-    count_derivation_morphisms, rt_context, rt_type,
+    count_derivation_morphisms, multiset_collapse_term, rt_context, rt_type,
 )
 from thinspan.symmetry import permanent
 from thinspan.collapse import (
@@ -17,9 +17,9 @@ from thinspan.collapse import (
 )
 
 from support import (
-    church_point, distinct_g_point, entry_budget, fanout_point, generated_points, listed_esp,
-    load_corpus, parse_entry, per_target_witnesses, point_subject, ryser_permanent,
-    symmetric_point,
+    church_point, copies_in_every_order, distinct_g_point, entry_budget, fanout_point,
+    generated_points, listed_esp, load_corpus, parse_entry, per_target_witnesses, point_subject,
+    ryser_permanent, symmetric_point,
 )
 
 BY_NAME = {e["name"]: e for e in load_corpus()}
@@ -204,9 +204,15 @@ def hand_subjects():
         yield label, ctx, term, pt, budget
 
 
+def copies_subjects():
+    for label, ctx, term, pt, budget, _ in copies_in_every_order():
+        yield label, ctx, term, pt, budget
+
+
 # the fewest witnesses each group of subjects must reach
 BAG_SUBJECTS = {"corpus": (corpus_subjects, 25), "generated": (generated_subjects, 50),
-                "families": (family_subjects, 47), "hand": (hand_subjects, 10)}
+                "families": (family_subjects, 47), "hand": (hand_subjects, 10),
+                "copies": (copies_subjects, 9)}
 
 
 @pytest.mark.parametrize("group", sorted(BAG_SUBJECTS))
@@ -231,7 +237,7 @@ def test_bag_enumeration_matches_per_target_oracle(group):
     assert found >= least, found
 
 
-def test_permanents_match_ryser_on_real_matrices(monkeypatch):
+def test_permanents_match_ryser_on_real_matrices(monkeypatch, cold_memo):
     # every matrix of at most 10 rows that the triple count, the class
     # degrees and the morphisms between witnesses take a permanent of
     sizes = []
@@ -274,6 +280,31 @@ def test_redex_cut_over_distinct_values():
         rep = verify_identities(ctx, term, pt, budget, expected=count)
         assert rep.ok, label
         assert rep.report.wit_plus == count, label
+
+
+def test_copies_in_every_order_are_classes_of_their_own():
+    for label, ctx, term, pt, budget, coefficient in copies_in_every_order():
+        rep = verify_identities(ctx, term, pt, budget, expected=coefficient)
+        assert rep.ok, label
+        assert len(rep.report.classes) == rep.report.wit_plus == coefficient, label
+
+
+# The classes are keyed by the collapse of each witness's contractum; keyed
+# by the collapse of the redex itself, the orders of the argument copies
+# fall into one class, and the class checks fail on every such subject.
+# The memos start empty, or the reports the session kept would answer.
+def test_a_class_key_before_contraction_fails_the_checks(monkeypatch, cold_memo):
+    def uncontracted(derivations):
+        classes: dict = {}
+        for r in derivations:
+            classes.setdefault(multiset_collapse_term(r), []).append(r)
+        return tuple(map(tuple, classes.values()))
+
+    monkeypatch.setattr(thinspan.collapse, "partition_by_symmetry", uncontracted)
+    for label, ctx, term, pt, budget, _ in copies_in_every_order():
+        rep = verify_identities(ctx, term, pt, budget)
+        failed = {c.name for c in rep.checks if not c.ok}
+        assert failed == {"class-weights-sum", "class-sizes"}, label
 
 
 def multiset_point(entries: dict, result: str = "*") -> PointSpec:

@@ -20,8 +20,8 @@ from thinspan.groupoid import (
 from thinspan.collapse import positive_witnesses, prepare, verify_identities
 
 from support import (
-    across_points, binders, built_nodes, church_point, distinct_g_point, entry_budget,
-    fanout_point, load_corpus, pairwise_partition, parse_entry, generated_points,
+    across_points, binders, built_nodes, church_point, copies_in_every_order, distinct_g_point,
+    entry_budget, fanout_point, load_corpus, pairwise_partition, parse_entry, generated_points,
     per_target_witnesses, point_subject, split_witnesses, symmetric_point,
 )
 
@@ -458,13 +458,15 @@ def expansion_subjects():
 
 def beta_invariance_subjects():
     """(label, ctx, redex, point, budget): the corpus entries that are not
-    beta-normal, also at generated points, and the expansions of those that
-    are."""
+    beta-normal, also at generated points, the expansions of those that
+    are, and the redexes whose argument copies meet in every order."""
     for entry in CORPUS:
         ctx, term, _, point = parse_entry(entry)
         if not is_beta_normal(term):
             yield entry["name"], ctx, term, point, entry_budget(entry)
     yield from expansion_subjects()
+    for label, ctx, term, point, budget, _ in copies_in_every_order():
+        yield label, ctx, term, point, budget
     for entry, ctx, term, _, point in generated_points():
         if not is_beta_normal(term):
             yield entry["name"], ctx, term, point, entry_budget(entry)

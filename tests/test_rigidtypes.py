@@ -205,14 +205,40 @@ def test_canonicalize_point_orders_and_rigidifies():
     assert canonicalize_ctx(gamma) == gamma
 
 
+# A text that failed to parse is not kept, so given again it fails again,
+# with the same message.
 @pytest.mark.parametrize("text, char, pos", [
     ("[*,  é]", "é", 5),
     ("[*]\t-o #", "#", 7),
 ])
 def test_notation_errors_point_at_the_bad_character(text, char, pos):
-    with pytest.raises(RefinementError) as e:
-        parse_mit(text)
-    assert str(e.value) == f"unexpected character {char!r} at position {pos} in type notation"
+    for _ in range(2):
+        with pytest.raises(RefinementError) as e:
+            parse_mit(text)
+        assert str(e.value) == f"unexpected character {char!r} at position {pos} in type notation"
+
+
+def point_entry(text):
+    return point_from_json({"ctx": {"g": text}, "type": "*"}, parse_context("g:o->o, y:o"), O)
+
+
+def point_type(text):
+    return point_from_json({"ctx": {}, "type": text}, parse_context("g:o->o, y:o"), O)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_mit, "[*]-o* *", "trailing input at position 7 in type notation"),
+    (parse_mset, "[*,  é]", "unexpected character 'é' at position 5 in type notation"),
+    (parse_mset, "[*] *", "trailing input at position 4 in type notation"),
+    (point_entry, "[[*]-o*, $]", "unexpected character '$' at position 9 in type notation"),
+    (point_entry, "[[*,*]-o*,*]", "entry * for variable 'g' does not refine o -> o"),
+    (point_type, "[] -o @", "unexpected character '@' at position 6 in type notation"),
+])
+def test_a_notation_that_failed_fails_again_the_same_way(parse, text, message):
+    for _ in range(2):
+        with pytest.raises(RefinementError) as e:
+            parse(text)
+        assert str(e.value) == message
 
 
 def test_one_scan_notation_tokenizer_matches_the_per_token_one():

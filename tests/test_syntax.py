@@ -173,7 +173,8 @@ def test_rewriters_return_an_unchanged_term_itself():
 
 
 # A bad character is reported at its own position, not at the whitespace
-# before it.
+# before it.  A text that failed to parse is not kept, so given again it
+# fails again, with the same message.
 @pytest.mark.parametrize("parse, text, char, pos", [
     (parse_term, "x  é", "é", 3),
     (parse_term, "f (g\t#)", "#", 5),
@@ -182,9 +183,22 @@ def test_rewriters_return_an_unchanged_term_itself():
     (parse_context, "  x:o, #y:o", "#", 7),
 ])
 def test_parse_errors_point_at_the_bad_character(parse, text, char, pos):
-    with pytest.raises(ParseError) as e:
-        parse(text)
-    assert str(e.value) == f"unexpected character {char!r} at position {pos}"
+    for _ in range(2):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == f"unexpected character {char!r} at position {pos}"
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_term, "f x )", "trailing input ')' at position 4"),
+    (parse_simple_type, "o -> (o", "expected ')' but found 'end of input' at position 7"),
+    (parse_context, "x:o y:o", "trailing input 'y' at position 4"),
+])
+def test_a_text_that_failed_to_parse_fails_again_the_same_way(parse, text, message):
+    for _ in range(2):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == message
 
 
 def test_one_scan_tokenizer_matches_the_per_token_one():
