@@ -29,23 +29,26 @@ positive_witnesses, is checked there, before anything kept is read.
 
 A repeated query is answered from what the first one kept in the term's
 memo (derivation.term_memo), which lives as long as the process: keyed by
-the canonical point's entries, its result and the budget, positive_witnesses
-keeps the witnesses, the classes, the class degrees, both points' degrees
-and the completeness, and esp_explicit keeps its triple count, keyed by
-the point and the completeness, which fix the witnesses.  Each keeps only
+the canonical point's entries, its result and the budget the enumeration
+ran under (none for a beta-normal term), positive_witnesses keeps the
+witnesses, the classes, the class degrees, both points' degrees and the
+completeness, and esp_explicit keeps its triple count, keyed by the point
+and the completeness, which fix the witnesses.  Each keeps only
 its own result, so the witness count, the class-weighted sum and the
 triple count still come from separate computations; the wrel coefficient
 keeps its own cache.  A witness keeps no context: its theta is read off
-its derivation when it is asked for.
+its derivation when it is asked for.  A report built afresh carries the
+contexts it read to sort its witnesses, which esp_explicit reads instead,
+so a query that is not kept reads each witness's context once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from .syntax import Term, TypingContext, annotate, ensure_distinct_binders
+from .syntax import Term, TypingContext, annotate, ensure_distinct_binders, is_beta_normal
 from .rigidtypes import IType, PointSpec, ResourceContext, Subject, canonicalize_point, key_it
 from .symmetry import (
     Degrees, count_negative_seq, count_positive_it, pos_sources_it, sym_degrees_ctx,
@@ -83,6 +86,11 @@ class WitnessReport:
     ctx_degrees: Degrees                      # of the canonical context
     res_degrees: Degrees                      # of the canonical result type
     completeness: Completeness
+    # each witness's context, in order, when the call that built the report
+    # read them to sort the witnesses; None on a report read back, since
+    # the memo keeps no context
+    thetas: tuple[ResourceContext, ...] | None = field(default=None, compare=False,
+                                                       repr=False)
 
     @property
     def wit_plus(self) -> int:
@@ -112,21 +120,26 @@ def positive_witnesses(subject: Subject, budget: int | None = None) -> WitnessRe
     result a, over the bags of the canonical context gamma.  Each
     derivation d it returns concludes its own context theta, read off its
     occurrences, and the witness records d at (theta, alpha).  Witnesses
-    are ordered by _witness_key.  The report's fields but the subject are
-    kept in the term's memo, and a later query at the same point and budget
-    reads them back.
+    are ordered by _witness_key.  The report's fields but the subject and
+    the contexts are kept in the term's memo, and a later query at the same
+    point and budget reads them back; a beta-normal term is enumerated
+    without a budget, so its report is kept once for every budget.
     """
     check_budget(budget)
     memo = term_memo(subject.term)
-    key = ("witnesses", subject.gamma.entries, subject.result, budget)
+    key = ("witnesses", subject.gamma.entries, subject.result,
+           None if is_beta_normal(subject.term) else budget)
     kept = memo.get(key)
-    if kept is None:
-        kept = memo[key] = _witness_report(subject, budget)
-    return WitnessReport(subject, *kept)
+    if kept is not None:
+        return WitnessReport(subject, *kept)
+    kept, thetas = _witness_report(subject, budget)
+    memo[key] = kept
+    return WitnessReport(subject, *kept, thetas=thetas)
 
 
 def _witness_report(subject: Subject, budget: int | None) -> tuple:
-    """The fields of the subject's WitnessReport that follow the subject."""
+    """The fields of the subject's WitnessReport that follow the subject,
+    and the witnesses' contexts if sorting them read them."""
     gamma, a, ty = subject.gamma, subject.result, subject.ty
     cdeg = sym_degrees_ctx(gamma)
     rdeg = sym_degrees_it(a, ty)
@@ -141,14 +154,18 @@ def _witness_report(subject: Subject, budget: int | None) -> tuple:
         witnesses.extend(PositiveWitness(d, alpha, shape) for d in ws.derivations)
     # each alpha's derivations arrive sorted by their text, and sort is
     # stable; a lone witness is not keyed, which would read its context
+    thetas = None
     if len(witnesses) > 1:
-        witnesses.sort(key=lambda w: _witness_key(w.theta, w.alpha))
+        pairs = sorted(((w.theta, w) for w in witnesses),
+                       key=lambda p: _witness_key(p[0], p[1].alpha))
+        thetas = tuple(theta for theta, _ in pairs)
+        witnesses = [w for _, w in pairs]
 
     classes = partition_by_symmetry([w.derivation for w in witnesses])
     index = {w.derivation: i for i, w in enumerate(witnesses)}
     class_ix = tuple(tuple(sorted(index[d] for d in cls)) for cls in classes)
     endos = tuple(endo_count(cls[0]) for cls in classes)
-    return tuple(witnesses), class_ix, endos, cdeg, rdeg, completeness
+    return (tuple(witnesses), class_ix, endos, cdeg, rdeg, completeness), thetas
 
 
 def _witness_key(theta: ResourceContext, alpha: IType):
@@ -204,8 +221,8 @@ def esp_explicit(report: WitnessReport) -> int:
     if total is None:
         memo: dict = {}
         total = 0
-        for w in report.witnesses:
-            theta = w.theta
+        thetas = report.thetas or [w.theta for w in report.witnesses]
+        for w, theta in zip(report.witnesses, thetas):
             negs = prod(count_negative_seq(seq, theta.lookup(x), memo)
                         for x, seq, _ in gamma.entries)
             total += negs * count_positive_it(w.alpha, a, memo)

@@ -76,7 +76,9 @@ def counting_calls(fn, seen):
 # A query is prepared once: verify_identities annotates the term and checks
 # the point once, and neither the coefficient nor the witness enumeration
 # checks them again.  Each name is counted in every module that imports it,
-# so a call from syntax or rigidtypes to itself is not counted.
+# so a call from syntax or rigidtypes to itself is not counted.  The
+# triple count reads the contexts the witness report read to sort its
+# witnesses, so each witness's context is read once.
 @pytest.mark.parametrize("name", ["fanout-2", "church-two-twice", "shared-head-two-ways"])
 def test_a_query_is_prepared_once(monkeypatch, cold_memo, name):
     if name == "fanout-2":
@@ -93,7 +95,12 @@ def test_a_query_is_prepared_once(monkeypatch, cold_memo, name):
                 key = f"{module.__name__.split('.')[-1]}.{fn}"
                 calls[key] = []
                 monkeypatch.setattr(module, fn, counting_calls(getattr(module, fn), calls[key]))
-    assert verify_identities(ctx, term, point, budget).ok
+    contexts = []
+    monkeypatch.setattr(thinspan.collapse, "rt_context",
+                        counting_calls(thinspan.collapse.rt_context, contexts))
+    checked = verify_identities(ctx, term, point, budget)
+    assert checked.ok
+    assert len(contexts) == checked.report.wit_plus
     count = {key: len(seen) for key, seen in calls.items()}
     assert sum(n for key, n in count.items() if key.endswith(".annotate")) == 1, count
     assert sum(n for key, n in count.items() if key.endswith(".canonicalize_point")) == 1, count
@@ -124,12 +131,14 @@ def refuse(*args):
 # Listing one variable's hom-set at a time, the triple count would go
 # through 6! morphisms for y at symmetric n = 6, 3!*4!*2^3 for g at fan-out
 # n = 3 and 7! for g at Church k = 7; it counts them without listing any.
+# The memos start empty, so each query counts its triples afresh instead
+# of reading back a count an earlier test kept.
 @pytest.mark.parametrize("point, budget", [
     (symmetric_point(6), None),
     (fanout_point(3), None),
     (church_point(7), 7),
 ], ids=["symmetric-6", "fanout-3", "church-7"])
-def test_no_factorial_products_of_morphisms(monkeypatch, point, budget):
+def test_no_factorial_products_of_morphisms(monkeypatch, cold_memo, point, budget):
     for name in ("enumerate_homs_ctx", "enumerate_homs_it"):
         monkeypatch.setattr(thinspan.collapse, name, refuse)
     ctx, term, _, pt = point_subject(*point)
@@ -268,8 +277,9 @@ def refuse_listings(monkeypatch):
 # list none of them nor any hom-set; no query builds a type morphism at all.
 # The one class endomorphism group at symmetric n = 8 has 8! elements;
 # listing the morphisms of the Church k = 9 witness went through 9!
-# permutations.
-def test_classes_list_no_morphisms(monkeypatch):
+# permutations.  The memos start empty, so every query forms and counts its
+# classes under the refusals.
+def test_classes_list_no_morphisms(monkeypatch, cold_memo):
     refuse_listings(monkeypatch)
     refuse_morphisms(monkeypatch)
     for point in (symmetric_point(8), fanout_point(3)):
@@ -357,7 +367,8 @@ def refuse_targets(*args):
 
 # The witnesses are enumerated once over the context's bags, never once per
 # reachable context: fan-out n = 4 reaches 126 contexts and n = 8 24,310.
-def test_reachable_contexts_are_not_listed(monkeypatch):
+# The memos start empty, so every query enumerates and counts afresh.
+def test_reachable_contexts_are_not_listed(monkeypatch, cold_memo):
     for module in (thinspan.symmetry, thinspan.collapse):
         monkeypatch.setattr(module, "neg_targets_ctx", refuse_targets)
     for n in range(1, 5):
@@ -371,14 +382,15 @@ def test_reachable_contexts_are_not_listed(monkeypatch):
 
 
 # A witness keeps its rigid point, so no query builds a polarized morphism to
-# it, however many distinct contexts its witnesses have.
+# it, however many distinct contexts its witnesses have.  The memos start
+# empty, so every query counts its triples afresh.
 @pytest.mark.parametrize("point, contexts", [
     (fanout_point(2), 2),
     (fanout_point(3), 1),
     (fanout_point(8), 0),
     (distinct_g_point(3), 6),
 ], ids=["fanout-2", "fanout-3", "fanout-8", "distinct-g-3"])
-def test_negative_morphisms_per_witness_context(monkeypatch, point, contexts):
+def test_negative_morphisms_per_witness_context(monkeypatch, cold_memo, point, contexts):
     refuse_morphisms(monkeypatch)
     ctx, term, _, pt = point_subject(*point)
     rep = verify_identities(ctx, term, pt)

@@ -8,7 +8,7 @@ from thinspan.rigidtypes import (
 from thinspan.groupoid import enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_positive_it
 from thinspan.derivation import (
     BoundedAt, BudgetRequiredError, DerivationError, Exact, check_derivation,
-    count_derivation_morphisms, multiset_collapse_term, rt_context, rt_type,
+    count_derivation_morphisms, multiset_collapse_term, rt_context, rt_type, term_memo,
 )
 from thinspan.symmetry import permanent
 from thinspan.collapse import (
@@ -111,6 +111,20 @@ def test_budget_flows_through():
     _, rep = report_for("identity-redex", budget=1)
     assert rep.completeness == BoundedAt(1)
     assert rep.wit_plus == 1
+
+
+# A beta-normal term is enumerated without a budget, so one report is kept
+# for it whatever budget a query gives; a redex keeps one per budget.
+def test_a_report_is_kept_once_per_budget_it_ran_under(cold_memo):
+    for name, budgets, reports in (("fan-out", (None, 5, 0), 1),
+                                   ("identity-redex", (1, 2, 1), 2)):
+        ctx, term, _, point = parse_entry(BY_NAME[name])
+        subject = prepare(ctx, term, point)
+        first, *rest = (positive_witnesses(subject, b) for b in budgets)
+        for rep in rest:
+            assert rep.witnesses == first.witnesses, name
+        kept = [key for key in term_memo(subject.term) if key[0] == "witnesses"]
+        assert len(kept) == reports, name
 
 
 def test_verify_identities_pass():
