@@ -228,16 +228,16 @@ def weight(ctx_text, term_text, type_text, point_arg, budget, as_json) -> None:
 
 
 # the JSON type of each corpus entry field, as docs/formats.md gives them
-_ENTRY_FIELDS = {"ctx": (str, "a string"), "term": (str, "a string"), "type": (str, "a string"),
-                 "point": ((dict, str), "an object"), "expected": (int, "an integer"),
-                 "budget": (int, "a non-negative integer")}
+_ENTRY_FIELDS = (("ctx", str, "a string"), ("term", str, "a string"), ("type", str, "a string"),
+                 ("point", dict, "an object"), ("expected", int, "an integer"),
+                 ("budget", int, "a non-negative integer"))
 
 
 def _entry_problem(entry: dict) -> str | None:
     missing = [field for field in ("term", "point") if field not in entry]
     if missing:
         return f"entry has no {' or '.join(map(repr, missing))} field"
-    for field, (kind, what) in _ENTRY_FIELDS.items():
+    for field, kind, what in _ENTRY_FIELDS:
         value = entry.get(field)
         if field not in entry or (value is None and field in ("expected", "budget")):
             continue
@@ -290,27 +290,30 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             _fail(f"{corpus_path}: a corpus must be a JSON list of objects", 1)
         default_budget = DEFAULT_CORPUS_BUDGET
-    elif term_text and point_arg:
-        entries = [{"name": "(cli)", "ctx": ctx_text or "", "term": term_text,
-                    "point": point_arg, "expected": expected}]
-        if type_text:
-            entries[0]["type"] = type_text
-    else:
+    elif not (term_text and point_arg):
         _fail("need --corpus, or --term with --point", 2)
     budget = _resolve_budget(budget)
+    if not corpus_path:
+        try:
+            point = _point_json(point_arg)
+        except _INPUT_ERRORS as e:
+            _fail(f"(cli): {_input_error(e)}", 1)
+        entries = [{"name": "(cli)", "ctx": ctx_text or "", "term": term_text,
+                    "point": point, "expected": expected}]
+        if type_text:
+            entries[0]["type"] = type_text
 
     results = []
     any_failed = False
     budget_missing = False
     for entry in entries:
         name = entry.get("name", entry.get("term", "?"))
-        problem = _entry_problem(entry)
+        # the options' types are click's, and point_from_json reports a
+        # --point that is not an object as witnesses and weight do
+        problem = _entry_problem(entry) if corpus_path else None
         if problem:
             _fail(f"{name}: {problem}", 1)
         try:
-            if isinstance(entry["point"], str):
-                entry = dict(entry)
-                entry["point"] = _point_json(entry["point"])
             started = time.monotonic()
             rep = _verify_entry(entry, budget, default_budget)
             elapsed = time.monotonic() - started

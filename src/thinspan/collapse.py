@@ -28,15 +28,15 @@ that Subject and check none of it again; only the budget, which comes with
 positive_witnesses, is checked there, before anything kept is read.
 
 A repeated query is answered from what the first one kept in the term's
-memo (derivation.term_memo), which lives as long as the process: keyed by
-the canonical point's entries, its result and the budget the enumeration
-ran under (none for a beta-normal term), positive_witnesses keeps the
-witnesses, the classes, the class degrees, both points' degrees and the
+memo (interning.memo), which dies with the term: keyed by the canonical
+point's entries, its result and the budget the enumeration ran under
+(none for a beta-normal term), positive_witnesses keeps the witnesses,
+the classes, the class degrees, both points' degrees and the
 completeness, and esp_explicit keeps its triple count, keyed by the point
-and the completeness, which fix the witnesses.  Each keeps only
-its own result, so the witness count, the class-weighted sum and the
-triple count still come from separate computations; the wrel coefficient
-keeps its own cache.  A witness keeps no context: its theta is read off
+and the completeness, which fix the witnesses.  Each keeps only its own
+result, under keys of its own, so the witness count, the class-weighted
+sum, the triple count and the wrel coefficient still come from separate
+computations.  A witness keeps no context: its theta is read off
 its derivation when it is asked for.  A report built afresh carries the
 contexts it read to sort its witnesses, which esp_explicit reads instead,
 so a query that is not kept reads each witness's context once.
@@ -60,8 +60,9 @@ from .symmetry import neg_targets_ctx  # noqa: F401
 from .derivation import enumerate_witnesses  # noqa: F401
 from .derivation import (
     BoundedAt, Completeness, Exact, ResourceTerm, Shape,
-    check_budget, endo_count, partition_by_symmetry, rt_context, term_memo, witness_set,
+    check_budget, endo_count, partition_by_symmetry, rt_context, witness_set,
 )
+from .interning import memo
 from .wrel import NatInf, wrel_coefficient
 
 
@@ -126,15 +127,15 @@ def positive_witnesses(subject: Subject, budget: int | None = None) -> WitnessRe
     without a budget, so its report is kept once for every budget.
     """
     check_budget(budget)
-    memo = term_memo(subject.term)
+    kept = memo(subject.term)
     key = ("witnesses", subject.gamma.entries, subject.result,
            None if is_beta_normal(subject.term) else budget)
-    kept = memo.get(key)
-    if kept is not None:
-        return WitnessReport(subject, *kept)
-    kept, thetas = _witness_report(subject, budget)
-    memo[key] = kept
-    return WitnessReport(subject, *kept, thetas=thetas)
+    fields = kept.get(key)
+    if fields is not None:
+        return WitnessReport(subject, *fields)
+    fields, thetas = _witness_report(subject, budget)
+    kept[key] = fields
+    return WitnessReport(subject, *fields, thetas=thetas)
 
 
 def _witness_report(subject: Subject, budget: int | None) -> tuple:
@@ -215,17 +216,17 @@ def esp_explicit(report: WitnessReport) -> int:
     the report's completeness, which fix the witnesses.
     """
     gamma, a = report.subject.gamma, report.subject.result
-    kept = term_memo(report.subject.term)
+    kept = memo(report.subject.term)
     key = ("triples", gamma.entries, a, report.completeness)
     total = kept.get(key)
     if total is None:
-        memo: dict = {}
+        counts: dict = {}
         total = 0
         thetas = report.thetas or [w.theta for w in report.witnesses]
         for w, theta in zip(report.witnesses, thetas):
-            negs = prod(count_negative_seq(seq, theta.lookup(x), memo)
+            negs = prod(count_negative_seq(seq, theta.lookup(x), counts)
                         for x, seq, _ in gamma.entries)
-            total += negs * count_positive_it(w.alpha, a, memo)
+            total += negs * count_positive_it(w.alpha, a, counts)
         kept[key] = total
     return total
 

@@ -63,10 +63,10 @@ witness_set, which checks only the budget.  A query's subject is checked
 once, by collapse.prepare, and collapse.positive_witnesses calls
 witness_set directly.
 
-Each term has a memo (term_memo) that lives as long as the process: the
-enumerator keeps its subproblems there, witness_set the sorted
-derivations at each start context, and collapse each point's witness
-report and triple count.
+The enumerator keeps its subproblems in each subterm's memo
+(interning.memo), and witness_set the sorted derivations at each start
+context in the term's, beside collapse's witness reports and triple
+counts; all of it dies with the term.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .interning import Node, fact
+from .interning import Node, fact, memo
 from .syntax import (
     App, Arrow, Base, Lam, SimpleType, Term, TypingContext, Var,
     annotate, binder_names, free_vars, is_beta_normal, spine, term_to_text, type_to_text,
@@ -455,12 +455,12 @@ def witness_set(ctx: TypingContext, term: Term, theta: ResourceContext, alpha: I
     # in the term's memo beside the enumerator's entries; a start context
     # fixes the variables that are not free in the term too, which must be
     # used up
-    memo = term_memo(term)
+    kept = memo(term)
     key = ("derivations", theta.entries, bags, alpha, cut_budget)
-    found = memo.get(key)
+    found = kept.get(key)
     if found is None:
         start = {x: (seq, t, bags) for x, seq, t in theta.entries}
-        found = memo[key] = tuple(sorted(
+        found = kept[key] = tuple(sorted(
             (r for r, _ in _enum(term, start, alpha, cut_budget, frozenset(start))),
             key=resource_to_text))
     return WitnessSet(ctx, term, (theta, alpha), found,
@@ -479,23 +479,19 @@ Entry = tuple[SeqType, SimpleType, bool]
 Ctx = dict[str, Entry]
 Found = list[tuple[ResourceTerm, Ctx]]
 
-# term -> {(the entries of its free variables, target, budget, which of
-# them must be used up): [(derivation, what it leaves of each entry)]};
-# witness_set keeps its sorted derivations in the same dict, and collapse
-# its witness reports and triple counts, under keys that start with a
-# string
-_enum_cache: dict = {}
-
-
+# A subproblem is kept in its term's memo under (the entries of its free
+# variables, target, budget, which of them must be used up), as a list of
+# (derivation, what it leaves of each entry); the other keys in a term's
+# memo are strings or start with one.
 def _enum(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
           must: frozenset[str]) -> Found:
-    fvs, memo = free_vars(term), term_memo(term)
+    fvs, kept = free_vars(term), memo(term)
     if any(ctx[x][0] for x in must if x not in fvs):
         return []
     key = (tuple(ctx[x] for x in fvs), alpha, budget, tuple(x in must for x in fvs))
-    hit = memo.get(key)
+    hit = kept.get(key)
     if hit is None:
-        hit = memo[key] = [
+        hit = kept[key] = [
             (r, tuple(left[x] for x in fvs))
             for r, left in _enum_raw(term, ctx, alpha, budget, must)]
     out = []
@@ -504,15 +500,6 @@ def _enum(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
         left.update(zip(fvs, entries))
         out.append((r, left))
     return out
-
-
-def term_memo(term: Term) -> dict:
-    """The dict in which the enumerator, witness_set and collapse keep what
-    they derived of term, for the life of the process."""
-    memo = _enum_cache.get(term)
-    if memo is None:
-        memo = _enum_cache[term] = {}
-    return memo
 
 
 def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,

@@ -22,25 +22,26 @@ keeps one.  A fact never points back at its node: a value that is the node
 itself is kept as a marker, so no fact makes a reference cycle that only
 the cyclic collector could free.
 
-A family's slot may also hold one value that depends on more than the node,
-such as the type annotate found for a term under given variable types:
-keep stores it, replacing the one before, and kept reads it back.  Its
-owner checks that the value still applies before it uses it.
+A family may also declare a slot _memo, read through memo: a dict of
+values that depend on more than the node, each under a key naming what it
+depends on, such as the subproblems a recursion solved at the node or the
+type annotate found for it under given variable types.  Its owners check
+that a value still applies before they use it, and like a fact a value
+never points back at its node.
 
-A parser of node notation decorated with @by_text maps each text it read
-before to the node it gave.  Like the table, the map holds its nodes
-weakly: an entry lives as long as its node, so reading a text again costs
-nothing while something holds what it parsed to, and the map never keeps a
-node alive.  A parser whose value is not a node (a sequence of types, a
-typing context) keeps its texts in a functools.lru_cache of TEXTS_KEPT
-entries instead, which drops the least recently read.  A text that fails
-to parse raises and is kept in neither.
+Each parser of the package's notations keeps the last TEXTS_KEPT texts
+it read, with what each parsed to, in a functools.lru_cache, which drops
+the least recently read.  A text that fails to parse raises and is not
+kept.  So one rule says what a process keeps: a node's derived state
+lives on the node and dies with it, and each parser keeps its last
+TEXTS_KEPT texts, which keep what they parsed to alive.  A query whose
+text was dropped is answered afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, wraps
+from functools import wraps
 from operator import attrgetter
 import inspect
 from weakref import ref
@@ -55,7 +56,7 @@ class _Entry(ref):
 # (class, *fields) -> a weak reference to the one node with those fields
 _table: dict[tuple, _Entry] = {}
 
-# the most texts a parser whose values are not nodes keeps
+# the most texts a parser keeps
 TEXTS_KEPT = 4096
 
 # a fact slot not filled yet, and one whose fact is the node itself
@@ -146,32 +147,11 @@ def fact(fn):
     return get
 
 
-def keep(node: Node, name: str, value) -> None:
-    """Keep value in the node's slot name, replacing what it held."""
-    object.__setattr__(node, name, value)
-
-
-def kept(node: Node, name: str):
-    """The value kept in the node's slot name, or None if none is."""
-    value = getattr(node, name)
-    return None if value is _UNSET else value
-
-
-def by_text(parse):
-    """Map each text parse read before to the node it gave, for as long as
-    that node lives; the map is parse.texts."""
-    texts: dict[str, _Entry] = {}
-    drop = partial(_drop, table=texts)
-
-    @wraps(parse)
-    def get(text):
-        entry = texts.get(text)
-        node = entry() if entry is not None else None
-        if node is None:
-            node = parse(text)
-            entry = texts[text] = _Entry(node, drop)
-            entry.key = text
-        return node
-
-    get.texts = texts
-    return get
+def memo(node: Node) -> dict:
+    """The dict in the node's slot _memo, empty until something is kept
+    in it."""
+    value = node._memo
+    if value is _UNSET:
+        value = {}
+        object.__setattr__(node, "_memo", value)
+    return value

@@ -20,9 +20,8 @@ and kept on it:
 The [...] notation parses to and prints canonical types.  A PointSpec
 keeps the check canonicalize_point last made on it, so that the checked
 point a query is parsed with is not checked again when it is prepared.
-A text parsed before is not read again: parse_mit maps each text to the
-type it gave, for as long as that type lives (interning.by_text), and
-parse_mset keeps the last interning.TEXTS_KEPT sequences it read, by text.
+A text parsed before is not read again: parse_mit and parse_mset keep
+the last interning.TEXTS_KEPT texts they read, by text.
 
 A sequence type is represented as a bare tuple of ITypes.
 """
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 import re
 
-from .interning import TEXTS_KEPT, Node, by_text, fact
+from .interning import TEXTS_KEPT, Node, fact
 from .syntax import O, Arrow, SimpleType, Term, TypingContext, type_to_text
 
 
@@ -358,7 +357,7 @@ def parse_itype(text: str) -> IType:
     return t
 
 
-@by_text
+@lru_cache(maxsize=TEXTS_KEPT)
 def parse_mit(text: str) -> IType:
     """Multiset type notation, as a canonical type; rigid sequence brackets
     are accepted and collapsed."""

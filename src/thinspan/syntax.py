@@ -19,14 +19,15 @@ names are different trees; alpha_eq compares them.  These facts
   is_beta_normal  whether it is beta-normal;
   _nf             its beta-normal form, before binders are re-freshened.
 
-annotate also keeps, on a term it returned unchanged, the type it found
-and the types of the free variables it found it under (interning.keep).
+A term also has a memo (interning.memo), where annotate keeps what it
+found with the types of the free variables it found it under, and the
+enumerator (derivation), the coefficient recursion (wrel) and the witness
+reports (collapse) keep what they derived of the term.  All of it dies
+with the term.
 
-A text parsed before is not read again.  parse_term and parse_simple_type
-map each text to the node it gave, for as long as that node lives
-(interning.by_text); parse_context keeps the last interning.TEXTS_KEPT
-contexts it read, by text.  Kept values are immutable, so callers share
-them.
+A text parsed before is not read again: parse_term, parse_simple_type and
+parse_context keep the last interning.TEXTS_KEPT texts they read, by text.
+Kept values are immutable, so callers share them.
 
 Binder annotations are optional in the concrete syntax.  An unannotated
 binder is only legal when the full simple type of the term is supplied,
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 import re
 
-from .interning import TEXTS_KEPT, Node, by_text, fact, keep, kept
+from .interning import TEXTS_KEPT, Node, fact, memo
 
 
 class ParseError(Exception):
@@ -89,9 +90,9 @@ def type_to_text(t: SimpleType) -> str:
 
 class _TermNode(Node):
     """A term, with slots for its facts free_vars, binder_names,
-    is_beta_normal and _nf, and for the type annotate kept on it."""
+    is_beta_normal and _nf, and for its memo."""
 
-    __slots__ = ("free_vars", "binder_names", "is_beta_normal", "_nf", "_annotated")
+    __slots__ = ("free_vars", "binder_names", "is_beta_normal", "_nf", "_memo")
 
 
 class Var(_TermNode):
@@ -224,7 +225,7 @@ class _Tokens:
 ####################################################################
 # parsing
 
-@by_text
+@lru_cache(maxsize=TEXTS_KEPT)
 def parse_simple_type(text: str) -> SimpleType:
     ts = _Tokens(text)
     t = _parse_stype(ts)
@@ -255,7 +256,7 @@ def _parse_stype_atom(ts: _Tokens) -> SimpleType:
     raise ParseError(f"expected a type but found {v or 'end of input'!r} at position {p}")
 
 
-@by_text
+@lru_cache(maxsize=TEXTS_KEPT)
 def parse_term(text: str) -> Term:
     """Parse and freshen so the Barendregt convention holds."""
     ts = _Tokens(text)
@@ -400,21 +401,26 @@ def annotate(ctx: TypingContext, t: Term, expected: SimpleType | None = None) ->
     """Return a fully annotated copy of t together with its simple type.
 
     With expected=None every binder must already carry an annotation.  A
-    subterm already annotated comes back as it is.  A term that comes back
-    as it is keeps its type, with the types of its free variables: besides
-    expected, they are all that annotating it reads.  The kept type answers
-    again when they match, expected is None or that type, and no binder of
-    t is bound in ctx, where extending ctx would raise.
+    subterm already annotated comes back as it is.  The result is kept in
+    t's memo, replacing the one before, with the types of t's free
+    variables: besides expected, they are all that annotating t reads.  It
+    answers again when they match, no binder of t is bound in ctx, where
+    extending ctx would raise, and expected is the one it was found under
+    or, when t came back as it is, None or t's type.  A copy is kept on the
+    term it annotates, so it lives as long as that term and keeps its own
+    memo.
     """
     key = tuple(map(ctx.lookup, free_vars(t)))
-    have = kept(t, "_annotated")
-    if have is not None and have[0] == key and expected in (None, have[1]):
+    kept = memo(t)
+    have = kept.get("annotate")
+    if have is not None and have[0] == key and expected in have[1]:
         bs = binder_names(t)
         if bs is not None and not any(map(ctx.lookup, bs)):
-            return t, have[1]
+            return t if have[2] is None else have[2], have[3]
     t2, ty = _annotate(ctx, t, expected)
-    if t2 is t:
-        keep(t, "_annotated", (key, ty))
+    # t itself is kept as None, so that the memo makes no reference cycle
+    kept["annotate"] = ((key, (None, ty), None, ty) if t2 is t
+                        else (key, (expected,), t2, ty))
     return t2, ty
 
 

@@ -31,12 +31,16 @@ on the terms (syntax): a term's free variables, sorted, fix the order of
 its bags in the memo keys and the leftovers; and the normal form of a
 redex term is kept on it, so a repeated query normalizes nothing, and
 re-freshening a normal form whose binders are already distinct is no walk.
+Each subproblem's leftovers are kept in its term's memo (interning.memo),
+under a key that starts with "wrel", so no other counting path reads
+them; they die with the term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .interning import memo
 from .syntax import Lam, Term, Var, beta_normalize, free_vars, is_beta_normal, spine
 # not called here: the tracer in perfbench/tracing.py wraps this name in this module
 from .syntax import annotate  # noqa: F401
@@ -75,19 +79,14 @@ def wrel_coefficient(subject: Subject) -> NatInf:
 # the term leaves unconsumed -> the number of ways it consumes the rest
 Leftovers = dict[tuple[SeqType, ...], int]
 
-# term -> {(the bags of its free variables, target): leftovers}
-_cache: dict = {}
-
 
 def _leftovers(env: dict[str, SeqType], term: Term, target: IType) -> Leftovers:
-    fvs = free_vars(term)
-    memo = _cache.get(term)
-    if memo is None:
-        memo = _cache[term] = {}
-    key = (tuple(env[x] for x in fvs), target)
-    hit = memo.get(key)
+    fvs, kept = free_vars(term), memo(term)
+    bags = tuple(env[x] for x in fvs)
+    key = ("wrel", bags, target)
+    hit = kept.get(key)
     if hit is None:
-        hit = memo[key] = _leftovers_raw(dict(zip(fvs, key[0])), term, target)
+        hit = kept[key] = _leftovers_raw(dict(zip(fvs, bags)), term, target)
     return hit
 
 

@@ -62,6 +62,15 @@ def built_nodes():
         interning._Interning.__call__ = call
 
 
+def clear_memos() -> None:
+    """Empty the memo of every live node, so that what the queries before
+    kept is computed again."""
+    for entry in list(interning._table.values()):
+        kept = getattr(entry(), "_memo", None)
+        if isinstance(kept, dict):
+            kept.clear()
+
+
 def load_corpus() -> list[dict]:
     with open(CORPUS_PATH) as f:
         return json.load(f)

@@ -15,6 +15,7 @@ confirm by running queries.
 
 import importlib
 import sys
+import weakref
 from math import factorial
 
 import pytest
@@ -34,8 +35,8 @@ from thinspan.syntax import is_beta_normal
 from thinspan.wrel import wrel_coefficient
 
 from support import (
-    chain_point, church_point, distinct_g_point, entry_budget, fanout_point, load_corpus,
-    load_tracing, parse_entry, point_subject, symmetric_point,
+    chain_point, church_point, clear_memos, distinct_g_point, entry_budget, fanout_point,
+    load_corpus, load_tracing, parse_entry, point_subject, symmetric_point,
 )
 
 def test_traced_names_resolve():
@@ -237,27 +238,24 @@ def test_a_repeated_query_reads_back_what_it_kept(name):
     assert ran == [], ran
 
 
-# Each map from text stays within its bound: the maps of contexts and of
-# multisets keep at most TEXTS_KEPT texts, and the maps to nodes keep a
-# text only while its node lives.
+# Each map from text stays within its bound: every parser keeps at most
+# TEXTS_KEPT texts.
 def test_the_maps_from_text_stay_bounded():
     bound = thinspan.interning.TEXTS_KEPT
-    for i in range(bound + 10):
-        thinspan.syntax.parse_context(f"v{i}:o")
+
+    def spaced(i: int, piece: str) -> str:
         # i's binary digits place the spaces
-        thinspan.rigidtypes.parse_mset("[" + "".join(" *," if d == "1" else "*,"
-                                                      for d in f"{i:b}") + "*]")
-    for bounded in (thinspan.syntax.parse_context, thinspan.rigidtypes.parse_mset):
-        assert bounded.cache_info().currsize == bound
-    weak = {thinspan.syntax.parse_term: lambda i: f"v{i} w{i}",
-            thinspan.syntax.parse_simple_type: lambda i: "o -> " * (i + 40) + "o",
-            thinspan.rigidtypes.parse_mit: lambda i: "[" + ",".join(["*"] * (i + 40)) + "]-o*"}
-    for parse, text in weak.items():
-        before = len(parse.texts)
-        held = [parse(text(i)) for i in range(100)]
-        assert len(parse.texts) == before + 100
-        del held
-        assert len(parse.texts) == before
+        return "".join(f" {piece}" if d == "1" else piece for d in f"{i:b}")
+
+    texts = {thinspan.syntax.parse_context: lambda i: f"v{i}:o",
+             thinspan.syntax.parse_term: lambda i: f"v{i} w{i}",
+             thinspan.syntax.parse_simple_type: lambda i: spaced(i, "o -> ") + "o",
+             thinspan.rigidtypes.parse_mit: lambda i: "[" + spaced(i, "*,") + "*]-o*",
+             thinspan.rigidtypes.parse_mset: lambda i: "[" + spaced(i, "*,") + "*]"}
+    for parse, text in texts.items():
+        for i in range(bound + 10):
+            parse(text(i))
+        assert parse.cache_info().currsize == bound, parse.__name__
 
 
 def refuse_morphisms(monkeypatch):
@@ -400,10 +398,10 @@ def test_negative_morphisms_per_witness_context(monkeypatch, cold_memo, point, c
 
 
 def enumerator_misses(monkeypatch, ctx, term, point, budget=None, coefficient=1):
-    """Verify at the point from a cold enumerator cache, checking the
-    coefficient; the number of subproblems the enumerator solved."""
+    """Verify at the point from cold memos, checking the coefficient; the
+    number of subproblems the enumerator solved."""
     sizes = []
-    thinspan.derivation._enum_cache.clear()
+    clear_memos()
     with monkeypatch.context() as m:
         m.setattr(thinspan.derivation, "_enum_raw",
                   counting(thinspan.derivation._enum_raw, sizes))
@@ -447,7 +445,7 @@ def test_threaded_enumeration_stays_small(monkeypatch, point, coefficient, bound
 def test_threaded_coefficient_stays_small(monkeypatch, point, coefficient):
     ctx, term, _, pt = point_subject(*point)
     sizes = []
-    thinspan.wrel._cache.clear()
+    clear_memos()
     monkeypatch.setattr(thinspan.wrel, "_leftovers_raw",
                         counting(thinspan.wrel._leftovers_raw, sizes))
     assert wrel_coefficient(prepare(ctx, term, pt)).value == coefficient
@@ -492,6 +490,29 @@ def test_a_repeated_query_checks_its_input_once(name):
     assert first[second_annotate + 1:second_annotate + 2] != ["extend"], first
     assert first.count("_rigid_point") == 1, first
     assert second == ["annotate", "_rigid_point", "annotate"], second
+
+
+# What a query kept lives as long as its text is kept: once TEXTS_KEPT
+# other queries have been read, the first ones' parsed terms are dropped,
+# and with them the annotated copies they were verified on and all that
+# those kept.  The queries are renamed as the benchmark's stream renames
+# them, each context variable with a suffix of its own, and beta-normal,
+# so that each is quick.
+def test_a_dropped_query_keeps_nothing_alive():
+    bound = thinspan.interning.TEXTS_KEPT
+    expected = thinspan.syntax.parse_simple_type("o -> o")
+    first = []
+    for i in range(bound + 10):
+        ctx = thinspan.syntax.parse_context(f"g_{i}:o->o")
+        parsed = thinspan.syntax.parse_term(f"\\x. g_{i} x")
+        term, ty = thinspan.syntax.annotate(ctx, parsed, expected)
+        point = thinspan.rigidtypes.point_from_json(
+            {"ctx": {f"g_{i}": "[[*]-o*]"}, "type": "[*]-o*"}, ctx, ty)
+        assert verify_identities(ctx, term, point).wrel.value == 1
+        if i < 10:
+            assert term is not parsed
+            first += [weakref.ref(parsed), weakref.ref(term)]
+    assert [ref() for ref in first] == [None] * len(first)
 
 
 # The facts keep no dead node alive: once a query's caches are filled, running

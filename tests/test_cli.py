@@ -253,6 +253,19 @@ def test_corpus_entry_without_term_or_point(tmp_path):
         assert field in res.stderr
 
 
+# A corpus entry's point is an object: a string is neither read as JSON nor
+# opened as a path, even when it names a point file.
+def test_corpus_point_given_as_a_string(tmp_path):
+    pf = tmp_path / "pt.json"
+    pf.write_text('{"ctx": {"y": "[*]"}, "type": "*"}')
+    cf = tmp_path / "c.json"
+    for point in (str(pf), pf.read_text()):
+        cf.write_text(json.dumps([{"name": "s", "ctx": "y:o", "term": "y", "point": point}]))
+        res = run("verify", "--corpus", str(cf))
+        assert_clean_input_error(res)
+        assert "field 'point' must be an object" in res.stderr, res.stderr
+
+
 def test_corpus_of_the_wrong_shape(tmp_path):
     entry = {"name": "ok", "ctx": "y:o", "term": "y",
              "point": {"ctx": {"y": "[*]"}, "type": "*"}}

@@ -8,8 +8,9 @@ from thinspan.rigidtypes import (
 from thinspan.groupoid import enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_positive_it
 from thinspan.derivation import (
     BoundedAt, BudgetRequiredError, DerivationError, Exact, check_derivation,
-    count_derivation_morphisms, multiset_collapse_term, rt_context, rt_type, term_memo,
+    count_derivation_morphisms, multiset_collapse_term, rt_context, rt_type,
 )
+from thinspan.interning import memo as term_memo
 from thinspan.symmetry import permanent
 from thinspan.collapse import (
     class_counts_check, esp_explicit, positive_witnesses, prepare, verify_identities,

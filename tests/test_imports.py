@@ -89,3 +89,55 @@ def test_the_package_exports_stay():
     exported = {name for name, value in vars(thinspan).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == EXPORTS
+
+
+# A process keeps what it derives of a node in the node's memo, and what it
+# read in a parser's bounded map from text.  So no module binds a mutable
+# container at module level but the intern table, which holds its nodes
+# weakly, and the caches without a bound are these, each keyed by types:
+# a new process-global table needs an edit here.
+UNBOUNDED_CACHES = {
+    "derivation": {"_bounded_refinements", "_bounded_seqs"},
+    "groupoid": {"enumerate_homs_it", "enumerate_homs_seq"},
+    "symmetry": {"neg_targets_it", "pos_targets_it", "neg_targets_seq"},
+}
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict",
+                   "Counter", "deque", "WeakKeyDictionary", "WeakValueDictionary"}
+
+
+def module_containers(tree: ast.Module):
+    """The names a module binds at its top level to a mutable container."""
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                isinstance(value, CONTAINERS) or isinstance(value, ast.Call)
+                and ast.unparse(value.func).split(".")[-1] in CONTAINER_CALLS):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from map(ast.unparse, targets)
+
+
+def unbounded(decorator: ast.expr) -> bool:
+    """Whether a decorator is functools.cache, or lru_cache with maxsize None."""
+    if not isinstance(decorator, ast.Call):
+        return ast.unparse(decorator).split(".")[-1] == "cache"
+    sizes = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+    return (ast.unparse(decorator.func).split(".")[-1] == "lru_cache"
+            and any(isinstance(s, ast.Constant) and s.value is None for s in sizes))
+
+
+def test_no_module_keeps_a_table():
+    found = {(module, name) for module in MODULES for name in module_containers(parse(module))}
+    assert found == {("interning", "_table")}
+
+
+def test_the_unbounded_caches_stay_these():
+    found = {}
+    for module in MODULES:
+        names = {node.name for node in ast.walk(parse(module))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and any(map(unbounded, node.decorator_list))}
+        if names:
+            found[module] = names
+    assert found == UNBOUNDED_CACHES

@@ -107,6 +107,26 @@ def test_annotation_conflicts_are_rejected():
         annotate(ctx, parse_term("\\x:o->o. x"), parse_simple_type("o->o"))
 
 
+# annotate keeps its result on the term it was given, a copy it built too,
+# and answers again only for the expected type it was found under: without
+# one, or with another, a binder without an annotation still fails.
+def test_a_kept_annotation_answers_only_its_expected_type(monkeypatch):
+    ctx = parse_context("g:o->o")
+    t, expected = parse_term("\\x. g x"), parse_simple_type("o->o")
+    annotated, ty = annotate(ctx, t, expected)
+    assert annotated is not t and ty == expected
+    for other in (None, O):
+        with pytest.raises(TypeCheckError):
+            annotate(ctx, t, other)
+
+    def refuse(*args):
+        raise AssertionError("annotated again")
+
+    monkeypatch.setattr(syntax, "_annotate", refuse)
+    again, ty_again = annotate(ctx, t, expected)
+    assert again is annotated and ty_again is ty
+
+
 def test_substitution_avoids_capture():
     # (\y. x) with x := y must not capture
     t = Lam("y", Var("x"), O)
