@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 malformed input (parse, typing, refinement), 2
 usage, 3 a budget is required but none was given, 4 an identity check
-failed.  The budget falls back to the THINSPAN_BUDGET environment variable
-when --budget is absent; corpus entries then fall back to their own budget
-field, or 4.  A negative budget is a usage error.
+failed, 5 an enumeration bounded by its budget found fewer witnesses than
+the coefficient and may be incomplete.  The budget falls back to the
+THINSPAN_BUDGET environment variable when --budget is absent; corpus
+entries then fall back to their own budget field, or 4.  A negative budget
+is a usage error.
 """
 
 from __future__ import annotations
@@ -304,7 +306,7 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
             entries[0]["type"] = type_text
 
     results = []
-    any_failed = False
+    any_failed = any_incomplete = False
     budget_missing = False
     for entry in entries:
         name = entry.get("name", entry.get("term", "?"))
@@ -325,8 +327,9 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
             continue
         except _INPUT_ERRORS as e:
             _fail(f"{name}: {_input_error(e)}", 1)
-        ok = rep.ok
-        any_failed = any_failed or not ok
+        ok, incomplete = rep.ok, rep.incomplete
+        any_incomplete = any_incomplete or incomplete
+        any_failed = any_failed or not (ok or incomplete)
         results.append({
             "name": name,
             "ok": ok,
@@ -337,11 +340,18 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
             "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
                        for c in rep.checks],
         })
+        if incomplete:
+            results[-1]["incomplete"] = {"bounded_at": rep.report.completeness.budget}
         if not as_json:
             if ok:
                 click.echo(f"PASS {name} (coefficient {rep.wrel}, "
                            f"{rep.report.wit_plus} witnesses, "
                            f"{len(rep.report.classes)} classes, {elapsed:.2f}s)")
+            elif incomplete:
+                click.echo(f"INCOMPLETE {name}: the enumeration, bounded at budget "
+                           f"{rep.report.completeness.budget}, found {rep.report.wit_plus} "
+                           f"witnesses for coefficient {rep.wrel}; a larger budget may "
+                           f"find the rest")
             else:
                 bad = "; ".join(f"{c.name}: {c.detail}" for c in rep.checks if not c.ok)
                 click.echo(f"FAIL {name}: {bad}")
@@ -351,6 +361,8 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
         sys.exit(3)
     if any_failed:
         sys.exit(4)
+    if any_incomplete:
+        sys.exit(5)
 
 
 if __name__ == "__main__":

@@ -248,6 +248,21 @@ class IdentityReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
+    @property
+    def incomplete(self) -> bool:
+        """Whether the checks fail as an enumeration that missed witnesses
+        fails them: it ran under a budget, found fewer witnesses than the
+        coefficient, and every failed check compares the witnesses with the
+        coefficient or the classes with their predicted sizes.  A budget too
+        small for some cut does this, and a larger one may find the rest.
+        Too many witnesses, or a failed triple count or expected value, is
+        a failure at any budget."""
+        return (not self.ok and isinstance(self.report.completeness, BoundedAt)
+                and self.report.wit_plus < self.wrel.value
+                and all(c.ok or c.name in ("wrel-equals-witness-count", "class-weights-sum",
+                                           "class-sizes", "coefficient-division")
+                        for c in self.checks))
+
 
 def verify_identities(ctx: TypingContext, term: Term, point: PointSpec,
                       budget: int | None = None,

@@ -39,6 +39,14 @@ finds the derivations at every rigid context a negative morphism reaches
 from it, and each derivation's context is read off its labels.  Binders
 stay sequences.
 
+At a redex whose argument is not a variable, the cut, the sequence of
+types the argument's copies conclude, is guessed within the budget: the
+sequences of length at most the budget over the argument's refinements of
+width at most the budget.  Only the refinements that one copy of the
+argument concludes are tried (_cut_pool), so no derivation the budget
+admits is lost, and the candidates are the budget's length over that pool,
+not over every refinement.
+
 A symmetry class's degree, the number of endomorphisms of one of its
 derivations, is counted without listing them: under a variable head the
 argument multis fix the head's label morphism on every domain, so a spine
@@ -385,7 +393,8 @@ def enumerate_witnesses(ctx: TypingContext, term: Term, theta: ResourceContext,
     Exact for beta-normal terms.  Otherwise a budget is required and the
     result contains at least the derivations all of whose cut types (the
     sequence types introduced at redexes) have length and width at most
-    the budget.  The cut on a bare-variable argument is a window of that
+    the budget; of those, only types some copy of the argument concludes
+    are tried.  The cut on a bare-variable argument is a window of that
     variable's remaining elements, of any length, whatever the budget.
     """
     term = _checked_term(ctx, term, theta, alpha)
@@ -546,7 +555,7 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
                 return out
             aty = typecheck(TypingContext(tuple((x, t) for x, (_, t, _) in ctx.items())), a)
             must_f = must.difference(free_vars(a))
-            for abar in _bounded_seqs(aty, budget):
+            for abar in _cuts(a, ctx, aty, budget):  # type: ignore[arg-type]
                 for rf, left in _enum(f, ctx, IArrow(abar, alpha), budget, must_f):
                     for m, rest in _enum_multi(a, left, abar, budget, must):
                         out.append((RApp(rf, m), rest))
@@ -614,6 +623,33 @@ def _enum_multi(term: Term, ctx: Ctx, targets: SeqType, budget: int | None,
         out = [(done + (r,), rest) for done, left in out
                for r, rest in _enum(term, left, target, budget, m)]
     return out
+
+
+def _cuts(a: Term, ctx: Ctx, aty: SimpleType, budget: int) -> list[SeqType]:
+    """The cuts tried at a redex whose argument a is not a variable: every
+    sequence, of length at most the budget, over the types that one copy of
+    a concludes (_cut_pool).  A term with a redex is enumerated only under
+    a budget (witness_set)."""
+    pool = _cut_pool(a, ctx, aty, budget)
+    return [cut for n in range(budget + 1) for cut in product(pool, repeat=n)]
+
+
+def _cut_pool(a: Term, ctx: Ctx, aty: SimpleType, budget: int) -> tuple[IType, ...]:
+    """The refinements of aty, of length and width at most the budget, that
+    one copy of a concludes from some context a copy may start from.
+
+    A copy starts from what the function part and the copies before it
+    leave of ctx: of each bag a sub-bag, and of each sequence a suffix.
+    What a copy concludes drawing on a sub-bag it concludes drawing on the
+    whole bag, and with nothing it must use up, what it leaves does not
+    matter.  So each type is tried from the whole bags and from every choice
+    of suffixes of a's free sequences, the binders around the redex and, at
+    a rigid point, every context variable."""
+    seqs = [x for x in free_vars(a) if not ctx[x][2]]
+    starts = [{**ctx, **{x: (ctx[x][0][i:], ctx[x][1], False) for x, i in zip(seqs, skip)}}
+              for skip in product(*(range(len(ctx[x][0]) + 1) for x in seqs))]
+    return tuple(beta for beta in _bounded_refinements(aty, budget)
+                 if any(_enum(a, start, beta, budget, frozenset()) for start in starts))
 
 
 @lru_cache(maxsize=None)

@@ -328,7 +328,10 @@ class _ITParser:
 
     def parse_seq(self) -> SeqType:
         k, p = self.next()
-        close = {"<": ">", "[": "]"}[k]
+        if k not in ("<", "["):
+            raise RefinementError(
+                f"expected '[' or '<' at position {p} in type notation, found {k!r}")
+        close = ">" if k == "<" else "]"
         if k == "[" and not self.allow_multiset:
             raise RefinementError(f"multiset brackets at position {p} where a rigid type is required")
         if k == "<" and not self.allow_seq:

@@ -133,6 +133,13 @@ def chain_point(d: int):
     return term, {"f": "[" + ",".join(["[*]-o*"] * d) + "]", "y": "[*]"}, "f:o->o, y:o"
 
 
+def guessed_cut_point(n: int):
+    """`(\\k:o->o. k y) (\\x:o. g x)` at g:[[*^n]-o*], y:[*^n]: the argument
+    is a lambda, so the redex's cut <[*^n]-o*> is guessed, within budget n.
+    The coefficient is 1."""
+    return "(\\k:o->o. k y) (\\x:o. g x)", {"g": f"[{stars(n)}-o*]", "y": stars(n)}
+
+
 def point_subject(term_text: str, point_ctx: dict, ctx_text: str = "g:o->o, y:o"):
     """(ctx, annotated term, type, point) for a term at a point of result type *."""
     ctx = parse_context(ctx_text)

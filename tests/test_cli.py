@@ -1,8 +1,17 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import thinspan
+from thinspan import collapse
 from thinspan.cli import main
+from thinspan.wrel import NatInf
 
 from support import CORPUS_PATH, chain_point
 
@@ -148,8 +157,9 @@ def test_verify_needs_subject_or_corpus():
 
 
 def test_verify_underbudget_fails(tmp_path):
-    # a budget too small to cover the needed cut shows up as a failed
-    # count identity, not as a silent pass
+    # a budget too small to cover the needed cut shows up as an enumeration
+    # that may be incomplete, with an exit code of its own, not as a silent
+    # pass
     cf = tmp_path / "c.json"
     cf.write_text(json.dumps([{
         "name": "too-tight",
@@ -161,9 +171,62 @@ def test_verify_underbudget_fails(tmp_path):
         "budget": 1,
     }]))
     res = run("verify", "--corpus", str(cf))
-    assert res.exit_code == 4
-    assert res.output.startswith("FAIL too-tight")
-    assert "wrel-equals-witness-count" in res.output
+    assert res.exit_code == 5
+    assert res.output == ("INCOMPLETE too-tight: the enumeration, bounded at budget 1, found 0 "
+                          "witnesses for coefficient 1; a larger budget may find the rest\n")
+    assert run("verify", "--corpus", str(cf), "--budget", "2").exit_code == 0
+
+
+# `(\k. k y) (\x. g x)` at g:[[*,*,*]-o*], y:[*,*,*] needs the cut
+# <[*,*,*]-o*>, of width 3
+SHORT = ["--ctx", "g:o->o, y:o", "--term", "(\\k:o->o. k y) (\\x:o. g x)", "--point",
+         '{"ctx": {"g": "[[*,*,*]-o*]", "y": "[*,*,*]"}, "type": "*"}']
+
+
+def test_a_shortfall_under_a_budget_is_incomplete_not_failed():
+    res = run("verify", *SHORT, "--budget", "2")
+    assert res.exit_code == 5
+    assert res.output.startswith("INCOMPLETE (cli): the enumeration, bounded at budget 2, "
+                                 "found 0 witnesses for coefficient 1")
+    res = run("verify", *SHORT, "--budget", "2", "--json")
+    assert res.exit_code == 5
+    [result] = json.loads(res.output)
+    assert result["ok"] is False and result["incomplete"] == {"bounded_at": 2}
+    assert (result["coefficient"], result["witnesses"]) == (1, 0)
+    res = run("verify", *SHORT, "--budget", "3", "--json")
+    assert res.exit_code == 0
+    assert "incomplete" not in json.loads(res.output)[0]
+    # a wrong expected value is a failure, whatever the budget found
+    res = run("verify", *SHORT, "--budget", "2", "--expected", "2")
+    assert res.exit_code == 4 and res.output.startswith("FAIL (cli)")
+
+
+def test_a_surplus_fails_at_any_budget(monkeypatch):
+    # more witnesses than the coefficient is never put down to the budget
+    monkeypatch.setattr(collapse, "wrel_coefficient", lambda subject: NatInf(0))
+    for budget in ("3", "4", "8"):
+        res = run("verify", *SHORT, "--budget", budget, "--json")
+        assert res.exit_code == 4, budget
+        [result] = json.loads(res.output)
+        assert "incomplete" not in result and result["witnesses"] == 1
+
+
+def test_corpus_at_budget_8_in_bounded_memory():
+    # the guessed cuts at budget 8 once listed 48,427,561 candidates for
+    # o->o; the corpus now verifies in a child capped at 2 GB of address space
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = Path(thinspan.__file__).resolve().parent.parent
+    started = time.monotonic()
+    res = subprocess.run(
+        [sys.executable, "-m", "thinspan.cli", "verify", "--corpus", str(CORPUS_PATH),
+         "--budget", "8"],
+        capture_output=True, text=True, timeout=30, preexec_fn=cap,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert time.monotonic() - started < 15
+    assert res.stdout.count("PASS") == len(json.loads(CORPUS_PATH.read_text()))
 
 
 def test_verify_mixed_corpus(tmp_path):
@@ -290,6 +353,17 @@ def test_bad_character_is_an_input_error_at_its_position():
         res = run(*args)
         assert_clean_input_error(res)
         assert res.stderr == f"error: unexpected character {where}\n", res.stderr
+
+
+def test_multiset_without_an_opening_bracket_is_an_input_error(tmp_path):
+    cf = tmp_path / "c.json"
+    for text in ("", "*", "]", ")", "-o*]"):
+        cf.write_text(json.dumps([{"name": "unbracketed", "ctx": "g:o->o, y:o", "term": "g y",
+                                   "point": {"ctx": {"g": text}, "type": "*"}}]))
+        res = run("verify", "--corpus", str(cf))
+        assert_clean_input_error(res)
+        assert res.stderr.startswith(
+            "error: unbracketed: expected '[' or '<' at position 0 in type notation"), res.stderr
 
 
 def test_deeply_nested_term_is_an_input_error():

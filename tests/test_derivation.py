@@ -3,14 +3,17 @@ from math import factorial
 
 import pytest
 
+from thinspan import derivation
 from thinspan.syntax import (
-    App, Base, Lam, Var, beta_normalize, fresh_name, is_beta_normal, parse_context,
+    App, Base, Lam, Var, annotate, beta_normalize, fresh_name, is_beta_normal, parse_context,
     parse_simple_type, parse_term, substitute,
 )
-from thinspan.rigidtypes import IArrow, ResourceContext, Star, canonicalize_point
+from thinspan.rigidtypes import IArrow, ResourceContext, Star, canonicalize_point, point_from_json
+from thinspan.symmetry import pos_sources_it
 from thinspan.derivation import (
     BoundedAt, BudgetRequiredError, DerivationError, Exact, RApp, RLam, RVar,
-    check_derivation, contract, count_derivation_morphisms, endo_count,
+    _bounded_refinements, _bounded_seqs, check_derivation, contract, count_derivation_morphisms,
+    endo_count,
     enumerate_bag_witnesses, enumerate_witnesses, multiset_collapse_term, omega_substitute,
     partition_by_symmetry, resource_to_text, rt_context, rt_occurrence_labels, rt_type,
 )
@@ -20,9 +23,10 @@ from thinspan.groupoid import (
 from thinspan.collapse import positive_witnesses, prepare, verify_identities
 
 from support import (
-    across_points, binders, built_nodes, church_point, copies_in_every_order, distinct_g_point,
-    entry_budget, fanout_point, load_corpus, pairwise_partition, parse_entry, generated_points,
-    per_target_witnesses, point_subject, split_witnesses, symmetric_point,
+    COPIES_IN_EVERY_ORDER, across_points, binders, built_nodes, church_point, clear_memos,
+    copies_in_every_order, distinct_g_point, entry_budget, fanout_point, guessed_cut_point,
+    load_corpus, pairwise_partition, parse_entry, generated_points, per_target_witnesses,
+    point_subject, split_witnesses, symmetric_point,
 )
 
 S = Star()
@@ -320,6 +324,146 @@ def test_candidate_cuts_respect_budget():
     for budget in (2, 3, 4):
         _, _, ds = across_points("church-two-twice", budget=budget)
         assert len(ds) == 1, budget
+
+
+# The cuts a redex tries: the sequences over the types one copy of its
+# argument concludes.  The full listing of the budget's sequence types is
+# their oracle: the two must give the same derivations, in bags and in
+# sequences.
+
+CUT_POOL = derivation._cut_pool
+
+
+def full_cut_listing(a, ctx, aty, budget):
+    return _bounded_seqs(aty, budget)
+
+
+def whole_context_pool(a, ctx, aty, budget):
+    """A pool pruned against the whole context alone, which misses the types
+    a copy concludes from a suffix of a sequence only."""
+    return tuple(beta for beta in _bounded_refinements(aty, budget)
+                 if derivation._enum(a, ctx, beta, budget, frozenset()))
+
+
+def pool_without_its_last_type(a, ctx, aty, budget):
+    return CUT_POOL(a, ctx, aty, budget)[:-1]
+
+
+def guessed_cut_subjects():
+    """(label, ctx, term, type, point): every corpus redex, the redexes whose
+    copies meet in every order, the redexes among the generated points, and
+    redexes whose argument's copies start from a suffix of a sequence."""
+    for entry in CORPUS:
+        ctx, term, ty, point = parse_entry(entry)
+        if not is_beta_normal(term):
+            yield entry["name"], ctx, term, ty, point
+    for label, (term, point_ctx, ctx_text, _, _) in COPIES_IN_EVERY_ORDER.items():
+        yield label, *point_subject(term, point_ctx, ctx_text)
+    for i, (entry, ctx, term, ty, point) in enumerate(generated_points()):
+        if not is_beta_normal(term):
+            yield f"{entry['name']}-{i}", ctx, term, ty, point
+    # a binder free in the argument
+    ctx = parse_context("f:o->o, g:o->o")
+    term, ty = annotate(ctx, parse_term("\\z:o. (\\k:o. f k) (g z)"))
+    yield "binder-in-argument", ctx, term, ty, point_from_json(
+        {"ctx": {"f": "[[*]-o*]", "g": "[[*]-o*]"}, "type": "[*]-o*"}, ctx, ty)
+    # the second copy of `h w` takes the second element of h, so at a rigid
+    # point it concludes a type that no copy concludes from all of h
+    yield "copies-down-a-sequence", *point_subject(
+        "(\\k:o->o. f (k y) (k y)) (h w)",
+        {"f": "[[*]-o[*]-o*]", "h": "[[*]-o[*]-o*,[]-o[]-o*]", "w": "[*]", "y": "[*]"},
+        "f:o->o->o, h:o->o->o, w:o, y:o")
+    # the same with a binder for h: in bags too, the copies consume it in order
+    ctx = parse_context("f:o->o->o, w:o, y:o")
+    term, ty = annotate(ctx, parse_term("\\h:o->o->o. (\\k:o->o. f (k y) (k y)) (h w)"))
+    yield "copies-down-a-binder", ctx, term, ty, point_from_json(
+        {"ctx": {"f": "[[*]-o[*]-o*]", "w": "[*]", "y": "[*]"},
+         "type": "[[*]-o[*]-o*,[]-o[]-o*]-o*"}, ctx, ty)
+
+
+def guessed_cut_derivations(subjects, budgets, pool=None, cuts=None):
+    """{(label, budget): (derivations from the bags at each positive source,
+    derivations at each rigid point they reach)}, computed afresh with the
+    pool or the cut listing given, or the enumerator's own."""
+    clear_memos()
+    saved = derivation._cut_pool, derivation._cuts
+    derivation._cut_pool = pool or saved[0]
+    derivation._cuts = cuts or saved[1]
+    try:
+        out = {}
+        for label, ctx, term, ty, point in subjects:
+            gamma, a = canonicalize_point(point, ctx, ty)
+            for budget in budgets:
+                bags = tuple(enumerate_bag_witnesses(ctx, term, gamma, alpha, budget).derivations
+                             for alpha in pos_sources_it(a, ty))
+                out[label, budget] = bags, per_target_witnesses(ctx, term, gamma, a, budget)
+        return out
+    finally:
+        derivation._cut_pool, derivation._cuts = saved
+        clear_memos()
+
+
+def test_pruned_cuts_match_the_full_listing():
+    subjects = list(guessed_cut_subjects())
+    budgets = (1, 2, 3, 4)
+    pruned = guessed_cut_derivations(subjects, budgets)
+    assert pruned == guessed_cut_derivations(subjects, budgets, cuts=full_cut_listing)
+    found = {label: sum(len(bags) for bags in pruned[label, 4][0]) for label, *_ in subjects}
+    assert found["copies-down-a-sequence"] == found["copies-down-a-binder"] == 2, found
+    assert found["binder-in-argument"] == found["lambda-argument-redex"] == 1, found
+    assert sum(map(bool, found.values())) >= 25, found
+    # a pool that misses a type, or is pruned against the whole context
+    # alone, loses derivations
+    for mutant in (pool_without_its_last_type, whole_context_pool):
+        lost = guessed_cut_derivations(subjects, budgets, pool=mutant)
+        assert sorted(k for k in pruned if lost[k] != pruned[k]), mutant.__name__
+
+
+def cuts_tried(ctx, term, point, budget):
+    """The verified report of a subject, computed afresh, and the number of
+    cuts tried at each guessed cut."""
+    tried = []
+
+    def counted(*args):
+        cuts = cut_listing(*args)
+        tried.append(len(cuts))
+        return cuts
+
+    clear_memos()
+    cut_listing, derivation._cuts = derivation._cuts, counted
+    try:
+        return verify_identities(ctx, term, point, budget), tried
+    finally:
+        derivation._cuts = cut_listing
+
+
+def listed(budget, pool):
+    """How many sequences of length at most the budget a pool gives."""
+    return sum(pool ** n for n in range(budget + 1))
+
+
+def test_guessed_cut_family_tries_one_type():
+    o_o = parse_simple_type("o->o")
+    for n in range(1, 7):
+        ctx, term, _, point = point_subject(*guessed_cut_point(n))
+        for budget in (n, 8):
+            rep, tried = cuts_tried(ctx, term, point, budget)
+            assert rep.ok and rep.wrel.value == rep.report.wit_plus == 1, (n, budget)
+            # the cut <[*^n]-o*> over the pool of that one type, not every
+            # sequence of the budget's refinements of o->o
+            assert tried == [budget + 1], (n, budget, tried)
+        # below budget n no copy concludes a type the budget admits, so only
+        # the empty cut is tried, and the shortfall shows
+        rep, tried = cuts_tried(ctx, term, point, n - 1)
+        assert rep.incomplete and rep.report.wit_plus == 0 and tried == [1], n
+    # the full listing tried every sequence over the b + 1 refinements of o->o
+    assert all(len(_bounded_refinements(o_o, b)) == b + 1 for b in (2, 3, 4, 6, 8))
+    assert [listed(b, b + 1) for b in (2, 3, 4, 6, 8)] == [13, 85, 781, 137_257, 48_427_561]
+    assert [len(_bounded_seqs(o_o, b)) for b in (2, 3, 4)] == [13, 85, 781]
+    ctx, term, _, point = parse_entry(BY_NAME["church-two-twice"])
+    for budget in (2, 3, 4):
+        rep, tried = cuts_tried(ctx, term, point, budget)
+        assert rep.ok and tried == [budget + 1], (budget, tried)
 
 
 def oracle_subjects():

@@ -233,6 +233,14 @@ def point_type(text):
     (point_entry, "[[*]-o*, $]", "unexpected character '$' at position 9 in type notation"),
     (point_entry, "[[*,*]-o*,*]", "entry * for variable 'g' does not refine o -> o"),
     (point_type, "[] -o @", "unexpected character '@' at position 6 in type notation"),
+    # a multiset that does not open with a bracket
+    (parse_mset, "", "expected '[' or '<' at position 0 in type notation, found 'eof'"),
+    (point_entry, "", "expected '[' or '<' at position 0 in type notation, found 'eof'"),
+    (point_entry, "*", "expected '[' or '<' at position 0 in type notation, found '*'"),
+    (point_entry, "]", "expected '[' or '<' at position 0 in type notation, found ']'"),
+    (point_entry, ")", "expected '[' or '<' at position 0 in type notation, found ')'"),
+    (point_entry, "-o*]", "expected '[' or '<' at position 0 in type notation, found '-o'"),
+    (point_entry, "  *", "expected '[' or '<' at position 2 in type notation, found '*'"),
 ])
 def test_a_notation_that_failed_fails_again_the_same_way(parse, text, message):
     for _ in range(2):
