@@ -6,9 +6,10 @@ partitions them into symmetry classes by the multiset collapse of their
 contracta, counts each class's endomorphisms, and checks that the
 resulting counts agree with the weighted-relational coefficient.  Every
 count is taken without building a morphism: symmetry counts the
-symmetries of types and derivation those of derivations.  The morphisms
-of both groupoids, with their polarity, and their factorial-time listing
-are only in the reference module groupoid, which no query imports.
+symmetries of types and derivation those of derivations.  The listing of
+type hom-sets (groupoid) takes factorial time and no query calls it; the
+rest of both listed groupoids, with their polarity, is a test oracle in
+tests/reference.py.
 """
 
 from .syntax import (
@@ -23,11 +24,8 @@ from .rigidtypes import (
 from .symmetry import MorphismError, sym_degrees_ctx, sym_degrees_it
 from .derivation import (
     BudgetRequiredError, DerivationError, WitnessSet,
-    check_derivation, enumerate_witnesses, multiset_collapse_term, partition_by_symmetry,
+    enumerate_witnesses, multiset_collapse_term, partition_by_symmetry,
     resource_to_text, rt_context, rt_type,
-)
-from .groupoid import (
-    Polarity, enumerate_derivation_morphisms, enumerate_homs_it, polar_factorize_it, polarity_it,
 )
 from .wrel import NatInf, wrel_coefficient
 from .collapse import (

@@ -1,12 +1,12 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 malformed input (parse, typing, refinement), 2
-usage, 3 a budget is required but none was given, 4 an identity check
-failed, 5 an enumeration bounded by its budget found fewer witnesses than
-the coefficient and may be incomplete.  The budget falls back to the
-THINSPAN_BUDGET environment variable when --budget is absent; corpus
-entries then fall back to their own budget field, or 4.  A negative budget
-is a usage error.
+Exit codes: 0 success, 1 malformed input (parse, typing, refinement) or a
+query too large for the memory at hand, 2 usage, 3 a budget is required
+but none was given, 4 an identity check failed, 5 an enumeration bounded
+by its budget found fewer witnesses than the coefficient and may be
+incomplete.  The budget falls back to the THINSPAN_BUDGET environment
+variable when --budget is absent; corpus entries then fall back to their
+own budget field, or 4.  A negative budget is a usage error.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .wrel import wrel_coefficient
 DEFAULT_CORPUS_BUDGET = 4
 
 _INPUT_ERRORS = (ParseError, TypeCheckError, RefinementError, DerivationError,
-                 MorphismError, json.JSONDecodeError, OSError, RecursionError)
+                 MorphismError, json.JSONDecodeError, OSError, RecursionError, MemoryError)
 
 
 def _fail(message: str, code: int) -> None:
@@ -48,6 +48,8 @@ def _fail(message: str, code: int) -> None:
 def _input_error(e: Exception) -> str:
     if isinstance(e, RecursionError):
         return "the input is nested too deeply for Python's recursion limit"
+    if isinstance(e, MemoryError):
+        return "the query ran out of memory; try a smaller budget"
     return str(e)
 
 

@@ -19,8 +19,7 @@ derivation is represented by its resource term: a var node is an RVar
 carrying its label, an app node an RApp whose argument tuple is the multi
 node, a lam node an RLam.  The conclusion is computed from the tree: the
 context entry of a variable lists the labels of its occurrences left to
-right (rt_context), and the result is rt_type.  check_derivation validates
-a resource term against the term it derives.  Resource terms are interned
+right (rt_context), and the result is rt_type.  Resource terms are interned
 (interning.Node), like the terms and labels they are built from: equal
 derivations are one object, and equality is identity.  rt_type, contract
 and endo_count are facts (interning.fact), computed once and kept on the
@@ -53,10 +52,11 @@ argument multis fix the head's label morphism on every domain, so a spine
 counts the morphisms between the head's codomains times a permanent per
 multi, a block product over the copies' isomorphism classes.  The
 morphisms themselves, of derivations and of their labels, and their
-listing are in the reference module groupoid; listing takes factorial
-time, so no query imports it.  Two derivations are symmetric (some
-morphism joins them) iff their contracta have the same multiset collapse,
-the paper's quotient to multiset resource terms, because
+listing are test oracles in tests/reference.py, beside groupoid's listing
+of type hom-sets; listing takes factorial time, so no query calls it.  Two
+derivations are symmetric (some morphism joins them) iff their contracta
+have the same multiset collapse, the paper's quotient to multiset resource
+terms, because
   - a label hom-set is non-empty iff both labels have one canonical form;
   - a permanent of counts is non-zero iff the copies match in some order;
   - a redex counts as its contractum.
@@ -65,11 +65,10 @@ collapse forgets which copy meets which occurrence of its binder, so
 (\\y. x <y> <y>) <z, w> and (\\y. x <y> <y>) <w, z> collapse alike but
 admit no morphism.
 
-Inputs are checked where they arrive.  enumerate_witnesses and
-enumerate_bag_witnesses check the term against the point, then run
-witness_set, which checks only the budget.  A query's subject is checked
-once, by collapse.prepare, and collapse.positive_witnesses calls
-witness_set directly.
+Inputs are checked where they arrive.  enumerate_witnesses checks the
+term against the point, then runs witness_set, which checks only the
+budget.  A query's subject is checked once, by collapse.prepare, and
+collapse.positive_witnesses calls witness_set directly.
 
 The enumerator keeps its subproblems in each subterm's memo
 (interning.memo), and witness_set the sorted derivations at each start
@@ -91,7 +90,7 @@ from .syntax import (
 )
 from .rigidtypes import (
     IArrow, IType, ResourceContext, SeqType, Star,
-    canonicalize_it, ctx_refines, ctx_to_text, is_canonical_seq, it_to_text, key_it, refines,
+    canonicalize_it, ctx_refines, ctx_to_text, it_to_text, key_it, refines,
 )
 from .symmetry import count_homs_it, neg_targets_it, permanent
 
@@ -151,17 +150,9 @@ def resource_to_text(r: ResourceTerm) -> str:
 
 def rt_occurrence_labels(r: ResourceTerm, x: str) -> list[IType]:
     """Labels of the free occurrences of x, left to right."""
-    match r:
-        case RVar(y, a):
-            return [a] if y == x else []
-        case RLam(y, b, _):
-            return [] if y == x else rt_occurrence_labels(b, x)
-        case RApp(f, args):
-            out = rt_occurrence_labels(f, x)
-            for a in args:
-                out.extend(rt_occurrence_labels(a, x))
-            return out
-    raise TypeError(f"not a resource term: {r!r}")
+    labels: dict[str, list[IType]] = {x: []}
+    _gather_labels(r, labels, frozenset())
+    return labels[x]
 
 
 def rt_context(shape: Shape, r: ResourceTerm) -> ResourceContext:
@@ -210,54 +201,6 @@ def rt_type(r: ResourceTerm) -> IType:
                     f"{tuple(map(it_to_text, ft.domain))}")
             return ft.codomain
     raise TypeError(f"not a resource term: {r!r}")
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    message: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_derivation(ctx: TypingContext, term: Term, r: ResourceTerm) -> CheckResult:
-    """Check that r is a derivation of term: it has the term's shape, every
-    label refines its variable's simple type, and every argument sequence
-    fits its function's domain."""
-    term, _ = annotate(ctx, term)
-    try:
-        _check(tuple(ctx.bindings), term, r)
-        rt_type(r)
-    except DerivationError as e:
-        return CheckResult(False, str(e))
-    return CheckResult(True)
-
-
-def _check(shape: Shape, term: Term, r: ResourceTerm) -> None:
-    match term, r:
-        case Var(x), RVar(y, label):
-            if x != y:
-                raise DerivationError(f"resource term mentions {y!r} where the term has {x!r}")
-            ty = dict(shape)[x]
-            if not refines(label, ty):
-                raise DerivationError(
-                    f"label {it_to_text(label)} does not refine {type_to_text(ty)}")
-            return
-        case App(f, a), RApp(rf, rargs):
-            _check(shape, f, rf)
-            for ra in rargs:
-                _check(shape, a, ra)
-            return
-        case Lam(x, b, ann), RLam(y, rb, rann):
-            if x != y or ann != rann:
-                raise DerivationError(
-                    f"resource binder {y}:{type_to_text(rann)} differs from term binder "
-                    f"{x}:{type_to_text(ann)}")
-            _check(shape + ((x, ann),), b, rb)
-            return
-    raise DerivationError(
-        f"resource term {resource_to_text(r)} does not match term {term_to_text(term)}")
 
 
 def omega_substitute(r: ResourceTerm) -> ResourceTerm:
@@ -401,28 +344,6 @@ def enumerate_witnesses(ctx: TypingContext, term: Term, theta: ResourceContext,
     return witness_set(ctx, term, theta, alpha, budget, bags=False)
 
 
-def enumerate_bag_witnesses(ctx: TypingContext, term: Term, gamma: ResourceContext,
-                            alpha: IType, budget: int | None = None) -> WitnessSet:
-    """All derivations of term with result alpha whose context some negative
-    context morphism reaches from gamma, each once.
-
-    Every entry of gamma is a bag, a sorted sequence of canonical types.  An
-    occurrence of a context variable takes one value of what is left of its
-    bag, and its label is any negative target of that value.  Negative
-    reachability is an equivalence under which distinct canonical types lie
-    apart, so a label fixes the value it took: each derivation arises once,
-    and its context is its rt_context.  The cut on a bare-variable argument
-    is an ordered pick of the variable's remaining values, of any length.
-    Completeness is as for enumerate_witnesses.  The set's point is
-    (gamma, alpha), the canonical source point, not the point the
-    derivations conclude: each concludes its own rt_context.
-    """
-    if not all(is_canonical_seq(seq) for _, seq, _ in gamma.entries):
-        raise DerivationError(f"context {ctx_to_text(gamma)} is not canonical")
-    term = _checked_term(ctx, term, gamma, alpha)
-    return witness_set(ctx, term, gamma, alpha, budget, bags=True)
-
-
 def _checked_term(ctx: TypingContext, term: Term, theta: ResourceContext,
                   alpha: IType) -> Term:
     """The annotated term, once the point is checked to fit it."""
@@ -449,11 +370,11 @@ def check_budget(budget) -> None:
 def witness_set(ctx: TypingContext, term: Term, theta: ResourceContext, alpha: IType,
                 budget: int | None, bags: bool) -> WitnessSet:
     """The enumeration behind enumerate_witnesses (bags false) and
-    enumerate_bag_witnesses (bags true), on a subject already checked: the
-    term annotated, its binders distinct and apart from ctx's names, theta
-    over ctx's variables and refining them, canonical if bags, and alpha
-    refining the term's type.  Only the budget, given with each call, is
-    checked here."""
+    collapse.positive_witnesses (bags true), on a subject already checked:
+    the term annotated, its binders distinct and apart from ctx's names,
+    theta over ctx's variables and refining them, canonical if bags, and
+    alpha refining the term's type.  Only the budget, given with each call,
+    is checked here."""
     check_budget(budget)
     normal = is_beta_normal(term)
     if not normal and budget is None:
@@ -690,9 +611,10 @@ def count_derivation_morphisms(r1: ResourceTerm, r2: ResourceTerm) -> int:
     A spine under a lambda head, a redex (\\x. M) <N1, ..., Nn> applied to
     any further multis, counts as its contractum.  A morphism of the redex
     is a body morphism m together with an argument multi morphism whose
-    permutation s and label morphisms are groupoid.dm_occurrences(m, x):
-    m sends the i-th occurrence of x to the s(i)-th, and the i-th copy goes
-    to the s(i)-th by a morphism Ni -> N's(i) whose result morphism is the
+    permutation s and label morphisms are the ones m induces on the
+    occurrences of x (dm_occurrences in tests/reference.py): m sends the
+    i-th occurrence of x to the s(i)-th, and the i-th copy goes to the
+    s(i)-th by a morphism Ni -> N's(i) whose result morphism is the
     one m gives occurrence i.  omega_substitute puts Ni at occurrence i and
     N's(i) at occurrence s(i), so the same data is a morphism of the
     contracta: m with its var morphism at each occurrence i replaced by that

@@ -171,9 +171,6 @@ class ResourceContext:
     def shape(self) -> tuple[tuple[str, SimpleType], ...]:
         return tuple((x, t) for x, _, t in self.entries)
 
-    def is_empty(self) -> bool:
-        return all(len(seq) == 0 for _, seq, _ in self.entries)
-
     def __repr__(self) -> str:
         return ctx_to_text(self)
 
@@ -291,11 +288,10 @@ def _it_tokenize(text: str) -> list[tuple[str, int]]:
 
 
 class _ITParser:
-    def __init__(self, text: str, allow_multiset: bool, allow_seq: bool):
+    def __init__(self, text: str, allow_multiset: bool):
         self.toks = _it_tokenize(text)
         self.i = 0
         self.allow_multiset = allow_multiset
-        self.allow_seq = allow_seq
 
     def peek(self):
         return self.toks[self.i][0]
@@ -334,8 +330,6 @@ class _ITParser:
         close = ">" if k == "<" else "]"
         if k == "[" and not self.allow_multiset:
             raise RefinementError(f"multiset brackets at position {p} where a rigid type is required")
-        if k == "<" and not self.allow_seq:
-            raise RefinementError(f"sequence brackets at position {p} where a multiset type is required")
         items: list[IType] = []
         if self.peek() == close:
             self.next()
@@ -354,7 +348,7 @@ class _ITParser:
 
 
 def parse_itype(text: str) -> IType:
-    p = _ITParser(text, allow_multiset=False, allow_seq=True)
+    p = _ITParser(text, allow_multiset=False)
     t = p.parse_type()
     p.finish()
     return t
@@ -364,7 +358,7 @@ def parse_itype(text: str) -> IType:
 def parse_mit(text: str) -> IType:
     """Multiset type notation, as a canonical type; rigid sequence brackets
     are accepted and collapsed."""
-    p = _ITParser(text, allow_multiset=True, allow_seq=True)
+    p = _ITParser(text, allow_multiset=True)
     t = p.parse_type()
     p.finish()
     return canonicalize_it(t)
@@ -374,7 +368,7 @@ def parse_mit(text: str) -> IType:
 def parse_mset(text: str) -> SeqType:
     """A bare multiset of types, e.g. "[[*,*]-o*]", as a canonical sequence;
     used for context entries."""
-    p = _ITParser(text, allow_multiset=True, allow_seq=True)
+    p = _ITParser(text, allow_multiset=True)
     seq = p.parse_seq()
     p.finish()
     return canonicalize_seq(seq)

@@ -22,10 +22,10 @@ negative sub-groupoid.  This module counts them on the query path:
     reaches (neg_targets_*) and the types a positive one comes from
     (pos_sources_it).
 
-The morphisms themselves, their polarity and factorization, and the
-listing of whole hom-sets live in the reference module groupoid, whose
-grammar the counts follow.  Listing takes factorial time, so no query
-imports it; the tests check each count here against that listing.
+The counts follow the grammar of the morphism classes in groupoid, which
+lists whole hom-sets.  The morphisms' polarity and factorization are test
+oracles in tests/reference.py.  Listing takes factorial time, so no query
+calls it; the tests check each count here against that listing.
 """
 
 from __future__ import annotations
@@ -44,17 +44,19 @@ from .rigidtypes import (
 
 
 class MorphismError(Exception):
-    """Raised on inputs the degrees refuse, and on non-composable pairs and
-    malformed morphisms in groupoid."""
+    """Raised on inputs the degrees refuse, on malformed morphisms
+    (groupoid), and by the test oracles in tests/reference.py on pairs
+    that do not compose."""
 
 
 ####################################################################
 # hom-set counts
 #
-# The size of a hom-set, polarized or not, counted from groupoid's rules
-# without listing it.  A positive arrow morphism permutes the domain with
-# negative components, so its domain contributes the permanent of the
-# matrix of negative counts; a negative one keeps the order with positive
+# The size of a hom-set, polarized or not, counted from the morphisms'
+# rules (groupoid) and their polarity (tests/reference.py) without listing
+# it.  A positive arrow morphism permutes the domain with negative
+# components, so its domain contributes the permanent of the matrix of
+# negative counts; a negative one keeps the order with positive
 # components, so its domain contributes their product.  A context entry
 # flips the variance.  Without a polarity the domain is permuted freely
 # with any components (count_homs_it).  The caller owns the memo, keyed on
@@ -81,10 +83,6 @@ def count_homs_it(a: IType, b: IType, memo: dict | None = None) -> int:
 
 def count_positive_it(a: IType, b: IType, memo: dict | None = None) -> int:
     return _count_it(True, a, b, {} if memo is None else memo)
-
-
-def count_negative_it(a: IType, b: IType, memo: dict | None = None) -> int:
-    return _count_it(False, a, b, {} if memo is None else memo)
 
 
 def count_negative_seq(sa: SeqType, sb: SeqType, memo: dict | None = None) -> int:

@@ -8,8 +8,8 @@ are keyed by variable name, so shadowing is never allowed to survive.
 Simple types and terms are interned (interning.Node): equal trees are one
 object, so equality is identity and a term or type hashes in constant
 time however deep it is.  Alpha-equivalent terms with different binder
-names are different trees; alpha_eq compares them.  These facts
-(interning.fact) are computed once per term and kept on it:
+names are different trees.  These facts (interning.fact) are computed
+once per term and kept on it:
 
   free_vars       its free variables, a sorted tuple;
   binder_names    its binder names, when they are pairwise distinct and
@@ -538,24 +538,3 @@ def beta_normalize(t: Term, reserved: set[str] | None = None) -> Term:
     """Leftmost-outermost reduction to beta-normal form, then re-freshened:
     binders distinct from each other, from free vars and from reserved."""
     return ensure_distinct_binders(_nf(t), reserved)
-
-
-####################################################################
-# alpha-equivalence
-
-def _debruijn(t: Term, env: tuple[str, ...]):
-    match t:
-        case Var(x):
-            for i, y in enumerate(reversed(env)):
-                if x == y:
-                    return ("b", i)
-            return ("f", x)
-        case App(f, a):
-            return ("a", _debruijn(f, env), _debruijn(a, env))
-        case Lam(x, b, ann):
-            return ("l", ann, _debruijn(b, env + (x,)))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def alpha_eq(s: Term, t: Term) -> bool:
-    return _debruijn(s, ()) == _debruijn(t, ())

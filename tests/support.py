@@ -27,10 +27,9 @@ from thinspan.derivation import (
     resource_to_text, rt_context, rt_type,
 )
 from thinspan.symmetry import Degrees, neg_targets_ctx, pos_sources_it
-from thinspan.groupoid import (
-    enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_negative_it, is_positive_ctx,
-    is_positive_it,
-)
+from thinspan.groupoid import enumerate_homs_ctx, enumerate_homs_it
+
+from reference import is_negative_ctx, is_negative_it, is_positive_ctx, is_positive_it
 
 CORPUS_PATH = Path(__file__).resolve().parent.parent / "corpus" / "points.json"
 TRACING_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -544,7 +543,7 @@ def _split_enum_spine(name, args, theta, alpha, budget, cache):
     rest = ResourceContext(tuple(
         (x, s[1:] if x == name else s, t) for x, s, t in theta.entries))
     if not args:
-        return [RVar(name, label)] if rest.is_empty() else []
+        return [] if any(s for _, s, _ in rest.entries) else [RVar(name, label)]
     out = []
     for parts in brute_split_ctx(rest, args):
         multis = [_split_enum_multi(arg, parts[j], doms[j], budget, cache)
@@ -561,7 +560,7 @@ def _split_enum_multi(term, theta, targets, budget, cache):
     key = (term, theta, targets, budget, "multi")
     if key not in cache:
         if not targets:
-            cache[key] = [()] if theta.is_empty() else []
+            cache[key] = [] if any(s for _, s, _ in theta.entries) else [()]
         else:
             cache[key] = [m for blocks in brute_split_ctx(theta, [term] * len(targets))
                           for m in product(*[_split_enum(term, blocks[i], targets[i], budget, cache)

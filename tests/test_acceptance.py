@@ -15,14 +15,14 @@ from thinspan.symmetry import pos_targets_it, sym_degrees_ctx, sym_degrees_it
 from thinspan.derivation import (
     RApp, RLam, RVar, count_derivation_morphisms, multiset_collapse_term,
 )
-from thinspan.groupoid import (
-    compose_dm, compose_it, enumerate_derivation_morphisms, enumerate_homs_it, identity_dm,
-    identity_it, invert_dm, invert_it, is_negative_it, is_positive_it, polar_factorize_it, src_it,
-    tgt_it,
-)
+from thinspan.groupoid import enumerate_homs_it
 from thinspan.wrel import wrel_coefficient
 from thinspan.collapse import esp_explicit, positive_witnesses, prepare, verify_identities
 
+from reference import (
+    compose_dm, compose_it, enumerate_derivation_morphisms, identity_dm, identity_it, invert_dm,
+    invert_it, is_negative_it, is_positive_it, polar_factorize_it, src_it, tgt_it,
+)
 from support import entry_budget, load_corpus, parse_entry, rand_canonical, rand_reorder, rand_stype
 
 S = Star()

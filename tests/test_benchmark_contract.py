@@ -4,12 +4,12 @@ work its ladders measure stays small.
 The benchmark's tracer wraps names imported into thinspan.collapse and
 thinspan.wrel, and reads the coefficient off verify_identities; a refactor
 that moves either would break the benchmark without failing any other test.
-The work guards refuse listings of hom-sets and of derivation morphisms,
-both in the reference module thinspan.groupoid, and of reachable
+The work guards refuse listings of hom-sets (thinspan.groupoid), of
+derivation morphisms (the test oracle in reference) and of reachable
 contexts, refuse to build any type morphism, and count enumerator and
 coefficient subproblems, instead of timing anything.  Listing takes
-factorial time, so no query imports groupoid; tests/test_imports.py checks
-that by parsing the package, which the guards that patch groupoid
+factorial time, so no query calls a listing; tests/test_imports.py checks
+that by parsing the package, which the guards that patch the listings
 confirm by running queries.
 """
 
@@ -34,6 +34,7 @@ from thinspan.rigidtypes import STAR, IArrow, canonicalize_point
 from thinspan.syntax import is_beta_normal
 from thinspan.wrel import wrel_coefficient
 
+import reference
 from support import (
     chain_point, church_point, clear_memos, distinct_g_point, entry_budget, fanout_point,
     load_corpus, load_tracing, parse_entry, point_subject, symmetric_point,
@@ -266,7 +267,7 @@ def refuse_morphisms(monkeypatch):
 
 
 def refuse_listings(monkeypatch):
-    monkeypatch.setattr(thinspan.groupoid, "enumerate_derivation_morphisms", refuse)
+    monkeypatch.setattr(reference, "enumerate_derivation_morphisms", refuse)
     for name in ("enumerate_homs_ctx", "enumerate_homs_seq", "enumerate_homs_it"):
         monkeypatch.setattr(thinspan.groupoid, name, refuse)
 

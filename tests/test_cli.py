@@ -229,6 +229,26 @@ def test_corpus_at_budget_8_in_bounded_memory():
     assert res.stdout.count("PASS") == len(json.loads(CORPUS_PATH.read_text()))
 
 
+def test_a_budget_too_large_for_memory_is_an_input_error():
+    # budget 100,000 lists the sequences of * up to that length as cut
+    # refinements of o->o, which a child capped at 512 MB of address space
+    # cannot hold; it says so and exits 1, without a traceback
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    src = Path(thinspan.__file__).resolve().parent.parent
+    res = subprocess.run(
+        [sys.executable, "-m", "thinspan.cli", "verify", "--ctx", "g:o->o, y:o",
+         "--term", "(\\k:o->o. k y) (\\x:o. g x)",
+         "--point", '{"ctx": {"g": "[[*]-o*]", "y": "[*]"}, "type": "*"}',
+         "--budget", "100000"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert "error: (cli): the query ran out of memory; try a smaller budget" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_verify_mixed_corpus(tmp_path):
     cf = tmp_path / "c.json"
     cf.write_text(json.dumps([

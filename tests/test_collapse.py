@@ -5,10 +5,9 @@ from thinspan.syntax import TypeCheckError, is_beta_normal, parse_context, parse
 from thinspan.rigidtypes import (
     PointSpec, RefinementError, is_canonical, parse_itype, parse_mit, parse_mset,
 )
-from thinspan.groupoid import enumerate_homs_ctx, enumerate_homs_it, is_negative_ctx, is_positive_it
+from thinspan.groupoid import enumerate_homs_ctx, enumerate_homs_it
 from thinspan.derivation import (
-    BoundedAt, BudgetRequiredError, DerivationError, Exact, check_derivation,
-    count_derivation_morphisms, multiset_collapse_term, rt_context, rt_type,
+    BoundedAt, BudgetRequiredError, DerivationError, Exact, count_derivation_morphisms, multiset_collapse_term, rt_context, rt_type,
 )
 from thinspan.interning import memo as term_memo
 from thinspan.symmetry import permanent
@@ -17,6 +16,7 @@ from thinspan.collapse import (
     weight_by_classes,
 )
 
+from reference import check_derivation, is_negative_ctx, is_positive_it
 from support import (
     church_point, copies_in_every_order, distinct_g_point, entry_budget, fanout_point,
     generated_points, listed_esp, load_corpus, parse_entry, per_target_witnesses, point_subject,

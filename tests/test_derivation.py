@@ -12,16 +12,16 @@ from thinspan.rigidtypes import IArrow, ResourceContext, Star, canonicalize_poin
 from thinspan.symmetry import pos_sources_it
 from thinspan.derivation import (
     BoundedAt, BudgetRequiredError, DerivationError, Exact, RApp, RLam, RVar,
-    _bounded_refinements, _bounded_seqs, check_derivation, contract, count_derivation_morphisms,
-    endo_count,
-    enumerate_bag_witnesses, enumerate_witnesses, multiset_collapse_term, omega_substitute,
+    _bounded_refinements, _bounded_seqs, contract, count_derivation_morphisms, endo_count,
+    enumerate_witnesses, multiset_collapse_term, omega_substitute,
     partition_by_symmetry, resource_to_text, rt_context, rt_occurrence_labels, rt_type,
-)
-from thinspan.groupoid import (
-    dm_occurrences, enumerate_derivation_morphisms, identity_dm, src_it, src_seq, tgt_it, tgt_seq,
 )
 from thinspan.collapse import positive_witnesses, prepare, verify_identities
 
+from reference import (
+    check_derivation, dm_occurrences, enumerate_bag_witnesses, enumerate_derivation_morphisms,
+    identity_dm, src_it, src_seq, tgt_it, tgt_seq,
+)
 from support import (
     COPIES_IN_EVERY_ORDER, across_points, binders, built_nodes, church_point, clear_memos,
     copies_in_every_order, distinct_g_point, entry_budget, fanout_point, guessed_cut_point,

@@ -5,14 +5,20 @@ imported name that never appears in it.  The names that perfbench's tracer
 wraps in a module are exempt there: the module imports them so that the
 tracer can replace them, whether or not it calls them itself.
 
-The listings of both groupoids take factorial time, so no module on the
-query path may reach the reference module groupoid: only the package's
-__init__ imports it, and a module may import from it only names the tracer
-wraps there, which it must not use.
+The listing of type hom-sets takes factorial time, so no module on the
+query path may reach it: a module may import from groupoid only names the
+tracer wraps there, which it must not use.  The rest of the listed
+groupoids is test-only reference code, in tests/reference.py.
+
+No name is defined in the package that nothing reaches: every function,
+class and method (dunders aside) is used by another part of the package
+or named by the benchmark under perfbench/.
 """
 
 import ast
+import re
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,6 +28,7 @@ from support import load_tracing
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thinspan"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+BENCHMARK = PACKAGE.parent.parent / "perfbench"
 
 
 def parse(module: str) -> ast.Module:
@@ -69,19 +76,60 @@ def test_no_query_module_reaches_the_listings():
     assert not reached, reached
 
 
+def definitions(tree: ast.Module):
+    """A module's top-level functions and classes, and its classes' methods
+    but the dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
+def mentions(node: ast.AST) -> Counter:
+    """How often each name occurs under node, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def registered(node: ast.AST) -> bool:
+    """Whether a decorator registers the function with what calls it: a
+    click command is reached through its group."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr == "command" for d in getattr(node, "decorator_list", ()))
+
+
+# Defined in the package and reached by no other part of it nor by the
+# benchmark, on purpose: parse_itype is the documented parser of rigid
+# notation (docs/formats.md), which the tests use.
+UNREACHED = {"rigidtypes.parse_itype"}
+
+
+def test_every_definition_is_reached():
+    trees = {module: parse(module) for module in MODULES}
+    used = sum(map(mentions, trees.values()), Counter())
+    bench = "\n".join(p.read_text() for p in BENCHMARK.glob("*.py"))
+    unreached = {f"{module}.{node.name}" for module, tree in trees.items()
+                 for node in definitions(tree)
+                 if not registered(node)
+                 and used[node.name] == mentions(node)[node.name]
+                 and not re.search(rf"\b{node.name}\b", bench)}
+    assert unreached == UNREACHED
+
+
 # The names `import thinspan` exposes, modules aside: moving code between
-# modules keeps every one of them.
+# the package's modules keeps every one of them.
 EXPORTS = {
     "BudgetRequiredError", "DerivationError", "MorphismError", "NatInf", "ParseError",
-    "PointSpec", "Polarity", "RefinementError", "ResourceContext", "Subject", "TypeCheckError",
+    "PointSpec", "RefinementError", "ResourceContext", "Subject", "TypeCheckError",
     "TypingContext", "WitnessReport", "WitnessSet", "annotate", "beta_normalize",
-    "canonicalize_point", "check_derivation", "enumerate_derivation_morphisms",
-    "enumerate_homs_it", "enumerate_witnesses", "multiset_collapse_term", "parse_context",
+    "canonicalize_point", "enumerate_witnesses", "multiset_collapse_term", "parse_context",
     "parse_itype", "parse_mit", "parse_mset", "parse_simple_type", "parse_term",
-    "partition_by_symmetry", "point_from_json", "polar_factorize_it", "polarity_it",
-    "positive_witnesses", "prepare", "resource_to_text", "rt_context", "rt_type",
-    "sym_degrees_ctx", "sym_degrees_it", "term_to_text", "type_to_text", "typecheck",
-    "verify_identities", "weight_by_classes", "wrel_coefficient",
+    "partition_by_symmetry", "point_from_json", "positive_witnesses", "prepare",
+    "resource_to_text", "rt_context", "rt_type", "sym_degrees_ctx", "sym_degrees_it",
+    "term_to_text", "type_to_text", "typecheck", "verify_identities", "weight_by_classes",
+    "wrel_coefficient",
 }
 
 

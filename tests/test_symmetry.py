@@ -9,17 +9,17 @@ from thinspan.rigidtypes import (
     parse_itype, point_from_json,
 )
 from thinspan.symmetry import (
-    MorphismError, count_homs_it, count_negative_it, count_negative_seq, count_positive_it,
+    MorphismError, count_homs_it, count_negative_seq, count_positive_it,
     neg_targets_ctx, neg_targets_it, neg_targets_seq, permanent, pos_targets_it,
     sym_degrees_ctx, sym_degrees_it,
 )
-from thinspan.groupoid import (
-    enumerate_homs_ctx, enumerate_homs_it, enumerate_homs_seq, is_negative_ctx, is_negative_it,
-    is_positive_ctx, is_positive_it,
-)
+from thinspan.groupoid import enumerate_homs_ctx, enumerate_homs_it, enumerate_homs_seq
 from thinspan.derivation import rt_context, rt_type
 from thinspan.collapse import esp_explicit, positive_witnesses, prepare
 
+from reference import (
+    count_negative_it, is_negative_ctx, is_negative_it, is_positive_ctx, is_positive_it,
+)
 from support import (
     brute_degrees_ctx, brute_degrees_it, brute_neg_targets_it, brute_neg_targets_seq,
     brute_pos_targets_it, entry_budget, load_corpus, parse_entry, rand_canonical,

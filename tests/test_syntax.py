@@ -5,13 +5,14 @@ import random
 
 import pytest
 
+from reference import alpha_eq
 from support import (
     assert_same_scan, binders, built_nodes, load_corpus, per_token_tokenize, random_texts,
 )
 from thinspan import syntax
 from thinspan.syntax import (
     App, Arrow, Base, Lam, ParseError, TypeCheckError, Var,
-    alpha_eq, annotate, beta_normalize, binder_names, ensure_distinct_binders, free_vars,
+    annotate, beta_normalize, binder_names, ensure_distinct_binders, free_vars,
     is_beta_normal, parse_context, parse_simple_type, parse_term, spine, substitute,
     term_to_text, type_to_text, typecheck,
 )
