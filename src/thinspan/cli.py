@@ -27,7 +27,7 @@ from .rigidtypes import (
     PointSpec, RefinementError, ctx_to_text, it_to_text, point_from_json, point_to_json,
 )
 from .symmetry import MorphismError
-from .derivation import BoundedAt, BudgetRequiredError, DerivationError, resource_to_text
+from .derivation import BudgetRequiredError, DerivationError, resource_to_text
 from .collapse import (
     IdentityReport, WitnessReport, positive_witnesses, prepare, verify_identities,
     weight_by_classes,
@@ -129,8 +129,8 @@ def _report_json(report: WitnessReport) -> dict:
                        "negative": report.res_degrees.negative},
         },
         "triples": report.esp,
-        "completeness": ("exact" if not isinstance(report.completeness, BoundedAt)
-                         else {"bounded_at": report.completeness.budget}),
+        "completeness": ("exact" if report.bounded_at is None
+                         else {"bounded_at": report.bounded_at}),
     }
 
 
@@ -186,7 +186,8 @@ def witnesses(ctx_text, term_text, type_text, point_arg, budget, as_json) -> Non
     obj = _report_json(report)
     lines = [
         f"canonical point: {obj['canonical']['ctx']} |- {obj['canonical']['type']}",
-        f"positive witnesses: {report.wit_plus} ({obj['completeness'] if isinstance(obj['completeness'], str) else 'bounded at ' + str(report.completeness.budget)})",
+        f"positive witnesses: {report.wit_plus} "
+        f"({'exact' if report.bounded_at is None else f'bounded at {report.bounded_at}'})",
     ]
     for i, cls in enumerate(report.classes):
         lines.append(f"class {i + 1}: size {len(cls)}, "
@@ -265,8 +266,8 @@ def _verify_entry(entry: dict, budget: int | None, default: int | None) -> Ident
     expected_type = (parse_simple_type(entry["type"]) if "type" in entry else None)
     term, ty = annotate(ctx, term, expected_type)
     point = point_from_json(entry["point"], ctx, ty)
-    b = None if is_beta_normal(term) else _entry_budget(entry, budget, default)
-    return verify_identities(ctx, term, point, b, entry.get("expected"))
+    return verify_identities(ctx, term, point, _entry_budget(entry, budget, default),
+                             entry.get("expected"))
 
 
 @main.command()
@@ -343,7 +344,7 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
                        for c in rep.checks],
         })
         if incomplete:
-            results[-1]["incomplete"] = {"bounded_at": rep.report.completeness.budget}
+            results[-1]["incomplete"] = {"bounded_at": rep.report.bounded_at}
         if not as_json:
             if ok:
                 click.echo(f"PASS {name} (coefficient {rep.wrel}, "
@@ -351,7 +352,7 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
                            f"{len(rep.report.classes)} classes, {elapsed:.2f}s)")
             elif incomplete:
                 click.echo(f"INCOMPLETE {name}: the enumeration, bounded at budget "
-                           f"{rep.report.completeness.budget}, found {rep.report.wit_plus} "
+                           f"{rep.report.bounded_at}, found {rep.report.wit_plus} "
                            f"witnesses for coefficient {rep.wrel}; a larger budget may "
                            f"find the rest")
             else:

@@ -25,15 +25,16 @@ A query's inputs are checked once, by prepare: it freshens the term's
 binders, annotates the term and checks the point, and the Subject it
 returns carries the result.  positive_witnesses and wrel_coefficient take
 that Subject and check none of it again; only the budget, which comes with
-positive_witnesses, is checked there, before anything kept is read.
+positive_witnesses, is checked there, by derivation.cut_budget, before
+anything kept is read.
 
 A repeated query is answered from what the first one kept in the term's
 memo (interning.memo), which dies with the term: keyed by the canonical
 point's entries, its result and the budget the enumeration ran under
-(none for a beta-normal term), positive_witnesses keeps the witnesses,
-the classes, the class degrees, both points' degrees and the
-completeness, and esp_explicit keeps its triple count, keyed by the point
-and the completeness, which fix the witnesses.  Each keeps only its own
+(cut_budget's value: none for a beta-normal term), positive_witnesses
+keeps the witnesses, the classes, the class degrees, both points' degrees
+and that budget, and esp_explicit keeps its triple count, keyed by the
+point and that budget, which fix the witnesses.  Each keeps only its own
 result, under keys of its own, so the witness count, the class-weighted
 sum, the triple count and the wrel coefficient still come from separate
 computations.  A witness keeps no context: its theta is read off
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from .syntax import Term, TypingContext, annotate, ensure_distinct_binders, is_beta_normal
+from .syntax import Term, TypingContext, annotate, ensure_distinct_binders
 from .rigidtypes import IType, PointSpec, ResourceContext, Subject, canonicalize_point, key_it
 from .symmetry import (
     Degrees, count_negative_seq, count_positive_it, pos_sources_it, sym_degrees_ctx,
@@ -59,8 +60,8 @@ from .groupoid import enumerate_homs_ctx, enumerate_homs_it  # noqa: F401
 from .symmetry import neg_targets_ctx  # noqa: F401
 from .derivation import enumerate_witnesses  # noqa: F401
 from .derivation import (
-    BoundedAt, Completeness, Exact, ResourceTerm, Shape,
-    check_budget, endo_count, partition_by_symmetry, rt_context, witness_set,
+    ResourceTerm, Shape, cut_budget, endo_count, partition_by_symmetry, resource_to_text,
+    rt_context, witness_set,
 )
 from .interning import memo
 from .wrel import NatInf, wrel_coefficient
@@ -86,7 +87,7 @@ class WitnessReport:
     class_endos: tuple[int, ...]              # deg(s) per class
     ctx_degrees: Degrees                      # of the canonical context
     res_degrees: Degrees                      # of the canonical result type
-    completeness: Completeness
+    bounded_at: int | None                    # the budget it ran under; None when exact
     # each witness's context, in order, when the call that built the report
     # read them to sort the witnesses; None on a report read back, since
     # the memo keeps no context
@@ -126,39 +127,34 @@ def positive_witnesses(subject: Subject, budget: int | None = None) -> WitnessRe
     point and budget reads them back; a beta-normal term is enumerated
     without a budget, so its report is kept once for every budget.
     """
-    check_budget(budget)
+    bounded_at = cut_budget(subject.term, budget)
     kept = memo(subject.term)
-    key = ("witnesses", subject.gamma.entries, subject.result,
-           None if is_beta_normal(subject.term) else budget)
+    key = ("witnesses", subject.gamma.entries, subject.result, bounded_at)
     fields = kept.get(key)
     if fields is not None:
         return WitnessReport(subject, *fields)
-    fields, thetas = _witness_report(subject, budget)
+    fields, thetas = _witness_report(subject, bounded_at)
     kept[key] = fields
     return WitnessReport(subject, *fields, thetas=thetas)
 
 
-def _witness_report(subject: Subject, budget: int | None) -> tuple:
+def _witness_report(subject: Subject, bounded_at: int | None) -> tuple:
     """The fields of the subject's WitnessReport that follow the subject,
-    and the witnesses' contexts if sorting them read them."""
+    every alpha enumerated under bounded_at, and the witnesses' contexts if
+    sorting them read them."""
     gamma, a, ty = subject.gamma, subject.result, subject.ty
     cdeg = sym_degrees_ctx(gamma)
     rdeg = sym_degrees_it(a, ty)
 
     shape = subject.ctx.bindings
-    witnesses = []
-    completeness: Completeness = Exact()
-    for alpha in pos_sources_it(a, ty):
-        ws = witness_set(subject.ctx, subject.term, gamma, alpha, budget, bags=True)
-        if isinstance(ws.completeness, BoundedAt):
-            completeness = ws.completeness
-        witnesses.extend(PositiveWitness(d, alpha, shape) for d in ws.derivations)
-    # each alpha's derivations arrive sorted by their text, and sort is
-    # stable; a lone witness is not keyed, which would read its context
+    witnesses = [PositiveWitness(d, alpha, shape) for alpha in pos_sources_it(a, ty)
+                 for d in witness_set(subject.term, gamma, alpha, bounded_at, bags=True)]
+    # a lone witness is not keyed, which would read its context
     thetas = None
     if len(witnesses) > 1:
         pairs = sorted(((w.theta, w) for w in witnesses),
-                       key=lambda p: _witness_key(p[0], p[1].alpha))
+                       key=lambda p: _witness_key(p[0], p[1].alpha,
+                                                  resource_to_text(p[1].derivation)))
         thetas = tuple(theta for theta, _ in pairs)
         witnesses = [w for _, w in pairs]
 
@@ -166,14 +162,15 @@ def _witness_report(subject: Subject, budget: int | None) -> tuple:
     index = {w.derivation: i for i, w in enumerate(witnesses)}
     class_ix = tuple(tuple(sorted(index[d] for d in cls)) for cls in classes)
     endos = tuple(endo_count(cls[0]) for cls in classes)
-    return (tuple(witnesses), class_ix, endos, cdeg, rdeg, completeness), thetas
+    return (tuple(witnesses), class_ix, endos, cdeg, rdeg, bounded_at), thetas
 
 
-def _witness_key(theta: ResourceContext, alpha: IType):
+def _witness_key(theta: ResourceContext, alpha: IType, text: str):
     """The order of the witnesses: by context, in the order neg_targets_ctx
     lists the negative targets, then by result, in the order pos_sources_it
-    lists the positive sources.  Ties keep the derivations' text order."""
-    return (tuple(tuple(map(key_it, seq)) for _, seq, _ in theta.entries), key_it(alpha))
+    lists the positive sources, then by the derivation's text."""
+    return (tuple(tuple(map(key_it, seq)) for _, seq, _ in theta.entries), key_it(alpha),
+            text)
 
 
 def weight_by_classes(report: WitnessReport) -> int:
@@ -213,11 +210,11 @@ def esp_explicit(report: WitnessReport) -> int:
     degree or a symmetry class.  A witness whose theta or alpha no
     polarized morphism reaches would count 0 here, and the factorization
     would fail.  The count is kept in the term's memo under the point and
-    the report's completeness, which fix the witnesses.
+    the budget the report ran under, which fix the witnesses.
     """
     gamma, a = report.subject.gamma, report.subject.result
     kept = memo(report.subject.term)
-    key = ("triples", gamma.entries, a, report.completeness)
+    key = ("triples", gamma.entries, a, report.bounded_at)
     total = kept.get(key)
     if total is None:
         counts: dict = {}
@@ -257,7 +254,7 @@ class IdentityReport:
         small for some cut does this, and a larger one may find the rest.
         Too many witnesses, or a failed triple count or expected value, is
         a failure at any budget."""
-        return (not self.ok and isinstance(self.report.completeness, BoundedAt)
+        return (not self.ok and self.report.bounded_at is not None
                 and self.report.wit_plus < self.wrel.value
                 and all(c.ok or c.name in ("wrel-equals-witness-count", "class-weights-sum",
                                            "class-sizes", "coefficient-division")

@@ -66,14 +66,17 @@ collapse forgets which copy meets which occurrence of its binder, so
 admit no morphism.
 
 Inputs are checked where they arrive.  enumerate_witnesses checks the
-term against the point, then runs witness_set, which checks only the
-budget.  A query's subject is checked once, by collapse.prepare, and
-collapse.positive_witnesses calls witness_set directly.
+term against the point.  A query's subject is checked once, by
+collapse.prepare.  Both then take the budget from cut_budget, the one
+rule for it: it checks the budget and returns the one the enumeration
+runs under, None for a beta-normal term, which is exact whatever the
+budget, and the budget given for a term with a redex, which needs one.
+The enumeration reports that value as its bounded_at.  witness_set, the
+enumeration itself, checks nothing.
 
 The enumerator keeps its subproblems in each subterm's memo
-(interning.memo), and witness_set the sorted derivations at each start
-context in the term's, beside collapse's witness reports and triple
-counts; all of it dies with the term.
+(interning.memo), beside collapse's witness reports and triple counts;
+all of it dies with the term.
 """
 
 from __future__ import annotations
@@ -300,30 +303,10 @@ def multiset_collapse_term(r: ResourceTerm, memo: dict | None = None) -> Resourc
 ####################################################################
 # witness enumeration
 
-@dataclass(frozen=True, slots=True)
-class Exact:
-    def __repr__(self) -> str:
-        return "exact"
-
-
-@dataclass(frozen=True, slots=True)
-class BoundedAt:
-    budget: int
-
-    def __repr__(self) -> str:
-        return f"bounded:{self.budget}"
-
-
-Completeness = Exact | BoundedAt
-
-
 @dataclass(frozen=True)
 class WitnessSet:
-    ctx: TypingContext
-    term: Term
-    point: tuple[ResourceContext, IType]
-    derivations: tuple[ResourceTerm, ...]
-    completeness: Completeness
+    derivations: tuple[ResourceTerm, ...]   # sorted by their text
+    bounded_at: int | None                  # the budget it ran under; None when exact
 
     def __len__(self) -> int:
         return len(self.derivations)
@@ -331,9 +314,11 @@ class WitnessSet:
 
 def enumerate_witnesses(ctx: TypingContext, term: Term, theta: ResourceContext,
                         alpha: IType, budget: int | None = None) -> WitnessSet:
-    """All derivations of term at the rigid point (theta, alpha), each once.
+    """All derivations of term at the rigid point (theta, alpha), each once,
+    sorted by their text.
 
-    Exact for beta-normal terms.  Otherwise a budget is required and the
+    Exact for beta-normal terms, whatever the budget, with bounded_at None.
+    Otherwise a budget is required, bounded_at is that budget, and the
     result contains at least the derivations all of whose cut types (the
     sequence types introduced at redexes) have length and width at most
     the budget; of those, only types some copy of the argument concludes
@@ -341,7 +326,9 @@ def enumerate_witnesses(ctx: TypingContext, term: Term, theta: ResourceContext,
     variable's remaining elements, of any length, whatever the budget.
     """
     term = _checked_term(ctx, term, theta, alpha)
-    return witness_set(ctx, term, theta, alpha, budget, bags=False)
+    bounded_at = cut_budget(term, budget)
+    found = witness_set(term, theta, alpha, bounded_at, bags=False)
+    return WitnessSet(tuple(sorted(found, key=resource_to_text)), bounded_at)
 
 
 def _checked_term(ctx: TypingContext, term: Term, theta: ResourceContext,
@@ -367,34 +354,32 @@ def check_budget(budget) -> None:
         raise DerivationError(f"budget must be a non-negative integer, got {budget!r}")
 
 
-def witness_set(ctx: TypingContext, term: Term, theta: ResourceContext, alpha: IType,
-                budget: int | None, bags: bool) -> WitnessSet:
-    """The enumeration behind enumerate_witnesses (bags false) and
-    collapse.positive_witnesses (bags true), on a subject already checked:
-    the term annotated, its binders distinct and apart from ctx's names,
-    theta over ctx's variables and refining them, canonical if bags, and
-    alpha refining the term's type.  Only the budget, given with each call,
-    is checked here."""
+def cut_budget(term: Term, budget: int | None) -> int | None:
+    """The budget term's enumeration runs under, once the budget is checked:
+    None for a beta-normal term, which has no cut to guess, and otherwise
+    the budget, which a term with a redex must be given."""
     check_budget(budget)
-    normal = is_beta_normal(term)
-    if not normal and budget is None:
+    if is_beta_normal(term):
+        return None
+    if budget is None:
         raise BudgetRequiredError(
             f"term {term_to_text(term)} is not beta-normal; witness enumeration needs a budget")
-    cut_budget = budget if not normal else None
-    # the derivations at a whole start context, sorted by their text, sit
-    # in the term's memo beside the enumerator's entries; a start context
-    # fixes the variables that are not free in the term too, which must be
-    # used up
-    kept = memo(term)
-    key = ("derivations", theta.entries, bags, alpha, cut_budget)
-    found = kept.get(key)
-    if found is None:
-        start = {x: (seq, t, bags) for x, seq, t in theta.entries}
-        found = kept[key] = tuple(sorted(
-            (r for r, _ in _enum(term, start, alpha, cut_budget, frozenset(start))),
-            key=resource_to_text))
-    return WitnessSet(ctx, term, (theta, alpha), found,
-                      Exact() if normal else BoundedAt(budget))  # type: ignore[arg-type]
+    return budget
+
+
+def witness_set(term: Term, theta: ResourceContext, alpha: IType, budget: int | None,
+                bags: bool) -> list[ResourceTerm]:
+    """The derivations of term at (theta, alpha), in the enumerator's order:
+    the enumeration behind enumerate_witnesses (bags false) and
+    collapse.positive_witnesses (bags true), on a subject already checked:
+    the term annotated, its binders distinct and apart from the context's
+    names, theta over the context's variables and refining them, canonical
+    if bags, alpha refining the term's type, and budget cut_budget's
+    value.  Nothing is checked here."""
+    # a start context fixes the variables that are not free in the term
+    # too, which must be used up
+    start = {x: (seq, t, bags) for x, seq, t in theta.entries}
+    return [r for r, _ in _enum(term, start, alpha, budget, frozenset(start))]
 
 
 # The enumerator threads the context through the term, left to right, as
@@ -550,9 +535,8 @@ def _cuts(a: Term, ctx: Ctx, aty: SimpleType, budget: int) -> list[SeqType]:
     """The cuts tried at a redex whose argument a is not a variable: every
     sequence, of length at most the budget, over the types that one copy of
     a concludes (_cut_pool).  A term with a redex is enumerated only under
-    a budget (witness_set)."""
-    pool = _cut_pool(a, ctx, aty, budget)
-    return [cut for n in range(budget + 1) for cut in product(pool, repeat=n)]
+    a budget (cut_budget)."""
+    return _seqs(_cut_pool(a, ctx, aty, budget), budget)
 
 
 def _cut_pool(a: Term, ctx: Ctx, aty: SimpleType, budget: int) -> tuple[IType, ...]:
@@ -575,25 +559,20 @@ def _cut_pool(a: Term, ctx: Ctx, aty: SimpleType, budget: int) -> tuple[IType, .
 
 @lru_cache(maxsize=None)
 def _bounded_refinements(t: SimpleType, budget: int) -> tuple[IType, ...]:
+    """The refinements of t whose sequences have length at most the budget."""
     match t:
         case Base():
             return (Star(),)
         case Arrow(td, tc):
             return tuple(IArrow(s, c)
-                         for s in _bounded_seqs(td, budget)
+                         for s in _seqs(_bounded_refinements(td, budget), budget)
                          for c in _bounded_refinements(tc, budget))
     raise TypeError(f"not a simple type: {t!r}")
 
 
-@lru_cache(maxsize=None)
-def _bounded_seqs(t: SimpleType, budget: int | None) -> tuple[SeqType, ...]:
-    if budget is None:
-        raise BudgetRequiredError("cut types at a redex need a budget")
-    pool = _bounded_refinements(t, budget)
-    out: list[SeqType] = []
-    for n in range(budget + 1):
-        out.extend(product(pool, repeat=n))
-    return tuple(out)
+def _seqs(pool: tuple[IType, ...], budget: int) -> list[SeqType]:
+    """Every sequence over pool of length at most the budget."""
+    return [seq for n in range(budget + 1) for seq in product(pool, repeat=n)]
 
 
 ####################################################################

@@ -245,20 +245,9 @@ def neg_targets_ctx(theta: ResourceContext) -> tuple[ResourceContext, ...]:
 
 
 def _arrangements(bag: SeqType) -> list[SeqType]:
-    """The distinct orderings of a bag whose equal elements are adjacent, in
-    lexicographic order of the slots' group ranks."""
-    values = [x for x, _ in groupby(bag)]
-    ranks = [r for r, (_, group) in enumerate(groupby(bag)) for _ in group]
-    out: list[SeqType] = []
-    while True:
-        out.append(tuple(values[r] for r in ranks))
-        i = len(ranks) - 2
-        while i >= 0 and ranks[i] >= ranks[i + 1]:
-            i -= 1
-        if i < 0:
-            return out
-        j = len(ranks) - 1
-        while ranks[j] <= ranks[i]:
-            j -= 1
-        ranks[i], ranks[j] = ranks[j], ranks[i]
-        ranks[i + 1:] = reversed(ranks[i + 1:])
+    """The distinct orderings of a bag whose equal elements are adjacent:
+    each distinct value first, then every arrangement of the rest."""
+    if not bag:
+        return [()]
+    return [(v,) + rest for i, v in enumerate(bag) if not i or bag[i - 1] != v
+            for rest in _arrangements(bag[:i] + bag[i + 1:])]

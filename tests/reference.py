@@ -64,7 +64,7 @@ from thinspan.rigidtypes import (
 from thinspan.symmetry import MorphismError, _count_it
 from thinspan.derivation import (
     DerivationError, RApp, RLam, RVar, ResourceTerm, Shape, WitnessSet,
-    _checked_term, resource_to_text, rt_type, witness_set,
+    _checked_term, cut_budget, resource_to_text, rt_type, witness_set,
 )
 from thinspan.groupoid import (
     STAR_ID, ArrowMorphism, CtxMorphism, ITMorphism, SeqMorphism, StarId,
@@ -571,14 +571,17 @@ def enumerate_bag_witnesses(ctx: TypingContext, term: Term, gamma: ResourceConte
     apart, so a label fixes the value it took: each derivation arises once,
     and its context is its rt_context.  The cut on a bare-variable argument
     is an ordered pick of the variable's remaining values, of any length.
-    Completeness is as for enumerate_witnesses.  The set's point is
-    (gamma, alpha), the canonical source point, not the point the
-    derivations conclude: each concludes its own rt_context.
+    The derivations are sorted by their text, and bounded_at is as for
+    enumerate_witnesses.  The enumeration starts from (gamma, alpha), the
+    canonical source point, not the point the derivations conclude: each
+    concludes its own rt_context.
     """
     if not all(is_canonical_seq(seq) for _, seq, _ in gamma.entries):
         raise DerivationError(f"context {ctx_to_text(gamma)} is not canonical")
     term = _checked_term(ctx, term, gamma, alpha)
-    return witness_set(ctx, term, gamma, alpha, budget, bags=True)
+    bounded_at = cut_budget(term, budget)
+    found = witness_set(term, gamma, alpha, bounded_at, bags=True)
+    return WitnessSet(tuple(sorted(found, key=resource_to_text)), bounded_at)
 
 
 ####################################################################

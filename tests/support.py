@@ -8,6 +8,7 @@ import json
 import random
 import re
 from contextlib import contextmanager
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import prod
 from pathlib import Path
@@ -23,7 +24,7 @@ from thinspan.rigidtypes import (
     canonicalize_point, canonicalize_seq, key_it, point_from_json,
 )
 from thinspan.derivation import (
-    RApp, RLam, RVar, _bounded_seqs, count_derivation_morphisms, enumerate_witnesses,
+    RApp, RLam, RVar, _bounded_refinements, count_derivation_morphisms, enumerate_witnesses,
     resource_to_text, rt_context, rt_type,
 )
 from thinspan.symmetry import Degrees, neg_targets_ctx, pos_sources_it
@@ -479,6 +480,18 @@ def brute_split_ctx(theta: ResourceContext, terms):
         yield tuple(ResourceContext(tuple(entries[j] for entries in choice)) for j in range(k))
 
 
+# The cuts a redex tried before they were pruned to the types a copy of its
+# argument concludes: every sequence type the budget admits.  derivation
+# tries only the pruned ones; this is their oracle.
+
+@lru_cache(maxsize=None)
+def bounded_seqs(t: SimpleType, budget: int) -> tuple[SeqType, ...]:
+    """Every sequence, of length at most the budget, over the refinements
+    of t whose sequences have length at most the budget."""
+    pool = _bounded_refinements(t, budget)
+    return tuple(seq for n in range(budget + 1) for seq in product(pool, repeat=n))
+
+
 # The enumerator that guessed context splits: every way to split the context
 # among the subterms (brute_split_ctx), then each block solved on its own.
 # derivation threads the context instead; this is its oracle.
@@ -516,7 +529,7 @@ def _split_enum_raw(term, theta, alpha, budget, cache):
             aty = typecheck(TypingContext(theta.shape()), a)
             out = []
             for th_f, th_a in brute_split_ctx(theta, [f, a]):
-                cuts = (th_a.lookup(a.name),) if isinstance(a, Var) else _bounded_seqs(aty, budget)
+                cuts = (th_a.lookup(a.name),) if isinstance(a, Var) else bounded_seqs(aty, budget)
                 for abar in cuts:
                     fns = _split_enum(f, th_f, IArrow(abar, alpha), budget, cache)
                     if fns:

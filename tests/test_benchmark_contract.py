@@ -168,9 +168,9 @@ def test_degrees_and_witness_morphisms_enumerate_nothing(monkeypatch):
 
 # A type's order key, canonical form and degrees and a derivation's result
 # type, contractum and endomorphism count are kept on the node, and the
-# enumerator keeps each start context's sorted derivations: asked again
-# while the first report holds its nodes, a query contracts nothing, renders
-# no derivation and computes no degree.
+# witness report on the term: asked again while the first report holds its
+# nodes, a query contracts nothing, renders no derivation and computes no
+# degree.
 def test_repeated_query_recomputes_no_fact():
     bodies = {thinspan.derivation.contract.__wrapped__.__code__,
               thinspan.derivation.resource_to_text.__code__,

@@ -7,7 +7,7 @@ from thinspan.rigidtypes import (
 )
 from thinspan.groupoid import enumerate_homs_ctx, enumerate_homs_it
 from thinspan.derivation import (
-    BoundedAt, BudgetRequiredError, DerivationError, Exact, count_derivation_morphisms, multiset_collapse_term, rt_context, rt_type,
+    BudgetRequiredError, DerivationError, count_derivation_morphisms, multiset_collapse_term, rt_context, rt_type,
 )
 from thinspan.interning import memo as term_memo
 from thinspan.symmetry import permanent
@@ -42,7 +42,7 @@ def test_report_one_term_two_witnesses():
     assert (r.total, r.positive, r.negative) == (1, 1, 1)
     assert rep.esp == 2
     assert weight_by_classes(rep) == 2
-    assert isinstance(rep.completeness, Exact)
+    assert rep.bounded_at is None
 
 
 def test_report_fan_out():
@@ -110,7 +110,7 @@ def test_budget_flows_through():
     with pytest.raises(BudgetRequiredError):
         report_for("identity-redex")
     _, rep = report_for("identity-redex", budget=1)
-    assert rep.completeness == BoundedAt(1)
+    assert rep.bounded_at == 1
     assert rep.wit_plus == 1
 
 

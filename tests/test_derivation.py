@@ -11,8 +11,8 @@ from thinspan.syntax import (
 from thinspan.rigidtypes import IArrow, ResourceContext, Star, canonicalize_point, point_from_json
 from thinspan.symmetry import pos_sources_it
 from thinspan.derivation import (
-    BoundedAt, BudgetRequiredError, DerivationError, Exact, RApp, RLam, RVar,
-    _bounded_refinements, _bounded_seqs, contract, count_derivation_morphisms, endo_count,
+    BudgetRequiredError, DerivationError, RApp, RLam, RVar,
+    _bounded_refinements, contract, count_derivation_morphisms, endo_count,
     enumerate_witnesses, multiset_collapse_term, omega_substitute,
     partition_by_symmetry, resource_to_text, rt_context, rt_occurrence_labels, rt_type,
 )
@@ -23,10 +23,10 @@ from reference import (
     identity_dm, src_it, src_seq, tgt_it, tgt_seq,
 )
 from support import (
-    COPIES_IN_EVERY_ORDER, across_points, binders, built_nodes, church_point, clear_memos,
-    copies_in_every_order, distinct_g_point, entry_budget, fanout_point, guessed_cut_point,
-    load_corpus, pairwise_partition, parse_entry, generated_points, per_target_witnesses,
-    point_subject, split_witnesses, symmetric_point,
+    COPIES_IN_EVERY_ORDER, across_points, binders, bounded_seqs, built_nodes, church_point,
+    clear_memos, copies_in_every_order, distinct_g_point, entry_budget, fanout_point,
+    guessed_cut_point, load_corpus, pairwise_partition, parse_entry, generated_points,
+    per_target_witnesses, point_subject, split_witnesses, symmetric_point,
 )
 
 S = Star()
@@ -69,7 +69,7 @@ def test_witnesses_shared_head():
     ]
     # the canonical representative itself carries exactly one of the two
     _, _, ws = at_point("shared-head-two-ways")
-    assert isinstance(ws.completeness, Exact)
+    assert ws.bounded_at is None
     assert len(ws) == 1
 
 
@@ -237,7 +237,7 @@ def test_dm_occurrences_match_context_entries():
 
 def test_omega_substitute_contracts_redex():
     ctx, term, ws = at_point("duplicating-redex", budget=1)
-    assert ws.completeness == BoundedAt(1)
+    assert ws.bounded_at == 1
     [r] = ws.derivations
     fl = IArrow((S,), IArrow((S,), S))
     contracted = omega_substitute(r)
@@ -296,7 +296,7 @@ def test_budget_required_for_redexes():
     with pytest.raises(BudgetRequiredError):
         enumerate_witnesses(ctx, term, gamma, alpha)
     ws = enumerate_witnesses(ctx, term, gamma, alpha, 1)
-    assert len(ws) == 1 and ws.completeness == BoundedAt(1)
+    assert len(ws) == 1 and ws.bounded_at == 1
 
 
 @pytest.mark.parametrize("budget", [-1, True, False, 2.0, "2"])
@@ -335,7 +335,7 @@ CUT_POOL = derivation._cut_pool
 
 
 def full_cut_listing(a, ctx, aty, budget):
-    return _bounded_seqs(aty, budget)
+    return bounded_seqs(aty, budget)
 
 
 def whole_context_pool(a, ctx, aty, budget):
@@ -459,7 +459,7 @@ def test_guessed_cut_family_tries_one_type():
     # the full listing tried every sequence over the b + 1 refinements of o->o
     assert all(len(_bounded_refinements(o_o, b)) == b + 1 for b in (2, 3, 4, 6, 8))
     assert [listed(b, b + 1) for b in (2, 3, 4, 6, 8)] == [13, 85, 781, 137_257, 48_427_561]
-    assert [len(_bounded_seqs(o_o, b)) for b in (2, 3, 4)] == [13, 85, 781]
+    assert [len(bounded_seqs(o_o, b)) for b in (2, 3, 4)] == [13, 85, 781]
     ctx, term, _, point = parse_entry(BY_NAME["church-two-twice"])
     for budget in (2, 3, 4):
         rep, tried = cuts_tried(ctx, term, point, budget)
