@@ -231,6 +231,11 @@ def _entry_problem(entry: dict) -> str | None:
 def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
            budget, as_json) -> None:
     """Check every counting identity, per corpus entry or for one subject."""
+    stray = [option for option, value in (("--ctx", ctx_text), ("--term", term_text),
+             ("--type", type_text), ("--point", point_arg), ("--expected", expected))
+             if value is not None]
+    if corpus_path and stray:
+        _fail(f"{', '.join(stray)} cannot be used with --corpus", 2)
     default_budget = None
     if corpus_path:
         with _reading(f"{corpus_path}: "):

@@ -156,6 +156,21 @@ def test_verify_needs_subject_or_corpus():
     assert res.exit_code == 2
 
 
+def test_subject_options_beside_a_corpus_are_a_usage_error():
+    # a corpus names its own subjects: a subject option given with it was
+    # once dropped without a word, and the corpus passed
+    for extra in (["--ctx", ""], ["--term", "zzz"], ["--type", "o"], ["--point", "{}"],
+                  ["--expected", "99"]):
+        res = run("verify", "--corpus", str(CORPUS_PATH), *extra)
+        assert res.exit_code == 2, extra
+        assert res.stdout == ""
+        assert res.stderr == f"error: {extra[0]} cannot be used with --corpus\n"
+    res = run("verify", "--corpus", str(CORPUS_PATH), "--term", "zzz", "--expected", "99",
+              "--json")
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == "error: --term, --expected cannot be used with --corpus\n"
+
+
 def test_verify_underbudget_fails(tmp_path):
     # a budget too small to cover the needed cut shows up as an enumeration
     # that may be incomplete, with an exit code of its own, not as a silent
