@@ -58,27 +58,12 @@ class MorphismError(Exception):
 # components, so its domain contributes the permanent of the matrix of
 # negative counts; a negative one keeps the order with positive
 # components, so its domain contributes their product.  A context entry
-# flips the variance.  Without a polarity the domain is permuted freely
-# with any components (count_homs_it).  The caller owns the memo, keyed on
-# (positive, a, b) for polarized types, on (a, b) for unpolarized ones and
-# on (sa, sb) for context entries.
+# flips the variance.  Without a polarity (None) the domain is permuted
+# freely with components of any polarity.  The caller owns the memo, keyed
+# on (polarity, a, b) for types and on (sa, sb) for context entries.
 
 def count_homs_it(a: IType, b: IType, memo: dict | None = None) -> int:
-    """The number of morphisms a -> b of any polarity: the domain may be
-    permuted, with any components."""
-    memo = {} if memo is None else memo
-    key = (a, b)
-    if key not in memo:
-        match a, b:
-            case Star(), Star():
-                memo[key] = 1
-            case IArrow(ad, ac), IArrow(bd, bc) if len(ad) == len(bd):
-                n = count_homs_it(ac, bc, memo)
-                memo[key] = n and n * permanent(
-                    [[count_homs_it(x, y, memo) for y in bd] for x in ad])
-            case _:
-                memo[key] = 0
-    return memo[key]
+    return _count_it(None, a, b, {} if memo is None else memo)
 
 
 def count_positive_it(a: IType, b: IType, memo: dict | None = None) -> int:
@@ -95,7 +80,7 @@ def count_negative_seq(sa: SeqType, sb: SeqType, memo: dict | None = None) -> in
     return memo[sa, sb]
 
 
-def _count_it(positive: bool, a: IType, b: IType, memo: dict) -> int:
+def _count_it(positive: bool | None, a: IType, b: IType, memo: dict) -> int:
     key = (positive, a, b)
     if key not in memo:
         match a, b:
@@ -103,7 +88,9 @@ def _count_it(positive: bool, a: IType, b: IType, memo: dict) -> int:
                 memo[key] = 1
             case IArrow(ad, ac), IArrow(bd, bc) if len(ad) == len(bd):
                 n = _count_it(positive, ac, bc, memo)
-                if n and positive:
+                if n and positive is None:
+                    n *= permanent([[_count_it(None, x, y, memo) for y in bd] for x in ad])
+                elif n and positive:
                     n *= count_negative_seq(ad, bd, memo)
                 elif n:
                     n *= prod(_count_it(True, x, y, memo) for x, y in zip(ad, bd))
