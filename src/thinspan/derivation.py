@@ -74,9 +74,15 @@ budget, and the budget given for a term with a redex, which needs one.
 The enumeration reports that value as its bounded_at.  witness_set, the
 enumeration itself, checks nothing.
 
-The enumerator keeps its subproblems in each subterm's memo
-(interning.memo), beside collapse's witness reports and triple counts;
-all of it dies with the term.
+Each witness_set call is one run (_Run), which carries the budget and
+decides where a subproblem is kept (syntax.Subproblems).  At a subterm
+free in none of the context's variables, such as a Church numeral, it is
+kept in the subterm's memo (interning.memo), beside collapse's witness
+reports and triple counts, dies with the subterm, and answers the next
+query under other names.  At a subterm that names a context variable it
+is kept in the run's own table and dies with the run: no later query
+meets that subterm, since a repeat is answered from collapse's report and
+a fresh query renames its context.
 """
 
 from __future__ import annotations
@@ -85,9 +91,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .interning import Node, fact, memo
+from .interning import Node, fact
 from .syntax import (
-    App, Arrow, Base, Lam, SimpleType, Term, TypingContext, Var,
+    App, Arrow, Base, Lam, SimpleType, Subproblems, Term, TypingContext, Var,
     annotate, binder_names, free_vars, is_beta_normal, spine, term_to_text, type_to_text,
     typecheck,
 )
@@ -220,20 +226,22 @@ def omega_substitute(r: ResourceTerm) -> ResourceTerm:
             raise DerivationError(
                 f"occurrence {i + 1} of {x!r} has label {it_to_text(lab)} but the "
                 f"argument concludes {it_to_text(rt_type(a))}")
-    args = list(r.args)
+    return _substitute(body, x, iter(r.args))
 
-    def go(t: ResourceTerm) -> ResourceTerm:
-        match t:
-            case RVar(y, _):
-                return args.pop(0) if y == x else t
-            case RLam(y, b, ann):
-                return t if y == x else RLam(y, go(b), ann)
-            case RApp(f, aa):
-                f2 = go(f)
-                return RApp(f2, tuple(go(a) for a in aa))
-        raise TypeError(f"not a resource term: {t!r}")
 
-    return go(body)
+def _substitute(t: ResourceTerm, x: str, args) -> ResourceTerm:
+    """t with its free occurrences of x replaced by the next of args, left
+    to right.  A plain recursion: a nested function that calls itself is a
+    reference cycle, which only the cyclic collector frees."""
+    match t:
+        case RVar(y, _):
+            return next(args) if y == x else t
+        case RLam(y, b, ann):
+            return t if y == x else RLam(y, _substitute(b, x, args), ann)
+        case RApp(f, aa):
+            f2 = _substitute(f, x, args)
+            return RApp(f2, tuple(_substitute(a, x, args) for a in aa))
+    raise TypeError(f"not a resource term: {t!r}")
 
 
 @fact
@@ -379,7 +387,8 @@ def witness_set(term: Term, theta: ResourceContext, alpha: IType, budget: int | 
     # a start context fixes the variables that are not free in the term
     # too, which must be used up
     start = {x: (seq, t, bags) for x, seq, t in theta.entries}
-    return [r for r, _ in _enum(term, start, alpha, budget, frozenset(start))]
+    run = _Run(start, budget)
+    return [r for r, _ in _enum(term, start, alpha, run, frozenset(start))]
 
 
 # The enumerator threads the context through the term, left to right, as
@@ -394,21 +403,33 @@ Entry = tuple[SeqType, SimpleType, bool]
 Ctx = dict[str, Entry]
 Found = list[tuple[ResourceTerm, Ctx]]
 
-# A subproblem is kept in its term's memo under (the entries of its free
-# variables, target, budget, which of them must be used up), as a list of
-# (derivation, what it leaves of each entry); the other keys in a term's
-# memo are strings or start with one.
-def _enum(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
+
+class _Run(Subproblems):
+    """One enumeration: the budget it runs under, and where it keeps the
+    subproblems it solves (Subproblems), given the context's names."""
+
+    __slots__ = ("budget",)
+
+    def __init__(self, names, budget: int | None):
+        super().__init__(names)
+        self.budget = budget
+
+
+# A subproblem is kept where the run says, under (the entries of its
+# term's free variables, target, budget, which of them must be used up), as
+# a list of (derivation, what it leaves of each entry); the other keys in a
+# term's memo are strings or start with one.
+def _enum(term: Term, ctx: Ctx, alpha: IType, run: _Run,
           must: frozenset[str]) -> Found:
-    fvs, kept = free_vars(term), memo(term)
+    fvs, kept = free_vars(term), run.at(term)
     if any(ctx[x][0] for x in must if x not in fvs):
         return []
-    key = (tuple(ctx[x] for x in fvs), alpha, budget, tuple(x in must for x in fvs))
+    key = (tuple(ctx[x] for x in fvs), alpha, run.budget, tuple(x in must for x in fvs))
     hit = kept.get(key)
     if hit is None:
         hit = kept[key] = [
             (r, tuple(left[x] for x in fvs))
-            for r, left in _enum_raw(term, ctx, alpha, budget, must)]
+            for r, left in _enum_raw(term, ctx, alpha, run, must)]
     out = []
     for r, entries in hit:
         left = dict(ctx)
@@ -417,7 +438,7 @@ def _enum(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
     return out
 
 
-def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
+def _enum_raw(term: Term, ctx: Ctx, alpha: IType, run: _Run,
               must: frozenset[str]) -> Found:
     match term:
         case Lam(x, b, ann):
@@ -426,11 +447,11 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
             assert ann is not None
             inner = {**ctx, x: (alpha.domain, ann, False)}
             return [(RLam(x, r, ann), left)
-                    for r, left in _enum(b, inner, alpha.codomain, budget, must | {x})]
+                    for r, left in _enum(b, inner, alpha.codomain, run, must | {x})]
         case Var(_) | App(_, _):
             head, args = spine(term)
             if isinstance(head, Var):
-                return _enum_spine(head.name, args, ctx, alpha, budget, must)
+                return _enum_spine(head.name, args, ctx, alpha, run, must)
             assert isinstance(term, App)
             f, a = term.fn, term.arg
             out: Found = []
@@ -446,7 +467,7 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
                     for cut, rest in cuts:
                         copies = tuple(RVar(y, c) for c in cut)
                         for rf, left in _enum(f, {**ctx, y: (rest, t, True)},
-                                              IArrow(cut, alpha), budget, must):
+                                              IArrow(cut, alpha), run, must):
                             out.append((RApp(rf, copies), left))
                     return out
                 # each copy of a bare variable consumes one element, so the
@@ -455,15 +476,15 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType, budget: int | None,
                 for i in range(n + 1) if y in free_vars(f) else (0,):
                     for j in (n,) if y in must else range(i, n + 1):
                         copies = tuple(RVar(y, c) for c in seq[i:j])
-                        for rf, left in _enum(f, ctx, IArrow(seq[i:j], alpha), budget, must_f):
+                        for rf, left in _enum(f, ctx, IArrow(seq[i:j], alpha), run, must_f):
                             if len(left[y][0]) == n - i:
                                 out.append((RApp(rf, copies), {**left, y: (seq[j:], t, False)}))
                 return out
             aty = typecheck(TypingContext(tuple((x, t) for x, (_, t, _) in ctx.items())), a)
             must_f = must.difference(free_vars(a))
-            for abar in _cuts(a, ctx, aty, budget):  # type: ignore[arg-type]
-                for rf, left in _enum(f, ctx, IArrow(abar, alpha), budget, must_f):
-                    for m, rest in _enum_multi(a, left, abar, budget, must):
+            for abar in _cuts(a, ctx, aty, run):
+                for rf, left in _enum(f, ctx, IArrow(abar, alpha), run, must_f):
+                    for m, rest in _enum_multi(a, left, abar, run, must):
                         out.append((RApp(rf, m), rest))
             return out
     raise TypeError(f"not a term: {term!r}")
@@ -492,7 +513,7 @@ def _bag_cuts(bag: SeqType, t: SimpleType) -> list[tuple[SeqType, SeqType]]:
 
 
 def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: IType,
-                budget: int | None, must: frozenset[str]) -> Found:
+                run: _Run, must: frozenset[str]) -> Found:
     seq, t, bag = ctx[name]
     if not args and name in must and len(seq) > 1:
         return []
@@ -511,12 +532,12 @@ def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: IType,
         for j, (arg, dom) in enumerate(zip(args, doms)):
             later = set().union(*map(free_vars, args[j + 1:]))
             found = [(RApp(r, m), after) for r, left in found
-                     for m, after in _enum_multi(arg, left, dom, budget, must - later)]
+                     for m, after in _enum_multi(arg, left, dom, run, must - later)]
         out.extend(found)
     return out
 
 
-def _enum_multi(term: Term, ctx: Ctx, targets: SeqType, budget: int | None,
+def _enum_multi(term: Term, ctx: Ctx, targets: SeqType, run: _Run,
                 must: frozenset[str]) -> list[tuple[tuple[ResourceTerm, ...], Ctx]]:
     """One copy of term per target, threaded left to right; every copy but
     the last may leave term's free variables to the copies after it."""
@@ -527,19 +548,19 @@ def _enum_multi(term: Term, ctx: Ctx, targets: SeqType, budget: int | None,
     for i, target in enumerate(targets):
         m = must if i == len(targets) - 1 else lax
         out = [(done + (r,), rest) for done, left in out
-               for r, rest in _enum(term, left, target, budget, m)]
+               for r, rest in _enum(term, left, target, run, m)]
     return out
 
 
-def _cuts(a: Term, ctx: Ctx, aty: SimpleType, budget: int) -> list[SeqType]:
+def _cuts(a: Term, ctx: Ctx, aty: SimpleType, run: _Run) -> list[SeqType]:
     """The cuts tried at a redex whose argument a is not a variable: every
     sequence, of length at most the budget, over the types that one copy of
     a concludes (_cut_pool).  A term with a redex is enumerated only under
     a budget (cut_budget)."""
-    return _seqs(_cut_pool(a, ctx, aty, budget), budget)
+    return _seqs(_cut_pool(a, ctx, aty, run), run.budget)
 
 
-def _cut_pool(a: Term, ctx: Ctx, aty: SimpleType, budget: int) -> tuple[IType, ...]:
+def _cut_pool(a: Term, ctx: Ctx, aty: SimpleType, run: _Run) -> tuple[IType, ...]:
     """The refinements of aty, of length and width at most the budget, that
     one copy of a concludes from some context a copy may start from.
 
@@ -553,8 +574,8 @@ def _cut_pool(a: Term, ctx: Ctx, aty: SimpleType, budget: int) -> tuple[IType, .
     seqs = [x for x in free_vars(a) if not ctx[x][2]]
     starts = [{**ctx, **{x: (ctx[x][0][i:], ctx[x][1], False) for x, i in zip(seqs, skip)}}
               for skip in product(*(range(len(ctx[x][0]) + 1) for x in seqs))]
-    return tuple(beta for beta in _bounded_refinements(aty, budget)
-                 if any(_enum(a, start, beta, budget, frozenset()) for start in starts))
+    return tuple(beta for beta in _bounded_refinements(aty, run.budget)
+                 if any(_enum(a, start, beta, run, frozenset()) for start in starts))
 
 
 @lru_cache(maxsize=None)

@@ -33,9 +33,13 @@ Each parser of the package's notations keeps the last TEXTS_KEPT texts
 it read, with what each parsed to, in a functools.lru_cache, which drops
 the least recently read.  A text that fails to parse raises and is not
 kept.  So one rule says what a process keeps: a node's derived state
-lives on the node and dies with it, and each parser keeps its last
-TEXTS_KEPT texts, which keep what they parsed to alive.  A query whose
-text was dropped is answered afresh.
+lives on the node and dies with it, each parser keeps its last
+TEXTS_KEPT texts, which keep what they parsed to alive, and what a call
+derives for itself alone dies with the call.  A query whose text was
+dropped is answered afresh.  The last are the subproblems a recursion
+over a query's term solves at the subterms that name the query's context
+variables, kept in a table of the call's (syntax.Subproblems): no later
+query meets those subterms.
 """
 
 from __future__ import annotations

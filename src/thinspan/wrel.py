@@ -31,9 +31,13 @@ on the terms (syntax): a term's free variables, sorted, fix the order of
 its bags in the memo keys and the leftovers; and the normal form of a
 redex term is kept on it, so a repeated query normalizes nothing, and
 re-freshening a normal form whose binders are already distinct is no walk.
-Each subproblem's leftovers are kept in its term's memo (interning.memo),
-under a key that starts with "wrel", so no other counting path reads
-them; they die with the term.
+Leftovers are kept under a key that starts with "wrel", so no other
+counting path reads them.  The normal form's, which give the
+coefficient, are kept in its memo (interning.memo) and die with it.  A
+subproblem's are kept where one wrel_coefficient call's Subproblems
+(syntax) says: in the memo of a subterm free in none of the context's
+variables, which a later query under other names meets again, and
+otherwise in a table that dies with the call.
 """
 
 from __future__ import annotations
@@ -41,7 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .interning import memo
-from .syntax import Lam, Term, Var, beta_normalize, free_vars, is_beta_normal, spine
+from .syntax import (
+    Lam, Subproblems, Term, Var, beta_normalize, free_vars, is_beta_normal, spine,
+)
 # not called here: the tracer in perfbench/tracing.py wraps this name in this module
 from .syntax import annotate  # noqa: F401
 from .rigidtypes import IArrow, IType, SeqType, Subject
@@ -72,7 +78,10 @@ def wrel_coefficient(subject: Subject) -> NatInf:
     fvs = free_vars(nf)
     if any(seq for x, seq in env.items() if x not in fvs):
         return NatInf(0)
-    return NatInf(_leftovers(env, nf, subject.result).get(((),) * len(fvs), 0))
+    # the answer is kept in nf's memo, and the subproblems below it where
+    # this call's Subproblems says
+    left = _leftovers(env, nf, subject.result, Subproblems(env), memo(nf))
+    return NatInf(left.get(((),) * len(fvs), 0))
 
 
 # leftovers: the bags of a term's free variables, in sorted name order, that
@@ -80,23 +89,26 @@ def wrel_coefficient(subject: Subject) -> NatInf:
 Leftovers = dict[tuple[SeqType, ...], int]
 
 
-def _leftovers(env: dict[str, SeqType], term: Term, target: IType) -> Leftovers:
-    fvs, kept = free_vars(term), memo(term)
+def _leftovers(env: dict[str, SeqType], term: Term, target: IType, subs: Subproblems,
+               kept: dict | None = None) -> Leftovers:
+    """The leftovers of term at target, kept in kept, or where subs says."""
+    fvs, kept = free_vars(term), subs.at(term) if kept is None else kept
     bags = tuple(env[x] for x in fvs)
     key = ("wrel", bags, target)
     hit = kept.get(key)
     if hit is None:
-        hit = kept[key] = _leftovers_raw(dict(zip(fvs, bags)), term, target)
+        hit = kept[key] = _leftovers_raw(dict(zip(fvs, bags)), term, target, subs)
     return hit
 
 
-def _leftovers_raw(env: dict[str, SeqType], term: Term, target: IType) -> Leftovers:
+def _leftovers_raw(env: dict[str, SeqType], term: Term, target: IType,
+                   subs: Subproblems) -> Leftovers:
     fvs = free_vars(term)
     if isinstance(term, Lam):
         if not isinstance(target, IArrow):
             return {}
         x = term.binder
-        inner = _leftovers({**env, x: target.domain}, term.body, target.codomain)
+        inner = _leftovers({**env, x: target.domain}, term.body, target.codomain, subs)
         body_fvs = free_vars(term.body)
         out: Leftovers = {}
         for left, n in inner.items():
@@ -129,7 +141,7 @@ def _leftovers_raw(env: dict[str, SeqType], term: Term, target: IType) -> Leftov
             for d in dom:
                 after: Leftovers = {}
                 for state, n in states.items():
-                    for left, m in _leftovers(dict(zip(fvs, state)), arg, d).items():
+                    for left, m in _leftovers(dict(zip(fvs, state)), arg, d, subs).items():
                         new = list(state)
                         for j, seq in zip(where, left):
                             new[j] = seq

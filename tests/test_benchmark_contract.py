@@ -13,6 +13,7 @@ that by parsing the package, which the guards that patch the listings
 confirm by running queries.
 """
 
+import gc
 import importlib
 import sys
 import weakref
@@ -30,8 +31,9 @@ import thinspan.syntax
 import thinspan.wrel
 from thinspan.collapse import prepare, verify_identities
 from thinspan.derivation import RApp, RVar
+from thinspan.interning import memo
 from thinspan.rigidtypes import STAR, IArrow, canonicalize_point
-from thinspan.syntax import is_beta_normal
+from thinspan.syntax import beta_normalize, free_vars, is_beta_normal
 from thinspan.wrel import wrel_coefficient
 
 import reference
@@ -528,3 +530,76 @@ def test_a_repeated_query_keeps_the_intern_table_bounded(name):
         del ctx, term, point
         sizes.append(len(thinspan.interning._table))
     assert sizes[1] == sizes[2], sizes
+
+
+def subterms(t):
+    yield t
+    if isinstance(t, thinspan.syntax.App):
+        yield from subterms(t.fn)
+        yield from subterms(t.arg)
+    elif isinstance(t, thinspan.syntax.Lam):
+        yield from subterms(t.body)
+
+
+def renamed_church_two(suffix: str):
+    """church-two-applied with its context variables renamed, as the
+    benchmark's stream renames a fresh query."""
+    term, point_ctx = church_point(2)
+    return point_subject(term.replace(" g y", f" g{suffix} y{suffix}"),
+                         {f"{x}{suffix}": v for x, v in point_ctx.items()},
+                         f"g{suffix}:o->o, y{suffix}:o")
+
+
+# A subproblem is kept only as long as a query can read it.  No later
+# query meets a subterm that names a context variable, since a repeat is
+# answered from the report and a fresh query renames the context: what the
+# enumerator and the coefficient recursion solved there dies with the call.
+# Of such subterms only the normal form keeps wrel's answer.  The numeral
+# is closed, and keeps its subproblems for the next query under other names.
+def test_a_subproblem_under_context_names_dies_with_its_call(cold_memo):
+    ctx, term, _, point = renamed_church_two("_kept")
+    assert verify_identities(ctx, term, point, 2).ok
+    nf = beta_normalize(term, set(ctx.names()))
+    numeral = term.fn.fn
+    assert not free_vars(numeral)
+    named = {t for root in (term, nf) for t in subterms(root)
+             if set(free_vars(t)) & set(ctx.names())}
+    assert numeral not in named and len(named) >= 6
+    for t in named:
+        keys = [k for k in memo(t) if isinstance(k, tuple)]
+        assert not [k for k in keys if not isinstance(k[0], str)], t
+        assert len([k for k in keys if k[0] == "wrel"]) == (t is nf), t
+    assert any(isinstance(k, tuple) and not isinstance(k[0], str) for k in memo(numeral))
+
+
+def test_a_renamed_query_reuses_the_numerals_subproblems(monkeypatch, cold_memo):
+    sizes = []
+    monkeypatch.setattr(thinspan.derivation, "_enum_raw",
+                        counting(thinspan.derivation._enum_raw, sizes))
+    runs = []
+    for suffix in ("_first", "_second"):
+        ctx, term, _, point = renamed_church_two(suffix)
+        before = len(sizes)
+        assert verify_identities(ctx, term, point, 2).ok
+        runs.append(len(sizes) - before)
+    assert runs[1] < runs[0], runs
+
+
+# A query leaves no garbage that only the cyclic collector could free:
+# everything it dropped, reference counting frees.  Contracting a redex
+# once made a reference cycle each time.
+def test_a_query_leaves_no_cyclic_garbage(cold_memo):
+    queries = [(*parse_entry(e), e) for e in load_corpus()]
+    points = ([(*point_subject(*symmetric_point(n)), None) for n in range(1, 7)]
+              + [(*point_subject(*fanout_point(n)), None) for n in range(1, 4)]
+              + [(*point_subject(*church_point(k)), k) for k in range(1, 6)])
+    gc.collect()
+    gc.disable()
+    try:
+        for ctx, term, _, point, entry in queries:
+            assert verify_identities(ctx, term, point, entry_budget(entry)).ok
+        for ctx, term, _, point, budget in points:
+            assert verify_identities(ctx, term, point, budget).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -334,19 +334,19 @@ def test_candidate_cuts_respect_budget():
 CUT_POOL = derivation._cut_pool
 
 
-def full_cut_listing(a, ctx, aty, budget):
-    return bounded_seqs(aty, budget)
+def full_cut_listing(a, ctx, aty, run):
+    return bounded_seqs(aty, run.budget)
 
 
-def whole_context_pool(a, ctx, aty, budget):
+def whole_context_pool(a, ctx, aty, run):
     """A pool pruned against the whole context alone, which misses the types
     a copy concludes from a suffix of a sequence only."""
-    return tuple(beta for beta in _bounded_refinements(aty, budget)
-                 if derivation._enum(a, ctx, beta, budget, frozenset()))
+    return tuple(beta for beta in _bounded_refinements(aty, run.budget)
+                 if derivation._enum(a, ctx, beta, run, frozenset()))
 
 
-def pool_without_its_last_type(a, ctx, aty, budget):
-    return CUT_POOL(a, ctx, aty, budget)[:-1]
+def pool_without_its_last_type(a, ctx, aty, run):
+    return CUT_POOL(a, ctx, aty, run)[:-1]
 
 
 def guessed_cut_subjects():
