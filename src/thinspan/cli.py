@@ -198,9 +198,9 @@ def weight(ctx_text, term_text, type_text, point_arg, budget, as_json) -> None:
 
 
 # the JSON type of each corpus entry field, as docs/formats.md gives them
-_ENTRY_FIELDS = (("ctx", str, "a string"), ("term", str, "a string"), ("type", str, "a string"),
-                 ("point", dict, "an object"), ("expected", int, "an integer"),
-                 ("budget", int, "a non-negative integer"))
+_ENTRY_FIELDS = (("name", str, "a string"), ("ctx", str, "a string"), ("term", str, "a string"),
+                 ("type", str, "a string"), ("point", dict, "an object"),
+                 ("expected", int, "an integer"), ("budget", int, "a non-negative integer"))
 
 
 def _entry_problem(entry: dict) -> str | None:
@@ -244,7 +244,7 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             _fail(f"{corpus_path}: a corpus must be a JSON list of objects", 1)
         default_budget = DEFAULT_CORPUS_BUDGET
-    elif not (term_text and point_arg):
+    elif term_text is None or point_arg is None:
         _fail("need --corpus, or --term with --point", 2)
     budget = _resolve_budget(budget)
     if not corpus_path:
@@ -257,7 +257,9 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
     results = []
     codes = set()  # the exit codes the entries ended with
     for entry in entries:
-        name = entry.get("name", entry.get("term", "?"))
+        # a name of the wrong type is reported under the term's text
+        name = next((v for v in (entry.get("name"), entry.get("term")) if isinstance(v, str)),
+                    "?")
         # the options' types are click's, and point_from_json reports a
         # --point that is not an object as witnesses and weight do
         problem = _entry_problem(entry) if corpus_path else None

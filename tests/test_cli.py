@@ -156,6 +156,18 @@ def test_verify_needs_subject_or_corpus():
     assert res.exit_code == 2
 
 
+def test_verify_reads_an_empty_term_or_point():
+    # an empty text is given, not missing: the reader reports it as it does
+    # under witnesses, and no usage error is raised
+    res = run("verify", "--ctx", "y:o", "--term", "", "--point", "{}")
+    assert_clean_input_error(res)
+    assert res.stderr == "error: (cli): expected a term but found 'end of input' at position 0\n"
+    other = run("witnesses", "--ctx", "y:o", "--term", "", "--point", "{}")
+    assert other.exit_code == 1
+    assert other.stderr == "error: expected a term but found 'end of input' at position 0\n"
+    assert_clean_input_error(run("verify", "--ctx", "y:o", "--term", "y", "--point", ""))
+
+
 def test_subject_options_beside_a_corpus_are_a_usage_error():
     # a corpus names its own subjects: a subject option given with it was
     # once dropped without a word, and the corpus passed
@@ -428,3 +440,16 @@ def test_corpus_fields_of_the_wrong_type(tmp_path):
     for ok in (entry, dict(entry, expected=None, budget=None)):
         cf.write_text(json.dumps([ok]))
         assert run("verify", "--corpus", str(cf)).exit_code == 0
+
+
+def test_a_corpus_name_must_be_a_string(tmp_path):
+    # a name of the wrong type is reported under the term's text, or under
+    # "?" when that is no string either, and never as None
+    entry = {"ctx": "y:o", "term": "y y", "point": {"ctx": {"y": "[*]"}, "type": "*"}}
+    cf = tmp_path / "c.json"
+    for value, term, prefix in ((None, "y y", "y y"), (3, "y y", "y y"), (["n"], 5, "?")):
+        cf.write_text(json.dumps([dict(entry, name=value, term=term)]))
+        res = run("verify", "--corpus", str(cf))
+        assert_clean_input_error(res)
+        assert res.stderr == (f"error: {prefix}: field 'name' must be a string, "
+                              f"got {json.dumps(value)}\n"), res.stderr
