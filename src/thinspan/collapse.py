@@ -46,8 +46,7 @@ so a query that is not kept reads each witness's context once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from .syntax import Term, TypingContext, annotate, ensure_distinct_binders
 from .rigidtypes import IType, PointSpec, ResourceContext, Subject, canonicalize_point, key_it
@@ -177,14 +176,19 @@ def weight_by_classes(report: WitnessReport) -> int:
     """Sum over symmetry classes of deg+(ctx) * deg-(result) / deg(class).
 
     Each summand is the class's witness count, so the total must be an
-    integer equal to the number of positive witnesses.
+    integer equal to the number of positive witnesses.  It is summed as one
+    integer fraction num / den, whose degrees multiply into den.
     """
-    total = Fraction(0)
+    product = report.ctx_degrees.positive * report.res_degrees.negative
+    num, den = 0, 1
     for deg in report.class_endos:
-        total += Fraction(report.ctx_degrees.positive * report.res_degrees.negative, deg)
-    if total.denominator != 1:
-        raise AssertionError(f"class weights sum to a non-integer {total}")
-    return int(total)
+        num, den = num * deg + product * den, den * deg
+    total, rest = divmod(num, den)
+    if rest:
+        common = gcd(num, den)
+        raise AssertionError(
+            f"class weights sum to a non-integer {num // common}/{den // common}")
+    return total
 
 
 def class_counts_check(report: WitnessReport) -> list[str]:
@@ -193,8 +197,8 @@ def class_counts_check(report: WitnessReport) -> list[str]:
     expected_product = report.ctx_degrees.positive * report.res_degrees.negative
     for i, cls in enumerate(report.classes):
         deg = report.class_endos[i]
-        want = Fraction(expected_product, deg)
-        if want.denominator != 1 or len(cls) != want:
+        want, rest = divmod(expected_product, deg)
+        if rest or len(cls) != want:
             problems.append(
                 f"class {i}: size {len(cls)}, expected {expected_product}/{deg}")
     return problems

@@ -40,11 +40,17 @@ stay sequences.
 
 At a redex whose argument is not a variable, the cut, the sequence of
 types the argument's copies conclude, is guessed within the budget: the
-sequences of length at most the budget over the argument's refinements of
-width at most the budget.  Only the refinements that one copy of the
-argument concludes are tried (_cut_pool), so no derivation the budget
-admits is lost, and the candidates are the budget's length over that pool,
-not over every refinement.
+sequences of length at most the budget over the types, of width at most
+the budget, that one copy of the argument concludes (_cut_pool).  Those
+types are synthesized, not guessed: one copy is enumerated with its target
+left open, and each of its derivations concludes the type rt_type reads
+off it.  A lambda whose target is open leaves its binder open, and each
+occurrence of an open binder takes any refinement of the binder's type of
+width at most the budget, which at base type is * alone.  The copies at a
+cut read their derivations off that synthesis instead of enumerating the
+argument again.  So no derivation the budget admits is lost, and what
+grows with the budget is the number of cuts and the labels an open binder
+of arrow type may take, not a listing of every refinement.
 
 A symmetry class's degree, the number of endomorphisms of one of its
 derivations, is counted without listing them: under a variable head the
@@ -213,34 +219,54 @@ def rt_type(r: ResourceTerm) -> IType:
 
 
 def omega_substitute(r: ResourceTerm) -> ResourceTerm:
-    """Contract a toplevel redex, pairing occurrences with arguments in order."""
+    """Contract a toplevel redex, pairing occurrences with arguments in order.
+    One walk substitutes and checks each occurrence's label against its
+    argument."""
     if not (isinstance(r, RApp) and isinstance(r.fn, RLam)):
         raise DerivationError("omega substitution needs a toplevel redex (\\x. m) <...>")
+    args = iter(r.args)
+    out = _substitute(r.fn.body, r.fn.binder, args, r)
+    if next(args, None) is not None:
+        raise _redex_error(r)
+    return out
+
+
+def _redex_error(r: RApp) -> DerivationError:
+    """What is wrong with the redex r: its binder's occurrences and its
+    arguments differ in number, or else the first occurrence whose label
+    differs from the type its argument concludes."""
     x, body = r.fn.binder, r.fn.body
     labels = rt_occurrence_labels(body, x)
     if len(labels) != len(r.args):
-        raise DerivationError(
-            f"{len(labels)} occurrences of {x!r} but {len(r.args)} arguments")
-    for i, (lab, a) in enumerate(zip(labels, r.args)):
-        if rt_type(a) != lab:
-            raise DerivationError(
-                f"occurrence {i + 1} of {x!r} has label {it_to_text(lab)} but the "
-                f"argument concludes {it_to_text(rt_type(a))}")
-    return _substitute(body, x, iter(r.args))
+        return DerivationError(f"{len(labels)} occurrences of {x!r} but {len(r.args)} arguments")
+    i, lab, a = next((i, lab, a) for i, (lab, a) in enumerate(zip(labels, r.args))
+                     if rt_type(a) != lab)
+    return DerivationError(f"occurrence {i + 1} of {x!r} has label {it_to_text(lab)} but the "
+                           f"argument concludes {it_to_text(rt_type(a))}")
 
 
-def _substitute(t: ResourceTerm, x: str, args) -> ResourceTerm:
+def _substitute(t: ResourceTerm, x: str, args, redex: RApp) -> ResourceTerm:
     """t with its free occurrences of x replaced by the next of args, left
-    to right.  A plain recursion: a nested function that calls itself is a
-    reference cycle, which only the cyclic collector frees."""
+    to right, each of which must conclude its occurrence's label.  A plain
+    recursion: a nested function that calls itself is a reference cycle,
+    which only the cyclic collector frees."""
     match t:
-        case RVar(y, _):
-            return next(args) if y == x else t
+        case RVar(y, label):
+            if y != x:
+                return t
+            a = next(args, None)
+            if a is None or rt_type(a) != label:
+                raise _redex_error(redex)
+            return a
         case RLam(y, b, ann):
-            return t if y == x else RLam(y, _substitute(b, x, args), ann)
+            if y == x:
+                return t
+            b2 = _substitute(b, x, args, redex)
+            return t if b2 is b else RLam(y, b2, ann)
         case RApp(f, aa):
-            f2 = _substitute(f, x, args)
-            return RApp(f2, tuple(_substitute(a, x, args) for a in aa))
+            f2 = _substitute(f, x, args, redex)
+            aa2 = tuple(_substitute(a, x, args, redex) for a in aa)
+            return t if f2 is f and aa2 == aa else RApp(f2, aa2)
     raise TypeError(f"not a resource term: {t!r}")
 
 
@@ -264,8 +290,10 @@ def _contract(r: ResourceTerm) -> ResourceTerm:
         case RApp(f, args):
             f2, args2 = _contract(f), tuple(map(_contract, args))
             if isinstance(f2, RLam):
-                # a lambda argument may land at a head of the body
-                return _contract(omega_substitute(RApp(f2, args2)))
+                # the body and the copies have no redex, so the contractum
+                # has one only where a lambda copy lands at a head
+                r2 = omega_substitute(RApp(f2, args2))
+                return _contract(r2) if any(isinstance(a, RLam) for a in args2) else r2
             return r if f2 is f and args2 == args else RApp(f2, args2)
     raise TypeError(f"not a resource term: {r!r}")
 
@@ -397,9 +425,13 @@ def witness_set(term: Term, theta: ResourceContext, alpha: IType, budget: int | 
 # in turn.  A context maps each variable in scope to its entry: what is
 # left of it, its simple type, and whether it is a bag, whose values the
 # occurrences take in any order, or a sequence, which they consume in
-# order.  Binders are sequences.  A call must use up the variables in
-# `must`; the others it may leave to the subterms to its right.
-Entry = tuple[SeqType, SimpleType, bool]
+# order.  Binders are sequences, but for the binder of a lambda whose
+# target is open, None: its occurrences take any label the budget admits,
+# and it is never used up.  A target None is open: a spine concludes what
+# its head gives it.  An arrow target whose domain is None leaves only its
+# lambda's binder open.  A call must use up the variables in `must`; the
+# others it may leave to the subterms to its right.
+Entry = tuple[SeqType | None, SimpleType, bool]
 Ctx = dict[str, Entry]
 Found = list[tuple[ResourceTerm, Ctx]]
 
@@ -419,8 +451,21 @@ class _Run(Subproblems):
 # term's free variables, target, budget, which of them must be used up), as
 # a list of (derivation, what it leaves of each entry); the other keys in a
 # term's memo are strings or start with one.
-def _enum(term: Term, ctx: Ctx, alpha: IType, run: _Run,
+def _enum(term: Term, ctx: Ctx, alpha: IType | None, run: _Run,
           must: frozenset[str]) -> Found:
+    out = []
+    fvs = free_vars(term)
+    for r, entries in _solved(term, ctx, alpha, run, must):
+        left = dict(ctx)
+        left.update(zip(fvs, entries))
+        out.append((r, left))
+    return out
+
+
+def _solved(term: Term, ctx: Ctx, alpha: IType | None, run: _Run,
+            must: frozenset[str]) -> list[tuple[ResourceTerm, tuple[Entry, ...]]]:
+    """The subproblem _enum answers, as it is kept: each derivation with what
+    it leaves of the entries of term's free variables, in their order."""
     fvs, kept = free_vars(term), run.at(term)
     if any(ctx[x][0] for x in must if x not in fvs):
         return []
@@ -430,24 +475,23 @@ def _enum(term: Term, ctx: Ctx, alpha: IType, run: _Run,
         hit = kept[key] = [
             (r, tuple(left[x] for x in fvs))
             for r, left in _enum_raw(term, ctx, alpha, run, must)]
-    out = []
-    for r, entries in hit:
-        left = dict(ctx)
-        left.update(zip(fvs, entries))
-        out.append((r, left))
-    return out
+    return hit
 
 
-def _enum_raw(term: Term, ctx: Ctx, alpha: IType, run: _Run,
+def _enum_raw(term: Term, ctx: Ctx, alpha: IType | None, run: _Run,
               must: frozenset[str]) -> Found:
     match term:
         case Lam(x, b, ann):
-            if not isinstance(alpha, IArrow):
-                return []
             assert ann is not None
-            inner = {**ctx, x: (alpha.domain, ann, False)}
+            if alpha is None:
+                # an open target leaves the binder open too
+                inner, body_alpha = {**ctx, x: (None, ann, False)}, None
+            elif isinstance(alpha, IArrow):
+                inner, body_alpha = {**ctx, x: (alpha.domain, ann, False)}, alpha.codomain
+            else:
+                return []
             return [(RLam(x, r, ann), left)
-                    for r, left in _enum(b, inner, alpha.codomain, run, must | {x})]
+                    for r, left in _enum(b, inner, body_alpha, run, must | {x})]
         case Var(_) | App(_, _):
             head, args = spine(term)
             if isinstance(head, Var):
@@ -458,6 +502,14 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType, run: _Run,
             if isinstance(a, Var):
                 y = a.name
                 seq, t, bag = ctx[y]
+                if seq is None:
+                    # the copies of an open binder are occurrences of it, so
+                    # f's binder is left open too, and the cut is the labels
+                    # its occurrences took
+                    for rf, left in _enum(f, ctx, IArrow(None, alpha), run, must):
+                        copies = tuple(RVar(y, c) for c in rt_type(rf).domain)
+                        out.append((RApp(rf, copies), left))
+                    return out
                 if bag:
                     # the copies take an ordered pick of y's bag, and f
                     # runs on what they leave of it
@@ -484,7 +536,7 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType, run: _Run,
             must_f = must.difference(free_vars(a))
             for abar in _cuts(a, ctx, aty, run):
                 for rf, left in _enum(f, ctx, IArrow(abar, alpha), run, must_f):
-                    for m, rest in _enum_multi(a, left, abar, run, must):
+                    for m, rest in _enum_multi(a, left, abar, run, must, ctx):
                         out.append((RApp(rf, m), rest))
             return out
     raise TypeError(f"not a term: {term!r}")
@@ -512,13 +564,18 @@ def _bag_cuts(bag: SeqType, t: SimpleType) -> list[tuple[SeqType, SeqType]]:
     return out
 
 
-def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: IType,
+def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: IType | None,
                 run: _Run, must: frozenset[str]) -> Found:
     seq, t, bag = ctx[name]
-    if not args and name in must and len(seq) > 1:
+    if seq is None:
+        # an open binder's occurrence takes any label the budget admits
+        takes = [(label, None) for label in _bounded_refinements(t, run.budget)]
+    elif not args and name in must and len(seq) > 1:
         return []
+    else:
+        takes = _takes(seq, t, bag)
     out: Found = []
-    for label, rest in _takes(seq, t, bag):
+    for label, rest in takes:
         doms: list[SeqType] = []
         cur: IType = label
         for _ in args:
@@ -526,7 +583,7 @@ def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: IType,
                 break
             doms.append(cur.domain)
             cur = cur.codomain
-        if len(doms) < len(args) or cur != alpha:
+        if len(doms) < len(args) or alpha is not None and cur != alpha:
             continue
         found: Found = [(RVar(name, label), {**ctx, name: (rest, t, bag)})]
         for j, (arg, dom) in enumerate(zip(args, doms)):
@@ -537,18 +594,26 @@ def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: IType,
     return out
 
 
-def _enum_multi(term: Term, ctx: Ctx, targets: SeqType, run: _Run,
-                must: frozenset[str]) -> list[tuple[tuple[ResourceTerm, ...], Ctx]]:
+def _enum_multi(term: Term, ctx: Ctx, targets: SeqType, run: _Run, must: frozenset[str],
+                whole: Ctx | None = None) -> list[tuple[tuple[ResourceTerm, ...], Ctx]]:
     """One copy of term per target, threaded left to right; every copy but
-    the last may leave term's free variables to the copies after it."""
+    the last may leave term's free variables to the copies after it.  The
+    copies of a redex's argument, given the context at the redex as whole,
+    are read off the argument's synthesis (_copy)."""
     if not targets:
         return [((), ctx)] if not any(ctx[x][0] for x in must) else []
     lax = must.difference(free_vars(term))
     out: list[tuple[tuple[ResourceTerm, ...], Ctx]] = [((), ctx)]
     for i, target in enumerate(targets):
         m = must if i == len(targets) - 1 else lax
-        out = [(done + (r,), rest) for done, left in out
-               for r, rest in _enum(term, left, target, run, m)]
+        # loops, not a comprehension, which would be one more frame deep
+        # in the recursion
+        step = []
+        for done, left in out:
+            found = (_enum(term, left, target, run, m) if whole is None
+                     else _copy(term, whole, left, target, run, m))
+            step.extend((done + (r,), rest) for r, rest in found)
+        out = step
     return out
 
 
@@ -562,25 +627,80 @@ def _cuts(a: Term, ctx: Ctx, aty: SimpleType, run: _Run) -> list[SeqType]:
 
 def _cut_pool(a: Term, ctx: Ctx, aty: SimpleType, run: _Run) -> tuple[IType, ...]:
     """The refinements of aty, of length and width at most the budget, that
-    one copy of a concludes from some context a copy may start from.
+    one copy of a concludes from some context a copy may start from, in the
+    order _bounded_refinements lists them (key_it).
 
-    A copy starts from what the function part and the copies before it
-    leave of ctx: of each bag a sub-bag, and of each sequence a suffix.
-    What a copy concludes drawing on a sub-bag it concludes drawing on the
-    whole bag, and with nothing it must use up, what it leaves does not
-    matter.  So each type is tried from the whole bags and from every choice
-    of suffixes of a's free sequences, the binders around the redex and, at
-    a rigid point, every context variable."""
-    seqs = [x for x in free_vars(a) if not ctx[x][2]]
+    They are synthesized, not guessed: one copy of a is enumerated from
+    each start with its target left open, and each derivation concludes
+    its rt_type.  A copy starts from what the function part and the copies
+    before it leave of ctx: of each bag a sub-bag, and of each sequence a
+    suffix.  What a copy concludes drawing on a sub-bag it concludes
+    drawing on the whole bag, and with nothing it must use up, what it
+    leaves does not matter.  So the starts are the whole bags with every
+    choice of suffixes of a's free sequences: the binders around the redex
+    and, at a rigid point, every context variable.  An open binder is no
+    sequence: its occurrences pick their labels."""
+    seqs = [x for x in free_vars(a) if not ctx[x][2] and ctx[x][0] is not None]
     starts = [{**ctx, **{x: (ctx[x][0][i:], ctx[x][1], False) for x, i in zip(seqs, skip)}}
               for skip in product(*(range(len(ctx[x][0]) + 1) for x in seqs))]
-    return tuple(beta for beta in _bounded_refinements(aty, run.budget)
-                 if any(_enum(a, start, beta, run, frozenset()) for start in starts))
+    found = {rt_type(r) for start in starts for r, _ in _solved(a, start, None, run, frozenset())}
+    return tuple(sorted((beta for beta in found if _within(beta, run.budget)), key=key_it))
+
+
+def _copy(a: Term, whole: Ctx, ctx: Ctx, beta: IType, run: _Run,
+          must: frozenset[str]) -> Found:
+    """The derivations of one copy of a at beta from ctx, what the function
+    part and the copies before this one left of whole, the context at the
+    redex: a's synthesis from the start that keeps ctx's sequences and
+    whole's bags, each derivation of type beta whose picks from a bag ctx
+    still holds and that uses up must, with what it leaves of ctx.  This is
+    what _enum(a, ctx, beta, run, must) finds, in its order, without
+    enumerating a again."""
+    fvs = free_vars(a)
+    if any(ctx[x][0] for x in must if x not in fvs):
+        return []
+    start = {**ctx, **{x: whole[x] for x in fvs if ctx[x][2]}}
+    out: Found = []
+    for r, entries in _solved(a, start, None, run, frozenset()):
+        if rt_type(r) is not beta:
+            continue
+        left = dict(ctx)
+        for x, (seq, t, bag) in zip(fvs, entries):
+            if bag:
+                seq = _bag_minus(ctx[x][0], _bag_minus(whole[x][0], seq))
+                if seq is None:
+                    break
+            if seq and x in must:
+                break
+            left[x] = (seq, t, bag)
+        else:
+            out.append((r, left))
+    return out
+
+
+def _bag_minus(bag: SeqType, part: SeqType) -> SeqType | None:
+    """What is left of a bag once the values of part are taken from it, or
+    None when the bag does not hold them all.  A bag keeps equal values
+    next to each other, so taking the first of them keeps its order."""
+    rest = list(bag)
+    for v in part:
+        if v not in rest:
+            return None
+        rest.remove(v)
+    return tuple(rest)
+
+
+def _within(beta: IType, budget: int) -> bool:
+    """Whether every sequence in beta has length at most the budget."""
+    return isinstance(beta, Star) or (
+        len(beta.domain) <= budget and _within(beta.codomain, budget)
+        and all(_within(b, budget) for b in beta.domain))
 
 
 @lru_cache(maxsize=None)
 def _bounded_refinements(t: SimpleType, budget: int) -> tuple[IType, ...]:
-    """The refinements of t whose sequences have length at most the budget."""
+    """The refinements of t whose sequences have length at most the budget:
+    the labels an occurrence of an open binder may take."""
     match t:
         case Base():
             return (Star(),)

@@ -13,11 +13,11 @@ from itertools import combinations_with_replacement, permutations, product
 from math import prod
 from pathlib import Path
 
-from thinspan import interning
+from thinspan import derivation, interning
 from thinspan.syntax import (
     App, Arrow, Base, Lam, ParseError, SimpleType, TypingContext, Var, annotate, beta_normalize,
-    ensure_distinct_binders, is_beta_normal, parse_context, parse_simple_type, parse_term, spine,
-    typecheck,
+    ensure_distinct_binders, free_vars, is_beta_normal, parse_context, parse_simple_type,
+    parse_term, spine, typecheck,
 )
 from thinspan.rigidtypes import (
     IArrow, IType, PointSpec, RefinementError, ResourceContext, SeqType, Star, canonicalize_it,
@@ -138,6 +138,15 @@ def guessed_cut_point(n: int):
     is a lambda, so the redex's cut <[*^n]-o*> is guessed, within budget n.
     The coefficient is 1."""
     return "(\\k:o->o. k y) (\\x:o. g x)", {"g": f"[{stars(n)}-o*]", "y": stars(n)}
+
+
+def higher_order_cut_point(n: int = 1):
+    """`(\\k:(o->o)->o. k g) (\\h:o->o. h y)` at g:[[*^n]-o*], y:[*^n]: the
+    argument is a lambda whose binder has an arrow type, so its copies
+    conclude refinements of (o->o)->o, and the cut is <<*^n>-o*>-o*.  The
+    coefficient is 1."""
+    return ("(\\k:(o->o)->o. k g) (\\h:o->o. h y)",
+            {"g": f"[{stars(n)}-o*]", "y": stars(n)})
 
 
 def point_subject(term_text: str, point_ctx: dict, ctx_text: str = "g:o->o, y:o"):
@@ -482,7 +491,9 @@ def brute_split_ctx(theta: ResourceContext, terms):
 
 # The cuts a redex tried before they were pruned to the types a copy of its
 # argument concludes: every sequence type the budget admits.  derivation
-# tries only the pruned ones; this is their oracle.
+# tries only the pruned ones; this is their oracle.  And the pruned types
+# as they were found before derivation synthesized them, by probing each
+# refinement the budget admits: the oracle of the synthesis.
 
 @lru_cache(maxsize=None)
 def bounded_seqs(t: SimpleType, budget: int) -> tuple[SeqType, ...]:
@@ -490,6 +501,19 @@ def bounded_seqs(t: SimpleType, budget: int) -> tuple[SeqType, ...]:
     of t whose sequences have length at most the budget."""
     pool = _bounded_refinements(t, budget)
     return tuple(seq for n in range(budget + 1) for seq in product(pool, repeat=n))
+
+
+def probed_pool(a, ctx, aty, run) -> tuple[IType, ...]:
+    """The types a redex's copies were drawn from before they were
+    synthesized: each refinement of aty the budget admits, in the order
+    _bounded_refinements lists them, kept when one copy of a concludes it
+    from some start, as derivation._cut_pool defines the starts.  An open
+    binder has no suffixes to start from."""
+    seqs = [x for x in free_vars(a) if not ctx[x][2] and ctx[x][0] is not None]
+    starts = [{**ctx, **{x: (ctx[x][0][i:], ctx[x][1], False) for x, i in zip(seqs, skip)}}
+              for skip in product(*(range(len(ctx[x][0]) + 1) for x in seqs))]
+    return tuple(beta for beta in _bounded_refinements(aty, run.budget)
+                 if any(derivation._enum(a, start, beta, run, frozenset()) for start in starts))
 
 
 # The enumerator that guessed context splits: every way to split the context

@@ -13,7 +13,7 @@ from thinspan import collapse
 from thinspan.cli import main
 from thinspan.wrel import NatInf
 
-from support import CORPUS_PATH, chain_point
+from support import CORPUS_PATH, chain_point, higher_order_cut_point
 
 EX2 = ["--ctx", "f:o->o, g:o->o, y:o", "--term", "f (g y)", "--point",
        '{"ctx": {"f": "[[*,*]-o*]", "g": "[[]-o*, [*]-o*]", "y": "[*]"}, "type": "*"}']
@@ -254,6 +254,25 @@ def test_corpus_at_budget_8_in_bounded_memory():
     assert res.returncode == 0, res.stdout + res.stderr
     assert time.monotonic() - started < 15
     assert res.stdout.count("PASS") == len(json.loads(CORPUS_PATH.read_text()))
+
+
+def test_higher_order_cut_at_budget_7_in_bounded_memory():
+    # the copies' types were once probed among the 2,396,745 refinements of
+    # (o->o)->o that budget 7 admits, which ran out of memory under 2 GB;
+    # they are synthesized now
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    term, point_ctx = higher_order_cut_point()
+    src = Path(thinspan.__file__).resolve().parent.parent
+    res = subprocess.run(
+        [sys.executable, "-m", "thinspan.cli", "verify", "--ctx", "g:o->o, y:o", "--term", term,
+         "--point", json.dumps({"ctx": point_ctx, "type": "*"}), "--budget", "7", "--json"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert res.returncode == 0, res.stdout + res.stderr
+    [result] = json.loads(res.stdout)
+    assert result["ok"] and result["coefficient"] == result["witnesses"] == 1
 
 
 def test_a_budget_too_large_for_memory_is_an_input_error():

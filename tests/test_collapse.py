@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import thinspan
@@ -104,6 +106,21 @@ def test_class_counts_check_clean():
     for name in ("one-term-two-witnesses", "fan-out", "double-application"):
         _, rep = report_for(name)
         assert class_counts_check(rep) == []
+
+
+def test_class_weights_are_summed_in_integers():
+    _, rep = report_for("fan-out")
+    assert rep.ctx_degrees.positive * rep.res_degrees.negative == 2
+    # summands that are not integers may still sum to one
+    halves = dataclasses.replace(rep, classes=((0,), (0,)), class_endos=(4, 4))
+    assert weight_by_classes(halves) == 1
+    assert class_counts_check(halves) == ["class 0: size 1, expected 2/4",
+                                          "class 1: size 1, expected 2/4"]
+    # a total that is not an integer is printed in lowest terms
+    for endos, total in (((3,), "2/3"), ((6, 6), "2/3"), ((4, 8), "3/4")):
+        split = dataclasses.replace(rep, classes=((0,),) * len(endos), class_endos=endos)
+        with pytest.raises(AssertionError, match=f"^class weights sum to a non-integer {total}$"):
+            weight_by_classes(split)
 
 
 def test_budget_flows_through():

@@ -6,9 +6,11 @@ import pytest
 from thinspan import derivation
 from thinspan.syntax import (
     App, Base, Lam, Var, annotate, beta_normalize, fresh_name, is_beta_normal, parse_context,
-    parse_simple_type, parse_term, substitute,
+    parse_simple_type, parse_term, substitute, term_to_text,
 )
-from thinspan.rigidtypes import IArrow, ResourceContext, Star, canonicalize_point, point_from_json
+from thinspan.rigidtypes import (
+    IArrow, ResourceContext, Star, canonicalize_point, parse_itype, point_from_json,
+)
 from thinspan.symmetry import pos_sources_it
 from thinspan.derivation import (
     BudgetRequiredError, DerivationError, RApp, RLam, RVar,
@@ -25,8 +27,9 @@ from reference import (
 from support import (
     COPIES_IN_EVERY_ORDER, across_points, binders, bounded_seqs, built_nodes, church_point,
     clear_memos, copies_in_every_order, distinct_g_point, entry_budget, fanout_point,
-    guessed_cut_point, load_corpus, pairwise_partition, parse_entry, generated_points,
-    per_target_witnesses, point_subject, split_witnesses, symmetric_point,
+    guessed_cut_point, higher_order_cut_point, load_corpus, pairwise_partition, parse_entry,
+    generated_points, per_target_witnesses, point_subject, probed_pool, split_witnesses,
+    symmetric_point,
 )
 
 S = Star()
@@ -417,6 +420,61 @@ def test_pruned_cuts_match_the_full_listing():
     for mutant in (pool_without_its_last_type, whole_context_pool):
         lost = guessed_cut_derivations(subjects, budgets, pool=mutant)
         assert sorted(k for k in pruned if lost[k] != pruned[k]), mutant.__name__
+
+
+def pools_checked(subjects, budgets):
+    """The pools of the redexes the subjects meet at the budgets, each
+    checked, as it is computed, against probed_pool: the same types in the
+    same order."""
+    pools = []
+
+    def checked(a, ctx, aty, run):
+        pool = CUT_POOL(a, ctx, aty, run)
+        assert pool == probed_pool(a, ctx, aty, run), (term_to_text(a), run.budget)
+        pools.append(pool)
+        return pool
+
+    guessed_cut_derivations(subjects, budgets, pool=checked)
+    return pools
+
+
+def test_synthesized_pool_is_the_probed_pool():
+    assert len(pools_checked(list(guessed_cut_subjects()), (1, 2, 3, 4))) >= 100
+    for n in range(1, 7):
+        subject = (f"guessed-cut-{n}", *point_subject(*guessed_cut_point(n)))
+        pools = pools_checked([subject], (n - 1, n, 8))
+        assert set(pools) == {(), (parse_itype(f"<{','.join('*' * n)}>-o*"),)}, n
+    # an open binder as the argument of a redex inside the argument: its
+    # copies are the occurrences of the redex's binder
+    for term, point_ctx, ctx_text in (
+            ("(\\k:o->o. k y) (\\z:o. (\\w:o. g w) z)", {"g": "[[*]-o*]", "y": "[*]"},
+             "g:o->o, y:o"),
+            ("(\\k:o->o. k y) (\\z:o. (\\w:o. f w w) z)", {"f": "[[*]-o[*]-o*]", "y": "[*,*]"},
+             "f:o->o->o, y:o"),
+            ("(\\k:(o->o)->o. k g) (\\h:o->o. (\\m:o->o. m y) h)", {"g": "[[*]-o*]", "y": "[*]"},
+             "g:o->o, y:o")):
+        ctx, term, ty, point = point_subject(term, point_ctx, ctx_text)
+        assert pools_checked([(term_to_text(term), ctx, term, ty, point)], (1, 2, 3))
+        rep = verify_identities(ctx, term, point, 2)
+        assert rep.ok and rep.wrel.value == rep.report.wit_plus == 1
+    # the binder of the argument's lambda has an arrow type, so its
+    # occurrence takes any refinement of o->o the budget admits, and y's n
+    # elements bound its domain
+    for n, budgets in ((1, (3, 4, 5)), (2, (1, 2, 3))):
+        subject = (f"higher-order-cut-{n}", *point_subject(*higher_order_cut_point(n)))
+        for budget in budgets:
+            pools = pools_checked([subject], (budget,))
+            assert set(pools) == {tuple(parse_itype(f"<<{','.join('*' * m)}>-o*>-o*")
+                                        for m in range(min(n, budget) + 1))}, (n, budget)
+
+
+def test_copies_read_off_the_synthesis_match_their_enumeration(monkeypatch):
+    subjects = list(guessed_cut_subjects())
+    budgets = (1, 2, 3, 4)
+    read = guessed_cut_derivations(subjects, budgets)
+    monkeypatch.setattr(derivation, "_copy", lambda a, whole, ctx, beta, run, must:
+                        derivation._enum(a, ctx, beta, run, must))
+    assert guessed_cut_derivations(subjects, budgets) == read
 
 
 def cuts_tried(ctx, term, point, budget):

@@ -16,7 +16,10 @@ or named by the benchmark under perfbench/.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -189,3 +192,15 @@ def test_the_unbounded_caches_stay_these():
         if names:
             found[module] = names
     assert found == UNBOUNDED_CACHES
+
+
+def test_the_cli_imports_neither_fractions_nor_decimal():
+    # fractions imports decimal, which costs a few milliseconds of every
+    # start of the CLI; nothing the CLI reaches needs either
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, thinspan.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
