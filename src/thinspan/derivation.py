@@ -428,8 +428,7 @@ def witness_set(term: Term, theta: ResourceContext, alpha: IType, budget: int | 
 # order.  Binders are sequences, but for the binder of a lambda whose
 # target is open, None: its occurrences take any label the budget admits,
 # and it is never used up.  A target None is open: a spine concludes what
-# its head gives it.  An arrow target whose domain is None leaves only its
-# lambda's binder open.  A call must use up the variables in `must`; the
+# its head gives it.  A call must use up the variables in `must`; the
 # others it may leave to the subterms to its right.
 Entry = tuple[SeqType | None, SimpleType, bool]
 Ctx = dict[str, Entry]
@@ -504,11 +503,13 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType | None, run: _Run,
                 seq, t, bag = ctx[y]
                 if seq is None:
                     # the copies of an open binder are occurrences of it, so
-                    # f's binder is left open too, and the cut is the labels
-                    # its occurrences took
-                    for rf, left in _enum(f, ctx, IArrow(None, alpha), run, must):
-                        copies = tuple(RVar(y, c) for c in rt_type(rf).domain)
-                        out.append((RApp(rf, copies), left))
+                    # f's target is open too, and the cut is the domain of
+                    # the type f concludes
+                    for rf, left in _enum(f, ctx, None, run, must):
+                        ft = rt_type(rf)
+                        if alpha is None or ft.codomain is alpha:
+                            copies = tuple(RVar(y, c) for c in ft.domain)
+                            out.append((RApp(rf, copies), left))
                     return out
                 if bag:
                     # the copies take an ordered pick of y's bag, and f

@@ -276,9 +276,10 @@ def test_higher_order_cut_at_budget_7_in_bounded_memory():
 
 
 def test_a_budget_too_large_for_memory_is_an_input_error():
-    # budget 100,000 lists the sequences of * up to that length as cut
-    # refinements of o->o, which a child capped at 512 MB of address space
-    # cannot hold; it says so and exits 1, without a traceback
+    # budget 100,000 lists the 100,001 cut sequences, up to that length,
+    # over the one type [*]-o* the argument's copies conclude, which a
+    # child capped at 512 MB of address space cannot hold; it says so and
+    # exits 1, without a traceback
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 

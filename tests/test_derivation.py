@@ -452,7 +452,13 @@ def test_synthesized_pool_is_the_probed_pool():
             ("(\\k:o->o. k y) (\\z:o. (\\w:o. f w w) z)", {"f": "[[*]-o[*]-o*]", "y": "[*,*]"},
              "f:o->o->o, y:o"),
             ("(\\k:(o->o)->o. k g) (\\h:o->o. (\\m:o->o. m y) h)", {"g": "[[*]-o*]", "y": "[*]"},
-             "g:o->o, y:o")):
+             "g:o->o, y:o"),
+            # and the function part is a redex, not a lambda, whose body
+            # concludes what the open binder's copies lead to
+            ("(\\k:o->o. k c) (\\y:o. (\\x:o->o. x) g y)", {"g": "[[*]-o*]", "c": "[*]"},
+             "g:o->o, c:o"),
+            ("(\\k:o->o. k c) (\\y:o. (\\x:o. g) b y)", {"g": "[[*]-o*]", "c": "[*]", "b": "[]"},
+             "g:o->o, c:o, b:o")):
         ctx, term, ty, point = point_subject(term, point_ctx, ctx_text)
         assert pools_checked([(term_to_text(term), ctx, term, ty, point)], (1, 2, 3))
         rep = verify_identities(ctx, term, point, 2)
