@@ -15,7 +15,7 @@ tests/reference.py.
 from .syntax import (
     ParseError, TypeCheckError, TypingContext,
     annotate, beta_normalize, parse_context, parse_simple_type, parse_term,
-    term_to_text, type_to_text, typecheck,
+    term_to_text, type_to_text,
 )
 from .rigidtypes import (
     PointSpec, RefinementError, ResourceContext, Subject,

@@ -47,10 +47,10 @@ left open, and each of its derivations concludes the type rt_type reads
 off it.  A lambda whose target is open leaves its binder open, and each
 occurrence of an open binder takes any refinement of the binder's type of
 width at most the budget, which at base type is * alone.  The copies at a
-cut read their derivations off that synthesis instead of enumerating the
-argument again.  So no derivation the budget admits is lost, and what
-grows with the budget is the number of cuts and the labels an open binder
-of arrow type may take, not a listing of every refinement.
+cut are then enumerated at their types, like the copies of any argument.
+So no derivation the budget admits is lost, and what grows with the budget
+is the number of cuts and the labels an open binder of arrow type may
+take, not a listing of every refinement.
 
 A symmetry class's degree, the number of endomorphisms of one of its
 derivations, is counted without listing them: under a variable head the
@@ -101,7 +101,6 @@ from .interning import Node, fact
 from .syntax import (
     App, Arrow, Base, Lam, SimpleType, Subproblems, Term, TypingContext, Var,
     annotate, binder_names, free_vars, is_beta_normal, spine, term_to_text, type_to_text,
-    typecheck,
 )
 from .rigidtypes import (
     IArrow, IType, ResourceContext, SeqType, Star,
@@ -452,19 +451,6 @@ class _Run(Subproblems):
 # term's memo are strings or start with one.
 def _enum(term: Term, ctx: Ctx, alpha: IType | None, run: _Run,
           must: frozenset[str]) -> Found:
-    out = []
-    fvs = free_vars(term)
-    for r, entries in _solved(term, ctx, alpha, run, must):
-        left = dict(ctx)
-        left.update(zip(fvs, entries))
-        out.append((r, left))
-    return out
-
-
-def _solved(term: Term, ctx: Ctx, alpha: IType | None, run: _Run,
-            must: frozenset[str]) -> list[tuple[ResourceTerm, tuple[Entry, ...]]]:
-    """The subproblem _enum answers, as it is kept: each derivation with what
-    it leaves of the entries of term's free variables, in their order."""
     fvs, kept = free_vars(term), run.at(term)
     if any(ctx[x][0] for x in must if x not in fvs):
         return []
@@ -474,7 +460,12 @@ def _solved(term: Term, ctx: Ctx, alpha: IType | None, run: _Run,
         hit = kept[key] = [
             (r, tuple(left[x] for x in fvs))
             for r, left in _enum_raw(term, ctx, alpha, run, must)]
-    return hit
+    out = []
+    for r, entries in hit:
+        left = dict(ctx)
+        left.update(zip(fvs, entries))
+        out.append((r, left))
+    return out
 
 
 def _enum_raw(term: Term, ctx: Ctx, alpha: IType | None, run: _Run,
@@ -533,11 +524,10 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: IType | None, run: _Run,
                             if len(left[y][0]) == n - i:
                                 out.append((RApp(rf, copies), {**left, y: (seq[j:], t, False)}))
                 return out
-            aty = typecheck(TypingContext(tuple((x, t) for x, (_, t, _) in ctx.items())), a)
             must_f = must.difference(free_vars(a))
-            for abar in _cuts(a, ctx, aty, run):
+            for abar in _cuts(a, ctx, run):
                 for rf, left in _enum(f, ctx, IArrow(abar, alpha), run, must_f):
-                    for m, rest in _enum_multi(a, left, abar, run, must, ctx):
+                    for m, rest in _enum_multi(a, left, abar, run, must):
                         out.append((RApp(rf, m), rest))
             return out
     raise TypeError(f"not a term: {term!r}")
@@ -595,12 +585,11 @@ def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: IType | None,
     return out
 
 
-def _enum_multi(term: Term, ctx: Ctx, targets: SeqType, run: _Run, must: frozenset[str],
-                whole: Ctx | None = None) -> list[tuple[tuple[ResourceTerm, ...], Ctx]]:
-    """One copy of term per target, threaded left to right; every copy but
-    the last may leave term's free variables to the copies after it.  The
-    copies of a redex's argument, given the context at the redex as whole,
-    are read off the argument's synthesis (_copy)."""
+def _enum_multi(term: Term, ctx: Ctx, targets: SeqType, run: _Run,
+                must: frozenset[str]) -> list[tuple[tuple[ResourceTerm, ...], Ctx]]:
+    """One copy of term per target, each enumerated at its target, threaded
+    left to right; every copy but the last may leave term's free variables
+    to the copies after it."""
     if not targets:
         return [((), ctx)] if not any(ctx[x][0] for x in must) else []
     lax = must.difference(free_vars(term))
@@ -611,25 +600,23 @@ def _enum_multi(term: Term, ctx: Ctx, targets: SeqType, run: _Run, must: frozens
         # in the recursion
         step = []
         for done, left in out:
-            found = (_enum(term, left, target, run, m) if whole is None
-                     else _copy(term, whole, left, target, run, m))
-            step.extend((done + (r,), rest) for r, rest in found)
+            step.extend((done + (r,), rest) for r, rest in _enum(term, left, target, run, m))
         out = step
     return out
 
 
-def _cuts(a: Term, ctx: Ctx, aty: SimpleType, run: _Run) -> list[SeqType]:
+def _cuts(a: Term, ctx: Ctx, run: _Run) -> list[SeqType]:
     """The cuts tried at a redex whose argument a is not a variable: every
     sequence, of length at most the budget, over the types that one copy of
     a concludes (_cut_pool).  A term with a redex is enumerated only under
     a budget (cut_budget)."""
-    return _seqs(_cut_pool(a, ctx, aty, run), run.budget)
+    return _seqs(_cut_pool(a, ctx, run), run.budget)
 
 
-def _cut_pool(a: Term, ctx: Ctx, aty: SimpleType, run: _Run) -> tuple[IType, ...]:
-    """The refinements of aty, of length and width at most the budget, that
-    one copy of a concludes from some context a copy may start from, in the
-    order _bounded_refinements lists them (key_it).
+def _cut_pool(a: Term, ctx: Ctx, run: _Run) -> tuple[IType, ...]:
+    """The refinements of a's type, of length and width at most the budget,
+    that one copy of a concludes from some context a copy may start from,
+    in the order _bounded_refinements lists them (key_it).
 
     They are synthesized, not guessed: one copy of a is enumerated from
     each start with its target left open, and each derivation concludes
@@ -640,55 +627,13 @@ def _cut_pool(a: Term, ctx: Ctx, aty: SimpleType, run: _Run) -> tuple[IType, ...
     leaves does not matter.  So the starts are the whole bags with every
     choice of suffixes of a's free sequences: the binders around the redex
     and, at a rigid point, every context variable.  An open binder is no
-    sequence: its occurrences pick their labels."""
+    sequence: its occurrences pick their labels.  The synthesis only names
+    the types; each copy at a cut is enumerated at its own (_enum_multi)."""
     seqs = [x for x in free_vars(a) if not ctx[x][2] and ctx[x][0] is not None]
     starts = [{**ctx, **{x: (ctx[x][0][i:], ctx[x][1], False) for x, i in zip(seqs, skip)}}
               for skip in product(*(range(len(ctx[x][0]) + 1) for x in seqs))]
-    found = {rt_type(r) for start in starts for r, _ in _solved(a, start, None, run, frozenset())}
+    found = {rt_type(r) for start in starts for r, _ in _enum(a, start, None, run, frozenset())}
     return tuple(sorted((beta for beta in found if _within(beta, run.budget)), key=key_it))
-
-
-def _copy(a: Term, whole: Ctx, ctx: Ctx, beta: IType, run: _Run,
-          must: frozenset[str]) -> Found:
-    """The derivations of one copy of a at beta from ctx, what the function
-    part and the copies before this one left of whole, the context at the
-    redex: a's synthesis from the start that keeps ctx's sequences and
-    whole's bags, each derivation of type beta whose picks from a bag ctx
-    still holds and that uses up must, with what it leaves of ctx.  This is
-    what _enum(a, ctx, beta, run, must) finds, in its order, without
-    enumerating a again."""
-    fvs = free_vars(a)
-    if any(ctx[x][0] for x in must if x not in fvs):
-        return []
-    start = {**ctx, **{x: whole[x] for x in fvs if ctx[x][2]}}
-    out: Found = []
-    for r, entries in _solved(a, start, None, run, frozenset()):
-        if rt_type(r) is not beta:
-            continue
-        left = dict(ctx)
-        for x, (seq, t, bag) in zip(fvs, entries):
-            if bag:
-                seq = _bag_minus(ctx[x][0], _bag_minus(whole[x][0], seq))
-                if seq is None:
-                    break
-            if seq and x in must:
-                break
-            left[x] = (seq, t, bag)
-        else:
-            out.append((r, left))
-    return out
-
-
-def _bag_minus(bag: SeqType, part: SeqType) -> SeqType | None:
-    """What is left of a bag once the values of part are taken from it, or
-    None when the bag does not hold them all.  A bag keeps equal values
-    next to each other, so taking the first of them keeps its order."""
-    rest = list(bag)
-    for v in part:
-        if v not in rest:
-            return None
-        rest.remove(v)
-    return tuple(rest)
 
 
 def _within(beta: IType, budget: int) -> bool:

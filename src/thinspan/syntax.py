@@ -502,11 +502,6 @@ def _annotate(ctx: TypingContext, t: Term, expected: SimpleType | None) -> tuple
     raise TypeError(f"not a term: {t!r}")
 
 
-def typecheck(ctx: TypingContext, t: Term, expected: SimpleType | None = None) -> SimpleType:
-    _, ty = annotate(ctx, t, expected)
-    return ty
-
-
 ####################################################################
 # reduction
 

@@ -17,7 +17,7 @@ from thinspan import derivation, interning
 from thinspan.syntax import (
     App, Arrow, Base, Lam, ParseError, SimpleType, TypingContext, Var, annotate, beta_normalize,
     ensure_distinct_binders, free_vars, is_beta_normal, parse_context, parse_simple_type,
-    parse_term, spine, typecheck,
+    parse_term, spine,
 )
 from thinspan.rigidtypes import (
     IArrow, IType, PointSpec, RefinementError, ResourceContext, SeqType, Star, canonicalize_it,
@@ -237,6 +237,49 @@ def generated_points(seed: int = 20240, per_entry: int = 25):
         ctx, term, ty, _ = parse_entry(entry)
         for _ in range(per_entry):
             yield entry, ctx, term, ty, rand_point(rng, ctx, ty)
+
+
+# The small-scope sweep: every canonical point of each corpus term up to a
+# size, not a draw.
+
+def star_count(a: IType) -> int:
+    """How many stars a rigid type has, those in its domains included."""
+    return 1 if isinstance(a, Star) else sum(map(star_count, a.domain)) + star_count(a.codomain)
+
+
+def bounded_bags(t: SimpleType, m: int, n: int) -> list[SeqType]:
+    """Every bag of canonical refinements of t with at most m elements and
+    at most n stars in all, each in canonical order."""
+    pool = bounded_canonical_refinements(t, m, n)
+    return [bag for k in range(m + 1) for bag in combinations_with_replacement(pool, k)
+            if sum(map(star_count, bag)) <= n]
+
+
+@lru_cache(maxsize=None)
+def bounded_canonical_refinements(t: SimpleType, m: int, n: int) -> tuple[IType, ...]:
+    """Every canonical refinement of t with at most n stars whose domains
+    are bags of at most m elements, in key_it order."""
+    if n < 1:
+        return ()
+    if isinstance(t, Base):
+        return (Star(),)
+    return tuple(sorted((IArrow(dom, cod)
+                         for cod in bounded_canonical_refinements(t.codomain, m, n)
+                         for dom in bounded_bags(t.domain, m, n - star_count(cod))),
+                        key=key_it))
+
+
+def swept_points(n: int = 4, m: int = 4):
+    """(entry, point) for every corpus entry and every point of its term
+    where each context variable holds a bag of bounded_bags and the result
+    is a canonical refinement of the term's type, each with at most n
+    stars and domains of at most m elements."""
+    for entry in load_corpus():
+        ctx, _, ty, _ = parse_entry(entry)
+        per_var = [[(x, bag) for bag in bounded_bags(t, m, n)] for x, t in ctx]
+        for bags in product(*per_var):
+            for result in bounded_canonical_refinements(ty, m, n):
+                yield entry, PointSpec(bags, result)
 
 
 def binders(t) -> list[str]:
@@ -503,16 +546,22 @@ def bounded_seqs(t: SimpleType, budget: int) -> tuple[SeqType, ...]:
     return tuple(seq for n in range(budget + 1) for seq in product(pool, repeat=n))
 
 
-def probed_pool(a, ctx, aty, run) -> tuple[IType, ...]:
+def argument_type(a, ctx) -> SimpleType:
+    """The simple type of a redex's argument a in the enumerator's context
+    ctx, which maps each variable in scope to (entry, simple type, bag)."""
+    return annotate(TypingContext(tuple((x, t) for x, (_, t, _) in ctx.items())), a)[1]
+
+
+def probed_pool(a, ctx, run) -> tuple[IType, ...]:
     """The types a redex's copies were drawn from before they were
-    synthesized: each refinement of aty the budget admits, in the order
+    synthesized: each refinement of a's type the budget admits, in the order
     _bounded_refinements lists them, kept when one copy of a concludes it
     from some start, as derivation._cut_pool defines the starts.  An open
     binder has no suffixes to start from."""
     seqs = [x for x in free_vars(a) if not ctx[x][2] and ctx[x][0] is not None]
     starts = [{**ctx, **{x: (ctx[x][0][i:], ctx[x][1], False) for x, i in zip(seqs, skip)}}
               for skip in product(*(range(len(ctx[x][0]) + 1) for x in seqs))]
-    return tuple(beta for beta in _bounded_refinements(aty, run.budget)
+    return tuple(beta for beta in _bounded_refinements(argument_type(a, ctx), run.budget)
                  if any(derivation._enum(a, start, beta, run, frozenset()) for start in starts))
 
 
@@ -550,7 +599,7 @@ def _split_enum_raw(term, theta, alpha, budget, cache):
             if isinstance(head, Var):
                 return _split_enum_spine(head.name, args, theta, alpha, budget, cache)
             f, a = term.fn, term.arg
-            aty = typecheck(TypingContext(theta.shape()), a)
+            aty = annotate(TypingContext(theta.shape()), a)[1]
             out = []
             for th_f, th_a in brute_split_ctx(theta, [f, a]):
                 cuts = (th_a.lookup(a.name),) if isinstance(a, Var) else bounded_seqs(aty, budget)

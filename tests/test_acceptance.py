@@ -10,7 +10,9 @@ import time
 from thinspan.syntax import (
     annotate, is_beta_normal, parse_context, parse_simple_type, parse_term,
 )
-from thinspan.rigidtypes import IArrow, Star, canonicalize_point, parse_itype, point_from_json
+from thinspan.rigidtypes import (
+    IArrow, Star, canonicalize_point, parse_itype, point_from_json, point_to_json,
+)
 from thinspan.symmetry import pos_targets_it, sym_degrees_ctx, sym_degrees_it
 from thinspan.derivation import (
     RApp, RLam, RVar, count_derivation_morphisms, multiset_collapse_term,
@@ -23,7 +25,9 @@ from reference import (
     compose_dm, compose_it, enumerate_derivation_morphisms, identity_dm, identity_it, invert_dm,
     invert_it, is_negative_it, is_positive_it, polar_factorize_it, src_it, tgt_it,
 )
-from support import entry_budget, load_corpus, parse_entry, rand_canonical, rand_reorder, rand_stype
+from support import (
+    entry_budget, load_corpus, parse_entry, rand_canonical, rand_reorder, rand_stype, swept_points,
+)
 
 S = Star()
 CORPUS = load_corpus()
@@ -77,6 +81,49 @@ def test_identity_battery_over_corpus():
     assert elapsed < 60.0
     print(f"PASS identity battery: {len(CORPUS)} corpus points, "
           f"every check green ({elapsed:.2f}s)")
+
+
+# the one swept point whose cut needs more than its entry's budget 2: the
+# copy of `\x:o. g x` concludes <*,*,*>-o*, a cut of width 3
+SHORT_OF_ITS_BUDGET = ("lambda-argument-redex",
+                       {"ctx": {"g": "[[*,*,*]-o*]", "y": "[*,*,*]"}, "type": "*"})
+
+
+def test_identity_battery_over_the_small_scope_sweep():
+    started = time.monotonic()
+    points = nonzero = 0
+    short = []
+    for entry, point in swept_points(4, 4):
+        ctx, term, ty, _ = parse_entry(entry)
+        rep = verify_identities(ctx, term, point, entry_budget(entry))
+        points += 1
+        nonzero += rep.wrel.value != 0
+        if not rep.ok:
+            assert rep.incomplete, (entry["name"], point_to_json(point))
+            short.append((entry["name"], point_to_json(point)))
+    elapsed = time.monotonic() - started
+    assert short == [SHORT_OF_ITS_BUDGET], short
+    assert (points, nonzero) == (4710, 105)
+    print(f"PASS small-scope sweep: {points} points, {nonzero} non-zero, every one ok "
+          f"but one incomplete under its budget ({elapsed:.2f}s)")
+
+
+def test_eta_reduct_counts_alike_over_the_sweep():
+    eta, reduct = "f (\\x:o. g x)", parse_term("f g")
+    compared = nonzero = 0
+    for entry, point in swept_points(4, 4):
+        if entry["ctx"] != "f:(o->o)->o, g:o->o":
+            continue
+        assert entry["term"] == eta
+        ctx, term, ty, _ = parse_entry(entry)
+        counts = [(rep.wrel.value, rep.report.wit_plus, len(rep.report.classes), rep.ok)
+                  for rep in (verify_identities(ctx, t, point) for t in (term, reduct))]
+        assert counts[0] == counts[1], point_to_json(point)
+        compared += 1
+        nonzero += counts[0][0] != 0
+    assert (compared, nonzero) == (192, 7)
+    print(f"PASS eta: f (\\x:o. g x) and f g agree at {compared} swept points, "
+          f"{nonzero} non-zero")
 
 
 def test_degrees_factor_into_polarized_parts():

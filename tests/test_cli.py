@@ -433,6 +433,16 @@ def test_multiset_without_an_opening_bracket_is_an_input_error(tmp_path):
             "error: unbracketed: expected '[' or '<' at position 0 in type notation"), res.stderr
 
 
+def test_a_chain_170_deep_verifies():
+    # under the default recursion limit, verify reaches about 190 nested
+    # applications from the command line and about 188 here, under pytest
+    term, point_ctx, ctx = chain_point(170)
+    res = run("verify", "--ctx", ctx, "--term", term, "--point",
+              json.dumps({"ctx": point_ctx, "type": "*"}))
+    assert res.exit_code == 0, res.output
+    assert res.output.startswith("PASS"), res.output
+
+
 def test_deeply_nested_term_is_an_input_error():
     term, point_ctx, ctx = chain_point(400)
     point = json.dumps({"ctx": point_ctx, "type": "*"})

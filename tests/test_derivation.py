@@ -28,8 +28,8 @@ from support import (
     COPIES_IN_EVERY_ORDER, across_points, binders, bounded_seqs, built_nodes, church_point,
     clear_memos, copies_in_every_order, distinct_g_point, entry_budget, fanout_point,
     guessed_cut_point, higher_order_cut_point, load_corpus, pairwise_partition, parse_entry,
-    generated_points, per_target_witnesses, point_subject, probed_pool, split_witnesses,
-    symmetric_point,
+    argument_type, generated_points, per_target_witnesses, point_subject, probed_pool,
+    split_witnesses, symmetric_point,
 )
 
 S = Star()
@@ -337,19 +337,19 @@ def test_candidate_cuts_respect_budget():
 CUT_POOL = derivation._cut_pool
 
 
-def full_cut_listing(a, ctx, aty, run):
-    return bounded_seqs(aty, run.budget)
+def full_cut_listing(a, ctx, run):
+    return bounded_seqs(argument_type(a, ctx), run.budget)
 
 
-def whole_context_pool(a, ctx, aty, run):
+def whole_context_pool(a, ctx, run):
     """A pool pruned against the whole context alone, which misses the types
     a copy concludes from a suffix of a sequence only."""
-    return tuple(beta for beta in _bounded_refinements(aty, run.budget)
+    return tuple(beta for beta in _bounded_refinements(argument_type(a, ctx), run.budget)
                  if derivation._enum(a, ctx, beta, run, frozenset()))
 
 
-def pool_without_its_last_type(a, ctx, aty, run):
-    return CUT_POOL(a, ctx, aty, run)[:-1]
+def pool_without_its_last_type(a, ctx, run):
+    return CUT_POOL(a, ctx, run)[:-1]
 
 
 def guessed_cut_subjects():
@@ -428,9 +428,9 @@ def pools_checked(subjects, budgets):
     same order."""
     pools = []
 
-    def checked(a, ctx, aty, run):
-        pool = CUT_POOL(a, ctx, aty, run)
-        assert pool == probed_pool(a, ctx, aty, run), (term_to_text(a), run.budget)
+    def checked(a, ctx, run):
+        pool = CUT_POOL(a, ctx, run)
+        assert pool == probed_pool(a, ctx, run), (term_to_text(a), run.budget)
         pools.append(pool)
         return pool
 
@@ -472,15 +472,6 @@ def test_synthesized_pool_is_the_probed_pool():
             pools = pools_checked([subject], (budget,))
             assert set(pools) == {tuple(parse_itype(f"<<{','.join('*' * m)}>-o*>-o*")
                                         for m in range(min(n, budget) + 1))}, (n, budget)
-
-
-def test_copies_read_off_the_synthesis_match_their_enumeration(monkeypatch):
-    subjects = list(guessed_cut_subjects())
-    budgets = (1, 2, 3, 4)
-    read = guessed_cut_derivations(subjects, budgets)
-    monkeypatch.setattr(derivation, "_copy", lambda a, whole, ctx, beta, run, must:
-                        derivation._enum(a, ctx, beta, run, must))
-    assert guessed_cut_derivations(subjects, budgets) == read
 
 
 def cuts_tried(ctx, term, point, budget):

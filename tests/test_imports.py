@@ -79,6 +79,39 @@ def test_no_query_module_reaches_the_listings():
     assert not reached, reached
 
 
+# The three counting paths stay independent: the coefficient recursion
+# (wrel) reads nothing the witness enumeration, the degrees or the collapse
+# compute, and neither the enumeration nor the degrees read the
+# coefficient.  The triple count is the check on the degrees, so it reads
+# no degree and no class's endomorphism count.
+PATHS_APART = {
+    "wrel": {"derivation", "symmetry", "collapse"},
+    "derivation": {"wrel"},
+    "symmetry": {"wrel"},
+}
+DEGREE_READS = {"total", "positive", "negative", "class_endos"}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The thinspan modules a module imports from, or imports whole."""
+    found = set()
+    for source, name, _ in imports(tree):
+        for module in (source, f"{source}.{name}".lstrip(".")):
+            if module.startswith("thinspan."):
+                found.add(module.split(".")[1])
+    return found
+
+
+def test_the_counting_paths_stay_apart():
+    crossed = {module: sorted(imported_modules(parse(module)) & apart)
+               for module, apart in PATHS_APART.items()}
+    assert not any(crossed.values()), crossed
+    [esp] = [node for node in parse("collapse").body
+             if isinstance(node, ast.FunctionDef) and node.name == "esp_explicit"]
+    read = {n.attr for n in ast.walk(esp) if isinstance(n, ast.Attribute)}
+    assert "witnesses" in read and not read & DEGREE_READS, sorted(read & DEGREE_READS)
+
+
 def definitions(tree: ast.Module):
     """A module's top-level functions and classes, and its classes' methods
     but the dunders."""
@@ -131,7 +164,7 @@ EXPORTS = {
     "parse_itype", "parse_mit", "parse_mset", "parse_simple_type", "parse_term",
     "partition_by_symmetry", "point_from_json", "positive_witnesses", "prepare",
     "resource_to_text", "rt_context", "rt_type", "sym_degrees_ctx", "sym_degrees_it",
-    "term_to_text", "type_to_text", "typecheck", "verify_identities", "weight_by_classes",
+    "term_to_text", "type_to_text", "verify_identities", "weight_by_classes",
     "wrel_coefficient",
 }
 
