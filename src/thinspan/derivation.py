@@ -38,19 +38,22 @@ finds the derivations at every rigid context a negative morphism reaches
 from it, and each derivation's context is read off its labels.  Binders
 stay sequences.
 
-At a redex whose argument is not a variable, the cut, the sequence of
-types the argument's copies conclude, is guessed within the budget: the
-sequences of length at most the budget over the types, of width at most
-the budget, that one copy of the argument concludes (_cut_pool).  Those
-types are synthesized, not guessed: one copy is enumerated with its target
-left open, and each of its derivations concludes the type rt_type reads
-off it.  A lambda whose target is open leaves its binder open, and each
-occurrence of an open binder takes any refinement of the binder's type of
-width at most the budget, which at base type is * alone.  The copies at a
-cut are then enumerated at their types, like the copies of any argument.
-So no derivation the budget admits is lost, and what grows with the budget
-is the number of cuts and the labels an open binder of arrow type may
-take, not a listing of every refinement.
+At a redex (\\x. M) N the cut, the sequence of types N's copies conclude,
+is not guessed: it is read off the function part, as the app rule reads
+it.  The function part is enumerated once, at a cut target, whose lambda
+gives x an open entry: each occurrence of x takes any type one copy of N
+concludes (_cut_pool), and the labels of the occurrences, the domain of
+the type the function part concludes, are the cut.  Those types are
+synthesized: one copy of N is enumerated with its target left open, and
+each of its derivations concludes the type rt_type reads off it.  A lambda
+whose target is open leaves its binder open too, and each occurrence of it
+takes any refinement of its type of width at most the budget, which at
+base type is * alone.  The copies at the cut are then enumerated at their
+types, like the copies of any argument.  The budget bounds the cut's
+length and its types' width, unless N is a variable, whose copies take
+its labels, whatever their number and width.  So no derivation the budget
+admits is lost, and only the labels an open binder of arrow type may take
+grow with the budget.
 
 A symmetry class's degree, the number of endomorphisms of one of its
 derivations, is counted without listing them: under a variable head the
@@ -96,6 +99,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .interning import Node, fact
 from .syntax import (
@@ -356,9 +360,8 @@ def enumerate_witnesses(ctx: TypingContext, term: Term, theta: ResourceContext,
     Otherwise a budget is required, bounded_at is that budget, and the
     result contains at least the derivations all of whose cut types (the
     sequence types introduced at redexes) have length and width at most
-    the budget; of those, only types some copy of the argument concludes
-    are tried.  The cut on a bare-variable argument is a window of that
-    variable's remaining elements, of any length, whatever the budget.
+    the budget.  The cut on a bare-variable argument takes that variable's
+    labels, of any length and width, whatever the budget.
     """
     term = _checked_term(ctx, term, theta, alpha)
     bounded_at = cut_budget(term, budget)
@@ -422,16 +425,29 @@ def witness_set(term: Term, theta: ResourceContext, alpha: IType, budget: int | 
 # the occurrences consume it: each call takes what the subterms to its left
 # did not consume, and returns every derivation paired with what it leaves
 # in turn.  A context maps each variable in scope to its entry: what is
-# left of it, its simple type, and whether it is a bag, whose values the
-# occurrences take in any order, or a sequence, which they consume in
-# order.  Binders are sequences, but for the binder of a lambda whose
-# target is open, None: its occurrences take any label the budget admits,
-# and it is never used up.  A target None is open: a spine concludes what
-# its head gives it.  A call must use up the variables in `must`; the
-# others it may leave to the subterms to its right.
-Entry = tuple[SeqType | None, SimpleType, bool]
+# left of it, its simple type, and its kind: a bag (True), whose values the
+# occurrences take in any order; a sequence (False), which they consume in
+# order; or open (None), labels the occurrences take any of, any number of
+# times, which is never used up.  Binders are sequences, but a lambda whose
+# target is a cut or open leaves its binder open.  A target is a rigid
+# type; a cut (_Cut), at a redex's function part; or None, open: a spine
+# concludes what its head gives it.  A call must use up the variables in
+# `must`; the others it may leave to the subterms to its right.
+Entry = tuple[SeqType, SimpleType, bool | None]
 Ctx = dict[str, Entry]
 Found = list[tuple[ResourceTerm, Ctx]]
+
+
+class _Cut(NamedTuple):
+    """The target of a redex's function part: an arrow from the cut to the
+    redex's own target, result.  The lambda's binder takes the types in
+    pool, those one copy of the argument concludes, and the labels of its
+    occurrences are the cut."""
+    pool: tuple[IType, ...]
+    result: Target
+
+
+Target = IType | _Cut | None
 
 
 class _Run(Subproblems):
@@ -449,7 +465,7 @@ class _Run(Subproblems):
 # term's free variables, target, budget, which of them must be used up), as
 # a list of (derivation, what it leaves of each entry); the other keys in a
 # term's memo are strings or start with one.
-def _enum(term: Term, ctx: Ctx, alpha: IType | None, run: _Run,
+def _enum(term: Term, ctx: Ctx, alpha: Target, run: _Run,
           must: frozenset[str]) -> Found:
     fvs, kept = free_vars(term), run.at(term)
     if any(ctx[x][0] for x in must if x not in fvs):
@@ -468,75 +484,47 @@ def _enum(term: Term, ctx: Ctx, alpha: IType | None, run: _Run,
     return out
 
 
-def _enum_raw(term: Term, ctx: Ctx, alpha: IType | None, run: _Run,
+def _enum_raw(term: Term, ctx: Ctx, alpha: Target, run: _Run,
               must: frozenset[str]) -> Found:
     match term:
         case Lam(x, b, ann):
             assert ann is not None
-            if alpha is None:
-                # an open target leaves the binder open too
-                inner, body_alpha = {**ctx, x: (None, ann, False)}, None
-            elif isinstance(alpha, IArrow):
-                inner, body_alpha = {**ctx, x: (alpha.domain, ann, False)}, alpha.codomain
+            if isinstance(alpha, IArrow):
+                entry, body_alpha, must = (alpha.domain, ann, False), alpha.codomain, must | {x}
+            elif isinstance(alpha, _Cut):
+                entry, body_alpha = (alpha.pool, ann, None), alpha.result
+            elif alpha is None:
+                entry, body_alpha = (_bounded_refinements(ann, run.budget), ann, None), None
             else:
                 return []
             return [(RLam(x, r, ann), left)
-                    for r, left in _enum(b, inner, body_alpha, run, must | {x})]
+                    for r, left in _enum(b, {**ctx, x: entry}, body_alpha, run, must)]
         case Var(_) | App(_, _):
             head, args = spine(term)
             if isinstance(head, Var):
                 return _enum_spine(head.name, args, ctx, alpha, run, must)
             assert isinstance(term, App)
+            # the function part's binder takes the types one copy of the
+            # argument concludes, and its occurrences' labels are the cut
             f, a = term.fn, term.arg
             out: Found = []
-            if isinstance(a, Var):
-                y = a.name
-                seq, t, bag = ctx[y]
-                if seq is None:
-                    # the copies of an open binder are occurrences of it, so
-                    # f's target is open too, and the cut is the domain of
-                    # the type f concludes
-                    for rf, left in _enum(f, ctx, None, run, must):
-                        ft = rt_type(rf)
-                        if alpha is None or ft.codomain is alpha:
-                            copies = tuple(RVar(y, c) for c in ft.domain)
-                            out.append((RApp(rf, copies), left))
-                    return out
-                if bag:
-                    # the copies take an ordered pick of y's bag, and f
-                    # runs on what they leave of it
-                    cuts = _bag_cuts(seq, t)
-                    if y in must and y not in free_vars(f):
-                        cuts = [(cut, rest) for cut, rest in cuts if not rest]
-                    for cut, rest in cuts:
-                        copies = tuple(RVar(y, c) for c in cut)
-                        for rf, left in _enum(f, {**ctx, y: (rest, t, True)},
-                                              IArrow(cut, alpha), run, must):
-                            out.append((RApp(rf, copies), left))
-                    return out
-                # each copy of a bare variable consumes one element, so the
-                # cut is the window seq[i:j] of what f leaves of it
-                n, must_f = len(seq), must - {y}
-                for i in range(n + 1) if y in free_vars(f) else (0,):
-                    for j in (n,) if y in must else range(i, n + 1):
-                        copies = tuple(RVar(y, c) for c in seq[i:j])
-                        for rf, left in _enum(f, ctx, IArrow(seq[i:j], alpha), run, must_f):
-                            if len(left[y][0]) == n - i:
-                                out.append((RApp(rf, copies), {**left, y: (seq[j:], t, False)}))
-                return out
-            must_f = must.difference(free_vars(a))
-            for abar in _cuts(a, ctx, run):
-                for rf, left in _enum(f, ctx, IArrow(abar, alpha), run, must_f):
-                    for m, rest in _enum_multi(a, left, abar, run, must):
+            for rf, left in _enum(f, ctx, _Cut(_cut_pool(a, ctx, run), alpha), run,
+                                  must.difference(free_vars(a))):
+                cut = rt_type(rf).domain
+                if isinstance(a, Var) or len(cut) <= run.budget:
+                    for m, rest in _enum_multi(a, left, cut, run, must):
                         out.append((RApp(rf, m), rest))
             return out
     raise TypeError(f"not a term: {term!r}")
 
 
-def _takes(seq: SeqType, t: SimpleType, bag: bool) -> list[tuple[IType, SeqType]]:
+def _takes(seq: SeqType, t: SimpleType, bag: bool | None) -> list[tuple[IType, SeqType]]:
     """The labels one occurrence may take from an entry, each with what it
-    leaves: a sequence's first element; or any distinct value of a bag,
-    labelled by any of its negative targets."""
+    leaves: a sequence's first element; any distinct value of a bag,
+    labelled by any of its negative targets; or any label of an open entry,
+    which it leaves as it is."""
+    if bag is None:
+        return [(label, seq) for label in seq]
     if not bag:
         return [(seq[0], seq[1:])] if seq else []
     return [(label, seq[:i] + seq[i + 1:])
@@ -544,29 +532,23 @@ def _takes(seq: SeqType, t: SimpleType, bag: bool) -> list[tuple[IType, SeqType]
             for label in neg_targets_it(v, t)]
 
 
-def _bag_cuts(bag: SeqType, t: SimpleType) -> list[tuple[SeqType, SeqType]]:
-    """Every ordered pick of labels from a bag, one take after another, with
-    what it leaves of the bag."""
-    out = frontier = [((), bag)]
-    while frontier:
-        frontier = [(cut + (label,), left) for cut, rest in frontier
-                    for label, left in _takes(rest, t, True)]
-        out = out + frontier
-    return out
+def _fits(beta: IType, alpha: Target) -> bool:
+    """Whether a spine concluding beta meets its target: an open target any
+    type, a cut an arrow whose domain draws on its pool and whose codomain
+    fits its result, and a rigid type itself alone."""
+    if isinstance(alpha, _Cut):
+        return (isinstance(beta, IArrow) and all(b in alpha.pool for b in beta.domain)
+                and _fits(beta.codomain, alpha.result))
+    return alpha is None or beta == alpha
 
 
-def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: IType | None,
+def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: Target,
                 run: _Run, must: frozenset[str]) -> Found:
     seq, t, bag = ctx[name]
-    if seq is None:
-        # an open binder's occurrence takes any label the budget admits
-        takes = [(label, None) for label in _bounded_refinements(t, run.budget)]
-    elif not args and name in must and len(seq) > 1:
+    if not args and name in must and len(seq) > 1:
         return []
-    else:
-        takes = _takes(seq, t, bag)
     out: Found = []
-    for label, rest in takes:
+    for label, rest in _takes(seq, t, bag):
         doms: list[SeqType] = []
         cur: IType = label
         for _ in args:
@@ -574,7 +556,7 @@ def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: IType | None,
                 break
             doms.append(cur.domain)
             cur = cur.codomain
-        if len(doms) < len(args) or alpha is not None and cur != alpha:
+        if len(doms) < len(args) or not _fits(cur, alpha):
             continue
         found: Found = [(RVar(name, label), {**ctx, name: (rest, t, bag)})]
         for j, (arg, dom) in enumerate(zip(args, doms)):
@@ -605,18 +587,12 @@ def _enum_multi(term: Term, ctx: Ctx, targets: SeqType, run: _Run,
     return out
 
 
-def _cuts(a: Term, ctx: Ctx, run: _Run) -> list[SeqType]:
-    """The cuts tried at a redex whose argument a is not a variable: every
-    sequence, of length at most the budget, over the types that one copy of
-    a concludes (_cut_pool).  A term with a redex is enumerated only under
-    a budget (cut_budget)."""
-    return _seqs(_cut_pool(a, ctx, run), run.budget)
-
-
 def _cut_pool(a: Term, ctx: Ctx, run: _Run) -> tuple[IType, ...]:
-    """The refinements of a's type, of length and width at most the budget,
-    that one copy of a concludes from some context a copy may start from,
-    in the order _bounded_refinements lists them (key_it).
+    """The labels of the binder of a redex whose argument is a: the
+    refinements of a's type that one copy of a concludes from some context a
+    copy may start from, in the order _bounded_refinements lists them
+    (key_it), of width at most the budget unless a is a variable, whose
+    copies take its labels whatever the budget.
 
     They are synthesized, not guessed: one copy of a is enumerated from
     each start with its target left open, and each derivation concludes
@@ -628,12 +604,14 @@ def _cut_pool(a: Term, ctx: Ctx, run: _Run) -> tuple[IType, ...]:
     choice of suffixes of a's free sequences: the binders around the redex
     and, at a rigid point, every context variable.  An open binder is no
     sequence: its occurrences pick their labels.  The synthesis only names
-    the types; each copy at a cut is enumerated at its own (_enum_multi)."""
-    seqs = [x for x in free_vars(a) if not ctx[x][2] and ctx[x][0] is not None]
+    the types; each copy at the cut is enumerated at its own (_enum_multi)."""
+    seqs = [x for x in free_vars(a) if ctx[x][2] is False]
     starts = [{**ctx, **{x: (ctx[x][0][i:], ctx[x][1], False) for x, i in zip(seqs, skip)}}
               for skip in product(*(range(len(ctx[x][0]) + 1) for x in seqs))]
     found = {rt_type(r) for start in starts for r, _ in _enum(a, start, None, run, frozenset())}
-    return tuple(sorted((beta for beta in found if _within(beta, run.budget)), key=key_it))
+    if not isinstance(a, Var):
+        found = {beta for beta in found if _within(beta, run.budget)}
+    return tuple(sorted(found, key=key_it))
 
 
 def _within(beta: IType, budget: int) -> bool:
@@ -646,20 +624,15 @@ def _within(beta: IType, budget: int) -> bool:
 @lru_cache(maxsize=None)
 def _bounded_refinements(t: SimpleType, budget: int) -> tuple[IType, ...]:
     """The refinements of t whose sequences have length at most the budget:
-    the labels an occurrence of an open binder may take."""
+    the labels of a binder whose lambda's target is open."""
     match t:
         case Base():
             return (Star(),)
         case Arrow(td, tc):
-            return tuple(IArrow(s, c)
-                         for s in _seqs(_bounded_refinements(td, budget), budget)
+            pool = _bounded_refinements(td, budget)
+            return tuple(IArrow(s, c) for n in range(budget + 1) for s in product(pool, repeat=n)
                          for c in _bounded_refinements(tc, budget))
     raise TypeError(f"not a simple type: {t!r}")
-
-
-def _seqs(pool: tuple[IType, ...], budget: int) -> list[SeqType]:
-    """Every sequence over pool of length at most the budget."""
-    return [seq for n in range(budget + 1) for seq in product(pool, repeat=n)]
 
 
 ####################################################################

@@ -276,10 +276,30 @@ def test_higher_order_cut_at_budget_7_in_bounded_memory():
 
 
 def test_a_budget_too_large_for_memory_is_an_input_error():
-    # budget 100,000 lists the 100,001 cut sequences, up to that length,
-    # over the one type [*]-o* the argument's copies conclude, which a
-    # child capped at 512 MB of address space cannot hold; it says so and
-    # exits 1, without a traceback
+    # at budget 100,000 the binder h of o->o takes each of the 100,001
+    # refinements of its type that the budget admits, which a child capped
+    # at 512 MB of address space cannot hold; it says so and exits 1,
+    # without a traceback
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    term, point_ctx = higher_order_cut_point()
+    src = Path(thinspan.__file__).resolve().parent.parent
+    res = subprocess.run(
+        [sys.executable, "-m", "thinspan.cli", "verify", "--ctx", "g:o->o, y:o",
+         "--term", term, "--point", json.dumps({"ctx": point_ctx, "type": "*"}),
+         "--budget", "100000"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert "error: (cli): the query ran out of memory; try a smaller budget" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_a_huge_budget_over_a_first_order_cut_passes():
+    # the binder k takes the one type [*]-o* its argument concludes, and
+    # the cut is read off k's occurrences, so no cut up to the budget's
+    # length is listed
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
@@ -291,9 +311,8 @@ def test_a_budget_too_large_for_memory_is_an_input_error():
          "--budget", "100000"],
         capture_output=True, text=True, timeout=60, preexec_fn=cap,
         env={**os.environ, "PYTHONPATH": str(src)})
-    assert res.returncode == 1, res.stdout + res.stderr
-    assert "error: (cli): the query ran out of memory; try a smaller budget" in res.stderr
-    assert "Traceback" not in res.stderr
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.startswith("PASS"), res.stdout
 
 
 def test_verify_mixed_corpus(tmp_path):

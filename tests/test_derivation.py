@@ -329,16 +329,21 @@ def test_candidate_cuts_respect_budget():
         assert len(ds) == 1, budget
 
 
-# The cuts a redex tries: the sequences over the types one copy of its
-# argument concludes.  The full listing of the budget's sequence types is
-# their oracle: the two must give the same derivations, in bags and in
-# sequences.
+# The pool a redex's function part draws its cut from: the types one copy
+# of its argument concludes.  Every refinement of the argument's type that
+# the budget admits is its oracle, through which the function part tries
+# every cut the budget admits: the two must give the same derivations, in
+# bags and in sequences.
 
 CUT_POOL = derivation._cut_pool
 
 
-def full_cut_listing(a, ctx, run):
-    return bounded_seqs(argument_type(a, ctx), run.budget)
+def full_pool(a, ctx, run):
+    """Every refinement of a's type the budget admits; a variable's pool,
+    every label it may take, whatever the budget, is the real one."""
+    if isinstance(a, Var):
+        return CUT_POOL(a, ctx, run)
+    return _bounded_refinements(argument_type(a, ctx), run.budget)
 
 
 def whole_context_pool(a, ctx, run):
@@ -384,14 +389,13 @@ def guessed_cut_subjects():
          "type": "[[*]-o[*]-o*,[]-o[]-o*]-o*"}, ctx, ty)
 
 
-def guessed_cut_derivations(subjects, budgets, pool=None, cuts=None):
+def guessed_cut_derivations(subjects, budgets, pool=None):
     """{(label, budget): (derivations from the bags at each positive source,
     derivations at each rigid point they reach)}, computed afresh with the
-    pool or the cut listing given, or the enumerator's own."""
+    pool given, or the enumerator's own."""
     clear_memos()
-    saved = derivation._cut_pool, derivation._cuts
-    derivation._cut_pool = pool or saved[0]
-    derivation._cuts = cuts or saved[1]
+    saved = derivation._cut_pool
+    derivation._cut_pool = pool or saved
     try:
         out = {}
         for label, ctx, term, ty, point in subjects:
@@ -402,7 +406,7 @@ def guessed_cut_derivations(subjects, budgets, pool=None, cuts=None):
                 out[label, budget] = bags, per_target_witnesses(ctx, term, gamma, a, budget)
         return out
     finally:
-        derivation._cut_pool, derivation._cuts = saved
+        derivation._cut_pool = saved
         clear_memos()
 
 
@@ -410,7 +414,7 @@ def test_pruned_cuts_match_the_full_listing():
     subjects = list(guessed_cut_subjects())
     budgets = (1, 2, 3, 4)
     pruned = guessed_cut_derivations(subjects, budgets)
-    assert pruned == guessed_cut_derivations(subjects, budgets, cuts=full_cut_listing)
+    assert pruned == guessed_cut_derivations(subjects, budgets, pool=full_pool)
     found = {label: sum(len(bags) for bags in pruned[label, 4][0]) for label, *_ in subjects}
     assert found["copies-down-a-sequence"] == found["copies-down-a-binder"] == 2, found
     assert found["binder-in-argument"] == found["lambda-argument-redex"] == 1, found
@@ -423,15 +427,17 @@ def test_pruned_cuts_match_the_full_listing():
 
 
 def pools_checked(subjects, budgets):
-    """The pools of the redexes the subjects meet at the budgets, each
-    checked, as it is computed, against probed_pool: the same types in the
-    same order."""
+    """The pools of the redexes whose argument is not a variable that the
+    subjects meet at the budgets, each checked, as it is computed, against
+    probed_pool: the same types in the same order.  A variable's pool is
+    every label it may take, which the budget does not bound."""
     pools = []
 
     def checked(a, ctx, run):
         pool = CUT_POOL(a, ctx, run)
-        assert pool == probed_pool(a, ctx, run), (term_to_text(a), run.budget)
-        pools.append(pool)
+        if not isinstance(a, Var):
+            assert pool == probed_pool(a, ctx, run), (term_to_text(a), run.budget)
+            pools.append(pool)
         return pool
 
     guessed_cut_derivations(subjects, budgets, pool=checked)
@@ -458,7 +464,11 @@ def test_synthesized_pool_is_the_probed_pool():
             ("(\\k:o->o. k c) (\\y:o. (\\x:o->o. x) g y)", {"g": "[[*]-o*]", "c": "[*]"},
              "g:o->o, c:o"),
             ("(\\k:o->o. k c) (\\y:o. (\\x:o. g) b y)", {"g": "[[*]-o*]", "c": "[*]", "b": "[]"},
-             "g:o->o, c:o, b:o")):
+             "g:o->o, c:o, b:o"),
+            # the function part of the inner redex is itself a redex, whose
+            # argument g is taken from a bag: the copies conclude <>-o*
+            ("(\\k:o->o. k c) (\\z:o. (\\x:o->o. x) g y)", {"g": "[[*]-o*]", "y": "[*]", "c": "[]"},
+             "g:o->o, y:o, c:o")):
         ctx, term, ty, point = point_subject(term, point_ctx, ctx_text)
         assert pools_checked([(term_to_text(term), ctx, term, ty, point)], (1, 2, 3))
         rep = verify_identities(ctx, term, point, 2)
@@ -474,22 +484,23 @@ def test_synthesized_pool_is_the_probed_pool():
                                         for m in range(min(n, budget) + 1))}, (n, budget)
 
 
-def cuts_tried(ctx, term, point, budget):
-    """The verified report of a subject, computed afresh, and the number of
-    cuts tried at each guessed cut."""
-    tried = []
+def pools_tried(ctx, term, point, budget):
+    """The verified report of a subject, computed afresh, and the pool of
+    each redex whose argument is not a variable."""
+    pools = []
 
-    def counted(*args):
-        cuts = cut_listing(*args)
-        tried.append(len(cuts))
-        return cuts
+    def recorded(a, ctx, run):
+        pool = cut_pool(a, ctx, run)
+        if not isinstance(a, Var):
+            pools.append(pool)
+        return pool
 
     clear_memos()
-    cut_listing, derivation._cuts = derivation._cuts, counted
+    cut_pool, derivation._cut_pool = derivation._cut_pool, recorded
     try:
-        return verify_identities(ctx, term, point, budget), tried
+        return verify_identities(ctx, term, point, budget), pools
     finally:
-        derivation._cuts = cut_listing
+        derivation._cut_pool = cut_pool
 
 
 def listed(budget, pool):
@@ -502,23 +513,60 @@ def test_guessed_cut_family_tries_one_type():
     for n in range(1, 7):
         ctx, term, _, point = point_subject(*guessed_cut_point(n))
         for budget in (n, 8):
-            rep, tried = cuts_tried(ctx, term, point, budget)
+            rep, pools = pools_tried(ctx, term, point, budget)
             assert rep.ok and rep.wrel.value == rep.report.wit_plus == 1, (n, budget)
-            # the cut <[*^n]-o*> over the pool of that one type, not every
-            # sequence of the budget's refinements of o->o
-            assert tried == [budget + 1], (n, budget, tried)
-        # below budget n no copy concludes a type the budget admits, so only
-        # the empty cut is tried, and the shortfall shows
-        rep, tried = cuts_tried(ctx, term, point, n - 1)
-        assert rep.incomplete and rep.report.wit_plus == 0 and tried == [1], n
-    # the full listing tried every sequence over the b + 1 refinements of o->o
+            # the binder takes the one type [*^n]-o*, not every refinement
+            # of o->o the budget admits
+            assert pools == [(parse_itype(f"<{','.join('*' * n)}>-o*"),)], (n, budget, pools)
+        # below budget n no copy concludes a type the budget admits, so the
+        # pool is empty, and the shortfall shows
+        rep, pools = pools_tried(ctx, term, point, n - 1)
+        assert rep.incomplete and rep.report.wit_plus == 0 and pools == [()], n
+    # a full listing would try every sequence over the b + 1 refinements of
+    # o->o
     assert all(len(_bounded_refinements(o_o, b)) == b + 1 for b in (2, 3, 4, 6, 8))
     assert [listed(b, b + 1) for b in (2, 3, 4, 6, 8)] == [13, 85, 781, 137_257, 48_427_561]
     assert [len(bounded_seqs(o_o, b)) for b in (2, 3, 4)] == [13, 85, 781]
     ctx, term, _, point = parse_entry(BY_NAME["church-two-twice"])
     for budget in (2, 3, 4):
-        rep, tried = cuts_tried(ctx, term, point, budget)
-        assert rep.ok and tried == [budget + 1], (budget, tried)
+        rep, pools = pools_tried(ctx, term, point, budget)
+        assert rep.ok and pools == [(parse_itype("<*>-o*"),)], (budget, pools)
+
+
+def rigid(beta) -> bool:
+    """Whether beta is a rigid type all the way down."""
+    return isinstance(beta, Star) or (isinstance(beta, IArrow) and rigid(beta.codomain)
+                                      and all(map(rigid, beta.domain)))
+
+
+def well_formed_target(alpha) -> bool:
+    """Whether alpha is a target the enumerator knows: open, a cut over
+    rigid types whose result is a target, or a rigid type."""
+    if isinstance(alpha, derivation._Cut):
+        return all(map(rigid, alpha.pool)) and well_formed_target(alpha.result)
+    return alpha is None or rigid(alpha)
+
+
+def test_every_target_is_open_a_cut_or_rigid():
+    # an arrow with an open codomain is none of them, and no spine meets it
+    targets = []
+
+    def recorded(term, ctx, alpha, run, must):
+        targets.append(alpha)
+        return enum(term, ctx, alpha, run, must)
+
+    enum, derivation._enum = derivation._enum, recorded
+    try:
+        clear_memos()
+        for entry in CORPUS:
+            ctx, term, _, point = parse_entry(entry)
+            verify_identities(ctx, term, point, entry_budget(entry))
+        guessed_cut_derivations(list(guessed_cut_subjects()), (1, 2, 3, 4))
+    finally:
+        derivation._enum = enum
+    bad = sum(not well_formed_target(alpha) for alpha in targets)
+    assert bad == 0, f"{bad} of {len(targets)} targets are ill-formed"
+    assert None in targets and any(isinstance(alpha, derivation._Cut) for alpha in targets)
 
 
 def oracle_subjects():
