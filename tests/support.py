@@ -548,7 +548,7 @@ def bounded_seqs(t: SimpleType, budget: int) -> tuple[SeqType, ...]:
 
 def argument_type(a, ctx) -> SimpleType:
     """The simple type of a redex's argument a in the enumerator's context
-    ctx, which maps each variable in scope to (entry, simple type, bag)."""
+    ctx, which maps each variable in scope to (entry, simple type, kind)."""
     return annotate(TypingContext(tuple((x, t) for x, (_, t, _) in ctx.items())), a)[1]
 
 
@@ -558,7 +558,7 @@ def probed_pool(a, ctx, run) -> tuple[IType, ...]:
     _bounded_refinements lists them, kept when one copy of a concludes it
     from some start, as derivation._cut_pool defines the starts.  An open
     binder has no suffixes to start from."""
-    seqs = [x for x in free_vars(a) if not ctx[x][2] and ctx[x][0] is not None]
+    seqs = [x for x in free_vars(a) if ctx[x][2] is False]
     starts = [{**ctx, **{x: (ctx[x][0][i:], ctx[x][1], False) for x, i in zip(seqs, skip)}}
               for skip in product(*(range(len(ctx[x][0]) + 1) for x in seqs))]
     return tuple(beta for beta in _bounded_refinements(argument_type(a, ctx), run.budget)

@@ -569,6 +569,28 @@ def test_every_target_is_open_a_cut_or_rigid():
     assert None in targets and any(isinstance(alpha, derivation._Cut) for alpha in targets)
 
 
+def test_a_function_part_meets_its_cut_target():
+    # the body x of the function part concludes h's label, an arrow that
+    # meets the cut target only if its codomain fits the redex's target
+    ctx = parse_context("h:o->o->o, a:o")
+    term, ty = annotate(ctx, parse_term("(\\x:o->o->o. x) h a"))
+    for result, count in (("[*]-o*", 1), ("[]-o*", 0)):
+        point = point_from_json({"ctx": {"h": "[[*]-o[*]-o*]", "a": "[*]"}, "type": result},
+                                ctx, ty)
+        rep = verify_identities(ctx, term, point, 2)
+        assert rep.ok and rep.wrel.value == rep.report.wit_plus == count, result
+    # and only if its domain draws on the pool: [*,*,*]-o* is wider than
+    # budget 2, so no cut over the lambda argument holds it
+    ctx = parse_context("h:(o->o)->o, g:o->o")
+    term, ty = annotate(ctx, parse_term("(\\x:(o->o)->o. x) h (\\z:o. g z)"))
+    point = point_from_json({"ctx": {"h": "[[[*,*,*]-o*]-o*]", "g": "[[*,*,*]-o*]"},
+                             "type": "*"}, ctx, ty)
+    rep = verify_identities(ctx, term, point, 2)
+    assert rep.incomplete and rep.report.wit_plus == 0
+    rep = verify_identities(ctx, term, point, 3)
+    assert rep.ok and rep.report.wit_plus == 1
+
+
 def oracle_subjects():
     """{(label, budget): (ctx, term, type, point)} for the comparison with the
     split-guessing oracle."""
