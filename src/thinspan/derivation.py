@@ -21,9 +21,14 @@ node, a lam node an RLam.  The conclusion is computed from the tree: the
 context entry of a variable lists the labels of its occurrences left to
 right (rt_context), and the result is rt_type.  Resource terms are interned
 (interning.Node), like the terms and labels they are built from: equal
-derivations are one object, and equality is identity.  rt_type, contract
-and endo_count are facts (interning.fact), computed once and kept on the
-resource term.
+derivations are one object, and equality is identity.  rt_type and
+endo_count are facts (interning.fact), computed once and kept on the
+resource term: a label or a count, which costs its node a slot.  A
+derivation's contractum is no fact: it is a tree of its own, which only
+the symmetry partition and the morphism count read, each at most once per
+derivation in a query, and the report a query keeps holds what they
+found; kept on the witness, it would live as long as the witness with
+nothing to read it again.
 
 Contexts are linear: each element is consumed by exactly one occurrence,
 and the occurrences of a variable consume its sequence in order, left to
@@ -48,7 +53,8 @@ synthesized: one copy of N is enumerated with its target left open, and
 each of its derivations concludes the type rt_type reads off it.  A lambda
 whose target is open leaves its binder open too, and each occurrence of it
 takes any refinement of its type of width at most the budget, which at
-base type is * alone.  The copies at the cut are then enumerated at their
+base type is * alone; the run lists those refinements once for each type,
+and they die with it.  The copies at the cut are then enumerated at their
 types, like the copies of any argument.  The budget bounds the cut's
 length and its types' width, unless N is a variable, whose copies take
 its labels, whatever their number and width.  So no derivation the budget
@@ -91,13 +97,15 @@ reports and triple counts, dies with the subterm, and answers the next
 query under other names.  At a subterm that names a context variable it
 is kept in the run's own table and dies with the run: no later query
 meets that subterm, since a repeat is answered from collapse's report and
-a fresh query renames its context.
+a fresh query renames its context.  So what a query keeps once it is
+answered is what a later query reads: collapse's report and triple count,
+the subproblems at subterms free only in binders, and the facts of the
+derivations the report holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -128,9 +136,9 @@ Shape = tuple[tuple[str, SimpleType], ...]
 # resource terms
 
 class _RTNode(Node):
-    """A resource term, with slots for its facts rt_type, contract, endo_count."""
+    """A resource term, with slots for its facts rt_type and endo_count."""
 
-    __slots__ = ("rt_type", "contract", "endo_count")
+    __slots__ = ("rt_type", "endo_count")
 
 
 class RVar(_RTNode):
@@ -273,30 +281,27 @@ def _substitute(t: ResourceTerm, x: str, args, redex: RApp) -> ResourceTerm:
     raise TypeError(f"not a resource term: {t!r}")
 
 
-@fact
 def contract(r: ResourceTerm) -> ResourceTerm:
     """r's normal form: every redex contracted by omega_substitute, innermost
     first, until every spine has a variable head.  Each contraction drops a
     lambda, its application and the binder's occurrences, so this ends.  A
-    subterm without a redex comes back as it is.  Kept on r alone: kept on
-    its subterms, the partial contracta would live as long as r."""
-    return _contract(r)
-
-
-def _contract(r: ResourceTerm) -> ResourceTerm:
+    subterm without a redex comes back as it is.  Not kept: a query
+    contracts each derivation it partitions once, and each derivation
+    whose morphisms it counts once, and nothing it keeps reads a
+    contractum."""
     match r:
         case RVar():
             return r
         case RLam(x, b, ann):
-            b2 = _contract(b)
+            b2 = contract(b)
             return r if b2 is b else RLam(x, b2, ann)
         case RApp(f, args):
-            f2, args2 = _contract(f), tuple(map(_contract, args))
+            f2, args2 = contract(f), tuple(map(contract, args))
             if isinstance(f2, RLam):
                 # the body and the copies have no redex, so the contractum
                 # has one only where a lambda copy lands at a head
                 r2 = omega_substitute(RApp(f2, args2))
-                return _contract(r2) if any(isinstance(a, RLam) for a in args2) else r2
+                return contract(r2) if any(isinstance(a, RLam) for a in args2) else r2
             return r if f2 is f and args2 == args else RApp(f2, args2)
     raise TypeError(f"not a resource term: {r!r}")
 
@@ -451,14 +456,35 @@ Target = IType | _Cut | None
 
 
 class _Run(Subproblems):
-    """One enumeration: the budget it runs under, and where it keeps the
-    subproblems it solves (Subproblems), given the context's names."""
+    """One enumeration: the budget it runs under, where it keeps the
+    subproblems it solves (Subproblems), given the context's names, and
+    the labels an open binder of each type takes (bounded_refinements),
+    which die with it."""
 
-    __slots__ = ("budget",)
+    __slots__ = ("budget", "_refinements")
 
     def __init__(self, names, budget: int | None):
         super().__init__(names)
         self.budget = budget
+        self._refinements: dict[SimpleType, tuple[IType, ...]] = {}
+
+    def bounded_refinements(self, t: SimpleType) -> tuple[IType, ...]:
+        """The refinements of t whose sequences have length at most the
+        budget: the labels of a binder whose lambda's target is open."""
+        out = self._refinements.get(t)
+        if out is None:
+            match t:
+                case Base():
+                    out = (Star(),)
+                case Arrow(td, tc):
+                    pool = self.bounded_refinements(td)
+                    out = tuple(IArrow(s, c) for n in range(self.budget + 1)
+                                for s in product(pool, repeat=n)
+                                for c in self.bounded_refinements(tc))
+                case _:
+                    raise TypeError(f"not a simple type: {t!r}")
+            self._refinements[t] = out
+        return out
 
 
 # A subproblem is kept where the run says, under (the entries of its
@@ -494,7 +520,7 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: Target, run: _Run,
             elif isinstance(alpha, _Cut):
                 entry, body_alpha = (alpha.pool, ann, None), alpha.result
             elif alpha is None:
-                entry, body_alpha = (_bounded_refinements(ann, run.budget), ann, None), None
+                entry, body_alpha = (run.bounded_refinements(ann), ann, None), None
             else:
                 return []
             return [(RLam(x, r, ann), left)
@@ -590,9 +616,9 @@ def _enum_multi(term: Term, ctx: Ctx, targets: SeqType, run: _Run,
 def _cut_pool(a: Term, ctx: Ctx, run: _Run) -> tuple[IType, ...]:
     """The labels of the binder of a redex whose argument is a: the
     refinements of a's type that one copy of a concludes from some context a
-    copy may start from, in the order _bounded_refinements lists them
-    (key_it), of width at most the budget unless a is a variable, whose
-    copies take its labels whatever the budget.
+    copy may start from, in key_it order, of width at most the budget
+    unless a is a variable, whose copies take its labels whatever the
+    budget.
 
     They are synthesized, not guessed: one copy of a is enumerated from
     each start with its target left open, and each derivation concludes
@@ -621,20 +647,6 @@ def _within(beta: IType, budget: int) -> bool:
         and all(_within(b, budget) for b in beta.domain))
 
 
-@lru_cache(maxsize=None)
-def _bounded_refinements(t: SimpleType, budget: int) -> tuple[IType, ...]:
-    """The refinements of t whose sequences have length at most the budget:
-    the labels of a binder whose lambda's target is open."""
-    match t:
-        case Base():
-            return (Star(),)
-        case Arrow(td, tc):
-            pool = _bounded_refinements(td, budget)
-            return tuple(IArrow(s, c) for n in range(budget + 1) for s in product(pool, repeat=n)
-                         for c in _bounded_refinements(tc, budget))
-    raise TypeError(f"not a simple type: {t!r}")
-
-
 ####################################################################
 # counting derivation morphisms
 
@@ -660,9 +672,10 @@ def count_derivation_morphisms(r1: ResourceTerm, r2: ResourceTerm) -> int:
     morphism of Ni.  The rules see a node's morphism only through its result
     morphism, so this is a bijection, in any context around the redex, and
     contracting every redex keeps the count.  So both derivations are
-    contracted first.
+    contracted first, once in all when they are the same derivation.
     """
-    return _count_contracted(contract(r1), contract(r2))
+    a = contract(r1)
+    return _count_contracted(a, a if r2 is r1 else contract(r2))
 
 
 def _count_contracted(a: ResourceTerm, b: ResourceTerm, memo: dict | None = None) -> int:

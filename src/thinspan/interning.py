@@ -36,10 +36,15 @@ kept.  So one rule says what a process keeps: a node's derived state
 lives on the node and dies with it, each parser keeps its last
 TEXTS_KEPT texts, which keep what they parsed to alive, and what a call
 derives for itself alone dies with the call.  A query whose text was
-dropped is answered afresh.  The last are the subproblems a recursion
-over a query's term solves at the subterms that name the query's context
-variables, kept in a table of the call's (syntax.Subproblems): no later
-query meets those subterms.
+dropped is answered afresh.  A node keeps only what a later query reads:
+the answer a query kept, and the facts and subproblems that other queries
+meet again.  What a call derives for itself alone are the subproblems a
+recursion over a query's term solves at the subterms that name the
+query's context variables, kept in a table of the call's
+(syntax.Subproblems), since no later query meets those subterms; the
+labels an enumeration gives an open binder; and a derivation's
+contractum, which a query reads while it partitions and counts, and
+whose results its report keeps.
 """
 
 from __future__ import annotations

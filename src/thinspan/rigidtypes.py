@@ -136,6 +136,10 @@ def canonicalize_it(a: IType) -> IType:
 
 
 def canonicalize_seq(seq: SeqType) -> SeqType:
+    """Sort the sequence after canonicalizing its elements; a sequence that
+    is canonical already comes back as it is."""
+    if is_canonical_seq(seq):
+        return seq
     return tuple(sorted((canonicalize_it(a) for a in seq), key=key_it))
 
 

@@ -32,12 +32,15 @@ its bags in the memo keys and the leftovers; and the normal form of a
 redex term is kept on it, so a repeated query normalizes nothing, and
 re-freshening a normal form whose binders are already distinct is no walk.
 Leftovers are kept under a key that starts with "wrel", so no other
-counting path reads them.  The normal form's, which give the
-coefficient, are kept in its memo (interning.memo) and die with it.  A
-subproblem's are kept where one wrel_coefficient call's Subproblems
-(syntax) says: in the memo of a subterm free in none of the context's
-variables, which a later query under other names meets again, and
-otherwise in a table that dies with the call.
+counting path reads them, where one wrel_coefficient call's Subproblems
+(syntax) says: in the memo (interning.memo) of a subterm free in none of
+the context's variables, which a later query under other names meets
+again, and otherwise in a table that dies with the call.  Of the normal
+form's leftovers a later query reads only the coefficient, the entry
+where every bag is empty, so that count alone is kept in the normal
+form's memo, under a key of its own, and dies with it.  It is not kept
+as the normal form's leftovers: a later query may meet the normal form
+as a subterm free only in its binders, and there it reads every entry.
 """
 
 from __future__ import annotations
@@ -78,10 +81,15 @@ def wrel_coefficient(subject: Subject) -> NatInf:
     fvs = free_vars(nf)
     if any(seq for x, seq in env.items() if x not in fvs):
         return NatInf(0)
-    # the answer is kept in nf's memo, and the subproblems below it where
-    # this call's Subproblems says
-    left = _leftovers(env, nf, subject.result, Subproblems(env), memo(nf))
-    return NatInf(left.get(((),) * len(fvs), 0))
+    # the answer is kept in nf's memo, and the subproblems where this
+    # call's Subproblems says
+    kept = memo(nf)
+    key = ("coefficient", tuple(env[x] for x in fvs), subject.result)
+    n = kept.get(key)
+    if n is None:
+        left = _leftovers(env, nf, subject.result, Subproblems(env))
+        n = kept[key] = left.get(((),) * len(fvs), 0)
+    return NatInf(n)
 
 
 # leftovers: the bags of a term's free variables, in sorted name order, that
@@ -89,10 +97,10 @@ def wrel_coefficient(subject: Subject) -> NatInf:
 Leftovers = dict[tuple[SeqType, ...], int]
 
 
-def _leftovers(env: dict[str, SeqType], term: Term, target: IType, subs: Subproblems,
-               kept: dict | None = None) -> Leftovers:
-    """The leftovers of term at target, kept in kept, or where subs says."""
-    fvs, kept = free_vars(term), subs.at(term) if kept is None else kept
+def _leftovers(env: dict[str, SeqType], term: Term, target: IType,
+               subs: Subproblems) -> Leftovers:
+    """The leftovers of term at target, kept where subs says."""
+    fvs, kept = free_vars(term), subs.at(term)
     bags = tuple(env[x] for x in fvs)
     key = ("wrel", bags, target)
     hit = kept.get(key)

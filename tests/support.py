@@ -24,7 +24,7 @@ from thinspan.rigidtypes import (
     canonicalize_point, canonicalize_seq, key_it, point_from_json,
 )
 from thinspan.derivation import (
-    RApp, RLam, RVar, _bounded_refinements, count_derivation_morphisms, enumerate_witnesses,
+    RApp, RLam, RVar, _Run, count_derivation_morphisms, enumerate_witnesses,
     resource_to_text, rt_context, rt_type,
 )
 from thinspan.symmetry import Degrees, neg_targets_ctx, pos_sources_it
@@ -538,11 +538,17 @@ def brute_split_ctx(theta: ResourceContext, terms):
 # as they were found before derivation synthesized them, by probing each
 # refinement the budget admits: the oracle of the synthesis.
 
+def bounded_refinements(t: SimpleType, budget: int) -> tuple[IType, ...]:
+    """The refinements of t whose sequences have length at most the budget,
+    as one enumeration under that budget lists them for an open binder."""
+    return _Run((), budget).bounded_refinements(t)
+
+
 @lru_cache(maxsize=None)
 def bounded_seqs(t: SimpleType, budget: int) -> tuple[SeqType, ...]:
     """Every sequence, of length at most the budget, over the refinements
     of t whose sequences have length at most the budget."""
-    pool = _bounded_refinements(t, budget)
+    pool = bounded_refinements(t, budget)
     return tuple(seq for n in range(budget + 1) for seq in product(pool, repeat=n))
 
 
@@ -555,13 +561,13 @@ def argument_type(a, ctx) -> SimpleType:
 def probed_pool(a, ctx, run) -> tuple[IType, ...]:
     """The types a redex's copies were drawn from before they were
     synthesized: each refinement of a's type the budget admits, in the order
-    _bounded_refinements lists them, kept when one copy of a concludes it
-    from some start, as derivation._cut_pool defines the starts.  An open
+    the run lists them for an open binder, kept when one copy of a concludes
+    it from some start, as derivation._cut_pool defines the starts.  An open
     binder has no suffixes to start from."""
     seqs = [x for x in free_vars(a) if ctx[x][2] is False]
     starts = [{**ctx, **{x: (ctx[x][0][i:], ctx[x][1], False) for x, i in zip(seqs, skip)}}
               for skip in product(*(range(len(ctx[x][0]) + 1) for x in seqs))]
-    return tuple(beta for beta in _bounded_refinements(argument_type(a, ctx), run.budget)
+    return tuple(beta for beta in run.bounded_refinements(argument_type(a, ctx))
                  if any(derivation._enum(a, start, beta, run, frozenset()) for start in starts))
 
 

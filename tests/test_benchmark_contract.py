@@ -174,7 +174,7 @@ def test_degrees_and_witness_morphisms_enumerate_nothing(monkeypatch):
 # nodes, a query contracts nothing, renders no derivation and computes no
 # degree.
 def test_repeated_query_recomputes_no_fact():
-    bodies = {thinspan.derivation.contract.__wrapped__.__code__,
+    bodies = {thinspan.derivation.contract.__code__,
               thinspan.derivation.resource_to_text.__code__,
               thinspan.symmetry._degrees_it.__wrapped__.__code__}
     ran = []
@@ -554,8 +554,9 @@ def renamed_church_two(suffix: str):
 # query meets a subterm that names a context variable, since a repeat is
 # answered from the report and a fresh query renames the context: what the
 # enumerator and the coefficient recursion solved there dies with the call.
-# Of such subterms only the normal form keeps wrel's answer.  The numeral
-# is closed, and keeps its subproblems for the next query under other names.
+# Of such subterms only the normal form keeps wrel's answer, the
+# coefficient, and none keeps leftovers.  The numeral is closed, and keeps
+# its subproblems for the next query under other names.
 def test_a_subproblem_under_context_names_dies_with_its_call(cold_memo):
     ctx, term, _, point = renamed_church_two("_kept")
     assert verify_identities(ctx, term, point, 2).ok
@@ -568,8 +569,71 @@ def test_a_subproblem_under_context_names_dies_with_its_call(cold_memo):
     for t in named:
         keys = [k for k in memo(t) if isinstance(k, tuple)]
         assert not [k for k in keys if not isinstance(k[0], str)], t
-        assert len([k for k in keys if k[0] == "wrel"]) == (t is nf), t
+        assert not [k for k in keys if k[0] == "wrel"], t
+        assert len([k for k in keys if k[0] == "coefficient"]) == (t is nf), t
     assert any(isinstance(k, tuple) and not isinstance(k[0], str) for k in memo(numeral))
+
+
+# A kept query holds only what a later query reads.  Its witness keeps no
+# contractum, which only the partition and the morphism count read, and its
+# normal form keeps the coefficient alone, not the leftovers it was read
+# from.
+def test_a_kept_query_holds_no_contractum_and_the_coefficient_alone(cold_memo):
+    entry = next(e for e in load_corpus() if e["name"] == "church-two-twice")
+    ctx = thinspan.syntax.parse_context("g_held:o->o, y_held:o")
+    term, ty = thinspan.syntax.annotate(ctx, thinspan.syntax.parse_term(
+        entry["term"].replace(") g) y", ") g_held) y_held")))
+    point = thinspan.rigidtypes.point_from_json(
+        {"ctx": {f"{x}_held": v for x, v in entry["point"]["ctx"].items()},
+         "type": entry["point"]["type"]}, ctx, ty)
+    held = verify_identities(ctx, term, point, 2)
+    assert held.ok and held.report.wit_plus == 1
+    derivation = held.report.witnesses[0].derivation
+    contractum = weakref.ref(thinspan.derivation.contract(derivation))
+    assert contractum() is not derivation
+    gc.collect()
+    assert contractum() is None
+    nf = beta_normalize(held.report.subject.term, set(ctx.names()))
+    kept = {k: v for k, v in memo(nf).items() if k[0] in ("wrel", "coefficient")}
+    assert list(kept.values()) == [1] and [k[0] for k in kept] == ["coefficient"], kept
+
+
+# The coefficient of a normal form is kept apart from its leftovers: a
+# later query may meet the same normal form as a subterm free only in its
+# binders, where it needs the leftovers in which a bag is not used up.
+# Here `h (g y) y` leaves one y of two to its second argument.
+def test_a_normal_form_met_again_under_binders_reads_all_its_leftovers(cold_memo):
+    ctx, term, _, point = point_subject("g y", {"g": "[[*]-o*]", "y": "[*,*]"})
+    assert verify_identities(ctx, term, point).wrel.value == 0
+    ctx = thinspan.syntax.parse_context("h:o->o->o")
+    term, ty = thinspan.syntax.annotate(ctx, thinspan.syntax.parse_term(
+        "\\g:o->o. \\y:o. h (g y) y"))
+    point = thinspan.rigidtypes.point_from_json(
+        {"ctx": {"h": "[[*]-o[*]-o*]"}, "type": "[[*]-o*]-o[*,*]-o*"}, ctx, ty)
+    second = verify_identities(ctx, term, point)
+    assert second.ok and second.wrel.value == 1
+
+
+# The labels an open binder takes are listed by the enumeration that needs
+# them and die with it.  The budget-5 higher-order cut lists about 9,300
+# refinements of (o->o)->o for its binder h, none of which outlives the
+# query.  The same query at budget 1 first keeps what any budget keeps: the
+# texts read and the types they parsed to.
+def test_an_open_binders_labels_die_with_the_query(cold_memo):
+    def live_arrows():
+        gc.collect()
+        return sum(1 for key, entry in list(thinspan.interning._table.items())
+                   if key[0] is IArrow and entry() is not None)
+
+    counts = []
+    for budget in (1, 5):
+        counts.append(live_arrows())
+        ctx, term, _, point = point_subject(
+            "(\\k:((o->o)->o)->o. k (\\f:o->o. f y)) (\\h:(o->o)->o. h g)",
+            {"g": "[[*]-o*]", "y": "[*]"})
+        assert verify_identities(ctx, term, point, budget).ok
+        del ctx, term, point
+    assert live_arrows() <= counts[1], counts
 
 
 def test_a_renamed_query_reuses_the_numerals_subproblems(monkeypatch, cold_memo):

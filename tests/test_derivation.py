@@ -14,7 +14,7 @@ from thinspan.rigidtypes import (
 from thinspan.symmetry import pos_sources_it
 from thinspan.derivation import (
     BudgetRequiredError, DerivationError, RApp, RLam, RVar,
-    _bounded_refinements, contract, count_derivation_morphisms, endo_count,
+    contract, count_derivation_morphisms, endo_count,
     enumerate_witnesses, multiset_collapse_term, omega_substitute,
     partition_by_symmetry, resource_to_text, rt_context, rt_occurrence_labels, rt_type,
 )
@@ -25,11 +25,11 @@ from reference import (
     identity_dm, src_it, src_seq, tgt_it, tgt_seq,
 )
 from support import (
-    COPIES_IN_EVERY_ORDER, across_points, binders, bounded_seqs, built_nodes, church_point,
-    clear_memos, copies_in_every_order, distinct_g_point, entry_budget, fanout_point,
-    guessed_cut_point, higher_order_cut_point, load_corpus, pairwise_partition, parse_entry,
-    argument_type, generated_points, per_target_witnesses, point_subject, probed_pool,
-    split_witnesses, symmetric_point,
+    COPIES_IN_EVERY_ORDER, across_points, binders, bounded_refinements, bounded_seqs,
+    built_nodes, church_point, clear_memos, copies_in_every_order, distinct_g_point,
+    entry_budget, fanout_point, guessed_cut_point, higher_order_cut_point, load_corpus,
+    pairwise_partition, parse_entry, argument_type, generated_points, per_target_witnesses,
+    point_subject, probed_pool, split_witnesses, symmetric_point,
 )
 
 S = Star()
@@ -343,13 +343,13 @@ def full_pool(a, ctx, run):
     every label it may take, whatever the budget, is the real one."""
     if isinstance(a, Var):
         return CUT_POOL(a, ctx, run)
-    return _bounded_refinements(argument_type(a, ctx), run.budget)
+    return run.bounded_refinements(argument_type(a, ctx))
 
 
 def whole_context_pool(a, ctx, run):
     """A pool pruned against the whole context alone, which misses the types
     a copy concludes from a suffix of a sequence only."""
-    return tuple(beta for beta in _bounded_refinements(argument_type(a, ctx), run.budget)
+    return tuple(beta for beta in run.bounded_refinements(argument_type(a, ctx))
                  if derivation._enum(a, ctx, beta, run, frozenset()))
 
 
@@ -524,7 +524,7 @@ def test_guessed_cut_family_tries_one_type():
         assert rep.incomplete and rep.report.wit_plus == 0 and pools == [()], n
     # a full listing would try every sequence over the b + 1 refinements of
     # o->o
-    assert all(len(_bounded_refinements(o_o, b)) == b + 1 for b in (2, 3, 4, 6, 8))
+    assert all(len(bounded_refinements(o_o, b)) == b + 1 for b in (2, 3, 4, 6, 8))
     assert [listed(b, b + 1) for b in (2, 3, 4, 6, 8)] == [13, 85, 781, 137_257, 48_427_561]
     assert [len(bounded_seqs(o_o, b)) for b in (2, 3, 4)] == [13, 85, 781]
     ctx, term, _, point = parse_entry(BY_NAME["church-two-twice"])

@@ -181,7 +181,6 @@ def test_the_package_exports_stay():
 # weakly, and the caches without a bound are these, each keyed by types:
 # a new process-global table needs an edit here.
 UNBOUNDED_CACHES = {
-    "derivation": {"_bounded_refinements"},
     "groupoid": {"enumerate_homs_it", "enumerate_homs_seq"},
     "symmetry": {"neg_targets_it", "pos_targets_it", "neg_targets_seq"},
 }

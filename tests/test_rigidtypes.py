@@ -138,6 +138,8 @@ def test_homs_exist_iff_same_canonical_form(a, b, rng):
         assert bool(enumerate_homs_it(x, y)) == (canonicalize_it(x) == canonicalize_it(y))
 
 
+# canonicalize_seq asks is_canonical_seq first, so both are checked against
+# the sorted copy, and a canonical sequence comes back as the same tuple.
 def test_canonical_sequences_are_recognized_without_rebuilding():
     rng = random.Random(11)
     seen = {True: 0, False: 0}
@@ -146,7 +148,10 @@ def test_canonical_sequences_are_recognized_without_rebuilding():
         seq = tuple(rand_itype(rng, t, 2) for _ in range(rng.randint(0, 4)))
         for s in (seq, canonicalize_seq(seq), tuple(map(canonicalize_it, seq))):
             got = is_canonical_seq(s)
-            assert got == (canonicalize_seq(s) == s), s
+            sorted_copy = tuple(sorted(map(canonicalize_it, s), key=key_it))
+            assert got == (sorted_copy == s), s
+            assert canonicalize_seq(s) == sorted_copy, s
+            assert (canonicalize_seq(s) is s) == got, s
             seen[got] += 1
     assert min(seen.values()) >= 50, seen
 
