@@ -5,10 +5,10 @@ type; its canonical rigid representative (gamma, a) is fixed by sorting.  A
 positive witness for a term at that point is a derivation d at some rigid
 point (Theta, alpha) such that a negative context morphism gamma -> Theta
 and a positive type morphism alpha -> a exist.  Only their existence
-matters, so a witness records its rigid point and no morphism is built.
-The witnesses are enumerated once per alpha over the bags of gamma, and d
-determines Theta, so the rigid contexts reachable from gamma are never
-listed.
+matters, so no morphism is built.  The witnesses are enumerated once, over
+the bags of gamma and of a's domains, and d determines Theta and alpha, so
+neither the rigid contexts reachable from gamma nor the rigid results that
+reach a are listed.
 
 The identities checked here:
 
@@ -37,8 +37,8 @@ and that budget, and esp_explicit keeps its triple count, keyed by the
 point and that budget, which fix the witnesses.  Each keeps only its own
 result, under keys of its own, so the witness count, the class-weighted
 sum, the triple count and the wrel coefficient still come from separate
-computations.  A witness keeps no context: its theta is read off
-its derivation when it is asked for.  A report built afresh carries the
+computations.  A witness keeps no context and no result: both are read
+off its derivation when asked for.  A report built afresh carries the
 contexts it read to sort its witnesses, which esp_explicit reads instead,
 so a query that is not kept reads each witness's context once.
 """
@@ -51,16 +51,15 @@ from math import gcd, prod
 from .syntax import Term, TypingContext, annotate, ensure_distinct_binders
 from .rigidtypes import IType, PointSpec, ResourceContext, Subject, canonicalize_point, key_it
 from .symmetry import (
-    Degrees, count_negative_seq, count_positive_it, pos_sources_it, sym_degrees_ctx,
-    sym_degrees_it,
+    Degrees, count_negative_seq, count_positive_it, sym_degrees_ctx, sym_degrees_it,
 )
 # not called here: the tracer in perfbench/tracing.py wraps these names in this module
 from .groupoid import enumerate_homs_ctx, enumerate_homs_it  # noqa: F401
-from .symmetry import neg_targets_ctx  # noqa: F401
+from .symmetry import neg_targets_ctx, pos_sources_it  # noqa: F401
 from .derivation import enumerate_witnesses  # noqa: F401
 from .derivation import (
     ResourceTerm, Shape, cut_budget, endo_count, partition_by_symmetry, resource_to_text,
-    rt_context, witness_set,
+    rt_context, rt_type, witness_set,
 )
 from .interning import memo
 from .wrel import NatInf, wrel_coefficient
@@ -69,13 +68,17 @@ from .wrel import NatInf, wrel_coefficient
 @dataclass(frozen=True, slots=True)
 class PositiveWitness:
     derivation: ResourceTerm
-    alpha: IType             # its result, a positive source of the canonical result
     shape: Shape             # the canonical context's variables and simple types
 
     @property
     def theta(self) -> ResourceContext:
         """Its context, a negative target of the canonical context."""
         return rt_context(self.shape, self.derivation)
+
+    @property
+    def alpha(self) -> IType:
+        """Its result, a positive source of the canonical result."""
+        return rt_type(self.derivation)
 
 
 @dataclass(frozen=True)
@@ -117,11 +120,11 @@ def prepare(ctx: TypingContext, term: Term, point: PointSpec) -> Subject:
 def positive_witnesses(subject: Subject, budget: int | None = None) -> WitnessReport:
     """Enumerate positive witnesses at a point, grouped into symmetry classes.
 
-    The enumerator runs once per positive source alpha of the canonical
-    result a, over the bags of the canonical context gamma.  Each
-    derivation d it returns concludes its own context theta, read off its
-    occurrences, and the witness records d at (theta, alpha).  Witnesses
-    are ordered by _witness_key.  The report's fields but the subject and
+    The enumerator runs once, at the canonical point (gamma, a) read up to
+    symmetry: over the bags of gamma and of a's domains.  Each derivation
+    d it returns concludes its own context theta, read off its
+    occurrences, and its own result alpha, its rt_type.  Witnesses are
+    ordered by _witness_key.  The report's fields but the subject and
     the contexts are kept in the term's memo, and a later query at the same
     point and budget reads them back; a beta-normal term is enumerated
     without a budget, so its report is kept once for every budget.
@@ -139,15 +142,15 @@ def positive_witnesses(subject: Subject, budget: int | None = None) -> WitnessRe
 
 def _witness_report(subject: Subject, bounded_at: int | None) -> tuple:
     """The fields of the subject's WitnessReport that follow the subject,
-    every alpha enumerated under bounded_at, and the witnesses' contexts if
-    sorting them read them."""
-    gamma, a, ty = subject.gamma, subject.result, subject.ty
+    enumerated under bounded_at, and the witnesses' contexts if sorting
+    them read them."""
+    gamma, a = subject.gamma, subject.result
     cdeg = sym_degrees_ctx(gamma)
-    rdeg = sym_degrees_it(a, ty)
+    rdeg = sym_degrees_it(a, subject.ty)
 
     shape = subject.ctx.bindings
-    witnesses = [PositiveWitness(d, alpha, shape) for alpha in pos_sources_it(a, ty)
-                 for d in witness_set(subject.term, gamma, alpha, bounded_at, bags=True)]
+    witnesses = [PositiveWitness(d, shape)
+                 for d in witness_set(subject.term, gamma, a, bounded_at, bags=True)]
     # a lone witness is not keyed, which would read its context
     thetas = None
     if len(witnesses) > 1:

@@ -40,8 +40,9 @@ what is left of it a suffix.  Started from a canonical context instead,
 each context variable's entry is a bag: an occurrence takes any one of its
 values, labelled by any negative target of that value, so one enumeration
 finds the derivations at every rigid context a negative morphism reaches
-from it, and each derivation's context is read off its labels.  Binders
-stay sequences.
+from it, and each derivation's context is read off its labels.  The
+result is read alike (_Pos), and each derivation's result is its rt_type.
+Other binders stay sequences.
 
 At a redex (\\x. M) N the cut, the sequence of types N's copies conclude,
 is not guessed: it is read off the function part, as the app rule reads
@@ -416,14 +417,15 @@ def witness_set(term: Term, theta: ResourceContext, alpha: IType, budget: int | 
     the enumeration behind enumerate_witnesses (bags false) and
     collapse.positive_witnesses (bags true), on a subject already checked:
     the term annotated, its binders distinct and apart from the context's
-    names, theta over the context's variables and refining them, canonical
-    if bags, alpha refining the term's type, and budget cut_budget's
-    value.  Nothing is checked here."""
+    names, theta over the context's variables and refining them, alpha
+    refining the term's type, both canonical and read up to symmetry if
+    bags, and budget cut_budget's value.  Nothing is checked here."""
     # a start context fixes the variables that are not free in the term
     # too, which must be used up
     start = {x: (seq, t, bags) for x, seq, t in theta.entries}
     run = _Run(start, budget)
-    return [r for r, _ in _enum(term, start, alpha, run, frozenset(start))]
+    target = _Pos(alpha) if bags and isinstance(alpha, IArrow) else alpha
+    return [r for r, _ in _enum(term, start, target, run, frozenset(start))]
 
 
 # The enumerator threads the context through the term, left to right, as
@@ -433,11 +435,12 @@ def witness_set(term: Term, theta: ResourceContext, alpha: IType, budget: int | 
 # left of it, its simple type, and its kind: a bag (True), whose values the
 # occurrences take in any order; a sequence (False), which they consume in
 # order; or open (None), labels the occurrences take any of, any number of
-# times, which is never used up.  Binders are sequences, but a lambda whose
-# target is a cut or open leaves its binder open.  A target is a rigid
-# type; a cut (_Cut), at a redex's function part; or None, open: a spine
-# concludes what its head gives it.  A call must use up the variables in
-# `must`; the others it may leave to the subterms to its right.
+# times, which is never used up.  Binders are sequences, but a lambda at
+# _Pos makes its binder a bag, and one at a cut or open leaves it open.  A
+# target is a rigid type; _Pos; a cut (_Cut), at a redex's function part;
+# or None, open: a spine concludes what its head gives it.  A call must use
+# up the variables in `must`; the others it may leave to the subterms to
+# its right.
 Entry = tuple[SeqType, SimpleType, bool | None]
 Ctx = dict[str, Entry]
 Found = list[tuple[ResourceTerm, Ctx]]
@@ -452,7 +455,12 @@ class _Cut(NamedTuple):
     result: Target
 
 
-Target = IType | _Cut | None
+class _Pos(NamedTuple):
+    """Any type a positive morphism takes to a, a canonical arrow; at * the target is *."""
+    a: IArrow
+
+
+Target = IType | _Pos | _Cut | None
 
 
 class _Run(Subproblems):
@@ -517,6 +525,9 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: Target, run: _Run,
             assert ann is not None
             if isinstance(alpha, IArrow):
                 entry, body_alpha, must = (alpha.domain, ann, False), alpha.codomain, must | {x}
+            elif isinstance(alpha, _Pos):
+                entry, c, must = (alpha.a.domain, ann, True), alpha.a.codomain, must | {x}
+                body_alpha = _Pos(c) if isinstance(c, IArrow) else c
             elif isinstance(alpha, _Cut):
                 entry, body_alpha = (alpha.pool, ann, None), alpha.result
             elif alpha is None:
@@ -561,11 +572,22 @@ def _takes(seq: SeqType, t: SimpleType, bag: bool | None) -> list[tuple[IType, S
 def _fits(beta: IType, alpha: Target) -> bool:
     """Whether a spine concluding beta meets its target: an open target any
     type, a cut an arrow whose domain draws on its pool and whose codomain
-    fits its result, and a rigid type itself alone."""
+    fits its result, _Pos(a) a type of a's positive class, and a rigid type itself."""
     if isinstance(alpha, _Cut):
         return (isinstance(beta, IArrow) and all(b in alpha.pool for b in beta.domain)
                 and _fits(beta.codomain, alpha.result))
+    if isinstance(alpha, _Pos):
+        return _polar_class(beta, True) == _polar_class(alpha.a, True)
     return alpha is None or beta == alpha
+
+
+def _polar_class(beta: IType, positive: bool):
+    """beta's class under positive morphisms, which permute an arrow's domain
+    moving each element negatively, or negative ones, which keep it, moving each positively."""
+    if isinstance(beta, Star):
+        return ()
+    dom = [_polar_class(b, not positive) for b in beta.domain]
+    return tuple(sorted(dom)) if positive else tuple(dom), _polar_class(beta.codomain, positive)
 
 
 def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: Target,

@@ -18,9 +18,9 @@ negative sub-groupoid.  This module counts them on the query path:
     the domain may be permuted, a product where it may not.  Permanents are
     block products over isomorphism classes.  The explicit triple count and
     the count of derivation morphisms use them;
-  * polarized reachability: the types and contexts a negative morphism
-    reaches (neg_targets_*) and the types a positive one comes from
-    (pos_sources_it).
+  * polarized reachability: the types a negative morphism reaches label a
+    bag's values (neg_targets_it); the listings of contexts and of positive
+    sources (neg_targets_ctx, pos_sources_it) serve the tracer and oracles.
 
 The counts follow the grammar of the morphism classes in groupoid, which
 lists whole hom-sets.  The morphisms' polarity and factorization are test

@@ -59,7 +59,7 @@ from thinspan.syntax import (
 )
 from thinspan.rigidtypes import (
     IArrow, IType, ResourceContext, SeqType, Star, STAR,
-    ctx_to_text, is_canonical_seq, it_to_text, refines,
+    ctx_to_text, is_canonical, is_canonical_seq, it_to_text, refines,
 )
 from thinspan.symmetry import MorphismError, _count_it
 from thinspan.derivation import (
@@ -561,23 +561,29 @@ def _check(shape: Shape, term: Term, r: ResourceTerm) -> None:
 
 def enumerate_bag_witnesses(ctx: TypingContext, term: Term, gamma: ResourceContext,
                             alpha: IType, budget: int | None = None) -> WitnessSet:
-    """All derivations of term with result alpha whose context some negative
-    context morphism reaches from gamma, each once.
+    """All derivations of term whose context some negative context morphism
+    reaches from gamma and whose result some positive morphism takes to
+    alpha, each once.
 
-    Every entry of gamma is a bag, a sorted sequence of canonical types.  An
-    occurrence of a context variable takes one value of what is left of its
-    bag, and its label is any negative target of that value.  Negative
-    reachability is an equivalence under which distinct canonical types lie
-    apart, so a label fixes the value it took: each derivation arises once,
-    and its context is its rt_context.  The cut on a bare-variable argument
-    is an ordered pick of the variable's remaining values, of any length.
-    The derivations are sorted by their text, and bounded_at is as for
-    enumerate_witnesses.  The enumeration starts from (gamma, alpha), the
-    canonical source point, not the point the derivations conclude: each
-    concludes its own rt_context.
+    Every entry of gamma is a bag, a sorted sequence of canonical types, and
+    alpha is canonical.  An occurrence of a context variable takes one value
+    of what is left of its bag, and its label is any negative target of
+    that value.  Negative reachability is an equivalence under which
+    distinct canonical types lie apart, so a label fixes the value it took:
+    each derivation arises once, and its context is its rt_context.  The
+    result is read alike: a lambda's binder takes the domain of alpha's
+    arrow as a bag, and a spine concludes any type of its class under
+    positive morphisms, so each derivation's result is its rt_type.  The cut
+    on a bare-variable argument is an ordered pick of the variable's
+    remaining values, of any length.  The derivations are sorted by their
+    text, and bounded_at is as for enumerate_witnesses.  The enumeration
+    starts from (gamma, alpha), the canonical point, not the point the
+    derivations conclude.
     """
     if not all(is_canonical_seq(seq) for _, seq, _ in gamma.entries):
         raise DerivationError(f"context {ctx_to_text(gamma)} is not canonical")
+    if not is_canonical(alpha):
+        raise DerivationError(f"result {it_to_text(alpha)} is not canonical")
     term = _checked_term(ctx, term, gamma, alpha)
     bounded_at = cut_budget(term, budget)
     found = witness_set(term, gamma, alpha, bounded_at, bags=True)

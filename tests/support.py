@@ -140,6 +140,15 @@ def guessed_cut_point(n: int):
     return "(\\k:o->o. k y) (\\x:o. g x)", {"g": f"[{stars(n)}-o*]", "y": stars(n)}
 
 
+def positive_source_point(k: int):
+    """`\\h:o->o. f h` at f:[[D]-o*], result [D]-o*, with
+    D = [[]-o*, [*]-o*, ..., [*^(k-1)]-o*]: the k distinct elements of D
+    take every order, so the result has k! positive sources.  The
+    coefficient is 1."""
+    d = "[" + ",".join(f"{stars(i)}-o*" for i in range(k)) + "]"
+    return "\\h:o->o. f h", {"f": f"[{d}-o*]"}, "f:(o->o)->o", f"{d}-o*"
+
+
 def higher_order_cut_point(n: int = 1):
     """`(\\k:(o->o)->o. k g) (\\h:o->o. h y)` at g:[[*^n]-o*], y:[*^n]: the
     argument is a lambda whose binder has an arrow type, so its copies
@@ -149,11 +158,13 @@ def higher_order_cut_point(n: int = 1):
             {"g": f"[{stars(n)}-o*]", "y": stars(n)})
 
 
-def point_subject(term_text: str, point_ctx: dict, ctx_text: str = "g:o->o, y:o"):
-    """(ctx, annotated term, type, point) for a term at a point of result type *."""
+def point_subject(term_text: str, point_ctx: dict, ctx_text: str = "g:o->o, y:o",
+                  result: str = "*"):
+    """(ctx, annotated term, type, point) for a term at a point, of result
+    type * unless another is given."""
     ctx = parse_context(ctx_text)
     term, ty = annotate(ctx, parse_term(term_text))
-    return ctx, term, ty, point_from_json({"ctx": point_ctx, "type": "*"}, ctx, ty)
+    return ctx, term, ty, point_from_json({"ctx": point_ctx, "type": result}, ctx, ty)
 
 
 # Redexes whose argument copies differ but conclude one type, so that they

@@ -39,7 +39,8 @@ from thinspan.wrel import wrel_coefficient
 import reference
 from support import (
     chain_point, church_point, clear_memos, distinct_g_point, entry_budget, fanout_point,
-    load_corpus, load_tracing, parse_entry, point_subject, symmetric_point,
+    load_corpus, load_tracing, parse_entry, point_subject, positive_source_point,
+    symmetric_point,
 )
 
 def test_traced_names_resolve():
@@ -71,9 +72,9 @@ def test_tracer_installs_and_sees_every_layer(monkeypatch, cold_memo):
 
 
 def counting_calls(fn, seen):
-    def counted(*args):
+    def counted(*args, **kwargs):
         seen.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
     return counted
 
 
@@ -380,6 +381,31 @@ def test_reachable_contexts_are_not_listed(monkeypatch, cold_memo):
         budget = None if is_beta_normal(term) else entry_budget(entry)
         rep = verify_identities(ctx, term, point, budget, expected=entry["expected"])
         assert rep.ok, entry["name"]
+
+
+def refuse_sources(*args):
+    raise AssertionError("positive sources listed on the query path")
+
+
+# The result is read up to symmetry as the context is: a query enumerates
+# once, however many rigid results a positive morphism takes to it.  At
+# k = 6 the result has 720 positive sources, and the enumeration ran once
+# for each of them.  The memos start empty, so every query enumerates.
+def test_positive_sources_are_not_listed(monkeypatch, cold_memo):
+    monkeypatch.setattr(thinspan.collapse, "pos_sources_it", refuse_sources)
+    calls = []
+    monkeypatch.setattr(thinspan.collapse, "witness_set",
+                        counting_calls(thinspan.collapse.witness_set, calls))
+    ctx, term, _, point = point_subject(*positive_source_point(6))
+    rep = verify_identities(ctx, term, point)
+    assert rep.ok and rep.wrel.value == 1
+    assert len(calls) == 1
+    for entry in load_corpus():
+        calls.clear()
+        ctx, term, _, point = parse_entry(entry)
+        budget = None if is_beta_normal(term) else entry_budget(entry)
+        assert verify_identities(ctx, term, point, budget).ok, entry["name"]
+        assert len(calls) == 1, entry["name"]
 
 
 # A witness keeps its rigid point, so no query builds a polarized morphism to

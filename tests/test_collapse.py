@@ -5,14 +5,15 @@ import pytest
 import thinspan
 from thinspan.syntax import TypeCheckError, is_beta_normal, parse_context, parse_term
 from thinspan.rigidtypes import (
-    PointSpec, RefinementError, is_canonical, parse_itype, parse_mit, parse_mset,
+    PointSpec, RefinementError, canonicalize_it, is_canonical, parse_itype, parse_mit,
+    parse_mset,
 )
 from thinspan.groupoid import enumerate_homs_ctx, enumerate_homs_it
 from thinspan.derivation import (
     BudgetRequiredError, DerivationError, count_derivation_morphisms, multiset_collapse_term, rt_context, rt_type,
 )
 from thinspan.interning import memo as term_memo
-from thinspan.symmetry import permanent
+from thinspan.symmetry import neg_targets_it, permanent
 from thinspan.collapse import (
     class_counts_check, esp_explicit, positive_witnesses, prepare, verify_identities,
     weight_by_classes,
@@ -197,6 +198,10 @@ HAND = {
     "non-canonical-cut": (("(\\k:((o->o)->o)->o. k (\\h:o->o. h (h y))) x",
                            {"x": "[[[[]-o*,[*]-o*]-o*]-o*]", "y": "[]"},
                            "x:((o->o)->o)->o, y:o"), 1),
+    # f g leaves f's last argument untaken, so the spine meets the third-order
+    # result up to positive morphisms, not only its canonical type
+    "eta-short-spine": (("f g", {"f": "[[[*]-o*]-o[[[]-o*,[*]-o*]-o*]-o*]", "g": "[[*]-o*]"},
+                         "f:(o->o)->((o->o)->o)->o, g:o->o", "[[[]-o*,[*]-o*]-o*]-o*"), None),
     # the redex's bare-variable argument picks g's two values in either order
     "redex-over-two-values": (("(\\h:o->o. f (h y)) g",
                                {"f": "[[*,*]-o*]", "g": "[[]-o*,[*]-o*]", "y": "[*]"},
@@ -303,6 +308,20 @@ def test_witness_label_outside_canonical_form():
     assert label == parse_itype("<<<*>-o*,<>-o*>-o*>-o*")
     assert not is_canonical(label)
     assert verify_identities(ctx, term, pt).ok
+
+
+def test_an_eta_short_spine_meets_its_result_up_to_symmetry():
+    # a negative morphism takes f's label to one whose type after g lists
+    # the inner domain in the other order: isomorphic to the result, but no
+    # positive morphism takes it there, so it is no witness
+    point, _ = HAND["eta-short-spine"]
+    ctx, term, _, pt = point_subject(*point)
+    rep = verify_identities(ctx, term, pt)
+    assert rep.ok and rep.wrel.value == rep.report.wit_plus == 1
+    (label,) = rep.report.witnesses[0].theta.lookup("f")
+    reversed_label = parse_itype("<<*>-o*>-o<<<*>-o*,<>-o*>-o*>-o*")
+    assert reversed_label in neg_targets_it(label, ctx.lookup("f"))
+    assert canonicalize_it(reversed_label.codomain) == rep.report.witnesses[0].alpha
 
 
 def test_redex_cut_over_distinct_values():

@@ -1,4 +1,6 @@
 import dataclasses
+import random
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -9,9 +11,10 @@ from thinspan.syntax import (
     parse_simple_type, parse_term, substitute, term_to_text,
 )
 from thinspan.rigidtypes import (
-    IArrow, ResourceContext, Star, canonicalize_point, parse_itype, point_from_json,
+    IArrow, ResourceContext, Star, canonicalize_point, is_canonical, parse_itype,
+    point_from_json,
 )
-from thinspan.symmetry import pos_sources_it
+from thinspan.symmetry import pos_targets_it
 from thinspan.derivation import (
     BudgetRequiredError, DerivationError, RApp, RLam, RVar,
     contract, count_derivation_morphisms, endo_count,
@@ -29,7 +32,8 @@ from support import (
     built_nodes, church_point, clear_memos, copies_in_every_order, distinct_g_point,
     entry_budget, fanout_point, guessed_cut_point, higher_order_cut_point, load_corpus,
     pairwise_partition, parse_entry, argument_type, generated_points, per_target_witnesses,
-    point_subject, probed_pool, split_witnesses, symmetric_point,
+    point_subject, probed_pool, rand_canonical, rand_reorder, rand_stype, split_witnesses,
+    symmetric_point,
 )
 
 S = Star()
@@ -390,7 +394,7 @@ def guessed_cut_subjects():
 
 
 def guessed_cut_derivations(subjects, budgets, pool=None):
-    """{(label, budget): (derivations from the bags at each positive source,
+    """{(label, budget): (derivations from the bags at the canonical point,
     derivations at each rigid point they reach)}, computed afresh with the
     pool given, or the enumerator's own."""
     clear_memos()
@@ -401,8 +405,7 @@ def guessed_cut_derivations(subjects, budgets, pool=None):
         for label, ctx, term, ty, point in subjects:
             gamma, a = canonicalize_point(point, ctx, ty)
             for budget in budgets:
-                bags = tuple(enumerate_bag_witnesses(ctx, term, gamma, alpha, budget).derivations
-                             for alpha in pos_sources_it(a, ty))
+                bags = enumerate_bag_witnesses(ctx, term, gamma, a, budget).derivations
                 out[label, budget] = bags, per_target_witnesses(ctx, term, gamma, a, budget)
         return out
     finally:
@@ -415,7 +418,7 @@ def test_pruned_cuts_match_the_full_listing():
     budgets = (1, 2, 3, 4)
     pruned = guessed_cut_derivations(subjects, budgets)
     assert pruned == guessed_cut_derivations(subjects, budgets, pool=full_pool)
-    found = {label: sum(len(bags) for bags in pruned[label, 4][0]) for label, *_ in subjects}
+    found = {label: len(pruned[label, 4][0]) for label, *_ in subjects}
     assert found["copies-down-a-sequence"] == found["copies-down-a-binder"] == 2, found
     assert found["binder-in-argument"] == found["lambda-argument-redex"] == 1, found
     assert sum(map(bool, found.values())) >= 25, found
@@ -541,9 +544,12 @@ def rigid(beta) -> bool:
 
 def well_formed_target(alpha) -> bool:
     """Whether alpha is a target the enumerator knows: open, a cut over
-    rigid types whose result is a target, or a rigid type."""
+    rigid types whose result is a target, up to symmetry at a canonical
+    arrow type, or a rigid type."""
     if isinstance(alpha, derivation._Cut):
         return all(map(rigid, alpha.pool)) and well_formed_target(alpha.result)
+    if isinstance(alpha, derivation._Pos):
+        return isinstance(alpha.a, IArrow) and rigid(alpha.a) and is_canonical(alpha.a)
     return alpha is None or rigid(alpha)
 
 
@@ -567,6 +573,7 @@ def test_every_target_is_open_a_cut_or_rigid():
     bad = sum(not well_formed_target(alpha) for alpha in targets)
     assert bad == 0, f"{bad} of {len(targets)} targets are ill-formed"
     assert None in targets and any(isinstance(alpha, derivation._Cut) for alpha in targets)
+    assert any(isinstance(alpha, derivation._Pos) for alpha in targets)
 
 
 def test_a_function_part_meets_its_cut_target():
@@ -589,6 +596,28 @@ def test_a_function_part_meets_its_cut_target():
     assert rep.incomplete and rep.report.wit_plus == 0
     rep = verify_identities(ctx, term, point, 3)
     assert rep.ok and rep.report.wit_plus == 1
+
+
+def test_a_result_up_to_symmetry_is_met_by_its_positive_sources():
+    # a spine meets a canonical result up to symmetry at every type that
+    # pos_targets_it lists, and at a reordering of the result only if the
+    # listing holds it
+    rng = random.Random(36)
+    listed, reordered = 0, Counter()
+    for _ in range(3000):
+        t = rand_stype(rng, 3)
+        a = rand_canonical(rng, t, 3)
+        target = derivation._Pos(a) if isinstance(a, IArrow) else a
+        sources = pos_targets_it(a, t)
+        assert all(derivation._fits(beta, target) for beta in sources), a
+        listed += len(sources)
+        for _ in range(2):
+            beta = rand_reorder(rng, a)
+            fits = derivation._fits(beta, target)
+            assert fits == (beta in sources), (a, beta)
+            reordered[fits] += beta != a
+    assert listed >= 5000 and reordered[True] >= 300 and reordered[False] >= 300, (
+        listed, reordered)
 
 
 def oracle_subjects():

@@ -90,6 +90,7 @@ PATHS_APART = {
     "symmetry": {"wrel"},
 }
 DEGREE_READS = {"total", "positive", "negative", "class_endos"}
+TRIPLE_COUNTS = {"count_positive_it", "count_negative_seq"}
 
 
 def imported_modules(tree: ast.Module) -> set[str]:
@@ -110,6 +111,10 @@ def test_the_counting_paths_stay_apart():
              if isinstance(node, ast.FunctionDef) and node.name == "esp_explicit"]
     read = {n.attr for n in ast.walk(esp) if isinstance(n, ast.Attribute)}
     assert "witnesses" in read and not read & DEGREE_READS, sorted(read & DEGREE_READS)
+    # the witness path reads a result's class under positive morphisms with
+    # its own key, not with the triple count's counts
+    counts = {name for _, name, _ in imports(parse("derivation"))} & TRIPLE_COUNTS
+    assert not counts, sorted(counts)
 
 
 def definitions(tree: ast.Module):
