@@ -91,17 +91,10 @@ The enumeration reports that value as its bounded_at.  witness_set, the
 enumeration itself, checks nothing.
 
 Each witness_set call is one run (_Run), which carries the budget and
-decides where a subproblem is kept (syntax.Subproblems).  At a subterm
-free in none of the context's variables, such as a Church numeral, it is
-kept in the subterm's memo (interning.memo), beside collapse's witness
-reports and triple counts, dies with the subterm, and answers the next
-query under other names.  At a subterm that names a context variable it
-is kept in the run's own table and dies with the run: no later query
-meets that subterm, since a repeat is answered from collapse's report and
-a fresh query renames its context.  So what a query keeps once it is
-answered is what a later query reads: collapse's report and triple count,
-the subproblems at subterms free only in binders, and the facts of the
-derivations the report holds.
+keeps the subproblems it solves.  At a subterm free in none of the
+context's variables, such as a Church numeral, a subproblem is kept in the
+subterm's memo (interning.memo), where the next query under other names
+meets it again; at any other subterm, in the run's own table.
 """
 
 from __future__ import annotations
@@ -110,9 +103,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
-from .interning import Node, fact
+from .interning import Node, fact, memo
 from .syntax import (
-    App, Arrow, Base, Lam, SimpleType, Subproblems, Term, TypingContext, Var,
+    App, Arrow, Base, Lam, SimpleType, Term, TypingContext, Var,
     annotate, binder_names, free_vars, is_beta_normal, spine, term_to_text, type_to_text,
 )
 from .rigidtypes import (
@@ -463,18 +456,32 @@ class _Pos(NamedTuple):
 Target = IType | _Pos | _Cut | None
 
 
-class _Run(Subproblems):
-    """One enumeration: the budget it runs under, where it keeps the
-    subproblems it solves (Subproblems), given the context's names, and
-    the labels an open binder of each type takes (bounded_refinements),
-    which die with it."""
+class _Run:
+    """One enumeration: the budget it runs under, the context's variable
+    names, which decide where a subproblem is kept (at), and the labels an
+    open binder of each type takes (bounded_refinements).  What it keeps
+    itself dies with it."""
 
-    __slots__ = ("budget", "_refinements")
+    __slots__ = ("names", "budget", "_tables", "_refinements")
 
     def __init__(self, names, budget: int | None):
-        super().__init__(names)
+        self.names = frozenset(names)
         self.budget = budget
+        self._tables: dict[Term, dict] = {}
         self._refinements: dict[SimpleType, tuple[IType, ...]] = {}
+
+    def at(self, t: Term) -> dict:
+        """The dict that keeps the subproblems solved at t: t's memo when t
+        names none of the context's variables, since a later query under
+        other names meets t again, and otherwise one of the run's own, since
+        a repeat is answered from collapse's report and a fresh query
+        renames its context.  A subproblem's key is the same in either."""
+        if self.names.isdisjoint(free_vars(t)):
+            return memo(t)
+        kept = self._tables.get(t)
+        if kept is None:
+            kept = self._tables[t] = {}
+        return kept
 
     def bounded_refinements(self, t: SimpleType) -> tuple[IType, ...]:
         """The refinements of t whose sequences have length at most the
@@ -595,6 +602,12 @@ def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: Target,
     seq, t, bag = ctx[name]
     if not args and name in must and len(seq) > 1:
         return []
+    # an argument must use up what must names and no argument after it does
+    musts, later = [], set()
+    for arg in reversed(args):
+        musts.append(must - later)
+        later.update(free_vars(arg))
+    musts.reverse()
     out: Found = []
     for label, rest in _takes(seq, t, bag):
         doms: list[SeqType] = []
@@ -607,10 +620,9 @@ def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: Target,
         if len(doms) < len(args) or not _fits(cur, alpha):
             continue
         found: Found = [(RVar(name, label), {**ctx, name: (rest, t, bag)})]
-        for j, (arg, dom) in enumerate(zip(args, doms)):
-            later = set().union(*map(free_vars, args[j + 1:]))
+        for arg, dom, arg_must in zip(args, doms, musts):
             found = [(RApp(r, m), after) for r, left in found
-                     for m, after in _enum_multi(arg, left, dom, run, must - later)]
+                     for m, after in _enum_multi(arg, left, dom, run, arg_must)]
         out.extend(found)
     return out
 

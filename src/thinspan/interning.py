@@ -24,7 +24,7 @@ the cyclic collector could free.
 
 A family may also declare a slot _memo, read through memo: a dict of
 values that depend on more than the node, each under a key naming what it
-depends on, such as the subproblems a recursion solved at the node or the
+depends on, such as the subproblems the enumerator solved at the node or the
 type annotate found for it under given variable types.  Its owners check
 that a value still applies before they use it, and like a fact a value
 never points back at its node.
@@ -37,14 +37,17 @@ lives on the node and dies with it, each parser keeps its last
 TEXTS_KEPT texts, which keep what they parsed to alive, and what a call
 derives for itself alone dies with the call.  A query whose text was
 dropped is answered afresh.  A node keeps only what a later query reads:
-the answer a query kept, and the facts and subproblems that other queries
-meet again.  What a call derives for itself alone are the subproblems a
-recursion over a query's term solves at the subterms that name the
-query's context variables, kept in a table of the call's
-(syntax.Subproblems), since no later query meets those subterms; the
-labels an enumeration gives an open binder; and a derivation's
-contractum, which a query reads while it partitions and counts, and
-whose results its report keeps.
+the answer a query kept (collapse's witness report and triple count, and
+wrel's coefficient at the normal form), the facts, and the subproblems
+the witness enumerator (derivation) solves at a subterm that names none
+of the query's context variables, such as a Church numeral, which a later
+query under other names meets again.  What a call derives for itself
+alone are the subproblems the enumerator solves at the subterms that name
+the query's context variables, since no later query meets those
+subterms, and every subproblem of the coefficient recursion, each kept in
+a table of the call's; the labels an enumeration gives an open binder;
+and a derivation's contractum, which a query reads while it partitions
+and counts, and whose results its report keeps.
 """
 
 from __future__ import annotations

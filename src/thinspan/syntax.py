@@ -20,13 +20,9 @@ once per term and kept on it:
   _nf             its beta-normal form, before binders are re-freshened.
 
 A term also has a memo (interning.memo), where annotate keeps what it
-found with the types of the free variables it found it under, and the
-witness reports (collapse) and the coefficient (wrel) keep what they
-derived of the term.  All of it dies with the term.  The enumerator
-(derivation) and the coefficient recursion keep a subproblem there only
-at a subterm that names none of the query's context variables, which a
-later query under other names can meet again; Subproblems decides where
-each goes.
+found with the types of the free variables it found it under, and other
+modules keep what a later query reads of the term (interning says what).
+All of it dies with the term.
 
 A text parsed before is not read again: parse_term, parse_simple_type and
 parse_context keep the last interning.TEXTS_KEPT texts they read, by text.
@@ -150,36 +146,6 @@ def binder_names(t: Term) -> tuple[str, ...] | None:
             bs = binder_names(b)
             return None if bs is None or x in bs else (x,) + bs
     raise TypeError(f"not a term: {t!r}")
-
-
-class Subproblems:
-    """Where one call of a recursion over a query's term keeps the
-    subproblems it solves at the term's subterms.
-
-    A subterm free in none of the query's context variables, names, is
-    closed or free only in binders around it, such as a Church numeral's
-    body: a later query under other names meets the same subterm, so its
-    subproblems go in its memo (interning.memo).  A later query never
-    meets a subterm that names a context variable, since an exact repeat
-    is answered from what the query kept and a fresh one renames its
-    context: its subproblems go in a table of this object's, which dies
-    with the call that made it.  The table holds one dict per subterm, so
-    a subproblem's key is the same in either place."""
-
-    __slots__ = ("names", "_tables")
-
-    def __init__(self, names):
-        self.names = frozenset(names)
-        self._tables: dict[Term, dict] = {}
-
-    def at(self, t: Term) -> dict:
-        """The dict that keeps the subproblems solved at t."""
-        if self.names.isdisjoint(free_vars(t)):
-            return memo(t)
-        kept = self._tables.get(t)
-        if kept is None:
-            kept = self._tables[t] = {}
-        return kept
 
 
 def spine(t: Term) -> tuple[Term, list[Term]]:

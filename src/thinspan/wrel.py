@@ -28,19 +28,13 @@ The inputs are checked before the recursion starts: wrel_coefficient takes
 a Subject from collapse.prepare, which annotated the term and checked the
 point once for every path a query takes.  The recursion reads facts kept
 on the terms (syntax): a term's free variables, sorted, fix the order of
-its bags in the memo keys and the leftovers; and the normal form of a
+its bags in the table keys and the leftovers; and the normal form of a
 redex term is kept on it, so a repeated query normalizes nothing, and
 re-freshening a normal form whose binders are already distinct is no walk.
-Leftovers are kept under a key that starts with "wrel", so no other
-counting path reads them, where one wrel_coefficient call's Subproblems
-(syntax) says: in the memo (interning.memo) of a subterm free in none of
-the context's variables, which a later query under other names meets
-again, and otherwise in a table that dies with the call.  Of the normal
-form's leftovers a later query reads only the coefficient, the entry
-where every bag is empty, so that count alone is kept in the normal
-form's memo, under a key of its own, and dies with it.  It is not kept
-as the normal form's leftovers: a later query may meet the normal form
-as a subterm free only in its binders, and there it reads every entry.
+Leftovers are kept in a table of the call's, which dies with it.  Of what
+the call derives a later query reads only the coefficient, so that count
+alone is kept in the normal form's memo (interning.memo), under a key of
+its own, and dies with the normal form.
 """
 
 from __future__ import annotations
@@ -48,9 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .interning import memo
-from .syntax import (
-    Lam, Subproblems, Term, Var, beta_normalize, free_vars, is_beta_normal, spine,
-)
+from .syntax import Lam, Term, Var, beta_normalize, free_vars, is_beta_normal, spine
 # not called here: the tracer in perfbench/tracing.py wraps this name in this module
 from .syntax import annotate  # noqa: F401
 from .rigidtypes import IArrow, IType, SeqType, Subject
@@ -81,13 +73,13 @@ def wrel_coefficient(subject: Subject) -> NatInf:
     fvs = free_vars(nf)
     if any(seq for x, seq in env.items() if x not in fvs):
         return NatInf(0)
-    # the answer is kept in nf's memo, and the subproblems where this
-    # call's Subproblems says
+    # the answer is kept in nf's memo, and the subproblems in a table
+    # that dies with this call
     kept = memo(nf)
     key = ("coefficient", tuple(env[x] for x in fvs), subject.result)
     n = kept.get(key)
     if n is None:
-        left = _leftovers(env, nf, subject.result, Subproblems(env))
+        left = _leftovers(env, nf, subject.result, {})
         n = kept[key] = left.get(((),) * len(fvs), 0)
     return NatInf(n)
 
@@ -98,25 +90,26 @@ Leftovers = dict[tuple[SeqType, ...], int]
 
 
 def _leftovers(env: dict[str, SeqType], term: Term, target: IType,
-               subs: Subproblems) -> Leftovers:
-    """The leftovers of term at target, kept where subs says."""
-    fvs, kept = free_vars(term), subs.at(term)
+               solved: dict) -> Leftovers:
+    """The leftovers of term at target, kept in solved under (term, the
+    bags of its free variables, target)."""
+    fvs = free_vars(term)
     bags = tuple(env[x] for x in fvs)
-    key = ("wrel", bags, target)
-    hit = kept.get(key)
+    key = (term, bags, target)
+    hit = solved.get(key)
     if hit is None:
-        hit = kept[key] = _leftovers_raw(dict(zip(fvs, bags)), term, target, subs)
+        hit = solved[key] = _leftovers_raw(dict(zip(fvs, bags)), term, target, solved)
     return hit
 
 
 def _leftovers_raw(env: dict[str, SeqType], term: Term, target: IType,
-                   subs: Subproblems) -> Leftovers:
+                   solved: dict) -> Leftovers:
     fvs = free_vars(term)
     if isinstance(term, Lam):
         if not isinstance(target, IArrow):
             return {}
         x = term.binder
-        inner = _leftovers({**env, x: target.domain}, term.body, target.codomain, subs)
+        inner = _leftovers({**env, x: target.domain}, term.body, target.codomain, solved)
         body_fvs = free_vars(term.body)
         out: Leftovers = {}
         for left, n in inner.items():
@@ -149,7 +142,7 @@ def _leftovers_raw(env: dict[str, SeqType], term: Term, target: IType,
             for d in dom:
                 after: Leftovers = {}
                 for state, n in states.items():
-                    for left, m in _leftovers(dict(zip(fvs, state)), arg, d, subs).items():
+                    for left, m in _leftovers(dict(zip(fvs, state)), arg, d, solved).items():
                         new = list(state)
                         for j, seq in zip(where, left):
                             new[j] = seq

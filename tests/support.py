@@ -34,6 +34,7 @@ from reference import is_negative_ctx, is_negative_it, is_positive_ctx, is_posit
 
 CORPUS_PATH = Path(__file__).resolve().parent.parent / "corpus" / "points.json"
 TRACING_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+WORKLOADS_PATH = TRACING_PATH.with_name("workloads.py")
 
 
 def load_tracing():

@@ -15,9 +15,12 @@ confirm by running queries.
 
 import gc
 import importlib
+import os
+import subprocess
 import sys
 import weakref
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +43,7 @@ import reference
 from support import (
     chain_point, church_point, clear_memos, distinct_g_point, entry_budget, fanout_point,
     load_corpus, load_tracing, parse_entry, point_subject, positive_source_point,
-    symmetric_point,
+    symmetric_point, WORKLOADS_PATH,
 )
 
 def test_traced_names_resolve():
@@ -481,6 +484,58 @@ def test_threaded_coefficient_stays_small(monkeypatch, point, coefficient):
     assert len(sizes) <= 200, len(sizes)
 
 
+# A child's work on the first 500 queries of the benchmark's stream, loaded
+# from its file: the subproblems the enumerator and the coefficient
+# recursion solve, counted by their calls.
+STREAM_WORK = """
+import importlib.util, sys
+from pathlib import Path
+
+import thinspan
+from thinspan import derivation, wrel
+
+spec = importlib.util.spec_from_file_location("perfbench_workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+calls = {"_enum_raw": 0, "_leftovers_raw": 0}
+
+def count(module, name):
+    fn = getattr(module, name)
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+    setattr(module, name, counted)
+
+count(derivation, "_enum_raw")
+count(wrel, "_leftovers_raw")
+for q in workloads.stream(Path(sys.argv[1]).parent.parent, 3, 500):
+    ctx = thinspan.parse_context(q["ctx"])
+    expected = thinspan.parse_simple_type(q["type"]) if "type" in q else None
+    term, ty = thinspan.annotate(ctx, thinspan.parse_term(q["term"]), expected)
+    point = thinspan.point_from_json(q["point"], ctx, ty)
+    rep = thinspan.verify_identities(ctx, term, point, q["budget"])
+    assert rep.ok and rep.wrel.value == q["ref"], q["name"]
+print(calls["_enum_raw"], calls["_leftovers_raw"])
+"""
+
+
+# The work a query stream takes depends on its queries alone, not on the
+# order of a set or of a dict of strings, which PYTHONHASHSEED changes from
+# one process to the next.  So a change in work counts, measured in one
+# process, is the change's and not the seed's.
+def test_work_on_the_stream_does_not_depend_on_hash_seeds():
+    counts = []
+    for seed in ("0", "1"):
+        res = subprocess.run(
+            [sys.executable, "-c", STREAM_WORK, str(WORKLOADS_PATH)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": str(Path(thinspan.__file__).parent.parent)})
+        assert res.returncode == 0, res.stderr
+        counts.append(tuple(map(int, res.stdout.split())))
+    assert counts[0] == counts[1] and all(counts[0]), counts
+
+
 # What a query's input needs is derived once per node and kept on it, and
 # a parsed point keeps its check.  So a repeated query, parsed again as the
 # benchmark parses it, normalizes nothing, renames no binder and extends no
@@ -579,10 +634,11 @@ def renamed_church_two(suffix: str):
 # A subproblem is kept only as long as a query can read it.  No later
 # query meets a subterm that names a context variable, since a repeat is
 # answered from the report and a fresh query renames the context: what the
-# enumerator and the coefficient recursion solved there dies with the call.
-# Of such subterms only the normal form keeps wrel's answer, the
-# coefficient, and none keeps leftovers.  The numeral is closed, and keeps
-# its subproblems for the next query under other names.
+# enumerator solved there dies with the call.  Of such subterms only the
+# normal form keeps wrel's answer, the coefficient.  The numeral is closed,
+# and keeps its enumerator subproblems for the next query under other
+# names.  No subterm keeps wrel's leftovers, closed or not: they die with
+# the call, and f (\x:o. x) has a closed subterm the recursion reaches.
 def test_a_subproblem_under_context_names_dies_with_its_call(cold_memo):
     ctx, term, _, point = renamed_church_two("_kept")
     assert verify_identities(ctx, term, point, 2).ok
@@ -595,9 +651,16 @@ def test_a_subproblem_under_context_names_dies_with_its_call(cold_memo):
     for t in named:
         keys = [k for k in memo(t) if isinstance(k, tuple)]
         assert not [k for k in keys if not isinstance(k[0], str)], t
-        assert not [k for k in keys if k[0] == "wrel"], t
         assert len([k for k in keys if k[0] == "coefficient"]) == (t is nf), t
     assert any(isinstance(k, tuple) and not isinstance(k[0], str) for k in memo(numeral))
+    ctx2, term2, _, point2 = point_subject("f (\\x:o. x)", {"f": "[[[*]-o*]-o*]"}, "f:(o->o)->o")
+    held = verify_identities(ctx2, term2, point2)
+    assert held.ok and held.wrel.value == 1
+    nf2 = beta_normalize(term2, set(ctx2.names()))
+    closed = nf2.arg
+    assert not free_vars(closed) and memo(closed)
+    for t in {t for root in (term, nf, term2, nf2) for t in subterms(root)}:
+        assert not [k for k in memo(t) if isinstance(k, tuple) and k[0] == "wrel"], t
 
 
 # A kept query holds only what a later query reads.  Its witness keeps no
