@@ -34,13 +34,19 @@ from .wrel import wrel_coefficient
 
 DEFAULT_CORPUS_BUDGET = 4
 
-_INPUT_ERRORS = (ParseError, TypeCheckError, RefinementError, DerivationError,
-                 MorphismError, json.JSONDecodeError, OSError, RecursionError, MemoryError)
+_INPUT_ERRORS = (ParseError, TypeCheckError, RefinementError, DerivationError, MorphismError,
+                 json.JSONDecodeError, UnicodeDecodeError, OSError, RecursionError, MemoryError)
 
 
 def _fail(message: str, code: int) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _echo(line: str) -> None:
+    """Print a line on stdout, escaping what it cannot encode as stderr does."""
+    encoding = sys.stdout.encoding or "utf-8"
+    click.echo(line.encode(encoding, "backslashreplace").decode(encoding))
 
 
 @contextmanager
@@ -82,7 +88,7 @@ def _point_json(point_arg: str):
     except json.JSONDecodeError:
         if point_arg.lstrip().startswith(("{", "[")):
             raise
-    with open(point_arg) as f:
+    with open(point_arg, encoding="utf-8") as f:
         return json.load(f)
 
 
@@ -239,7 +245,7 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
     default_budget = None
     if corpus_path:
         with _reading(f"{corpus_path}: "):
-            with open(corpus_path) as f:
+            with open(corpus_path, encoding="utf-8") as f:
                 entries = json.load(f)
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             _fail(f"{corpus_path}: a corpus must be a JSON list of objects", 1)
@@ -277,7 +283,7 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
                 codes.add(3)
                 results.append({"name": name, "ok": False, "error": str(e)})
                 if not as_json:
-                    click.echo(f"FAIL {name}: {e}")
+                    _echo(f"FAIL {name}: {e}")
                 continue
         elapsed = time.monotonic() - started
         found, classes = rep.report.wit_plus, len(rep.report.classes)
@@ -300,7 +306,7 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
             line = f"FAIL {name}: " + "; ".join(
                 f"{c.name}: {c.detail}" for c in rep.checks if not c.ok)
         if not as_json:
-            click.echo(line)
+            _echo(line)
     if as_json:
         click.echo(json.dumps(results, indent=2, sort_keys=True))
     if codes:

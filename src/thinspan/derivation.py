@@ -40,9 +40,10 @@ what is left of it a suffix.  Started from a canonical context instead,
 each context variable's entry is a bag: an occurrence takes any one of its
 values, labelled by any negative target of that value, so one enumeration
 finds the derivations at every rigid context a negative morphism reaches
-from it, and each derivation's context is read off its labels.  The
-result is read alike (_Pos), and each derivation's result is its rt_type.
-Other binders stay sequences.
+from it, and each derivation's context is read off its labels.  The run
+lists a value's targets, read off the value alone, once.  The result is
+read alike (_Pos, by polar_class), and each derivation's result is its
+rt_type.  Other binders stay sequences.
 
 At a redex (\\x. M) N the cut, the sequence of types N's copies conclude,
 is not guessed: it is read off the function part, as the app rule reads
@@ -91,10 +92,11 @@ The enumeration reports that value as its bounded_at.  witness_set, the
 enumeration itself, checks nothing.
 
 Each witness_set call is one run (_Run), which carries the budget and
-keeps the subproblems it solves.  At a subterm free in none of the
-context's variables, such as a Church numeral, a subproblem is kept in the
-subterm's memo (interning.memo), where the next query under other names
-meets it again; at any other subterm, in the run's own table.
+keeps the labels it lists and the subproblems it solves.  At a subterm
+free in none of the context's variables, such as a Church numeral, a
+subproblem is kept in the subterm's memo (interning.memo), where the next
+query under other names meets it again; at any other subterm, in the
+run's own table.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ from .rigidtypes import (
     IArrow, IType, ResourceContext, SeqType, Star,
     canonicalize_it, ctx_refines, ctx_to_text, it_to_text, key_it, refines,
 )
-from .symmetry import count_homs_it, neg_targets_it, permanent
+from .symmetry import count_homs_it, neg_targets_it, permanent, polar_class
 
 
 class DerivationError(Exception):
@@ -415,7 +417,7 @@ def witness_set(term: Term, theta: ResourceContext, alpha: IType, budget: int | 
     bags, and budget cut_budget's value.  Nothing is checked here."""
     # a start context fixes the variables that are not free in the term
     # too, which must be used up
-    start = {x: (seq, t, bags) for x, seq, t in theta.entries}
+    start = {x: (seq, bags) for x, seq, _ in theta.entries}
     run = _Run(start, budget)
     target = _Pos(alpha) if bags and isinstance(alpha, IArrow) else alpha
     return [r for r, _ in _enum(term, start, target, run, frozenset(start))]
@@ -425,16 +427,16 @@ def witness_set(term: Term, theta: ResourceContext, alpha: IType, budget: int | 
 # the occurrences consume it: each call takes what the subterms to its left
 # did not consume, and returns every derivation paired with what it leaves
 # in turn.  A context maps each variable in scope to its entry: what is
-# left of it, its simple type, and its kind: a bag (True), whose values the
-# occurrences take in any order; a sequence (False), which they consume in
-# order; or open (None), labels the occurrences take any of, any number of
-# times, which is never used up.  Binders are sequences, but a lambda at
-# _Pos makes its binder a bag, and one at a cut or open leaves it open.  A
+# left of it and its kind: a bag (True), whose values the occurrences take
+# in any order; a sequence (False), which they consume in order; or open
+# (None), labels the occurrences take any of, any number of times, which is
+# never used up.  Binders are sequences, but a lambda at _Pos makes its
+# binder a bag, and one at a cut or open leaves it open.  A
 # target is a rigid type; _Pos; a cut (_Cut), at a redex's function part;
 # or None, open: a spine concludes what its head gives it.  A call must use
 # up the variables in `must`; the others it may leave to the subterms to
 # its right.
-Entry = tuple[SeqType, SimpleType, bool | None]
+Entry = tuple[SeqType, bool | None]
 Ctx = dict[str, Entry]
 Found = list[tuple[ResourceTerm, Ctx]]
 
@@ -458,15 +460,16 @@ Target = IType | _Pos | _Cut | None
 
 class _Run:
     """One enumeration: the budget it runs under, the context's variable
-    names, which decide where a subproblem is kept (at), and the labels an
-    open binder of each type takes (bounded_refinements).  What it keeps
-    itself dies with it."""
+    names, which decide where a subproblem is kept (at), the labels an open
+    binder of each type takes (bounded_refinements) and those of each bag
+    value (_takes).  What it keeps itself dies with it."""
 
-    __slots__ = ("names", "budget", "_tables", "_refinements")
+    __slots__ = ("names", "budget", "labels", "_tables", "_refinements")
 
     def __init__(self, names, budget: int | None):
         self.names = frozenset(names)
         self.budget = budget
+        self.labels: dict[IType, tuple[IType, ...]] = {}
         self._tables: dict[Term, dict] = {}
         self._refinements: dict[SimpleType, tuple[IType, ...]] = {}
 
@@ -531,14 +534,14 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: Target, run: _Run,
         case Lam(x, b, ann):
             assert ann is not None
             if isinstance(alpha, IArrow):
-                entry, body_alpha, must = (alpha.domain, ann, False), alpha.codomain, must | {x}
+                entry, body_alpha, must = (alpha.domain, False), alpha.codomain, must | {x}
             elif isinstance(alpha, _Pos):
-                entry, c, must = (alpha.a.domain, ann, True), alpha.a.codomain, must | {x}
+                entry, c, must = (alpha.a.domain, True), alpha.a.codomain, must | {x}
                 body_alpha = _Pos(c) if isinstance(c, IArrow) else c
             elif isinstance(alpha, _Cut):
-                entry, body_alpha = (alpha.pool, ann, None), alpha.result
+                entry, body_alpha = (alpha.pool, None), alpha.result
             elif alpha is None:
-                entry, body_alpha = (run.bounded_refinements(ann), ann, None), None
+                entry, body_alpha = (run.bounded_refinements(ann), None), None
             else:
                 return []
             return [(RLam(x, r, ann), left)
@@ -562,18 +565,22 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: Target, run: _Run,
     raise TypeError(f"not a term: {term!r}")
 
 
-def _takes(seq: SeqType, t: SimpleType, bag: bool | None) -> list[tuple[IType, SeqType]]:
+def _takes(seq: SeqType, bag: bool | None, run: _Run) -> list[tuple[IType, SeqType]]:
     """The labels one occurrence may take from an entry, each with what it
     leaves: a sequence's first element; any distinct value of a bag,
-    labelled by any of its negative targets; or any label of an open entry,
-    which it leaves as it is."""
+    labelled by any of its negative targets, which the run lists once; or
+    any label of an open entry, which it leaves as it is."""
     if bag is None:
         return [(label, seq) for label in seq]
     if not bag:
         return [(seq[0], seq[1:])] if seq else []
+    labels = run.labels
+    for v in seq:
+        if v not in labels:
+            labels[v] = neg_targets_it(v)
     return [(label, seq[:i] + seq[i + 1:])
             for i, v in enumerate(seq) if not i or seq[i - 1] != v
-            for label in neg_targets_it(v, t)]
+            for label in labels[v]]
 
 
 def _fits(beta: IType, alpha: Target) -> bool:
@@ -584,22 +591,13 @@ def _fits(beta: IType, alpha: Target) -> bool:
         return (isinstance(beta, IArrow) and all(b in alpha.pool for b in beta.domain)
                 and _fits(beta.codomain, alpha.result))
     if isinstance(alpha, _Pos):
-        return _polar_class(beta, True) == _polar_class(alpha.a, True)
+        return polar_class(beta, True) == polar_class(alpha.a, True)
     return alpha is None or beta == alpha
-
-
-def _polar_class(beta: IType, positive: bool):
-    """beta's class under positive morphisms, which permute an arrow's domain
-    moving each element negatively, or negative ones, which keep it, moving each positively."""
-    if isinstance(beta, Star):
-        return ()
-    dom = [_polar_class(b, not positive) for b in beta.domain]
-    return tuple(sorted(dom)) if positive else tuple(dom), _polar_class(beta.codomain, positive)
 
 
 def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: Target,
                 run: _Run, must: frozenset[str]) -> Found:
-    seq, t, bag = ctx[name]
+    seq, bag = ctx[name]
     if not args and name in must and len(seq) > 1:
         return []
     # an argument must use up what must names and no argument after it does
@@ -609,7 +607,7 @@ def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: Target,
         later.update(free_vars(arg))
     musts.reverse()
     out: Found = []
-    for label, rest in _takes(seq, t, bag):
+    for label, rest in _takes(seq, bag, run):
         doms: list[SeqType] = []
         cur: IType = label
         for _ in args:
@@ -619,7 +617,7 @@ def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: Target,
             cur = cur.codomain
         if len(doms) < len(args) or not _fits(cur, alpha):
             continue
-        found: Found = [(RVar(name, label), {**ctx, name: (rest, t, bag)})]
+        found: Found = [(RVar(name, label), {**ctx, name: (rest, bag)})]
         for arg, dom, arg_must in zip(args, doms, musts):
             found = [(RApp(r, m), after) for r, left in found
                      for m, after in _enum_multi(arg, left, dom, run, arg_must)]
@@ -665,8 +663,8 @@ def _cut_pool(a: Term, ctx: Ctx, run: _Run) -> tuple[IType, ...]:
     and, at a rigid point, every context variable.  An open binder is no
     sequence: its occurrences pick their labels.  The synthesis only names
     the types; each copy at the cut is enumerated at its own (_enum_multi)."""
-    seqs = [x for x in free_vars(a) if ctx[x][2] is False]
-    starts = [{**ctx, **{x: (ctx[x][0][i:], ctx[x][1], False) for x, i in zip(seqs, skip)}}
+    seqs = [x for x in free_vars(a) if ctx[x][1] is False]
+    starts = [{**ctx, **{x: (ctx[x][0][i:], False) for x, i in zip(seqs, skip)}}
               for skip in product(*(range(len(ctx[x][0]) + 1) for x in seqs))]
     found = {rt_type(r) for start in starts for r, _ in _enum(a, start, None, run, frozenset())}
     if not isinstance(a, Var):

@@ -45,9 +45,9 @@ query under other names meets again.  What a call derives for itself
 alone are the subproblems the enumerator solves at the subterms that name
 the query's context variables, since no later query meets those
 subterms, and every subproblem of the coefficient recursion, each kept in
-a table of the call's; the labels an enumeration gives an open binder;
-and a derivation's contractum, which a query reads while it partitions
-and counts, and whose results its report keeps.
+a table of the call's; the labels an enumeration gives an open binder or
+a bag value; and a derivation's contractum, which a query reads while it
+partitions and counts, and whose results its report keeps.
 """
 
 from __future__ import annotations

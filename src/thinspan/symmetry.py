@@ -18,9 +18,10 @@ negative sub-groupoid.  This module counts them on the query path:
     the domain may be permuted, a product where it may not.  Permanents are
     block products over isomorphism classes.  The explicit triple count and
     the count of derivation morphisms use them;
-  * polarized reachability: the types a negative morphism reaches label a
-    bag's values (neg_targets_it); the listings of contexts and of positive
-    sources (neg_targets_ctx, pos_sources_it) serve the tracer and oracles.
+  * polarized reachability, off the rigid type alone and kept nowhere: the
+    types a negative morphism reaches label a bag's values (neg_targets_it),
+    and polar_class keys them; neg_targets_ctx and pos_sources_it list
+    contexts and positive sources for the tracer and the oracles.
 
 The counts follow the grammar of the morphism classes in groupoid, which
 lists whole hom-sets.  The morphisms' polarity and factorization are test
@@ -31,12 +32,12 @@ calls it; the tests check each count here against that listing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from itertools import chain, combinations_with_replacement, groupby, product
 from math import factorial, prod
 
 from .interning import fact
-from .syntax import Arrow, Base, SimpleType
+from .syntax import SimpleType
 from .rigidtypes import (
     IArrow, IType, ResourceContext, SeqType, Star, STAR,
     ctx_refines, ctx_to_text, is_canonical, is_canonical_seq, it_to_text, key_it, refines,
@@ -175,43 +176,37 @@ def _degrees_seq(seq: SeqType) -> Degrees:
 ####################################################################
 # polarized reachability
 #
-# neg_targets(a) collects every a' admitting a negative morphism a -> a';
-# pos_sources(a) collects every a' admitting a positive morphism a' -> a.
-# Positivity and negativity are closed under inverse, so positive sources
-# coincide with positive targets.
+# _targets(positive, a) lists, in key_it order, the types a polarized
+# morphism reaches from a, which depend on a alone: a positive one permutes
+# an arrow's domain moving each element negatively, a negative one keeps it
+# moving each positively, as _count_it reads them.  Both are closed under
+# inverse, so positive sources are positive targets.  Nothing is kept.
 
-@lru_cache(maxsize=None)
-def neg_targets_it(a: IType, t: SimpleType) -> tuple[IType, ...]:
-    match a, t:
-        case Star(), Base():
-            return (STAR,)
-        case IArrow(d, c), Arrow(td, tc):
-            pools = [pos_targets_it(x, td) for x in d]
-            return tuple(sorted((IArrow(tuple(doms), c2)
-                                 for doms in product(*pools)
-                                 for c2 in neg_targets_it(c, tc)), key=key_it))
-    raise MorphismError(f"type {it_to_text(a)} does not refine {t!r}")
+def _targets(positive: bool, a: IType) -> tuple[IType, ...]:
+    if isinstance(a, Star):
+        return (STAR,)
+    doms = (neg_targets_seq(a.domain) if positive
+            else product(*(_targets(True, x) for x in a.domain)))
+    cods = _targets(positive, a.codomain)
+    return tuple(sorted((IArrow(tuple(d), c) for d in doms for c in cods), key=key_it))
 
 
-@lru_cache(maxsize=None)
-def pos_targets_it(a: IType, t: SimpleType) -> tuple[IType, ...]:
-    match a, t:
-        case Star(), Base():
-            return (STAR,)
-        case IArrow(d, c), Arrow(td, tc):
-            # a positive morphism reorders the domain freely and moves each
-            # element negatively: the domain's negative targets as an entry
-            return tuple(sorted((IArrow(doms, c2)
-                                 for doms in neg_targets_seq(d, td)
-                                 for c2 in pos_targets_it(c, tc)), key=key_it))
-    raise MorphismError(f"type {it_to_text(a)} does not refine {t!r}")
+# every a' admitting a negative morphism a -> a', and every a' admitting a
+# positive one a' -> a; partials, so a listing adds no frame to the caller's
+neg_targets_it = partial(_targets, False)
+pos_sources_it = partial(_targets, True)
 
 
-pos_sources_it = pos_targets_it
+def polar_class(a: IType, positive: bool):
+    """a's key under polarized morphisms: b is in _targets(positive, a)
+    exactly when polar_class(b, positive) == polar_class(a, positive)."""
+    if isinstance(a, Star):
+        return ()
+    dom = [polar_class(b, not positive) for b in a.domain]
+    return tuple(sorted(dom)) if positive else tuple(dom), polar_class(a.codomain, positive)
 
 
-@lru_cache(maxsize=None)
-def neg_targets_seq(seq: SeqType, t: SimpleType) -> tuple[SeqType, ...]:
+def neg_targets_seq(seq: SeqType) -> tuple[SeqType, ...]:
     """Every distinct arrangement of a choice of negative targets per element.
 
     Equal elements have equal targets, so each group of m equal elements
@@ -219,7 +214,7 @@ def neg_targets_seq(seq: SeqType, t: SimpleType) -> tuple[SeqType, ...]:
     of its distinct orders.
     """
     groups = [(x, len(list(g))) for x, g in groupby(seq)]
-    per_group = [combinations_with_replacement(neg_targets_it(x, t), m) for x, m in groups]
+    per_group = [combinations_with_replacement(neg_targets_it(x), m) for x, m in groups]
     bags = dict.fromkeys(tuple(sorted(chain.from_iterable(choice), key=key_it))
                          for choice in product(*per_group))
     return tuple(sorted((arr for bag in bags for arr in _arrangements(bag)),
@@ -227,7 +222,7 @@ def neg_targets_seq(seq: SeqType, t: SimpleType) -> tuple[SeqType, ...]:
 
 
 def neg_targets_ctx(theta: ResourceContext) -> tuple[ResourceContext, ...]:
-    pools = [[(x, s, t) for s in neg_targets_seq(seq, t)] for x, seq, t in theta.entries]
+    pools = [[(x, s, t) for s in neg_targets_seq(seq)] for x, seq, t in theta.entries]
     return tuple(ResourceContext(tuple(choice)) for choice in product(*pools))
 
 

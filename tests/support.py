@@ -449,9 +449,8 @@ def per_target_witnesses(ctx, term, gamma: ResourceContext, a: IType, budget=Non
     if enumerator is None:
         def enumerator(*args):
             return enumerate_witnesses(*args).derivations
-    ty = annotate(ctx, term)[1]
     return [(theta, alpha, d) for theta in neg_targets_ctx(gamma)
-            for alpha in pos_sources_it(a, ty)
+            for alpha in pos_sources_it(a)
             for d in enumerator(ctx, term, theta, alpha, budget)]
 
 
@@ -564,22 +563,38 @@ def bounded_seqs(t: SimpleType, budget: int) -> tuple[SeqType, ...]:
     return tuple(seq for n in range(budget + 1) for seq in product(pool, repeat=n))
 
 
-def argument_type(a, ctx) -> SimpleType:
-    """The simple type of a redex's argument a in the enumerator's context
-    ctx, which maps each variable in scope to (entry, simple type, kind)."""
-    return annotate(TypingContext(tuple((x, t) for x, (_, t, _) in ctx.items())), a)[1]
+def subject_types(ctx: TypingContext, term) -> dict[str, SimpleType]:
+    """The simple type of every variable a subject's enumeration has in
+    scope: the context's bindings and each binder's annotation, since the
+    binders are distinct."""
+    def annotations(t):
+        match t:
+            case Lam(x, b, ann):
+                yield x, ann
+                yield from annotations(b)
+            case App(f, a):
+                yield from annotations(f)
+                yield from annotations(a)
+
+    return dict(ctx.bindings + tuple(annotations(annotate(ctx, term)[0])))
 
 
-def probed_pool(a, ctx, run) -> tuple[IType, ...]:
+def argument_type(a, types: dict[str, SimpleType]) -> SimpleType:
+    """The simple type of a redex's argument a, under the subject's types
+    (subject_types)."""
+    return annotate(TypingContext(tuple((x, types[x]) for x in free_vars(a))), a)[1]
+
+
+def probed_pool(a, ctx, run, types: dict[str, SimpleType]) -> tuple[IType, ...]:
     """The types a redex's copies were drawn from before they were
     synthesized: each refinement of a's type the budget admits, in the order
     the run lists them for an open binder, kept when one copy of a concludes
     it from some start, as derivation._cut_pool defines the starts.  An open
     binder has no suffixes to start from."""
-    seqs = [x for x in free_vars(a) if ctx[x][2] is False]
-    starts = [{**ctx, **{x: (ctx[x][0][i:], ctx[x][1], False) for x, i in zip(seqs, skip)}}
+    seqs = [x for x in free_vars(a) if ctx[x][1] is False]
+    starts = [{**ctx, **{x: (ctx[x][0][i:], False) for x, i in zip(seqs, skip)}}
               for skip in product(*(range(len(ctx[x][0]) + 1) for x in seqs))]
-    return tuple(beta for beta in run.bounded_refinements(argument_type(a, ctx))
+    return tuple(beta for beta in run.bounded_refinements(argument_type(a, types))
                  if any(derivation._enum(a, start, beta, run, frozenset()) for start in starts))
 
 

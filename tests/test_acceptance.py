@@ -5,15 +5,16 @@ Each test prints a PASS line with the counts it verified.
 """
 
 import random
+import re
 import time
 
 from thinspan.syntax import (
-    annotate, is_beta_normal, parse_context, parse_simple_type, parse_term,
+    Base, TypingContext, annotate, is_beta_normal, parse_context, parse_simple_type, parse_term,
 )
 from thinspan.rigidtypes import (
-    IArrow, Star, canonicalize_point, parse_itype, point_from_json, point_to_json,
+    IArrow, PointSpec, Star, canonicalize_point, parse_itype, point_from_json, point_to_json,
 )
-from thinspan.symmetry import pos_targets_it, sym_degrees_ctx, sym_degrees_it
+from thinspan.symmetry import pos_sources_it, sym_degrees_ctx, sym_degrees_it
 from thinspan.derivation import (
     RApp, RLam, RVar, count_derivation_morphisms, multiset_collapse_term,
 )
@@ -26,7 +27,8 @@ from reference import (
     invert_it, is_negative_it, is_positive_it, polar_factorize_it, src_it, tgt_it,
 )
 from support import (
-    entry_budget, load_corpus, parse_entry, rand_canonical, rand_reorder, rand_stype, swept_points,
+    binders, entry_budget, load_corpus, parse_entry, rand_canonical, rand_reorder, rand_stype,
+    swept_points,
 )
 
 S = Star()
@@ -126,6 +128,49 @@ def test_eta_reduct_counts_alike_over_the_sweep():
           f"{nonzero} non-zero")
 
 
+# The three paths share the front end (the parsers, annotate,
+# canonicalize_point), so a fault there feeds them all the same wrong
+# subject and the identities still agree.  The structural rules of the type
+# system catch it: exchange, weakening and alpha-renaming change nothing a
+# query reports, and a variable with a bag that nothing uses makes the
+# coefficient and the witness count 0.
+def test_structural_rules_keep_what_a_query_reports():
+    def reported(ctx, term, point, budget):
+        rep = verify_identities(ctx, term, point, budget)
+        classes = sorted(zip(map(len, rep.report.classes), rep.report.class_endos))
+        return rep.wrel.value, rep.report.wit_plus, classes, rep.ok, rep.incomplete
+
+    def renamed(text, names):
+        return re.sub(rf"\b({'|'.join(map(re.escape, names))})\b", r"\1_r", text)
+
+    started = time.monotonic()
+    points = nonzero = 0
+    for entry, point in swept_points(3, 3):
+        ctx, term, ty, _ = parse_entry(entry)
+        budget = entry_budget(entry)
+        want = reported(ctx, term, point, budget)
+        points += 1
+        nonzero += want[0] != 0
+        where = (entry["name"], point_to_json(point))
+        exchanged = TypingContext(tuple(reversed(ctx.bindings)))
+        assert reported(exchanged, term, point, budget) == want, ("exchange", where)
+        weakened = ctx.extend("w_unused", Base())
+        for bag, got in (((), want), ((S,), None)):
+            at = PointSpec(point.ctx + (("w_unused", bag),), point.result)
+            rep = reported(weakened, term, at, budget)
+            assert rep == got if got else rep[:2] == (0, 0), ("weakening", bag, where)
+        names = sorted(set(ctx.names()) | set(binders(term)))
+        assert "o" not in names
+        at = PointSpec(tuple((f"{x}_r", bag) for x, bag in point.ctx), point.result)
+        ctx2, term2, _, _ = parse_entry(dict(
+            entry, ctx=renamed(entry["ctx"], names), term=renamed(entry["term"], names),
+            point=point_to_json(at)))
+        assert reported(ctx2, term2, at, budget) == want, ("alpha", where)
+    assert (points, nonzero) == (1409, 66), (points, nonzero)
+    print(f"PASS structural rules: exchange, weakening and alpha-renaming at {points} "
+          f"swept points, {nonzero} non-zero ({time.monotonic() - started:.2f}s)")
+
+
 def test_degrees_factor_into_polarized_parts():
     cases = 0
     for entry in CORPUS:
@@ -149,7 +194,7 @@ def test_degrees_factor_into_polarized_parts():
 def brute_polar_factorizations(phi, t):
     a = src_it(phi)
     out = []
-    for mid in pos_targets_it(a, t):
+    for mid in pos_sources_it(a):
         for p in enumerate_homs_it(a, mid):
             if not is_positive_it(p, t):
                 continue

@@ -42,7 +42,7 @@ from thinspan.wrel import wrel_coefficient
 import reference
 from support import (
     chain_point, church_point, clear_memos, distinct_g_point, entry_budget, fanout_point,
-    load_corpus, load_tracing, parse_entry, point_subject, positive_source_point,
+    load_corpus, load_tracing, parse_entry, point_subject, positive_source_point, stars,
     symmetric_point, WORKLOADS_PATH,
 )
 
@@ -723,6 +723,52 @@ def test_an_open_binders_labels_die_with_the_query(cold_memo):
         assert verify_identities(ctx, term, point, budget).ok
         del ctx, term, point
     assert live_arrows() <= counts[1], counts
+
+
+# A bag value's labels, its negative targets, are listed by the enumeration
+# that takes the value and die with it, as an open binder's do.  At k = 6,
+# F's value has 720 labels, the orders of D; after the query, the only
+# arrows alive that were not before are the point's own types.
+def test_a_bag_values_labels_die_with_the_query(cold_memo):
+    def live_arrows():
+        gc.collect()
+        return [node for key, entry in list(thinspan.interning._table.items())
+                if key[0] is IArrow and (node := entry()) is not None]
+
+    def arrows(a, out):
+        if isinstance(a, IArrow):
+            out.add(a)
+            for b in (*a.domain, a.codomain):
+                arrows(b, out)
+        return out
+
+    before = weakref.WeakSet(live_arrows())
+    d = "[" + ",".join(f"{stars(i)}-o*" for i in range(6)) + "]"
+    ctx, term, ty, point = point_subject(
+        "F (\\h:o->o. f h)", {"F": f"[[{d}-o*]-o*]", "f": f"[{d}-o*]"},
+        "F:((o->o)->o)->o, f:(o->o)->o")
+    held = verify_identities(ctx, term, point)
+    assert held.ok and held.wrel.value == 1
+    del held
+    own = set()
+    for _, bag in point.ctx:
+        for a in bag:
+            arrows(a, own)
+    new = [a for a in live_arrows() if a not in before and a not in own]
+    assert len(own) == 8 and not new, len(new)
+
+
+# An enumeration lists each bag value's labels once, however many
+# occurrences take the value.  Fan-out n = 2 has three distinct values.
+def test_a_bag_values_labels_are_listed_once_per_run(monkeypatch, cold_memo):
+    ctx, term, ty, point = point_subject(*fanout_point(2))
+    gamma, a = canonicalize_point(point, ctx, ty)
+    calls = []
+    monkeypatch.setattr(thinspan.derivation, "neg_targets_it",
+                        counting_calls(thinspan.derivation.neg_targets_it, calls))
+    assert thinspan.derivation.witness_set(term, gamma, a, None, bags=True)
+    values = {v for _, seq, _ in gamma.entries for v in seq}
+    assert len(values) == 3 and len(calls) == len(set(calls)) <= len(values), calls
 
 
 def test_a_renamed_query_reuses_the_numerals_subproblems(monkeypatch, cold_memo):

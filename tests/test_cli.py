@@ -382,6 +382,42 @@ def test_missing_point_file_is_an_input_error(tmp_path):
         assert "absent.json" in res.stderr
 
 
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path):
+    # a corpus or point file is read as UTF-8; other bytes end in one error
+    # line, as text that is not JSON does, not in a traceback
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe\x00[")
+    res = run("verify", "--corpus", str(bad))
+    assert_clean_input_error(res)
+    assert res.stderr.startswith(f"error: {bad}: 'utf-8' codec can't decode"), res.stderr
+    for cmd in ("witnesses", "weight", "verify"):
+        res = run(cmd, "--ctx", "g:o->o, y:o", "--term", "g y", "--point", str(bad))
+        assert_clean_input_error(res)
+        assert "'utf-8' codec can't decode" in res.stderr, res.stderr
+
+
+def test_a_name_with_a_lone_surrogate_is_printed_escaped(tmp_path):
+    # stdout escapes the surrogate as stderr does, and each entry keeps its
+    # own exit code: a pass 0, a failed check 4, an input error 1
+    point = {"ctx": {"y": "[*]"}, "type": "*"}
+    cases = [({"term": "y", "expected": 1}, 0, "PASS a\\ud800 (coefficient 1"),
+             ({"term": "y", "expected": 2}, 4, "FAIL a\\ud800: "),
+             ({"term": "y y"}, 1, "")]
+    for fields, code, line in cases:
+        corpus = tmp_path / "surrogate.json"
+        corpus.write_text(json.dumps([{"name": "a\ud800", "ctx": "y:o", "point": point,
+                                       **fields}]))
+        res = run("verify", "--corpus", str(corpus))
+        assert res.exit_code == code and res.stdout.startswith(line), (res.output, res.exception)
+        assert "Traceback" not in res.output
+        if code == 1:
+            assert res.stderr.startswith("error: a\\ud800: "), res.stderr
+        res = run("verify", "--corpus", str(corpus), "--json")
+        assert res.exit_code == code, (res.output, res.exception)
+        if code != 1:
+            assert json.loads(res.stdout)[0]["name"] == "a\ud800"
+
+
 def test_inline_point_that_is_not_an_object():
     # valid inline JSON is never opened as a path
     for point in ("[1,2]", "3", '"g y"'):

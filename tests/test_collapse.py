@@ -320,7 +320,7 @@ def test_an_eta_short_spine_meets_its_result_up_to_symmetry():
     assert rep.ok and rep.wrel.value == rep.report.wit_plus == 1
     (label,) = rep.report.witnesses[0].theta.lookup("f")
     reversed_label = parse_itype("<<*>-o*>-o<<<*>-o*,<>-o*>-o*>-o*")
-    assert reversed_label in neg_targets_it(label, ctx.lookup("f"))
+    assert reversed_label in neg_targets_it(label)
     assert canonicalize_it(reversed_label.codomain) == rep.report.witnesses[0].alpha
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from collections import Counter
+from functools import partial
 from math import factorial
 
 import pytest
@@ -14,7 +15,7 @@ from thinspan.rigidtypes import (
     IArrow, ResourceContext, Star, canonicalize_point, is_canonical, parse_itype,
     point_from_json,
 )
-from thinspan.symmetry import pos_targets_it
+from thinspan.symmetry import neg_targets_it, polar_class, pos_sources_it
 from thinspan.derivation import (
     BudgetRequiredError, DerivationError, RApp, RLam, RVar,
     contract, count_derivation_morphisms, endo_count,
@@ -33,7 +34,7 @@ from support import (
     entry_budget, fanout_point, guessed_cut_point, higher_order_cut_point, load_corpus,
     pairwise_partition, parse_entry, argument_type, generated_points, per_target_witnesses,
     point_subject, probed_pool, rand_canonical, rand_reorder, rand_stype, split_witnesses,
-    symmetric_point,
+    subject_types, symmetric_point,
 )
 
 S = Star()
@@ -342,22 +343,22 @@ def test_candidate_cuts_respect_budget():
 CUT_POOL = derivation._cut_pool
 
 
-def full_pool(a, ctx, run):
+def full_pool(a, ctx, run, types):
     """Every refinement of a's type the budget admits; a variable's pool,
     every label it may take, whatever the budget, is the real one."""
     if isinstance(a, Var):
         return CUT_POOL(a, ctx, run)
-    return run.bounded_refinements(argument_type(a, ctx))
+    return run.bounded_refinements(argument_type(a, types))
 
 
-def whole_context_pool(a, ctx, run):
+def whole_context_pool(a, ctx, run, types):
     """A pool pruned against the whole context alone, which misses the types
     a copy concludes from a suffix of a sequence only."""
-    return tuple(beta for beta in run.bounded_refinements(argument_type(a, ctx))
+    return tuple(beta for beta in run.bounded_refinements(argument_type(a, types))
                  if derivation._enum(a, ctx, beta, run, frozenset()))
 
 
-def pool_without_its_last_type(a, ctx, run):
+def pool_without_its_last_type(a, ctx, run, types):
     return CUT_POOL(a, ctx, run)[:-1]
 
 
@@ -396,13 +397,14 @@ def guessed_cut_subjects():
 def guessed_cut_derivations(subjects, budgets, pool=None):
     """{(label, budget): (derivations from the bags at the canonical point,
     derivations at each rigid point they reach)}, computed afresh with the
-    pool given, or the enumerator's own."""
+    pool given, or the enumerator's own.  A pool given is called as
+    pool(a, ctx, run, types), with the subject's types (subject_types)."""
     clear_memos()
     saved = derivation._cut_pool
-    derivation._cut_pool = pool or saved
     try:
         out = {}
         for label, ctx, term, ty, point in subjects:
+            derivation._cut_pool = partial(pool, types=subject_types(ctx, term)) if pool else saved
             gamma, a = canonicalize_point(point, ctx, ty)
             for budget in budgets:
                 bags = enumerate_bag_witnesses(ctx, term, gamma, a, budget).derivations
@@ -436,10 +438,10 @@ def pools_checked(subjects, budgets):
     every label it may take, which the budget does not bound."""
     pools = []
 
-    def checked(a, ctx, run):
+    def checked(a, ctx, run, types):
         pool = CUT_POOL(a, ctx, run)
         if not isinstance(a, Var):
-            assert pool == probed_pool(a, ctx, run), (term_to_text(a), run.budget)
+            assert pool == probed_pool(a, ctx, run, types), (term_to_text(a), run.budget)
             pools.append(pool)
         return pool
 
@@ -600,24 +602,31 @@ def test_a_function_part_meets_its_cut_target():
 
 def test_a_result_up_to_symmetry_is_met_by_its_positive_sources():
     # a spine meets a canonical result up to symmetry at every type that
-    # pos_targets_it lists, and at a reordering of the result only if the
-    # listing holds it
+    # pos_sources_it lists, and at a reordering of the result only if the
+    # listing holds it; the negative key holds alike for neg_targets_it
     rng = random.Random(36)
-    listed, reordered = 0, Counter()
+    listed, reordered, negative = 0, Counter(), Counter()
     for _ in range(3000):
         t = rand_stype(rng, 3)
         a = rand_canonical(rng, t, 3)
         target = derivation._Pos(a) if isinstance(a, IArrow) else a
-        sources = pos_targets_it(a, t)
+        sources = pos_sources_it(a)
         assert all(derivation._fits(beta, target) for beta in sources), a
         listed += len(sources)
+        targets = neg_targets_it(a)
+        key = polar_class(a, False)
+        assert all(polar_class(beta, False) == key for beta in targets), a
         for _ in range(2):
             beta = rand_reorder(rng, a)
             fits = derivation._fits(beta, target)
             assert fits == (beta in sources), (a, beta)
             reordered[fits] += beta != a
+            same = polar_class(beta, False) == key
+            assert same == (beta in targets), (a, beta)
+            negative[same] += beta != a
     assert listed >= 5000 and reordered[True] >= 300 and reordered[False] >= 300, (
         listed, reordered)
+    assert negative[True] >= 100 and negative[False] >= 300, negative
 
 
 def oracle_subjects():

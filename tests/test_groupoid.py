@@ -8,7 +8,7 @@ import pytest
 
 from thinspan.syntax import Base, parse_simple_type
 from thinspan.rigidtypes import canonicalize_it, parse_itype
-from thinspan.symmetry import MorphismError, pos_targets_it
+from thinspan.symmetry import MorphismError, pos_sources_it
 from thinspan.groupoid import ArrowMorphism, SeqMorphism, StarId, enumerate_homs_it
 
 from reference import (
@@ -28,7 +28,7 @@ def brute_polar_factorizations(phi, t):
     """Every (positive, negative) pair composing to phi, by full search."""
     a = src_it(phi)
     out = []
-    for mid in pos_targets_it(a, t):
+    for mid in pos_sources_it(a):
         for p in enumerate_homs_it(a, mid):
             if not is_positive_it(p, t):
                 continue

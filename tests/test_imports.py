@@ -183,11 +183,11 @@ def test_the_package_exports_stay():
 # A process keeps what it derives of a node in the node's memo, and what it
 # read in a parser's bounded map from text.  So no module binds a mutable
 # container at module level but the intern table, which holds its nodes
-# weakly, and the caches without a bound are these, each keyed by types:
-# a new process-global table needs an edit here.
+# weakly, and the only caches without a bound are groupoid's listings of
+# hom-sets, keyed by types, which no query reaches, only the tracer: a new
+# process-global table needs an edit here.
 UNBOUNDED_CACHES = {
     "groupoid": {"enumerate_homs_it", "enumerate_homs_seq"},
-    "symmetry": {"neg_targets_it", "pos_targets_it", "neg_targets_seq"},
 }
 
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
