@@ -4,9 +4,11 @@ Exit codes: 0 success, 1 malformed input (parse, typing, refinement) or a
 query too large for the memory at hand, 2 usage, 3 a budget is required
 but none was given, 4 an identity check failed, 5 an enumeration bounded
 by its budget found fewer witnesses than the coefficient and may be
-incomplete.  One boundary, `_reading`, maps the errors of reading and
-answering a query to codes 1 and 3; `verify` exits with the first of 3, 4
-and 5 that one of its entries ended with.  The budget falls back to the
+incomplete.  A report is exact unless an open binder of arrow type took
+labels bounded by the budget: only such a subject exits 3 or 5.  One
+boundary, `_reading`, maps the errors of reading and answering a query to
+codes 1 and 3; `verify` exits with the first of 3, 4 and 5 that one of
+its entries ended with.  The budget falls back to the
 THINSPAN_BUDGET environment variable when --budget is absent; corpus
 entries then fall back to their own budget field, or 4.  A negative budget
 is a usage error.
@@ -82,14 +84,18 @@ def _read(ctx_text: str, term_text: str, type_text: str | None, point=None):
 def _point_json(point_arg: str):
     """A point given as inline JSON or as the path to a JSON file.  Text that
     parses as JSON is inline, whatever its value; text that does not is a
-    path, unless it opens an object or an array."""
+    path, unless it opens an object or an array.  A file that does not
+    decode or parse is named in the error."""
     try:
         return json.loads(point_arg)
     except json.JSONDecodeError:
         if point_arg.lstrip().startswith(("{", "[")):
             raise
     with open(point_arg, encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise ParseError(f"{point_arg}: {e}") from e
 
 
 def _resolve_budget(budget: int | None) -> int | None:
@@ -118,7 +124,7 @@ def _at_point(command):
             click.option("--point", "point_arg", required=True,
                          help="point as inline JSON or a path to a JSON file"),
             click.option("--budget", type=click.IntRange(min=0), default=None,
-                         help="bound on cut sequence sizes for non-normal terms"),
+                         help="bound on the labels of an open binder of arrow type"),
             click.option("--json", "as_json", is_flag=True))):
         command = option(command)
     return command

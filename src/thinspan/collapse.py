@@ -25,14 +25,15 @@ A query's inputs are checked once, by prepare: it freshens the term's
 binders, annotates the term and checks the point, and the Subject it
 returns carries the result.  positive_witnesses and wrel_coefficient take
 that Subject and check none of it again; only the budget, which comes with
-positive_witnesses, is checked there, by derivation.cut_budget, before
+positive_witnesses, is checked there, by derivation.check_budget, before
 anything kept is read.
 
 A repeated query is answered from what the first one kept in the term's
 memo (interning.memo), which dies with the term: keyed by the canonical
-point's entries, its result and the budget the enumeration ran under
-(cut_budget's value: none for a beta-normal term), positive_witnesses
-keeps the witnesses, the classes, the class degrees, both points' degrees
+point's entries, its result and the budget the enumeration ran under, its
+bounded_at (None, exact at any budget, unless an open binder of arrow
+type took labels bounded by the budget), positive_witnesses keeps the
+witnesses, the classes, the class degrees, both points' degrees
 and that budget, and esp_explicit keeps its triple count, keyed by the
 point and that budget, which fix the witnesses.  Each keeps only its own
 result, under keys of its own, so the witness count, the class-weighted
@@ -58,7 +59,7 @@ from .groupoid import enumerate_homs_ctx, enumerate_homs_it  # noqa: F401
 from .symmetry import neg_targets_ctx, pos_sources_it  # noqa: F401
 from .derivation import enumerate_witnesses  # noqa: F401
 from .derivation import (
-    ResourceTerm, Shape, cut_budget, endo_count, partition_by_symmetry, resource_to_text,
+    ResourceTerm, Shape, check_budget, endo_count, partition_by_symmetry, resource_to_text,
     rt_context, rt_type, witness_set,
 )
 from .interning import memo
@@ -125,32 +126,32 @@ def positive_witnesses(subject: Subject, budget: int | None = None) -> WitnessRe
     d it returns concludes its own context theta, read off its
     occurrences, and its own result alpha, its rt_type.  Witnesses are
     ordered by _witness_key.  The report's fields but the subject and
-    the contexts are kept in the term's memo, and a later query at the same
-    point and budget reads them back; a beta-normal term is enumerated
-    without a budget, so its report is kept once for every budget.
+    the contexts are kept in the term's memo under its bounded_at, and a
+    later query at the same point reads them back: an exact report at any
+    budget, and a bounded one at its own.
     """
-    bounded_at = cut_budget(subject.term, budget)
+    check_budget(budget)
     kept = memo(subject.term)
-    key = ("witnesses", subject.gamma.entries, subject.result, bounded_at)
-    fields = kept.get(key)
+    point = ("witnesses", subject.gamma.entries, subject.result)
+    fields = kept.get((*point, None)) or kept.get((*point, budget))
     if fields is not None:
         return WitnessReport(subject, *fields)
-    fields, thetas = _witness_report(subject, bounded_at)
-    kept[key] = fields
+    fields, thetas = _witness_report(subject, budget)
+    kept[(*point, fields[-1])] = fields
     return WitnessReport(subject, *fields, thetas=thetas)
 
 
-def _witness_report(subject: Subject, bounded_at: int | None) -> tuple:
+def _witness_report(subject: Subject, budget: int | None) -> tuple:
     """The fields of the subject's WitnessReport that follow the subject,
-    enumerated under bounded_at, and the witnesses' contexts if sorting
-    them read them."""
+    bounded_at last, enumerated under the budget if the enumeration asks
+    for it, and the witnesses' contexts if sorting them read them."""
     gamma, a = subject.gamma, subject.result
+    found, bounded_at = witness_set(subject.term, gamma, a, budget, bags=True)
     cdeg = sym_degrees_ctx(gamma)
     rdeg = sym_degrees_it(a, subject.ty)
 
     shape = subject.ctx.bindings
-    witnesses = [PositiveWitness(d, shape)
-                 for d in witness_set(subject.term, gamma, a, bounded_at, bags=True)]
+    witnesses = [PositiveWitness(d, shape) for d in found]
     # a lone witness is not keyed, which would read its context
     thetas = None
     if len(witnesses) > 1:

@@ -52,16 +52,18 @@ gives x an open entry: each occurrence of x takes any type one copy of N
 concludes (_cut_pool), and the labels of the occurrences, the domain of
 the type the function part concludes, are the cut.  Those types are
 synthesized: one copy of N is enumerated with its target left open, and
-each of its derivations concludes the type rt_type reads off it.  A lambda
-whose target is open leaves its binder open too, and each occurrence of it
-takes any refinement of its type of width at most the budget, which at
-base type is * alone; the run lists those refinements once for each type,
-and they die with it.  The copies at the cut are then enumerated at their
-types, like the copies of any argument.  The budget bounds the cut's
-length and its types' width, unless N is a variable, whose copies take
-its labels, whatever their number and width.  So no derivation the budget
-admits is lost, and only the labels an open binder of arrow type may take
-grow with the budget.
+each of its derivations concludes the type rt_type reads off it.  The
+copies at the cut are then enumerated at their types, like the copies of
+any argument.  The point bounds every cut, whatever N is: each copy
+consumes what the context holds.
+
+A lambda whose target is open leaves its binder open too, and each
+occurrence of it takes any refinement of its type: * at base type, and at
+an arrow type, which the point does not bound, those whose sequences have
+length at most the budget, the one place the budget is read.  The run
+lists them once for each type, and they die with it.  So a report is
+exact unless an open binder of arrow type took labels bounded by the
+budget.
 
 A symmetry class's degree, the number of endomorphisms of one of its
 derivations, is counted without listing them: under a variable head the
@@ -82,14 +84,15 @@ collapse forgets which copy meets which occurrence of its binder, so
 (\\y. x <y> <y>) <z, w> and (\\y. x <y> <y>) <w, z> collapse alike but
 admit no morphism.
 
-Inputs are checked where they arrive.  enumerate_witnesses checks the
-term against the point.  A query's subject is checked once, by
-collapse.prepare.  Both then take the budget from cut_budget, the one
-rule for it: it checks the budget and returns the one the enumeration
-runs under, None for a beta-normal term, which is exact whatever the
-budget, and the budget given for a term with a redex, which needs one.
-The enumeration reports that value as its bounded_at.  witness_set, the
-enumeration itself, checks nothing.
+Inputs are checked where they arrive: enumerate_witnesses checks the term
+against the point, check_budget the budget, and collapse.prepare a
+query's subject, once.  witness_set, the enumeration itself, checks
+nothing.  It runs without a budget first, and again under the budget
+given only when an open binder of arrow type asks for its labels, or
+raises BudgetRequiredError without one; it returns the budget it ran
+under, None without one, as its bounded_at.  So what a budget-free run
+keeps is exact, and only a run that reports a budget meets a subproblem
+kept under one.
 
 Each witness_set call is one run (_Run), which carries the budget and
 keeps the labels it lists and the subproblems it solves.  At a subterm
@@ -108,7 +111,7 @@ from typing import NamedTuple
 from .interning import Node, fact, memo
 from .syntax import (
     App, Arrow, Base, Lam, SimpleType, Term, TypingContext, Var,
-    annotate, binder_names, free_vars, is_beta_normal, spine, term_to_text, type_to_text,
+    annotate, binder_names, free_vars, spine, term_to_text, type_to_text,
 )
 from .rigidtypes import (
     IArrow, IType, ResourceContext, SeqType, Star,
@@ -122,7 +125,12 @@ class DerivationError(Exception):
 
 
 class BudgetRequiredError(Exception):
-    """Raised when enumerating witnesses of a non-normal term without a budget."""
+    """Raised when an enumeration needs a budget and none was given."""
+
+
+class _Unbounded(Exception):
+    """Raised by a run without a budget when an open binder of arrow type,
+    the one simple type carried, asks for its labels."""
 
 
 Shape = tuple[tuple[str, SimpleType], ...]
@@ -357,16 +365,14 @@ def enumerate_witnesses(ctx: TypingContext, term: Term, theta: ResourceContext,
     """All derivations of term at the rigid point (theta, alpha), each once,
     sorted by their text.
 
-    Exact for beta-normal terms, whatever the budget, with bounded_at None.
-    Otherwise a budget is required, bounded_at is that budget, and the
-    result contains at least the derivations all of whose cut types (the
-    sequence types introduced at redexes) have length and width at most
-    the budget.  The cut on a bare-variable argument takes that variable's
-    labels, of any length and width, whatever the budget.
+    Exact, with bounded_at None, unless an open binder of arrow type (the
+    binder of a lambda in a redex's argument) took labels: then bounded_at
+    is the budget, which is required, and the result holds at least the
+    derivations whose open binders' labels it admits.
     """
     term = _checked_term(ctx, term, theta, alpha)
-    bounded_at = cut_budget(term, budget)
-    found = witness_set(term, theta, alpha, bounded_at, bags=False)
+    check_budget(budget)
+    found, bounded_at = witness_set(term, theta, alpha, budget, bags=False)
     return WitnessSet(tuple(sorted(found, key=resource_to_text)), bounded_at)
 
 
@@ -393,34 +399,30 @@ def check_budget(budget) -> None:
         raise DerivationError(f"budget must be a non-negative integer, got {budget!r}")
 
 
-def cut_budget(term: Term, budget: int | None) -> int | None:
-    """The budget term's enumeration runs under, once the budget is checked:
-    None for a beta-normal term, which has no cut to guess, and otherwise
-    the budget, which a term with a redex must be given."""
-    check_budget(budget)
-    if is_beta_normal(term):
-        return None
-    if budget is None:
-        raise BudgetRequiredError(
-            f"term {term_to_text(term)} is not beta-normal; witness enumeration needs a budget")
-    return budget
-
-
 def witness_set(term: Term, theta: ResourceContext, alpha: IType, budget: int | None,
-                bags: bool) -> list[ResourceTerm]:
-    """The derivations of term at (theta, alpha), in the enumerator's order:
-    the enumeration behind enumerate_witnesses (bags false) and
-    collapse.positive_witnesses (bags true), on a subject already checked:
-    the term annotated, its binders distinct and apart from the context's
-    names, theta over the context's variables and refining them, alpha
-    refining the term's type, both canonical and read up to symmetry if
-    bags, and budget cut_budget's value.  Nothing is checked here."""
+                bags: bool) -> tuple[list[ResourceTerm], int | None]:
+    """The derivations of term at (theta, alpha), in the enumerator's order,
+    and the budget they were enumerated under, as for enumerate_witnesses
+    (bags false) and collapse.positive_witnesses (bags true), on a subject
+    already checked: the term annotated, its binders distinct and apart
+    from the context's names, theta over the context's variables and
+    refining them, alpha refining the term's type, both canonical and read
+    up to symmetry if bags, and the budget checked.  Nothing is checked
+    here."""
     # a start context fixes the variables that are not free in the term
     # too, which must be used up
     start = {x: (seq, bags) for x, seq, _ in theta.entries}
-    run = _Run(start, budget)
     target = _Pos(alpha) if bags and isinstance(alpha, IArrow) else alpha
-    return [r for r, _ in _enum(term, start, target, run, frozenset(start))]
+    try:
+        run = _Run(start, None)
+        return [r for r, _ in _enum(term, start, target, run, frozenset(start))], None
+    except _Unbounded as e:
+        if budget is None:
+            raise BudgetRequiredError(
+                f"term {term_to_text(term)} has an open binder of type {type_to_text(e.args[0])},"
+                " whose labels only a budget bounds; witness enumeration needs a budget") from None
+    run = _Run(start, budget)
+    return [r for r, _ in _enum(term, start, target, run, frozenset(start))], budget
 
 
 # The enumerator threads the context through the term, left to right, as
@@ -459,10 +461,10 @@ Target = IType | _Pos | _Cut | None
 
 
 class _Run:
-    """One enumeration: the budget it runs under, the context's variable
-    names, which decide where a subproblem is kept (at), the labels an open
-    binder of each type takes (bounded_refinements) and those of each bag
-    value (_takes).  What it keeps itself dies with it."""
+    """One enumeration: the budget it runs under, or None, the context's
+    variable names, which decide where a subproblem is kept (at), the labels
+    an open binder of each type takes (bounded_refinements) and those of
+    each bag value (_takes).  What it keeps itself dies with it."""
 
     __slots__ = ("names", "budget", "labels", "_tables", "_refinements")
 
@@ -488,13 +490,16 @@ class _Run:
 
     def bounded_refinements(self, t: SimpleType) -> tuple[IType, ...]:
         """The refinements of t whose sequences have length at most the
-        budget: the labels of a binder whose lambda's target is open."""
+        budget: the labels of a binder whose lambda's target is open.  A run
+        without a budget raises _Unbounded at an arrow type."""
         out = self._refinements.get(t)
         if out is None:
             match t:
                 case Base():
                     out = (Star(),)
                 case Arrow(td, tc):
+                    if self.budget is None:
+                        raise _Unbounded(t)
                     pool = self.bounded_refinements(td)
                     out = tuple(IArrow(s, c) for n in range(self.budget + 1)
                                 for s in product(pool, repeat=n)
@@ -557,10 +562,8 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: Target, run: _Run,
             out: Found = []
             for rf, left in _enum(f, ctx, _Cut(_cut_pool(a, ctx, run), alpha), run,
                                   must.difference(free_vars(a))):
-                cut = rt_type(rf).domain
-                if isinstance(a, Var) or len(cut) <= run.budget:
-                    for m, rest in _enum_multi(a, left, cut, run, must):
-                        out.append((RApp(rf, m), rest))
+                for m, rest in _enum_multi(a, left, rt_type(rf).domain, run, must):
+                    out.append((RApp(rf, m), rest))
             return out
     raise TypeError(f"not a term: {term!r}")
 
@@ -648,9 +651,7 @@ def _enum_multi(term: Term, ctx: Ctx, targets: SeqType, run: _Run,
 def _cut_pool(a: Term, ctx: Ctx, run: _Run) -> tuple[IType, ...]:
     """The labels of the binder of a redex whose argument is a: the
     refinements of a's type that one copy of a concludes from some context a
-    copy may start from, in key_it order, of width at most the budget
-    unless a is a variable, whose copies take its labels whatever the
-    budget.
+    copy may start from, in key_it order.
 
     They are synthesized, not guessed: one copy of a is enumerated from
     each start with its target left open, and each derivation concludes
@@ -667,16 +668,7 @@ def _cut_pool(a: Term, ctx: Ctx, run: _Run) -> tuple[IType, ...]:
     starts = [{**ctx, **{x: (ctx[x][0][i:], False) for x, i in zip(seqs, skip)}}
               for skip in product(*(range(len(ctx[x][0]) + 1) for x in seqs))]
     found = {rt_type(r) for start in starts for r, _ in _enum(a, start, None, run, frozenset())}
-    if not isinstance(a, Var):
-        found = {beta for beta in found if _within(beta, run.budget)}
     return tuple(sorted(found, key=key_it))
-
-
-def _within(beta: IType, budget: int) -> bool:
-    """Whether every sequence in beta has length at most the budget."""
-    return isinstance(beta, Star) or (
-        len(beta.domain) <= budget and _within(beta.codomain, budget)
-        and all(_within(b, budget) for b in beta.domain))
 
 
 ####################################################################

@@ -64,7 +64,7 @@ from thinspan.rigidtypes import (
 from thinspan.symmetry import MorphismError, _count_it
 from thinspan.derivation import (
     DerivationError, RApp, RLam, RVar, ResourceTerm, Shape, WitnessSet,
-    _checked_term, cut_budget, resource_to_text, rt_type, witness_set,
+    _checked_term, check_budget, resource_to_text, rt_type, witness_set,
 )
 from thinspan.groupoid import (
     STAR_ID, ArrowMorphism, CtxMorphism, ITMorphism, SeqMorphism, StarId,
@@ -576,7 +576,8 @@ def enumerate_bag_witnesses(ctx: TypingContext, term: Term, gamma: ResourceConte
     positive morphisms, so each derivation's result is its rt_type.  The cut
     on a bare-variable argument is an ordered pick of the variable's
     remaining values, of any length.  The derivations are sorted by their
-    text, and bounded_at is as for enumerate_witnesses.  The enumeration
+    text, and bounded_at is the budget the enumeration ran under, as for
+    enumerate_witnesses.  The enumeration
     starts from (gamma, alpha), the canonical point, not the point the
     derivations conclude.
     """
@@ -585,8 +586,8 @@ def enumerate_bag_witnesses(ctx: TypingContext, term: Term, gamma: ResourceConte
     if not is_canonical(alpha):
         raise DerivationError(f"result {it_to_text(alpha)} is not canonical")
     term = _checked_term(ctx, term, gamma, alpha)
-    bounded_at = cut_budget(term, budget)
-    found = witness_set(term, gamma, alpha, bounded_at, bags=True)
+    check_budget(budget)
+    found, bounded_at = witness_set(term, gamma, alpha, budget, bags=True)
     return WitnessSet(tuple(sorted(found, key=resource_to_text)), bounded_at)
 
 

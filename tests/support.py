@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import random
 import re
 from contextlib import contextmanager
@@ -13,6 +14,7 @@ from itertools import combinations_with_replacement, permutations, product
 from math import prod
 from pathlib import Path
 
+import thinspan
 from thinspan import derivation, interning
 from thinspan.syntax import (
     App, Arrow, Base, Lam, ParseError, SimpleType, TypingContext, Var, annotate, beta_normalize,
@@ -35,6 +37,15 @@ from reference import is_negative_ctx, is_negative_it, is_positive_ctx, is_posit
 CORPUS_PATH = Path(__file__).resolve().parent.parent / "corpus" / "points.json"
 TRACING_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 WORKLOADS_PATH = TRACING_PATH.with_name("workloads.py")
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child process that imports thinspan: this
+    process's own, with the package's source directory put ahead of the
+    PYTHONPATH it inherits."""
+    src = str(Path(thinspan.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{inherited}" if inherited else src}
 
 
 def load_tracing():
@@ -136,8 +147,8 @@ def chain_point(d: int):
 
 def guessed_cut_point(n: int):
     """`(\\k:o->o. k y) (\\x:o. g x)` at g:[[*^n]-o*], y:[*^n]: the argument
-    is a lambda, so the redex's cut <[*^n]-o*> is guessed, within budget n.
-    The coefficient is 1."""
+    is a lambda whose binder has base type, so the redex's cut <[*^n]-o*>
+    is synthesized exactly, at any budget.  The coefficient is 1."""
     return "(\\k:o->o. k y) (\\x:o. g x)", {"g": f"[{stars(n)}-o*]", "y": stars(n)}
 
 
@@ -154,7 +165,9 @@ def higher_order_cut_point(n: int = 1):
     """`(\\k:(o->o)->o. k g) (\\h:o->o. h y)` at g:[[*^n]-o*], y:[*^n]: the
     argument is a lambda whose binder has an arrow type, so its copies
     conclude refinements of (o->o)->o, and the cut is <<*^n>-o*>-o*.  The
-    coefficient is 1."""
+    binder h is open, and only the budget bounds its labels: it needs a
+    budget, and budget n or more finds the one witness.  The coefficient
+    is 1."""
     return ("(\\k:(o->o)->o. k g) (\\h:o->o. h y)",
             {"g": f"[{stars(n)}-o*]", "y": stars(n)})
 
@@ -563,6 +576,18 @@ def bounded_seqs(t: SimpleType, budget: int) -> tuple[SeqType, ...]:
     return tuple(seq for n in range(budget + 1) for seq in product(pool, repeat=n))
 
 
+def point_width(point: PointSpec) -> int:
+    """The longest sequence in a point: its longest bag, or the widest
+    domain of a type in it, all the way down."""
+    def width(a: IType) -> int:
+        if isinstance(a, Star):
+            return 0
+        return max(len(a.domain), width(a.codomain), *map(width, a.domain))
+
+    return max([width(point.result)] + [len(seq) for _, seq in point.ctx]
+               + [width(a) for _, seq in point.ctx for a in seq])
+
+
 def subject_types(ctx: TypingContext, term) -> dict[str, SimpleType]:
     """The simple type of every variable a subject's enumeration has in
     scope: the context's bindings and each binder's annotation, since the
@@ -585,17 +610,50 @@ def argument_type(a, types: dict[str, SimpleType]) -> SimpleType:
     return annotate(TypingContext(tuple((x, types[x]) for x in free_vars(a))), a)[1]
 
 
-def probed_pool(a, ctx, run, types: dict[str, SimpleType]) -> tuple[IType, ...]:
+def probed_pool(a, ctx, run, types: dict[str, SimpleType], width: int) -> tuple[IType, ...]:
     """The types a redex's copies were drawn from before they were
-    synthesized: each refinement of a's type the budget admits, in the order
-    the run lists them for an open binder, kept when one copy of a concludes
-    it from some start, as derivation._cut_pool defines the starts.  An open
-    binder has no suffixes to start from."""
+    synthesized: each refinement of a's type whose sequences have length at
+    most the width, in the order an open binder's labels are listed, kept
+    when one copy of a concludes it from some start, as
+    derivation._cut_pool defines the starts.  An open binder has no
+    suffixes to start from."""
     seqs = [x for x in free_vars(a) if ctx[x][1] is False]
     starts = [{**ctx, **{x: (ctx[x][0][i:], False) for x, i in zip(seqs, skip)}}
               for skip in product(*(range(len(ctx[x][0]) + 1) for x in seqs))]
-    return tuple(beta for beta in run.bounded_refinements(argument_type(a, types))
+    return tuple(beta for beta in bounded_refinements(argument_type(a, types), width)
                  if any(derivation._enum(a, start, beta, run, frozenset()) for start in starts))
+
+
+def guessed_cut_subjects():
+    """(label, ctx, term, type, point): every corpus redex, the redexes whose
+    copies meet in every order, the redexes among the generated points, and
+    redexes whose argument's copies start from a suffix of a sequence."""
+    for entry in load_corpus():
+        ctx, term, ty, point = parse_entry(entry)
+        if not is_beta_normal(term):
+            yield entry["name"], ctx, term, ty, point
+    for label, (term, point_ctx, ctx_text, _, _) in COPIES_IN_EVERY_ORDER.items():
+        yield label, *point_subject(term, point_ctx, ctx_text)
+    for i, (entry, ctx, term, ty, point) in enumerate(generated_points()):
+        if not is_beta_normal(term):
+            yield f"{entry['name']}-{i}", ctx, term, ty, point
+    # a binder free in the argument
+    ctx = parse_context("f:o->o, g:o->o")
+    term, ty = annotate(ctx, parse_term("\\z:o. (\\k:o. f k) (g z)"))
+    yield "binder-in-argument", ctx, term, ty, point_from_json(
+        {"ctx": {"f": "[[*]-o*]", "g": "[[*]-o*]"}, "type": "[*]-o*"}, ctx, ty)
+    # the second copy of `h w` takes the second element of h, so at a rigid
+    # point it concludes a type that no copy concludes from all of h
+    yield "copies-down-a-sequence", *point_subject(
+        "(\\k:o->o. f (k y) (k y)) (h w)",
+        {"f": "[[*]-o[*]-o*]", "h": "[[*]-o[*]-o*,[]-o[]-o*]", "w": "[*]", "y": "[*]"},
+        "f:o->o->o, h:o->o->o, w:o, y:o")
+    # the same with a binder for h: in bags too, the copies consume it in order
+    ctx = parse_context("f:o->o->o, w:o, y:o")
+    term, ty = annotate(ctx, parse_term("\\h:o->o->o. (\\k:o->o. f (k y) (k y)) (h w)"))
+    yield "copies-down-a-binder", ctx, term, ty, point_from_json(
+        {"ctx": {"f": "[[*]-o[*]-o*]", "w": "[*]", "y": "[*]"},
+         "type": "[[*]-o[*]-o*,[]-o[]-o*]-o*"}, ctx, ty)
 
 
 # The enumerator that guessed context splits: every way to split the context
@@ -616,7 +674,10 @@ def split_witnesses(ctx, term, theta: ResourceContext, alpha: IType, budget=None
 def _split_enum(term, theta, alpha, budget, cache):
     key = (term, theta, alpha, budget)
     if key not in cache:
-        cache[key] = _split_enum_raw(term, theta, alpha, budget, cache)
+        # a variable not free in the term has no occurrence to use it up
+        fvs = free_vars(term)
+        cache[key] = ([] if any(seq for x, seq, _ in theta.entries if x not in fvs)
+                      else _split_enum_raw(term, theta, alpha, budget, cache))
     return cache[key]
 
 

@@ -15,12 +15,10 @@ confirm by running queries.
 
 import gc
 import importlib
-import os
 import subprocess
 import sys
 import weakref
 from math import factorial
-from pathlib import Path
 
 import pytest
 
@@ -36,14 +34,14 @@ from thinspan.collapse import prepare, verify_identities
 from thinspan.derivation import RApp, RVar
 from thinspan.interning import memo
 from thinspan.rigidtypes import STAR, IArrow, canonicalize_point
-from thinspan.syntax import beta_normalize, free_vars, is_beta_normal
+from thinspan.syntax import beta_normalize, free_vars
 from thinspan.wrel import wrel_coefficient
 
 import reference
 from support import (
-    chain_point, church_point, clear_memos, distinct_g_point, entry_budget, fanout_point,
-    load_corpus, load_tracing, parse_entry, point_subject, positive_source_point, stars,
-    symmetric_point, WORKLOADS_PATH,
+    chain_point, child_env, church_point, clear_memos, distinct_g_point, entry_budget,
+    fanout_point, load_corpus, load_tracing, parse_entry, point_subject, positive_source_point,
+    stars, symmetric_point, WORKLOADS_PATH,
 )
 
 def test_traced_names_resolve():
@@ -95,7 +93,7 @@ def test_a_query_is_prepared_once(monkeypatch, cold_memo, name):
     else:
         entry = next(e for e in load_corpus() if e["name"] == name)
         ctx, term, _, point = parse_entry(entry)
-        budget = None if is_beta_normal(term) else entry_budget(entry)
+        budget = entry_budget(entry)
     calls = {}
     for module in (thinspan.collapse, thinspan.derivation, thinspan.symmetry, thinspan.wrel):
         for fn in ("annotate", "canonicalize_point", "ctx_refines"):
@@ -230,7 +228,7 @@ def test_a_repeated_query_reads_back_what_it_kept(name):
                     else None)
         term, ty = thinspan.syntax.annotate(ctx, parsed, expected)
         point = thinspan.rigidtypes.point_from_json(entry["point"], ctx, ty)
-        budget = None if is_beta_normal(term) else entry_budget(entry)
+        budget = entry_budget(entry)
         return parsed, expected, verify_identities(ctx, term, point, budget)
 
     first = query()
@@ -298,7 +296,7 @@ def test_classes_list_no_morphisms(monkeypatch, cold_memo):
     assert len(corpus) == 20
     for entry in corpus:
         ctx, term, _, point = parse_entry(entry)
-        budget = None if is_beta_normal(term) else entry_budget(entry)
+        budget = entry_budget(entry)
         rep = verify_identities(ctx, term, point, budget, expected=entry["expected"])
         assert rep.ok, entry["name"]
 
@@ -327,8 +325,7 @@ def test_partition_counts_no_morphisms(monkeypatch, cold_memo):
     subjects = []
     for entry in load_corpus():
         ctx, term, _, point = parse_entry(entry)
-        subjects.append((entry["name"], ctx, term, point,
-                         None if is_beta_normal(term) else entry_budget(entry)))
+        subjects.append((entry["name"], ctx, term, point, entry_budget(entry)))
     ctx, term, _, point = point_subject(*distinct_g_point(6))
     subjects.append(("distinct-g-6", ctx, term, point, None))
     for label, ctx, term, point, budget in subjects:
@@ -381,7 +378,7 @@ def test_reachable_contexts_are_not_listed(monkeypatch, cold_memo):
         assert verify_identities(ctx, term, point).ok, n
     for entry in load_corpus():
         ctx, term, _, point = parse_entry(entry)
-        budget = None if is_beta_normal(term) else entry_budget(entry)
+        budget = entry_budget(entry)
         rep = verify_identities(ctx, term, point, budget, expected=entry["expected"])
         assert rep.ok, entry["name"]
 
@@ -406,7 +403,7 @@ def test_positive_sources_are_not_listed(monkeypatch, cold_memo):
     for entry in load_corpus():
         calls.clear()
         ctx, term, _, point = parse_entry(entry)
-        budget = None if is_beta_normal(term) else entry_budget(entry)
+        budget = entry_budget(entry)
         assert verify_identities(ctx, term, point, budget).ok, entry["name"]
         assert len(calls) == 1, entry["name"]
 
@@ -529,8 +526,7 @@ def test_work_on_the_stream_does_not_depend_on_hash_seeds():
         res = subprocess.run(
             [sys.executable, "-c", STREAM_WORK, str(WORKLOADS_PATH)],
             capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONHASHSEED": seed,
-                 "PYTHONPATH": str(Path(thinspan.__file__).parent.parent)})
+            env={**child_env(), "PYTHONHASHSEED": seed})
         assert res.returncode == 0, res.stderr
         counts.append(tuple(map(int, res.stdout.split())))
     assert counts[0] == counts[1] and all(counts[0]), counts
@@ -563,7 +559,7 @@ def test_a_repeated_query_checks_its_input_once(name):
         sys.setprofile(profile)
         try:
             ctx, term, _, point = parse_entry(entry)
-            budget = None if is_beta_normal(term) else entry_budget(entry)
+            budget = entry_budget(entry)
             assert verify_identities(ctx, term, point, budget).ok
         finally:
             sys.setprofile(None)
@@ -766,7 +762,8 @@ def test_a_bag_values_labels_are_listed_once_per_run(monkeypatch, cold_memo):
     calls = []
     monkeypatch.setattr(thinspan.derivation, "neg_targets_it",
                         counting_calls(thinspan.derivation.neg_targets_it, calls))
-    assert thinspan.derivation.witness_set(term, gamma, a, None, bags=True)
+    found, bounded_at = thinspan.derivation.witness_set(term, gamma, a, None, bags=True)
+    assert found and bounded_at is None
     values = {v for _, seq, _ in gamma.entries for v in seq}
     assert len(values) == 3 and len(calls) == len(set(calls)) <= len(values), calls
 

@@ -1,19 +1,16 @@
 import json
-import os
 import resource
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 from click.testing import CliRunner
 
-import thinspan
 from thinspan import collapse
 from thinspan.cli import main
 from thinspan.wrel import NatInf
 
-from support import CORPUS_PATH, chain_point, higher_order_cut_point
+from support import CORPUS_PATH, chain_point, child_env, higher_order_cut_point
 
 EX2 = ["--ctx", "f:o->o, g:o->o, y:o", "--term", "f (g y)", "--point",
        '{"ctx": {"f": "[[*,*]-o*]", "g": "[[]-o*, [*]-o*]", "y": "[*]"}, "type": "*"}']
@@ -21,6 +18,11 @@ FAN = ["--ctx", "g:o->o, y:o", "--term", "g (g y)", "--point",
        '{"ctx": {"g": "[[*,*]-o*,[*]-o*,[*]-o*]", "y": "[*,*]"}, "type": "*"}']
 REDEX = ["--ctx", "y:o", "--term", "(\\x:o. x) y", "--point",
          '{"ctx": {"y": "[*]"}, "type": "*"}']
+# the binder h of the argument's lambda is open and has an arrow type, so
+# only a budget bounds its labels: the cut <<*,*>-o*>-o* needs budget 2
+HIGHER_TERM, HIGHER_POINT = higher_order_cut_point(2)
+HIGHER = ["--ctx", "g:o->o, y:o", "--term", HIGHER_TERM, "--point",
+          json.dumps({"ctx": HIGHER_POINT, "type": "*"})]
 
 
 def run(*args, env=None):
@@ -73,15 +75,23 @@ def test_witnesses_json_shape():
 
 
 def test_witnesses_budget_exit_code():
+    for cmd in ("witnesses", "weight"):
+        res = run(cmd, *HIGHER)
+        assert res.exit_code == 3, cmd
+        assert "open binder of type o -> o" in res.stderr and "budget" in res.stderr, cmd
+    # a redex whose cut the point fixes needs no budget
     res = run("witnesses", *REDEX)
-    assert res.exit_code == 3
-    assert "budget" in res.stderr
+    assert res.exit_code == 0
+    assert "positive witnesses: 1 (exact)" in res.output
 
 
 def test_budget_from_environment():
+    res = run("witnesses", *HIGHER, env={"THINSPAN_BUDGET": "2"})
+    assert res.exit_code == 0
+    assert "positive witnesses: 1 (bounded at 2)" in res.output
     res = run("witnesses", *REDEX, env={"THINSPAN_BUDGET": "1"})
     assert res.exit_code == 0
-    assert "positive witnesses: 1 (bounded at 1)" in res.output
+    assert "positive witnesses: 1 (exact)" in res.output
     res = run("witnesses", *REDEX, env={"THINSPAN_BUDGET": "zzz"})
     assert res.exit_code == 2
 
@@ -184,55 +194,56 @@ def test_subject_options_beside_a_corpus_are_a_usage_error():
 
 
 def test_verify_underbudget_fails(tmp_path):
-    # a budget too small to cover the needed cut shows up as an enumeration
-    # that may be incomplete, with an exit code of its own, not as a silent
-    # pass
+    # a budget too small for the labels of an open binder of arrow type
+    # shows up as an enumeration that may be incomplete, with an exit code
+    # of its own, not as a silent pass
     cf = tmp_path / "c.json"
     cf.write_text(json.dumps([{
-        "name": "too-tight",
-        "ctx": "g:o->o, y:o",
-        "term": "(\\f:o->o. \\x:o. f (f x)) ((\\h:o->o. \\z:o. h (h z)) g) y",
-        "point": {"ctx": {"g": "[[*]-o*,[*]-o*,[*]-o*,[*]-o*]", "y": "[*]"},
-                  "type": "*"},
-        "expected": 1,
-        "budget": 1,
+        "name": "too-tight", "ctx": "g:o->o, y:o", "term": HIGHER_TERM,
+        "point": {"ctx": HIGHER_POINT, "type": "*"}, "expected": 1, "budget": 1,
     }]))
     res = run("verify", "--corpus", str(cf))
     assert res.exit_code == 5
     assert res.output == ("INCOMPLETE too-tight: the enumeration, bounded at budget 1, found 0 "
                           "witnesses for coefficient 1; a larger budget may find the rest\n")
     assert run("verify", "--corpus", str(cf), "--budget", "2").exit_code == 0
-
-
-# `(\k. k y) (\x. g x)` at g:[[*,*,*]-o*], y:[*,*,*] needs the cut
-# <[*,*,*]-o*>, of width 3
-SHORT = ["--ctx", "g:o->o, y:o", "--term", "(\\k:o->o. k y) (\\x:o. g x)", "--point",
-         '{"ctx": {"g": "[[*,*,*]-o*]", "y": "[*,*,*]"}, "type": "*"}']
+    # a cut the point fixes is read exactly, whatever the entry's budget
+    cf.write_text(json.dumps([{
+        "name": "exact",
+        "ctx": "g:o->o, y:o",
+        "term": "(\\f:o->o. \\x:o. f (f x)) ((\\h:o->o. \\z:o. h (h z)) g) y",
+        "point": {"ctx": {"g": "[[*]-o*,[*]-o*,[*]-o*,[*]-o*]", "y": "[*]"},
+                  "type": "*"},
+        "expected": 1,
+        "budget": 0,
+    }]))
+    res = run("verify", "--corpus", str(cf))
+    assert res.exit_code == 0 and res.output.startswith("PASS exact"), res.output
 
 
 def test_a_shortfall_under_a_budget_is_incomplete_not_failed():
-    res = run("verify", *SHORT, "--budget", "2")
+    res = run("verify", *HIGHER, "--budget", "1")
     assert res.exit_code == 5
-    assert res.output.startswith("INCOMPLETE (cli): the enumeration, bounded at budget 2, "
+    assert res.output.startswith("INCOMPLETE (cli): the enumeration, bounded at budget 1, "
                                  "found 0 witnesses for coefficient 1")
-    res = run("verify", *SHORT, "--budget", "2", "--json")
+    res = run("verify", *HIGHER, "--budget", "1", "--json")
     assert res.exit_code == 5
     [result] = json.loads(res.output)
-    assert result["ok"] is False and result["incomplete"] == {"bounded_at": 2}
+    assert result["ok"] is False and result["incomplete"] == {"bounded_at": 1}
     assert (result["coefficient"], result["witnesses"]) == (1, 0)
-    res = run("verify", *SHORT, "--budget", "3", "--json")
+    res = run("verify", *HIGHER, "--budget", "2", "--json")
     assert res.exit_code == 0
     assert "incomplete" not in json.loads(res.output)[0]
     # a wrong expected value is a failure, whatever the budget found
-    res = run("verify", *SHORT, "--budget", "2", "--expected", "2")
+    res = run("verify", *HIGHER, "--budget", "1", "--expected", "2")
     assert res.exit_code == 4 and res.output.startswith("FAIL (cli)")
 
 
 def test_a_surplus_fails_at_any_budget(monkeypatch):
     # more witnesses than the coefficient is never put down to the budget
     monkeypatch.setattr(collapse, "wrel_coefficient", lambda subject: NatInf(0))
-    for budget in ("3", "4", "8"):
-        res = run("verify", *SHORT, "--budget", budget, "--json")
+    for budget in ("2", "4", "8"):
+        res = run("verify", *HIGHER, "--budget", budget, "--json")
         assert res.exit_code == 4, budget
         [result] = json.loads(res.output)
         assert "incomplete" not in result and result["witnesses"] == 1
@@ -244,13 +255,12 @@ def test_corpus_at_budget_8_in_bounded_memory():
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    src = Path(thinspan.__file__).resolve().parent.parent
     started = time.monotonic()
     res = subprocess.run(
         [sys.executable, "-m", "thinspan.cli", "verify", "--corpus", str(CORPUS_PATH),
          "--budget", "8"],
         capture_output=True, text=True, timeout=30, preexec_fn=cap,
-        env={**os.environ, "PYTHONPATH": str(src)})
+        env=child_env())
     assert res.returncode == 0, res.stdout + res.stderr
     assert time.monotonic() - started < 15
     assert res.stdout.count("PASS") == len(json.loads(CORPUS_PATH.read_text()))
@@ -264,12 +274,11 @@ def test_higher_order_cut_at_budget_7_in_bounded_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     term, point_ctx = higher_order_cut_point()
-    src = Path(thinspan.__file__).resolve().parent.parent
     res = subprocess.run(
         [sys.executable, "-m", "thinspan.cli", "verify", "--ctx", "g:o->o, y:o", "--term", term,
          "--point", json.dumps({"ctx": point_ctx, "type": "*"}), "--budget", "7", "--json"],
         capture_output=True, text=True, timeout=60, preexec_fn=cap,
-        env={**os.environ, "PYTHONPATH": str(src)})
+        env=child_env())
     assert res.returncode == 0, res.stdout + res.stderr
     [result] = json.loads(res.stdout)
     assert result["ok"] and result["coefficient"] == result["witnesses"] == 1
@@ -284,13 +293,12 @@ def test_a_budget_too_large_for_memory_is_an_input_error():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
     term, point_ctx = higher_order_cut_point()
-    src = Path(thinspan.__file__).resolve().parent.parent
     res = subprocess.run(
         [sys.executable, "-m", "thinspan.cli", "verify", "--ctx", "g:o->o, y:o",
          "--term", term, "--point", json.dumps({"ctx": point_ctx, "type": "*"}),
          "--budget", "100000"],
         capture_output=True, text=True, timeout=60, preexec_fn=cap,
-        env={**os.environ, "PYTHONPATH": str(src)})
+        env=child_env())
     assert res.returncode == 1, res.stdout + res.stderr
     assert "error: (cli): the query ran out of memory; try a smaller budget" in res.stderr
     assert "Traceback" not in res.stderr
@@ -299,18 +307,17 @@ def test_a_budget_too_large_for_memory_is_an_input_error():
 def test_a_huge_budget_over_a_first_order_cut_passes():
     # the binder k takes the one type [*]-o* its argument concludes, and
     # the cut is read off k's occurrences, so no cut up to the budget's
-    # length is listed
+    # length is listed: the budget is never read
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
-    src = Path(thinspan.__file__).resolve().parent.parent
     res = subprocess.run(
         [sys.executable, "-m", "thinspan.cli", "verify", "--ctx", "g:o->o, y:o",
          "--term", "(\\k:o->o. k y) (\\x:o. g x)",
          "--point", '{"ctx": {"g": "[[*]-o*]", "y": "[*]"}, "type": "*"}',
          "--budget", "100000"],
         capture_output=True, text=True, timeout=60, preexec_fn=cap,
-        env={**os.environ, "PYTHONPATH": str(src)})
+        env=child_env())
     assert res.returncode == 0, res.stdout + res.stderr
     assert res.stdout.startswith("PASS"), res.stdout
 
@@ -331,9 +338,11 @@ def test_verify_mixed_corpus(tmp_path):
 
 
 def test_verify_adhoc_redex_needs_budget():
-    # corpus entries fall back to a budget of 4; an ad-hoc subject does not
-    args = ["verify", "--ctx", "g:o->o, y:o", "--term", "(\\x. x) (g y)", "--point",
-            '{"ctx":{"g":"[[*]-o*]","y":"[*]"},"type":"*"}']
+    # corpus entries fall back to a budget of 4; an ad-hoc subject does
+    # not, so one with an open binder of arrow type needs --budget
+    assert run("verify", "--ctx", "g:o->o, y:o", "--term", "(\\x. x) (g y)", "--point",
+               '{"ctx":{"g":"[[*]-o*]","y":"[*]"},"type":"*"}').exit_code == 0
+    args = ["verify", *HIGHER]
     res = run(*args)
     assert res.exit_code == 3
     assert res.output.startswith("FAIL (cli)")
@@ -394,6 +403,20 @@ def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path):
         res = run(cmd, "--ctx", "g:o->o, y:o", "--term", "g y", "--point", str(bad))
         assert_clean_input_error(res)
         assert "'utf-8' codec can't decode" in res.stderr, res.stderr
+
+
+def test_a_point_file_that_does_not_decode_or_parse_is_named(tmp_path):
+    # the error line names the file, after the entry's prefix in verify, as
+    # the corpus's does; a missing file is named by its OSError alone
+    not_utf8, not_json = tmp_path / "utf16.json", tmp_path / "text.json"
+    not_utf8.write_bytes(b"\xff\xfe\x00[")
+    not_json.write_text("ctx: g\n")
+    for path, message in ((not_utf8, "'utf-8' codec can't decode"),
+                          (not_json, "Expecting value: line 1 column 1 (char 0)")):
+        for cmd, prefix in (("witnesses", ""), ("weight", ""), ("verify", "(cli): ")):
+            res = run(cmd, "--ctx", "g:o->o, y:o", "--term", "g y", "--point", str(path))
+            assert_clean_input_error(res)
+            assert res.stderr.startswith(f"error: {prefix}{path}: {message}"), res.stderr
 
 
 def test_a_name_with_a_lone_surrogate_is_printed_escaped(tmp_path):

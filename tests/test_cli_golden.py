@@ -32,9 +32,10 @@ REDEX = ["--ctx", "g:o->o, y:o", "--term", "(\\x. x) (g y)", "--point",
          '{"ctx": {"g": "[[*]-o*]", "y": "[*]"}, "type": "*"}']
 FAN = ["--ctx", "g:o->o, y:o", "--term", "g (g y)", "--point",
        '{"ctx": {"g": "[[*,*]-o*,[*]-o*,[*]-o*]", "y": "[*,*]"}, "type": "*"}']
-# needs the cut <[*,*,*]-o*>, of width 3
-SHORT = ["--ctx", "g:o->o, y:o", "--term", "(\\k:o->o. k y) (\\x:o. g x)", "--point",
-         '{"ctx": {"g": "[[*,*,*]-o*]", "y": "[*,*,*]"}, "type": "*"}']
+# h is an open binder of arrow type, whose labels only a budget bounds:
+# its label [*,*]-o* needs budget 2
+HIGHER = ["--ctx", "g:o->o, y:o", "--term", "(\\k:(o->o)->o. k g) (\\h:o->o. h y)", "--point",
+          '{"ctx": {"g": "[[*,*]-o*]", "y": "[*,*]"}, "type": "*"}']
 
 # one fixed input per documented error exit: the arguments and the
 # environment of each run
@@ -45,12 +46,12 @@ ERRORS = {
     "1 missing point file": (["weight", "--ctx", "g:o->o, y:o", "--term", "g y",
                               "--point", "no-such-dir/point.json"], {}),
     "2 negative THINSPAN_BUDGET": (["witnesses", *REDEX], {"THINSPAN_BUDGET": "-1"}),
-    "3 witnesses without a budget": (["witnesses", *REDEX], {}),
-    "3 weight without a budget": (["weight", *REDEX], {}),
-    "3 verify without a budget": (["verify", *REDEX], {}),
-    "3 verify --json without a budget": (["verify", *REDEX, "--json"], {}),
+    "3 witnesses without a budget": (["witnesses", *HIGHER], {}),
+    "3 weight without a budget": (["weight", *HIGHER], {}),
+    "3 verify without a budget": (["verify", *HIGHER], {}),
+    "3 verify --json without a budget": (["verify", *HIGHER, "--json"], {}),
     "4 wrong expected": (["verify", *FAN, "--expected", "3"], {}),
-    "5 short budget": (["verify", *SHORT, "--budget", "2"], {}),
+    "5 short budget": (["verify", *HIGHER, "--budget", "1"], {}),
 }
 
 

@@ -3,14 +3,15 @@ import dataclasses
 import pytest
 
 import thinspan
-from thinspan.syntax import TypeCheckError, is_beta_normal, parse_context, parse_term
+from thinspan.syntax import TypeCheckError, parse_context, parse_term
 from thinspan.rigidtypes import (
     PointSpec, RefinementError, canonicalize_it, is_canonical, parse_itype, parse_mit,
     parse_mset,
 )
 from thinspan.groupoid import enumerate_homs_ctx, enumerate_homs_it
 from thinspan.derivation import (
-    BudgetRequiredError, DerivationError, count_derivation_morphisms, multiset_collapse_term, rt_context, rt_type,
+    BudgetRequiredError, DerivationError, count_derivation_morphisms, multiset_collapse_term,
+    rt_context, rt_type,
 )
 from thinspan.interning import memo as term_memo
 from thinspan.symmetry import neg_targets_it, permanent
@@ -22,8 +23,9 @@ from thinspan.collapse import (
 from reference import check_derivation, is_negative_ctx, is_positive_it
 from support import (
     church_point, copies_in_every_order, distinct_g_point, entry_budget, fanout_point,
-    generated_points, listed_esp, load_corpus, parse_entry, per_target_witnesses, point_subject,
-    ryser_permanent, symmetric_point,
+    generated_points, guessed_cut_subjects, higher_order_cut_point, listed_esp, load_corpus,
+    parse_entry, per_target_witnesses, point_subject, point_width, ryser_permanent,
+    split_witnesses, symmetric_point,
 )
 
 BY_NAME = {e["name"]: e for e in load_corpus()}
@@ -125,25 +127,50 @@ def test_class_weights_are_summed_in_integers():
 
 
 def test_budget_flows_through():
+    # a redex whose cut the point fixes is exact without a budget
+    _, rep = report_for("identity-redex")
+    assert rep.bounded_at is None and rep.wit_plus == 1
+    # an open binder of arrow type needs one, and runs under it
+    ctx, term, _, point = point_subject(*higher_order_cut_point())
     with pytest.raises(BudgetRequiredError):
-        report_for("identity-redex")
-    _, rep = report_for("identity-redex", budget=1)
+        positive_witnesses(prepare(ctx, term, point))
+    rep = positive_witnesses(prepare(ctx, term, point), 1)
     assert rep.bounded_at == 1
     assert rep.wit_plus == 1
 
 
-# A beta-normal term is enumerated without a budget, so one report is kept
-# for it whatever budget a query gives; a redex keeps one per budget.
+# A report is kept under the budget its enumeration ran under: one that ran
+# without a budget, a normal term's or a redex's whose cut the point fixes,
+# once for every budget a query gives; one with an open binder of arrow
+# type once per budget.
 def test_a_report_is_kept_once_per_budget_it_ran_under(cold_memo):
-    for name, budgets, reports in (("fan-out", (None, 5, 0), 1),
-                                   ("identity-redex", (1, 2, 1), 2)):
-        ctx, term, _, point = parse_entry(BY_NAME[name])
+    subjects = [(name, parse_entry(BY_NAME[name])) for name in ("fan-out", "identity-redex")]
+    subjects.append(("higher-order-cut", point_subject(*higher_order_cut_point())))
+    for (name, (ctx, term, _, point)), budgets, reports in zip(
+            subjects, ((None, 5, 0), (None, 1, 2, 1), (1, 2, 1)), (1, 1, 2)):
         subject = prepare(ctx, term, point)
         first, *rest = (positive_witnesses(subject, b) for b in budgets)
         for rep in rest:
             assert rep.witnesses == first.witnesses, name
         kept = [key for key in term_memo(subject.term) if key[0] == "witnesses"]
         assert len(kept) == reports, name
+        assert {key[-1] for key in kept} == ({None} if reports == 1 else {1, 2}), name
+
+
+# A subproblem is kept across queries when its subterm names no context
+# variable, and one under a budget answers the next query at that budget.
+# That query reads no labels itself, yet its report stays bounded: a run
+# without a budget never finishes such a subproblem, so the next query
+# asks for the budget too.
+def test_a_bounded_subproblem_met_again_keeps_the_report_bounded(cold_memo):
+    closed = "(\\y:o. (\\k:(o->o)->o. k (\\z:o. z)) (\\h:o->o. h y))"
+    for head in ("g", "f"):
+        ctx, term, _, point = point_subject(f"{head} {closed}", {head: "[[[*]-o*]-o*]"},
+                                            f"{head}:(o->o)->o")
+        rep = positive_witnesses(prepare(ctx, term, point), 2)
+        assert rep.bounded_at == 2 and rep.wit_plus == 1, head
+        with pytest.raises(BudgetRequiredError):
+            positive_witnesses(prepare(ctx, term, point))
 
 
 def test_verify_identities_pass():
@@ -151,7 +178,7 @@ def test_verify_identities_pass():
                  "church-two-at-fan"):
         entry = BY_NAME[name]
         ctx, term, ty, point = parse_entry(entry)
-        budget = None if is_beta_normal(term) else entry_budget(entry)
+        budget = entry_budget(entry)
         rep = verify_identities(ctx, term, point, budget, expected=entry["expected"])
         assert rep.ok, [c for c in rep.checks if not c.ok]
         names = [c.name for c in rep.checks]
@@ -274,6 +301,39 @@ def test_bag_enumeration_matches_per_target_oracle(group):
     assert found >= least, found
 
 
+def exactness_subjects() -> dict:
+    """{label: (ctx, term, type, point)}: the corpus, HAND, and the redexes
+    whose cut is synthesized from their argument (guessed_cut_subjects)."""
+    out = {entry["name"]: parse_entry(entry) for entry in load_corpus()}
+    out.update((label, point_subject(*point)) for label, (point, _) in HAND.items())
+    out.update((label, tuple(rest)) for label, *rest in guessed_cut_subjects())
+    return out
+
+
+def test_the_budget_free_enumeration_is_exact():
+    # no subject here has an open binder of arrow type, so each enumerates
+    # without a budget and its report is exact.  Two listings find the same
+    # derivations in the same order: the enumerator at each rigid point the
+    # canonical one reaches, and the split-guessing oracle, which tries
+    # every cut whose sequences are no longer than the point's longest bag
+    # or widest label
+    subjects = exactness_subjects()
+    found = 0
+    for label, (ctx, term, _, point) in subjects.items():
+        subject = prepare(ctx, term, point)
+        rep = positive_witnesses(subject)
+        assert rep.bounded_at is None, label
+        got = [w.derivation for w in rep.witnesses]
+        gamma, a = subject.gamma, subject.result
+        assert got == [d for _, _, d in per_target_witnesses(ctx, subject.term, gamma, a)], label
+        cache: dict = {}
+        split = per_target_witnesses(ctx, subject.term, gamma, a, point_width(point),
+                                     lambda *args: split_witnesses(*args, cache=cache))
+        assert got == [d for _, _, d in split], label
+        found += len(got)
+    assert len(subjects) >= 300 and found >= 80, (len(subjects), found)
+
+
 def test_permanents_match_ryser_on_real_matrices(monkeypatch, cold_memo):
     # every matrix of at most 10 rows that the triple count, the class
     # degrees and the morphisms between witnesses take a permanent of
@@ -385,12 +445,14 @@ MALFORMED = [
      DerivationError, "budget must be a non-negative integer, got -1"),
     ("bool budget", "g y", multiset_point(GY), True,
      DerivationError, "budget must be a non-negative integer, got True"),
-    ("redex without a budget", "(\\f:o->o. f y) g", multiset_point(GY), None,
-     BudgetRequiredError,
-     "term (\\f:o -> o. f y) g is not beta-normal; witness enumeration needs a budget"),
-    ("redex binding a context name, without a budget", "(\\y:o. g y) y", multiset_point(GY),
+    ("redex without a budget", "(\\k:(o->o)->o. k g) (\\h:o->o. h y)", multiset_point(GY),
      None, BudgetRequiredError,
-     "term (\\y1:o. g y1) y is not beta-normal; witness enumeration needs a budget"),
+     "term (\\k:(o -> o) -> o. k g) (\\h:o -> o. h y) has an open binder of type o -> o, "
+     "whose labels only a budget bounds; witness enumeration needs a budget"),
+    ("redex binding a context name, without a budget", "(\\k:(o->o)->o. k g) (\\g:o->o. g y)",
+     multiset_point(GY), None, BudgetRequiredError,
+     "term (\\k:(o -> o) -> o. k g) (\\g1:o -> o. g1 y) has an open binder of type o -> o, "
+     "whose labels only a budget bounds; witness enumeration needs a budget"),
 ]
 
 

@@ -16,7 +16,6 @@ or named by the benchmark under perfbench/.
 """
 
 import ast
-import os
 import re
 import subprocess
 import sys
@@ -27,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import thinspan
-from support import load_tracing
+from support import child_env, load_tracing
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thinspan"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -238,6 +237,6 @@ def test_the_cli_imports_neither_fractions_nor_decimal():
         [sys.executable, "-c",
          "import sys, thinspan.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
         capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+        env=child_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"

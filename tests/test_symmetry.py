@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from thinspan.syntax import Base, is_beta_normal, parse_context, parse_simple_type
+from thinspan.syntax import Base, parse_context, parse_simple_type
 from thinspan.rigidtypes import (
     ResourceContext, Star, canonicalize_it, canonicalize_point, canonicalize_seq, ctx_refines,
     parse_itype, point_from_json,
@@ -198,7 +198,7 @@ def test_reachability_matches_all_orderings_oracle():
 def test_per_variable_triple_count_matches_whole_contexts():
     for entry in load_corpus():
         ctx, term, ty, point = parse_entry(entry)
-        budget = None if is_beta_normal(term) else entry_budget(entry)
+        budget = entry_budget(entry)
         report = positive_witnesses(prepare(ctx, term, point), budget)
         gamma, a = report.subject.gamma, report.subject.result
         whole = 0

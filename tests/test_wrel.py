@@ -1,6 +1,4 @@
 from math import comb
-import os
-from pathlib import Path
 import random
 import subprocess
 import sys
@@ -8,7 +6,6 @@ import textwrap
 
 import pytest
 
-import thinspan
 from thinspan.syntax import (
     annotate, beta_normalize, ensure_distinct_binders, is_beta_normal, parse_context, parse_term,
 )
@@ -17,7 +14,7 @@ from thinspan.collapse import prepare
 from thinspan.wrel import NatInf, wrel_coefficient
 
 from support import (
-    load_corpus, mset_decompositions, parse_entry, point_subject, rand_point,
+    child_env, load_corpus, mset_decompositions, parse_entry, point_subject, rand_point,
     split_wrel_coefficient,
 )
 
@@ -146,8 +143,7 @@ def test_deep_term_queried_twice():
         for _ in range(2):
             print(wrel_coefficient(prepare(ctx, term, point)).value)
     """)
-    env = dict(os.environ, PYTHONPATH=str(Path(thinspan.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    res = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr[-2000:]
     assert res.stdout.split() == ["1", "1"]
