@@ -29,19 +29,25 @@ positive_witnesses, is checked there, by derivation.check_budget, before
 anything kept is read.
 
 A repeated query is answered from what the first one kept in the term's
-memo (interning.memo), which dies with the term: keyed by the canonical
-point's entries, its result and the budget the enumeration ran under, its
-bounded_at (None, exact at any budget, unless an open binder of arrow
-type took labels bounded by the budget), positive_witnesses keeps the
-witnesses, the classes, the class degrees, both points' degrees
-and that budget, and esp_explicit keeps its triple count, keyed by the
-point and that budget, which fix the witnesses.  Each keeps only its own
-result, under keys of its own, so the witness count, the class-weighted
-sum, the triple count and the wrel coefficient still come from separate
-computations.  A witness keeps no context and no result: both are read
-off its derivation when asked for.  A report built afresh carries the
-contexts it read to sort its witnesses, which esp_explicit reads instead,
-so a query that is not kept reads each witness's context once.
+memo (interning.memo), which dies with the term.  Every identity checked
+here is a statement about numbers, so a query keeps counts, not
+witnesses: keyed by the canonical point's entries, its result and the
+budget the enumeration ran under, its bounded_at (None, exact at any
+budget, unless an open binder of arrow type took labels bounded by the
+budget), positive_witnesses keeps the witness count, the classes as
+tuples of witness indices, the class degrees, both points' degrees and
+that budget, and esp_explicit keeps its triple count, keyed by the point
+and that budget, which fix the witnesses.  Nothing kept holds a
+derivation, a resource term or a context.  A report read back lists its
+witnesses only when asked for them, by enumerating again under its
+bounded_at, which gives the same witnesses in the same order.  Each
+computation keeps only its own result, under keys of its own, so the
+witness count, the class-weighted sum, the triple count and the wrel
+coefficient still come from separate computations.  A witness keeps no
+context and no result: both are read off its derivation when asked for.
+A report that lists its witnesses carries the contexts it read to sort
+them, which esp_explicit reads instead, so a query reads each witness's
+context once.
 """
 
 from __future__ import annotations
@@ -85,21 +91,30 @@ class PositiveWitness:
 @dataclass(frozen=True)
 class WitnessReport:
     subject: Subject
-    witnesses: tuple[PositiveWitness, ...]
+    wit_plus: int                             # the number of witnesses
     classes: tuple[tuple[int, ...], ...]      # indices into witnesses
     class_endos: tuple[int, ...]              # deg(s) per class
     ctx_degrees: Degrees                      # of the canonical context
     res_degrees: Degrees                      # of the canonical result type
     bounded_at: int | None                    # the budget it ran under; None when exact
-    # each witness's context, in order, when the call that built the report
-    # read them to sort the witnesses; None on a report read back, since
-    # the memo keeps no context
-    thetas: tuple[ResourceContext, ...] | None = field(default=None, compare=False,
-                                                       repr=False)
+    # the witnesses, and each one's context when sorting them read the
+    # contexts: given by the call that enumerated them, and listed on first
+    # access on a report read back from the memo, which keeps neither
+    _witnesses: tuple[PositiveWitness, ...] | None = field(default=None, compare=False,
+                                                           repr=False)
+    _thetas: tuple[ResourceContext, ...] | None = field(default=None, compare=False,
+                                                        repr=False)
 
     @property
-    def wit_plus(self) -> int:
-        return len(self.witnesses)
+    def witnesses(self) -> tuple[PositiveWitness, ...]:
+        """The witnesses in the order of _witness_key.  A report read back
+        from the memo enumerates them on first access, once, under its
+        bounded_at, which gives the witnesses the first query found."""
+        if self._witnesses is None:
+            witnesses, thetas, _ = _listed(self.subject, self.bounded_at)
+            object.__setattr__(self, "_witnesses", witnesses)
+            object.__setattr__(self, "_thetas", thetas)
+        return self._witnesses
 
     @property
     def esp(self) -> int:
@@ -125,31 +140,35 @@ def positive_witnesses(subject: Subject, budget: int | None = None) -> WitnessRe
     symmetry: over the bags of gamma and of a's domains.  Each derivation
     d it returns concludes its own context theta, read off its
     occurrences, and its own result alpha, its rt_type.  Witnesses are
-    ordered by _witness_key.  The report's fields but the subject and
-    the contexts are kept in the term's memo under its bounded_at, and a
-    later query at the same point reads them back: an exact report at any
-    budget, and a bounded one at its own.
+    ordered by _witness_key.  The report's counts, every field but the
+    subject and the witnesses, are kept in the term's memo under its
+    bounded_at, and a later query at the same point reads them back: an
+    exact report at any budget, and a bounded one at its own.  Such a
+    report lists its witnesses only if they are read.
     """
     check_budget(budget)
     kept = memo(subject.term)
     point = ("witnesses", subject.gamma.entries, subject.result)
-    fields = kept.get((*point, None)) or kept.get((*point, budget))
-    if fields is not None:
-        return WitnessReport(subject, *fields)
-    fields, thetas = _witness_report(subject, budget)
-    kept[(*point, fields[-1])] = fields
-    return WitnessReport(subject, *fields, thetas=thetas)
+    counts = kept.get((*point, None)) or kept.get((*point, budget))
+    if counts is not None:
+        return WitnessReport(subject, *counts)
+    witnesses, thetas, bounded_at = _listed(subject, budget)
+    classes = partition_by_symmetry([w.derivation for w in witnesses])
+    index = {w.derivation: i for i, w in enumerate(witnesses)}
+    class_ix = tuple(tuple(sorted(index[d] for d in cls)) for cls in classes)
+    endos = tuple(endo_count(cls[0]) for cls in classes)
+    counts = (len(witnesses), class_ix, endos, sym_degrees_ctx(subject.gamma),
+              sym_degrees_it(subject.result, subject.ty), bounded_at)
+    kept[(*point, bounded_at)] = counts
+    return WitnessReport(subject, *counts, witnesses, thetas)
 
 
-def _witness_report(subject: Subject, budget: int | None) -> tuple:
-    """The fields of the subject's WitnessReport that follow the subject,
-    bounded_at last, enumerated under the budget if the enumeration asks
-    for it, and the witnesses' contexts if sorting them read them."""
-    gamma, a = subject.gamma, subject.result
-    found, bounded_at = witness_set(subject.term, gamma, a, budget, bags=True)
-    cdeg = sym_degrees_ctx(gamma)
-    rdeg = sym_degrees_it(a, subject.ty)
-
+def _listed(subject: Subject, budget: int | None) -> tuple:
+    """The subject's witnesses in the order of _witness_key, enumerated
+    under the budget if the enumeration asks for it; their contexts if
+    sorting them read them; and the budget they were enumerated under."""
+    found, bounded_at = witness_set(subject.term, subject.gamma, subject.result, budget,
+                                    bags=True)
     shape = subject.ctx.bindings
     witnesses = [PositiveWitness(d, shape) for d in found]
     # a lone witness is not keyed, which would read its context
@@ -160,12 +179,7 @@ def _witness_report(subject: Subject, budget: int | None) -> tuple:
                                                   resource_to_text(p[1].derivation)))
         thetas = tuple(theta for theta, _ in pairs)
         witnesses = [w for _, w in pairs]
-
-    classes = partition_by_symmetry([w.derivation for w in witnesses])
-    index = {w.derivation: i for i, w in enumerate(witnesses)}
-    class_ix = tuple(tuple(sorted(index[d] for d in cls)) for cls in classes)
-    endos = tuple(endo_count(cls[0]) for cls in classes)
-    return (tuple(witnesses), class_ix, endos, cdeg, rdeg, bounded_at), thetas
+    return tuple(witnesses), thetas, bounded_at
 
 
 def _witness_key(theta: ResourceContext, alpha: IType, text: str):
@@ -227,8 +241,9 @@ def esp_explicit(report: WitnessReport) -> int:
     if total is None:
         counts: dict = {}
         total = 0
-        thetas = report.thetas or [w.theta for w in report.witnesses]
-        for w, theta in zip(report.witnesses, thetas):
+        witnesses = report.witnesses
+        thetas = report._thetas or [w.theta for w in witnesses]
+        for w, theta in zip(witnesses, thetas):
             negs = prod(count_negative_seq(seq, theta.lookup(x), counts)
                         for x, seq, _ in gamma.entries)
             total += negs * count_positive_it(w.alpha, a, counts)

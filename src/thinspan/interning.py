@@ -10,7 +10,10 @@ the node's own fields, which are strings, None, interned nodes or tuples
 of interned nodes.
 
 The table holds its nodes weakly: a node lives as long as something else
-holds it, and its entry goes when it dies.
+holds it, and its entry goes when it dies.  A dict never gives back the
+capacity it grew to, so once the live entries fall to a quarter of the
+most the table has held, the dict is rebuilt in place, and one large
+query leaves no peak-sized table behind.
 
 A fact is a pure function of one node, such as a type's canonical form or
 a resource term's result type.  A function decorated with @fact computes
@@ -37,16 +40,18 @@ lives on the node and dies with it, each parser keeps its last
 TEXTS_KEPT texts, which keep what they parsed to alive, and what a call
 derives for itself alone dies with the call.  A query whose text was
 dropped is answered afresh.  A node keeps only what a later query reads:
-the answer a query kept (collapse's witness report and triple count, and
-wrel's coefficient at the normal form), the facts, and the subproblems
-the witness enumerator (derivation) solves at a subterm that names none
-of the query's context variables, such as a Church numeral, which a later
-query under other names meets again.  What a call derives for itself
-alone are the subproblems the enumerator solves at the subterms that name
-the query's context variables, since no later query meets those
-subterms, and every subproblem of the coefficient recursion, each kept in
-a table of the call's; the labels an enumeration gives an open binder or
-a bag value; and a derivation's contractum, which a query reads while it
+the answer a query kept, in counts alone (collapse's witness count,
+classes and degrees and its triple count, and wrel's coefficient at the
+normal form), the facts, and the subproblems the witness enumerator
+(derivation) solves at a subterm that names none of the query's context
+variables, such as a Church numeral, which a later query under other
+names meets again.  What a call derives for itself alone are the
+subproblems the enumerator solves at the subterms that name the query's
+context variables, since no later query meets those subterms, and every
+subproblem of the coefficient recursion, each kept in a table of the
+call's; the labels an enumeration gives an open binder or a bag value;
+the witnesses themselves, which a report holds only while its caller
+does; and a derivation's contractum, which a query reads while it
 partitions and counts, and whose results its report keeps.
 """
 
@@ -76,12 +81,41 @@ _UNSET = object()
 _SELF = object()
 
 
-def _drop(entry: _Entry, table=_table) -> None:
-    # table is bound here so that nodes dying while the interpreter tears
-    # the module down still find it; a new node may already sit under the
-    # dead one's key
-    if table.get(entry.key) is entry:
+def _dropper(table: dict):
+    """The callback that removes a dead node's entry from table.  It holds
+    table itself, so that nodes dying while the interpreter tears the
+    module down still find it, and the most entries table has held since
+    it was last rebuilt."""
+    peak = 0
+
+    def drop(entry: _Entry) -> None:
+        nonlocal peak
+        # a new node may already sit under the dead one's key
+        if table.get(entry.key) is not entry:
+            return
+        size = len(table)
+        if size > peak:
+            peak = size
         del table[entry.key]
+        if size <= peak // 4:
+            # a dict keeps the capacity of its peak, so once three quarters
+            # of its entries are gone it is rebuilt in place, where drop
+            # finds it.  Copying it allocates, and a collection that starts
+            # then may drop entries the copy already took: it is copied
+            # again.  Clearing and refilling it allocates nothing a
+            # collection counts and frees no entry, since the copy holds
+            # them all, so no callback runs between the two.
+            peak = size - 1
+            live = table.copy()
+            while len(live) != len(table):
+                live = table.copy()
+            table.clear()
+            table.update(live)
+
+    return drop
+
+
+_drop = _dropper(_table)
 
 
 class _Interning(type):

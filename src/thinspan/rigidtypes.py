@@ -410,7 +410,14 @@ def ctx_to_text(c: ResourceContext) -> str:
 
 
 def point_from_json(obj: dict, ctx: TypingContext, result_type: SimpleType) -> PointSpec:
-    """Build a PointSpec from {"ctx": {var: "<mset>"}, "type": "<mit>"} data."""
+    """Build a PointSpec from {"ctx": {var: "<mset>"}, "type": "<mit>"} data.
+    Any other key is an error, so a misspelled "ctx" is not read as an
+    empty context."""
+    if isinstance(obj, dict):
+        for key in obj:
+            if key not in ("ctx", "type"):
+                raise RefinementError(f'point has an unknown field {key!r}: a point has only'
+                                      ' "ctx" and "type"')
     if not isinstance(obj, dict) or "type" not in obj:
         raise RefinementError('point must be an object with "ctx" and "type" fields')
     raw_ctx = obj.get("ctx", {})

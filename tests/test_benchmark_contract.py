@@ -40,8 +40,8 @@ from thinspan.wrel import wrel_coefficient
 import reference
 from support import (
     chain_point, child_env, church_point, clear_memos, distinct_g_point, entry_budget,
-    fanout_point, load_corpus, load_tracing, parse_entry, point_subject, positive_source_point,
-    stars, symmetric_point, WORKLOADS_PATH,
+    fanout_point, higher_order_cut_point, load_corpus, load_tracing, parse_entry, point_subject,
+    positive_source_point, stars, symmetric_point, WORKLOADS_PATH,
 )
 
 def test_traced_names_resolve():
@@ -481,19 +481,33 @@ def test_threaded_coefficient_stays_small(monkeypatch, point, coefficient):
     assert len(sizes) <= 200, len(sizes)
 
 
-# A child's work on the first 500 queries of the benchmark's stream, loaded
-# from its file: the subproblems the enumerator and the coefficient
-# recursion solve, counted by their calls.
-STREAM_WORK = """
-import importlib.util, sys
+# The first argv[2] queries of the benchmark's stream of seed 3, loaded
+# from its file argv[1], verified in a child as the benchmark verifies
+# them.
+STREAM = """
+import gc, importlib.util, sys
 from pathlib import Path
 
 import thinspan
-from thinspan import derivation, wrel
+from thinspan import derivation, interning, wrel
 
 spec = importlib.util.spec_from_file_location("perfbench_workloads", sys.argv[1])
 workloads = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(workloads)
+
+def verify_stream():
+    for q in workloads.stream(Path(sys.argv[1]).parent.parent, 3, int(sys.argv[2])):
+        ctx = thinspan.parse_context(q["ctx"])
+        expected = thinspan.parse_simple_type(q["type"]) if "type" in q else None
+        term, ty = thinspan.annotate(ctx, thinspan.parse_term(q["term"]), expected)
+        point = thinspan.point_from_json(q["point"], ctx, ty)
+        rep = thinspan.verify_identities(ctx, term, point, q["budget"])
+        assert rep.ok and rep.wrel.value == q["ref"], q["name"]
+"""
+
+# A child's work on the first queries of the stream: the subproblems the
+# enumerator and the coefficient recursion solve, counted by their calls.
+STREAM_WORK = STREAM + """
 calls = {"_enum_raw": 0, "_leftovers_raw": 0}
 
 def count(module, name):
@@ -505,13 +519,7 @@ def count(module, name):
 
 count(derivation, "_enum_raw")
 count(wrel, "_leftovers_raw")
-for q in workloads.stream(Path(sys.argv[1]).parent.parent, 3, 500):
-    ctx = thinspan.parse_context(q["ctx"])
-    expected = thinspan.parse_simple_type(q["type"]) if "type" in q else None
-    term, ty = thinspan.annotate(ctx, thinspan.parse_term(q["term"]), expected)
-    point = thinspan.point_from_json(q["point"], ctx, ty)
-    rep = thinspan.verify_identities(ctx, term, point, q["budget"])
-    assert rep.ok and rep.wrel.value == q["ref"], q["name"]
+verify_stream()
 print(calls["_enum_raw"], calls["_leftovers_raw"])
 """
 
@@ -524,7 +532,7 @@ def test_work_on_the_stream_does_not_depend_on_hash_seeds():
     counts = []
     for seed in ("0", "1"):
         res = subprocess.run(
-            [sys.executable, "-c", STREAM_WORK, str(WORKLOADS_PATH)],
+            [sys.executable, "-c", STREAM_WORK, str(WORKLOADS_PATH), "500"],
             capture_output=True, text=True, timeout=120,
             env={**child_env(), "PYTHONHASHSEED": seed})
         assert res.returncode == 0, res.stderr
@@ -681,6 +689,59 @@ def test_a_kept_query_holds_no_contractum_and_the_coefficient_alone(cold_memo):
     nf = beta_normalize(held.report.subject.term, set(ctx.names()))
     kept = {k: v for k, v in memo(nf).items() if k[0] in ("wrel", "coefficient")}
     assert list(kept.values()) == [1] and [k[0] for k in kept] == ["coefficient"], kept
+
+
+# A kept query keeps counts, not witnesses: what its term's memo holds for
+# the report names no derivation, so the witnesses die with the report that
+# listed them.  A repeat reads the counts and enumerates nothing, and lists
+# its witnesses only when they are read, once, under the budget the first
+# query ran under: the same witnesses in the same order.  The higher-order
+# cut runs at budget 2, which bounds its open binder's labels.
+@pytest.mark.parametrize("point, budget", [
+    (fanout_point(2), None),
+    (higher_order_cut_point(2), 2),
+], ids=["fanout-2", "higher-order-cut-2"])
+def test_a_kept_query_keeps_its_counts_not_its_witnesses(monkeypatch, cold_memo, point,
+                                                         budget):
+    ctx, term, _, pt = point_subject(*point)
+    first = verify_identities(ctx, term, pt, budget)
+    assert first.ok and first.report.bounded_at == budget
+    enumerated, listed = [], []
+    monkeypatch.setattr(thinspan.derivation, "_enum_raw",
+                        counting_calls(thinspan.derivation._enum_raw, enumerated))
+    monkeypatch.setattr(thinspan.collapse, "witness_set",
+                        counting_calls(thinspan.collapse.witness_set, listed))
+    second = verify_identities(ctx, term, pt, budget)
+    assert second.checks == first.checks and second.report == first.report
+    assert not enumerated and not listed
+    assert second.report.witnesses == first.report.witnesses
+    assert second.report.witnesses is second.report.witnesses
+    assert len(listed) == 1 and enumerated
+    derivations = [weakref.ref(w.derivation) for w in first.report.witnesses]
+    assert len(derivations) == first.report.wit_plus > 0
+    # the calls' arguments hold the enumeration's run
+    del first, second, enumerated[:], listed[:]
+    gc.collect()
+    assert [d() for d in derivations] == [None] * len(derivations)
+
+
+# The first 1,000 queries of the stream keep their answers, not the
+# derivations that gave them: what stays is the enumerator's subproblems at
+# closed subterms, such as a Church numeral, which keep some resource
+# terms alive for the next query under other names.
+STREAM_KEPT = STREAM + """
+verify_stream()
+gc.collect()
+print(sum(isinstance(entry(), derivation._RTNode) for entry in list(interning._table.values())))
+"""
+
+
+def test_the_stream_keeps_few_resource_terms():
+    res = subprocess.run(
+        [sys.executable, "-c", STREAM_KEPT, str(WORKLOADS_PATH), "1000"],
+        capture_output=True, text=True, timeout=120, env=child_env())
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) <= 100, res.stdout
 
 
 # The coefficient of a normal form is kept apart from its leftovers: a

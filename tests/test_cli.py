@@ -103,6 +103,17 @@ def test_witnesses_refinement_error():
     assert "refine" in res.stderr
 
 
+def test_a_point_with_an_unknown_field_is_an_input_error():
+    # read as a point with the empty context, a misspelled "ctx" would pass
+    # with coefficient 0
+    point = '{"cxt": {"y": "[*]"}, "type": "*"}'
+    for cmd in ("verify", "witnesses", "weight"):
+        res = run(cmd, "--ctx", "y:o", "--term", "y", "--point", point)
+        assert_clean_input_error(res)
+        assert "unknown field 'cxt'" in res.stderr, res.stderr
+        assert res.stdout == ""
+
+
 def test_point_from_file(tmp_path):
     pf = tmp_path / "point.json"
     pf.write_text('{"ctx": {"g": "[[*,*]-o*,[*]-o*,[*]-o*]", "y": "[*,*]"}, "type": "*"}')
