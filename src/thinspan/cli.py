@@ -230,7 +230,7 @@ def _entry_problem(entry: dict) -> str | None:
 
 
 @main.command()
-@click.option("--corpus", "corpus_path", type=click.Path(exists=True), default=None,
+@click.option("--corpus", "corpus_path", metavar="PATH", default=None,
               help="JSON file with a list of named subject/point entries")
 @click.option("--ctx", "ctx_text", default=None)
 @click.option("--term", "term_text", default=None)
@@ -246,20 +246,24 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
     stray = [option for option, value in (("--ctx", ctx_text), ("--term", term_text),
              ("--type", type_text), ("--point", point_arg), ("--expected", expected))
              if value is not None]
-    if corpus_path and stray:
+    if corpus_path is not None and stray:
         _fail(f"{', '.join(stray)} cannot be used with --corpus", 2)
     default_budget = None
-    if corpus_path:
+    if corpus_path is not None:
+        # a corpus file that cannot be read is an input error, as a point
+        # file is, and so is an empty corpus, which would pass checking nothing
         with _reading(f"{corpus_path}: "):
             with open(corpus_path, encoding="utf-8") as f:
                 entries = json.load(f)
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             _fail(f"{corpus_path}: a corpus must be a JSON list of objects", 1)
+        if not entries:
+            _fail(f"{corpus_path}: the corpus holds no entries", 1)
         default_budget = DEFAULT_CORPUS_BUDGET
     elif term_text is None or point_arg is None:
         _fail("need --corpus, or --term with --point", 2)
     budget = _resolve_budget(budget)
-    if not corpus_path:
+    if corpus_path is None:
         with _reading("(cli): "):
             point = _point_json(point_arg)
         # an empty --type is absent, as in the other commands
@@ -274,7 +278,7 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
                     "?")
         # the options' types are click's, and point_from_json reports a
         # --point that is not an object as witnesses and weight do
-        problem = _entry_problem(entry) if corpus_path else None
+        problem = _entry_problem(entry) if corpus_path is not None else None
         if problem:
             _fail(f"{name}: {problem}", 1)
         entry_budget = next((b for b in (budget, entry.get("budget"), default_budget)

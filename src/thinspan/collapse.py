@@ -52,7 +52,6 @@ context once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd, prod
 
 from .syntax import Term, TypingContext, annotate, ensure_distinct_binders
@@ -68,14 +67,17 @@ from .derivation import (
     ResourceTerm, Shape, check_budget, endo_count, partition_by_symmetry, resource_to_text,
     rt_context, rt_type, witness_set,
 )
-from .interning import memo
+from .interning import Record, memo
 from .wrel import NatInf, wrel_coefficient
 
 
-@dataclass(frozen=True, slots=True)
-class PositiveWitness:
-    derivation: ResourceTerm
-    shape: Shape             # the canonical context's variables and simple types
+class PositiveWitness(Record):
+    # shape: the canonical context's variables and simple types
+    __slots__ = ("derivation", "shape")
+
+    def __init__(self, derivation: ResourceTerm, shape: Shape):
+        object.__setattr__(self, "derivation", derivation)
+        object.__setattr__(self, "shape", shape)
 
     @property
     def theta(self) -> ResourceContext:
@@ -88,22 +90,31 @@ class PositiveWitness:
         return rt_type(self.derivation)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    subject: Subject
-    wit_plus: int                             # the number of witnesses
-    classes: tuple[tuple[int, ...], ...]      # indices into witnesses
-    class_endos: tuple[int, ...]              # deg(s) per class
-    ctx_degrees: Degrees                      # of the canonical context
-    res_degrees: Degrees                      # of the canonical result type
-    bounded_at: int | None                    # the budget it ran under; None when exact
-    # the witnesses, and each one's context when sorting them read the
+class WitnessReport(Record):
+    # wit_plus is the number of witnesses, classes their indices per class,
+    # class_endos deg(s) per class, ctx_degrees and res_degrees those of
+    # the canonical context and result type, and bounded_at the budget the
+    # enumeration ran under, None when exact.  _witnesses holds the
+    # witnesses, and _thetas each one's context when sorting them read the
     # contexts: given by the call that enumerated them, and listed on first
-    # access on a report read back from the memo, which keeps neither
-    _witnesses: tuple[PositiveWitness, ...] | None = field(default=None, compare=False,
-                                                           repr=False)
-    _thetas: tuple[ResourceContext, ...] | None = field(default=None, compare=False,
-                                                        repr=False)
+    # access on a report read back from the memo, which keeps neither.
+    __slots__ = ("subject", "wit_plus", "classes", "class_endos", "ctx_degrees",
+                 "res_degrees", "bounded_at", "_witnesses", "_thetas")
+
+    def __init__(self, subject: Subject, wit_plus: int, classes: tuple[tuple[int, ...], ...],
+                 class_endos: tuple[int, ...], ctx_degrees: Degrees, res_degrees: Degrees,
+                 bounded_at: int | None,
+                 _witnesses: tuple[PositiveWitness, ...] | None = None,
+                 _thetas: tuple[ResourceContext, ...] | None = None):
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "wit_plus", wit_plus)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "class_endos", class_endos)
+        object.__setattr__(self, "ctx_degrees", ctx_degrees)
+        object.__setattr__(self, "res_degrees", res_degrees)
+        object.__setattr__(self, "bounded_at", bounded_at)
+        object.__setattr__(self, "_witnesses", _witnesses)
+        object.__setattr__(self, "_thetas", _thetas)
 
     @property
     def witnesses(self) -> tuple[PositiveWitness, ...]:
@@ -251,18 +262,22 @@ def esp_explicit(report: WitnessReport) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    ok: bool
-    detail: str
+class IdentityCheck(Record):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    report: WitnessReport
-    wrel: NatInf
-    checks: tuple[IdentityCheck, ...]
+class IdentityReport(Record):
+    __slots__ = ("report", "wrel", "checks")
+
+    def __init__(self, report: WitnessReport, wrel: NatInf, checks: tuple[IdentityCheck, ...]):
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "wrel", wrel)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

@@ -104,11 +104,10 @@ run's own table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
-from .interning import Node, fact, memo
+from .interning import Node, Record, fact, memo
 from .syntax import (
     App, Arrow, Base, Lam, SimpleType, Term, TypingContext, Var,
     annotate, binder_names, free_vars, spine, term_to_text, type_to_text,
@@ -351,10 +350,14 @@ def multiset_collapse_term(r: ResourceTerm, memo: dict | None = None) -> Resourc
 ####################################################################
 # witness enumeration
 
-@dataclass(frozen=True)
-class WitnessSet:
-    derivations: tuple[ResourceTerm, ...]   # sorted by their text
-    bounded_at: int | None                  # the budget it ran under; None when exact
+class WitnessSet(Record):
+    # the derivations sorted by their text, and the budget they were
+    # enumerated under; None when exact
+    __slots__ = ("derivations", "bounded_at")
+
+    def __init__(self, derivations: tuple[ResourceTerm, ...], bounded_at: int | None):
+        object.__setattr__(self, "derivations", derivations)
+        object.__setattr__(self, "bounded_at", bounded_at)
 
     def __len__(self) -> int:
         return len(self.derivations)

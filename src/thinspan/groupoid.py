@@ -22,10 +22,10 @@ sequence reads tgt[sigma(i)] = tgt(component_i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
+from .interning import Record
 from .syntax import SimpleType
 from .rigidtypes import IArrow, IType, ResourceContext, SeqType, Star
 from .symmetry import MorphismError
@@ -34,18 +34,22 @@ from .symmetry import MorphismError
 ####################################################################
 # type morphisms
 
-@dataclass(frozen=True)
-class StarId:
+class StarId(Record):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "*"
 
 
-@dataclass(frozen=True)
-class SeqMorphism:
-    sigma: tuple[int, ...]
-    components: tuple["ITMorphism", ...]
+class SeqMorphism(Record):
+    __slots__ = ("sigma", "components")
 
-    def __post_init__(self):
+    def __init__(self, sigma: tuple[int, ...], components: tuple["ITMorphism", ...]):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "components", components)
+        self._check()
+
+    def _check(self) -> None:
         if len(self.sigma) != len(self.components):
             raise MorphismError(
                 f"permutation of arity {len(self.sigma)} over {len(self.components)} components")
@@ -56,10 +60,12 @@ class SeqMorphism:
         return seqm_to_text(self)
 
 
-@dataclass(frozen=True)
-class ArrowMorphism:
-    domain: SeqMorphism
-    codomain: "ITMorphism"
+class ArrowMorphism(Record):
+    __slots__ = ("domain", "codomain")
+
+    def __init__(self, domain: SeqMorphism, codomain: "ITMorphism"):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
 
     def __repr__(self) -> str:
         return morph_to_text(self)
@@ -70,11 +76,13 @@ ITMorphism = StarId | ArrowMorphism
 STAR_ID = StarId()
 
 
-@dataclass(frozen=True)
-class CtxMorphism:
+class CtxMorphism(Record):
     """Per-variable sequence morphisms over a fixed list of typed variables."""
 
-    entries: tuple[tuple[str, SeqMorphism, SimpleType], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[str, SeqMorphism, SimpleType], ...]):
+        object.__setattr__(self, "entries", entries)
 
     def __repr__(self) -> str:
         return ", ".join(f"{x}:{seqm_to_text(sm)}" for x, sm, _ in self.entries)

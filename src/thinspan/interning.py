@@ -1,4 +1,5 @@
-"""Hash-consing of the package's trees, and the facts kept on their nodes.
+"""Hash-consing of the package's trees, the facts kept on their nodes, and
+the records that hold the package's other values.
 
 Simple types and terms (syntax), rigid types (rigidtypes) and resource
 terms (derivation) are immutable trees built bottom-up.  Their classes
@@ -8,6 +9,18 @@ trees are the same object, equality is identity, and a node hashes by its
 id in constant time whatever its depth.  A lookup hashes and compares only
 the node's own fields, which are strings, None, interned nodes or tuples
 of interned nodes.
+
+A node class declares its fields as annotations, in order, and a trailing
+field may have a default given in the class body, as Lam's annot = None.
+The metaclass makes them the class's __slots__ and __match_args__ and binds
+a node's arguments to them, by position and by name, itself: no method is
+generated when the package is imported, so it needs neither dataclasses
+nor inspect.  Nothing assigns to a node once it is built: Node's
+__setattr__ and __delattr__ raise AttributeError, and only a fact or a
+memo is written, through object.__setattr__.  The package's other values,
+such as a typing context or a witness report, are Records: a class that
+lists its fields in __slots__ and writes them in its own __init__, whose
+records compare and hash by their fields and are not assigned to either.
 
 The table holds its nodes weakly: a node lives as long as something else
 holds it, and its entry goes when it dies.  A dict never gives back the
@@ -57,10 +70,8 @@ partitions and counts, and whose results its report keeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import wraps
 from operator import attrgetter
-import inspect
 from weakref import ref
 
 
@@ -119,31 +130,36 @@ _drop = _dropper(_table)
 
 
 class _Interning(type):
-    """The metaclass of Node.  Each subclass becomes a frozen, slotted
-    dataclass without eq or hash, so its instances compare and hash by
-    identity, and building one returns the interned node.  A subclass that
-    declares __slots__ itself is a family's base, and its slots are facts."""
+    """The metaclass of Node.  A subclass that declares __slots__ itself is
+    a family's base, and its slots are facts.  Any other subclass is a
+    node class: its annotations, in order, name its fields, which become
+    its __slots__ and its __match_args__, and a value given in the class
+    body is the field's default, which only trailing fields may have.  No
+    method is generated: building a node binds its arguments to the fields
+    by position and by name here, fills the defaults, and returns the
+    interned node, and the node's class compares and hashes by identity."""
 
     def __new__(mcls, name, bases, namespace):
+        if "__slots__" in namespace:
+            return super().__new__(mcls, name, bases, namespace)
+        fields = tuple(namespace.get("__annotations__", ()))
+        defaults = {f: namespace.pop(f) for f in fields if f in namespace}
+        if tuple(defaults) != fields[len(fields) - len(defaults):]:
+            raise TypeError(f"{name}: a field without a default follows one with a default")
+        namespace["__slots__"] = namespace["__match_args__"] = fields
         cls = super().__new__(mcls, name, bases, namespace)
-        # the slotted dataclass is built anew through this method, with
-        # __slots__ set
-        if bases and "__slots__" not in namespace:
-            cls = dataclass(frozen=True, eq=False, slots=True)(cls)
-            facts = tuple(s for base in cls.__mro__[1:]
-                          for s in base.__dict__.get("__slots__", ()) if s != "__weakref__")
-            # a new node gets its fields, then every fact slot unfilled; a
-            # slot's own setter skips the frozen __setattr__
-            cls._setters = tuple(getattr(cls, s).__set__
-                                 for s in cls.__match_args__ + facts)
-            cls._unset = (_UNSET,) * len(facts)
+        cls._defaults = defaults
+        facts = tuple(s for base in cls.__mro__[1:]
+                      for s in base.__dict__.get("__slots__", ()) if s != "__weakref__")
+        # a new node gets its fields, then every fact slot unfilled; a
+        # slot's own setter skips Node.__setattr__
+        cls._setters = tuple(getattr(cls, s).__set__ for s in fields + facts)
+        cls._unset = (_UNSET,) * len(facts)
         return cls
 
     def __call__(cls, *args, **kwargs):
         if kwargs or len(args) != len(cls.__match_args__):
-            bound = inspect.signature(cls.__init__).bind(None, *args, **kwargs)
-            bound.apply_defaults()
-            args = tuple(bound.arguments.values())[1:]
+            args = cls._bind(args, kwargs)
         key = (cls,) + args
         entry = _table.get(key)
         node = entry() if entry is not None else None
@@ -155,11 +171,43 @@ class _Interning(type):
             entry.key = key
         return node
 
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The fields' values, in order, from positional and keyword
+        arguments and the defaults, as a call to a function whose
+        parameters are the fields binds them."""
+        fields = cls.__match_args__
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} positional arguments"
+                            f" but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for f, value in kwargs.items():
+            if f not in fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {f!r}")
+            if f in values:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {f!r}")
+            values[f] = value
+        missing = [f for f in fields if f not in values and f not in cls._defaults]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing required arguments: {', '.join(missing)}")
+        return tuple(values[f] if f in values else cls._defaults[f] for f in fields)
+
 
 class Node(metaclass=_Interning):
-    """An interned tree node.  Its fields are its __match_args__, in order."""
+    """An interned tree node.  Its fields are its __match_args__, in order.
+    Nothing assigns to a node once it is built: a fact or a memo is written
+    through object.__setattr__."""
 
     __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}: it is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}: it is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
@@ -169,6 +217,40 @@ class Node(metaclass=_Interning):
 
     def __deepcopy__(self, memo):
         return self
+
+
+class Record:
+    """A value of named fields, which its class lists in __slots__ and its
+    own __init__ writes once, through object.__setattr__.  Two records of
+    one class with equal fields are equal and hash alike, and a record
+    prints as Name(field=value, ...), as a node does.  A slot whose name
+    starts with an underscore holds a cache, which is not compared, hashed
+    or printed, and which its class fills through object.__setattr__; the
+    other slots are the record's __match_args__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls.__match_args__ = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    __setattr__ = Node.__setattr__
+    __delattr__ = Node.__delattr__
+    __repr__ = Node.__repr__
 
 
 def fact(fn):

@@ -28,11 +28,10 @@ A sequence type is represented as a bare tuple of ITypes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 import re
 
-from .interning import TEXTS_KEPT, Node, fact
+from .interning import TEXTS_KEPT, Node, Record, fact
 from .syntax import O, Arrow, SimpleType, Term, TypingContext, type_to_text
 
 
@@ -157,11 +156,13 @@ def is_canonical_seq(seq: SeqType) -> bool:
 ####################################################################
 # resource contexts
 
-@dataclass(frozen=True)
-class ResourceContext:
+class ResourceContext(Record):
     """Per-variable sequence types over a fixed list of typed variables."""
 
-    entries: tuple[tuple[str, SeqType, SimpleType], ...] = ()
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[str, SeqType, SimpleType], ...] = ()):
+        object.__setattr__(self, "entries", entries)
 
     def lookup(self, name: str) -> SeqType:
         for x, seq, _ in self.entries:
@@ -186,24 +187,21 @@ def ctx_refines(c: ResourceContext) -> bool:
 ####################################################################
 # points of the multiset web
 
-@dataclass(frozen=True)
-class PointSpec:
+class PointSpec(Record):
     """A context of per-variable multisets plus a result multiset type.
 
     Every entry and the result are kept canonical, so equal multisets are
     equal values whatever order they were built in.
     """
 
-    ctx: tuple[tuple[str, SeqType], ...]
-    result: IType
-    # (typing context, result type, canonical rigid point): the last check
-    # canonicalize_point made of this point
-    _checked: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # _checked is (typing context, result type, canonical rigid point): the
+    # last check canonicalize_point made of this point
+    __slots__ = ("ctx", "result", "_checked")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ctx", tuple(
-            (x, canonicalize_seq(ms)) for x, ms in self.ctx))
-        object.__setattr__(self, "result", canonicalize_it(self.result))
+    def __init__(self, ctx: tuple[tuple[str, SeqType], ...], result: IType):
+        object.__setattr__(self, "ctx", tuple((x, canonicalize_seq(ms)) for x, ms in ctx))
+        object.__setattr__(self, "result", canonicalize_it(result))
+        object.__setattr__(self, "_checked", None)
 
     def ctx_lookup(self, name: str) -> SeqType:
         for x, ms in self.ctx:
@@ -249,20 +247,23 @@ def _rigid_point(p: PointSpec, ctx: TypingContext,
     return ResourceContext(tuple(entries)), p.result
 
 
-@dataclass(frozen=True)
-class Subject:
+class Subject(Record):
     """A query prepared once (collapse.prepare): the term annotated, with its
     binders distinct and apart from the context's names, its simple type,
     the point, and the point's canonical rigid representative (gamma,
     result), whose refinement of the context and of ty has been checked.
     The witness and coefficient paths read it and check none of it again."""
 
-    ctx: TypingContext
-    term: Term
-    ty: SimpleType
-    point: PointSpec
-    gamma: ResourceContext
-    result: IType
+    __slots__ = ("ctx", "term", "ty", "point", "gamma", "result")
+
+    def __init__(self, ctx: TypingContext, term: Term, ty: SimpleType, point: PointSpec,
+                 gamma: ResourceContext, result: IType):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "term", term)
+        object.__setattr__(self, "ty", ty)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "result", result)
 
 
 ####################################################################

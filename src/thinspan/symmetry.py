@@ -31,12 +31,11 @@ calls it; the tests check each count here against that listing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations_with_replacement, groupby, product
 from math import factorial, prod
 
-from .interning import fact
+from .interning import Record, fact
 from .syntax import SimpleType
 from .rigidtypes import (
     IArrow, IType, ResourceContext, SeqType, Star, STAR,
@@ -122,11 +121,13 @@ def permanent(m: list[list[int]]) -> int:
 ####################################################################
 # symmetry degrees
 
-@dataclass(frozen=True, slots=True)
-class Degrees:
-    total: int
-    positive: int
-    negative: int
+class Degrees(Record):
+    __slots__ = ("total", "positive", "negative")
+
+    def __init__(self, total: int, positive: int, negative: int):
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "negative", negative)
 
 
 def sym_degrees_it(a: IType, t: SimpleType) -> Degrees:

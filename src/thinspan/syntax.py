@@ -36,11 +36,10 @@ the expected type (`annotate`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 import re
 
-from .interning import TEXTS_KEPT, Node, fact, memo
+from .interning import TEXTS_KEPT, Node, Record, fact, memo
 
 
 class ParseError(Exception):
@@ -299,14 +298,14 @@ def _parse_atom(ts: _Tokens) -> Term:
 ####################################################################
 # typing contexts
 
-@dataclass(frozen=True)
-class TypingContext:
-    bindings: tuple[tuple[str, SimpleType], ...] = ()
+class TypingContext(Record):
+    __slots__ = ("bindings",)
 
-    def __post_init__(self):
-        names = [x for x, _ in self.bindings]
+    def __init__(self, bindings: tuple[tuple[str, SimpleType], ...] = ()):
+        names = [x for x, _ in bindings]
         if len(set(names)) != len(names):
             raise TypeCheckError(f"duplicate variable in context: {names}")
+        object.__setattr__(self, "bindings", bindings)
 
     def lookup(self, name: str) -> SimpleType | None:
         for x, t in self.bindings:

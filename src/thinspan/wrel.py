@@ -39,23 +39,22 @@ its own, and dies with the normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .interning import memo
+from .interning import Record, memo
 from .syntax import Lam, Term, Var, beta_normalize, free_vars, is_beta_normal, spine
 # not called here: the tracer in perfbench/tracing.py wraps this name in this module
 from .syntax import annotate  # noqa: F401
 from .rigidtypes import IArrow, IType, SeqType, Subject
 
 
-@dataclass(frozen=True)
-class NatInf:
+class NatInf(Record):
     """A coefficient of the weighted-relational model."""
-    value: int = 0
 
-    def __post_init__(self):
-        if self.value < 0:
+    __slots__ = ("value",)
+
+    def __init__(self, value: int = 0):
+        if value < 0:
             raise ValueError("negative coefficient")
+        object.__setattr__(self, "value", value)
 
     def __bool__(self) -> bool:
         return self.value != 0

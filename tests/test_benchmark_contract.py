@@ -267,7 +267,7 @@ def refuse_morphisms(monkeypatch):
     def refuse_built(self):
         raise AssertionError("a type morphism built on the query path")
     # every morphism but an identity at the base type holds a SeqMorphism
-    monkeypatch.setattr(thinspan.groupoid.SeqMorphism, "__post_init__", refuse_built)
+    monkeypatch.setattr(thinspan.groupoid.SeqMorphism, "_check", refuse_built)
 
 
 def refuse_listings(monkeypatch):

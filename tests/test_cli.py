@@ -400,6 +400,10 @@ def test_missing_point_file_is_an_input_error(tmp_path):
         res = run(cmd, "--ctx", "g:o->o, y:o", "--term", "g y", "--point", missing)
         assert_clean_input_error(res)
         assert "absent.json" in res.stderr
+    # a corpus file too, not a usage error
+    res = run("verify", "--corpus", missing)
+    assert_clean_input_error(res)
+    assert res.stderr.startswith(f"error: {missing}: ") and res.stderr.count("\n") == 1
 
 
 def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path):
@@ -494,6 +498,17 @@ def test_corpus_of_the_wrong_shape(tmp_path):
         res = run("verify", "--corpus", str(cf))
         assert_clean_input_error(res)
         assert "list of objects" in res.stderr
+
+
+def test_an_empty_corpus_is_an_input_error(tmp_path):
+    # a corpus emptied by mistake checks nothing, so it must not pass
+    cf = tmp_path / "empty.json"
+    cf.write_text("[]")
+    for args in ((), ("--json",)):
+        res = run("verify", "--corpus", str(cf), *args)
+        assert_clean_input_error(res)
+        assert res.stderr == f"error: {cf}: the corpus holds no entries\n"
+        assert res.stdout == ""
 
 
 # A bad character in a term, a context or type notation is named at its own

@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import pickle
 
 import pytest
 
@@ -16,8 +17,8 @@ from thinspan.derivation import (
 from thinspan.interning import memo as term_memo
 from thinspan.symmetry import neg_targets_it, permanent
 from thinspan.collapse import (
-    class_counts_check, esp_explicit, positive_witnesses, prepare, verify_identities,
-    weight_by_classes,
+    WitnessReport, class_counts_check, esp_explicit, positive_witnesses, prepare,
+    verify_identities, weight_by_classes,
 )
 
 from reference import check_derivation, is_negative_ctx, is_positive_it
@@ -115,15 +116,35 @@ def test_class_weights_are_summed_in_integers():
     _, rep = report_for("fan-out")
     assert rep.ctx_degrees.positive * rep.res_degrees.negative == 2
     # summands that are not integers may still sum to one
-    halves = dataclasses.replace(rep, classes=((0,), (0,)), class_endos=(4, 4))
+    def regrouped(classes, class_endos):
+        return WitnessReport(rep.subject, rep.wit_plus, classes, class_endos,
+                             rep.ctx_degrees, rep.res_degrees, rep.bounded_at)
+
+    halves = regrouped(((0,), (0,)), (4, 4))
     assert weight_by_classes(halves) == 1
     assert class_counts_check(halves) == ["class 0: size 1, expected 2/4",
                                           "class 1: size 1, expected 2/4"]
     # a total that is not an integer is printed in lowest terms
     for endos, total in (((3,), "2/3"), ((6, 6), "2/3"), ((4, 8), "3/4")):
-        split = dataclasses.replace(rep, classes=((0,),) * len(endos), class_endos=endos)
+        split = regrouped(((0,),) * len(endos), endos)
         with pytest.raises(AssertionError, match=f"^class weights sum to a non-integer {total}$"):
             weight_by_classes(split)
+
+
+def test_a_report_is_a_value_of_its_fields():
+    _, rep = report_for("fan-out")
+    witnesses = rep.witnesses
+    # equal and alike in hash, pickled or copied, whatever its caches hold
+    for other in (pickle.loads(pickle.dumps(rep)), copy.copy(rep), copy.deepcopy(rep)):
+        assert other == rep and hash(other) == hash(rep) and type(other) is WitnessReport
+    assert rep != rep.subject and rep.subject.point == pickle.loads(pickle.dumps(rep.subject.point))
+    assert repr(rep).startswith("WitnessReport(subject=Subject(ctx=g:o -> o, y:o, term=")
+    assert "_witnesses" not in repr(rep) and repr(rep.ctx_degrees).startswith("Degrees(total=")
+    with pytest.raises(AttributeError):
+        rep.wit_plus = 3
+    with pytest.raises(AttributeError):
+        del rep.subject
+    assert rep.wit_plus == len(witnesses) and rep.witnesses is witnesses
 
 
 def test_budget_flows_through():

@@ -16,6 +16,7 @@ or named by the benchmark under perfbench/.
 """
 
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -240,3 +241,33 @@ def test_the_cli_imports_neither_fractions_nor_decimal():
         env=child_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+# The package builds its classes without generating code: Node's metaclass
+# binds a node's fields itself, and the records write their own __init__.
+# dataclasses would bring inspect, ast, dis, tokenize and copy into every
+# process, and compile the methods it generates at each start.
+IMPORT_FOOTPRINT = r"""
+import sys
+start = set(sys.modules)
+import thinspan
+package = set(sys.modules) - start
+import thinspan.cli
+cli = set(sys.modules) - start
+print(sorted({'dataclasses', 'inspect'} & package), sorted({'dataclasses'} & cli))
+"""
+
+
+def test_the_package_imports_neither_dataclasses_nor_inspect():
+    res = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT],
+                         capture_output=True, text=True, timeout=60, env=child_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[] []"
+
+
+def test_no_class_is_a_dataclass():
+    classes = {f"{module}.{name}": value for module in MODULES
+               for name, value in vars(importlib.import_module(f"thinspan.{module}")).items()
+               if isinstance(value, type) and value.__module__ == f"thinspan.{module}"}
+    assert {"syntax.Lam", "collapse.WitnessReport", "groupoid.SeqMorphism"} <= set(classes)
+    assert not [name for name, cls in classes.items() if hasattr(cls, "__dataclass_fields__")]

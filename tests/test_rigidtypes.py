@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import pickle
 import random
@@ -35,10 +34,11 @@ def test_equal_rigid_types_are_one_object():
     assert parse_mit("[[*]-o*,*]-o*") is IArrow((S, IArrow((S,), S)), S)
     assert IArrow(codomain=S, domain=()) is IArrow((), S)
     a = parse_itype("<<*>-o*>-o*")
-    assert dataclasses.replace(a, domain=()) is IArrow((), S)
+    assert IArrow((), a.codomain) is IArrow((), S)
     assert copy.deepcopy(a) is a and pickle.loads(pickle.dumps(a)) is a
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         a.codomain = a
+    assert a.codomain is S
 
 
 def test_tree_nodes_compare_and_hash_by_identity():

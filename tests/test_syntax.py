@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 import random
 
@@ -10,6 +9,7 @@ from support import (
     assert_same_scan, binders, built_nodes, load_corpus, per_token_tokenize, random_texts,
 )
 from thinspan import syntax
+from thinspan.interning import Node
 from thinspan.syntax import (
     App, Arrow, Base, Lam, ParseError, TypeCheckError, Var,
     annotate, beta_normalize, binder_names, ensure_distinct_binders, free_vars,
@@ -27,15 +27,48 @@ def test_equal_terms_and_types_are_one_object():
     assert Lam("x", Var("x")) is Lam("x", Var("x"), None)
     assert Lam(body=Var("x"), binder="x") is Lam("x", Var("x"))
     lam = parse_term("\\x:o. x")
-    assert dataclasses.replace(lam, annot=None) is Lam("x", Var("x"))
-    assert dataclasses.replace(lam, binder="x") is lam
+    assert Lam(lam.binder, lam.body) is Lam("x", Var("x"))
+    assert Lam("x", lam.body, lam.annot) is lam
     for node in (lam, App(Var("f"), lam), Arrow(O, O), O):
         assert copy.copy(node) is node and copy.deepcopy(node) is node
         assert pickle.loads(pickle.dumps(node)) is node
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         lam.binder = "y"
-    with pytest.raises(TypeError):
-        Lam("x")
+    with pytest.raises(AttributeError):
+        del lam.annot
+    with pytest.raises(AttributeError):
+        lam.free_vars = frozenset()
+    assert lam.binder == "x" and lam.annot is O
+    assert repr(lam) == "Lam(binder='x', body=Var(name='x'), annot=o)"
+
+
+def test_nodes_bind_their_fields_by_position_and_by_name():
+    x = Var("x")
+    lam = Lam("x", x, O)
+    # keyword fields in any order, after positional ones or alone
+    assert Lam(annot=O, body=x, binder="x") is lam
+    assert Lam("x", annot=O, body=x) is lam
+    assert Var(name="x") is x and App(arg=x, fn=x) is App(x, x)
+    # a trailing field takes its default, positionally or by name
+    assert Lam("x", x).annot is None and Lam(body=x, binder="x") is Lam("x", x, None)
+    assert Lam.__match_args__ == ("binder", "body", "annot")
+    assert Base.__match_args__ == () and Base() is O
+    for cls, args, kwargs, message in (
+            (Lam, ("x",), {}, "missing required arguments: body"),
+            (Lam, (), {}, "missing required arguments: binder, body"),
+            (Lam, ("x", x), {"bind": "y"}, "got an unexpected keyword argument 'bind'"),
+            (Lam, ("x", x), {"binder": "y"}, "got multiple values for argument 'binder'"),
+            (Lam, ("x", x, O, O), {}, "takes 3 positional arguments but 4 were given"),
+            (Var, ("x", "y"), {}, "takes 1 positional arguments but 2 were given"),
+            (Base, (O,), {}, "takes 0 positional arguments but 1 were given")):
+        with pytest.raises(TypeError) as raised:
+            cls(*args, **kwargs)
+        assert str(raised.value) == f"{cls.__name__}() {message}"
+    # only trailing fields may have defaults
+    with pytest.raises(TypeError, match="^Untidy: a field without a default follows"):
+        class Untidy(Node):
+            first: str = "x"
+            second: str
 
 
 def test_type_parsing_right_associative():
