@@ -172,6 +172,15 @@ def higher_order_cut_point(n: int = 1):
             {"g": f"[{stars(n)}-o*]", "y": stars(n)})
 
 
+def third_order_cut_point():
+    """`(\\k:((o->o)->o)->o. k (\\f:o->o. f y)) (\\h:(o->o)->o. h g)` at
+    g:[[*]-o*], y:[*]: the argument is a lambda whose binder has a
+    second-order type, and the normal form is `g y`.  The coefficient is
+    1."""
+    return ("(\\k:((o->o)->o)->o. k (\\f:o->o. f y)) (\\h:(o->o)->o. h g)",
+            {"g": "[[*]-o*]", "y": "[*]"})
+
+
 def point_subject(term_text: str, point_ctx: dict, ctx_text: str = "g:o->o, y:o",
                   result: str = "*"):
     """(ctx, annotated term, type, point) for a term at a point, of result

@@ -33,7 +33,7 @@ from support import (
     fanout_point, generated_points, guessed_cut_point, guessed_cut_subjects,
     higher_order_cut_point, load_corpus, pairwise_partition, parse_entry, per_target_witnesses,
     point_subject, point_width, probed_pool, rand_canonical, rand_reorder, rand_stype,
-    split_witnesses, subject_types, symmetric_point,
+    split_witnesses, subject_types, swept_points, symmetric_point, third_order_cut_point,
 )
 
 S = Star()
@@ -785,6 +785,54 @@ def test_counts_are_beta_invariant():
         seen["several classes"] += len(normal.classes) > 1
     assert seen["subjects"] >= 380 and seen["with witnesses"] >= 120, seen
     assert seen["several classes"] >= 10, seen
+
+
+def beta_bijection_subjects():
+    """(label, ctx, redex, point): the corpus redexes, the redexes whose
+    argument copies meet in every order, the higher-order cuts at n = 1 to
+    3, the third-order cut, and the corpus redexes at every point of the
+    N = M = 3 sweep."""
+    for entry in CORPUS:
+        ctx, term, _, point = parse_entry(entry)
+        if not is_beta_normal(term):
+            yield entry["name"], ctx, term, point
+    for label, ctx, term, point, _, _ in copies_in_every_order():
+        yield label, ctx, term, point
+    for n in (1, 2, 3):
+        ctx, term, _, point = point_subject(*higher_order_cut_point(n))
+        yield f"higher-order-cut-{n}", ctx, term, point
+    ctx, term, _, point = point_subject(*third_order_cut_point())
+    yield "third-order-cut", ctx, term, point
+    parsed = {}
+    for entry, point in swept_points(3, 3):
+        if entry["name"] not in parsed:
+            parsed[entry["name"]] = parse_entry(entry)
+        ctx, term, _, _ = parsed[entry["name"]]
+        if not is_beta_normal(term):
+            yield entry["name"], ctx, term, point
+
+
+def test_contraction_is_a_class_keeping_bijection():
+    # contract maps a redex's positive witnesses one-to-one onto those of
+    # its beta-normal form, and each symmetry class onto a class of the
+    # same size and the same degree
+    seen = Counter()
+    for label, ctx, term, point in beta_bijection_subjects():
+        ty = annotate(ctx, term)[1]
+        gamma, a = canonicalize_point(point, ctx, ty)
+        ds = enumerate_bag_witnesses(ctx, term, gamma, a, point_width(point)).derivations
+        nf = beta_normalize(term, set(ctx.names()))
+        normal = enumerate_bag_witnesses(ctx, nf, gamma, a).derivations
+        assert sorted(map(contract, ds), key=resource_to_text) == list(normal), label
+        classes = {frozenset(map(contract, cls)): (len(cls), endo_count(cls[0]))
+                   for cls in partition_by_symmetry(ds)}
+        assert classes == {frozenset(cls): (len(cls), endo_count(cls[0]))
+                           for cls in partition_by_symmetry(normal)}, label
+        seen["subjects"] += 1
+        seen["witnesses"] += len(ds)
+        seen["several classes"] += len(classes) > 1
+    assert seen["subjects"] >= 500 and seen["witnesses"] >= 60, seen
+    assert seen["several classes"] >= 4, seen
 
 
 def morphism_count_subjects():
