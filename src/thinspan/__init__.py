@@ -2,8 +2,9 @@
 
 The package interprets a simply-typed term at a point (a multiset context
 and result type), enumerates the rigid derivations witnessing the point,
-partitions them into symmetry classes by the multiset collapse of their
-contracta, counts each class's endomorphisms, and checks that the
+reading a redex's back from those of its beta-normal form, partitions
+them into symmetry classes by the multiset collapse of the normal form's
+derivations, counts each class's endomorphisms, and checks that the
 resulting counts agree with the weighted-relational coefficient.  Every
 count is taken without building a morphism: symmetry counts the
 symmetries of types and derivation those of derivations.  The listing of
@@ -23,7 +24,7 @@ from .rigidtypes import (
 )
 from .symmetry import MorphismError, sym_degrees_ctx, sym_degrees_it
 from .derivation import (
-    BudgetRequiredError, DerivationError, WitnessSet,
+    DerivationError, WitnessSet,
     enumerate_witnesses, multiset_collapse_term, partition_by_symmetry,
     resource_to_text, rt_context, rt_type,
 )

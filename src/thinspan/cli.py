@@ -1,23 +1,16 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 malformed input (parse, typing, refinement) or a
-query too large for the memory at hand, 2 usage, 3 a budget is required
-but none was given, 4 an identity check failed, 5 an enumeration bounded
-by its budget found fewer witnesses than the coefficient and may be
-incomplete.  A report is exact unless an open binder of arrow type took
-labels bounded by the budget: only such a subject exits 3 or 5.  One
-boundary, `_reading`, maps the errors of reading and answering a query to
-codes 1 and 3; `verify` exits with the first of 3, 4 and 5 that one of
-its entries ended with.  The budget falls back to the
-THINSPAN_BUDGET environment variable when --budget is absent; corpus
-entries then fall back to their own budget field, or 4.  A negative budget
-is a usage error.
+query too large for the memory at hand, 2 usage, 4 an identity check
+failed.  Codes 3 and 5 are no longer used: every report is exact, a
+redex's witnesses being read back from its normal form's.  One boundary,
+`_reading`, maps the errors of reading and answering a query to code 1;
+`verify` exits 4 when one of its entries failed a check.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -30,11 +23,9 @@ from .syntax import (
 )
 from .rigidtypes import RefinementError, ctx_to_text, it_to_text, point_from_json, point_to_json
 from .symmetry import MorphismError
-from .derivation import BudgetRequiredError, DerivationError, resource_to_text
+from .derivation import DerivationError, resource_to_text
 from .collapse import positive_witnesses, prepare, verify_identities, weight_by_classes
 from .wrel import wrel_coefficient
-
-DEFAULT_CORPUS_BUDGET = 4
 
 _INPUT_ERRORS = (ParseError, TypeCheckError, RefinementError, DerivationError, MorphismError,
                  json.JSONDecodeError, UnicodeDecodeError, OSError, RecursionError, MemoryError)
@@ -53,19 +44,16 @@ def _echo(line: str) -> None:
 
 @contextmanager
 def _reading(prefix: str = ""):
-    """The one boundary between a query and the exit codes: a missing budget
-    exits 3, and a malformed input, or a query too large for the machine,
-    exits 1.  The error line gives the prefix (an entry's name and a colon)
-    before the message."""
+    """The one boundary between a query and the exit codes: a malformed
+    input, or a query too large for the machine, exits 1.  The error line
+    gives the prefix (an entry's name and a colon) before the message."""
     try:
         yield
-    except BudgetRequiredError as e:
-        _fail(f"{prefix}{e}", 3)
     except _INPUT_ERRORS as e:
         if isinstance(e, RecursionError):
             e = "the input is nested too deeply for Python's recursion limit"
         elif isinstance(e, MemoryError):
-            e = "the query ran out of memory; try a smaller budget"
+            e = "the query ran out of memory; try a smaller point"
         _fail(f"{prefix}{e}", 1)
 
 
@@ -98,19 +86,6 @@ def _point_json(point_arg: str):
             raise ParseError(f"{point_arg}: {e}") from e
 
 
-def _resolve_budget(budget: int | None) -> int | None:
-    env = os.environ.get("THINSPAN_BUDGET")
-    if budget is not None or env is None:
-        return budget
-    try:
-        value = int(env)
-    except ValueError:
-        value = -1
-    if value < 0:
-        _fail(f"THINSPAN_BUDGET must be a non-negative integer, got {env!r}", 2)
-    return value
-
-
 def _emit(obj: dict, as_json: bool, lines: list[str]) -> None:
     click.echo(json.dumps(obj, indent=2, sort_keys=True) if as_json else "\n".join(lines))
 
@@ -123,8 +98,6 @@ def _at_point(command):
             click.option("--type", "type_text", default=None, help="expected simple type"),
             click.option("--point", "point_arg", required=True,
                          help="point as inline JSON or a path to a JSON file"),
-            click.option("--budget", type=click.IntRange(min=0), default=None,
-                         help="bound on the labels of an open binder of arrow type"),
             click.option("--json", "as_json", is_flag=True))):
         command = option(command)
     return command
@@ -156,13 +129,13 @@ def check(ctx_text: str, term_text: str, type_text: str | None, as_json: bool) -
 
 @main.command()
 @_at_point
-def witnesses(ctx_text, term_text, type_text, point_arg, budget, as_json) -> None:
+def witnesses(ctx_text, term_text, type_text, point_arg, as_json) -> None:
     """Enumerate the positive witnesses at a point, grouped by symmetry."""
     with _reading():
         ctx, term, _, point = _read(ctx_text, term_text, type_text or None,
                                     lambda: _point_json(point_arg))
         subject = prepare(ctx, term, point)
-        report = positive_witnesses(subject, _resolve_budget(budget))
+        report = positive_witnesses(subject)
     obj = {
         "point": point_to_json(subject.point),
         "canonical": {"ctx": ctx_to_text(subject.gamma), "type": it_to_text(subject.result)},
@@ -174,13 +147,11 @@ def witnesses(ctx_text, term_text, type_text, point_arg, budget, as_json) -> Non
         "degrees": {part: {"total": d.total, "positive": d.positive, "negative": d.negative}
                     for part, d in (("ctx", report.ctx_degrees), ("result", report.res_degrees))},
         "triples": report.esp,
-        "completeness": ("exact" if report.bounded_at is None
-                         else {"bounded_at": report.bounded_at}),
+        "completeness": "exact",
     }
     lines = [
         f"canonical point: {obj['canonical']['ctx']} |- {obj['canonical']['type']}",
-        f"positive witnesses: {report.wit_plus} "
-        f"({'exact' if report.bounded_at is None else f'bounded at {report.bounded_at}'})",
+        f"positive witnesses: {report.wit_plus} (exact)",
     ]
     for i, (cls, endos) in enumerate(zip(report.classes, report.class_endos), 1):
         lines.append(f"class {i}: size {len(cls)}, {endos} endomorphisms")
@@ -190,14 +161,14 @@ def witnesses(ctx_text, term_text, type_text, point_arg, budget, as_json) -> Non
 
 @main.command()
 @_at_point
-def weight(ctx_text, term_text, type_text, point_arg, budget, as_json) -> None:
+def weight(ctx_text, term_text, type_text, point_arg, as_json) -> None:
     """Coefficient of a term at a point, by counting and by class weights."""
     with _reading():
         ctx, term, _, point = _read(ctx_text, term_text, type_text or None,
                                     lambda: _point_json(point_arg))
         subject = prepare(ctx, term, point)
         coeff = wrel_coefficient(subject)
-        report = positive_witnesses(subject, _resolve_budget(budget))
+        report = positive_witnesses(subject)
         by_classes = weight_by_classes(report)
     obj = {"coefficient": coeff.value, "witnesses": report.wit_plus, "class_weighted": by_classes,
            "classes": len(report.classes), "triples": report.esp}
@@ -212,7 +183,7 @@ def weight(ctx_text, term_text, type_text, point_arg, budget, as_json) -> None:
 # the JSON type of each corpus entry field, as docs/formats.md gives them
 _ENTRY_FIELDS = (("name", str, "a string"), ("ctx", str, "a string"), ("term", str, "a string"),
                  ("type", str, "a string"), ("point", dict, "an object"),
-                 ("expected", int, "an integer"), ("budget", int, "a non-negative integer"))
+                 ("expected", int, "an integer"))
 
 
 def _entry_problem(entry: dict) -> str | None:
@@ -221,10 +192,9 @@ def _entry_problem(entry: dict) -> str | None:
         return f"entry has no {' or '.join(map(repr, missing))} field"
     for field, kind, what in _ENTRY_FIELDS:
         value = entry.get(field)
-        if field not in entry or (value is None and field in ("expected", "budget")):
+        if field not in entry or (value is None and field == "expected"):
             continue
-        if (not isinstance(value, kind) or isinstance(value, bool)
-                or (field == "budget" and value < 0)):
+        if not isinstance(value, kind) or isinstance(value, bool):
             return f"field {field!r} must be {what}, got {json.dumps(value)}"
     return None
 
@@ -238,17 +208,15 @@ def _entry_problem(entry: dict) -> str | None:
 @click.option("--point", "point_arg", default=None)
 @click.option("--expected", type=int, default=None,
               help="independently known coefficient to check against")
-@click.option("--budget", type=click.IntRange(min=0), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
-           budget, as_json) -> None:
+           as_json) -> None:
     """Check every counting identity, per corpus entry or for one subject."""
     stray = [option for option, value in (("--ctx", ctx_text), ("--term", term_text),
              ("--type", type_text), ("--point", point_arg), ("--expected", expected))
              if value is not None]
     if corpus_path is not None and stray:
         _fail(f"{', '.join(stray)} cannot be used with --corpus", 2)
-    default_budget = None
     if corpus_path is not None:
         # a corpus file that cannot be read is an input error, as a point
         # file is, and so is an empty corpus, which would pass checking nothing
@@ -259,10 +227,8 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
             _fail(f"{corpus_path}: a corpus must be a JSON list of objects", 1)
         if not entries:
             _fail(f"{corpus_path}: the corpus holds no entries", 1)
-        default_budget = DEFAULT_CORPUS_BUDGET
     elif term_text is None or point_arg is None:
         _fail("need --corpus, or --term with --point", 2)
-    budget = _resolve_budget(budget)
     if corpus_path is None:
         with _reading("(cli): "):
             point = _point_json(point_arg)
@@ -271,7 +237,7 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
                     "point": point, "expected": expected, "type": type_text or None}]
 
     results = []
-    codes = set()  # the exit codes the entries ended with
+    failed = False
     for entry in entries:
         # a name of the wrong type is reported under the term's text
         name = next((v for v in (entry.get("name"), entry.get("term")) if isinstance(v, str)),
@@ -281,20 +247,11 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
         problem = _entry_problem(entry) if corpus_path is not None else None
         if problem:
             _fail(f"{name}: {problem}", 1)
-        entry_budget = next((b for b in (budget, entry.get("budget"), default_budget)
-                             if b is not None), None)
         started = time.monotonic()
         with _reading(f"{name}: "):
-            try:
-                ctx, term, _, point = _read(entry.get("ctx", ""), entry["term"],
-                                            entry.get("type"), lambda: entry["point"])
-                rep = verify_identities(ctx, term, point, entry_budget, entry.get("expected"))
-            except BudgetRequiredError as e:
-                codes.add(3)
-                results.append({"name": name, "ok": False, "error": str(e)})
-                if not as_json:
-                    _echo(f"FAIL {name}: {e}")
-                continue
+            ctx, term, _, point = _read(entry.get("ctx", ""), entry["term"],
+                                        entry.get("type"), lambda: entry["point"])
+            rep = verify_identities(ctx, term, point, expected=entry.get("expected"))
         elapsed = time.monotonic() - started
         found, classes = rep.report.wit_plus, len(rep.report.classes)
         results.append({
@@ -305,22 +262,16 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
         if rep.ok:
             line = (f"PASS {name} (coefficient {rep.wrel}, {found} witnesses, "
                     f"{classes} classes, {elapsed:.2f}s)")
-        elif rep.incomplete:
-            codes.add(5)
-            results[-1]["incomplete"] = {"bounded_at": rep.report.bounded_at}
-            line = (f"INCOMPLETE {name}: the enumeration, bounded at budget "
-                    f"{rep.report.bounded_at}, found {found} witnesses for coefficient "
-                    f"{rep.wrel}; a larger budget may find the rest")
         else:
-            codes.add(4)
+            failed = True
             line = f"FAIL {name}: " + "; ".join(
                 f"{c.name}: {c.detail}" for c in rep.checks if not c.ok)
         if not as_json:
             _echo(line)
     if as_json:
         click.echo(json.dumps(results, indent=2, sort_keys=True))
-    if codes:
-        sys.exit(min(codes))
+    if failed:
+        sys.exit(4)
 
 
 if __name__ == "__main__":

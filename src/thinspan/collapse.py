@@ -21,26 +21,26 @@ The identities checked here:
     which is the coefficient of the term in the plain (symmetrized) model,
     so the two models differ exactly by that product of degrees.
 
+A redex's witnesses are enumerated on its beta-normal form and read back
+(derivation.witness_set): the normal form's derivations give the classes
+and their degrees, and the term's own derivations, read back from them,
+are the witnesses a report lists, with their contexts and results.
+
 A query's inputs are checked once, by prepare: it freshens the term's
 binders, annotates the term and checks the point, and the Subject it
 returns carries the result.  positive_witnesses and wrel_coefficient take
-that Subject and check none of it again; only the budget, which comes with
-positive_witnesses, is checked there, by derivation.check_budget, before
-anything kept is read.
+that Subject and check none of it again.
 
 A repeated query is answered from what the first one kept in the term's
 memo (interning.memo), which dies with the term.  Every identity checked
 here is a statement about numbers, so a query keeps counts, not
-witnesses: keyed by the canonical point's entries, its result and the
-budget the enumeration ran under, its bounded_at (None, exact at any
-budget, unless an open binder of arrow type took labels bounded by the
-budget), positive_witnesses keeps the witness count, the classes as
-tuples of witness indices, the class degrees, both points' degrees and
-that budget, and esp_explicit keeps its triple count, keyed by the point
-and that budget, which fix the witnesses.  Nothing kept holds a
-derivation, a resource term or a context.  A report read back lists its
-witnesses only when asked for them, by enumerating again under its
-bounded_at, which gives the same witnesses in the same order.  Each
+witnesses: keyed by the canonical point's entries and its result,
+positive_witnesses keeps the witness count, the classes as tuples of
+witness indices, the class degrees and both points' degrees, and
+esp_explicit keeps its triple count, keyed by the point, which fixes the
+witnesses.  Nothing kept holds a derivation, a resource term or a context.
+A report read back lists its witnesses only when asked for them, by
+enumerating again, which gives the same witnesses in the same order.  Each
 computation keeps only its own result, under keys of its own, so the
 witness count, the class-weighted sum, the triple count and the wrel
 coefficient still come from separate computations.  A witness keeps no
@@ -64,8 +64,8 @@ from .groupoid import enumerate_homs_ctx, enumerate_homs_it  # noqa: F401
 from .symmetry import neg_targets_ctx, pos_sources_it  # noqa: F401
 from .derivation import enumerate_witnesses  # noqa: F401
 from .derivation import (
-    ResourceTerm, Shape, check_budget, endo_count, partition_by_symmetry, resource_to_text,
-    rt_context, rt_type, witness_set,
+    ResourceTerm, Shape, endo_count, partition_by_symmetry, resource_to_text, rt_context,
+    rt_type, witness_set,
 )
 from .interning import Record, memo
 from .wrel import NatInf, wrel_coefficient
@@ -92,18 +92,16 @@ class PositiveWitness(Record):
 
 class WitnessReport(Record):
     # wit_plus is the number of witnesses, classes their indices per class,
-    # class_endos deg(s) per class, ctx_degrees and res_degrees those of
-    # the canonical context and result type, and bounded_at the budget the
-    # enumeration ran under, None when exact.  _witnesses holds the
+    # class_endos deg(s) per class, and ctx_degrees and res_degrees those of
+    # the canonical context and result type.  _witnesses holds the
     # witnesses, and _thetas each one's context when sorting them read the
     # contexts: given by the call that enumerated them, and listed on first
     # access on a report read back from the memo, which keeps neither.
     __slots__ = ("subject", "wit_plus", "classes", "class_endos", "ctx_degrees",
-                 "res_degrees", "bounded_at", "_witnesses", "_thetas")
+                 "res_degrees", "_witnesses", "_thetas")
 
     def __init__(self, subject: Subject, wit_plus: int, classes: tuple[tuple[int, ...], ...],
                  class_endos: tuple[int, ...], ctx_degrees: Degrees, res_degrees: Degrees,
-                 bounded_at: int | None,
                  _witnesses: tuple[PositiveWitness, ...] | None = None,
                  _thetas: tuple[ResourceContext, ...] | None = None):
         object.__setattr__(self, "subject", subject)
@@ -112,17 +110,16 @@ class WitnessReport(Record):
         object.__setattr__(self, "class_endos", class_endos)
         object.__setattr__(self, "ctx_degrees", ctx_degrees)
         object.__setattr__(self, "res_degrees", res_degrees)
-        object.__setattr__(self, "bounded_at", bounded_at)
         object.__setattr__(self, "_witnesses", _witnesses)
         object.__setattr__(self, "_thetas", _thetas)
 
     @property
     def witnesses(self) -> tuple[PositiveWitness, ...]:
         """The witnesses in the order of _witness_key.  A report read back
-        from the memo enumerates them on first access, once, under its
-        bounded_at, which gives the witnesses the first query found."""
+        from the memo enumerates them on first access, once, which gives the
+        witnesses the first query found."""
         if self._witnesses is None:
-            witnesses, thetas, _ = _listed(self.subject, self.bounded_at)
+            witnesses, thetas, _ = _listed(self.subject)
             object.__setattr__(self, "_witnesses", witnesses)
             object.__setattr__(self, "_thetas", thetas)
         return self._witnesses
@@ -144,53 +141,52 @@ def prepare(ctx: TypingContext, term: Term, point: PointSpec) -> Subject:
     return Subject(ctx, term, ty, point, gamma, result)
 
 
-def positive_witnesses(subject: Subject, budget: int | None = None) -> WitnessReport:
+def positive_witnesses(subject: Subject) -> WitnessReport:
     """Enumerate positive witnesses at a point, grouped into symmetry classes.
 
-    The enumerator runs once, at the canonical point (gamma, a) read up to
-    symmetry: over the bags of gamma and of a's domains.  Each derivation
-    d it returns concludes its own context theta, read off its
+    The enumerator runs once, on the term's normal form at the canonical
+    point (gamma, a) read up to symmetry: over the bags of gamma and of a's
+    domains.  Each derivation of the normal form is read back into one d of
+    the term, which concludes its own context theta, read off its
     occurrences, and its own result alpha, its rt_type.  Witnesses are
-    ordered by _witness_key.  The report's counts, every field but the
-    subject and the witnesses, are kept in the term's memo under its
-    bounded_at, and a later query at the same point reads them back: an
-    exact report at any budget, and a bounded one at its own.  Such a
-    report lists its witnesses only if they are read.
+    ordered by _witness_key, and classed and counted by the normal form's
+    derivations.  The report's counts, every field but the subject and the
+    witnesses, are kept in the term's memo, and a later query at the same
+    point reads them back.  Such a report lists its witnesses only if they
+    are read.
     """
-    check_budget(budget)
     kept = memo(subject.term)
     point = ("witnesses", subject.gamma.entries, subject.result)
-    counts = kept.get((*point, None)) or kept.get((*point, budget))
+    counts = kept.get(point)
     if counts is not None:
         return WitnessReport(subject, *counts)
-    witnesses, thetas, bounded_at = _listed(subject, budget)
-    classes = partition_by_symmetry([w.derivation for w in witnesses])
-    index = {w.derivation: i for i, w in enumerate(witnesses)}
+    witnesses, thetas, normal = _listed(subject)
+    classes = partition_by_symmetry(normal)
+    index = {d: i for i, d in enumerate(normal)}
     class_ix = tuple(tuple(sorted(index[d] for d in cls)) for cls in classes)
     endos = tuple(endo_count(cls[0]) for cls in classes)
     counts = (len(witnesses), class_ix, endos, sym_degrees_ctx(subject.gamma),
-              sym_degrees_it(subject.result, subject.ty), bounded_at)
-    kept[(*point, bounded_at)] = counts
+              sym_degrees_it(subject.result, subject.ty))
+    kept[point] = counts
     return WitnessReport(subject, *counts, witnesses, thetas)
 
 
-def _listed(subject: Subject, budget: int | None) -> tuple:
-    """The subject's witnesses in the order of _witness_key, enumerated
-    under the budget if the enumeration asks for it; their contexts if
-    sorting them read them; and the budget they were enumerated under."""
-    found, bounded_at = witness_set(subject.term, subject.gamma, subject.result, budget,
-                                    bags=True)
+def _listed(subject: Subject) -> tuple:
+    """The subject's witnesses in the order of _witness_key; their contexts
+    if sorting them read them; and the derivations of the normal form they
+    were read back from, in the same order."""
+    found = witness_set(subject.term, subject.gamma, subject.result)
     shape = subject.ctx.bindings
-    witnesses = [PositiveWitness(d, shape) for d in found]
+    pairs = [(PositiveWitness(d, shape), normal) for d, normal in found]
     # a lone witness is not keyed, which would read its context
     thetas = None
-    if len(witnesses) > 1:
-        pairs = sorted(((w.theta, w) for w in witnesses),
+    if len(pairs) > 1:
+        keyed = sorted(((w.theta, w, normal) for w, normal in pairs),
                        key=lambda p: _witness_key(p[0], p[1].alpha,
                                                   resource_to_text(p[1].derivation)))
-        thetas = tuple(theta for theta, _ in pairs)
-        witnesses = [w for _, w in pairs]
-    return tuple(witnesses), thetas, bounded_at
+        thetas = tuple(theta for theta, _, _ in keyed)
+        pairs = [(w, normal) for _, w, normal in keyed]
+    return tuple(w for w, _ in pairs), thetas, [normal for _, normal in pairs]
 
 
 def _witness_key(theta: ResourceContext, alpha: IType, text: str):
@@ -242,12 +238,12 @@ def esp_explicit(report: WitnessReport) -> int:
     permanents and products over the pairs of types, so this never reads a
     degree or a symmetry class.  A witness whose theta or alpha no
     polarized morphism reaches would count 0 here, and the factorization
-    would fail.  The count is kept in the term's memo under the point and
-    the budget the report ran under, which fix the witnesses.
+    would fail.  The count is kept in the term's memo under the point,
+    which fixes the witnesses.
     """
     gamma, a = report.subject.gamma, report.subject.result
     kept = memo(report.subject.term)
-    key = ("triples", gamma.entries, a, report.bounded_at)
+    key = ("triples", gamma.entries, a)
     total = kept.get(key)
     if total is None:
         counts: dict = {}
@@ -283,28 +279,15 @@ class IdentityReport(Record):
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    @property
-    def incomplete(self) -> bool:
-        """Whether the checks fail as an enumeration that missed witnesses
-        fails them: it ran under a budget, found fewer witnesses than the
-        coefficient, and every failed check compares the witnesses with the
-        coefficient or the classes with their predicted sizes.  A budget too
-        small for some cut does this, and a larger one may find the rest.
-        Too many witnesses, or a failed triple count or expected value, is
-        a failure at any budget."""
-        return (not self.ok and self.report.bounded_at is not None
-                and self.report.wit_plus < self.wrel.value
-                and all(c.ok or c.name in ("wrel-equals-witness-count", "class-weights-sum",
-                                           "class-sizes", "coefficient-division")
-                        for c in self.checks))
-
 
 def verify_identities(ctx: TypingContext, term: Term, point: PointSpec,
                       budget: int | None = None,
                       expected: int | None = None) -> IdentityReport:
-    """Run every collapse identity at one point and report each outcome."""
+    """Run every collapse identity at one point and report each outcome.
+    The budget is ignored: every report is exact.  It stays a parameter,
+    fourth by position, for callers that still pass it."""
     subject = prepare(ctx, term, point)
-    report = positive_witnesses(subject, budget)
+    report = positive_witnesses(subject)
     coeff = wrel_coefficient(subject)
     checks: list[IdentityCheck] = []
 
@@ -337,4 +320,4 @@ def verify_identities(ctx: TypingContext, term: Term, point: PointSpec,
         add("expected-value", coeff.value == expected,
             f"coefficient {coeff}, expected {expected}")
 
-    return IdentityReport(report, coeff, checks)
+    return IdentityReport(report, coeff, tuple(checks))

@@ -23,47 +23,45 @@ right (rt_context), and the result is rt_type.  Resource terms are interned
 (interning.Node), like the terms and labels they are built from: equal
 derivations are one object, and equality is identity.  rt_type and
 endo_count are facts (interning.fact), computed once and kept on the
-resource term: a label or a count, which costs its node a slot.  A
-derivation's contractum is no fact: it is a tree of its own, which only
-the symmetry partition and the morphism count read, each at most once per
-derivation in a query, and the report a query keeps holds what they
-found; kept on the witness, it would live as long as the witness with
-nothing to read it again.
+resource term: a label or a count, which costs its node a slot.
+
+Witnesses are enumerated on the term's beta-normal form and read back.
+The normal form is reached by leftmost-outermost steps (_step), each of
+which the enumeration records; it is not syntax's normalizer, which the
+coefficient reads, so a fault in either shows as a disagreement between
+the counting paths.  A derivation of the term after a step reads back to
+one of the term before it (_back): at the step's redex (\\x:A. B) N, B is
+walked alongside the derivation, and wherever B has x the derivation holds
+a derivation c of one copy of N, which becomes an occurrence x^{rt_type(c)}
+and the next copy of the redex's argument, left to right.  A binder the
+step renamed to avoid capture takes its name back from B.  A step inside
+an argument is undone in each of its copies.  Undoing a step moves the
+occurrences of N's free variables, so a binder above the redex may see its
+occurrences in another order, and the lambda concludes its domain in that
+order: each variable head above the redex takes the types its arguments
+now conclude as its label's domains.  The step is leftmost-outermost, so
+no redex lies above it and these are all the labels that change.  Both
+ways the changes are polarized isomorphisms, negative at a context
+variable and positive at the result, so reading back is a bijection
+between the derivations of the normal form and those of the term that
+keeps every point up to symmetry, the witnesses' classes and their
+degrees: Taylor expansion commutes with normalization.
 
 Contexts are linear: each element is consumed by exactly one occurrence,
 and the occurrences of a variable consume its sequence in order, left to
 right.  So the witness enumerator never guesses how a context splits among
 subterms: it threads the context through the term, and each subterm
 returns, with each of its derivations, what it left of every entry for the
-subterms to its right.  At a rigid point every entry is a sequence and
-what is left of it a suffix.  Started from a canonical context instead,
-each context variable's entry is a bag: an occurrence takes any one of its
-values, labelled by any negative target of that value, so one enumeration
-finds the derivations at every rigid context a negative morphism reaches
-from it, and each derivation's context is read off its labels.  The run
-lists a value's targets, read off the value alone, once.  The result is
-read alike (_Pos, by polar_class), and each derivation's result is its
-rt_type.  Other binders stay sequences.
-
-At a redex (\\x. M) N the cut, the sequence of types N's copies conclude,
-is not guessed: it is read off the function part, as the app rule reads
-it.  The function part is enumerated once, at a cut target, whose lambda
-gives x an open entry: each occurrence of x takes any type one copy of N
-concludes (_cut_pool), and the labels of the occurrences, the domain of
-the type the function part concludes, are the cut.  Those types are
-synthesized: one copy of N is enumerated with its target left open, and
-each of its derivations concludes the type rt_type reads off it.  The
-copies at the cut are then enumerated at their types, like the copies of
-any argument.  The point bounds every cut, whatever N is: each copy
-consumes what the context holds.
-
-A lambda whose target is open leaves its binder open too, and each
-occurrence of it takes any refinement of its type: * at base type, and at
-an arrow type, which the point does not bound, those whose sequences have
-length at most the budget, the one place the budget is read.  The run
-lists them once for each type, and they die with it.  So a report is
-exact unless an open binder of arrow type took labels bounded by the
-budget.
+subterms to its right.  At a binder of a rigid type every entry is a
+sequence and what is left of it a suffix.  Each context variable's entry
+is a bag: an occurrence takes any one of its values, labelled by any
+negative target of that value, so one enumeration finds the derivations
+at every rigid context a negative morphism reaches from the start, and
+each derivation's context is read off its labels.  The run lists a
+value's targets, read off the value alone, once.  The result is read alike
+(_Pos, by polar_class), and each derivation's result is its rt_type.
+enumerate_witnesses, at one rigid point, keeps those of the read-back
+derivations that conclude it exactly.
 
 A symmetry class's degree, the number of endomorphisms of one of its
 derivations, is counted without listing them: under a variable head the
@@ -72,48 +70,40 @@ counts the morphisms between the head's codomains times a permanent per
 multi, a block product over the copies' isomorphism classes.  The
 morphisms themselves, of derivations and of their labels, and their
 listing are test oracles in tests/reference.py, beside groupoid's listing
-of type hom-sets; listing takes factorial time, so no query calls it.  Two
-derivations are symmetric (some morphism joins them) iff their contracta
-have the same multiset collapse, the paper's quotient to multiset resource
-terms, because
+of type hom-sets and the contraction of a derivation's redexes; listing
+takes factorial time, so no query calls it.  Two derivations of a normal
+term are symmetric (some morphism joins them) iff they have the same
+multiset collapse, the paper's quotient to multiset resource terms,
+because
   - a label hom-set is non-empty iff both labels have one canonical form;
-  - a permanent of counts is non-zero iff the copies match in some order;
-  - a redex counts as its contractum.
-So that collapse keys the classes.  Contracting comes first: a redex's
-collapse forgets which copy meets which occurrence of its binder, so
-(\\y. x <y> <y>) <z, w> and (\\y. x <y> <y>) <w, z> collapse alike but
-admit no morphism.
+  - a permanent of counts is non-zero iff the copies match in some order.
+So that collapse keys the classes, which the normal form's derivations
+give.
 
 Inputs are checked where they arrive: enumerate_witnesses checks the term
-against the point, check_budget the budget, and collapse.prepare a
-query's subject, once.  witness_set, the enumeration itself, checks
-nothing.  It runs without a budget first, and again under the budget
-given only when an open binder of arrow type asks for its labels, or
-raises BudgetRequiredError without one; it returns the budget it ran
-under, None without one, as its bounded_at.  So what a budget-free run
-keeps is exact, and only a run that reports a budget meets a subproblem
-kept under one.
+against the point, and collapse.prepare a query's subject, once.
+witness_set, the enumeration itself, checks nothing.
 
-Each witness_set call is one run (_Run), which carries the budget and
-keeps the labels it lists and the subproblems it solves.  At a subterm
-free in none of the context's variables, such as a Church numeral, a
-subproblem is kept in the subterm's memo (interning.memo), where the next
-query under other names meets it again; at any other subterm, in the
-run's own table.
+Each witness_set call is one run (_Run), which keeps the labels it lists
+and the subproblems it solves.  At a subterm free in none of the context's
+variables, a subproblem is kept in the subterm's memo (interning.memo),
+where the next query under other names meets it again; at any other
+subterm, in the run's own table.  Neither the steps nor the derivations
+read back outlive the call.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple
 
 from .interning import Node, Record, fact, memo
 from .syntax import (
-    App, Arrow, Base, Lam, SimpleType, Term, TypingContext, Var,
-    annotate, binder_names, free_vars, spine, term_to_text, type_to_text,
+    App, Lam, SimpleType, Term, TypingContext, Var,
+    annotate, binder_names, ensure_distinct_binders, free_vars, fresh_name, is_beta_normal,
+    spine, type_to_text,
 )
 from .rigidtypes import (
-    IArrow, IType, ResourceContext, SeqType, Star,
+    IArrow, IType, ResourceContext, SeqType,
     canonicalize_it, ctx_refines, ctx_to_text, it_to_text, key_it, refines,
 )
 from .symmetry import count_homs_it, neg_targets_it, permanent, polar_class
@@ -121,15 +111,6 @@ from .symmetry import count_homs_it, neg_targets_it, permanent, polar_class
 
 class DerivationError(Exception):
     """Raised when a resource term does not fit a rule."""
-
-
-class BudgetRequiredError(Exception):
-    """Raised when an enumeration needs a budget and none was given."""
-
-
-class _Unbounded(Exception):
-    """Raised by a run without a budget when an open binder of arrow type,
-    the one simple type carried, asks for its labels."""
 
 
 Shape = tuple[tuple[str, SimpleType], ...]
@@ -232,83 +213,6 @@ def rt_type(r: ResourceTerm) -> IType:
     raise TypeError(f"not a resource term: {r!r}")
 
 
-def omega_substitute(r: ResourceTerm) -> ResourceTerm:
-    """Contract a toplevel redex, pairing occurrences with arguments in order.
-    One walk substitutes and checks each occurrence's label against its
-    argument."""
-    if not (isinstance(r, RApp) and isinstance(r.fn, RLam)):
-        raise DerivationError("omega substitution needs a toplevel redex (\\x. m) <...>")
-    args = iter(r.args)
-    out = _substitute(r.fn.body, r.fn.binder, args, r)
-    if next(args, None) is not None:
-        raise _redex_error(r)
-    return out
-
-
-def _redex_error(r: RApp) -> DerivationError:
-    """What is wrong with the redex r: its binder's occurrences and its
-    arguments differ in number, or else the first occurrence whose label
-    differs from the type its argument concludes."""
-    x, body = r.fn.binder, r.fn.body
-    labels = rt_occurrence_labels(body, x)
-    if len(labels) != len(r.args):
-        return DerivationError(f"{len(labels)} occurrences of {x!r} but {len(r.args)} arguments")
-    i, lab, a = next((i, lab, a) for i, (lab, a) in enumerate(zip(labels, r.args))
-                     if rt_type(a) != lab)
-    return DerivationError(f"occurrence {i + 1} of {x!r} has label {it_to_text(lab)} but the "
-                           f"argument concludes {it_to_text(rt_type(a))}")
-
-
-def _substitute(t: ResourceTerm, x: str, args, redex: RApp) -> ResourceTerm:
-    """t with its free occurrences of x replaced by the next of args, left
-    to right, each of which must conclude its occurrence's label.  A plain
-    recursion: a nested function that calls itself is a reference cycle,
-    which only the cyclic collector frees."""
-    match t:
-        case RVar(y, label):
-            if y != x:
-                return t
-            a = next(args, None)
-            if a is None or rt_type(a) != label:
-                raise _redex_error(redex)
-            return a
-        case RLam(y, b, ann):
-            if y == x:
-                return t
-            b2 = _substitute(b, x, args, redex)
-            return t if b2 is b else RLam(y, b2, ann)
-        case RApp(f, aa):
-            f2 = _substitute(f, x, args, redex)
-            aa2 = tuple(_substitute(a, x, args, redex) for a in aa)
-            return t if f2 is f and aa2 == aa else RApp(f2, aa2)
-    raise TypeError(f"not a resource term: {t!r}")
-
-
-def contract(r: ResourceTerm) -> ResourceTerm:
-    """r's normal form: every redex contracted by omega_substitute, innermost
-    first, until every spine has a variable head.  Each contraction drops a
-    lambda, its application and the binder's occurrences, so this ends.  A
-    subterm without a redex comes back as it is.  Not kept: a query
-    contracts each derivation it partitions once, and each derivation
-    whose morphisms it counts once, and nothing it keeps reads a
-    contractum."""
-    match r:
-        case RVar():
-            return r
-        case RLam(x, b, ann):
-            b2 = contract(b)
-            return r if b2 is b else RLam(x, b2, ann)
-        case RApp(f, args):
-            f2, args2 = contract(f), tuple(map(contract, args))
-            if isinstance(f2, RLam):
-                # the body and the copies have no redex, so the contractum
-                # has one only where a lambda copy lands at a head
-                r2 = omega_substitute(RApp(f2, args2))
-                return contract(r2) if any(isinstance(a, RLam) for a in args2) else r2
-            return r if f2 is f and args2 == args else RApp(f2, args2)
-    raise TypeError(f"not a resource term: {r!r}")
-
-
 ####################################################################
 # multiset collapse of resource terms
 
@@ -348,35 +252,154 @@ def multiset_collapse_term(r: ResourceTerm, memo: dict | None = None) -> Resourc
 
 
 ####################################################################
+# the normal form, and reading its derivations back
+
+def _normalized(term: Term, reserved: set[str]) -> tuple[list[Term], Term]:
+    """The terms term passes through on its way to its beta-normal form,
+    one leftmost-outermost step apart, term first and the normal form
+    last; and the normal form with its binders made distinct and apart
+    from reserved, which the enumerator needs."""
+    steps = [term]
+    while not is_beta_normal(term):
+        term = _step(term)
+        steps.append(term)
+    return steps, ensure_distinct_binders(term, reserved)
+
+
+def _step(t: Term) -> Term:
+    """t with its leftmost-outermost redex contracted; t has one."""
+    match t:
+        case Lam(x, b, ann):
+            return Lam(x, _step(b), ann)
+        case App(Lam(x, b, _), a):
+            return _subst(b, x, a)
+        case App(f, a):
+            return App(f, _step(a)) if is_beta_normal(f) else App(_step(f), a)
+    raise TypeError(f"not a term with a redex: {t!r}")
+
+
+def _subst(t: Term, x: str, n: Term) -> Term:
+    """t with n for each free occurrence of x, a binder of t that is free
+    in n renamed."""
+    if x not in free_vars(t):
+        return t
+    match t:
+        case Var(_):
+            return n
+        case App(f, a):
+            return App(_subst(f, x, n), _subst(a, x, n))
+        case Lam(y, b, ann):
+            if y in free_vars(n):
+                y2 = fresh_name(y, {*free_vars(n), *free_vars(b)})
+                y, b = y2, _subst(b, y, Var(y2))
+            return Lam(y, _subst(b, x, n), ann)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _read_back(steps: list[Term], normal: Term, r: ResourceTerm) -> ResourceTerm:
+    """The derivation of steps[0] that r, a derivation of normal, reads back
+    to: the binders normal renamed named back, then each step undone, last
+    first."""
+    if normal is not steps[-1]:
+        r = _renamed(steps[-1], r)
+    for t in reversed(steps[:-1]):
+        r = _back(t, r)
+    return r
+
+
+def _back(t: Term, r: ResourceTerm) -> ResourceTerm:
+    """The derivation of t that r, a derivation of _step(t), reads back to."""
+    match t:
+        case Lam(x, b, ann):
+            return RLam(x, _back(b, r.body), ann)
+        case App(Lam(x, b, ann), _):
+            copies: list[ResourceTerm] = []
+            body = _unsubst(b, x, r, copies)
+            return RApp(RLam(x, body, ann), tuple(copies))
+        case App(f, a) if not is_beta_normal(f):
+            return RApp(_back(f, r.fn), r.args)
+        case App(f, a):
+            # f's head is a variable, whose label takes the types the
+            # copies now conclude
+            args = tuple(_back(a, c) for c in r.args)
+            dom = tuple(map(rt_type, args))
+            fn = r.fn if rt_type(r.fn).domain == dom else _retyped(r.fn, dom, 0)
+            return RApp(fn, args)
+    raise TypeError(f"not a term with a redex: {t!r}")
+
+
+def _retyped(f: ResourceTerm, dom: SeqType, i: int) -> ResourceTerm:
+    """f, a spine whose head is a variable, with dom for the domain of the
+    head's label that the i-th multi after f's own meets."""
+    if isinstance(f, RApp):
+        return RApp(_retyped(f.fn, dom, i + 1), f.args)
+    return RVar(f.name, _with_domain(f.label, dom, i))
+
+
+def _with_domain(a: IArrow, dom: SeqType, i: int) -> IArrow:
+    """a with dom for its i-th domain, counting along the codomains."""
+    if i:
+        return IArrow(a.domain, _with_domain(a.codomain, dom, i - 1))
+    return IArrow(dom, a.codomain)
+
+
+def _unsubst(t: Term, x: str, r: ResourceTerm, copies: list[ResourceTerm]) -> ResourceTerm:
+    """The derivation of t, the body of a redex binding x, that r, a
+    derivation of what a step made of t, reads back to; the derivations
+    of the argument's copies join copies, left to right."""
+    if x not in free_vars(t):
+        return _renamed(t, r)
+    match t:
+        case Var(_):
+            copies.append(r)
+            return RVar(x, rt_type(r))
+        case Lam(y, b, ann):
+            return RLam(y, _unsubst(b, x, r.body, copies), ann)
+        case App(f, a):
+            fn = _unsubst(f, x, r.fn, copies)
+            return RApp(fn, tuple(_unsubst(a, x, c, copies) for c in r.args))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _renamed(t: Term, r: ResourceTerm) -> ResourceTerm:
+    """r, a derivation of a term that differs from t at most in the names
+    of its binders, with t's names."""
+    match t:
+        case Var(x):
+            return r if r.name == x else RVar(x, r.label)
+        case Lam(x, b, ann):
+            body = _renamed(b, r.body)
+            return r if x == r.binder and body is r.body else RLam(x, body, ann)
+        case App(f, a):
+            fn, args = _renamed(f, r.fn), tuple(_renamed(a, c) for c in r.args)
+            return r if fn is r.fn and args == r.args else RApp(fn, args)
+    raise TypeError(f"not a term: {t!r}")
+
+
+####################################################################
 # witness enumeration
 
 class WitnessSet(Record):
-    # the derivations sorted by their text, and the budget they were
-    # enumerated under; None when exact
-    __slots__ = ("derivations", "bounded_at")
+    # the derivations sorted by their text
+    __slots__ = ("derivations",)
 
-    def __init__(self, derivations: tuple[ResourceTerm, ...], bounded_at: int | None):
+    def __init__(self, derivations: tuple[ResourceTerm, ...]):
         object.__setattr__(self, "derivations", derivations)
-        object.__setattr__(self, "bounded_at", bounded_at)
 
     def __len__(self) -> int:
         return len(self.derivations)
 
 
 def enumerate_witnesses(ctx: TypingContext, term: Term, theta: ResourceContext,
-                        alpha: IType, budget: int | None = None) -> WitnessSet:
+                        alpha: IType) -> WitnessSet:
     """All derivations of term at the rigid point (theta, alpha), each once,
-    sorted by their text.
-
-    Exact, with bounded_at None, unless an open binder of arrow type (the
-    binder of a lambda in a redex's argument) took labels: then bounded_at
-    is the budget, which is required, and the result holds at least the
-    derivations whose open binders' labels it admits.
-    """
+    sorted by their text: those read back from the normal form that
+    conclude the point exactly."""
     term = _checked_term(ctx, term, theta, alpha)
-    check_budget(budget)
-    found, bounded_at = witness_set(term, theta, alpha, budget, bags=False)
-    return WitnessSet(tuple(sorted(found, key=resource_to_text)), bounded_at)
+    shape = theta.shape()
+    found = dict.fromkeys(d for d, _ in witness_set(term, theta, alpha)
+                          if rt_type(d) == alpha and rt_context(shape, d) == theta)
+    return WitnessSet(tuple(sorted(found, key=resource_to_text)))
 
 
 def _checked_term(ctx: TypingContext, term: Term, theta: ResourceContext,
@@ -396,87 +419,58 @@ def _checked_term(ctx: TypingContext, term: Term, theta: ResourceContext,
     return term
 
 
-def check_budget(budget) -> None:
-    """A budget is None or a non-negative int, and not a bool."""
-    if budget is not None and (type(budget) is not int or budget < 0):
-        raise DerivationError(f"budget must be a non-negative integer, got {budget!r}")
-
-
-def witness_set(term: Term, theta: ResourceContext, alpha: IType, budget: int | None,
-                bags: bool) -> tuple[list[ResourceTerm], int | None]:
-    """The derivations of term at (theta, alpha), in the enumerator's order,
-    and the budget they were enumerated under, as for enumerate_witnesses
-    (bags false) and collapse.positive_witnesses (bags true), on a subject
-    already checked: the term annotated, its binders distinct and apart
-    from the context's names, theta over the context's variables and
-    refining them, alpha refining the term's type, both canonical and read
-    up to symmetry if bags, and the budget checked.  Nothing is checked
-    here."""
+def witness_set(term: Term, theta: ResourceContext,
+                alpha: IType) -> list[tuple[ResourceTerm, ResourceTerm]]:
+    """Every derivation of term at a rigid point that a negative context
+    morphism reaches from theta and that a positive morphism takes to
+    alpha, paired with the derivation of term's normal form it is read
+    back from, in the enumerator's order, on a subject already checked:
+    the term annotated, its binders distinct and apart from the context's
+    names, theta over the context's variables and refining them, and alpha
+    refining the term's type.  Nothing is checked here."""
+    steps, normal = _normalized(term, {x for x, _, _ in theta.entries})
     # a start context fixes the variables that are not free in the term
     # too, which must be used up
-    start = {x: (seq, bags) for x, seq, _ in theta.entries}
-    target = _Pos(alpha) if bags and isinstance(alpha, IArrow) else alpha
-    try:
-        run = _Run(start, None)
-        return [r for r, _ in _enum(term, start, target, run, frozenset(start))], None
-    except _Unbounded as e:
-        if budget is None:
-            raise BudgetRequiredError(
-                f"term {term_to_text(term)} has an open binder of type {type_to_text(e.args[0])},"
-                " whose labels only a budget bounds; witness enumeration needs a budget") from None
-    run = _Run(start, budget)
-    return [r for r, _ in _enum(term, start, target, run, frozenset(start))], budget
+    start = {x: (seq, True) for x, seq, _ in theta.entries}
+    target = _Pos(alpha) if isinstance(alpha, IArrow) else alpha
+    run = _Run(start)
+    return [(_read_back(steps, normal, r), r)
+            for r, _ in _enum(normal, start, target, run, frozenset(start))]
 
 
-# The enumerator threads the context through the term, left to right, as
-# the occurrences consume it: each call takes what the subterms to its left
-# did not consume, and returns every derivation paired with what it leaves
-# in turn.  A context maps each variable in scope to its entry: what is
-# left of it and its kind: a bag (True), whose values the occurrences take
-# in any order; a sequence (False), which they consume in order; or open
-# (None), labels the occurrences take any of, any number of times, which is
-# never used up.  Binders are sequences, but a lambda at _Pos makes its
-# binder a bag, and one at a cut or open leaves it open.  A
-# target is a rigid type; _Pos; a cut (_Cut), at a redex's function part;
-# or None, open: a spine concludes what its head gives it.  A call must use
-# up the variables in `must`; the others it may leave to the subterms to
-# its right.
-Entry = tuple[SeqType, bool | None]
+# The enumerator threads the context through a normal term, left to right,
+# as the occurrences consume it: each call takes what the subterms to its
+# left did not consume, and returns every derivation paired with what it
+# leaves in turn.  A context maps each variable in scope to its entry: what
+# is left of it and its kind: a bag (True), whose values the occurrences
+# take in any order, or a sequence (False), which they consume in order.
+# Binders are sequences, but a lambda at _Pos makes its binder a bag.  A
+# target is a rigid type or _Pos.  A call must use up the variables in
+# `must`; the others it may leave to the subterms to its right.
+Entry = tuple[SeqType, bool]
 Ctx = dict[str, Entry]
 Found = list[tuple[ResourceTerm, Ctx]]
 
 
-class _Cut(NamedTuple):
-    """The target of a redex's function part: an arrow from the cut to the
-    redex's own target, result.  The lambda's binder takes the types in
-    pool, those one copy of the argument concludes, and the labels of its
-    occurrences are the cut."""
-    pool: tuple[IType, ...]
-    result: Target
-
-
 class _Pos(NamedTuple):
-    """Any type a positive morphism takes to a, a canonical arrow; at * the target is *."""
+    """Any type a positive morphism takes to a, an arrow; at * the target is *."""
     a: IArrow
 
 
-Target = IType | _Pos | _Cut | None
+Target = IType | _Pos
 
 
 class _Run:
-    """One enumeration: the budget it runs under, or None, the context's
-    variable names, which decide where a subproblem is kept (at), the labels
-    an open binder of each type takes (bounded_refinements) and those of
-    each bag value (_takes).  What it keeps itself dies with it."""
+    """One enumeration: the context's variable names, which decide where a
+    subproblem is kept (at), and the labels of each bag value (_takes).
+    What it keeps itself dies with it."""
 
-    __slots__ = ("names", "budget", "labels", "_tables", "_refinements")
+    __slots__ = ("names", "labels", "_tables")
 
-    def __init__(self, names, budget: int | None):
+    def __init__(self, names):
         self.names = frozenset(names)
-        self.budget = budget
         self.labels: dict[IType, tuple[IType, ...]] = {}
         self._tables: dict[Term, dict] = {}
-        self._refinements: dict[SimpleType, tuple[IType, ...]] = {}
 
     def at(self, t: Term) -> dict:
         """The dict that keeps the subproblems solved at t: t's memo when t
@@ -491,38 +485,17 @@ class _Run:
             kept = self._tables[t] = {}
         return kept
 
-    def bounded_refinements(self, t: SimpleType) -> tuple[IType, ...]:
-        """The refinements of t whose sequences have length at most the
-        budget: the labels of a binder whose lambda's target is open.  A run
-        without a budget raises _Unbounded at an arrow type."""
-        out = self._refinements.get(t)
-        if out is None:
-            match t:
-                case Base():
-                    out = (Star(),)
-                case Arrow(td, tc):
-                    if self.budget is None:
-                        raise _Unbounded(t)
-                    pool = self.bounded_refinements(td)
-                    out = tuple(IArrow(s, c) for n in range(self.budget + 1)
-                                for s in product(pool, repeat=n)
-                                for c in self.bounded_refinements(tc))
-                case _:
-                    raise TypeError(f"not a simple type: {t!r}")
-            self._refinements[t] = out
-        return out
-
 
 # A subproblem is kept where the run says, under (the entries of its
-# term's free variables, target, budget, which of them must be used up), as
-# a list of (derivation, what it leaves of each entry); the other keys in a
-# term's memo are strings or start with one.
+# term's free variables, target, which of them must be used up), as a list
+# of (derivation, what it leaves of each entry); the other keys in a term's
+# memo are strings or start with one.
 def _enum(term: Term, ctx: Ctx, alpha: Target, run: _Run,
           must: frozenset[str]) -> Found:
     fvs, kept = free_vars(term), run.at(term)
     if any(ctx[x][0] for x in must if x not in fvs):
         return []
-    key = (tuple(ctx[x] for x in fvs), alpha, run.budget, tuple(x in must for x in fvs))
+    key = (tuple(ctx[x] for x in fvs), alpha, tuple(x in must for x in fvs))
     hit = kept.get(key)
     if hit is None:
         hit = kept[key] = [
@@ -538,46 +511,25 @@ def _enum(term: Term, ctx: Ctx, alpha: Target, run: _Run,
 
 def _enum_raw(term: Term, ctx: Ctx, alpha: Target, run: _Run,
               must: frozenset[str]) -> Found:
-    match term:
-        case Lam(x, b, ann):
-            assert ann is not None
-            if isinstance(alpha, IArrow):
-                entry, body_alpha, must = (alpha.domain, False), alpha.codomain, must | {x}
-            elif isinstance(alpha, _Pos):
-                entry, c, must = (alpha.a.domain, True), alpha.a.codomain, must | {x}
-                body_alpha = _Pos(c) if isinstance(c, IArrow) else c
-            elif isinstance(alpha, _Cut):
-                entry, body_alpha = (alpha.pool, None), alpha.result
-            elif alpha is None:
-                entry, body_alpha = (run.bounded_refinements(ann), None), None
-            else:
-                return []
-            return [(RLam(x, r, ann), left)
-                    for r, left in _enum(b, {**ctx, x: entry}, body_alpha, run, must)]
-        case Var(_) | App(_, _):
-            head, args = spine(term)
-            if isinstance(head, Var):
-                return _enum_spine(head.name, args, ctx, alpha, run, must)
-            assert isinstance(term, App)
-            # the function part's binder takes the types one copy of the
-            # argument concludes, and its occurrences' labels are the cut
-            f, a = term.fn, term.arg
-            out: Found = []
-            for rf, left in _enum(f, ctx, _Cut(_cut_pool(a, ctx, run), alpha), run,
-                                  must.difference(free_vars(a))):
-                for m, rest in _enum_multi(a, left, rt_type(rf).domain, run, must):
-                    out.append((RApp(rf, m), rest))
-            return out
-    raise TypeError(f"not a term: {term!r}")
+    if isinstance(term, Lam):
+        if isinstance(alpha, IArrow):
+            entry, body_alpha = (alpha.domain, False), alpha.codomain
+        elif isinstance(alpha, _Pos):
+            entry, c = (alpha.a.domain, True), alpha.a.codomain
+            body_alpha = _Pos(c) if isinstance(c, IArrow) else c
+        else:
+            return []
+        return [(RLam(term.binder, r, term.annot), left)
+                for r, left in _enum(term.body, {**ctx, term.binder: entry}, body_alpha, run,
+                                     must | {term.binder})]
+    head, args = spine(term)
+    return _enum_spine(head.name, args, ctx, alpha, run, must)
 
 
-def _takes(seq: SeqType, bag: bool | None, run: _Run) -> list[tuple[IType, SeqType]]:
+def _takes(seq: SeqType, bag: bool, run: _Run) -> list[tuple[IType, SeqType]]:
     """The labels one occurrence may take from an entry, each with what it
-    leaves: a sequence's first element; any distinct value of a bag,
-    labelled by any of its negative targets, which the run lists once; or
-    any label of an open entry, which it leaves as it is."""
-    if bag is None:
-        return [(label, seq) for label in seq]
+    leaves: a sequence's first element, or any distinct value of a bag,
+    labelled by any of its negative targets, which the run lists once."""
     if not bag:
         return [(seq[0], seq[1:])] if seq else []
     labels = run.labels
@@ -585,20 +537,16 @@ def _takes(seq: SeqType, bag: bool | None, run: _Run) -> list[tuple[IType, SeqTy
         if v not in labels:
             labels[v] = neg_targets_it(v)
     return [(label, seq[:i] + seq[i + 1:])
-            for i, v in enumerate(seq) if not i or seq[i - 1] != v
+            for i, v in enumerate(seq) if seq.index(v) == i
             for label in labels[v]]
 
 
 def _fits(beta: IType, alpha: Target) -> bool:
-    """Whether a spine concluding beta meets its target: an open target any
-    type, a cut an arrow whose domain draws on its pool and whose codomain
-    fits its result, _Pos(a) a type of a's positive class, and a rigid type itself."""
-    if isinstance(alpha, _Cut):
-        return (isinstance(beta, IArrow) and all(b in alpha.pool for b in beta.domain)
-                and _fits(beta.codomain, alpha.result))
+    """Whether a spine concluding beta meets its target: _Pos(a) a type of
+    a's positive class, and a rigid type itself."""
     if isinstance(alpha, _Pos):
         return polar_class(beta, True) == polar_class(alpha.a, True)
-    return alpha is None or beta == alpha
+    return beta == alpha
 
 
 def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: Target,
@@ -651,64 +599,20 @@ def _enum_multi(term: Term, ctx: Ctx, targets: SeqType, run: _Run,
     return out
 
 
-def _cut_pool(a: Term, ctx: Ctx, run: _Run) -> tuple[IType, ...]:
-    """The labels of the binder of a redex whose argument is a: the
-    refinements of a's type that one copy of a concludes from some context a
-    copy may start from, in key_it order.
-
-    They are synthesized, not guessed: one copy of a is enumerated from
-    each start with its target left open, and each derivation concludes
-    its rt_type.  A copy starts from what the function part and the copies
-    before it leave of ctx: of each bag a sub-bag, and of each sequence a
-    suffix.  What a copy concludes drawing on a sub-bag it concludes
-    drawing on the whole bag, and with nothing it must use up, what it
-    leaves does not matter.  So the starts are the whole bags with every
-    choice of suffixes of a's free sequences: the binders around the redex
-    and, at a rigid point, every context variable.  An open binder is no
-    sequence: its occurrences pick their labels.  The synthesis only names
-    the types; each copy at the cut is enumerated at its own (_enum_multi)."""
-    seqs = [x for x in free_vars(a) if ctx[x][1] is False]
-    starts = [{**ctx, **{x: (ctx[x][0][i:], False) for x, i in zip(seqs, skip)}}
-              for skip in product(*(range(len(ctx[x][0]) + 1) for x in seqs))]
-    found = {rt_type(r) for start in starts for r, _ in _enum(a, start, None, run, frozenset())}
-    return tuple(sorted(found, key=key_it))
-
-
 ####################################################################
 # counting derivation morphisms
 
-def count_derivation_morphisms(r1: ResourceTerm, r2: ResourceTerm) -> int:
-    """The number of morphisms r1 -> r2; both must derive the same term.
+def _count_morphisms(a: ResourceTerm, b: ResourceTerm, memo: dict | None = None) -> int:
+    """The number of morphisms a -> b between derivations of one normal
+    term, whose spines all have a variable head.
 
     A var node counts the morphisms between its labels, and a lam node its
     body's.  In a spine x <M1> ... <Mk>, each argument multi morphism fixes
     the matching domain of the head's label morphism, so only the head's
     codomain is free: the spine counts the morphisms between the codomains
-    times, per multi, the permanent of the counts between its copies.
-
-    A spine under a lambda head, a redex (\\x. M) <N1, ..., Nn> applied to
-    any further multis, counts as its contractum.  A morphism of the redex
-    is a body morphism m together with an argument multi morphism whose
-    permutation s and label morphisms are the ones m induces on the
-    occurrences of x (dm_occurrences in tests/reference.py): m sends the
-    i-th occurrence of x to the s(i)-th, and the i-th copy goes to the
-    s(i)-th by a morphism Ni -> N's(i) whose result morphism is the
-    one m gives occurrence i.  omega_substitute puts Ni at occurrence i and
-    N's(i) at occurrence s(i), so the same data is a morphism of the
-    contracta: m with its var morphism at each occurrence i replaced by that
-    morphism of Ni.  The rules see a node's morphism only through its result
-    morphism, so this is a bijection, in any context around the redex, and
-    contracting every redex keeps the count.  So both derivations are
-    contracted first, once in all when they are the same derivation.
-    """
-    a = contract(r1)
-    return _count_contracted(a, a if r2 is r1 else contract(r2))
-
-
-def _count_contracted(a: ResourceTerm, b: ResourceTerm, memo: dict | None = None) -> int:
-    """count_derivation_morphisms on contracted derivations, whose spines
-    all have a variable head.  The memo keeps the counts between pairs of
-    subterms and, as count_homs_it keeps them, between pairs of labels."""
+    times, per multi, the permanent of the counts between its copies.  The
+    memo keeps the counts between pairs of subterms and, as count_homs_it
+    keeps them, between pairs of labels."""
     memo = {} if memo is None else memo
     key = (a, b)
     if key in memo:
@@ -718,7 +622,7 @@ def _count_contracted(a: ResourceTerm, b: ResourceTerm, memo: dict | None = None
         case RVar(x, la), RVar(y, lb):
             n = count_homs_it(la, lb, memo) if x == y else 0
         case RLam(x, ba, ta), RLam(y, bb, tb):
-            n = _count_contracted(ba, bb, memo) if x == y and ta == tb else 0
+            n = _count_morphisms(ba, bb, memo) if x == y and ta == tb else 0
         case RApp(), RApp():
             ha, multis_a = _rt_spine(a)
             hb, multis_b = _rt_spine(b)
@@ -731,7 +635,7 @@ def _count_contracted(a: ResourceTerm, b: ResourceTerm, memo: dict | None = None
                     if not n or len(aa) != len(bb):
                         n = 0
                         break
-                    n *= permanent([[_count_contracted(x, y, memo) for y in bb] for x in aa])
+                    n *= permanent([[_count_morphisms(x, y, memo) for y in bb] for x in aa])
     memo[key] = n
     return n
 
@@ -747,20 +651,21 @@ def _rt_spine(r: ResourceTerm) -> tuple[ResourceTerm, list[tuple[ResourceTerm, .
 
 @fact
 def endo_count(r: ResourceTerm) -> int:
-    """deg(r): the number of endomorphisms of r, counted, not listed."""
-    return count_derivation_morphisms(r, r)
+    """deg(r): the number of endomorphisms of r, a derivation of a normal
+    term, counted, not listed."""
+    return _count_morphisms(r, r)
 
 
 def partition_by_symmetry(derivations) -> tuple[tuple[ResourceTerm, ...], ...]:
-    """Group derivations of a common term into symmetry classes, in the
-    order of their first members, keyed by the multiset collapse of their
-    contracta, counting no morphism; a lone derivation is not keyed.  The
-    collapses of the subterms the derivations share are taken once."""
+    """Group derivations of a common normal term into symmetry classes, in
+    the order of their first members, keyed by their multiset collapse,
+    counting no morphism; a lone derivation is not keyed.  The collapses of
+    the subterms the derivations share are taken once."""
     derivations = tuple(derivations)
     if len(derivations) == 1:
         return (derivations,)
     classes: dict[ResourceTerm, list[ResourceTerm]] = {}
     memo: dict = {}
     for r in derivations:
-        classes.setdefault(multiset_collapse_term(contract(r), memo), []).append(r)
+        classes.setdefault(multiset_collapse_term(r, memo), []).append(r)
     return tuple(map(tuple, classes.values()))

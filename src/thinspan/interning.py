@@ -56,15 +56,16 @@ dropped is answered afresh.  A node keeps only what a later query reads:
 the answer a query kept, in counts alone (collapse's witness count,
 classes and degrees and its triple count, and wrel's coefficient at the
 normal form), the facts, and the subproblems the witness enumerator
-(derivation) solves at a subterm that names none of the query's context
-variables, such as a Church numeral, which a later query under other
-names meets again.  What a call derives for itself alone are the
+(derivation) solves at a subterm of a normal form that names none of
+the query's context variables, such as a bound variable, which a later
+query under other names meets again.  What a call derives for itself alone are the
 subproblems the enumerator solves at the subterms that name the query's
 context variables, since no later query meets those subterms, and every
 subproblem of the coefficient recursion, each kept in a table of the
-call's; the labels an enumeration gives an open binder or a bag value;
-the witnesses themselves, which a report holds only while its caller
-does; and a derivation's contractum, which a query reads while it
+call's; the labels an enumeration gives a bag value; the steps to the
+normal form a query enumerates on; the witnesses themselves, which a
+report holds only while its caller does; and the derivations of the
+normal form they were read back from, which a query reads while it
 partitions and counts, and whose results its report keeps.
 """
 

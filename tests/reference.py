@@ -44,7 +44,10 @@ with the matching occurrences of the bound variable.
 
 Beside the groupoids: check_derivation, which validates a resource term
 against the term it derives; enumerate_bag_witnesses, the enumeration
-positive_witnesses runs, with its inputs checked; count_negative_it, the
+positive_witnesses runs, with its inputs checked; contract, which
+contracts a derivation's redexes, and count_derivation_morphisms, which
+counts the morphisms between derivations of any term through it, the
+oracles of the read-back from the normal form; count_negative_it, the
 negative hom-set count of a type; and alpha_eq on terms.
 """
 
@@ -64,7 +67,8 @@ from thinspan.rigidtypes import (
 from thinspan.symmetry import MorphismError, _count_it
 from thinspan.derivation import (
     DerivationError, RApp, RLam, RVar, ResourceTerm, Shape, WitnessSet,
-    _checked_term, check_budget, resource_to_text, rt_type, witness_set,
+    _checked_term, _count_morphisms, resource_to_text, rt_occurrence_labels, rt_type,
+    witness_set,
 )
 from thinspan.groupoid import (
     STAR_ID, ArrowMorphism, CtxMorphism, ITMorphism, SeqMorphism, StarId,
@@ -560,7 +564,7 @@ def _check(shape: Shape, term: Term, r: ResourceTerm) -> None:
 # the enumeration over bags, with its inputs checked
 
 def enumerate_bag_witnesses(ctx: TypingContext, term: Term, gamma: ResourceContext,
-                            alpha: IType, budget: int | None = None) -> WitnessSet:
+                            alpha: IType) -> WitnessSet:
     """All derivations of term whose context some negative context morphism
     reaches from gamma and whose result some positive morphism takes to
     alpha, each once.
@@ -573,22 +577,123 @@ def enumerate_bag_witnesses(ctx: TypingContext, term: Term, gamma: ResourceConte
     each derivation arises once, and its context is its rt_context.  The
     result is read alike: a lambda's binder takes the domain of alpha's
     arrow as a bag, and a spine concludes any type of its class under
-    positive morphisms, so each derivation's result is its rt_type.  The cut
-    on a bare-variable argument is an ordered pick of the variable's
-    remaining values, of any length.  The derivations are sorted by their
-    text, and bounded_at is the budget the enumeration ran under, as for
-    enumerate_witnesses.  The enumeration
-    starts from (gamma, alpha), the canonical point, not the point the
-    derivations conclude.
+    positive morphisms, so each derivation's result is its rt_type.  A
+    redex's derivations are read back from its normal form's.  The
+    derivations are sorted by their text.  The enumeration starts from
+    (gamma, alpha), the canonical point, not the point the derivations
+    conclude.
     """
     if not all(is_canonical_seq(seq) for _, seq, _ in gamma.entries):
         raise DerivationError(f"context {ctx_to_text(gamma)} is not canonical")
     if not is_canonical(alpha):
         raise DerivationError(f"result {it_to_text(alpha)} is not canonical")
     term = _checked_term(ctx, term, gamma, alpha)
-    check_budget(budget)
-    found, bounded_at = witness_set(term, gamma, alpha, budget, bags=True)
-    return WitnessSet(tuple(sorted(found, key=resource_to_text)), bounded_at)
+    found = [d for d, _ in witness_set(term, gamma, alpha)]
+    return WitnessSet(tuple(sorted(found, key=resource_to_text)))
+
+
+####################################################################
+# contracting a derivation's redexes, and counting morphisms through them
+
+def omega_substitute(r: ResourceTerm) -> ResourceTerm:
+    """Contract a toplevel redex, pairing occurrences with arguments in order.
+    One walk substitutes and checks each occurrence's label against its
+    argument."""
+    if not (isinstance(r, RApp) and isinstance(r.fn, RLam)):
+        raise DerivationError("omega substitution needs a toplevel redex (\\x. m) <...>")
+    args = iter(r.args)
+    out = _substitute(r.fn.body, r.fn.binder, args, r)
+    if next(args, None) is not None:
+        raise _redex_error(r)
+    return out
+
+
+def _redex_error(r: RApp) -> DerivationError:
+    """What is wrong with the redex r: its binder's occurrences and its
+    arguments differ in number, or else the first occurrence whose label
+    differs from the type its argument concludes."""
+    x, body = r.fn.binder, r.fn.body
+    labels = rt_occurrence_labels(body, x)
+    if len(labels) != len(r.args):
+        return DerivationError(f"{len(labels)} occurrences of {x!r} but {len(r.args)} arguments")
+    i, lab, a = next((i, lab, a) for i, (lab, a) in enumerate(zip(labels, r.args))
+                     if rt_type(a) != lab)
+    return DerivationError(f"occurrence {i + 1} of {x!r} has label {it_to_text(lab)} but the "
+                           f"argument concludes {it_to_text(rt_type(a))}")
+
+
+def _substitute(t: ResourceTerm, x: str, args, redex: RApp) -> ResourceTerm:
+    """t with its free occurrences of x replaced by the next of args, left
+    to right, each of which must conclude its occurrence's label.  A plain
+    recursion: a nested function that calls itself is a reference cycle,
+    which only the cyclic collector frees."""
+    match t:
+        case RVar(y, label):
+            if y != x:
+                return t
+            a = next(args, None)
+            if a is None or rt_type(a) != label:
+                raise _redex_error(redex)
+            return a
+        case RLam(y, b, ann):
+            if y == x:
+                return t
+            b2 = _substitute(b, x, args, redex)
+            return t if b2 is b else RLam(y, b2, ann)
+        case RApp(f, aa):
+            f2 = _substitute(f, x, args, redex)
+            aa2 = tuple(_substitute(a, x, args, redex) for a in aa)
+            return t if f2 is f and aa2 == aa else RApp(f2, aa2)
+    raise TypeError(f"not a resource term: {t!r}")
+
+
+def contract(r: ResourceTerm) -> ResourceTerm:
+    """r's normal form: every redex contracted by omega_substitute, innermost
+    first, until every spine has a variable head.  Each contraction drops a
+    lambda, its application and the binder's occurrences, so this ends.  A
+    subterm without a redex comes back as it is.  A contraction that moves
+    the occurrences of a binder above the redex leaves that binder's
+    lambda concluding its domain in another order, which no label above it
+    follows, so only the labels of variable heads may tell the contractum
+    from the derivation a derivation of the normal form reads back from."""
+    match r:
+        case RVar():
+            return r
+        case RLam(x, b, ann):
+            b2 = contract(b)
+            return r if b2 is b else RLam(x, b2, ann)
+        case RApp(f, args):
+            f2, args2 = contract(f), tuple(map(contract, args))
+            if isinstance(f2, RLam):
+                # the body and the copies have no redex, so the contractum
+                # has one only where a lambda copy lands at a head
+                r2 = omega_substitute(RApp(f2, args2))
+                return contract(r2) if any(isinstance(a, RLam) for a in args2) else r2
+            return r if f2 is f and args2 == args else RApp(f2, args2)
+    raise TypeError(f"not a resource term: {r!r}")
+
+
+def count_derivation_morphisms(r1: ResourceTerm, r2: ResourceTerm) -> int:
+    """The number of morphisms r1 -> r2; both must derive the same term.
+
+    A spine under a lambda head, a redex (\\x. M) <N1, ..., Nn> applied to
+    any further multis, counts as its contractum.  A morphism of the redex
+    is a body morphism m together with an argument multi morphism whose
+    permutation s and label morphisms are the ones m induces on the
+    occurrences of x (dm_occurrences): m sends the
+    i-th occurrence of x to the s(i)-th, and the i-th copy goes to the
+    s(i)-th by a morphism Ni -> N's(i) whose result morphism is the
+    one m gives occurrence i.  omega_substitute puts Ni at occurrence i and
+    N's(i) at occurrence s(i), so the same data is a morphism of the
+    contracta: m with its var morphism at each occurrence i replaced by that
+    morphism of Ni.  The rules see a node's morphism only through its result
+    morphism, so this is a bijection, in any context around the redex, and
+    contracting every redex keeps the count.  So both derivations are
+    contracted first, once in all when they are the same derivation, and
+    derivation counts the morphisms between the contracta.
+    """
+    a = contract(r1)
+    return _count_morphisms(a, a if r2 is r1 else contract(r2))
 
 
 ####################################################################

@@ -26,13 +26,14 @@ from thinspan.rigidtypes import (
     canonicalize_point, canonicalize_seq, key_it, point_from_json,
 )
 from thinspan.derivation import (
-    RApp, RLam, RVar, _Run, count_derivation_morphisms, enumerate_witnesses,
-    resource_to_text, rt_context, rt_type,
+    RApp, RLam, RVar, enumerate_witnesses, resource_to_text, rt_context, rt_type,
 )
 from thinspan.symmetry import Degrees, neg_targets_ctx, pos_sources_it
 from thinspan.groupoid import enumerate_homs_ctx, enumerate_homs_it
 
-from reference import is_negative_ctx, is_negative_it, is_positive_ctx, is_positive_it
+from reference import (
+    count_derivation_morphisms, is_negative_ctx, is_negative_it, is_positive_ctx, is_positive_it,
+)
 
 CORPUS_PATH = Path(__file__).resolve().parent.parent / "corpus" / "points.json"
 TRACING_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -98,10 +99,6 @@ def parse_entry(entry: dict):
     return ctx, term, ty, point
 
 
-def entry_budget(entry: dict, default: int = 4) -> int:
-    return int(entry.get("budget", default))
-
-
 def stars(n: int) -> str:
     return "[" + ",".join(["*"] * n) + "]"
 
@@ -147,8 +144,8 @@ def chain_point(d: int):
 
 def guessed_cut_point(n: int):
     """`(\\k:o->o. k y) (\\x:o. g x)` at g:[[*^n]-o*], y:[*^n]: the argument
-    is a lambda whose binder has base type, so the redex's cut <[*^n]-o*>
-    is synthesized exactly, at any budget.  The coefficient is 1."""
+    is a lambda whose binder has base type, and the redex's cut is
+    <[*^n]-o*>.  The coefficient is 1."""
     return "(\\k:o->o. k y) (\\x:o. g x)", {"g": f"[{stars(n)}-o*]", "y": stars(n)}
 
 
@@ -165,9 +162,7 @@ def higher_order_cut_point(n: int = 1):
     """`(\\k:(o->o)->o. k g) (\\h:o->o. h y)` at g:[[*^n]-o*], y:[*^n]: the
     argument is a lambda whose binder has an arrow type, so its copies
     conclude refinements of (o->o)->o, and the cut is <<*^n>-o*>-o*.  The
-    binder h is open, and only the budget bounds its labels: it needs a
-    budget, and budget n or more finds the one witness.  The coefficient
-    is 1."""
+    coefficient is 1."""
     return ("(\\k:(o->o)->o. k g) (\\h:o->o. h y)",
             {"g": f"[{stars(n)}-o*]", "y": stars(n)})
 
@@ -198,33 +193,33 @@ def point_subject(term_text: str, point_ctx: dict, ctx_text: str = "g:o->o, y:o"
 # after contraction tells their classes apart.  A bare-variable argument
 # cannot do this: its copy is its label, so copies that differ meet
 # occurrences whose labels differ too.
-# label -> (term, point context, typing context, budget, coefficient)
+# label -> (term, point context, typing context, coefficient)
 COPIES_IN_EVERY_ORDER = {
     "two-copies-of-an-application": (
         "(\\f:o. x f f) (g y)",
         {"x": "[[*]-o[*]-o*]", "g": "[[*]-o*,[]-o*]", "y": "[*]"},
-        "x:o->o->o, g:o->o, y:o", 2, 2),
+        "x:o->o->o, g:o->o, y:o", 2),
     "three-copies-two-alike": (
         "(\\f:o. x f f f) (g y)",
         {"x": "[[*]-o[*]-o[*]-o*]", "g": "[[*]-o*,[]-o*,[]-o*]", "y": "[*]"},
-        "x:o->o->o->o, g:o->o, y:o", 3, 3),
+        "x:o->o->o->o, g:o->o, y:o", 3),
     "copies-using-either-variable": (
         "(\\f:o. x f f) (g y z)",
         {"x": "[[*]-o[*]-o*]", "g": "[[*]-o[]-o*,[]-o[*]-o*]", "y": "[*]", "z": "[*]"},
-        "x:o->o->o, g:o->o->o, y:o, z:o", 2, 2),
+        "x:o->o->o, g:o->o->o, y:o, z:o", 2),
     "copies-of-a-lambda": (
         "(\\f:o->o. x (f y) (f y)) (\\z:o. g z w)",
         {"x": "[[*]-o[*]-o*]", "g": "[[*]-o[*]-o*,[*]-o[]-o*]", "w": "[*]", "y": "[*,*]"},
-        "x:o->o->o, g:o->o->o, w:o, y:o", 2, 2),
+        "x:o->o->o, g:o->o->o, w:o, y:o", 2),
 }
 
 
 def copies_in_every_order():
-    """(label, ctx, term, point, budget, coefficient) for each subject of
+    """(label, ctx, term, point, coefficient) for each subject of
     COPIES_IN_EVERY_ORDER."""
-    for label, (term, point_ctx, ctx_text, budget, coefficient) in COPIES_IN_EVERY_ORDER.items():
+    for label, (term, point_ctx, ctx_text, coefficient) in COPIES_IN_EVERY_ORDER.items():
         ctx, term, _, point = point_subject(term, point_ctx, ctx_text)
-        yield label, ctx, term, point, budget, coefficient
+        yield label, ctx, term, point, coefficient
 
 
 def rand_stype(rng: random.Random, depth: int) -> SimpleType:
@@ -462,21 +457,20 @@ def listed_esp(report) -> int:
 # positive source alpha of the canonical result.  positive_witnesses
 # enumerates once over the context's bags instead; this is its oracle.
 
-def per_target_witnesses(ctx, term, gamma: ResourceContext, a: IType, budget=None,
-                         enumerator=None) -> list:
+def per_target_witnesses(ctx, term, gamma: ResourceContext, a: IType, enumerator=None) -> list:
     """Every (theta, alpha, derivation) at the rigid points reachable from
     (gamma, a), in the order positive_witnesses lists its witnesses.
-    `enumerator(ctx, term, theta, alpha, budget)` gives the derivations at
-    one point, sorted by resource_to_text; by default enumerate_witnesses'."""
+    `enumerator(ctx, term, theta, alpha)` gives the derivations at one
+    point, sorted by resource_to_text; by default enumerate_witnesses'."""
     if enumerator is None:
         def enumerator(*args):
             return enumerate_witnesses(*args).derivations
     return [(theta, alpha, d) for theta in neg_targets_ctx(gamma)
             for alpha in pos_sources_it(a)
-            for d in enumerator(ctx, term, theta, alpha, budget)]
+            for d in enumerator(ctx, term, theta, alpha)]
 
 
-def across_points(name: str, budget=None):
+def across_points(name: str):
     """(ctx, term, derivations) of the corpus entry `name` over every
     negative target of its canonical point.
 
@@ -486,7 +480,7 @@ def across_points(name: str, budget=None):
     """
     ctx, term, ty, point = parse_entry(next(e for e in load_corpus() if e["name"] == name))
     gamma, alpha = canonicalize_point(point, ctx, ty)
-    return ctx, term, [d for _, _, d in per_target_witnesses(ctx, term, gamma, alpha, budget)]
+    return ctx, term, [d for _, _, d in per_target_witnesses(ctx, term, gamma, alpha)]
 
 
 # The symmetry partition that compared witnesses pairwise: each with the
@@ -565,16 +559,18 @@ def brute_split_ctx(theta: ResourceContext, terms):
         yield tuple(ResourceContext(tuple(entries[j] for entries in choice)) for j in range(k))
 
 
-# The cuts a redex tried before they were pruned to the types a copy of its
-# argument concludes: every sequence type the budget admits.  derivation
-# tries only the pruned ones; this is their oracle.  And the pruned types
-# as they were found before derivation synthesized them, by probing each
-# refinement the budget admits: the oracle of the synthesis.
+# The cuts the split oracle tries at a redex: every sequence type of
+# refinements of the argument's type whose sequences are no longer than a
+# budget.
 
+@lru_cache(maxsize=None)
 def bounded_refinements(t: SimpleType, budget: int) -> tuple[IType, ...]:
-    """The refinements of t whose sequences have length at most the budget,
-    as one enumeration under that budget lists them for an open binder."""
-    return _Run((), budget).bounded_refinements(t)
+    """The refinements of t whose sequences have length at most the budget."""
+    if isinstance(t, Base):
+        return (Star(),)
+    pool = bounded_refinements(t.domain, budget)
+    return tuple(IArrow(s, c) for n in range(budget + 1) for s in product(pool, repeat=n)
+                 for c in bounded_refinements(t.codomain, budget))
 
 
 @lru_cache(maxsize=None)
@@ -597,43 +593,7 @@ def point_width(point: PointSpec) -> int:
                + [width(a) for _, seq in point.ctx for a in seq])
 
 
-def subject_types(ctx: TypingContext, term) -> dict[str, SimpleType]:
-    """The simple type of every variable a subject's enumeration has in
-    scope: the context's bindings and each binder's annotation, since the
-    binders are distinct."""
-    def annotations(t):
-        match t:
-            case Lam(x, b, ann):
-                yield x, ann
-                yield from annotations(b)
-            case App(f, a):
-                yield from annotations(f)
-                yield from annotations(a)
-
-    return dict(ctx.bindings + tuple(annotations(annotate(ctx, term)[0])))
-
-
-def argument_type(a, types: dict[str, SimpleType]) -> SimpleType:
-    """The simple type of a redex's argument a, under the subject's types
-    (subject_types)."""
-    return annotate(TypingContext(tuple((x, types[x]) for x in free_vars(a))), a)[1]
-
-
-def probed_pool(a, ctx, run, types: dict[str, SimpleType], width: int) -> tuple[IType, ...]:
-    """The types a redex's copies were drawn from before they were
-    synthesized: each refinement of a's type whose sequences have length at
-    most the width, in the order an open binder's labels are listed, kept
-    when one copy of a concludes it from some start, as
-    derivation._cut_pool defines the starts.  An open binder has no
-    suffixes to start from."""
-    seqs = [x for x in free_vars(a) if ctx[x][1] is False]
-    starts = [{**ctx, **{x: (ctx[x][0][i:], False) for x, i in zip(seqs, skip)}}
-              for skip in product(*(range(len(ctx[x][0]) + 1) for x in seqs))]
-    return tuple(beta for beta in bounded_refinements(argument_type(a, types), width)
-                 if any(derivation._enum(a, start, beta, run, frozenset()) for start in starts))
-
-
-def guessed_cut_subjects():
+def redex_subjects():
     """(label, ctx, term, type, point): every corpus redex, the redexes whose
     copies meet in every order, the redexes among the generated points, and
     redexes whose argument's copies start from a suffix of a sequence."""
@@ -641,7 +601,7 @@ def guessed_cut_subjects():
         ctx, term, ty, point = parse_entry(entry)
         if not is_beta_normal(term):
             yield entry["name"], ctx, term, ty, point
-    for label, (term, point_ctx, ctx_text, _, _) in COPIES_IN_EVERY_ORDER.items():
+    for label, (term, point_ctx, ctx_text, _) in COPIES_IN_EVERY_ORDER.items():
         yield label, *point_subject(term, point_ctx, ctx_text)
     for i, (entry, ctx, term, ty, point) in enumerate(generated_points()):
         if not is_beta_normal(term):

@@ -39,8 +39,8 @@ from thinspan.wrel import wrel_coefficient
 
 import reference
 from support import (
-    chain_point, child_env, church_point, clear_memos, distinct_g_point, entry_budget,
-    fanout_point, higher_order_cut_point, load_corpus, load_tracing, parse_entry, point_subject,
+    chain_point, child_env, church_point, clear_memos, distinct_g_point,
+    fanout_point, higher_order_cut_point, third_order_cut_point, load_corpus, load_tracing, parse_entry, point_subject,
     positive_source_point, stars, symmetric_point, WORKLOADS_PATH,
 )
 
@@ -89,11 +89,9 @@ def counting_calls(fn, seen):
 def test_a_query_is_prepared_once(monkeypatch, cold_memo, name):
     if name == "fanout-2":
         ctx, term, _, point = point_subject(*fanout_point(2))
-        budget = None
     else:
         entry = next(e for e in load_corpus() if e["name"] == name)
         ctx, term, _, point = parse_entry(entry)
-        budget = entry_budget(entry)
     calls = {}
     for module in (thinspan.collapse, thinspan.derivation, thinspan.symmetry, thinspan.wrel):
         for fn in ("annotate", "canonicalize_point", "ctx_refines"):
@@ -104,7 +102,7 @@ def test_a_query_is_prepared_once(monkeypatch, cold_memo, name):
     contexts = []
     monkeypatch.setattr(thinspan.collapse, "rt_context",
                         counting_calls(thinspan.collapse.rt_context, contexts))
-    checked = verify_identities(ctx, term, point, budget)
+    checked = verify_identities(ctx, term, point)
     assert checked.ok
     assert len(contexts) == checked.report.wit_plus
     count = {key: len(seen) for key, seen in calls.items()}
@@ -139,16 +137,13 @@ def refuse(*args):
 # n = 3 and 7! for g at Church k = 7; it counts them without listing any.
 # The memos start empty, so each query counts its triples afresh instead
 # of reading back a count an earlier test kept.
-@pytest.mark.parametrize("point, budget", [
-    (symmetric_point(6), None),
-    (fanout_point(3), None),
-    (church_point(7), 7),
-], ids=["symmetric-6", "fanout-3", "church-7"])
-def test_no_factorial_products_of_morphisms(monkeypatch, cold_memo, point, budget):
+@pytest.mark.parametrize("point", [symmetric_point(6), fanout_point(3), church_point(7)],
+                         ids=["symmetric-6", "fanout-3", "church-7"])
+def test_no_factorial_products_of_morphisms(monkeypatch, cold_memo, point):
     for name in ("enumerate_homs_ctx", "enumerate_homs_it"):
         monkeypatch.setattr(thinspan.collapse, name, refuse)
     ctx, term, _, pt = point_subject(*point)
-    assert verify_identities(ctx, term, pt, budget).ok
+    assert verify_identities(ctx, term, pt).ok
 
 
 # 12 copies of [*]-o* have 12! = 479,001,600 negative entry morphisms.
@@ -171,12 +166,11 @@ def test_degrees_and_witness_morphisms_enumerate_nothing(monkeypatch):
 
 
 # A type's order key, canonical form and degrees and a derivation's result
-# type, contractum and endomorphism count are kept on the node, and the
-# witness report on the term: asked again while the first report holds its
-# nodes, a query contracts nothing, renders no derivation and computes no
-# degree.
+# type and endomorphism count are kept on the node, and the witness report
+# on the term: asked again while the first report holds its nodes, a query
+# reads no derivation back, renders none and computes no degree.
 def test_repeated_query_recomputes_no_fact():
-    bodies = {thinspan.derivation.contract.__code__,
+    bodies = {thinspan.derivation._read_back.__code__,
               thinspan.derivation.resource_to_text.__code__,
               thinspan.symmetry._degrees_it.__wrapped__.__code__}
     ran = []
@@ -228,8 +222,7 @@ def test_a_repeated_query_reads_back_what_it_kept(name):
                     else None)
         term, ty = thinspan.syntax.annotate(ctx, parsed, expected)
         point = thinspan.rigidtypes.point_from_json(entry["point"], ctx, ty)
-        budget = entry_budget(entry)
-        return parsed, expected, verify_identities(ctx, term, point, budget)
+        return parsed, expected, verify_identities(ctx, term, point)
 
     first = query()
     sys.setprofile(profile)
@@ -296,8 +289,7 @@ def test_classes_list_no_morphisms(monkeypatch, cold_memo):
     assert len(corpus) == 20
     for entry in corpus:
         ctx, term, _, point = parse_entry(entry)
-        budget = entry_budget(entry)
-        rep = verify_identities(ctx, term, point, budget, expected=entry["expected"])
+        rep = verify_identities(ctx, term, point, expected=entry["expected"])
         assert rep.ok, entry["name"]
 
 
@@ -313,7 +305,7 @@ def test_partition_counts_no_morphisms(monkeypatch, cold_memo):
 
     def keyed(derivations):
         with monkeypatch.context() as m:
-            m.setattr(thinspan.derivation, "_count_contracted", refuse)
+            m.setattr(thinspan.derivation, "_count_morphisms", refuse)
             return partition(derivations)
 
     def counted(r):
@@ -325,12 +317,12 @@ def test_partition_counts_no_morphisms(monkeypatch, cold_memo):
     subjects = []
     for entry in load_corpus():
         ctx, term, _, point = parse_entry(entry)
-        subjects.append((entry["name"], ctx, term, point, entry_budget(entry)))
+        subjects.append((entry["name"], ctx, term, point))
     ctx, term, _, point = point_subject(*distinct_g_point(6))
-    subjects.append(("distinct-g-6", ctx, term, point, None))
-    for label, ctx, term, point, budget in subjects:
+    subjects.append(("distinct-g-6", ctx, term, point))
+    for label, ctx, term, point in subjects:
         endos.clear()
-        rep = verify_identities(ctx, term, point, budget)
+        rep = verify_identities(ctx, term, point)
         assert rep.ok, label
         assert len(endos) == len(rep.report.classes), label
     assert rep.report.wit_plus == factorial(6) and len(rep.report.classes) == 1
@@ -378,8 +370,7 @@ def test_reachable_contexts_are_not_listed(monkeypatch, cold_memo):
         assert verify_identities(ctx, term, point).ok, n
     for entry in load_corpus():
         ctx, term, _, point = parse_entry(entry)
-        budget = entry_budget(entry)
-        rep = verify_identities(ctx, term, point, budget, expected=entry["expected"])
+        rep = verify_identities(ctx, term, point, expected=entry["expected"])
         assert rep.ok, entry["name"]
 
 
@@ -403,8 +394,7 @@ def test_positive_sources_are_not_listed(monkeypatch, cold_memo):
     for entry in load_corpus():
         calls.clear()
         ctx, term, _, point = parse_entry(entry)
-        budget = entry_budget(entry)
-        assert verify_identities(ctx, term, point, budget).ok, entry["name"]
+        assert verify_identities(ctx, term, point).ok, entry["name"]
         assert len(calls) == 1, entry["name"]
 
 
@@ -426,7 +416,7 @@ def test_negative_morphisms_per_witness_context(monkeypatch, cold_memo, point, c
 
 
 
-def enumerator_misses(monkeypatch, ctx, term, point, budget=None, coefficient=1):
+def enumerator_misses(monkeypatch, ctx, term, point, coefficient=1):
     """Verify at the point from cold memos, checking the coefficient; the
     number of subproblems the enumerator solved."""
     sizes = []
@@ -434,22 +424,22 @@ def enumerator_misses(monkeypatch, ctx, term, point, budget=None, coefficient=1)
     with monkeypatch.context() as m:
         m.setattr(thinspan.derivation, "_enum_raw",
                   counting(thinspan.derivation._enum_raw, sizes))
-        rep = verify_identities(ctx, term, point, budget)
+        rep = verify_identities(ctx, term, point)
     assert rep.ok and rep.wrel.value == coefficient
     return len(sizes)
 
 
-# church-two-twice guesses the cut at its outer redex, and its context gives
-# g four elements.  Guessing every split of the context among the subterms
-# missed the enumerator cache 4618 times at budget 3 and 38,485 times at
-# budget 4; splitting only among the subterms that use each variable, 380
-# and 2,763 times.
+# church-two-twice once guessed the cut at its outer redex, and its context
+# gives g four elements.  Guessing every split of the context among the
+# subterms missed the enumerator cache 4618 times at budget 3 and 38,485
+# times at budget 4; splitting only among the subterms that use each
+# variable, 380 and 2,763 times.  Its normal form g (g (g (g y))), read
+# back, guesses no cut: five subproblems, one per spine.
 def test_cut_guessing_stays_small(monkeypatch):
     entry = next(e for e in load_corpus() if e["name"] == "church-two-twice")
     ctx, term, _, point = parse_entry(entry)
-    for budget, bound in ((3, 600), (4, 4000)):
-        misses = enumerator_misses(monkeypatch, ctx, term, point, budget)
-        assert misses <= bound, (budget, misses)
+    misses = enumerator_misses(monkeypatch, ctx, term, point)
+    assert misses <= 10, misses
 
 
 # Splitting the context among the subterms that use each variable missed
@@ -567,8 +557,7 @@ def test_a_repeated_query_checks_its_input_once(name):
         sys.setprofile(profile)
         try:
             ctx, term, _, point = parse_entry(entry)
-            budget = entry_budget(entry)
-            assert verify_identities(ctx, term, point, budget).ok
+            assert verify_identities(ctx, term, point).ok
         finally:
             sys.setprofile(None)
         runs.append(ran)
@@ -611,7 +600,7 @@ def test_a_repeated_query_keeps_the_intern_table_bounded(name):
     sizes = []
     for _ in range(3):
         ctx, term, _, point = parse_entry(entry)
-        assert verify_identities(ctx, term, point, entry_budget(entry)).ok
+        assert verify_identities(ctx, term, point).ok
         del ctx, term, point
         sizes.append(len(thinspan.interning._table))
     assert sizes[1] == sizes[2], sizes
@@ -639,13 +628,14 @@ def renamed_church_two(suffix: str):
 # query meets a subterm that names a context variable, since a repeat is
 # answered from the report and a fresh query renames the context: what the
 # enumerator solved there dies with the call.  Of such subterms only the
-# normal form keeps wrel's answer, the coefficient.  The numeral is closed,
-# and keeps its enumerator subproblems for the next query under other
-# names.  No subterm keeps wrel's leftovers, closed or not: they die with
-# the call, and f (\x:o. x) has a closed subterm the recursion reaches.
+# normal form keeps wrel's answer, the coefficient.  The numeral is closed
+# but reduced away before the enumerator runs, so it keeps no enumerator
+# subproblem either.  No subterm keeps wrel's leftovers, closed or not:
+# they die with the call, and f (\x:o. x) has a closed subterm the
+# recursion reaches.
 def test_a_subproblem_under_context_names_dies_with_its_call(cold_memo):
     ctx, term, _, point = renamed_church_two("_kept")
-    assert verify_identities(ctx, term, point, 2).ok
+    assert verify_identities(ctx, term, point).ok
     nf = beta_normalize(term, set(ctx.names()))
     numeral = term.fn.fn
     assert not free_vars(numeral)
@@ -656,7 +646,7 @@ def test_a_subproblem_under_context_names_dies_with_its_call(cold_memo):
         keys = [k for k in memo(t) if isinstance(k, tuple)]
         assert not [k for k in keys if not isinstance(k[0], str)], t
         assert len([k for k in keys if k[0] == "coefficient"]) == (t is nf), t
-    assert any(isinstance(k, tuple) and not isinstance(k[0], str) for k in memo(numeral))
+    assert not any(isinstance(k, tuple) and not isinstance(k[0], str) for k in memo(numeral))
     ctx2, term2, _, point2 = point_subject("f (\\x:o. x)", {"f": "[[[*]-o*]-o*]"}, "f:(o->o)->o")
     held = verify_identities(ctx2, term2, point2)
     assert held.ok and held.wrel.value == 1
@@ -668,9 +658,9 @@ def test_a_subproblem_under_context_names_dies_with_its_call(cold_memo):
 
 
 # A kept query holds only what a later query reads.  Its witness keeps no
-# contractum, which only the partition and the morphism count read, and its
-# normal form keeps the coefficient alone, not the leftovers it was read
-# from.
+# contractum, the derivation of the normal form it was read back from,
+# which only the partition and the morphism count read, and its normal
+# form keeps the coefficient alone, not the leftovers it was read from.
 def test_a_kept_query_holds_no_contractum_and_the_coefficient_alone(cold_memo):
     entry = next(e for e in load_corpus() if e["name"] == "church-two-twice")
     ctx = thinspan.syntax.parse_context("g_held:o->o, y_held:o")
@@ -679,10 +669,10 @@ def test_a_kept_query_holds_no_contractum_and_the_coefficient_alone(cold_memo):
     point = thinspan.rigidtypes.point_from_json(
         {"ctx": {f"{x}_held": v for x, v in entry["point"]["ctx"].items()},
          "type": entry["point"]["type"]}, ctx, ty)
-    held = verify_identities(ctx, term, point, 2)
+    held = verify_identities(ctx, term, point)
     assert held.ok and held.report.wit_plus == 1
     derivation = held.report.witnesses[0].derivation
-    contractum = weakref.ref(thinspan.derivation.contract(derivation))
+    contractum = weakref.ref(reference.contract(derivation))
     assert contractum() is not derivation
     gc.collect()
     assert contractum() is None
@@ -694,24 +684,21 @@ def test_a_kept_query_holds_no_contractum_and_the_coefficient_alone(cold_memo):
 # A kept query keeps counts, not witnesses: what its term's memo holds for
 # the report names no derivation, so the witnesses die with the report that
 # listed them.  A repeat reads the counts and enumerates nothing, and lists
-# its witnesses only when they are read, once, under the budget the first
-# query ran under: the same witnesses in the same order.  The higher-order
-# cut runs at budget 2, which bounds its open binder's labels.
-@pytest.mark.parametrize("point, budget", [
-    (fanout_point(2), None),
-    (higher_order_cut_point(2), 2),
-], ids=["fanout-2", "higher-order-cut-2"])
-def test_a_kept_query_keeps_its_counts_not_its_witnesses(monkeypatch, cold_memo, point,
-                                                         budget):
+# its witnesses only when they are read, once: the same witnesses in the
+# same order.  The higher-order cut's are read back from its normal form
+# again.
+@pytest.mark.parametrize("point", [fanout_point(2), higher_order_cut_point(2)],
+                         ids=["fanout-2", "higher-order-cut-2"])
+def test_a_kept_query_keeps_its_counts_not_its_witnesses(monkeypatch, cold_memo, point):
     ctx, term, _, pt = point_subject(*point)
-    first = verify_identities(ctx, term, pt, budget)
-    assert first.ok and first.report.bounded_at == budget
+    first = verify_identities(ctx, term, pt)
+    assert first.ok
     enumerated, listed = [], []
     monkeypatch.setattr(thinspan.derivation, "_enum_raw",
                         counting_calls(thinspan.derivation._enum_raw, enumerated))
     monkeypatch.setattr(thinspan.collapse, "witness_set",
                         counting_calls(thinspan.collapse.witness_set, listed))
-    second = verify_identities(ctx, term, pt, budget)
+    second = verify_identities(ctx, term, pt)
     assert second.checks == first.checks and second.report == first.report
     assert not enumerated and not listed
     assert second.report.witnesses == first.report.witnesses
@@ -760,11 +747,11 @@ def test_a_normal_form_met_again_under_binders_reads_all_its_leftovers(cold_memo
     assert second.ok and second.wrel.value == 1
 
 
-# The labels an open binder takes are listed by the enumeration that needs
-# them and die with it.  The budget-5 higher-order cut lists about 9,300
-# refinements of (o->o)->o for its binder h, none of which outlives the
-# query.  The same query at budget 1 first keeps what any budget keeps: the
-# texts read and the types they parsed to.
+# The labels a query lists die with it.  At budget 5 the third-order cut
+# once listed about 9,300 refinements of (o->o)->o for its open binder h;
+# its normal form g y lists none, and the labels of the read-back, like
+# those of the bag values, outlive no query.  A first query keeps what any
+# query keeps: the texts read and the types they parsed to.
 def test_an_open_binders_labels_die_with_the_query(cold_memo):
     def live_arrows():
         gc.collect()
@@ -772,18 +759,16 @@ def test_an_open_binders_labels_die_with_the_query(cold_memo):
                    if key[0] is IArrow and entry() is not None)
 
     counts = []
-    for budget in (1, 5):
+    for _ in range(2):
         counts.append(live_arrows())
-        ctx, term, _, point = point_subject(
-            "(\\k:((o->o)->o)->o. k (\\f:o->o. f y)) (\\h:(o->o)->o. h g)",
-            {"g": "[[*]-o*]", "y": "[*]"})
-        assert verify_identities(ctx, term, point, budget).ok
+        ctx, term, _, point = point_subject(*third_order_cut_point())
+        assert verify_identities(ctx, term, point).ok
         del ctx, term, point
     assert live_arrows() <= counts[1], counts
 
 
 # A bag value's labels, its negative targets, are listed by the enumeration
-# that takes the value and die with it, as an open binder's do.  At k = 6,
+# that takes the value and die with it.  At k = 6,
 # F's value has 720 labels, the orders of D; after the query, the only
 # arrows alive that were not before are the point's own types.
 def test_a_bag_values_labels_die_with_the_query(cold_memo):
@@ -823,21 +808,26 @@ def test_a_bag_values_labels_are_listed_once_per_run(monkeypatch, cold_memo):
     calls = []
     monkeypatch.setattr(thinspan.derivation, "neg_targets_it",
                         counting_calls(thinspan.derivation.neg_targets_it, calls))
-    found, bounded_at = thinspan.derivation.witness_set(term, gamma, a, None, bags=True)
-    assert found and bounded_at is None
+    assert thinspan.derivation.witness_set(term, gamma, a)
     values = {v for _, seq, _ in gamma.entries for v in seq}
     assert len(values) == 3 and len(calls) == len(set(calls)) <= len(values), calls
 
 
+# The numeral is reduced away before the enumerator runs, so what a
+# renamed query meets again is a subterm of the normal form that names no
+# context variable: here x, bound in the normal form \x:o. g (g x) of the
+# numeral two applied to g alone, whose subproblems the first query kept.
 def test_a_renamed_query_reuses_the_numerals_subproblems(monkeypatch, cold_memo):
     sizes = []
     monkeypatch.setattr(thinspan.derivation, "_enum_raw",
                         counting(thinspan.derivation._enum_raw, sizes))
     runs = []
     for suffix in ("_first", "_second"):
-        ctx, term, _, point = renamed_church_two(suffix)
+        ctx, term, _, point = point_subject(
+            f"(\\f:o->o. \\x:o. f (f x)) g{suffix}", {f"g{suffix}": "[[*]-o*,[*]-o*]"},
+            f"g{suffix}:o->o", "[*]-o*")
         before = len(sizes)
-        assert verify_identities(ctx, term, point, 2).ok
+        assert verify_identities(ctx, term, point).wrel.value == 1
         runs.append(len(sizes) - before)
     assert runs[1] < runs[0], runs
 
@@ -846,17 +836,17 @@ def test_a_renamed_query_reuses_the_numerals_subproblems(monkeypatch, cold_memo)
 # everything it dropped, reference counting frees.  Contracting a redex
 # once made a reference cycle each time.
 def test_a_query_leaves_no_cyclic_garbage(cold_memo):
-    queries = [(*parse_entry(e), e) for e in load_corpus()]
-    points = ([(*point_subject(*symmetric_point(n)), None) for n in range(1, 7)]
-              + [(*point_subject(*fanout_point(n)), None) for n in range(1, 4)]
-              + [(*point_subject(*church_point(k)), k) for k in range(1, 6)])
+    points = ([parse_entry(e) for e in load_corpus()]
+              + [point_subject(*symmetric_point(n)) for n in range(1, 7)]
+              + [point_subject(*fanout_point(n)) for n in range(1, 4)]
+              + [point_subject(*church_point(k)) for k in range(1, 6)]
+              + [point_subject(*higher_order_cut_point(n)) for n in (1, 2)]
+              + [point_subject(*third_order_cut_point())])
     gc.collect()
     gc.disable()
     try:
-        for ctx, term, _, point, entry in queries:
-            assert verify_identities(ctx, term, point, entry_budget(entry)).ok
-        for ctx, term, _, point, budget in points:
-            assert verify_identities(ctx, term, point, budget).ok
+        for ctx, term, _, point in points:
+            assert verify_identities(ctx, term, point).ok
         assert gc.collect() == 0
     finally:
         gc.enable()

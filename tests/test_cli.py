@@ -6,11 +6,13 @@ import time
 
 from click.testing import CliRunner
 
-from thinspan import collapse
+from thinspan import cli, collapse
 from thinspan.cli import main
 from thinspan.wrel import NatInf
 
-from support import CORPUS_PATH, chain_point, child_env, higher_order_cut_point
+from support import (
+    CORPUS_PATH, chain_point, child_env, higher_order_cut_point, third_order_cut_point,
+)
 
 EX2 = ["--ctx", "f:o->o, g:o->o, y:o", "--term", "f (g y)", "--point",
        '{"ctx": {"f": "[[*,*]-o*]", "g": "[[]-o*, [*]-o*]", "y": "[*]"}, "type": "*"}']
@@ -18,8 +20,8 @@ FAN = ["--ctx", "g:o->o, y:o", "--term", "g (g y)", "--point",
        '{"ctx": {"g": "[[*,*]-o*,[*]-o*,[*]-o*]", "y": "[*,*]"}, "type": "*"}']
 REDEX = ["--ctx", "y:o", "--term", "(\\x:o. x) y", "--point",
          '{"ctx": {"y": "[*]"}, "type": "*"}']
-# the binder h of the argument's lambda is open and has an arrow type, so
-# only a budget bounds its labels: the cut <<*,*>-o*>-o* needs budget 2
+# the argument's lambda binds h of an arrow type, and the cut is
+# <<*,*>-o*>-o*; the witness is read back from the normal form g y
 HIGHER_TERM, HIGHER_POINT = higher_order_cut_point(2)
 HIGHER = ["--ctx", "g:o->o, y:o", "--term", HIGHER_TERM, "--point",
           json.dumps({"ctx": HIGHER_POINT, "type": "*"})]
@@ -74,26 +76,38 @@ def test_witnesses_json_shape():
     assert obj["canonical"]["type"] == "*"
 
 
+# No subject needs a budget, so none exits 3: the higher-order cut is
+# exact, as a redex whose cut the point fixes is.
 def test_witnesses_budget_exit_code():
     for cmd in ("witnesses", "weight"):
         res = run(cmd, *HIGHER)
-        assert res.exit_code == 3, cmd
-        assert "open binder of type o -> o" in res.stderr and "budget" in res.stderr, cmd
-    # a redex whose cut the point fixes needs no budget
+        assert res.exit_code == 0 and res.stderr == "", cmd
+    assert "positive witnesses: 1 (exact)" in run("witnesses", *HIGHER).output
     res = run("witnesses", *REDEX)
     assert res.exit_code == 0
     assert "positive witnesses: 1 (exact)" in res.output
 
 
+# THINSPAN_BUDGET is no longer read: whatever it holds, the output is the
+# output without it.
 def test_budget_from_environment():
-    res = run("witnesses", *HIGHER, env={"THINSPAN_BUDGET": "2"})
-    assert res.exit_code == 0
-    assert "positive witnesses: 1 (bounded at 2)" in res.output
-    res = run("witnesses", *REDEX, env={"THINSPAN_BUDGET": "1"})
-    assert res.exit_code == 0
-    assert "positive witnesses: 1 (exact)" in res.output
-    res = run("witnesses", *REDEX, env={"THINSPAN_BUDGET": "zzz"})
-    assert res.exit_code == 2
+    for args in (HIGHER, REDEX):
+        want = run("witnesses", *args, env={"THINSPAN_BUDGET": None})
+        assert want.exit_code == 0
+        for value in ("2", "1", "zzz", "-1"):
+            res = run("witnesses", *args, env={"THINSPAN_BUDGET": value})
+            assert (res.exit_code, res.output) == (0, want.output), value
+
+
+def test_higher_order_cuts_pass_without_a_budget():
+    for term, point_ctx in (higher_order_cut_point(2), third_order_cut_point()):
+        args = ["--ctx", "g:o->o, y:o", "--term", term, "--point",
+                json.dumps({"ctx": point_ctx, "type": "*"}), "--expected", "1"]
+        res = run("verify", *args)
+        assert res.exit_code == 0 and res.output.startswith("PASS (cli) (coefficient 1, "
+                                                            "1 witnesses, 1 classes"), term
+        [result] = json.loads(run("verify", *args, "--json").output)
+        assert result["ok"] and "incomplete" not in result and "error" not in result
 
 
 def test_witnesses_refinement_error():
@@ -204,72 +218,28 @@ def test_subject_options_beside_a_corpus_are_a_usage_error():
     assert res.stderr == "error: --term, --expected cannot be used with --corpus\n"
 
 
-def test_verify_underbudget_fails(tmp_path):
-    # a budget too small for the labels of an open binder of arrow type
-    # shows up as an enumeration that may be incomplete, with an exit code
-    # of its own, not as a silent pass
-    cf = tmp_path / "c.json"
-    cf.write_text(json.dumps([{
-        "name": "too-tight", "ctx": "g:o->o, y:o", "term": HIGHER_TERM,
-        "point": {"ctx": HIGHER_POINT, "type": "*"}, "expected": 1, "budget": 1,
-    }]))
-    res = run("verify", "--corpus", str(cf))
-    assert res.exit_code == 5
-    assert res.output == ("INCOMPLETE too-tight: the enumeration, bounded at budget 1, found 0 "
-                          "witnesses for coefficient 1; a larger budget may find the rest\n")
-    assert run("verify", "--corpus", str(cf), "--budget", "2").exit_code == 0
-    # a cut the point fixes is read exactly, whatever the entry's budget
-    cf.write_text(json.dumps([{
-        "name": "exact",
-        "ctx": "g:o->o, y:o",
-        "term": "(\\f:o->o. \\x:o. f (f x)) ((\\h:o->o. \\z:o. h (h z)) g) y",
-        "point": {"ctx": {"g": "[[*]-o*,[*]-o*,[*]-o*,[*]-o*]", "y": "[*]"},
-                  "type": "*"},
-        "expected": 1,
-        "budget": 0,
-    }]))
-    res = run("verify", "--corpus", str(cf))
-    assert res.exit_code == 0 and res.output.startswith("PASS exact"), res.output
-
-
-def test_a_shortfall_under_a_budget_is_incomplete_not_failed():
-    res = run("verify", *HIGHER, "--budget", "1")
-    assert res.exit_code == 5
-    assert res.output.startswith("INCOMPLETE (cli): the enumeration, bounded at budget 1, "
-                                 "found 0 witnesses for coefficient 1")
-    res = run("verify", *HIGHER, "--budget", "1", "--json")
-    assert res.exit_code == 5
-    [result] = json.loads(res.output)
-    assert result["ok"] is False and result["incomplete"] == {"bounded_at": 1}
-    assert (result["coefficient"], result["witnesses"]) == (1, 0)
-    res = run("verify", *HIGHER, "--budget", "2", "--json")
-    assert res.exit_code == 0
-    assert "incomplete" not in json.loads(res.output)[0]
-    # a wrong expected value is a failure, whatever the budget found
-    res = run("verify", *HIGHER, "--budget", "1", "--expected", "2")
-    assert res.exit_code == 4 and res.output.startswith("FAIL (cli)")
-
-
 def test_a_surplus_fails_at_any_budget(monkeypatch):
-    # more witnesses than the coefficient is never put down to the budget
+    # more witnesses than the coefficient is a failure, exit 4: no budget
+    # bounds the enumeration, so none is blamed
     monkeypatch.setattr(collapse, "wrel_coefficient", lambda subject: NatInf(0))
-    for budget in ("2", "4", "8"):
-        res = run("verify", *HIGHER, "--budget", budget, "--json")
-        assert res.exit_code == 4, budget
-        [result] = json.loads(res.output)
-        assert "incomplete" not in result and result["witnesses"] == 1
+    res = run("verify", *HIGHER, "--json")
+    assert res.exit_code == 4
+    [result] = json.loads(res.output)
+    assert "incomplete" not in result and result["witnesses"] == 1
+    res = run("verify", *HIGHER)
+    assert res.exit_code == 4 and res.output.startswith("FAIL (cli)")
 
 
 def test_corpus_at_budget_8_in_bounded_memory():
     # the guessed cuts at budget 8 once listed 48,427,561 candidates for
-    # o->o; the corpus now verifies in a child capped at 2 GB of address space
+    # o->o; with no budget at all, the corpus verifies in a child capped at
+    # 2 GB of address space
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     started = time.monotonic()
     res = subprocess.run(
-        [sys.executable, "-m", "thinspan.cli", "verify", "--corpus", str(CORPUS_PATH),
-         "--budget", "8"],
+        [sys.executable, "-m", "thinspan.cli", "verify", "--corpus", str(CORPUS_PATH)],
         capture_output=True, text=True, timeout=30, preexec_fn=cap,
         env=child_env())
     assert res.returncode == 0, res.stdout + res.stderr
@@ -280,14 +250,14 @@ def test_corpus_at_budget_8_in_bounded_memory():
 def test_higher_order_cut_at_budget_7_in_bounded_memory():
     # the copies' types were once probed among the 2,396,745 refinements of
     # (o->o)->o that budget 7 admits, which ran out of memory under 2 GB;
-    # they are synthesized now
+    # the cut at n = 7 is read back from the normal form now, with no budget
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    term, point_ctx = higher_order_cut_point()
+    term, point_ctx = higher_order_cut_point(7)
     res = subprocess.run(
         [sys.executable, "-m", "thinspan.cli", "verify", "--ctx", "g:o->o, y:o", "--term", term,
-         "--point", json.dumps({"ctx": point_ctx, "type": "*"}), "--budget", "7", "--json"],
+         "--point", json.dumps({"ctx": point_ctx, "type": "*"}), "--json"],
         capture_output=True, text=True, timeout=60, preexec_fn=cap,
         env=child_env())
     assert res.returncode == 0, res.stdout + res.stderr
@@ -295,42 +265,20 @@ def test_higher_order_cut_at_budget_7_in_bounded_memory():
     assert result["ok"] and result["coefficient"] == result["witnesses"] == 1
 
 
-def test_a_budget_too_large_for_memory_is_an_input_error():
-    # at budget 100,000 the binder h of o->o takes each of the 100,001
-    # refinements of its type that the budget admits, which a child capped
-    # at 512 MB of address space cannot hold; it says so and exits 1,
-    # without a traceback
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+def test_a_query_too_large_for_memory_is_an_input_error(monkeypatch):
+    # a query that runs out of memory says so and exits 1, without a
+    # traceback
+    def exhausted(subject):
+        raise MemoryError
 
-    term, point_ctx = higher_order_cut_point()
-    res = subprocess.run(
-        [sys.executable, "-m", "thinspan.cli", "verify", "--ctx", "g:o->o, y:o",
-         "--term", term, "--point", json.dumps({"ctx": point_ctx, "type": "*"}),
-         "--budget", "100000"],
-        capture_output=True, text=True, timeout=60, preexec_fn=cap,
-        env=child_env())
-    assert res.returncode == 1, res.stdout + res.stderr
-    assert "error: (cli): the query ran out of memory; try a smaller budget" in res.stderr
-    assert "Traceback" not in res.stderr
-
-
-def test_a_huge_budget_over_a_first_order_cut_passes():
-    # the binder k takes the one type [*]-o* its argument concludes, and
-    # the cut is read off k's occurrences, so no cut up to the budget's
-    # length is listed: the budget is never read
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-    res = subprocess.run(
-        [sys.executable, "-m", "thinspan.cli", "verify", "--ctx", "g:o->o, y:o",
-         "--term", "(\\k:o->o. k y) (\\x:o. g x)",
-         "--point", '{"ctx": {"g": "[[*]-o*]", "y": "[*]"}, "type": "*"}',
-         "--budget", "100000"],
-        capture_output=True, text=True, timeout=60, preexec_fn=cap,
-        env=child_env())
-    assert res.returncode == 0, res.stdout + res.stderr
-    assert res.stdout.startswith("PASS"), res.stdout
+    for module in (collapse, cli):
+        monkeypatch.setattr(module, "positive_witnesses", exhausted)
+    for cmd in ("verify", "witnesses", "weight"):
+        res = run(cmd, *HIGHER)
+        assert res.exit_code == 1, cmd
+        prefix = "(cli): " if cmd == "verify" else ""
+        assert res.stderr == f"error: {prefix}the query ran out of memory; try a smaller point\n"
+        assert res.stdout == ""
 
 
 def test_verify_mixed_corpus(tmp_path):
@@ -342,38 +290,22 @@ def test_verify_mixed_corpus(tmp_path):
          "expected": 1},
         {"name": "reduced", "ctx": "y:o", "term": "(\\x:o. x) y",
          "point": {"ctx": {"y": "[*]"}, "type": "*"}, "expected": 1, "budget": 1},
+        # a budget field, even one too small for the cut, is not read
+        {"name": "higher", "ctx": "g:o->o, y:o", "term": HIGHER_TERM,
+         "point": {"ctx": HIGHER_POINT, "type": "*"}, "expected": 1, "budget": 1},
     ]))
     res = run("verify", "--corpus", str(cf))
     assert res.exit_code == 0
-    assert res.output.count("PASS") == 2
-
-
-def test_verify_adhoc_redex_needs_budget():
-    # corpus entries fall back to a budget of 4; an ad-hoc subject does
-    # not, so one with an open binder of arrow type needs --budget
-    assert run("verify", "--ctx", "g:o->o, y:o", "--term", "(\\x. x) (g y)", "--point",
-               '{"ctx":{"g":"[[*]-o*]","y":"[*]"},"type":"*"}').exit_code == 0
-    args = ["verify", *HIGHER]
-    res = run(*args)
-    assert res.exit_code == 3
-    assert res.output.startswith("FAIL (cli)")
-    assert "budget" in res.output
-    res = run(*args, "--json")
-    assert res.exit_code == 3
-    [result] = json.loads(res.output)
-    assert result["ok"] is False and "budget" in result["error"]
-    res = run(*args, "--budget", "4")
-    assert res.exit_code == 0
-    assert res.output.startswith("PASS (cli)")
+    assert res.output.count("PASS") == 3
 
 
 def test_negative_budget_is_a_usage_error():
-    for cmd, args in [("witnesses", REDEX), ("weight", REDEX), ("verify", REDEX)]:
-        res = run(cmd, *args, "--budget", "-1")
-        assert res.exit_code == 2, cmd
-        res = run(cmd, *args, env={"THINSPAN_BUDGET": "-1"})
-        assert res.exit_code == 2, cmd
-        assert "THINSPAN_BUDGET" in res.stderr
+    # --budget is no option, so any budget given is a usage error
+    for cmd in ("witnesses", "weight", "verify"):
+        for value in ("-1", "0", "4"):
+            res = run(cmd, *REDEX, "--budget", value)
+            assert res.exit_code == 2, (cmd, value)
+            assert "option" in res.stderr and "--budget" in res.stderr, res.stderr
     res = run("verify", "--corpus", str(CORPUS_PATH), "--budget", "-1")
     assert res.exit_code == 2
 
@@ -560,7 +492,7 @@ def test_corpus_fields_of_the_wrong_type(tmp_path):
              "point": {"ctx": {"y": "[*]"}, "type": "*"}, "expected": 1, "budget": 1}
     bad = [("ctx", 5), ("term", ["y"]), ("type", 0), ("ctx", None), ("term", None),
            ("type", None), ("expected", "1"),
-           ("budget", "x"), ("budget", -1), ("point", 3),
+           ("point", 3),
            ("point", {"ctx": {"y": 5}, "type": "*"}), ("point", {"ctx": {"y": "[*]"}, "type": 5})]
     for field, value in bad:
         cf = tmp_path / "c.json"
@@ -570,8 +502,9 @@ def test_corpus_fields_of_the_wrong_type(tmp_path):
         assert res.stderr.startswith("error: typed:"), res.stderr
         if value is None:
             assert f"field {field!r} must be a string, got null" in res.stderr
-    # a null expected or budget means absent
-    for ok in (entry, dict(entry, expected=None, budget=None)):
+    # a null expected means absent, and a budget field, of any value, is
+    # not read
+    for ok in (entry, dict(entry, expected=None, budget=None), dict(entry, budget="x")):
         cf.write_text(json.dumps([ok]))
         assert run("verify", "--corpus", str(cf)).exit_code == 0
 

@@ -3,9 +3,9 @@ documented error exit.
 
 Every corpus entry is run through `check`, `witnesses`, `weight` and
 `verify` (as a single subject, with the entry's `expected`), in text and
-with `--json`, at the entry's budget, or 4 when it has none.  The whole
-corpus is run through `verify --corpus` in text and with `--json`.  Each
-error exit (1 to 5) has fixed inputs of its own.  The exit code, stdout
+with `--json`.  The whole corpus is run through `verify --corpus` in text
+and with `--json`.  Each error exit (1, 2 and 4) has fixed inputs of its
+own.  The exit code, stdout
 and stderr of every run must match the committed golden file byte for
 byte, once the timings of `verify` (its `"seconds"` values and the
 `, 0.00s)` of a `PASS` line) are masked.  To regenerate the file after a
@@ -28,30 +28,17 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "cli_corpus.json"
 COMMANDS = ("check", "witnesses", "weight", "verify")
 CORPUS_ARG = "corpus/points.json"
 
-REDEX = ["--ctx", "g:o->o, y:o", "--term", "(\\x. x) (g y)", "--point",
-         '{"ctx": {"g": "[[*]-o*]", "y": "[*]"}, "type": "*"}']
 FAN = ["--ctx", "g:o->o, y:o", "--term", "g (g y)", "--point",
        '{"ctx": {"g": "[[*,*]-o*,[*]-o*,[*]-o*]", "y": "[*,*]"}, "type": "*"}']
-# h is an open binder of arrow type, whose labels only a budget bounds:
-# its label [*,*]-o* needs budget 2
-HIGHER = ["--ctx", "g:o->o, y:o", "--term", "(\\k:(o->o)->o. k g) (\\h:o->o. h y)", "--point",
-          '{"ctx": {"g": "[[*,*]-o*]", "y": "[*,*]"}, "type": "*"}']
-
-# one fixed input per documented error exit: the arguments and the
-# environment of each run
+# one fixed input per documented error exit: the arguments of each run
 ERRORS = {
-    "1 bad character": (["check", "--ctx", "x:o", "--term", "x  é"], {}),
-    "1 refinement error": (["witnesses", "--ctx", "y:o", "--term", "y", "--point",
-                            '{"ctx": {"y": "[[*]-o*]"}, "type": "*"}'], {}),
-    "1 missing point file": (["weight", "--ctx", "g:o->o, y:o", "--term", "g y",
-                              "--point", "no-such-dir/point.json"], {}),
-    "2 negative THINSPAN_BUDGET": (["witnesses", *REDEX], {"THINSPAN_BUDGET": "-1"}),
-    "3 witnesses without a budget": (["witnesses", *HIGHER], {}),
-    "3 weight without a budget": (["weight", *HIGHER], {}),
-    "3 verify without a budget": (["verify", *HIGHER], {}),
-    "3 verify --json without a budget": (["verify", *HIGHER, "--json"], {}),
-    "4 wrong expected": (["verify", *FAN, "--expected", "3"], {}),
-    "5 short budget": (["verify", *HIGHER, "--budget", "1"], {}),
+    "1 bad character": ["check", "--ctx", "x:o", "--term", "x  é"],
+    "1 refinement error": ["witnesses", "--ctx", "y:o", "--term", "y", "--point",
+                           '{"ctx": {"y": "[[*]-o*]"}, "type": "*"}'],
+    "1 missing point file": ["weight", "--ctx", "g:o->o, y:o", "--term", "g y",
+                             "--point", "no-such-dir/point.json"],
+    "2 verify without a subject": ["verify", "--expected", "1"],
+    "4 wrong expected": ["verify", *FAN, "--expected", "3"],
 }
 
 
@@ -60,8 +47,7 @@ def entry_runs(entry: dict) -> dict:
     subject = ["--ctx", entry.get("ctx", ""), "--term", entry["term"]]
     if "type" in entry:
         subject += ["--type", entry["type"]]
-    at_point = [*subject, "--point", json.dumps(entry["point"], sort_keys=True),
-                "--budget", str(entry.get("budget", 4))]
+    at_point = [*subject, "--point", json.dumps(entry["point"], sort_keys=True)]
     expected = ["--expected", str(entry["expected"])] if "expected" in entry else []
     runs = {"check": ["check", *subject], "witnesses": ["witnesses", *at_point],
             "weight": ["weight", *at_point], "verify": ["verify", *at_point, *expected]}
@@ -73,9 +59,8 @@ def masked(text: str) -> str:
     return re.sub(r", [0-9]+\.[0-9]{2}s\)$", ", *s)", text, flags=re.MULTILINE)
 
 
-def run(args: list[str], env: dict | None = None) -> dict:
-    # the budget comes from the arguments alone, unless a case sets it
-    res = CliRunner().invoke(main, args, env={"THINSPAN_BUDGET": None, **(env or {})})
+def run(args: list[str]) -> dict:
+    res = CliRunner().invoke(main, args)
     return {"exit_code": res.exit_code, "stdout": masked(res.stdout),
             "stderr": masked(res.stderr)}
 
@@ -90,7 +75,7 @@ def collect() -> dict:
         "entries": {entry["name"]: {name: run(args) for name, args in entry_runs(entry).items()}
                     for entry in load_corpus()},
         "verify --corpus": corpus_runs(),
-        "errors": {name: run(args, env) for name, (args, env) in ERRORS.items()},
+        "errors": {name: run(args) for name, args in ERRORS.items()},
     }
 
 
@@ -120,8 +105,7 @@ def test_verify_corpus_matches_golden(golden, at_repo_root):
 
 @pytest.mark.parametrize("case", sorted(ERRORS))
 def test_error_exit_matches_golden(case, golden, at_repo_root):
-    args, env = ERRORS[case]
-    assert run(args, env) == golden["errors"][case]
+    assert run(ERRORS[case]) == golden["errors"][case]
     assert golden["errors"][case]["exit_code"] == int(case[0])
 
 

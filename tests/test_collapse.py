@@ -10,10 +10,7 @@ from thinspan.rigidtypes import (
     parse_mset,
 )
 from thinspan.groupoid import enumerate_homs_ctx, enumerate_homs_it
-from thinspan.derivation import (
-    BudgetRequiredError, DerivationError, count_derivation_morphisms, multiset_collapse_term,
-    rt_context, rt_type,
-)
+from thinspan.derivation import rt_context, rt_type
 from thinspan.interning import memo as term_memo
 from thinspan.symmetry import neg_targets_it, permanent
 from thinspan.collapse import (
@@ -21,20 +18,22 @@ from thinspan.collapse import (
     verify_identities, weight_by_classes,
 )
 
-from reference import check_derivation, is_negative_ctx, is_positive_it
+from reference import (
+    check_derivation, count_derivation_morphisms, is_negative_ctx, is_positive_it,
+)
 from support import (
-    church_point, copies_in_every_order, distinct_g_point, entry_budget, fanout_point,
-    generated_points, guessed_cut_subjects, higher_order_cut_point, listed_esp, load_corpus,
-    parse_entry, per_target_witnesses, point_subject, point_width, ryser_permanent,
-    split_witnesses, symmetric_point,
+    church_point, copies_in_every_order, distinct_g_point, fanout_point, generated_points,
+    higher_order_cut_point, listed_esp, load_corpus, parse_entry, per_target_witnesses,
+    point_subject, point_width, redex_subjects, ryser_permanent, split_witnesses,
+    symmetric_point, third_order_cut_point,
 )
 
 BY_NAME = {e["name"]: e for e in load_corpus()}
 
 
-def report_for(name, budget=None):
+def report_for(name):
     ctx, term, ty, point = parse_entry(BY_NAME[name])
-    return ty, positive_witnesses(prepare(ctx, term, point), budget)
+    return ty, positive_witnesses(prepare(ctx, term, point))
 
 
 def test_report_one_term_two_witnesses():
@@ -48,7 +47,6 @@ def test_report_one_term_two_witnesses():
     assert (r.total, r.positive, r.negative) == (1, 1, 1)
     assert rep.esp == 2
     assert weight_by_classes(rep) == 2
-    assert rep.bounded_at is None
 
 
 def test_report_fan_out():
@@ -118,7 +116,7 @@ def test_class_weights_are_summed_in_integers():
     # summands that are not integers may still sum to one
     def regrouped(classes, class_endos):
         return WitnessReport(rep.subject, rep.wit_plus, classes, class_endos,
-                             rep.ctx_degrees, rep.res_degrees, rep.bounded_at)
+                             rep.ctx_degrees, rep.res_degrees)
 
     halves = regrouped(((0,), (0,)), (4, 4))
     assert weight_by_classes(halves) == 1
@@ -147,51 +145,44 @@ def test_a_report_is_a_value_of_its_fields():
     assert rep.wit_plus == len(witnesses) and rep.witnesses is witnesses
 
 
+# verify_identities still takes a budget, fourth by position, for callers
+# that pass one; it flows nowhere, and the report is the same whatever it
+# holds.  The higher-order and third-order cuts, which once needed one,
+# are exact.
 def test_budget_flows_through():
-    # a redex whose cut the point fixes is exact without a budget
-    _, rep = report_for("identity-redex")
-    assert rep.bounded_at is None and rep.wit_plus == 1
-    # an open binder of arrow type needs one, and runs under it
-    ctx, term, _, point = point_subject(*higher_order_cut_point())
-    with pytest.raises(BudgetRequiredError):
-        positive_witnesses(prepare(ctx, term, point))
-    rep = positive_witnesses(prepare(ctx, term, point), 1)
-    assert rep.bounded_at == 1
-    assert rep.wit_plus == 1
+    subjects = [("identity-redex", parse_entry(BY_NAME["identity-redex"]))]
+    subjects += [(f"higher-order-cut-{n}", point_subject(*higher_order_cut_point(n)))
+                 for n in (1, 2, 3)]
+    subjects.append(("third-order-cut", point_subject(*third_order_cut_point())))
+    for label, (ctx, term, _, point) in subjects:
+        want = verify_identities(ctx, term, point)
+        assert want.ok and want.wrel.value == want.report.wit_plus == 1, label
+        for budget in (0, 1, 7, -1, "2"):
+            got = verify_identities(ctx, term, point, budget)
+            assert got == want and got.report.witnesses == want.report.witnesses, label
 
 
-# A report is kept under the budget its enumeration ran under: one that ran
-# without a budget, a normal term's or a redex's whose cut the point fixes,
-# once for every budget a query gives; one with an open binder of arrow
-# type once per budget.
+# A report is kept once for its point, whatever budget its callers pass.
 def test_a_report_is_kept_once_per_budget_it_ran_under(cold_memo):
     subjects = [(name, parse_entry(BY_NAME[name])) for name in ("fan-out", "identity-redex")]
     subjects.append(("higher-order-cut", point_subject(*higher_order_cut_point())))
-    for (name, (ctx, term, _, point)), budgets, reports in zip(
-            subjects, ((None, 5, 0), (None, 1, 2, 1), (1, 2, 1)), (1, 1, 2)):
-        subject = prepare(ctx, term, point)
-        first, *rest = (positive_witnesses(subject, b) for b in budgets)
+    for name, (ctx, term, _, point) in subjects:
+        first, *rest = (verify_identities(ctx, term, point, b) for b in (None, 1, 2, 1))
         for rep in rest:
-            assert rep.witnesses == first.witnesses, name
-        kept = [key for key in term_memo(subject.term) if key[0] == "witnesses"]
-        assert len(kept) == reports, name
-        assert {key[-1] for key in kept} == ({None} if reports == 1 else {1, 2}), name
+            assert rep.report.witnesses == first.report.witnesses, name
+        kept = [key for key in term_memo(prepare(ctx, term, point).term)
+                if key[0] == "witnesses"]
+        assert len(kept) == 1, name
 
 
-# A subproblem is kept across queries when its subterm names no context
-# variable, and one under a budget answers the next query at that budget.
-# That query reads no labels itself, yet its report stays bounded: a run
-# without a budget never finishes such a subproblem, so the next query
-# asks for the budget too.
-def test_a_bounded_subproblem_met_again_keeps_the_report_bounded(cold_memo):
-    closed = "(\\y:o. (\\k:(o->o)->o. k (\\z:o. z)) (\\h:o->o. h y))"
-    for head in ("g", "f"):
-        ctx, term, _, point = point_subject(f"{head} {closed}", {head: "[[[*]-o*]-o*]"},
-                                            f"{head}:(o->o)->o")
-        rep = positive_witnesses(prepare(ctx, term, point), 2)
-        assert rep.bounded_at == 2 and rep.wit_plus == 1, head
-        with pytest.raises(BudgetRequiredError):
-            positive_witnesses(prepare(ctx, term, point))
+# An identity report is a value: its checks are a tuple, so it hashes,
+# and equal reports are one member of a set.
+def test_an_identity_report_is_hashable():
+    ctx, term, _, point = point_subject(*symmetric_point(1))
+    first, second = verify_identities(ctx, term, point), verify_identities(ctx, term, point)
+    assert isinstance(first.checks, tuple)
+    assert hash(first) == hash(second) and {first, second} == {first}
+    assert len({first, verify_identities(ctx, term, point, expected=2)}) == 2
 
 
 def test_verify_identities_pass():
@@ -199,8 +190,7 @@ def test_verify_identities_pass():
                  "church-two-at-fan"):
         entry = BY_NAME[name]
         ctx, term, ty, point = parse_entry(entry)
-        budget = entry_budget(entry)
-        rep = verify_identities(ctx, term, point, budget, expected=entry["expected"])
+        rep = verify_identities(ctx, term, point, expected=entry["expected"])
         assert rep.ok, [c for c in rep.checks if not c.ok]
         names = [c.name for c in rep.checks]
         assert names == ["wrel-equals-witness-count", "class-weights-sum",
@@ -227,7 +217,7 @@ def test_verify_identities_wrong_expectation():
 def test_triple_count_matches_listing_on_generated_points():
     compared = 0
     for entry, ctx, term, _, point in generated_points():
-        report = positive_witnesses(prepare(ctx, term, point), entry_budget(entry))
+        report = positive_witnesses(prepare(ctx, term, point))
         if report.witnesses:
             assert esp_explicit(report) == listed_esp(report), (entry["name"], point)
             compared += 1
@@ -236,62 +226,62 @@ def test_triple_count_matches_listing_on_generated_points():
 
 # Subjects of the bag enumerator's differential test that no seeded draw
 # reaches, kept out of corpus/points.json, which the benchmark reads:
-# label -> ((term, point context, typing context), budget).
+# label -> (term, point context, typing context[, result]).
 HAND = {
     # x's one occurrence takes the bag's value under a non-canonical label
     "non-canonical-label": (("x (\\h:o->o. h (h y))",
                              {"x": "[[[[]-o*,[*]-o*]-o*]-o*]", "y": "[]"},
-                             "x:((o->o)->o)->o, y:o"), None),
+                             "x:((o->o)->o)->o, y:o")),
     # the same, with x the bare-variable argument of a redex
     "non-canonical-cut": (("(\\k:((o->o)->o)->o. k (\\h:o->o. h (h y))) x",
                            {"x": "[[[[]-o*,[*]-o*]-o*]-o*]", "y": "[]"},
-                           "x:((o->o)->o)->o, y:o"), 1),
+                           "x:((o->o)->o)->o, y:o")),
     # f g leaves f's last argument untaken, so the spine meets the third-order
     # result up to positive morphisms, not only its canonical type
     "eta-short-spine": (("f g", {"f": "[[[*]-o*]-o[[[]-o*,[*]-o*]-o*]-o*]", "g": "[[*]-o*]"},
-                         "f:(o->o)->((o->o)->o)->o, g:o->o", "[[[]-o*,[*]-o*]-o*]-o*"), None),
+                         "f:(o->o)->((o->o)->o)->o, g:o->o", "[[[]-o*,[*]-o*]-o*]-o*")),
     # the redex's bare-variable argument picks g's two values in either order
     "redex-over-two-values": (("(\\h:o->o. f (h y)) g",
                                {"f": "[[*,*]-o*]", "g": "[[]-o*,[*]-o*]", "y": "[*]"},
-                               "f:o->o, g:o->o, y:o"), 1),
+                               "f:o->o, g:o->o, y:o")),
     # and here its three values, in every order
     "redex-over-three-values": (("(\\h:o->o. f (h y) (h y)) g",
                                  {"f": "[[*]-o[*,*]-o*]", "g": "[[]-o*,[*]-o*,[*,*]-o*]",
                                   "y": "[*,*,*]"},
-                                 "f:o->o->o, g:o->o, y:o"), 1),
+                                 "f:o->o->o, g:o->o, y:o")),
 }
 
 
 def corpus_subjects():
     for entry in load_corpus():
         ctx, term, _, point = parse_entry(entry)
-        yield entry["name"], ctx, term, point, entry_budget(entry)
+        yield entry["name"], ctx, term, point
 
 
 def generated_subjects():
     for entry, ctx, term, _, point in generated_points():
-        yield entry["name"], ctx, term, point, entry_budget(entry)
+        yield entry["name"], ctx, term, point
 
 
 def family_subjects():
-    points = ([(f"symmetric-{n}", symmetric_point(n), None) for n in range(1, 6)]
-              + [(f"fanout-{n}", fanout_point(n), None) for n in range(1, 5)]
-              + [(f"church-{k}", church_point(k), k) for k in range(1, 6)]
-              + [(f"distinct-g-{k}", distinct_g_point(k), None) for k in range(1, 5)])
-    for label, point, budget in points:
+    points = ([(f"symmetric-{n}", symmetric_point(n)) for n in range(1, 6)]
+              + [(f"fanout-{n}", fanout_point(n)) for n in range(1, 5)]
+              + [(f"church-{k}", church_point(k)) for k in range(1, 6)]
+              + [(f"distinct-g-{k}", distinct_g_point(k)) for k in range(1, 5)])
+    for label, point in points:
         ctx, term, _, pt = point_subject(*point)
-        yield label, ctx, term, pt, budget
+        yield label, ctx, term, pt
 
 
 def hand_subjects():
-    for label, (point, budget) in HAND.items():
+    for label, point in HAND.items():
         ctx, term, _, pt = point_subject(*point)
-        yield label, ctx, term, pt, budget
+        yield label, ctx, term, pt
 
 
 def copies_subjects():
-    for label, ctx, term, pt, budget, _ in copies_in_every_order():
-        yield label, ctx, term, pt, budget
+    for label, ctx, term, pt, _ in copies_in_every_order():
+        yield label, ctx, term, pt
 
 
 # the fewest witnesses each group of subjects must reach
@@ -307,13 +297,12 @@ def test_bag_enumeration_matches_per_target_oracle(group):
     # in the same order, and every d is a derivation concluding its theta.
     subjects, least = BAG_SUBJECTS[group]
     found = 0
-    for label, ctx, term, point, budget in subjects():
+    for label, ctx, term, point in subjects():
         subject = prepare(ctx, term, point)
-        rep = positive_witnesses(subject, budget)
+        rep = positive_witnesses(subject)
         gamma, a = subject.gamma, subject.result
         got = [(w.theta, w.derivation) for w in rep.witnesses]
-        want = [(theta, d) for theta, _, d in per_target_witnesses(ctx, subject.term, gamma, a,
-                                                                   budget)]
+        want = [(theta, d) for theta, _, d in per_target_witnesses(ctx, subject.term, gamma, a)]
         assert got == want, label
         for theta, d in got:
             assert check_derivation(ctx, subject.term, d), label
@@ -323,33 +312,36 @@ def test_bag_enumeration_matches_per_target_oracle(group):
 
 
 def exactness_subjects() -> dict:
-    """{label: (ctx, term, type, point)}: the corpus, HAND, and the redexes
-    whose cut is synthesized from their argument (guessed_cut_subjects)."""
+    """{label: (ctx, term, type, point)}: the corpus, HAND, the redexes of
+    redex_subjects, and the higher-order and third-order cuts."""
     out = {entry["name"]: parse_entry(entry) for entry in load_corpus()}
-    out.update((label, point_subject(*point)) for label, (point, _) in HAND.items())
-    out.update((label, tuple(rest)) for label, *rest in guessed_cut_subjects())
+    out.update((label, point_subject(*point)) for label, point in HAND.items())
+    out.update((label, tuple(rest)) for label, *rest in redex_subjects())
+    out.update((f"higher-order-cut-{n}", point_subject(*higher_order_cut_point(n)))
+               for n in (1, 2))
+    out["third-order-cut"] = point_subject(*third_order_cut_point())
     return out
 
 
 def test_the_budget_free_enumeration_is_exact():
-    # no subject here has an open binder of arrow type, so each enumerates
-    # without a budget and its report is exact.  Two listings find the same
-    # derivations in the same order: the enumerator at each rigid point the
-    # canonical one reaches, and the split-guessing oracle, which tries
-    # every cut whose sequences are no longer than the point's longest bag
-    # or widest label
+    # every report is exact, a redex's witnesses read back from its normal
+    # form's.  Two listings find the same derivations in the same order:
+    # the enumerator at each rigid point the canonical one reaches, and the
+    # split-guessing oracle, which tries every cut whose sequences are no
+    # longer than the point's longest bag or widest label, and does not
+    # normalize
     subjects = exactness_subjects()
     found = 0
     for label, (ctx, term, _, point) in subjects.items():
         subject = prepare(ctx, term, point)
         rep = positive_witnesses(subject)
-        assert rep.bounded_at is None, label
         got = [w.derivation for w in rep.witnesses]
         gamma, a = subject.gamma, subject.result
         assert got == [d for _, _, d in per_target_witnesses(ctx, subject.term, gamma, a)], label
         cache: dict = {}
-        split = per_target_witnesses(ctx, subject.term, gamma, a, point_width(point),
-                                     lambda *args: split_witnesses(*args, cache=cache))
+        split = per_target_witnesses(
+            ctx, subject.term, gamma, a,
+            lambda *args: split_witnesses(*args, point_width(point), cache=cache))
         assert got == [d for _, _, d in split], label
         found += len(got)
     assert len(subjects) >= 300 and found >= 80, (len(subjects), found)
@@ -370,8 +362,8 @@ def test_permanents_match_ryser_on_real_matrices(monkeypatch, cold_memo):
     for module in (thinspan.symmetry, thinspan.derivation):
         monkeypatch.setattr(module, "permanent", checked)
     for subjects in (corpus_subjects, generated_subjects, family_subjects):
-        for label, ctx, term, point, budget in subjects():
-            rep = verify_identities(ctx, term, point, budget)
+        for label, ctx, term, point in subjects():
+            rep = verify_identities(ctx, term, point)
             assert rep.ok, label
             derivations = [w.derivation for w in rep.report.witnesses[:6]]
             for r1 in derivations:
@@ -381,7 +373,7 @@ def test_permanents_match_ryser_on_real_matrices(monkeypatch, cold_memo):
 
 
 def test_witness_label_outside_canonical_form():
-    point, _ = HAND["non-canonical-label"]
+    point = HAND["non-canonical-label"]
     ctx, term, _, pt = point_subject(*point)
     rep = positive_witnesses(prepare(ctx, term, pt))
     assert rep.wit_plus == 1
@@ -395,7 +387,7 @@ def test_an_eta_short_spine_meets_its_result_up_to_symmetry():
     # a negative morphism takes f's label to one whose type after g lists
     # the inner domain in the other order: isomorphic to the result, but no
     # positive morphism takes it there, so it is no witness
-    point, _ = HAND["eta-short-spine"]
+    point = HAND["eta-short-spine"]
     ctx, term, _, pt = point_subject(*point)
     rep = verify_identities(ctx, term, pt)
     assert rep.ok and rep.wrel.value == rep.report.wit_plus == 1
@@ -407,34 +399,37 @@ def test_an_eta_short_spine_meets_its_result_up_to_symmetry():
 
 def test_redex_cut_over_distinct_values():
     for label, count in (("redex-over-two-values", 2), ("redex-over-three-values", 6)):
-        point, budget = HAND[label]
-        ctx, term, _, pt = point_subject(*point)
-        rep = verify_identities(ctx, term, pt, budget, expected=count)
+        ctx, term, _, pt = point_subject(*HAND[label])
+        rep = verify_identities(ctx, term, pt, expected=count)
         assert rep.ok, label
         assert rep.report.wit_plus == count, label
 
 
 def test_copies_in_every_order_are_classes_of_their_own():
-    for label, ctx, term, pt, budget, coefficient in copies_in_every_order():
-        rep = verify_identities(ctx, term, pt, budget, expected=coefficient)
+    for label, ctx, term, pt, coefficient in copies_in_every_order():
+        rep = verify_identities(ctx, term, pt, expected=coefficient)
         assert rep.ok, label
         assert len(rep.report.classes) == rep.report.wit_plus == coefficient, label
 
 
-# The classes are keyed by the collapse of each witness's contractum; keyed
-# by the collapse of the redex itself, the orders of the argument copies
-# fall into one class, and the class checks fail on every such subject.
-# The memos start empty, or the reports the session kept would answer.
+# The classes are keyed by the collapse of the normal form's derivations,
+# which the witnesses contract to; keyed by the collapse of the redexes
+# themselves, the orders of the argument copies fall into one class, and
+# the class checks fail on every such subject, though each degree is
+# counted through the contraction.  The memos start empty, or the reports
+# the session kept would answer.
 def test_a_class_key_before_contraction_fails_the_checks(monkeypatch, cold_memo):
-    def uncontracted(derivations):
-        classes: dict = {}
-        for r in derivations:
-            classes.setdefault(multiset_collapse_term(r), []).append(r)
-        return tuple(map(tuple, classes.values()))
+    listed = thinspan.collapse._listed
 
-    monkeypatch.setattr(thinspan.collapse, "partition_by_symmetry", uncontracted)
-    for label, ctx, term, pt, budget, _ in copies_in_every_order():
-        rep = verify_identities(ctx, term, pt, budget)
+    def uncontracted(subject):
+        witnesses, thetas, _ = listed(subject)
+        return witnesses, thetas, [w.derivation for w in witnesses]
+
+    monkeypatch.setattr(thinspan.collapse, "_listed", uncontracted)
+    monkeypatch.setattr(thinspan.collapse, "endo_count",
+                        lambda r: count_derivation_morphisms(r, r))
+    for label, ctx, term, pt, _ in copies_in_every_order():
+        rep = verify_identities(ctx, term, pt)
         failed = {c.name for c in rep.checks if not c.ok}
         assert failed == {"class-weights-sum", "class-sizes"}, label
 
@@ -446,42 +441,30 @@ def multiset_point(entries: dict, result: str = "*") -> PointSpec:
 
 GY = {"g": "[[*]-o*]", "y": "[*]"}
 
-# Each input is checked once, where the query is prepared or, for the
-# budget, where the enumeration starts; a caller sees the same exception
-# and message as when every layer checked its own inputs.
+# Each input is checked once, where the query is prepared; a caller sees
+# the same exception and message as when every layer checked its own
+# inputs.
 MALFORMED = [
-    ("unbound variable", "g z", multiset_point(GY), None,
+    ("unbound variable", "g z", multiset_point(GY),
      TypeCheckError, "unbound variable 'z'"),
-    ("unannotated binder", "\\x. g x", multiset_point(GY), None,
+    ("unannotated binder", "\\x. g x", multiset_point(GY),
      TypeCheckError, "binder 'x' lacks an annotation and no expected type is available"),
-    ("ill-typed application", "y g", multiset_point(GY), None,
+    ("ill-typed application", "y g", multiset_point(GY),
      TypeCheckError, "cannot apply y of base type to g"),
-    ("point names an unbound variable", "g y", multiset_point({**GY, "z": "[*]"}), None,
+    ("point names an unbound variable", "g y", multiset_point({**GY, "z": "[*]"}),
      RefinementError, "point mentions variable 'z' not bound in the context"),
-    ("entry does not refine", "g y", multiset_point({**GY, "y": "[[]-o*]"}), None,
+    ("entry does not refine", "g y", multiset_point({**GY, "y": "[[]-o*]"}),
      RefinementError, "entry []-o* for variable 'y' does not refine o"),
-    ("result does not refine", "g y", multiset_point(GY, "[]-o*"), None,
+    ("result does not refine", "g y", multiset_point(GY, "[]-o*"),
      RefinementError, "result []-o* does not refine o"),
-    ("negative budget", "g y", multiset_point(GY), -1,
-     DerivationError, "budget must be a non-negative integer, got -1"),
-    ("bool budget", "g y", multiset_point(GY), True,
-     DerivationError, "budget must be a non-negative integer, got True"),
-    ("redex without a budget", "(\\k:(o->o)->o. k g) (\\h:o->o. h y)", multiset_point(GY),
-     None, BudgetRequiredError,
-     "term (\\k:(o -> o) -> o. k g) (\\h:o -> o. h y) has an open binder of type o -> o, "
-     "whose labels only a budget bounds; witness enumeration needs a budget"),
-    ("redex binding a context name, without a budget", "(\\k:(o->o)->o. k g) (\\g:o->o. g y)",
-     multiset_point(GY), None, BudgetRequiredError,
-     "term (\\k:(o -> o) -> o. k g) (\\g1:o -> o. g1 y) has an open binder of type o -> o, "
-     "whose labels only a budget bounds; witness enumeration needs a budget"),
 ]
 
 
-@pytest.mark.parametrize("term, point, budget, error, message",
+@pytest.mark.parametrize("term, point, error, message",
                          [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
-def test_malformed_subjects_raise_as_before(term, point, budget, error, message):
+def test_malformed_subjects_raise_as_before(term, point, error, message):
     ctx = parse_context("g:o->o, y:o")
     with pytest.raises(error) as raised:
-        verify_identities(ctx, parse_term(term), point, budget)
+        verify_identities(ctx, parse_term(term), point)
     assert type(raised.value) is error
     assert str(raised.value) == message

@@ -16,24 +16,22 @@ from thinspan.rigidtypes import (
 )
 from thinspan.symmetry import neg_targets_it, polar_class, pos_sources_it
 from thinspan.derivation import (
-    BudgetRequiredError, DerivationError, RApp, RLam, RVar,
-    contract, count_derivation_morphisms, endo_count,
-    enumerate_witnesses, multiset_collapse_term, omega_substitute,
+    DerivationError, RApp, RLam, RVar, endo_count, enumerate_witnesses, multiset_collapse_term,
     partition_by_symmetry, resource_to_text, rt_context, rt_occurrence_labels, rt_type,
 )
 from thinspan.collapse import positive_witnesses, prepare, verify_identities
 
 from reference import (
-    check_derivation, dm_occurrences, enumerate_bag_witnesses, enumerate_derivation_morphisms,
-    identity_dm, src_it, src_seq, tgt_it, tgt_seq,
+    check_derivation, contract, count_derivation_morphisms, dm_occurrences,
+    enumerate_bag_witnesses, enumerate_derivation_morphisms, identity_dm, omega_substitute,
+    src_it, src_seq, tgt_it, tgt_seq,
 )
 from support import (
-    across_points, argument_type, binders, bounded_refinements, bounded_seqs, built_nodes,
-    church_point, clear_memos, copies_in_every_order, distinct_g_point, entry_budget,
-    fanout_point, generated_points, guessed_cut_point, guessed_cut_subjects,
-    higher_order_cut_point, load_corpus, pairwise_partition, parse_entry, per_target_witnesses,
-    point_subject, point_width, probed_pool, rand_canonical, rand_reorder, rand_stype,
-    split_witnesses, subject_types, swept_points, symmetric_point, third_order_cut_point,
+    across_points, binders, bounded_refinements, bounded_seqs, built_nodes, church_point,
+    clear_memos, copies_in_every_order, distinct_g_point, fanout_point, generated_points,
+    guessed_cut_point, higher_order_cut_point, load_corpus, pairwise_partition, parse_entry,
+    per_target_witnesses, point_subject, point_width, rand_canonical, rand_reorder, rand_stype,
+    redex_subjects, split_witnesses, swept_points, symmetric_point, third_order_cut_point,
 )
 
 S = Star()
@@ -47,10 +45,10 @@ def subject(name):
     return ctx, term, ty, gamma, alpha
 
 
-def at_point(name, budget=None):
+def at_point(name):
     """Witness set at the canonical rigid point itself."""
     ctx, term, _, gamma, alpha = subject(name)
-    return ctx, term, enumerate_witnesses(ctx, term, gamma, alpha, budget)
+    return ctx, term, enumerate_witnesses(ctx, term, gamma, alpha)
 
 
 def texts(ds):
@@ -76,7 +74,6 @@ def test_witnesses_shared_head():
     ]
     # the canonical representative itself carries exactly one of the two
     _, _, ws = at_point("shared-head-two-ways")
-    assert ws.bounded_at is None
     assert len(ws) == 1
 
 
@@ -156,8 +153,7 @@ def test_resource_round_trip():
     for entry in CORPUS:
         ctx, term, ty, point = parse_entry(entry)
         gamma, alpha = canonicalize_point(point, ctx, ty)
-        budget = entry_budget(entry)
-        for th, al, r in per_target_witnesses(ctx, term, gamma, alpha, budget):
+        for th, al, r in per_target_witnesses(ctx, term, gamma, alpha):
             assert check_derivation(ctx, term, r), entry["name"]
             assert rt_context(th.shape(), r) == th, entry["name"]
             assert rt_type(r) == al, entry["name"]
@@ -184,8 +180,7 @@ def test_rt_context_gathers_every_entry_in_one_walk():
     checked = 0
     subjects = [(e, *parse_entry(e)) for e in CORPUS] + list(generated_points())
     for entry, ctx, term, _, point in subjects:
-        budget = entry_budget(entry)
-        for w in positive_witnesses(prepare(ctx, term, point), budget).witnesses:
+        for w in positive_witnesses(prepare(ctx, term, point)).witnesses:
             theta = rt_context(tuple(ctx.bindings), w.derivation)
             assert theta.names() == ctx.names()
             for x, seq, _ in theta.entries:
@@ -201,8 +196,7 @@ def test_contract_returns_a_redex_free_derivation_itself():
     seen = {"redex-free": 0, "with a redex": 0}
     for entry in CORPUS:
         ctx, term, _, point = parse_entry(entry)
-        budget = entry_budget(entry)
-        for w in positive_witnesses(prepare(ctx, term, point), budget).witnesses:
+        for w in positive_witnesses(prepare(ctx, term, point)).witnesses:
             r = w.derivation
             if has_redex(r):
                 assert contract(r) is not r and not has_redex(contract(r))
@@ -221,8 +215,7 @@ def test_dm_occurrences_match_context_entries():
     checked = 0
     for entry in CORPUS:
         ctx, term, ty, point = parse_entry(entry)
-        budget = entry_budget(entry)
-        ws = positive_witnesses(prepare(ctx, term, point), budget).witnesses
+        ws = positive_witnesses(prepare(ctx, term, point)).witnesses
         for w1 in ws:
             for w2 in ws:
                 th1, th2 = w1.theta, w2.theta
@@ -243,9 +236,7 @@ def test_dm_occurrences_match_context_entries():
 
 
 def test_omega_substitute_contracts_redex():
-    # the cut is read off the argument's copies, so a budget given goes unread
-    ctx, term, ws = at_point("duplicating-redex", budget=1)
-    assert ws.bounded_at is None
+    ctx, term, ws = at_point("duplicating-redex")
     [r] = ws.derivations
     fl = IArrow((S,), IArrow((S,), S))
     contracted = omega_substitute(r)
@@ -293,233 +284,68 @@ def test_collapse_equal_but_not_symmetric():
     assert c2 == RApp(RApp(RVar("x", xl), (RVar("w", S),)), (RVar("z", S),))
     assert enumerate_derivation_morphisms(c1, c2) == ()
     # and so on the counting path, which counts a redex by its contractum
+    # and partitions the contracta, derivations of the normal form
     assert contract(m1) == c1 and contract(m2) == c2
     assert count_derivation_morphisms(m1, m2) == 0
-    assert endo_count(m1) == endo_count(m2) == 1
-    assert partition_by_symmetry((m1, m2)) == ((m1,), (m2,))
-
-
-def test_budget_required_for_redexes():
-    # a redex whose cut the point fixes is exact, with or without a budget
-    ctx, term, _, gamma, alpha = subject("identity-redex")
-    ws = enumerate_witnesses(ctx, term, gamma, alpha)
-    assert len(ws) == 1 and ws.bounded_at is None
-    assert enumerate_witnesses(ctx, term, gamma, alpha, 1) == ws
-    # the labels of an open binder of arrow type, h here, only a budget bounds
-    ctx, term, ty, point = point_subject(*higher_order_cut_point())
-    gamma, alpha = canonicalize_point(point, ctx, ty)
-    with pytest.raises(BudgetRequiredError, match="open binder of type o -> o"):
-        enumerate_witnesses(ctx, term, gamma, alpha)
-    ws = enumerate_witnesses(ctx, term, gamma, alpha, 1)
-    assert len(ws) == 1 and ws.bounded_at == 1
-
-
-@pytest.mark.parametrize("budget", [-1, True, False, 2.0, "2"])
-def test_budget_must_be_a_non_negative_int(budget):
-    # also where the term is normal and no cut reads the budget
-    for point, term_budget in ((church_point(2), 2), (symmetric_point(2), None)):
-        ctx, term, _, pt = point_subject(*point)
-        assert verify_identities(ctx, term, pt, term_budget).ok
-        with pytest.raises(DerivationError, match="budget"):
-            verify_identities(ctx, term, pt, budget)
-        with pytest.raises(DerivationError, match="budget"):
-            positive_witnesses(prepare(ctx, term, pt), budget)
+    assert count_derivation_morphisms(m1, m1) == count_derivation_morphisms(m2, m2) == 1
+    assert endo_count(c1) == endo_count(c2) == 1
+    assert partition_by_symmetry((c1, c2)) == ((c1,), (c2,))
 
 
 def test_forced_cuts_ignore_budget():
     # the cut for a bare-variable argument is a window of that variable's
-    # remaining elements, so even a three element cut appears at budget 1
-    _, _, ds = across_points("church-two-at-fan", budget=1)
-    assert len(ds) == 1
-
-
-def test_candidate_cuts_respect_budget():
-    # a cut over a lambda argument is read off its copies, whatever the
-    # budget: church-two-twice's cut of two <*>-o* appears at budget 0
-    for budget in (None, 0, 1, 4):
-        _, _, ds = across_points("church-two-twice", budget=budget)
-        assert len(ds) == 1, budget
-    # only an open binder of arrow type respects the budget: h's label in
-    # the higher-order cut at n = 2 is [*,*]-o*, which budget 1 does not admit
+    # remaining elements, a three element cut here; a lambda argument's is
+    # read back from the normal form, church-two-twice's two <*>-o* and the
+    # higher-order cut's <<*,*>-o*>-o*
+    for name in ("church-two-at-fan", "church-two-twice"):
+        _, _, ds = across_points(name)
+        assert len(ds) == 1, name
     ctx, term, ty, point = point_subject(*higher_order_cut_point(2))
     gamma, a = canonicalize_point(point, ctx, ty)
-    for budget, count in ((1, 0), (2, 1), (3, 1)):
-        assert len(per_target_witnesses(ctx, term, gamma, a, budget)) == count, budget
+    [(_, _, d)] = per_target_witnesses(ctx, term, gamma, a)
+    assert rt_type(d.fn).domain == (parse_itype("<<*,*>-o*>-o*"),)
 
 
-# The pool a redex's function part draws its cut from: the types one copy
-# of its argument concludes.  Every refinement of the argument's type whose
-# sequences are no longer than the point's longest sequence is its oracle,
-# through which the function part tries every such cut: the two must give
-# the same derivations, in bags and in sequences.
-
-CUT_POOL = derivation._cut_pool
-
-
-def full_pool(a, ctx, run, types, width):
-    """Every refinement of a's type no wider than the point; a variable's
-    pool, every label it may take, is the real one."""
-    if isinstance(a, Var):
-        return CUT_POOL(a, ctx, run)
-    return bounded_refinements(argument_type(a, types), width)
-
-
-def whole_context_pool(a, ctx, run, types, width):
-    """A pool pruned against the whole context alone, which misses the types
-    a copy concludes from a suffix of a sequence only."""
-    return tuple(beta for beta in bounded_refinements(argument_type(a, types), width)
-                 if derivation._enum(a, ctx, beta, run, frozenset()))
-
-
-def pool_without_its_last_type(a, ctx, run, types, width):
-    return CUT_POOL(a, ctx, run)[:-1]
-
-
-def guessed_cut_derivations(subjects, budgets, pool=None):
-    """{(label, budget): (derivations from the bags at the canonical point,
-    derivations at each rigid point they reach)}, computed afresh with the
-    pool given, or the enumerator's own.  A pool given is called as
-    pool(a, ctx, run, types, width), with the subject's types
-    (subject_types) and its point's width (point_width)."""
-    clear_memos()
-    saved = derivation._cut_pool
-    try:
-        out = {}
-        for label, ctx, term, ty, point in subjects:
-            derivation._cut_pool = (partial(pool, types=subject_types(ctx, term),
-                                            width=point_width(point)) if pool else saved)
-            gamma, a = canonicalize_point(point, ctx, ty)
-            for budget in budgets:
-                bags = enumerate_bag_witnesses(ctx, term, gamma, a, budget).derivations
-                out[label, budget] = bags, per_target_witnesses(ctx, term, gamma, a, budget)
-        return out
-    finally:
-        derivation._cut_pool = saved
-        clear_memos()
-
-
-def test_pruned_cuts_match_the_full_listing():
-    # no subject has an open binder of arrow type, so none needs a budget
-    subjects = list(guessed_cut_subjects())
-    pruned = guessed_cut_derivations(subjects, (None,))
-    assert pruned == guessed_cut_derivations(subjects, (None,), pool=full_pool)
-    found = {label: len(pruned[label, None][0]) for label, *_ in subjects}
-    assert found["copies-down-a-sequence"] == found["copies-down-a-binder"] == 2, found
-    assert found["binder-in-argument"] == found["lambda-argument-redex"] == 1, found
-    assert sum(map(bool, found.values())) >= 25, found
-    # a pool that misses a type, or is pruned against the whole context
-    # alone, loses derivations
-    for mutant in (pool_without_its_last_type, whole_context_pool):
-        lost = guessed_cut_derivations(subjects, (None,), pool=mutant)
-        assert sorted(k for k in pruned if lost[k] != pruned[k]), mutant.__name__
-
-
-def pools_checked(subjects, budgets):
-    """The pools of the redexes whose argument is not a variable that the
-    subjects meet at the budgets.  Each pool of a run without a budget is
-    checked, as it is computed, against probed_pool at the point's width:
-    the same types in the same order.  A variable's pool is every label it
-    may take; a run under a budget has an open binder of arrow type, whose
-    labels the budget bounds."""
-    pools = []
-
-    def checked(a, ctx, run, types, width):
-        pool = CUT_POOL(a, ctx, run)
-        if not isinstance(a, Var):
-            if run.budget is None:
-                assert pool == probed_pool(a, ctx, run, types, width), term_to_text(a)
-            pools.append(pool)
-        return pool
-
-    guessed_cut_derivations(subjects, budgets, pool=checked)
-    return pools
-
-
-def test_synthesized_pool_is_the_probed_pool():
-    assert len(pools_checked(list(guessed_cut_subjects()), (None,))) >= 25
-    for n in range(1, 7):
-        subject = (f"guessed-cut-{n}", *point_subject(*guessed_cut_point(n)))
-        pools = pools_checked([subject], (None, 0, n - 1))
-        assert set(pools) == {(parse_itype(f"<{','.join('*' * n)}>-o*"),)}, n
-    # an open binder as the argument of a redex inside the argument: its
-    # copies are the occurrences of the redex's binder
-    for term, point_ctx, ctx_text in (
-            ("(\\k:o->o. k y) (\\z:o. (\\w:o. g w) z)", {"g": "[[*]-o*]", "y": "[*]"},
-             "g:o->o, y:o"),
-            ("(\\k:o->o. k y) (\\z:o. (\\w:o. f w w) z)", {"f": "[[*]-o[*]-o*]", "y": "[*,*]"},
-             "f:o->o->o, y:o"),
-            ("(\\k:(o->o)->o. k g) (\\h:o->o. (\\m:o->o. m y) h)", {"g": "[[*]-o*]", "y": "[*]"},
-             "g:o->o, y:o"),
-            # and the function part is a redex, not a lambda, whose body
-            # concludes what the open binder's copies lead to
-            ("(\\k:o->o. k c) (\\y:o. (\\x:o->o. x) g y)", {"g": "[[*]-o*]", "c": "[*]"},
-             "g:o->o, c:o"),
-            ("(\\k:o->o. k c) (\\y:o. (\\x:o. g) b y)", {"g": "[[*]-o*]", "c": "[*]", "b": "[]"},
-             "g:o->o, c:o, b:o"),
-            # the function part of the inner redex is itself a redex, whose
-            # argument g is taken from a bag: the copies conclude <>-o*
-            ("(\\k:o->o. k c) (\\z:o. (\\x:o->o. x) g y)", {"g": "[[*]-o*]", "y": "[*]", "c": "[]"},
-             "g:o->o, y:o, c:o")):
-        ctx, term, ty, point = point_subject(term, point_ctx, ctx_text)
-        assert pools_checked([(term_to_text(term), ctx, term, ty, point)], (1, 2, 3))
-        rep = verify_identities(ctx, term, point, 2)
-        assert rep.ok and rep.wrel.value == rep.report.wit_plus == 1
-    # the binder of the argument's lambda has an arrow type, so its
-    # occurrence takes any refinement of o->o the budget admits, and y's n
-    # elements bound its domain
-    for n, budgets in ((1, (3, 4, 5)), (2, (1, 2, 3))):
-        subject = (f"higher-order-cut-{n}", *point_subject(*higher_order_cut_point(n)))
-        for budget in budgets:
-            pools = pools_checked([subject], (budget,))
-            assert set(pools) == {tuple(parse_itype(f"<<{','.join('*' * m)}>-o*>-o*")
-                                        for m in range(min(n, budget) + 1))}, (n, budget)
-
-
-def pools_tried(ctx, term, point, budget):
-    """The verified report of a subject, computed afresh, and the pool of
-    each redex whose argument is not a variable."""
-    pools = []
-
-    def recorded(a, ctx, run):
-        pool = cut_pool(a, ctx, run)
-        if not isinstance(a, Var):
-            pools.append(pool)
-        return pool
-
-    clear_memos()
-    cut_pool, derivation._cut_pool = derivation._cut_pool, recorded
-    try:
-        return verify_identities(ctx, term, point, budget), pools
-    finally:
-        derivation._cut_pool = cut_pool
-
-
-def listed(budget, pool):
-    """How many sequences of length at most the budget a pool gives."""
-    return sum(pool ** n for n in range(budget + 1))
+# Redexes nested in a redex's argument, and function parts that are
+# redexes themselves: a step inside an argument is undone in each copy.
+NESTED_REDEXES = [
+    ("(\\k:o->o. k y) (\\z:o. (\\w:o. g w) z)", {"g": "[[*]-o*]", "y": "[*]"}, "g:o->o, y:o"),
+    ("(\\k:o->o. k y) (\\z:o. (\\w:o. f w w) z)", {"f": "[[*]-o[*]-o*]", "y": "[*,*]"},
+     "f:o->o->o, y:o"),
+    ("(\\k:(o->o)->o. k g) (\\h:o->o. (\\m:o->o. m y) h)", {"g": "[[*]-o*]", "y": "[*]"},
+     "g:o->o, y:o"),
+    ("(\\k:o->o. k c) (\\y:o. (\\x:o->o. x) g y)", {"g": "[[*]-o*]", "c": "[*]"},
+     "g:o->o, c:o"),
+    ("(\\k:o->o. k c) (\\y:o. (\\x:o. g) b y)", {"g": "[[*]-o*]", "c": "[*]", "b": "[]"},
+     "g:o->o, c:o, b:o"),
+    ("(\\k:o->o. k c) (\\z:o. (\\x:o->o. x) g y)", {"g": "[[*]-o*]", "y": "[*]", "c": "[]"},
+     "g:o->o, y:o, c:o"),
+]
 
 
 def test_guessed_cut_family_tries_one_type():
-    o_o = parse_simple_type("o->o")
+    # the binder k of the guessed-cut family takes the one type [*^n]-o*
+    # its argument concludes, read back from the normal form, and so do the
+    # binders of redexes nested in arguments
     for n in range(1, 7):
-        ctx, term, _, point = point_subject(*guessed_cut_point(n))
-        # at any budget, none or one narrower than the cut, the binder takes
-        # the one type [*^n]-o*, not every refinement of o->o, and the
-        # report is exact
-        for budget in (None, 0, n - 1, n, 8):
-            rep, pools = pools_tried(ctx, term, point, budget)
-            assert rep.ok and rep.wrel.value == rep.report.wit_plus == 1, (n, budget)
-            assert rep.report.bounded_at is None, (n, budget)
-            assert pools == [(parse_itype(f"<{','.join('*' * n)}>-o*"),)], (n, budget, pools)
-    # a full listing would try every sequence over the b + 1 refinements of
-    # o->o
+        ctx, term, ty, point = point_subject(*guessed_cut_point(n))
+        rep = verify_identities(ctx, term, point)
+        assert rep.ok and rep.wrel.value == rep.report.wit_plus == 1, n
+        [w] = rep.report.witnesses
+        assert rt_type(w.derivation.fn).domain == (parse_itype(f"<{','.join('*' * n)}>-o*"),)
+    for term, point_ctx, ctx_text in NESTED_REDEXES:
+        ctx, term, ty, point = point_subject(term, point_ctx, ctx_text)
+        rep = verify_identities(ctx, term, point)
+        assert rep.ok and rep.wrel.value == rep.report.wit_plus == 1, term_to_text(term)
+        gamma, a = canonicalize_point(point, ctx, ty)
+        split = per_target_witnesses(ctx, term, gamma, a,
+                                     lambda *args: split_witnesses(*args, point_width(point)))
+        assert [w.derivation for w in rep.report.witnesses] == [d for _, _, d in split]
+    # the split oracle tries every sequence over the b + 1 refinements of
+    # o->o no longer than its bound b
+    o_o = parse_simple_type("o->o")
     assert all(len(bounded_refinements(o_o, b)) == b + 1 for b in (2, 3, 4, 6, 8))
-    assert [listed(b, b + 1) for b in (2, 3, 4, 6, 8)] == [13, 85, 781, 137_257, 48_427_561]
     assert [len(bounded_seqs(o_o, b)) for b in (2, 3, 4)] == [13, 85, 781]
-    ctx, term, _, point = parse_entry(BY_NAME["church-two-twice"])
-    for budget in (None, 0, 2, 3, 4):
-        rep, pools = pools_tried(ctx, term, point, budget)
-        assert rep.ok and pools == [(parse_itype("<*>-o*"),)], (budget, pools)
 
 
 def rigid(beta) -> bool:
@@ -529,18 +355,16 @@ def rigid(beta) -> bool:
 
 
 def well_formed_target(alpha) -> bool:
-    """Whether alpha is a target the enumerator knows: open, a cut over
-    rigid types whose result is a target, up to symmetry at a canonical
-    arrow type, or a rigid type."""
-    if isinstance(alpha, derivation._Cut):
-        return all(map(rigid, alpha.pool)) and well_formed_target(alpha.result)
+    """Whether alpha is a target the enumerator knows: up to symmetry at a
+    canonical arrow type, or a rigid type.  No target is open or a cut."""
     if isinstance(alpha, derivation._Pos):
         return isinstance(alpha.a, IArrow) and rigid(alpha.a) and is_canonical(alpha.a)
-    return alpha is None or rigid(alpha)
+    return rigid(alpha)
 
 
 def test_every_target_is_open_a_cut_or_rigid():
-    # an arrow with an open codomain is none of them, and no spine meets it
+    # the enumerator meets normal forms only, so a target is rigid or up to
+    # symmetry: never open, and never a cut
     targets = []
 
     def recorded(term, ctx, alpha, run, must):
@@ -552,38 +376,39 @@ def test_every_target_is_open_a_cut_or_rigid():
         clear_memos()
         for entry in CORPUS:
             ctx, term, _, point = parse_entry(entry)
-            verify_identities(ctx, term, point, entry_budget(entry))
-        guessed_cut_derivations(list(guessed_cut_subjects()), (None,))
+            verify_identities(ctx, term, point)
+        for _, ctx, term, _, point in redex_subjects():
+            verify_identities(ctx, term, point)
+        for point in (higher_order_cut_point(2), third_order_cut_point()):
+            ctx, term, _, pt = point_subject(*point)
+            verify_identities(ctx, term, pt)
     finally:
         derivation._enum = enum
     bad = sum(not well_formed_target(alpha) for alpha in targets)
     assert bad == 0, f"{bad} of {len(targets)} targets are ill-formed"
-    assert None in targets and any(isinstance(alpha, derivation._Cut) for alpha in targets)
     assert any(isinstance(alpha, derivation._Pos) for alpha in targets)
+    assert any(isinstance(alpha, IArrow) for alpha in targets)
 
 
 def test_a_function_part_meets_its_cut_target():
-    # the body x of the function part concludes h's label, an arrow that
-    # meets the cut target only if its codomain fits the redex's target
+    # the body x of the function part concludes h's label, an arrow whose
+    # codomain must fit the redex's target
     ctx = parse_context("h:o->o->o, a:o")
     term, ty = annotate(ctx, parse_term("(\\x:o->o->o. x) h a"))
     for result, count in (("[*]-o*", 1), ("[]-o*", 0)):
         point = point_from_json({"ctx": {"h": "[[*]-o[*]-o*]", "a": "[*]"}, "type": result},
                                 ctx, ty)
-        rep = verify_identities(ctx, term, point, 2)
+        rep = verify_identities(ctx, term, point)
         assert rep.ok and rep.wrel.value == rep.report.wit_plus == count, result
-    # and only if its domain draws on the pool, the one type a copy of
-    # `\\z:o. g z` concludes, whatever the budget: [*,*,*]-o* when g takes
-    # three copies of z, which h's domain holds, and [*,*]-o* when it takes
-    # two, which it does not
+    # and whose domain must hold the type a copy of `\\z:o. g z` concludes:
+    # [*,*,*]-o* when g takes three copies of z, which h's domain holds,
+    # and [*,*]-o* when it takes two, which it does not
     ctx = parse_context("h:(o->o)->o, g:o->o")
     term, ty = annotate(ctx, parse_term("(\\x:(o->o)->o. x) h (\\z:o. g z)"))
     for g, count in (("[[*,*,*]-o*]", 1), ("[[*,*]-o*]", 0)):
         point = point_from_json({"ctx": {"h": "[[[*,*,*]-o*]-o*]", "g": g}, "type": "*"}, ctx, ty)
-        for budget in (None, 0, 2):
-            rep = verify_identities(ctx, term, point, budget)
-            assert rep.ok and rep.report.bounded_at is None, (g, budget)
-            assert rep.wrel.value == rep.report.wit_plus == count, (g, budget)
+        rep = verify_identities(ctx, term, point)
+        assert rep.ok and rep.wrel.value == rep.report.wit_plus == count, g
 
 
 def test_a_result_up_to_symmetry_is_met_by_its_positive_sources():
@@ -615,13 +440,23 @@ def test_a_result_up_to_symmetry_is_met_by_its_positive_sources():
     assert negative[True] >= 100 and negative[False] >= 300, negative
 
 
+# The longest cut the split oracle tries at a corpus term's redexes: two
+# where the redex's binder has two occurrences, and four, the widest bag
+# of a corpus point, elsewhere.
+ORACLE_BOUNDS = {"church-two-twice": 2, "lambda-argument-redex": 2}
+
+
+def oracle_bound(entry: dict) -> int:
+    return ORACLE_BOUNDS.get(entry["name"], 4)
+
+
 def oracle_subjects():
-    """{(label, budget): (ctx, term, type, point)} for the comparison with the
-    split-guessing oracle."""
+    """{(label, bound): (ctx, term, type, point)} for the comparison with the
+    split-guessing oracle, which tries cuts no longer than the bound."""
     out = {}
     for entry in CORPUS:
-        for budget in (entry_budget(entry), entry_budget(entry) + 1):
-            out[entry["name"], budget] = parse_entry(entry)
+        for bound in (oracle_bound(entry), oracle_bound(entry) + 1):
+            out[entry["name"], bound] = parse_entry(entry)
     out["church-two-twice", 3] = parse_entry(BY_NAME["church-two-twice"])
     for k in range(1, 5):
         out[f"church-{k}", k] = point_subject(*church_point(k))
@@ -644,14 +479,15 @@ def oracle_subjects():
     return out
 
 
-def witnesses_everywhere(ctx, term, ty, point, budget):
+def witnesses_everywhere(ctx, term, ty, point, bound):
     """The derivations at every negative target and positive source of the
-    point: (threaded enumerator's, split oracle's)."""
+    point: (threaded enumerator's, split oracle's, which tries cuts no
+    longer than the bound)."""
     gamma, alpha = canonicalize_point(point, ctx, ty)
     cache: dict = {}
-    return (per_target_witnesses(ctx, term, gamma, alpha, budget),
-            per_target_witnesses(ctx, term, gamma, alpha, budget,
-                                 lambda *args: split_witnesses(*args, cache=cache)))
+    return (per_target_witnesses(ctx, term, gamma, alpha),
+            per_target_witnesses(ctx, term, gamma, alpha,
+                                 lambda *args: split_witnesses(*args, bound, cache=cache)))
 
 
 def test_threaded_enumeration_matches_split_oracle():
@@ -660,10 +496,10 @@ def test_threaded_enumeration_matches_split_oracle():
     counts = {"unused-z": 0, "distinct-g-3": 6, "argument-free-in-function": 1,
               "window-before-a-later-use": 1}
     compared = 0
-    for (label, budget), (ctx, term, ty, point) in oracle_subjects().items():
-        threaded, oracle = witnesses_everywhere(ctx, term, ty, point, budget)
-        assert threaded == oracle, (label, budget)
-        assert len(set(threaded)) == len(threaded), (label, budget)
+    for (label, bound), (ctx, term, ty, point) in oracle_subjects().items():
+        threaded, oracle = witnesses_everywhere(ctx, term, ty, point, bound)
+        assert threaded == oracle, (label, bound)
+        assert len(set(threaded)) == len(threaded), (label, bound)
         found = len(threaded)
         assert found == counts.get(label, found), label
         compared += found
@@ -673,7 +509,7 @@ def test_threaded_enumeration_matches_split_oracle():
 def test_generated_points_match_split_oracle():
     inhabited = 0
     for entry, ctx, term, ty, point in generated_points():
-        threaded, oracle = witnesses_everywhere(ctx, term, ty, point, entry_budget(entry))
+        threaded, oracle = witnesses_everywhere(ctx, term, ty, point, oracle_bound(entry))
         assert threaded == oracle, (entry["name"], point)
         assert len(set(threaded)) == len(threaded)
         inhabited += bool(threaded)
@@ -738,52 +574,49 @@ def beta_expansions(ctx, term):
 
 
 def expansion_subjects():
-    """(label, ctx, redex, point, budget): the beta-expansions of each normal
-    corpus term at its point, at budgets 2 and 3."""
+    """(label, ctx, redex, point): the beta-expansions of each normal corpus
+    term at its point."""
     for entry in CORPUS:
         ctx, term, _, point = parse_entry(entry)
         if is_beta_normal(term):
             for i, expanded in enumerate(beta_expansions(ctx, term)):
-                for budget in (2, 3):
-                    yield f"{entry['name']}-expanded-{i}", ctx, expanded, point, budget
+                yield f"{entry['name']}-expanded-{i}", ctx, expanded, point
 
 
 def beta_invariance_subjects():
-    """(label, ctx, redex, point, budget): the corpus entries that are not
+    """(label, ctx, redex, point): the corpus entries that are not
     beta-normal, also at generated points, the expansions of those that
     are, and the redexes whose argument copies meet in every order."""
     for entry in CORPUS:
         ctx, term, _, point = parse_entry(entry)
         if not is_beta_normal(term):
-            yield entry["name"], ctx, term, point, entry_budget(entry)
+            yield entry["name"], ctx, term, point
     yield from expansion_subjects()
-    for label, ctx, term, point, budget, _ in copies_in_every_order():
-        yield label, ctx, term, point, budget
+    for label, ctx, term, point, _ in copies_in_every_order():
+        yield label, ctx, term, point
     for entry, ctx, term, _, point in generated_points():
         if not is_beta_normal(term):
-            yield entry["name"], ctx, term, point, entry_budget(entry)
+            yield entry["name"], ctx, term, point
 
 
 def test_counts_are_beta_invariant():
     # a redex passes every identity and has the coefficient, the witness
     # count and the symmetry classes (size and endomorphisms) of its
-    # beta-normal form, at its budget and at one more
+    # beta-normal form
     def counts(rep):
         return rep.wit_plus, sorted(zip(map(len, rep.classes), rep.class_endos))
 
     seen = dict.fromkeys(("subjects", "with witnesses", "several classes"), 0)
-    for label, ctx, term, point, budget in beta_invariance_subjects():
+    for label, ctx, term, point in beta_invariance_subjects():
         normal = positive_witnesses(prepare(ctx, beta_normalize(term), point))
-        checked = verify_identities(ctx, term, point, budget)
+        checked = verify_identities(ctx, term, point)
         assert checked.ok, label
         assert checked.wrel.value == normal.wit_plus, label
         assert counts(checked.report) == counts(normal), label
-        wider = positive_witnesses(prepare(ctx, term, point), budget + 1)
-        assert counts(wider) == counts(normal), label
         seen["subjects"] += 1
         seen["with witnesses"] += normal.wit_plus > 0
         seen["several classes"] += len(normal.classes) > 1
-    assert seen["subjects"] >= 380 and seen["with witnesses"] >= 120, seen
+    assert seen["subjects"] >= 350 and seen["with witnesses"] >= 90, seen
     assert seen["several classes"] >= 10, seen
 
 
@@ -796,7 +629,7 @@ def beta_bijection_subjects():
         ctx, term, _, point = parse_entry(entry)
         if not is_beta_normal(term):
             yield entry["name"], ctx, term, point
-    for label, ctx, term, point, _, _ in copies_in_every_order():
+    for label, ctx, term, point, _ in copies_in_every_order():
         yield label, ctx, term, point
     for n in (1, 2, 3):
         ctx, term, _, point = point_subject(*higher_order_cut_point(n))
@@ -813,21 +646,36 @@ def beta_bijection_subjects():
 
 
 def test_contraction_is_a_class_keeping_bijection():
-    # contract maps a redex's positive witnesses one-to-one onto those of
-    # its beta-normal form, and each symmetry class onto a class of the
-    # same size and the same degree
+    # a redex's positive witnesses are read back from its normal form's:
+    # contract takes each back to the derivation it was read from, so the
+    # read-back is one-to-one onto the normal form's witnesses, and each
+    # symmetry class goes to a class of the same size and the same degree.
+    # The witnesses read back are those the split oracle lists, without
+    # normalizing, at every rigid point the canonical one reaches, with
+    # cuts no longer than the point's width (the higher-order cut at n = 3
+    # aside, whose 614,656 such cuts the oracle cannot try in time)
     seen = Counter()
     for label, ctx, term, point in beta_bijection_subjects():
-        ty = annotate(ctx, term)[1]
+        term, ty = annotate(ctx, term)
         gamma, a = canonicalize_point(point, ctx, ty)
-        ds = enumerate_bag_witnesses(ctx, term, gamma, a, point_width(point)).derivations
+        pairs = derivation.witness_set(term, gamma, a)
+        ds, normal = [d for d, _ in pairs], [n for _, n in pairs]
+        assert [contract(d) for d in ds] == normal, label
         nf = beta_normalize(term, set(ctx.names()))
-        normal = enumerate_bag_witnesses(ctx, nf, gamma, a).derivations
-        assert sorted(map(contract, ds), key=resource_to_text) == list(normal), label
-        classes = {frozenset(map(contract, cls)): (len(cls), endo_count(cls[0]))
-                   for cls in partition_by_symmetry(ds)}
-        assert classes == {frozenset(cls): (len(cls), endo_count(cls[0]))
-                           for cls in partition_by_symmetry(normal)}, label
+        assert sorted(normal, key=resource_to_text) == list(
+            enumerate_bag_witnesses(ctx, nf, gamma, a).derivations), label
+        index = {d: i for i, d in enumerate(ds)}
+        classes = partition_by_symmetry(normal)
+        assert [tuple(map(normal.index, cls)) for cls in classes] == [
+            tuple(map(index.get, cls)) for cls in pairwise_partition(ds)], label
+        assert [endo_count(cls[0]) for cls in classes] == [
+            count_derivation_morphisms(ds[normal.index(cls[0])], ds[normal.index(cls[0])])
+            for cls in classes], label
+        if label != "higher-order-cut-3":
+            split = per_target_witnesses(
+                ctx, term, gamma, a, lambda *args: split_witnesses(*args, point_width(point)))
+            assert sorted(ds, key=resource_to_text) == sorted(
+                (d for _, _, d in split), key=resource_to_text), label
         seen["subjects"] += 1
         seen["witnesses"] += len(ds)
         seen["several classes"] += len(classes) > 1
@@ -836,35 +684,35 @@ def test_contraction_is_a_class_keeping_bijection():
 
 
 def morphism_count_subjects():
-    """(label, ctx, term, point, budget) for comparing the morphism count with
-    the listing."""
+    """(label, ctx, term, point) for comparing the morphism count with the
+    listing."""
     for entry in CORPUS:
         ctx, term, _, point = parse_entry(entry)
-        yield (entry["name"], ctx, term, point, entry_budget(entry))
+        yield entry["name"], ctx, term, point
     # redexes with several witnesses, some in several classes
     yield from expansion_subjects()
-    families = ([(f"symmetric-{n}", symmetric_point(n), None) for n in range(1, 6)]
-                + [(f"fanout-{n}", fanout_point(n), None) for n in range(1, 4)]
-                + [(f"church-{k}", church_point(k), k) for k in range(1, 6)]
-                + [(f"distinct-g-{k}", distinct_g_point(k), None) for k in range(1, 4)])
+    families = ([(f"symmetric-{n}", symmetric_point(n)) for n in range(1, 6)]
+                + [(f"fanout-{n}", fanout_point(n)) for n in range(1, 4)]
+                + [(f"church-{k}", church_point(k)) for k in range(1, 6)]
+                + [(f"distinct-g-{k}", distinct_g_point(k)) for k in range(1, 4)])
     # arguments of arrow type: a bare variable, and partial applications
     # whose codomains have endomorphisms of their own
     ho = "k:(o->o)->o, f:o->o->o, g:o->o, x:o"
     families += [
         ("bare-higher-order-argument",
-         ("k g", {"k": "[[[*,*]-o*]-o*]", "g": "[[*,*]-o*]"}, ho), None),
+         ("k g", {"k": "[[[*,*]-o*]-o*]", "g": "[[*,*]-o*]"}, ho)),
         ("partial-applications",
          ("k (f x)", {"k": "[[[*,*]-o*,[*,*]-o*]-o*]",
-                      "f": "[[*]-o[*,*]-o*,[*]-o[*,*]-o*]", "x": "[*,*]"}, ho), None),
+                      "f": "[[*]-o[*,*]-o*,[*]-o[*,*]-o*]", "x": "[*,*]"}, ho)),
         ("partial-applications-apart",
          ("k (f x)", {"k": "[[[*,*]-o*,[*]-o*]-o*]",
-                      "f": "[[*]-o[*,*]-o*,[*]-o[*]-o*]", "x": "[*,*]"}, ho), None),
+                      "f": "[[*]-o[*,*]-o*,[*]-o[*]-o*]", "x": "[*,*]"}, ho)),
     ]
-    for label, pt, budget in families:
+    for label, pt in families:
         ctx, term, _, point = point_subject(*pt)
-        yield label, ctx, term, point, budget
+        yield label, ctx, term, point
     for entry, ctx, term, _, point in generated_points():
-        yield (entry["name"], ctx, term, point, entry_budget(entry))
+        yield entry["name"], ctx, term, point
 
 
 def test_morphism_count_matches_listing():
@@ -877,15 +725,18 @@ def test_morphism_count_matches_listing():
     partitioned = dict.fromkeys(("several witnesses", "with a redex", "several classes"), 0)
     window: list = []
     last_term = None
-    for label, ctx, term, point, budget in morphism_count_subjects():
+    for label, ctx, term, point in morphism_count_subjects():
         if term != last_term:
             window, last_term = [], term
-        rep = positive_witnesses(prepare(ctx, term, point), budget)
+        rep = positive_witnesses(prepare(ctx, term, point))
         ds = [w.derivation for w in rep.witnesses]
         if len(ds) > 1:
-            classes = partition_by_symmetry(ds)
-            assert classes == pairwise_partition(ds), label
-            assert classes == pairwise_partition(ds, enumerate_derivation_morphisms), label
+            # the library partitions the contracta, derivations of the
+            # normal form
+            classes = partition_by_symmetry(map(contract, ds))
+            for pairwise in (pairwise_partition(ds),
+                             pairwise_partition(ds, enumerate_derivation_morphisms)):
+                assert classes == tuple(tuple(map(contract, c)) for c in pairwise), label
             partitioned["several witnesses"] += 1
             partitioned["several classes"] += len(classes) > 1
             if any(map(has_redex, ds)):
@@ -911,9 +762,9 @@ def test_morphism_count_matches_listing():
                     seen["symmetric" if n else "asymmetric"] += 1
             window = [d] + window[:1]
     assert min(seen.values()) >= 3, seen
-    assert partitioned["several witnesses"] >= 55, partitioned
-    assert partitioned["with a redex"] >= 40, partitioned
-    assert partitioned["several classes"] >= 10, partitioned
+    assert partitioned["several witnesses"] >= 33, partitioned
+    assert partitioned["with a redex"] >= 25, partitioned
+    assert partitioned["several classes"] >= 7, partitioned
     # k! witnesses in one class, too many endomorphisms each to list them
     for k in (4, 5):
         ctx, term, _, point = point_subject(*distinct_g_point(k))

@@ -5,9 +5,7 @@ The inputs are the corpus entries with one field mutated, fed to
 `verify --corpus`, and the options of every command, built from a corpus
 entry, with one of them mutated.  A mutation edits a few characters of a
 text, or puts JSON of the wrong type where an object or a string belongs.
-Budgets stay at 4 or below: a very large budget is tested on its own, in
-a child with capped memory (test_cli.py).  The examples are derandomized,
-so every run tries the same ones.
+The examples are derandomized, so every run tries the same ones.
 """
 
 import json
@@ -22,8 +20,7 @@ from thinspan.cli import main
 from support import load_corpus
 
 CORPUS = load_corpus()
-EXIT_CODES = {0, 1, 2, 3, 4, 5}
-MAX_BUDGET = 4
+EXIT_CODES = {0, 1, 2, 4}
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -55,9 +52,9 @@ def mutated_text(text: str, alphabet: str):
     return edited(text, alphabet) | st.text(alphabet, max_size=6)
 
 
-# JSON of any type, the integers among it no larger than a budget may be
+# JSON of any type, the integers among it small
 wrong_json = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, MAX_BUDGET) | st.floats(-2, 2)
+    st.none() | st.booleans() | st.integers(-3, 4) | st.floats(-2, 2)
     | st.text(TERM + RIGID, max_size=6),
     lambda inner: st.lists(inner, max_size=2) | st.dictionaries(
         st.sampled_from(("ctx", "type", "f", "g", "y")), inner, max_size=2),
@@ -83,9 +80,9 @@ def mutated_point(draw, point: dict) -> dict:
 @st.composite
 def mutated_entry(draw) -> dict:
     """A corpus entry with one field mutated, replaced by JSON of any type,
-    or, for expected and budget, dropped."""
+    or, for expected, dropped."""
     entry = dict(draw(st.sampled_from(CORPUS)))
-    field = draw(st.sampled_from(("ctx", "term", "type", "point", "expected", "budget")))
+    field = draw(st.sampled_from(("ctx", "term", "type", "point", "expected")))
     if field == "point":
         entry["point"] = draw(mutated_point(entry["point"]) | wrong_json)
     elif field in NOTATIONS:
@@ -129,9 +126,6 @@ def mutated_options(draw) -> list[str]:
     else:
         options[option] = draw(mutated_text(options[option], NOTATIONS[option[2:]]))
     args = [command] + [part for item in options.items() for part in item]
-    budget = draw(st.none() | st.integers(0, MAX_BUDGET))
-    if command != "check" and budget is not None:
-        args += ["--budget", str(budget)]
     return args + (["--json"] if draw(st.booleans()) else [])
 
 

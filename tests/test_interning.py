@@ -10,23 +10,27 @@ from thinspan import interning
 from support import child_env
 
 # Python dicts never shrink, so the table's drop callback rebuilds the
-# dict in place once most of its entries are gone.  The budget-5
-# third-order cut interns about 9,300 labels for its open binder, which die
-# with the query.
+# dict in place once most of its entries are gone.  `f (g y)` at the
+# distinct-g point k = 7 has 5,040 witnesses, whose resource terms, about
+# 5,000 entries, die with the query.
 TABLE_AFTER_A_LARGE_QUERY = r"""
 import gc, sys
 
 import thinspan
 from thinspan import interning
 
-ctx = thinspan.parse_context("g:o->o, y:o")
-term, ty = thinspan.annotate(ctx, thinspan.parse_term(
-    "(\\k:((o->o)->o)->o. k (\\f:o->o. f y)) (\\h:(o->o)->o. h g)"))
-point = thinspan.point_from_json({"ctx": {"g": "[[*]-o*]", "y": "[*]"}, "type": "*"}, ctx, ty)
-assert thinspan.verify_identities(ctx, term, point, 5).ok
-del ctx, term, point
+g = ",".join("[" + ",".join(["*"] * i) + "]-o*" for i in range(7))
+ctx = thinspan.parse_context("f:o->o, g:o->o, y:o")
+term, ty = thinspan.annotate(ctx, thinspan.parse_term("f (g y)"))
+point = thinspan.point_from_json(
+    {"ctx": {"f": "[[" + ",".join(["*"] * 7) + "]-o*]", "g": f"[{g}]",
+             "y": "[" + ",".join(["*"] * 21) + "]"}, "type": "*"}, ctx, ty)
+report = thinspan.verify_identities(ctx, term, point).report
+assert report.wit_plus == 5040 and len(report.witnesses) == 5040
+peak = len(interning._table)
+del ctx, term, point, report
 gc.collect()
-print(len(interning._table), sys.getsizeof(interning._table),
+print(peak, len(interning._table), sys.getsizeof(interning._table),
       sys.getsizeof(dict(interning._table)))
 """
 
@@ -35,8 +39,8 @@ def test_the_intern_table_shrinks_after_a_large_query():
     res = subprocess.run([sys.executable, "-c", TABLE_AFTER_A_LARGE_QUERY],
                          capture_output=True, text=True, timeout=120, env=child_env())
     assert res.returncode == 0 and res.stderr == "", res.stderr
-    live, size, compact = map(int, res.stdout.split())
-    assert size <= 4 * compact, (live, size, compact)
+    peak, live, size, compact = map(int, res.stdout.split())
+    assert peak >= 5000 and size <= 4 * compact, (peak, live, size, compact)
 
 
 class Referent:

@@ -22,7 +22,7 @@ from reference import (
 )
 from support import (
     brute_degrees_ctx, brute_degrees_it, brute_neg_targets_it, brute_neg_targets_seq,
-    brute_pos_targets_it, entry_budget, load_corpus, parse_entry, rand_canonical,
+    brute_pos_targets_it, load_corpus, parse_entry, rand_canonical,
     rand_context, rand_itype, rand_reorder, rand_stype, ryser_permanent,
 )
 
@@ -198,8 +198,7 @@ def test_reachability_matches_all_orderings_oracle():
 def test_per_variable_triple_count_matches_whole_contexts():
     for entry in load_corpus():
         ctx, term, ty, point = parse_entry(entry)
-        budget = entry_budget(entry)
-        report = positive_witnesses(prepare(ctx, term, point), budget)
+        report = positive_witnesses(prepare(ctx, term, point))
         gamma, a = report.subject.gamma, report.subject.result
         whole = 0
         for w in report.witnesses:
