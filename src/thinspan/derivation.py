@@ -298,8 +298,8 @@ def _subst(t: Term, x: str, n: Term) -> Term:
 
 def _read_back(steps: list[Term], normal: Term, r: ResourceTerm) -> ResourceTerm:
     """The derivation of steps[0] that r, a derivation of normal, reads back
-    to: the binders normal renamed named back, then each step undone, last
-    first."""
+    to: the binders that normal renamed given their names back, then each
+    step undone, last first."""
     if normal is not steps[-1]:
         r = _renamed(steps[-1], r)
     for t in reversed(steps[:-1]):
@@ -316,7 +316,7 @@ def _back(t: Term, r: ResourceTerm) -> ResourceTerm:
             copies: list[ResourceTerm] = []
             body = _unsubst(b, x, r, copies)
             return RApp(RLam(x, body, ann), tuple(copies))
-        case App(f, a) if not is_beta_normal(f):
+        case App(f, _) if not is_beta_normal(f):
             return RApp(_back(f, r.fn), r.args)
         case App(f, a):
             # f's head is a variable, whose label takes the types the
@@ -397,6 +397,8 @@ def enumerate_witnesses(ctx: TypingContext, term: Term, theta: ResourceContext,
     conclude the point exactly."""
     term = _checked_term(ctx, term, theta, alpha)
     shape = theta.shape()
+    # two labels of theta may lie in one negative class, and a derivation
+    # that takes either is found once from each
     found = dict.fromkeys(d for d, _ in witness_set(term, theta, alpha)
                           if rt_type(d) == alpha and rt_context(shape, d) == theta)
     return WitnessSet(tuple(sorted(found, key=resource_to_text)))

@@ -311,6 +311,44 @@ def swept_points(n: int = 4, m: int = 4):
                 yield entry, PointSpec(bags, result)
 
 
+# Every small term, not only the corpus's: a bounded-exhaustive battery.
+
+O = Base()
+SMALL_ARGUMENT_TYPES = (O, Arrow(O, O), Arrow(Arrow(O, O), O))
+
+
+def small_terms(ctx: TypingContext, ty: SimpleType, size: int,
+                argument_types=SMALL_ARGUMENT_TYPES) -> list:
+    """Every annotated term of type ty over ctx whose size, its variables,
+    applications and lambdas, is at most size, redexes included; each
+    application's argument, and so each redex's binder, has one of
+    argument_types.  The binders are distinct and apart from ctx's names."""
+    @lru_cache(maxsize=None)
+    def terms(env: tuple, t: SimpleType, n: int) -> tuple:
+        out = [Var(x) for x, s in env if s == t] if n == 1 else []
+        if isinstance(t, Arrow) and n > 1:
+            x = f"x{len(env)}"
+            out += [Lam(x, b, t.domain) for b in terms(env + ((x, t.domain),), t.codomain, n - 1)]
+        for s in argument_types:
+            for k in range(1, n - 1):
+                out += [App(f, a) for f in terms(env, Arrow(s, t), k)
+                        for a in terms(env, s, n - 1 - k)]
+        return tuple(out)
+
+    names = set(ctx.names())
+    return [ensure_distinct_binders(t, names)
+            for n in range(1, size + 1) for t in terms(tuple(ctx.bindings), ty, n)]
+
+
+def small_points(ctx: TypingContext, term, m: int = 2, n: int = 3):
+    """Every point of result * at which each free variable of term holds a
+    bag of bounded_bags(t, m, n), and every other variable the empty bag."""
+    fvs = set(free_vars(term))
+    per_var = [[(x, bag) for bag in (bounded_bags(t, m, n) if x in fvs else [()])]
+               for x, t in ctx]
+    return [PointSpec(bags, Star()) for bags in product(*per_var)]
+
+
 def binders(t) -> list[str]:
     """Every binder name of t, repeats included, by walking it: the oracle
     for the binder names kept on a term."""

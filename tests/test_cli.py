@@ -281,6 +281,23 @@ def test_a_query_too_large_for_memory_is_an_input_error(monkeypatch):
         assert res.stdout == ""
 
 
+def test_a_huge_budget_over_a_first_order_cut_passes():
+    # THINSPAN_BUDGET is not read, so a huge one, once a bound on the
+    # labels of an open binder, changes nothing: the binder k takes the one
+    # type [*]-o* its argument concludes, in a child capped at 512 MB
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    res = subprocess.run(
+        [sys.executable, "-m", "thinspan.cli", "verify", "--ctx", "g:o->o, y:o",
+         "--term", "(\\k:o->o. k y) (\\x:o. g x)",
+         "--point", '{"ctx": {"g": "[[*]-o*]", "y": "[*]"}, "type": "*"}'],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        env={**child_env(), "THINSPAN_BUDGET": "100000"})
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.startswith("PASS"), res.stdout
+
+
 def test_verify_mixed_corpus(tmp_path):
     cf = tmp_path / "c.json"
     cf.write_text(json.dumps([

@@ -7,7 +7,7 @@ import pytest
 
 from thinspan import derivation
 from thinspan.syntax import (
-    App, Base, Lam, Var, annotate, beta_normalize, fresh_name, is_beta_normal, parse_context,
+    App, Arrow, Base, Lam, Var, annotate, beta_normalize, fresh_name, is_beta_normal, parse_context,
     parse_simple_type, parse_term, substitute, term_to_text,
 )
 from thinspan.rigidtypes import (
@@ -31,7 +31,8 @@ from support import (
     clear_memos, copies_in_every_order, distinct_g_point, fanout_point, generated_points,
     guessed_cut_point, higher_order_cut_point, load_corpus, pairwise_partition, parse_entry,
     per_target_witnesses, point_subject, point_width, rand_canonical, rand_reorder, rand_stype,
-    redex_subjects, split_witnesses, swept_points, symmetric_point, third_order_cut_point,
+    redex_subjects, small_points, small_terms, split_witnesses, swept_points, symmetric_point,
+    third_order_cut_point,
 )
 
 S = Star()
@@ -645,42 +646,114 @@ def beta_bijection_subjects():
             yield entry["name"], ctx, term, point
 
 
+def check_read_back(label, ctx, term, point, split=None, cache=None) -> tuple[int, int]:
+    """Check the read-back at a point of a redex: contract takes each
+    witness back to the derivation of the normal form it was read from, so
+    the read-back is one-to-one onto the normal form's witnesses, and each
+    symmetry class goes to a class of the same size and the same degree.
+    With a split bound, the witnesses read back are those the split oracle
+    lists, without normalizing, at every rigid point the canonical one
+    reaches, with cuts no longer than the bound; the oracle keeps its
+    subproblems in cache, which the checks of one term may share.  The
+    number of witnesses and of classes."""
+    term, ty = annotate(ctx, term)
+    gamma, a = canonicalize_point(point, ctx, ty)
+    pairs = derivation.witness_set(term, gamma, a)
+    ds, normal = [d for d, _ in pairs], [n for _, n in pairs]
+    assert [contract(d) for d in ds] == normal, label
+    nf = beta_normalize(term, set(ctx.names()))
+    assert sorted(normal, key=resource_to_text) == list(
+        enumerate_bag_witnesses(ctx, nf, gamma, a).derivations), label
+    index = {d: i for i, d in enumerate(ds)}
+    classes = partition_by_symmetry(normal)
+    assert [tuple(map(normal.index, cls)) for cls in classes] == [
+        tuple(map(index.get, cls)) for cls in pairwise_partition(ds)], label
+    assert [endo_count(cls[0]) for cls in classes] == [
+        count_derivation_morphisms(ds[normal.index(cls[0])], ds[normal.index(cls[0])])
+        for cls in classes], label
+    if split is not None:
+        found = per_target_witnesses(
+            ctx, term, gamma, a, lambda *args: split_witnesses(*args, split, cache=cache))
+        assert sorted(ds, key=resource_to_text) == sorted(
+            (d for _, _, d in found), key=resource_to_text), label
+    return len(ds), len(classes)
+
+
 def test_contraction_is_a_class_keeping_bijection():
-    # a redex's positive witnesses are read back from its normal form's:
-    # contract takes each back to the derivation it was read from, so the
-    # read-back is one-to-one onto the normal form's witnesses, and each
-    # symmetry class goes to a class of the same size and the same degree.
-    # The witnesses read back are those the split oracle lists, without
-    # normalizing, at every rigid point the canonical one reaches, with
-    # cuts no longer than the point's width (the higher-order cut at n = 3
-    # aside, whose 614,656 such cuts the oracle cannot try in time)
+    # the split oracle tries cuts no longer than the point's width, but not
+    # the 614,656 of the higher-order cut at n = 3, which take too long
     seen = Counter()
     for label, ctx, term, point in beta_bijection_subjects():
-        term, ty = annotate(ctx, term)
-        gamma, a = canonicalize_point(point, ctx, ty)
-        pairs = derivation.witness_set(term, gamma, a)
-        ds, normal = [d for d, _ in pairs], [n for _, n in pairs]
-        assert [contract(d) for d in ds] == normal, label
-        nf = beta_normalize(term, set(ctx.names()))
-        assert sorted(normal, key=resource_to_text) == list(
-            enumerate_bag_witnesses(ctx, nf, gamma, a).derivations), label
-        index = {d: i for i, d in enumerate(ds)}
-        classes = partition_by_symmetry(normal)
-        assert [tuple(map(normal.index, cls)) for cls in classes] == [
-            tuple(map(index.get, cls)) for cls in pairwise_partition(ds)], label
-        assert [endo_count(cls[0]) for cls in classes] == [
-            count_derivation_morphisms(ds[normal.index(cls[0])], ds[normal.index(cls[0])])
-            for cls in classes], label
-        if label != "higher-order-cut-3":
-            split = per_target_witnesses(
-                ctx, term, gamma, a, lambda *args: split_witnesses(*args, point_width(point)))
-            assert sorted(ds, key=resource_to_text) == sorted(
-                (d for _, _, d in split), key=resource_to_text), label
+        split = None if label == "higher-order-cut-3" else point_width(point)
+        witnesses, classes = check_read_back(label, ctx, term, point, split)
         seen["subjects"] += 1
-        seen["witnesses"] += len(ds)
-        seen["several classes"] += len(classes) > 1
+        seen["witnesses"] += witnesses
+        seen["several classes"] += classes > 1
     assert seen["subjects"] >= 500 and seen["witnesses"] >= 60, seen
     assert seen["several classes"] >= 4, seen
+
+
+# Undoing the step at the redex (\\k:o. g k (z y)) (h (z y)) moves the
+# second occurrence of z before the first, so the lambda binding z
+# concludes its domain in the other order, and f's label follows it.  The
+# read-back derivations are the term's own, as the split oracle lists
+# them; contract, which keeps f's label, gives no derivation at all.
+def test_a_head_above_the_redex_takes_the_types_its_arguments_now_conclude():
+    ctx = parse_context("f:((o->o)->o)->o, g:o->o->o, h:o->o, y:o")
+    term, ty = annotate(ctx, parse_term("f (\\z:o->o. (\\k:o. g k (z y)) (h (z y)))"))
+    point = point_from_json({"ctx": {"f": "[[[[*]-o*,[]-o*]-o*]-o*]", "g": "[[*]-o[*]-o*]",
+                                     "h": "[[*]-o*]", "y": "[*]"}, "type": "*"}, ctx, ty)
+    rep = verify_identities(ctx, term, point)
+    assert rep.ok and rep.wrel.value == rep.report.wit_plus == 2
+    gamma, a = canonicalize_point(point, ctx, ty)
+    pairs = derivation.witness_set(term, gamma, a)
+    split = per_target_witnesses(ctx, term, gamma, a,
+                                 lambda *args: split_witnesses(*args, point_width(point)))
+    assert {d for d, _ in pairs} == {d for _, _, d in split} and len(pairs) == len(split) == 2
+    for d, normal in pairs:
+        assert check_derivation(ctx, term, d)
+        assert rt_occurrence_labels(d, "f") != rt_occurrence_labels(normal, "f")
+        with pytest.raises(DerivationError):
+            rt_type(contract(d))
+
+
+def arrow_binder_argument(t) -> bool:
+    """Whether some argument in t is a lambda whose binder has an arrow
+    type."""
+    match t:
+        case App(f, a):
+            return ((isinstance(a, Lam) and isinstance(a.annot, Arrow))
+                    or arrow_binder_argument(f) or arrow_binder_argument(a))
+        case Lam(_, b, _):
+            return arrow_binder_argument(b)
+    return False
+
+
+def test_every_small_term_passes_the_identities_and_the_bijection():
+    # every term of type o over f, g and y up to size 8, arguments of type
+    # o, o->o and (o->o)->o, at every point whose free variables hold bags
+    # of at most two elements and three stars; the split oracle tries cuts
+    # no longer than the point's width
+    ctx = parse_context("f:o->o, g:o->o->o, y:o")
+    seen = Counter()
+    for term in small_terms(ctx, Base(), 8):
+        label = term_to_text(term)
+        cache: dict = {}
+        for point in small_points(ctx, term):
+            rep = verify_identities(ctx, term, point)
+            assert rep.ok, (label, point)
+            if not is_beta_normal(term):
+                witnesses, _ = check_read_back(label, ctx, term, point, point_width(point),
+                                               cache)
+                assert witnesses == rep.report.wit_plus, (label, point)
+                seen["redex witnesses"] += witnesses
+            seen["points"] += 1
+            seen["non-zero"] += rep.wrel.value != 0
+        seen["terms"] += 1
+        seen["redexes"] += not is_beta_normal(term)
+        seen["arrow binders in arguments"] += arrow_binder_argument(term)
+    assert seen == {"terms": 204, "redexes": 196, "points": 4590, "non-zero": 409,
+                    "redex witnesses": 365, "arrow binders in arguments": 35}, seen
 
 
 def morphism_count_subjects():
