@@ -15,7 +15,7 @@ from math import prod
 from pathlib import Path
 
 import thinspan
-from thinspan import derivation, interning
+from thinspan import interning
 from thinspan.syntax import (
     App, Arrow, Base, Lam, ParseError, SimpleType, TypingContext, Var, annotate, beta_normalize,
     ensure_distinct_binders, free_vars, is_beta_normal, parse_context, parse_simple_type,

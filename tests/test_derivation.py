@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from functools import partial
 from math import factorial
 
 import pytest
