@@ -665,13 +665,16 @@ def redex_subjects():
 
 # The enumerator that guessed context splits: every way to split the context
 # among the subterms (brute_split_ctx), then each block solved on its own.
-# derivation threads the context instead; this is its oracle.
+# derivation threads the context instead, and reads a redex's derivations
+# back from its normal form's; this is its oracle, which normalizes nothing.
 
 def split_witnesses(ctx, term, theta: ResourceContext, alpha: IType, budget=None,
                     cache=None) -> tuple:
     """The derivations of term at (theta, alpha), as enumerate_witnesses
-    returns them.  Subproblems are memoized in `cache`, which the calls on
-    one subject may share."""
+    returns them, whose redexes' cuts, tried one by one, are no longer than
+    the budget: all of them once the budget reaches the longest cut.
+    Subproblems are memoized in `cache`, which the calls on one subject may
+    share."""
     term, _ = annotate(ctx, term)
     found = _split_enum(term, theta, alpha, None if is_beta_normal(term) else budget,
                         {} if cache is None else cache)
