@@ -26,26 +26,26 @@ endo_count are facts (interning.fact), computed once and kept on the
 resource term: a label or a count, which costs its node a slot.
 
 Witnesses are enumerated on the term's beta-normal form and read back.
-The normal form is reached by leftmost-outermost steps (_step), each of
-which the enumeration records; it is not syntax's normalizer, which the
-coefficient reads, so a fault in either shows as a disagreement between
-the counting paths.  A derivation of the term after a step reads back to
-one of the term before it (_back): at the step's redex (\\x:A. B) N, B is
-walked alongside the derivation, and wherever B has x the derivation holds
-a derivation c of one copy of N, which becomes an occurrence x^{rt_type(c)}
-and the next copy of the redex's argument, left to right.  A binder the
-step renamed to avoid capture takes its name back from B.  A step inside
-an argument is undone in each of its copies.  Undoing a step moves the
-occurrences of N's free variables, so a binder above the redex may see its
-occurrences in another order, and the lambda concludes its domain in that
-order: each variable head above the redex takes the types its arguments
-now conclude as its label's domains.  The step is leftmost-outermost, so
-no redex lies above it and these are all the labels that change.  Both
-ways the changes are polarized isomorphisms, negative at a context
-variable and positive at the result, so reading back is a bijection
-between the derivations of the normal form and those of the term that
-keeps every point up to symmetry, the witnesses' classes and their
-degrees: Taylor expansion commutes with normalization.
+The normal form is reached in one pass (_normalized), which runs the term
+as a machine with a stack of pending applications and records a trace:
+each node of the normal form comes from a head, an application pending at
+it, or a lambda with nothing pending, and each occurrence of a binder that
+took an argument receives a copy of it, which the machine runs on in
+place.  It is not syntax's normalizer, which the coefficient reads, so a
+fault in either shows as a disagreement between the counting paths.  A
+derivation of the normal form reads back along the trace in one walk
+(_back): at each redex (\\x:A. B) N the copies' derivations c are collected
+in the order of x's occurrences, left to right, as contracting redexes
+leftmost-outermost pairs them, and each occurrence becomes x^{rt_type(c)}.
+Reading back moves the occurrences of N's free variables, so a lambda of
+the normal form may see its binder's occurrences in another order and
+conclude its domain in that order: each head takes the types its
+arguments now conclude as its label's domains.  Both ways the changes are
+polarized isomorphisms, negative at a context variable and positive at the
+result, so reading back is a bijection between the derivations of the
+normal form and those of the term that keeps every point up to symmetry,
+the witnesses' classes and their degrees: Taylor expansion commutes with
+normalization.
 
 Contexts are linear: each element is consumed by exactly one occurrence,
 and the occurrences of a variable consume its sequence in order, left to
@@ -85,22 +85,18 @@ against the point, and collapse.prepare a query's subject, once.
 witness_set, the enumeration itself, checks nothing.
 
 Each witness_set call is one run (_Run), which keeps the labels it lists
-and the subproblems it solves.  At a subterm free in none of the context's
-variables, a subproblem is kept in the subterm's memo (interning.memo),
-where the next query under other names meets it again; at any other
-subterm, in the run's own table.  Neither the steps nor the derivations
-read back outlive the call.
+and the subproblems it solves in tables of its own.  Neither they, nor
+the trace, nor the derivations read back outlive the call.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .interning import Node, Record, fact, memo
+from .interning import Node, Record, fact
 from .syntax import (
     App, Lam, SimpleType, Term, TypingContext, Var,
-    annotate, binder_names, ensure_distinct_binders, free_vars, fresh_name, is_beta_normal,
-    spine, type_to_text,
+    annotate, binder_names, free_vars, fresh_name, is_beta_normal, spine, type_to_text,
 )
 from .rigidtypes import (
     IArrow, IType, ResourceContext, SeqType,
@@ -252,128 +248,124 @@ def multiset_collapse_term(r: ResourceTerm, memo: dict | None = None) -> Resourc
 
 
 ####################################################################
-# the normal form, and reading its derivations back
+# the normal form, with its trace, and reading its derivations back
+#
+# A run of the machine records what it meets as a list of steps, in order:
+# ("push", app) where an application pushes its argument; ("take", binder,
+# annot, app) where a lambda takes the application on top; ("copy", name,
+# app) where an occurrence of a binder that took an argument receives a
+# copy of it, and the machine goes on with the copy; and last either
+# ("head", name, apps), a variable that took no argument, bound by the
+# context or by a lambda of the normal form, applied to the applications
+# pending, each normalized by a run of its own, or ("lam", binder, annot,
+# body), a lambda of the normal form with nothing pending, whose body is a
+# run of its own.  Those lists are the trace.  It makes no reference cycle:
+# an application points at applications met before it, through its
+# environment, and at its own run when it is a normal-form argument, which
+# no lambda took, so no step of that run names it.
 
-def _normalized(term: Term, reserved: set[str]) -> tuple[list[Term], Term]:
-    """The terms term passes through on its way to its beta-normal form,
-    one leftmost-outermost step apart, term first and the normal form
-    last; and the normal form with its binders made distinct and apart
-    from reserved, which the enumerator needs."""
-    steps = [term]
-    while not is_beta_normal(term):
-        term = _step(term)
-        steps.append(term)
-    return steps, ensure_distinct_binders(term, reserved)
+class _App:
+    # arg and env: the argument and the environment it was met in; normal:
+    # its run, as a normal-form argument; copies: what a read-back gives
+    # its multi, each copy with the uses it holds, until the multi is built
+    __slots__ = ("arg", "env", "normal", "copies")
 
-
-def _step(t: Term) -> Term:
-    """t with its leftmost-outermost redex contracted; t has one."""
-    match t:
-        case Lam(x, b, ann):
-            return Lam(x, _step(b), ann)
-        case App(Lam(x, b, _), a):
-            return _subst(b, x, a)
-        case App(f, a):
-            return App(f, _step(a)) if is_beta_normal(f) else App(_step(f), a)
-    raise TypeError(f"not a term with a redex: {t!r}")
-
-
-def _subst(t: Term, x: str, n: Term) -> Term:
-    """t with n for each free occurrence of x, a binder of t that is free
-    in n renamed."""
-    if x not in free_vars(t):
-        return t
-    match t:
-        case Var(_):
-            return n
-        case App(f, a):
-            return App(_subst(f, x, n), _subst(a, x, n))
-        case Lam(y, b, ann):
-            if y in free_vars(n):
-                y2 = fresh_name(y, {*free_vars(n), *free_vars(b)})
-                y, b = y2, _subst(b, y, Var(y2))
-            return Lam(y, _subst(b, x, n), ann)
-    raise TypeError(f"not a term: {t!r}")
+    def __init__(self, arg: Term, env: dict):
+        self.arg, self.env, self.normal, self.copies = arg, env, None, None
 
 
-def _read_back(steps: list[Term], normal: Term, r: ResourceTerm) -> ResourceTerm:
-    """The derivation of steps[0] that r, a derivation of normal, reads back
-    to: the binders that normal renamed given their names back, then each
-    step undone, last first."""
-    if normal is not steps[-1]:
-        r = _renamed(steps[-1], r)
-    for t in reversed(steps[:-1]):
-        r = _back(t, r)
-    return r
+def _normalized(term: Term, reserved: set[str]) -> tuple[Term, list]:
+    """term's beta-normal form, its binders distinct and apart from
+    reserved, which the enumerator needs, and its trace."""
+    return _normal(term, {}, [], set(reserved))
 
 
-def _back(t: Term, r: ResourceTerm) -> ResourceTerm:
-    """The derivation of t that r, a derivation of _step(t), reads back to."""
-    match t:
-        case Lam(x, b, ann):
-            return RLam(x, _back(b, r.body), ann)
-        case App(Lam(x, b, ann), _):
-            copies: list[ResourceTerm] = []
-            body = _unsubst(b, x, r, copies)
-            return RApp(RLam(x, body, ann), tuple(copies))
-        case App(f, _) if not is_beta_normal(f):
-            return RApp(_back(f, r.fn), r.args)
-        case App(f, a):
-            # f's head is a variable, whose label takes the types the
-            # copies now conclude
-            args = tuple(_back(a, c) for c in r.args)
-            dom = tuple(map(rt_type, args))
-            fn = r.fn if rt_type(r.fn).domain == dom else _retyped(r.fn, dom, 0)
-            return RApp(fn, args)
-    raise TypeError(f"not a term with a redex: {t!r}")
+def _normal(t: Term, env: dict, stack: list[_App], taken: set[str]) -> tuple[Term, list]:
+    """The normal form of t applied to the arguments pending on stack, the
+    first on top, and the run that reaches it.  env maps a binder that took
+    an argument to its application, and one of the normal form to its name
+    there, which fresh_name gives apart from taken in the order of the
+    text, as ensure_distinct_binders does."""
+    run = []
+    while True:
+        if type(t) is App:
+            stack.append(app := _App(t.arg, env))
+            run.append(("push", app))
+            t = t.fn
+        elif type(t) is Lam and stack:
+            run.append(("take", t.binder, t.annot, app := stack.pop()))
+            env, t = {**env, t.binder: app}, t.body
+        elif type(t) is Lam:
+            name = fresh_name(t.binder, taken)
+            taken.add(name)
+            body, inner = _normal(t.body, {**env, t.binder: name}, [], taken)
+            run.append(("lam", t.binder, t.annot, inner))
+            return Lam(name, body, t.annot), run
+        elif type(bound := env.get(t.name, t.name)) is _App:
+            run.append(("copy", t.name, bound))
+            t, env = bound.arg, bound.env
+        else:
+            run.append(("head", t.name, apps := stack[::-1]))
+            out = Var(bound)
+            for app in apps:
+                arg, app.normal = _normal(app.arg, app.env, [], taken)
+                out = App(out, arg)
+            return out, run
 
 
-def _retyped(f: ResourceTerm, dom: SeqType, i: int) -> ResourceTerm:
-    """f, a spine whose head is a variable, with dom for the domain of the
-    head's label that the i-th multi after f's own meets."""
-    if isinstance(f, RApp):
-        return RApp(_retyped(f.fn, dom, i + 1), f.args)
-    return RVar(f.name, _with_domain(f.label, dom, i))
+def _read_back(trace: list, r: ResourceTerm) -> ResourceTerm:
+    """The derivation of the subject that r, a derivation of its normal
+    form, reads back to, along the trace."""
+    return _back(trace, r)[0]
 
 
-def _with_domain(a: IArrow, dom: SeqType, i: int) -> IArrow:
-    """a with dom for its i-th domain, counting along the codomains."""
-    if i:
-        return IArrow(a.domain, _with_domain(a.codomain, dom, i - 1))
-    return IArrow(dom, a.codomain)
+def _back(run: list, r: ResourceTerm) -> tuple[ResourceTerm, list]:
+    """The derivation a run gives at r, a derivation of the normal form it
+    reaches, and its uses of the arguments pending outside it: (the
+    application, the copy an occurrence received, the uses the copy
+    holds), in the order of the occurrences, which is the order of the
+    copies in the application's multi.  The run's last step is undone
+    first; only a normal-form argument or body is a call deeper."""
+    last = run[-1]
+    if last[0] == "lam":
+        body, uses = _back(last[3], r.body)
+        d = RLam(last[1], body, last[2])
+    else:
+        doms = []
+        for app in reversed(last[2]):
+            # the last argument first; a loop, not a comprehension, which
+            # would be one more frame deep in the recursion
+            app.copies = []
+            for c in r.args:
+                app.copies.append(_back(app.normal, c))
+            doms.append(tuple(rt_type(c) for c, _ in app.copies))
+            r = r.fn
+        # the head's label takes the types its arguments now conclude
+        d, uses = RVar(last[1], _with_domains(r.label, doms[::-1])), []
+    for i in range(len(run) - 2, -1, -1):
+        step = run[i]
+        if step[0] == "push":
+            app = step[1]
+            d = RApp(d, tuple(c for c, _ in app.copies))
+            for _, held in app.copies:
+                uses.extend(held)
+            app.copies = None
+        elif step[0] == "take":
+            app = step[3]
+            app.copies = [(c, held) for a, c, held in uses if a is app]
+            uses = [use for use in uses if use[0] is not app]
+            d = RLam(step[1], d, step[2])
+        else:
+            d, uses = RVar(step[1], rt_type(d)), [(step[2], d, uses)]
+    return d, uses
 
 
-def _unsubst(t: Term, x: str, r: ResourceTerm, copies: list[ResourceTerm]) -> ResourceTerm:
-    """The derivation of t, the body of a redex binding x, that r, a
-    derivation of what a step made of t, reads back to; the derivations
-    of the argument's copies join copies, left to right."""
-    if x not in free_vars(t):
-        return _renamed(t, r)
-    match t:
-        case Var(_):
-            copies.append(r)
-            return RVar(x, rt_type(r))
-        case Lam(y, b, ann):
-            return RLam(y, _unsubst(b, x, r.body, copies), ann)
-        case App(f, a):
-            fn = _unsubst(f, x, r.fn, copies)
-            return RApp(fn, tuple(_unsubst(a, x, c, copies) for c in r.args))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _renamed(t: Term, r: ResourceTerm) -> ResourceTerm:
-    """r, a derivation of a term that differs from t at most in the names
-    of its binders, with t's names."""
-    match t:
-        case Var(x):
-            return r if r.name == x else RVar(x, r.label)
-        case Lam(x, b, ann):
-            body = _renamed(b, r.body)
-            return r if x == r.binder and body is r.body else RLam(x, body, ann)
-        case App(f, a):
-            fn, args = _renamed(f, r.fn), tuple(_renamed(a, c) for c in r.args)
-            return r if fn is r.fn and args == r.args else RApp(fn, args)
-    raise TypeError(f"not a term: {t!r}")
+def _with_domains(a: IType, doms: list[SeqType]) -> IType:
+    """a with doms for its first domains, counting along the codomains."""
+    if not doms:
+        return a
+    rest = _with_domains(a.codomain, doms[1:])
+    return a if doms[0] == a.domain and rest is a.codomain else IArrow(doms[0], rest)
 
 
 ####################################################################
@@ -430,14 +422,16 @@ def witness_set(term: Term, theta: ResourceContext,
     the term annotated, its binders distinct and apart from the context's
     names, theta over the context's variables and refining them, and alpha
     refining the term's type.  Nothing is checked here."""
-    steps, normal = _normalized(term, {x for x, _, _ in theta.entries})
+    if is_beta_normal(term):
+        normal, trace = term, None
+    else:
+        normal, trace = _normalized(term, {x for x, _, _ in theta.entries})
     # a start context fixes the variables that are not free in the term
     # too, which must be used up
     start = {x: (seq, True) for x, seq, _ in theta.entries}
     target = _Pos(alpha) if isinstance(alpha, IArrow) else alpha
-    run = _Run(start)
-    return [(_read_back(steps, normal, r), r)
-            for r, _ in _enum(normal, start, target, run, frozenset(start))]
+    found = _enum(normal, start, target, _Run(), frozenset(start))
+    return [(r if trace is None else _read_back(trace, r), r) for r, _ in found]
 
 
 # The enumerator threads the context through a normal term, left to right,
@@ -463,35 +457,23 @@ Target = IType | _Pos
 
 
 class _Run:
-    """One enumeration: the context's variable names, which decide where a
-    subproblem is kept (at), and the labels of each bag value (_takes).
-    What it keeps itself dies with it."""
+    """One enumeration: the subproblems it solves at each subterm (at) and
+    the labels of each bag value (_takes).  All of it dies with the run."""
 
-    __slots__ = ("names", "labels", "_tables")
+    __slots__ = ("labels", "_tables")
 
-    def __init__(self, names):
-        self.names = frozenset(names)
+    def __init__(self):
         self.labels: dict[IType, tuple[IType, ...]] = {}
         self._tables: dict[Term, dict] = {}
 
     def at(self, t: Term) -> dict:
-        """The dict that keeps the subproblems solved at t: t's memo when t
-        names none of the context's variables, since a later query under
-        other names meets t again, and otherwise one of the run's own, since
-        a repeat is answered from collapse's report and a fresh query
-        renames its context.  A subproblem's key is the same in either."""
-        if self.names.isdisjoint(free_vars(t)):
-            return memo(t)
-        kept = self._tables.get(t)
-        if kept is None:
-            kept = self._tables[t] = {}
-        return kept
+        """The dict that keeps the subproblems solved at t."""
+        return self._tables.setdefault(t, {})
 
 
-# A subproblem is kept where the run says, under (the entries of its
-# term's free variables, target, which of them must be used up), as a list
-# of (derivation, what it leaves of each entry); the other keys in a term's
-# memo are strings or start with one.
+# A subproblem is kept in the run's table for its term, under (the entries
+# of the term's free variables, target, which of them must be used up), as
+# a list of (derivation, what it leaves of each entry).
 def _enum(term: Term, ctx: Ctx, alpha: Target, run: _Run,
           must: frozenset[str]) -> Found:
     fvs, kept = free_vars(term), run.at(term)

@@ -40,7 +40,7 @@ the cyclic collector could free.
 
 A family may also declare a slot _memo, read through memo: a dict of
 values that depend on more than the node, each under a key naming what it
-depends on, such as the subproblems the enumerator solved at the node or the
+depends on, such as the coefficient wrel found at a normal form or the
 type annotate found for it under given variable types.  Its owners check
 that a value still applies before they use it, and like a fact a value
 never points back at its node.
@@ -55,18 +55,15 @@ derives for itself alone dies with the call.  A query whose text was
 dropped is answered afresh.  A node keeps only what a later query reads:
 the answer a query kept, in counts alone (collapse's witness count,
 classes and degrees and its triple count, and wrel's coefficient at the
-normal form), the facts, and the subproblems the witness enumerator
-(derivation) solves at a subterm of a normal form that names none of
-the query's context variables, such as a bound variable, which a later
-query under other names meets again.  What a call derives for itself alone are the
-subproblems the enumerator solves at the subterms that name the query's
-context variables, since no later query meets those subterms, and every
+normal form), and the facts.  What a call derives for itself alone are
+every subproblem the witness enumerator (derivation) solves and every
 subproblem of the coefficient recursion, each kept in a table of the
-call's; the labels an enumeration gives a bag value; the steps to the
-normal form a query enumerates on; the witnesses themselves, which a
-report holds only while its caller does; and the derivations of the
-normal form they were read back from, which a query reads while it
-partitions and counts, and whose results its report keeps.
+call's; the labels an enumeration gives a bag value; the normal form's
+trace, along which the witnesses are read back; the witnesses
+themselves, which a report holds only while its caller does; and the
+derivations of the normal form they were read back from, which a query
+reads while it partitions and counts, and whose results its report
+keeps.
 """
 
 from __future__ import annotations

@@ -47,7 +47,9 @@ against the term it derives; enumerate_bag_witnesses, the enumeration
 positive_witnesses runs, with its inputs checked; contract, which
 contracts a derivation's redexes, and count_derivation_morphisms, which
 counts the morphisms between derivations of any term through it, the
-oracles of the read-back from the normal form; count_negative_it, the
+oracles of the read-back from the normal form, beside
+stepwise_witness_set, which reads witnesses back one
+leftmost-outermost step at a time; count_negative_it, the
 negative hom-set count of a type; and alpha_eq on terms.
 """
 
@@ -58,7 +60,8 @@ from enum import Enum
 
 from thinspan.syntax import (
     App, Arrow, Base, Lam, SimpleType, Term, TypingContext, Var,
-    annotate, term_to_text, type_to_text,
+    annotate, ensure_distinct_binders, free_vars, fresh_name, is_beta_normal, term_to_text,
+    type_to_text,
 )
 from thinspan.rigidtypes import (
     IArrow, IType, ResourceContext, SeqType, Star, STAR,
@@ -67,8 +70,8 @@ from thinspan.rigidtypes import (
 from thinspan.symmetry import MorphismError, _count_it
 from thinspan.derivation import (
     DerivationError, RApp, RLam, RVar, ResourceTerm, Shape, WitnessSet,
-    _checked_term, _count_morphisms, resource_to_text, rt_occurrence_labels, rt_type,
-    witness_set,
+    _Pos, _Run, _checked_term, _count_morphisms, _enum, resource_to_text,
+    rt_occurrence_labels, rt_type, witness_set,
 )
 from thinspan.groupoid import (
     STAR_ID, ArrowMorphism, CtxMorphism, ITMorphism, SeqMorphism, StarId,
@@ -653,9 +656,12 @@ def contract(r: ResourceTerm) -> ResourceTerm:
     lambda, its application and the binder's occurrences, so this ends.  A
     subterm without a redex comes back as it is.  A contraction that moves
     the occurrences of a binder above the redex leaves that binder's
-    lambda concluding its domain in another order, which no label above it
-    follows, so only the labels of variable heads may tell the contractum
-    from the derivation a derivation of the normal form reads back from."""
+    lambda concluding its domain in another order, so a variable head
+    above it takes the types its arguments now conclude as its label's
+    domains, as the read-back does.  So contract undoes the read-back
+    wherever no contraction moves the occurrences of a binder whose lambda
+    is itself contracted later: there omega_substitute finds a copy whose
+    type no longer matches its occurrence, and raises."""
     match r:
         case RVar():
             return r
@@ -669,7 +675,10 @@ def contract(r: ResourceTerm) -> ResourceTerm:
                 # has one only where a lambda copy lands at a head
                 r2 = omega_substitute(RApp(f2, args2))
                 return contract(r2) if any(isinstance(a, RLam) for a in args2) else r2
-            return r if f2 is f and args2 == args else RApp(f2, args2)
+            if f2 is f and args2 == args:
+                return r
+            dom = tuple(map(rt_type, args2))
+            return RApp(f2 if rt_type(f2).domain == dom else _retyped(f2, dom, 0), args2)
     raise TypeError(f"not a resource term: {r!r}")
 
 
@@ -694,6 +703,146 @@ def count_derivation_morphisms(r1: ResourceTerm, r2: ResourceTerm) -> int:
     """
     a = contract(r1)
     return _count_morphisms(a, a if r2 is r1 else contract(r2))
+
+
+####################################################################
+# the step-by-step read-back
+
+def stepwise_witness_set(term: Term, theta: ResourceContext,
+                         alpha: IType) -> list[tuple[ResourceTerm, ResourceTerm]]:
+    """derivation.witness_set as it read a redex's witnesses back before its
+    reducer traced the normal form: the term reduced one leftmost-outermost
+    step at a time, each intermediate term kept, the normal form's
+    derivations enumerated by derivation's enumerator, and each read back
+    one step at a time, last first.  On a subject already checked."""
+    steps, normal = _normalized(term, {x for x, _, _ in theta.entries})
+    start = {x: (seq, True) for x, seq, _ in theta.entries}
+    target = _Pos(alpha) if isinstance(alpha, IArrow) else alpha
+    return [(_read_back(steps, normal, r), r)
+            for r, _ in _enum(normal, start, target, _Run(), frozenset(start))]
+
+
+def _normalized(term: Term, reserved: set[str]) -> tuple[list[Term], Term]:
+    """The terms term passes through on its way to its beta-normal form,
+    one leftmost-outermost step apart, term first and the normal form
+    last; and the normal form with its binders made distinct and apart
+    from reserved, which the enumerator needs."""
+    steps = [term]
+    while not is_beta_normal(term):
+        term = _step(term)
+        steps.append(term)
+    return steps, ensure_distinct_binders(term, reserved)
+
+
+def _step(t: Term) -> Term:
+    """t with its leftmost-outermost redex contracted; t has one."""
+    match t:
+        case Lam(x, b, ann):
+            return Lam(x, _step(b), ann)
+        case App(Lam(x, b, _), a):
+            return _subst(b, x, a)
+        case App(f, a):
+            return App(f, _step(a)) if is_beta_normal(f) else App(_step(f), a)
+    raise TypeError(f"not a term with a redex: {t!r}")
+
+
+def _subst(t: Term, x: str, n: Term) -> Term:
+    """t with n for each free occurrence of x, a binder of t that is free
+    in n renamed."""
+    if x not in free_vars(t):
+        return t
+    match t:
+        case Var(_):
+            return n
+        case App(f, a):
+            return App(_subst(f, x, n), _subst(a, x, n))
+        case Lam(y, b, ann):
+            if y in free_vars(n):
+                y2 = fresh_name(y, {*free_vars(n), *free_vars(b)})
+                y, b = y2, _subst(b, y, Var(y2))
+            return Lam(y, _subst(b, x, n), ann)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _read_back(steps: list[Term], normal: Term, r: ResourceTerm) -> ResourceTerm:
+    """The derivation of steps[0] that r, a derivation of normal, reads back
+    to: the binders that normal renamed given their names back, then each
+    step undone, last first."""
+    if normal is not steps[-1]:
+        r = _renamed(steps[-1], r)
+    for t in reversed(steps[:-1]):
+        r = _back(t, r)
+    return r
+
+
+def _back(t: Term, r: ResourceTerm) -> ResourceTerm:
+    """The derivation of t that r, a derivation of _step(t), reads back to."""
+    match t:
+        case Lam(x, b, ann):
+            return RLam(x, _back(b, r.body), ann)
+        case App(Lam(x, b, ann), _):
+            copies: list[ResourceTerm] = []
+            body = _unsubst(b, x, r, copies)
+            return RApp(RLam(x, body, ann), tuple(copies))
+        case App(f, _) if not is_beta_normal(f):
+            return RApp(_back(f, r.fn), r.args)
+        case App(f, a):
+            # f's head is a variable, whose label takes the types the
+            # copies now conclude
+            args = tuple(_back(a, c) for c in r.args)
+            dom = tuple(map(rt_type, args))
+            fn = r.fn if rt_type(r.fn).domain == dom else _retyped(r.fn, dom, 0)
+            return RApp(fn, args)
+    raise TypeError(f"not a term with a redex: {t!r}")
+
+
+def _retyped(f: ResourceTerm, dom: SeqType, i: int) -> ResourceTerm:
+    """f, a spine whose head is a variable, with dom for the domain of the
+    head's label that the i-th multi after f's own meets."""
+    if isinstance(f, RApp):
+        return RApp(_retyped(f.fn, dom, i + 1), f.args)
+    return RVar(f.name, _with_domain(f.label, dom, i))
+
+
+def _with_domain(a: IArrow, dom: SeqType, i: int) -> IArrow:
+    """a with dom for its i-th domain, counting along the codomains."""
+    if i:
+        return IArrow(a.domain, _with_domain(a.codomain, dom, i - 1))
+    return IArrow(dom, a.codomain)
+
+
+def _unsubst(t: Term, x: str, r: ResourceTerm, copies: list[ResourceTerm]) -> ResourceTerm:
+    """The derivation of t, the body of a redex binding x, that r, a
+    derivation of what a step made of t, reads back to; the derivations
+    of the argument's copies join copies, left to right."""
+    if x not in free_vars(t):
+        return _renamed(t, r)
+    match t:
+        case Var(_):
+            copies.append(r)
+            return RVar(x, rt_type(r))
+        case Lam(y, b, ann):
+            return RLam(y, _unsubst(b, x, r.body, copies), ann)
+        case App(f, a):
+            fn = _unsubst(f, x, r.fn, copies)
+            return RApp(fn, tuple(_unsubst(a, x, c, copies) for c in r.args))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _renamed(t: Term, r: ResourceTerm) -> ResourceTerm:
+    """r, a derivation of a term that differs from t at most in the names
+    of its binders, with t's names."""
+    match t:
+        case Var(x):
+            return r if r.name == x else RVar(x, r.label)
+        case Lam(x, b, ann):
+            body = _renamed(b, r.body)
+            return r if x == r.binder and body is r.body else RLam(x, body, ann)
+        case App(f, a):
+            fn, args = _renamed(f, r.fn), tuple(_renamed(a, c) for c in r.args)
+            return r if fn is r.fn and args == r.args else RApp(fn, args)
+    raise TypeError(f"not a term: {t!r}")
+
 
 
 ####################################################################

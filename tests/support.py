@@ -158,6 +158,28 @@ def positive_source_point(k: int):
     return "\\h:o->o. f h", {"f": f"[{d}-o*]"}, "f:(o->o)->o", f"{d}-o*"
 
 
+def church_tower_point(m: int):
+    """`(\\f:(o->o)->o->o. \\x:o->o. f (... (f x))) (\\h:o->o. \\z:o. h (h z)) g y`,
+    m copies of f, at g:[2^m x ([*]-o*)], y:[*]: the numeral two composed
+    m times, whose normal form `g (... (g y))` is 2^m deep.  The
+    coefficient is 1."""
+    body = "x"
+    for _ in range(m):
+        body = f"f {body}" if body == "x" else f"f ({body})"
+    return (f"(\\f:(o->o)->o->o. \\x:o->o. {body}) (\\h:o->o. \\z:o. h (h z)) g y",
+            {"g": "[" + ",".join(["[*]-o*"] * 2 ** m) + "]", "y": "[*]"})
+
+
+def third_order_label_point(k: int):
+    """`F (\\h:o->o. f h)` at F:[[[D]-o*]-o*], f:[[D]-o*], result *, with D
+    the k distinct elements of positive_source_point: F's label lists all
+    k! orders of D, of which one takes the argument.  The coefficient is
+    1."""
+    d = "[" + ",".join(f"{stars(i)}-o*" for i in range(k)) + "]"
+    return ("F (\\h:o->o. f h)", {"F": f"[[{d}-o*]-o*]", "f": f"[{d}-o*]"},
+            "F:((o->o)->o)->o, f:(o->o)->o")
+
+
 def higher_order_cut_point(n: int = 1):
     """`(\\k:(o->o)->o. k g) (\\h:o->o. h y)` at g:[[*^n]-o*], y:[*^n]: the
     argument is a lambda whose binder has an arrow type, so its copies

@@ -91,6 +91,7 @@ PATHS_APART = {
 }
 DEGREE_READS = {"total", "positive", "negative", "class_endos"}
 TRIPLE_COUNTS = {"count_positive_it", "count_negative_seq"}
+SYNTAX_REDUCER = {"beta_normalize", "substitute", "_nf", "_whnf"}
 
 
 def imported_modules(tree: ast.Module) -> set[str]:
@@ -115,6 +116,11 @@ def test_the_counting_paths_stay_apart():
     # its own key, not with the triple count's counts
     counts = {name for _, name, _ in imports(parse("derivation"))} & TRIPLE_COUNTS
     assert not counts, sorted(counts)
+    # the witness path reaches its normal form with its own reducer, not
+    # with the one whose normal form the coefficient reads
+    reducer = {name for source, name, _ in imports(parse("derivation"))
+               if source == "thinspan.syntax"} & SYNTAX_REDUCER
+    assert not reducer, sorted(reducer)
 
 
 def definitions(tree: ast.Module):
