@@ -142,8 +142,9 @@ def witnesses(ctx_text, term_text, type_text, point_arg, as_json) -> None:
         "witnesses": [{"term": resource_to_text(w.derivation), "ctx": ctx_to_text(w.theta),
                        "type": it_to_text(w.alpha)} for w in report.witnesses],
         "count": report.wit_plus,
+        # classes in the order of their first witnesses
         "classes": [{"witnesses": list(cls), "size": len(cls), "endomorphisms": endos}
-                    for cls, endos in zip(report.classes, report.class_endos)],
+                    for cls, endos in sorted(zip(report.classes, report.class_endos))],
         "degrees": {part: {"total": d.total, "positive": d.positive, "negative": d.negative}
                     for part, d in (("ctx", report.ctx_degrees), ("result", report.res_degrees))},
         "triples": report.esp,
@@ -153,9 +154,9 @@ def witnesses(ctx_text, term_text, type_text, point_arg, as_json) -> None:
         f"canonical point: {obj['canonical']['ctx']} |- {obj['canonical']['type']}",
         f"positive witnesses: {report.wit_plus} (exact)",
     ]
-    for i, (cls, endos) in enumerate(zip(report.classes, report.class_endos), 1):
-        lines.append(f"class {i}: size {len(cls)}, {endos} endomorphisms")
-        lines += ["  " + obj["witnesses"][j]["term"] for j in cls]
+    for i, cls in enumerate(obj["classes"], 1):
+        lines.append(f"class {i}: size {cls['size']}, {cls['endomorphisms']} endomorphisms")
+        lines += ["  " + obj["witnesses"][j]["term"] for j in cls["witnesses"]]
     _emit(obj, as_json, lines)
 
 
@@ -171,10 +172,10 @@ def weight(ctx_text, term_text, type_text, point_arg, as_json) -> None:
         report = positive_witnesses(subject)
         by_classes = weight_by_classes(report)
     obj = {"coefficient": coeff.value, "witnesses": report.wit_plus, "class_weighted": by_classes,
-           "classes": len(report.classes), "triples": report.esp}
+           "classes": len(report.class_sizes), "triples": report.esp}
     _emit(obj, as_json, [
         f"coefficient: {obj['coefficient']}",
-        f"positive witnesses: {report.wit_plus} in {len(report.classes)} classes",
+        f"positive witnesses: {report.wit_plus} in {len(report.class_sizes)} classes",
         f"class-weighted sum: {by_classes}",
         f"witness triples: {report.esp}",
     ])
@@ -253,7 +254,7 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
                                         entry.get("type"), lambda: entry["point"])
             rep = verify_identities(ctx, term, point, expected=entry.get("expected"))
         elapsed = time.monotonic() - started
-        found, classes = rep.report.wit_plus, len(rep.report.classes)
+        found, classes = rep.report.wit_plus, len(rep.report.class_sizes)
         results.append({
             "name": name, "ok": rep.ok, "coefficient": rep.wrel.value, "witnesses": found,
             "classes": classes, "seconds": round(elapsed, 3),

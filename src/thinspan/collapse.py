@@ -35,19 +35,23 @@ A repeated query is answered from what the first one kept in the term's
 memo (interning.memo), which dies with the term.  Every identity checked
 here is a statement about numbers, so a query keeps counts, not
 witnesses: keyed by the canonical point's entries and its result,
-positive_witnesses keeps the witness count, the classes as tuples of
-witness indices, the class degrees and both points' degrees, and
-esp_explicit keeps its triple count, keyed by the point, which fixes the
-witnesses.  Nothing kept holds a derivation, a resource term or a context.
-A report read back lists its witnesses only when asked for them, by
-enumerating again, which gives the same witnesses in the same order.  Each
-computation keeps only its own result, under keys of its own, so the
-witness count, the class-weighted sum, the triple count and the wrel
-coefficient still come from separate computations.  A witness keeps no
-context and no result: both are read off its derivation when asked for.
-A report that lists its witnesses carries the contexts it read to sort
-them, which esp_explicit reads instead, so a query reads each witness's
-context once.
+positive_witnesses keeps the witness count, the size and the degree of
+each class and both points' degrees, and esp_explicit keeps its triple
+count, keyed by the point, which fixes the witnesses.  Nothing kept holds
+a derivation, a resource term or a context.  Each computation keeps only
+its own result, under keys of its own, so the witness count, the
+class-weighted sum, the triple count and the wrel coefficient still come
+from separate computations.
+
+A report holds its witnesses' derivations in the enumerator's order, and
+each one's class.  The checks read the class sizes and the derivations
+in that order, so verify orders no witness and renders no derivation's
+text.  Only when the witnesses or the classes are read does the report
+sort the witnesses by _witness_key, once, and index the classes into
+that order.  A report read back from the memo holds no derivation, and
+enumerates again when they are read, which gives the same witnesses in
+the same order.  A witness keeps no context and no result: both are read
+off its derivation when asked for.
 """
 
 from __future__ import annotations
@@ -91,38 +95,67 @@ class PositiveWitness(Record):
 
 
 class WitnessReport(Record):
-    # wit_plus is the number of witnesses, classes their indices per class,
-    # class_endos deg(s) per class, and ctx_degrees and res_degrees those of
-    # the canonical context and result type.  _witnesses holds the
-    # witnesses, and _thetas each one's context when sorting them read the
-    # contexts: given by the call that enumerated them, and listed on first
-    # access on a report read back from the memo, which keeps neither.
-    __slots__ = ("subject", "wit_plus", "classes", "class_endos", "ctx_degrees",
-                 "res_degrees", "_witnesses", "_thetas")
+    # wit_plus is the number of witnesses, class_sizes and class_endos the
+    # size and deg(s) of each class, in the order of their first members in
+    # the enumerator's order, and ctx_degrees and res_degrees those of the
+    # canonical context and result type.  _found holds what the enumeration
+    # found: the witnesses' derivations in the enumerator's order and each
+    # one's class; _listing the witnesses sorted and the classes indexed
+    # into them.  The call that enumerated gives _found, and a report read
+    # back from the memo, which keeps neither, enumerates again when either
+    # is first read.
+    __slots__ = ("subject", "wit_plus", "class_sizes", "class_endos", "ctx_degrees",
+                 "res_degrees", "_found", "_listing")
 
-    def __init__(self, subject: Subject, wit_plus: int, classes: tuple[tuple[int, ...], ...],
+    def __init__(self, subject: Subject, wit_plus: int, class_sizes: tuple[int, ...],
                  class_endos: tuple[int, ...], ctx_degrees: Degrees, res_degrees: Degrees,
-                 _witnesses: tuple[PositiveWitness, ...] | None = None,
-                 _thetas: tuple[ResourceContext, ...] | None = None):
+                 _found: tuple | None = None):
         object.__setattr__(self, "subject", subject)
         object.__setattr__(self, "wit_plus", wit_plus)
-        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "class_sizes", class_sizes)
         object.__setattr__(self, "class_endos", class_endos)
         object.__setattr__(self, "ctx_degrees", ctx_degrees)
         object.__setattr__(self, "res_degrees", res_degrees)
-        object.__setattr__(self, "_witnesses", _witnesses)
-        object.__setattr__(self, "_thetas", _thetas)
+        object.__setattr__(self, "_found", _found)
+        object.__setattr__(self, "_listing", None)
+
+    @property
+    def derivations(self) -> tuple[ResourceTerm, ...]:
+        """The witnesses' derivations, in the enumerator's order."""
+        if self._found is None:
+            object.__setattr__(self, "_found", _enumerated(self.subject)[:2])
+        return self._found[0]
 
     @property
     def witnesses(self) -> tuple[PositiveWitness, ...]:
-        """The witnesses in the order of _witness_key.  A report read back
-        from the memo enumerates them on first access, once, which gives the
-        witnesses the first query found."""
-        if self._witnesses is None:
-            witnesses, thetas, _ = _listed(self.subject)
-            object.__setattr__(self, "_witnesses", witnesses)
-            object.__setattr__(self, "_thetas", thetas)
-        return self._witnesses
+        """The witnesses in the order of _witness_key, sorted on first read.
+        A report read back from the memo enumerates them first, once, which
+        gives the witnesses the first query found."""
+        return self._listed()[0]
+
+    @property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """Per class, in the order of class_sizes, the indices of its
+        members in witnesses."""
+        return self._listed()[1]
+
+    def _listed(self) -> tuple:
+        if self._listing is None:
+            derivations, class_of = self.derivations, self._found[1]
+            shape = self.subject.ctx.bindings
+            order = range(len(derivations))
+            # a lone witness is not keyed, which would read its context
+            if len(derivations) > 1:
+                keys = [_witness_key(rt_context(shape, d), rt_type(d), resource_to_text(d))
+                        for d in derivations]
+                order = sorted(order, key=keys.__getitem__)
+            members: list[list[int]] = [[] for _ in self.class_sizes]
+            for j, i in enumerate(order):
+                members[class_of[i]].append(j)
+            object.__setattr__(self, "_listing", (
+                tuple(PositiveWitness(derivations[i], shape) for i in order),
+                tuple(map(tuple, members))))
+        return self._listing
 
     @property
     def esp(self) -> int:
@@ -149,44 +182,40 @@ def positive_witnesses(subject: Subject) -> WitnessReport:
     domains.  Each derivation of the normal form is read back into one d of
     the term, which concludes its own context theta, read off its
     occurrences, and its own result alpha, its rt_type.  Witnesses are
-    ordered by _witness_key, and classed and counted by the normal form's
-    derivations.  The report's counts, every field but the subject and the
-    witnesses, are kept in the term's memo, and a later query at the same
-    point reads them back.  Such a report lists its witnesses only if they
-    are read.
+    classed and counted by the normal form's derivations, and kept in the
+    enumerator's order: the report sorts them by _witness_key only when
+    they are read.  The report's counts, every field but the subject, are
+    kept in the term's memo, and a later query at the same point reads them
+    back.  Such a report lists its witnesses only if they are read.
     """
     kept = memo(subject.term)
     point = ("witnesses", subject.gamma.entries, subject.result)
     counts = kept.get(point)
     if counts is not None:
         return WitnessReport(subject, *counts)
-    witnesses, thetas, normal = _listed(subject)
-    classes = partition_by_symmetry(normal)
-    index = {d: i for i, d in enumerate(normal)}
-    class_ix = tuple(tuple(sorted(index[d] for d in cls)) for cls in classes)
-    endos = tuple(endo_count(cls[0]) for cls in classes)
-    counts = (len(witnesses), class_ix, endos, sym_degrees_ctx(subject.gamma),
-              sym_degrees_it(subject.result, subject.ty))
+    derivations, class_of, classes = _enumerated(subject)
+    counts = (len(derivations), tuple(map(len, classes)),
+              tuple([endo_count(cls[0]) for cls in classes]),
+              sym_degrees_ctx(subject.gamma), sym_degrees_it(subject.result, subject.ty))
     kept[point] = counts
-    return WitnessReport(subject, *counts, witnesses, thetas)
+    return WitnessReport(subject, *counts, (derivations, class_of))
 
 
-def _listed(subject: Subject) -> tuple:
-    """The subject's witnesses in the order of _witness_key; their contexts
-    if sorting them read them; and the derivations of the normal form they
-    were read back from, in the same order."""
+def _enumerated(subject: Subject) -> tuple:
+    """The subject's witnesses' derivations in the enumerator's order, the
+    index of each one's class, and the classes of the derivations of the
+    normal form they were read back from, in the order of their first
+    members."""
     found = witness_set(subject.term, subject.gamma, subject.result)
-    shape = subject.ctx.bindings
-    pairs = [(PositiveWitness(d, shape), normal) for d, normal in found]
-    # a lone witness is not keyed, which would read its context
-    thetas = None
-    if len(pairs) > 1:
-        keyed = sorted(((w.theta, w, normal) for w, normal in pairs),
-                       key=lambda p: _witness_key(p[0], p[1].alpha,
-                                                  resource_to_text(p[1].derivation)))
-        thetas = tuple(theta for theta, _, _ in keyed)
-        pairs = [(w, normal) for _, w, normal in keyed]
-    return tuple(w for w, _ in pairs), thetas, [normal for _, normal in pairs]
+    classes = partition_by_symmetry([normal for _, normal in found])
+    class_of = (0,) * len(found)
+    if len(classes) > 1:
+        where = {}
+        for c, cls in enumerate(classes):
+            for normal in cls:
+                where[normal] = c
+        class_of = tuple([where[normal] for _, normal in found])
+    return tuple([d for d, _ in found]), class_of, classes
 
 
 def _witness_key(theta: ResourceContext, alpha: IType, text: str):
@@ -220,40 +249,39 @@ def class_counts_check(report: WitnessReport) -> list[str]:
     """Per class, the size must equal deg+(ctx) * deg-(result) / deg(class)."""
     problems = []
     expected_product = report.ctx_degrees.positive * report.res_degrees.negative
-    for i, cls in enumerate(report.classes):
-        deg = report.class_endos[i]
+    for i, (size, deg) in enumerate(zip(report.class_sizes, report.class_endos)):
         want, rest = divmod(expected_product, deg)
-        if rest or len(cls) != want:
-            problems.append(
-                f"class {i}: size {len(cls)}, expected {expected_product}/{deg}")
+        if rest or size != want:
+            problems.append(f"class {i}: size {size}, expected {expected_product}/{deg}")
     return problems
 
 
 def esp_explicit(report: WitnessReport) -> int:
     """Count witness triples by counting the polarized morphisms.
 
-    For each witness d at (theta, alpha), the negative context morphisms
-    gamma -> theta are counted one variable at a time and multiplied, and
-    the positive morphisms alpha -> a beside them.  The counts are
+    For each witness d at (theta, alpha), in the enumerator's order and
+    with theta read off d once, the negative context morphisms gamma ->
+    theta are counted one variable at a time and multiplied, and the
+    positive morphisms alpha -> a beside them.  The counts are
     permanents and products over the pairs of types, so this never reads a
     degree or a symmetry class.  A witness whose theta or alpha no
     polarized morphism reaches would count 0 here, and the factorization
     would fail.  The count is kept in the term's memo under the point,
     which fixes the witnesses.
     """
-    gamma, a = report.subject.gamma, report.subject.result
-    kept = memo(report.subject.term)
+    subject = report.subject
+    gamma, a = subject.gamma, subject.result
+    kept = memo(subject.term)
     key = ("triples", gamma.entries, a)
     total = kept.get(key)
     if total is None:
         counts: dict = {}
         total = 0
-        witnesses = report.witnesses
-        thetas = report._thetas or [w.theta for w in witnesses]
-        for w, theta in zip(witnesses, thetas):
+        for d in report.derivations:
+            theta = rt_context(subject.ctx.bindings, d)
             negs = prod(count_negative_seq(seq, theta.lookup(x), counts)
                         for x, seq, _ in gamma.entries)
-            total += negs * count_positive_it(w.alpha, a, counts)
+            total += negs * count_positive_it(rt_type(d), a, counts)
         kept[key] = total
     return total
 
@@ -306,7 +334,7 @@ def verify_identities(ctx: TypingContext, term: Term, point: PointSpec,
 
     problems = class_counts_check(report)
     add("class-sizes", not problems, "; ".join(problems) or
-        f"{len(report.classes)} classes as predicted")
+        f"{len(report.class_sizes)} classes as predicted")
 
     esp = esp_explicit(report)
     add("triple-count-factors", esp == report.esp,

@@ -52,13 +52,22 @@ and the occurrences of a variable consume its sequence in order, left to
 right.  So the witness enumerator never guesses how a context splits among
 subterms: it threads the context through the term, and each subterm
 returns, with each of its derivations, what it left of every entry for the
-subterms to its right.  At a binder of a rigid type every entry is a
+subterms to its right.  A call sees the entries of its own term's free
+variables alone, as a tuple in the order of free_vars, and gives back
+what is left of them as a tuple alike, so it copies no entry it does not
+change: a spine maps its entries to each argument's through the
+argument's positions among them, found once per spine, and an argument
+free in the same variables takes them as they are.  A subproblem solved
+once is kept in the run's table and given back as it was found to every
+call that meets it again.  At a binder of a rigid type every entry is a
 sequence and what is left of it a suffix.  Each context variable's entry
 is a bag: an occurrence takes any one of its values, labelled by any
 negative target of that value, so one enumeration finds the derivations
 at every rigid context a negative morphism reaches from the start, and
-each derivation's context is read off its labels.  The run lists a
-value's targets, read off the value alone, once.  The result is read alike
+each derivation's context is read off its labels.  A bag is canonical, so
+equal values sit together and an occurrence tries each distinct value
+once.  The run lists a value's targets, read off the value alone, once.
+The result is read alike
 (_Pos, by polar_class), and each derivation's result is its rt_type.
 enumerate_witnesses, at one rigid point, keeps those of the read-back
 derivations that conclude it exactly.
@@ -96,7 +105,7 @@ from typing import NamedTuple
 from .interning import Node, Record, fact
 from .syntax import (
     App, Lam, SimpleType, Term, TypingContext, Var,
-    annotate, binder_names, free_vars, fresh_name, is_beta_normal, spine, type_to_text,
+    annotate, binder_names, free_vars, fresh_name, is_beta_normal, type_to_text,
 )
 from .rigidtypes import (
     IArrow, IType, ResourceContext, SeqType,
@@ -423,29 +432,44 @@ def witness_set(term: Term, theta: ResourceContext,
     names, theta over the context's variables and refining them, and alpha
     refining the term's type.  Nothing is checked here."""
     if is_beta_normal(term):
-        normal, trace = term, None
-    else:
-        normal, trace = _normalized(term, {x for x, _, _ in theta.entries})
+        return [(r, r) for r in _normal_witnesses(term, theta, alpha)]
+    normal, trace = _normalized(term, {x for x, _, _ in theta.entries})
+    return [(_read_back(trace, r), r) for r in _normal_witnesses(normal, theta, alpha)]
+
+
+def _normal_witnesses(normal: Term, theta: ResourceContext, alpha: IType) -> list[ResourceTerm]:
+    """The derivations of a normal term that witness_set reads back, in the
+    enumerator's order."""
+    fvs = free_vars(normal)
+    bags = {x: seq for x, seq, _ in theta.entries}
     # a start context fixes the variables that are not free in the term
     # too, which must be used up
-    start = {x: (seq, True) for x, seq, _ in theta.entries}
+    if len(bags) > len(fvs) and any(seq for x, seq in bags.items() if x not in fvs):
+        return []
+    start = tuple([(bags[x], True) for x in fvs])
     target = _Pos(alpha) if isinstance(alpha, IArrow) else alpha
-    found = _enum(normal, start, target, _Run(), frozenset(start))
-    return [(r if trace is None else _read_back(trace, r), r) for r, _ in found]
+    return [r for r, _ in _enum(normal, start, target, _Run(), (True,) * len(fvs))]
 
 
 # The enumerator threads the context through a normal term, left to right,
 # as the occurrences consume it: each call takes what the subterms to its
 # left did not consume, and returns every derivation paired with what it
-# leaves in turn.  A context maps each variable in scope to its entry: what
-# is left of it and its kind: a bag (True), whose values the occurrences
-# take in any order, or a sequence (False), which they consume in order.
-# Binders are sequences, but a lambda at _Pos makes its binder a bag.  A
-# target is a rigid type or _Pos.  A call must use up the variables in
-# `must`; the others it may leave to the subterms to its right.
+# leaves in turn.  A call sees only the entries of its term's free
+# variables, a tuple in the order of free_vars, and `must`, a tuple of
+# flags in that order, names those it must use up; the others it may leave
+# to the subterms to its right.  An entry is what is left of a variable
+# and its kind: a bag (True), whose values the occurrences take in any
+# order, or a sequence (False), which they consume in order.  Binders are
+# sequences, but a lambda at _Pos makes its binder a bag.  Every bag is
+# canonical, an entry of the point or a domain of its result, and taking a
+# value keeps it so.  A target is a rigid type or _Pos.  A spine maps its
+# state, the entries of its own free variables, to each argument's and
+# back through the argument's positions in it, found once per spine; an
+# argument whose free variables are the spine's, the same tuple, takes
+# the state as it is.
 Entry = tuple[SeqType, bool]
-Ctx = dict[str, Entry]
-Found = list[tuple[ResourceTerm, Ctx]]
+Entries = tuple[Entry, ...]
+Found = list[tuple[ResourceTerm, Entries]]
 
 
 class _Pos(NamedTuple):
@@ -457,45 +481,29 @@ Target = IType | _Pos
 
 
 class _Run:
-    """One enumeration: the subproblems it solves at each subterm (at) and
-    the labels of each bag value (_takes).  All of it dies with the run."""
+    """One enumeration: the subproblems it solves, each kept under (its
+    term, entries, target, must) as the list of what it found, and the
+    labels of each bag value (_takes).  All of it dies with the run."""
 
-    __slots__ = ("labels", "_tables")
+    __slots__ = ("labels", "solved")
 
     def __init__(self):
         self.labels: dict[IType, tuple[IType, ...]] = {}
-        self._tables: dict[Term, dict] = {}
-
-    def at(self, t: Term) -> dict:
-        """The dict that keeps the subproblems solved at t."""
-        return self._tables.setdefault(t, {})
+        self.solved: dict[tuple, Found] = {}
 
 
-# A subproblem is kept in the run's table for its term, under (the entries
-# of the term's free variables, target, which of them must be used up), as
-# a list of (derivation, what it leaves of each entry).
-def _enum(term: Term, ctx: Ctx, alpha: Target, run: _Run,
-          must: frozenset[str]) -> Found:
-    fvs, kept = free_vars(term), run.at(term)
-    if any(ctx[x][0] for x in must if x not in fvs):
-        return []
-    key = (tuple(ctx[x] for x in fvs), alpha, tuple(x in must for x in fvs))
-    hit = kept.get(key)
-    if hit is None:
-        hit = kept[key] = [
-            (r, tuple(left[x] for x in fvs))
-            for r, left in _enum_raw(term, ctx, alpha, run, must)]
-    out = []
-    for r, entries in hit:
-        left = dict(ctx)
-        left.update(zip(fvs, entries))
-        out.append((r, left))
-    return out
+def _enum(term: Term, entries: Entries, alpha: Target, run: _Run,
+          must: tuple[bool, ...]) -> Found:
+    key = (term, entries, alpha, must)
+    found = run.solved.get(key)
+    if found is None:
+        found = run.solved[key] = _enum_raw(term, entries, alpha, run, must)
+    return found
 
 
-def _enum_raw(term: Term, ctx: Ctx, alpha: Target, run: _Run,
-              must: frozenset[str]) -> Found:
-    if isinstance(term, Lam):
+def _enum_raw(term: Term, entries: Entries, alpha: Target, run: _Run,
+              must: tuple[bool, ...]) -> Found:
+    if type(term) is Lam:
         if isinstance(alpha, IArrow):
             entry, body_alpha = (alpha.domain, False), alpha.codomain
         elif isinstance(alpha, _Pos):
@@ -503,26 +511,42 @@ def _enum_raw(term: Term, ctx: Ctx, alpha: Target, run: _Run,
             body_alpha = _Pos(c) if isinstance(c, IArrow) else c
         else:
             return []
-        return [(RLam(term.binder, r, term.annot), left)
-                for r, left in _enum(term.body, {**ctx, term.binder: entry}, body_alpha, run,
-                                     must | {term.binder})]
-    head, args = spine(term)
-    return _enum_spine(head.name, args, ctx, alpha, run, must)
+        x, annot, inner = term.binder, term.annot, free_vars(term.body)
+        out: Found = []
+        if x not in inner:
+            # the body's free variables are the lambda's, and the binder's
+            # entry must be empty already
+            if not entry[0]:
+                for r, left in _enum(term.body, entries, body_alpha, run, must):
+                    out.append((RLam(x, r, annot), left))
+            return out
+        i = inner.index(x)
+        for r, left in _enum(term.body, entries[:i] + (entry,) + entries[i:], body_alpha, run,
+                             must[:i] + (True,) + must[i:]):
+            out.append((RLam(x, r, annot), left[:i] + left[i + 1:]))
+        return out
+    return _enum_spine(term, entries, alpha, run, must)
 
 
 def _takes(seq: SeqType, bag: bool, run: _Run) -> list[tuple[IType, SeqType]]:
     """The labels one occurrence may take from an entry, each with what it
     leaves: a sequence's first element, or any distinct value of a bag,
-    labelled by any of its negative targets, which the run lists once."""
+    labelled by any of its negative targets, which the run lists once.  A
+    bag is canonical, so a value equal to the one before it is skipped."""
     if not bag:
         return [(seq[0], seq[1:])] if seq else []
-    labels = run.labels
-    for v in seq:
-        if v not in labels:
-            labels[v] = neg_targets_it(v)
-    return [(label, seq[:i] + seq[i + 1:])
-            for i, v in enumerate(seq) if seq.index(v) == i
-            for label in labels[v]]
+    labels, out, last = run.labels, [], None
+    for i, v in enumerate(seq):
+        if v is last:
+            continue
+        last = v
+        listed = labels.get(v)
+        if listed is None:
+            listed = labels[v] = neg_targets_it(v)
+        rest = seq[:i] + seq[i + 1:]
+        for label in listed:
+            out.append((label, rest))
+    return out
 
 
 def _fits(beta: IType, alpha: Target) -> bool:
@@ -533,53 +557,87 @@ def _fits(beta: IType, alpha: Target) -> bool:
     return beta == alpha
 
 
-def _enum_spine(name: str, args: list[Term], ctx: Ctx, alpha: Target,
-                run: _Run, must: frozenset[str]) -> Found:
-    seq, bag = ctx[name]
-    if not args and name in must and len(seq) > 1:
+def _enum_spine(term: Term, entries: Entries, alpha: Target, run: _Run,
+                must: tuple[bool, ...]) -> Found:
+    fvs, args = free_vars(term), []
+    while type(term) is App:
+        args.append(term.arg)
+        term = term.fn
+    name = term.name
+    h = fvs.index(name)
+    seq, bag = entries[h]
+    takes = _takes(seq, bag, run)
+    if not takes:
         return []
-    # an argument must use up what must names and no argument after it does
-    musts, later = [], set()
-    for arg in reversed(args):
-        musts.append(must - later)
-        later.update(free_vars(arg))
-    musts.reverse()
+    # per argument, right to left: where its free variables sit in the
+    # spine's, or None where they are the spine's, and which of them it
+    # must use up: those that must be, and that no argument after it uses
+    plans, later = [], set()
+    for arg in args:
+        arg_fvs = free_vars(arg)
+        where, arg_must = tuple(map(fvs.index, arg_fvs)), []
+        for x, j in zip(arg_fvs, where):
+            arg_must.append(must[j] and x not in later)
+        plans.append((arg, None if arg_fvs is fvs else where, tuple(arg_must)))
+        later.update(arg_fvs)
+    plans.reverse()
+    if must[h] and name not in later and len(seq) > 1:
+        return []
     out: Found = []
-    for label, rest in _takes(seq, bag, run):
+    for label, rest in takes:
         doms: list[SeqType] = []
         cur: IType = label
-        for _ in args:
+        for _ in plans:
             if not isinstance(cur, IArrow):
                 break
             doms.append(cur.domain)
             cur = cur.codomain
-        if len(doms) < len(args) or not _fits(cur, alpha):
+        if len(doms) < len(plans) or not _fits(cur, alpha):
             continue
-        found: Found = [(RVar(name, label), {**ctx, name: (rest, bag)})]
-        for arg, dom, arg_must in zip(args, doms, musts):
-            found = [(RApp(r, m), after) for r, left in found
-                     for m, after in _enum_multi(arg, left, dom, run, arg_must)]
+        found: Found = [(RVar(name, label), entries[:h] + ((rest, bag),) + entries[h + 1:])]
+        for (arg, where, arg_must), dom in zip(plans, doms):
+            step: Found = []
+            for r, state in found:
+                if where is None:
+                    for m, left in _enum_multi(arg, state, dom, run, arg_must):
+                        step.append((RApp(r, m), left))
+                    continue
+                for m, left in _enum_multi(arg, tuple(map(state.__getitem__, where)), dom, run,
+                                           arg_must):
+                    after = list(state)
+                    for j, e in zip(where, left):
+                        after[j] = e
+                    step.append((RApp(r, m), tuple(after)))
+            found = step
+            if not found:
+                break
         out.extend(found)
     return out
 
 
-def _enum_multi(term: Term, ctx: Ctx, targets: SeqType, run: _Run,
-                must: frozenset[str]) -> list[tuple[tuple[ResourceTerm, ...], Ctx]]:
+def _enum_multi(term: Term, entries: Entries, targets: SeqType, run: _Run,
+                must: tuple[bool, ...]) -> list[tuple[tuple[ResourceTerm, ...], Entries]]:
     """One copy of term per target, each enumerated at its target, threaded
     left to right; every copy but the last may leave term's free variables
     to the copies after it."""
+    out: list[tuple[tuple[ResourceTerm, ...], Entries]] = [((), entries)]
     if not targets:
-        return [((), ctx)] if not any(ctx[x][0] for x in must) else []
-    lax = must.difference(free_vars(term))
-    out: list[tuple[tuple[ResourceTerm, ...], Ctx]] = [((), ctx)]
+        for (seq, _), used_up in zip(entries, must):
+            if used_up and seq:
+                return []
+        return out
+    lax, last = (False,) * len(must), len(targets) - 1
     for i, target in enumerate(targets):
-        m = must if i == len(targets) - 1 else lax
+        m = must if i == last else lax
         # loops, not a comprehension, which would be one more frame deep
         # in the recursion
         step = []
         for done, left in out:
-            step.extend((done + (r,), rest) for r, rest in _enum(term, left, target, run, m))
+            for r, rest in _enum(term, left, target, run, m):
+                step.append((done + (r,), rest))
         out = step
+        if not out:
+            break
     return out
 
 

@@ -71,12 +71,22 @@ def count_positive_it(a: IType, b: IType, memo: dict | None = None) -> int:
 
 
 def count_negative_seq(sa: SeqType, sb: SeqType, memo: dict | None = None) -> int:
-    """Any permutation, negative components (a context entry's variance)."""
+    """Any permutation, negative components (a context entry's variance).
+    Each pair of distinct elements is counted once, and equal elements of
+    sa share one row of the matrix."""
     if len(sa) != len(sb):
         return 0
     memo = {} if memo is None else memo
     if (sa, sb) not in memo:
-        memo[sa, sb] = permanent([[_count_it(False, x, y, memo) for y in sb] for x in sa])
+        cols = dict.fromkeys(sb)
+        rows: dict[IType, tuple[int, ...]] = {}
+        for x in sa:
+            if x not in rows:
+                counts = {}
+                for y in cols:
+                    counts[y] = _count_it(False, x, y, memo)
+                rows[x] = tuple(map(counts.__getitem__, sb))
+        memo[sa, sb] = permanent(list(map(rows.__getitem__, sa)))
     return memo[sa, sb]
 
 

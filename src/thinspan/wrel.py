@@ -28,7 +28,10 @@ The inputs are checked before the recursion starts: wrel_coefficient takes
 a Subject from collapse.prepare, which annotated the term and checked the
 point once for every path a query takes.  The recursion reads facts kept
 on the terms (syntax): a term's free variables, sorted, fix the order of
-its bags in the table keys and the leftovers; and the normal form of a
+its bags in the table keys and the leftovers, so a call takes and gives
+back the bags of its term's free variables alone, as a tuple, and a spine
+finds once where each argument's free variables sit among its own; and
+the normal form of a
 redex term is kept on it, so a repeated query normalizes nothing, and
 re-freshening a normal form whose binders are already distinct is no walk.
 Leftovers are kept in a table of the call's, which dies with it.  Of what
@@ -75,10 +78,11 @@ def wrel_coefficient(subject: Subject) -> NatInf:
     # the answer is kept in nf's memo, and the subproblems in a table
     # that dies with this call
     kept = memo(nf)
-    key = ("coefficient", tuple(env[x] for x in fvs), subject.result)
+    bags = tuple(env[x] for x in fvs)
+    key = ("coefficient", bags, subject.result)
     n = kept.get(key)
     if n is None:
-        left = _leftovers(env, nf, subject.result, {})
+        left = _leftovers(bags, nf, subject.result, {})
         n = kept[key] = left.get(((),) * len(fvs), 0)
     return NatInf(n)
 
@@ -88,40 +92,47 @@ def wrel_coefficient(subject: Subject) -> NatInf:
 Leftovers = dict[tuple[SeqType, ...], int]
 
 
-def _leftovers(env: dict[str, SeqType], term: Term, target: IType,
+def _leftovers(bags: tuple[SeqType, ...], term: Term, target: IType,
                solved: dict) -> Leftovers:
-    """The leftovers of term at target, kept in solved under (term, the
-    bags of its free variables, target)."""
-    fvs = free_vars(term)
-    bags = tuple(env[x] for x in fvs)
+    """The leftovers of term at target from bags, the bags of its free
+    variables in sorted name order, kept in solved under (term, bags,
+    target)."""
     key = (term, bags, target)
     hit = solved.get(key)
     if hit is None:
-        hit = solved[key] = _leftovers_raw(dict(zip(fvs, bags)), term, target, solved)
+        hit = solved[key] = _leftovers_raw(bags, term, target, solved)
     return hit
 
 
-def _leftovers_raw(env: dict[str, SeqType], term: Term, target: IType,
+def _leftovers_raw(bags: tuple[SeqType, ...], term: Term, target: IType,
                    solved: dict) -> Leftovers:
-    fvs = free_vars(term)
     if isinstance(term, Lam):
         if not isinstance(target, IArrow):
             return {}
-        x = term.binder
-        inner = _leftovers({**env, x: target.domain}, term.body, target.codomain, solved)
-        body_fvs = free_vars(term.body)
+        x, body_fvs = term.binder, free_vars(term.body)
+        if x not in body_fvs:
+            # the body's free variables are the lambda's, and the binder's
+            # bag, left whole, must be empty
+            return {} if target.domain else _leftovers(bags, term.body, target.codomain, solved)
+        i = body_fvs.index(x)
         out: Leftovers = {}
-        for left, n in inner.items():
-            rest = dict(zip(body_fvs, left))
-            if not rest.get(x, target.domain):
-                out[tuple(rest[y] for y in fvs)] = n
+        for left, n in _leftovers(bags[:i] + (target.domain,) + bags[i:], term.body,
+                                  target.codomain, solved).items():
+            if not left[i]:
+                out[left[:i] + left[i + 1:]] = n
         return out
 
     head, args = spine(term)
     assert isinstance(head, Var), "coefficient recursion expects a beta-normal term"
-    bag = env[head.name]
+    fvs = free_vars(term)
     at = fvs.index(head.name)
-    start = tuple(env[y] for y in fvs)
+    bag = bags[at]
+    # where each argument's free variables sit among the spine's, or None
+    # where they are the spine's, the same tuple
+    wheres = []
+    for arg in args:
+        arg_fvs = free_vars(arg)
+        wheres.append(None if arg_fvs is fvs else tuple(map(fvs.index, arg_fvs)))
     out = {}
     for i, b in enumerate(bag):
         if i and bag[i - 1] == b:
@@ -135,13 +146,17 @@ def _leftovers_raw(env: dict[str, SeqType], term: Term, target: IType,
             cur = cur.codomain
         if len(doms) < len(args) or cur != target:
             continue
-        states: Leftovers = {start[:at] + (bag[:i] + bag[i + 1:],) + start[at + 1:]: 1}
-        for arg, dom in zip(args, doms):
-            where = [fvs.index(y) for y in free_vars(arg)]
+        states: Leftovers = {bags[:at] + (bag[:i] + bag[i + 1:],) + bags[at + 1:]: 1}
+        for arg, where, dom in zip(args, wheres, doms):
             for d in dom:
                 after: Leftovers = {}
                 for state, n in states.items():
-                    for left, m in _leftovers(dict(zip(fvs, state)), arg, d, solved).items():
+                    if where is None:
+                        for left, m in _leftovers(state, arg, d, solved).items():
+                            after[left] = after.get(left, 0) + n * m
+                        continue
+                    for left, m in _leftovers(tuple(map(state.__getitem__, where)), arg, d,
+                                              solved).items():
                         new = list(state)
                         for j, seq in zip(where, left):
                             new[j] = seq

@@ -70,7 +70,7 @@ from thinspan.rigidtypes import (
 from thinspan.symmetry import MorphismError, _count_it
 from thinspan.derivation import (
     DerivationError, RApp, RLam, RVar, ResourceTerm, Shape, WitnessSet,
-    _Pos, _Run, _checked_term, _count_morphisms, _enum, resource_to_text,
+    _checked_term, _count_morphisms, _normal_witnesses, resource_to_text,
     rt_occurrence_labels, rt_type, witness_set,
 )
 from thinspan.groupoid import (
@@ -716,10 +716,7 @@ def stepwise_witness_set(term: Term, theta: ResourceContext,
     derivations enumerated by derivation's enumerator, and each read back
     one step at a time, last first.  On a subject already checked."""
     steps, normal = _normalized(term, {x for x, _, _ in theta.entries})
-    start = {x: (seq, True) for x, seq, _ in theta.entries}
-    target = _Pos(alpha) if isinstance(alpha, IArrow) else alpha
-    return [(_read_back(steps, normal, r), r)
-            for r, _ in _enum(normal, start, target, _Run(), frozenset(start))]
+    return [(_read_back(steps, normal, r), r) for r in _normal_witnesses(normal, theta, alpha)]
 
 
 def _normalized(term: Term, reserved: set[str]) -> tuple[list[Term], Term]:

@@ -18,6 +18,7 @@ import importlib
 import subprocess
 import sys
 import weakref
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -711,6 +712,64 @@ def test_a_kept_query_keeps_its_counts_not_its_witnesses(monkeypatch, cold_memo,
     del first, second, enumerated[:], listed[:]
     gc.collect()
     assert [d() for d in derivations] == [None] * len(derivations)
+
+
+# verify reads counts only: where a point has several witnesses, it renders
+# no derivation's text and keys no witness.  The report sorts its
+# witnesses when they are read, into the order `thinspan witnesses` prints.
+FANOUT_2_WITNESSES = [
+    "g^{<*,*>-o*} <g^{<*>-o*} <g^{<*>-o*} <y^{*}>>,g^{<*>-o*} <g^{<*,*>-o*} <y^{*},y^{*}>>>",
+    "g^{<*,*>-o*} <g^{<*>-o*} <g^{<*,*>-o*} <y^{*},y^{*}>>,g^{<*>-o*} <g^{<*>-o*} <y^{*}>>>",
+]
+DISTINCT_G_3_WITNESSES = [
+    f"f^{{<*,*,*>-o*}} <{a},{b},{c}>" for a, b, c in permutations(
+        ("g^{<>-o*} <>", "g^{<*>-o*} <y^{*}>", "g^{<*,*>-o*} <y^{*},y^{*}>"))
+]
+
+
+@pytest.mark.parametrize("point, golden", [
+    (fanout_point(2), FANOUT_2_WITNESSES),
+    (distinct_g_point(3), DISTINCT_G_3_WITNESSES),
+], ids=["fanout-2", "distinct-g-3"])
+def test_verify_orders_no_witnesses(cold_memo, point, golden):
+    ctx, term, _, pt = point_subject(*point)
+    watched = {thinspan.derivation.resource_to_text.__code__: "resource_to_text",
+               thinspan.collapse._witness_key.__code__: "_witness_key"}
+    ran = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            ran.append(watched[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        rep = verify_identities(ctx, term, pt)
+    finally:
+        sys.setprofile(None)
+    assert rep.ok and rep.report.wit_plus == len(golden) > 1 and not ran, ran
+    texts = [thinspan.derivation.resource_to_text(w.derivation) for w in rep.report.witnesses]
+    assert texts == golden
+    assert rep.report.classes == (tuple(range(len(golden))),)
+
+
+# Taking from a bag skips a value equal to the one before it: a bag is
+# canonical, so equal values sit together.  A bag of 512 equal values, as
+# the Church tower at m = 9 gives g, is taken from once, and no value's
+# position is looked up.
+def test_a_bag_of_equal_values_is_taken_from_in_one_pass():
+    value = IArrow((STAR,), STAR)
+    looked_up = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "index":
+            looked_up.append(arg)
+
+    sys.setprofile(profile)
+    try:
+        takes = thinspan.derivation._takes((value,) * 512, True, thinspan.derivation._Run())
+    finally:
+        sys.setprofile(None)
+    assert takes == [(value, (value,) * 511)] and not looked_up, len(looked_up)
 
 
 # The first 1,000 queries of the stream keep their answers, not the

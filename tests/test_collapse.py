@@ -114,17 +114,17 @@ def test_class_weights_are_summed_in_integers():
     _, rep = report_for("fan-out")
     assert rep.ctx_degrees.positive * rep.res_degrees.negative == 2
     # summands that are not integers may still sum to one
-    def regrouped(classes, class_endos):
-        return WitnessReport(rep.subject, rep.wit_plus, classes, class_endos,
+    def regrouped(class_sizes, class_endos):
+        return WitnessReport(rep.subject, rep.wit_plus, class_sizes, class_endos,
                              rep.ctx_degrees, rep.res_degrees)
 
-    halves = regrouped(((0,), (0,)), (4, 4))
+    halves = regrouped((1, 1), (4, 4))
     assert weight_by_classes(halves) == 1
     assert class_counts_check(halves) == ["class 0: size 1, expected 2/4",
                                           "class 1: size 1, expected 2/4"]
     # a total that is not an integer is printed in lowest terms
     for endos, total in (((3,), "2/3"), ((6, 6), "2/3"), ((4, 8), "3/4")):
-        split = regrouped(((0,),) * len(endos), endos)
+        split = regrouped((1,) * len(endos), endos)
         with pytest.raises(AssertionError, match=f"^class weights sum to a non-integer {total}$"):
             weight_by_classes(split)
 
@@ -137,7 +137,7 @@ def test_a_report_is_a_value_of_its_fields():
         assert other == rep and hash(other) == hash(rep) and type(other) is WitnessReport
     assert rep != rep.subject and rep.subject.point == pickle.loads(pickle.dumps(rep.subject.point))
     assert repr(rep).startswith("WitnessReport(subject=Subject(ctx=g:o -> o, y:o, term=")
-    assert "_witnesses" not in repr(rep) and repr(rep.ctx_degrees).startswith("Degrees(total=")
+    assert "_found" not in repr(rep) and repr(rep.ctx_degrees).startswith("Degrees(total=")
     with pytest.raises(AttributeError):
         rep.wit_plus = 3
     with pytest.raises(AttributeError):
@@ -419,13 +419,12 @@ def test_copies_in_every_order_are_classes_of_their_own():
 # counted through the contraction.  The memos start empty, or the reports
 # the session kept would answer.
 def test_a_class_key_before_contraction_fails_the_checks(monkeypatch, cold_memo):
-    listed = thinspan.collapse._listed
+    witness_set = thinspan.collapse.witness_set
 
-    def uncontracted(subject):
-        witnesses, thetas, _ = listed(subject)
-        return witnesses, thetas, [w.derivation for w in witnesses]
+    def uncontracted(term, theta, alpha):
+        return [(d, d) for d, _ in witness_set(term, theta, alpha)]
 
-    monkeypatch.setattr(thinspan.collapse, "_listed", uncontracted)
+    monkeypatch.setattr(thinspan.collapse, "witness_set", uncontracted)
     monkeypatch.setattr(thinspan.collapse, "endo_count",
                         lambda r: count_derivation_morphisms(r, r))
     for label, ctx, term, pt, _ in copies_in_every_order():

@@ -1,13 +1,15 @@
 import random
 from itertools import permutations
+from math import factorial
 
 import pytest
 
 from thinspan.syntax import Base, parse_context, parse_simple_type
 from thinspan.rigidtypes import (
-    ResourceContext, Star, canonicalize_it, canonicalize_point, canonicalize_seq, ctx_refines,
+    IArrow, ResourceContext, Star, canonicalize_it, canonicalize_point, canonicalize_seq, ctx_refines,
     parse_itype, point_from_json,
 )
+import thinspan.symmetry
 from thinspan.symmetry import (
     MorphismError, count_homs_it, count_negative_seq, count_positive_it,
     neg_targets_ctx, neg_targets_it, neg_targets_seq, permanent, pos_sources_it,
@@ -78,6 +80,48 @@ def test_permanent_matches_ryser_on_random_hom_matrices():
         assert permanent(m) == ryser_permanent(m), m
         nonzero += permanent(m) != 0
     assert 100 <= nonzero <= 300, nonzero
+
+
+# The negative morphisms between two context entries are counted once per
+# pair of distinct elements, not once per pair of positions: the count is
+# the permanent of the full matrix of counts on random canonical entries
+# with repeated elements, and an entry of n equal labels makes as many
+# _count_it calls as an entry of one.
+def test_an_entry_is_counted_over_its_distinct_labels(monkeypatch):
+    rng = random.Random(49)
+    nonzero = repeated = 0
+    for _ in range(400):
+        t = rand_stype(rng, 2)
+        values = [rand_itype(rng, t, 2) for _ in range(rng.randint(1, 3))]
+        sa = canonicalize_seq(tuple(rng.choice(values) for _ in range(rng.randint(0, 6))))
+        if rng.random() < 0.7:
+            sb = [rng.choice(neg_targets_it(x)) for x in sa]
+            rng.shuffle(sb)
+        else:
+            sb = [rand_itype(rng, t, 2) for _ in sa]
+        sb = tuple(sb)
+        full = [[count_negative_it(x, y) for y in sb] for x in sa]
+        got = count_negative_seq(sa, sb)
+        assert got == ryser_permanent(full) == permanent(full), (sa, sb)
+        nonzero += got != 0
+        repeated += len(set(sa)) < len(sa)
+    assert nonzero >= 150 and repeated >= 150, (nonzero, repeated)
+
+    calls = []
+    count_it = thinspan.symmetry._count_it
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return count_it(*args)
+
+    monkeypatch.setattr(thinspan.symmetry, "_count_it", counted)
+    label = IArrow((IArrow((S,), S),), S)
+    made = []
+    for n in (1, 512):
+        del calls[:]
+        assert count_negative_seq((label,) * n, (label,) * n) == factorial(n)
+        made.append(len(calls))
+    assert made[0] == made[1] <= 5, made
 
 
 @pytest.mark.parametrize("m", [[[1, 1], [0, 1]], [[2, 1, 0], [1, 2, 0], [0, 0, 1]]])
