@@ -1,21 +1,20 @@
-"""Command line interface.
+"""Command line interface, on `argparse`.
 
 Exit codes: 0 success, 1 malformed input (parse, typing, refinement) or a
 query too large for the memory at hand, 2 usage, 4 an identity check
-failed.  Codes 3 and 5 are no longer used: every report is exact, a
-redex's witnesses being read back from its normal form's.  One boundary,
-`_reading`, maps the errors of reading and answering a query to code 1;
-`verify` exits 4 when one of its entries failed a check.
+failed (3 and 5 are no longer used).  One boundary, `_reading`, maps the
+errors of reading and answering a query to code 1.  Options are never
+abbreviated, help is `--help` alone, and a broken pipe or Ctrl-C exits 1.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
-
-import click
 
 from .syntax import (
     ParseError, TypeCheckError, annotate, beta_normalize, ensure_distinct_binders,
@@ -32,14 +31,14 @@ _INPUT_ERRORS = (ParseError, TypeCheckError, RefinementError, DerivationError, M
 
 
 def _fail(message: str, code: int) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
 def _echo(line: str) -> None:
-    """Print a line on stdout, escaping what it cannot encode as stderr does."""
+    """Print a line on stdout at once, escaping what it cannot encode as stderr does."""
     encoding = sys.stdout.encoding or "utf-8"
-    click.echo(line.encode(encoding, "backslashreplace").decode(encoding))
+    print(line.encode(encoding, "backslashreplace").decode(encoding), flush=True)
 
 
 @contextmanager
@@ -57,12 +56,12 @@ def _reading(prefix: str = ""):
         _fail(f"{prefix}{e}", 1)
 
 
-def _read(ctx_text: str, term_text: str, type_text: str | None, point=None):
-    """A subject's context, its term freshened against the context and
-    annotated under the expected type, if any, the term's type, and the point
-    (None without one).  `point` is called for the point's JSON once the term
-    is typed, so an error in the subject is reported before one in the point."""
-    ctx = parse_context(ctx_text)
+def _read(ctx_text: str | None, term_text: str, type_text: str | None, point=None):
+    """A subject's context (empty for None), its term freshened against the
+    context and annotated under the expected type, if any, the term's type, and
+    the point (None without one).  `point` is called for the point's JSON once
+    the term is typed, so an error in the subject is reported before one in it."""
+    ctx = parse_context(ctx_text or "")
     term = ensure_distinct_binders(parse_term(term_text), set(ctx.names()))
     expected = parse_simple_type(type_text) if type_text is not None else None
     term, ty = annotate(ctx, term, expected)
@@ -87,53 +86,24 @@ def _point_json(point_arg: str):
 
 
 def _emit(obj: dict, as_json: bool, lines: list[str]) -> None:
-    click.echo(json.dumps(obj, indent=2, sort_keys=True) if as_json else "\n".join(lines))
+    print(json.dumps(obj, indent=2, sort_keys=True) if as_json else "\n".join(lines))
 
 
-def _at_point(command):
-    """The options of a command that reads a subject at a point."""
-    for option in reversed((
-            click.option("--ctx", "ctx_text", default="", help="typing context"),
-            click.option("--term", "term_text", required=True, help="simply-typed term"),
-            click.option("--type", "type_text", default=None, help="expected simple type"),
-            click.option("--point", "point_arg", required=True,
-                         help="point as inline JSON or a path to a JSON file"),
-            click.option("--json", "as_json", is_flag=True))):
-        command = option(command)
-    return command
-
-
-@click.group()
-def main() -> None:
-    """Count rigid derivations of simply-typed terms up to polarized symmetry."""
-
-
-@main.command()
-@click.option("--ctx", "ctx_text", default="", help="typing context, e.g. 'f:o->o, x:o'")
-@click.option("--term", "term_text", required=True, help="simply-typed term")
-@click.option("--type", "type_text", default=None, help="expected simple type")
-@click.option("--json", "as_json", is_flag=True, help="machine readable output")
-def check(ctx_text: str, term_text: str, type_text: str | None, as_json: bool) -> None:
+def check(a: argparse.Namespace) -> None:
     """Parse and type a term, and show its beta-normal form."""
     with _reading():
-        _, term, ty, _ = _read(ctx_text, term_text, type_text or None)
+        _, term, ty, _ = _read(a.ctx, a.term, a.type or None)
         nf = beta_normalize(term)
     obj = {"term": term_to_text(term), "type": type_to_text(ty), "normal": is_beta_normal(term),
            "normal_form": term_to_text(nf)}
-    _emit(obj, as_json, [
-        f"type: {obj['type']}",
-        f"beta-normal: {'yes' if obj['normal'] else 'no'}",
-        f"normal form: {obj['normal_form']}",
-    ])
+    _emit(obj, a.json, [f"type: {obj['type']}", f"beta-normal: {'yes' if obj['normal'] else 'no'}",
+                        f"normal form: {obj['normal_form']}"])
 
 
-@main.command()
-@_at_point
-def witnesses(ctx_text, term_text, type_text, point_arg, as_json) -> None:
+def witnesses(a: argparse.Namespace) -> None:
     """Enumerate the positive witnesses at a point, grouped by symmetry."""
     with _reading():
-        ctx, term, _, point = _read(ctx_text, term_text, type_text or None,
-                                    lambda: _point_json(point_arg))
+        ctx, term, _, point = _read(a.ctx, a.term, a.type or None, lambda: _point_json(a.point))
         subject = prepare(ctx, term, point)
         report = positive_witnesses(subject)
     obj = {
@@ -157,28 +127,23 @@ def witnesses(ctx_text, term_text, type_text, point_arg, as_json) -> None:
     for i, cls in enumerate(obj["classes"], 1):
         lines.append(f"class {i}: size {cls['size']}, {cls['endomorphisms']} endomorphisms")
         lines += ["  " + obj["witnesses"][j]["term"] for j in cls["witnesses"]]
-    _emit(obj, as_json, lines)
+    _emit(obj, a.json, lines)
 
 
-@main.command()
-@_at_point
-def weight(ctx_text, term_text, type_text, point_arg, as_json) -> None:
+def weight(a: argparse.Namespace) -> None:
     """Coefficient of a term at a point, by counting and by class weights."""
     with _reading():
-        ctx, term, _, point = _read(ctx_text, term_text, type_text or None,
-                                    lambda: _point_json(point_arg))
+        ctx, term, _, point = _read(a.ctx, a.term, a.type or None, lambda: _point_json(a.point))
         subject = prepare(ctx, term, point)
         coeff = wrel_coefficient(subject)
         report = positive_witnesses(subject)
         by_classes = weight_by_classes(report)
     obj = {"coefficient": coeff.value, "witnesses": report.wit_plus, "class_weighted": by_classes,
            "classes": len(report.class_sizes), "triples": report.esp}
-    _emit(obj, as_json, [
+    _emit(obj, a.json, [
         f"coefficient: {obj['coefficient']}",
         f"positive witnesses: {report.wit_plus} in {len(report.class_sizes)} classes",
-        f"class-weighted sum: {by_classes}",
-        f"witness triples: {report.esp}",
-    ])
+        f"class-weighted sum: {by_classes}", f"witness triples: {report.esp}"])
 
 
 # the JSON type of each corpus entry field, as docs/formats.md gives them
@@ -200,53 +165,39 @@ def _entry_problem(entry: dict) -> str | None:
     return None
 
 
-@main.command()
-@click.option("--corpus", "corpus_path", metavar="PATH", default=None,
-              help="JSON file with a list of named subject/point entries")
-@click.option("--ctx", "ctx_text", default=None)
-@click.option("--term", "term_text", default=None)
-@click.option("--type", "type_text", default=None)
-@click.option("--point", "point_arg", default=None)
-@click.option("--expected", type=int, default=None,
-              help="independently known coefficient to check against")
-@click.option("--json", "as_json", is_flag=True)
-def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
-           as_json) -> None:
+def verify(a: argparse.Namespace) -> None:
     """Check every counting identity, per corpus entry or for one subject."""
-    stray = [option for option, value in (("--ctx", ctx_text), ("--term", term_text),
-             ("--type", type_text), ("--point", point_arg), ("--expected", expected))
-             if value is not None]
-    if corpus_path is not None and stray:
-        _fail(f"{', '.join(stray)} cannot be used with --corpus", 2)
-    if corpus_path is not None:
+    if a.corpus is None:
+        if a.term is None or a.point is None:
+            _fail("need --corpus, or --term with --point", 2)
+        with _reading("(cli): "):
+            point = _point_json(a.point)
+        # an empty --type is absent, as in the other commands
+        entries = [{"name": "(cli)", "ctx": a.ctx, "term": a.term,
+                    "point": point, "expected": a.expected, "type": a.type or None}]
+    else:
+        stray = [f"--{option}" for option in ("ctx", "term", "type", "point", "expected")
+                 if getattr(a, option) is not None]
+        if stray:
+            _fail(f"{', '.join(stray)} cannot be used with --corpus", 2)
         # a corpus file that cannot be read is an input error, as a point
         # file is, and so is an empty corpus, which would pass checking nothing
-        with _reading(f"{corpus_path}: "):
-            with open(corpus_path, encoding="utf-8") as f:
+        with _reading(f"{a.corpus}: "):
+            with open(a.corpus, encoding="utf-8") as f:
                 entries = json.load(f)
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            _fail(f"{corpus_path}: a corpus must be a JSON list of objects", 1)
+            _fail(f"{a.corpus}: a corpus must be a JSON list of objects", 1)
         if not entries:
-            _fail(f"{corpus_path}: the corpus holds no entries", 1)
-    elif term_text is None or point_arg is None:
-        _fail("need --corpus, or --term with --point", 2)
-    if corpus_path is None:
-        with _reading("(cli): "):
-            point = _point_json(point_arg)
-        # an empty --type is absent, as in the other commands
-        entries = [{"name": "(cli)", "ctx": ctx_text or "", "term": term_text,
-                    "point": point, "expected": expected, "type": type_text or None}]
+            _fail(f"{a.corpus}: the corpus holds no entries", 1)
 
-    results = []
-    failed = False
+    results, failed = [], False
     for entry in entries:
         # a name of the wrong type is reported under the term's text
         name = next((v for v in (entry.get("name"), entry.get("term")) if isinstance(v, str)),
                     "?")
-        # the options' types are click's, and point_from_json reports a
-        # --point that is not an object as witnesses and weight do
-        problem = _entry_problem(entry) if corpus_path is not None else None
-        if problem:
+        # the parser gives the options their types, and point_from_json
+        # reports a --point that is not an object as witnesses and weight do
+        if a.corpus is not None and (problem := _entry_problem(entry)):
             _fail(f"{name}: {problem}", 1)
         started = time.monotonic()
         with _reading(f"{name}: "):
@@ -267,12 +218,61 @@ def verify(corpus_path, ctx_text, term_text, type_text, point_arg, expected,
             failed = True
             line = f"FAIL {name}: " + "; ".join(
                 f"{c.name}: {c.detail}" for c in rep.checks if not c.ok)
-        if not as_json:
+        if not a.json:
             _echo(line)
-    if as_json:
-        click.echo(json.dumps(results, indent=2, sort_keys=True))
+    if a.json:
+        print(json.dumps(results, indent=2, sort_keys=True))
     if failed:
         sys.exit(4)
+
+
+# the subject options and their help: --term and --point are required but under verify
+_SUBJECT = (("--ctx", "typing context, e.g. 'f:o->o, x:o'"), ("--term", "simply-typed term"),
+            ("--type", "expected simple type"),
+            ("--point", "point as inline JSON or a path to a JSON file"))
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command: no option is abbreviated, and no -h."""
+    def parser(make, **kwargs) -> argparse.ArgumentParser:
+        made = make(add_help=False, allow_abbrev=False, **kwargs)
+        made.add_argument("--help", action="help", help="show this message and exit")
+        return made
+
+    top = parser(argparse.ArgumentParser, prog="thinspan", description=main.__doc__)
+    commands = top.add_subparsers(required=True, metavar="COMMAND", title="commands")
+    for command in (check, witnesses, weight, verify):
+        sub = parser(commands.add_parser, name=command.__name__, help=command.__doc__,
+                     description=command.__doc__)
+        sub.set_defaults(run=command)
+        for option, text in _SUBJECT:
+            if option != "--point" or command is not check:
+                sub.add_argument(option, help=text, required=command is not verify
+                                 and option in ("--term", "--point"))
+        sub.add_argument("--json", action="store_true", help="machine readable output")
+    verify_parser = commands.choices["verify"]
+    verify_parser.add_argument("--corpus", metavar="PATH",
+                               help="JSON file with a list of named subject/point entries")
+    verify_parser.add_argument("--expected", type=int,
+                               help="independently known coefficient to check against")
+    return top
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Count rigid derivations of simply-typed terms up to polarized symmetry."""
+    try:
+        try:
+            args = _parser().parse_args(argv)
+            args.run(args)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone: exit quietly, on devnull for the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -4,18 +4,20 @@ and brute-force oracles for what the library computes in closed form."""
 from __future__ import annotations
 
 import importlib.util
+import io
 import json
 import os
 import random
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import prod
 from pathlib import Path
+from typing import NamedTuple
 
 import thinspan
-from thinspan import interning
+from thinspan import cli, interning
 from thinspan.syntax import (
     App, Arrow, Base, Lam, ParseError, SimpleType, TypingContext, Var, annotate, beta_normalize,
     ensure_distinct_binders, free_vars, is_beta_normal, parse_context, parse_simple_type,
@@ -47,6 +49,59 @@ def child_env() -> dict[str, str]:
     src = str(Path(thinspan.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{inherited}" if inherited else src}
+
+
+class CliResult(NamedTuple):
+    """How one run of the command line ended: the exception is None after
+    exit 0, the SystemExit after another exit, and what escaped `main`
+    otherwise (exit code 1)."""
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+@contextmanager
+def environment(values: dict[str, str | None]):
+    """os.environ with each of values set, or unset where it is None."""
+    def put(items):
+        for name, value in items:
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+    saved = [(name, os.environ.get(name)) for name in values]
+    put(values.items())
+    try:
+        yield
+    finally:
+        put(saved)
+
+
+def run_cli(args, env: dict[str, str | None] | None = None) -> CliResult:
+    """Run the command line on args in this process, under env (see
+    `environment`).  Its streams encode as a process's do: stdout UTF-8
+    strictly, stderr UTF-8 with backslashreplace."""
+    out, err = io.BytesIO(), io.BytesIO()
+    stdout = io.TextIOWrapper(out, encoding="utf-8")
+    stderr = io.TextIOWrapper(err, encoding="utf-8", errors="backslashreplace")
+    code, exception = 0, None
+    try:
+        with environment(env or {}), redirect_stdout(stdout), redirect_stderr(stderr):
+            cli.main(list(args))
+    except SystemExit as e:
+        code = e.code or 0
+        exception = e if code else None
+    except Exception as e:
+        code, exception = 1, e
+    stdout.flush()
+    stderr.flush()
+    return CliResult(code, out.getvalue().decode(), err.getvalue().decode(), exception)
 
 
 def load_tracing():

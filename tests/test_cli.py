@@ -1,17 +1,15 @@
 import json
+import os
 import resource
 import subprocess
 import sys
 import time
 
-from click.testing import CliRunner
-
 from thinspan import cli, collapse
-from thinspan.cli import main
 from thinspan.wrel import NatInf
 
 from support import (
-    CORPUS_PATH, chain_point, child_env, higher_order_cut_point, third_order_cut_point,
+    CORPUS_PATH, chain_point, child_env, higher_order_cut_point, run_cli, third_order_cut_point,
 )
 
 EX2 = ["--ctx", "f:o->o, g:o->o, y:o", "--term", "f (g y)", "--point",
@@ -28,7 +26,7 @@ HIGHER = ["--ctx", "g:o->o, y:o", "--term", HIGHER_TERM, "--point",
 
 
 def run(*args, env=None):
-    return CliRunner().invoke(main, list(args), env=env)
+    return run_cli(args, env=env)
 
 
 def test_check_reports_normal_form():
@@ -322,9 +320,66 @@ def test_negative_budget_is_a_usage_error():
         for value in ("-1", "0", "4"):
             res = run(cmd, *REDEX, "--budget", value)
             assert res.exit_code == 2, (cmd, value)
-            assert "option" in res.stderr and "--budget" in res.stderr, res.stderr
+            assert "--budget" in res.stderr, res.stderr
     res = run("verify", "--corpus", str(CORPUS_PATH), "--budget", "-1")
     assert res.exit_code == 2
+
+
+def test_the_usage_language():
+    # every usage error exits 2 with nothing on stdout: no abbreviation of
+    # an option is read, and help is --help alone
+    cases = [[], ["frob"], ["check"], ["witnesses", "--ctx", "y:o", "--term", "y"],
+             ["weight", "--ctx", "y:o", "--point", "{}"], ["verify", *REDEX, "--expected", "x"],
+             ["witnesses", *REDEX, "--budget", "4"], ["check", "--exp", "o", "--term", "y"],
+             ["-h"], ["check", "-h", "--term", "y"]]
+    for args in cases:
+        res = run(*args)
+        assert (res.exit_code, res.stdout) == (2, ""), (args, res.output)
+        assert "error: " in res.stderr, args
+    for args in (["--help"], ["verify", "--help"]):
+        res = run(*args)
+        assert res.exit_code == 0 and res.stdout.startswith("usage: thinspan") and not res.stderr
+
+
+def test_a_value_that_starts_with_a_dash_is_written_with_an_equals_sign():
+    # "-x" reads as an option, so it is no value: a usage error, unless it
+    # is given as --ctx=-x, when the reader refuses it as notation
+    for option in ("--ctx", "--type"):
+        res = run("check", "--term", "y", option, "-x")
+        assert (res.exit_code, res.stdout) == (2, ""), res.output
+        assert f"argument {option}: expected one argument" in res.stderr, res.stderr
+        res = run("check", "--term", "y", f"{option}=-x")
+        assert_clean_input_error(res)
+        assert res.stderr == "error: unexpected character '-' at position 0\n", res.stderr
+
+
+def test_a_closed_stdout_exits_1_quietly():
+    # when stdout's reader is gone, a command exits 1 with nothing on
+    # stderr, whether stdout is buffered or not
+    commands = [["check", "--ctx", "y:o", "--term", "y"],
+                ["verify", "--corpus", str(CORPUS_PATH)],
+                ["verify", "--corpus", str(CORPUS_PATH), "--json"]]
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        for args in commands:
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                res = subprocess.run([sys.executable, "-m", "thinspan.cli", *args], stdout=write,
+                                     stderr=subprocess.PIPE, timeout=60, env={**env, **unbuffered})
+            finally:
+                os.close(write)
+            assert (res.returncode, res.stderr) == (1, b""), (args, unbuffered, res.stderr)
+
+
+def test_an_interrupt_is_aborted(monkeypatch):
+    # Ctrl-C ends a command with exit 1 and "Aborted!", without a traceback
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "verify_identities", interrupted)
+    res = run("verify", "--corpus", str(CORPUS_PATH))
+    assert (res.exit_code, res.stdout, res.stderr) == (1, "", "\nAborted!\n")
 
 
 def test_verify_point_from_file(tmp_path):
@@ -487,7 +542,7 @@ def test_multiset_without_an_opening_bracket_is_an_input_error(tmp_path):
 
 
 def test_a_chain_170_deep_verifies():
-    # under the default recursion limit, verify reaches about 245 nested
+    # under the default recursion limit, verify reaches about 246 nested
     # applications from the command line on CPython 3.11 (docs/formats.md,
     # Depth), and fewer here, under pytest, which adds frames of its own
     term, point_ctx, ctx = chain_point(170)

@@ -18,11 +18,8 @@ import re
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from thinspan.cli import main
-
-from support import CORPUS_PATH, load_corpus
+from support import CORPUS_PATH, load_corpus, run_cli
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "cli_corpus.json"
 COMMANDS = ("check", "witnesses", "weight", "verify")
@@ -60,7 +57,7 @@ def masked(text: str) -> str:
 
 
 def run(args: list[str]) -> dict:
-    res = CliRunner().invoke(main, args)
+    res = run_cli(args)
     return {"exit_code": res.exit_code, "stdout": masked(res.stdout),
             "stderr": masked(res.stderr)}
 

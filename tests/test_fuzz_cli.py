@@ -12,12 +12,9 @@ import json
 import tempfile
 from pathlib import Path
 
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from thinspan.cli import main
-
-from support import load_corpus
+from support import load_corpus, run_cli
 
 CORPUS = load_corpus()
 EXIT_CODES = {0, 1, 2, 4}
@@ -95,7 +92,7 @@ def mutated_entry(draw) -> dict:
 
 
 def invoke(args: list[str]):
-    result = CliRunner().invoke(main, args)
+    result = run_cli(args)
     escaped = result.exception
     assert escaped is None or isinstance(escaped, SystemExit), (args, result.output, escaped)
     assert result.exit_code in EXIT_CODES, (args, result.exit_code, result.output)

@@ -141,13 +141,6 @@ def mentions(node: ast.AST) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-def registered(node: ast.AST) -> bool:
-    """Whether a decorator registers the function with what calls it: a
-    click command is reached through its group."""
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-               and d.func.attr == "command" for d in getattr(node, "decorator_list", ()))
-
-
 # Defined in the package and reached by no other part of it nor by the
 # benchmark, on purpose: parse_itype is the documented parser of rigid
 # notation (docs/formats.md), which the tests use.
@@ -160,8 +153,7 @@ def test_every_definition_is_reached():
     bench = "\n".join(p.read_text() for p in BENCHMARK.glob("*.py"))
     unreached = {f"{module}.{node.name}" for module, tree in trees.items()
                  for node in definitions(tree)
-                 if not registered(node)
-                 and used[node.name] == mentions(node)[node.name]
+                 if used[node.name] == mentions(node)[node.name]
                  and not re.search(rf"\b{node.name}\b", bench)}
     assert unreached == UNREACHED
 
@@ -253,7 +245,8 @@ def test_the_cli_imports_neither_fractions_nor_decimal():
 # The package builds its classes without generating code: Node's metaclass
 # binds a node's fields itself, and the records write their own __init__.
 # dataclasses would bring inspect, ast, dis, tokenize and copy into every
-# process, and compile the methods it generates at each start.
+# process, and compile the methods it generates at each start.  The CLI
+# parses its options with argparse, so it brings neither click nor inspect.
 IMPORT_FOOTPRINT = r"""
 import sys
 start = set(sys.modules)
@@ -261,7 +254,8 @@ import thinspan
 package = set(sys.modules) - start
 import thinspan.cli
 cli = set(sys.modules) - start
-print(sorted({'dataclasses', 'inspect'} & package), sorted({'dataclasses'} & cli))
+print(sorted({'dataclasses', 'inspect'} & package),
+      sorted({'click', 'dataclasses', 'inspect'} & cli))
 """
 
 
