@@ -237,6 +237,8 @@ def _parser() -> argparse.ArgumentParser:
     def parser(make, **kwargs) -> argparse.ArgumentParser:
         made = make(add_help=False, allow_abbrev=False, **kwargs)
         made.add_argument("--help", action="help", help="show this message and exit")
+        # help lets an error of its write reach main, where argparse's drops it
+        made.print_help = lambda file=None: (file or sys.stdout).write(made.format_help())
         return made
 
     top = parser(argparse.ArgumentParser, prog="thinspan", description=main.__doc__)

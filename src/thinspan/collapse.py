@@ -21,10 +21,10 @@ The identities checked here:
     which is the coefficient of the term in the plain (symmetrized) model,
     so the two models differ exactly by that product of degrees.
 
-A redex's witnesses are enumerated on its beta-normal form and read back
-(derivation.witness_set): the normal form's derivations give the classes
-and their degrees, and the term's own derivations, read back from them,
-are the witnesses a report lists, with their contexts and results.
+A redex's witnesses are enumerated on its beta-normal form
+(derivation.normal_witnesses).  Reading back keeps every point up to
+polarized symmetry, so every count checked here is taken on the normal
+form's derivations, and only a listing reads them back (read_back).
 
 A query's inputs are checked once, by prepare: it freshens the term's
 binders, annotates the term and checks the point, and the Subject it
@@ -43,15 +43,15 @@ its own result, under keys of its own, so the witness count, the
 class-weighted sum, the triple count and the wrel coefficient still come
 from separate computations.
 
-A report holds its witnesses' derivations in the enumerator's order, and
-each one's class.  The checks read the class sizes and the derivations
-in that order, so verify orders no witness and renders no derivation's
-text.  Only when the witnesses or the classes are read does the report
-sort the witnesses by _witness_key, once, and index the classes into
-that order.  A report read back from the memo holds no derivation, and
-enumerates again when they are read, which gives the same witnesses in
-the same order.  A witness keeps no context and no result: both are read
-off its derivation when asked for.
+A report holds the normal form's derivations in the enumerator's order,
+the trace that reads them back, and their classes: verify reads no
+witness back, orders none and renders no derivation's text.  Reading the
+witnesses or the classes reads them back, sorts them by _witness_key and
+indexes the classes into that order, once, and the listing replaces what
+it was read from.  A report read back from the memo holds no derivation,
+and enumerates again when they are read, which gives the same witnesses
+in the same order.  A witness keeps no context and no result: both are
+read off its derivation when asked for.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ from .groupoid import enumerate_homs_ctx, enumerate_homs_it  # noqa: F401
 from .symmetry import neg_targets_ctx, pos_sources_it  # noqa: F401
 from .derivation import enumerate_witnesses  # noqa: F401
 from .derivation import (
-    ResourceTerm, Shape, endo_count, partition_by_symmetry, resource_to_text, rt_context,
-    rt_type, witness_set,
+    ResourceTerm, Shape, endo_count, normal_witnesses, partition_by_symmetry, read_back,
+    resource_to_text, rt_context, rt_type,
 )
 from .interning import Record, memo
 from .wrel import NatInf, wrel_coefficient
@@ -98,12 +98,12 @@ class WitnessReport(Record):
     # wit_plus is the number of witnesses, class_sizes and class_endos the
     # size and deg(s) of each class, in the order of their first members in
     # the enumerator's order, and ctx_degrees and res_degrees those of the
-    # canonical context and result type.  _found holds what the enumeration
-    # found: the witnesses' derivations in the enumerator's order and each
-    # one's class; _listing the witnesses sorted and the classes indexed
-    # into them.  The call that enumerated gives _found, and a report read
-    # back from the memo, which keeps neither, enumerates again when either
-    # is first read.
+    # canonical context and result type.  _found holds the normal form's
+    # derivations in the enumerator's order, the trace that reads them back
+    # and their classes, until _listing holds the derivations read back,
+    # the witnesses sorted and the classes indexed into them.  The call
+    # that enumerated gives _found; a report read back from the memo
+    # enumerates again when either is first read.
     __slots__ = ("subject", "wit_plus", "class_sizes", "class_endos", "ctx_degrees",
                  "res_degrees", "_found", "_listing")
 
@@ -120,28 +120,34 @@ class WitnessReport(Record):
         object.__setattr__(self, "_listing", None)
 
     @property
-    def derivations(self) -> tuple[ResourceTerm, ...]:
-        """The witnesses' derivations, in the enumerator's order."""
+    def normal_derivations(self) -> list[ResourceTerm]:
+        """The normal form's derivations, in the enumerator's order."""
         if self._found is None:
-            object.__setattr__(self, "_found", _enumerated(self.subject)[:2])
+            object.__setattr__(self, "_found", _enumerated(self.subject))
         return self._found[0]
+
+    @property
+    def derivations(self) -> tuple[ResourceTerm, ...]:
+        """The witnesses' derivations, read back, in the enumerator's order."""
+        return self._listed()[0]
 
     @property
     def witnesses(self) -> tuple[PositiveWitness, ...]:
         """The witnesses in the order of _witness_key, sorted on first read.
         A report read back from the memo enumerates them first, once, which
         gives the witnesses the first query found."""
-        return self._listed()[0]
+        return self._listed()[1]
 
     @property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Per class, in the order of class_sizes, the indices of its
         members in witnesses."""
-        return self._listed()[1]
+        return self._listed()[2]
 
     def _listed(self) -> tuple:
         if self._listing is None:
-            derivations, class_of = self.derivations, self._found[1]
+            normals, (_, trace, classes) = self.normal_derivations, self._found
+            derivations = tuple(read_back(normals, trace))
             shape = self.subject.ctx.bindings
             order = range(len(derivations))
             # a lone witness is not keyed, which would read its context
@@ -149,12 +155,15 @@ class WitnessReport(Record):
                 keys = [_witness_key(rt_context(shape, d), rt_type(d), resource_to_text(d))
                         for d in derivations]
                 order = sorted(order, key=keys.__getitem__)
-            members: list[list[int]] = [[] for _ in self.class_sizes]
+            class_of = {r: c for c, cls in enumerate(classes) for r in cls}
+            members: list[list[int]] = [[] for _ in classes]
             for j, i in enumerate(order):
-                members[class_of[i]].append(j)
+                members[class_of[normals[i]]].append(j)
             object.__setattr__(self, "_listing", (
-                tuple(PositiveWitness(derivations[i], shape) for i in order),
+                derivations, tuple(PositiveWitness(derivations[i], shape) for i in order),
                 tuple(map(tuple, members))))
+            # the listing replaces what it was read back from
+            object.__setattr__(self, "_found", None)
         return self._listing
 
     @property
@@ -179,43 +188,33 @@ def positive_witnesses(subject: Subject) -> WitnessReport:
 
     The enumerator runs once, on the term's normal form at the canonical
     point (gamma, a) read up to symmetry: over the bags of gamma and of a's
-    domains.  Each derivation of the normal form is read back into one d of
-    the term, which concludes its own context theta, read off its
-    occurrences, and its own result alpha, its rt_type.  Witnesses are
-    classed and counted by the normal form's derivations, and kept in the
-    enumerator's order: the report sorts them by _witness_key only when
-    they are read.  The report's counts, every field but the subject, are
-    kept in the term's memo, and a later query at the same point reads them
-    back.  Such a report lists its witnesses only if they are read.
+    domains.  Witnesses are counted and classed by the normal form's
+    derivations, in the enumerator's order.  Only when they are read does
+    the report read each back into one d of the term, which concludes its
+    own context theta and its own result alpha, and sort them by
+    _witness_key.  The report's counts, every field but the subject, are
+    kept in the term's memo, and a later query at the same point reads
+    them back.  Such a report lists its witnesses only if they are read.
     """
     kept = memo(subject.term)
     point = ("witnesses", subject.gamma.entries, subject.result)
     counts = kept.get(point)
     if counts is not None:
         return WitnessReport(subject, *counts)
-    derivations, class_of, classes = _enumerated(subject)
-    counts = (len(derivations), tuple(map(len, classes)),
+    normals, _, classes = found = _enumerated(subject)
+    counts = (len(normals), tuple(map(len, classes)),
               tuple([endo_count(cls[0]) for cls in classes]),
               sym_degrees_ctx(subject.gamma), sym_degrees_it(subject.result, subject.ty))
     kept[point] = counts
-    return WitnessReport(subject, *counts, (derivations, class_of))
+    return WitnessReport(subject, *counts, found)
 
 
 def _enumerated(subject: Subject) -> tuple:
-    """The subject's witnesses' derivations in the enumerator's order, the
-    index of each one's class, and the classes of the derivations of the
-    normal form they were read back from, in the order of their first
-    members."""
-    found = witness_set(subject.term, subject.gamma, subject.result)
-    classes = partition_by_symmetry([normal for _, normal in found])
-    class_of = (0,) * len(found)
-    if len(classes) > 1:
-        where = {}
-        for c, cls in enumerate(classes):
-            for normal in cls:
-                where[normal] = c
-        class_of = tuple([where[normal] for _, normal in found])
-    return tuple([d for d, _ in found]), class_of, classes
+    """The derivations of the subject's normal form in the enumerator's
+    order, the trace that reads them back, and their symmetry classes, in
+    the order of their first members."""
+    normals, trace = normal_witnesses(subject.term, subject.gamma, subject.result)
+    return normals, trace, partition_by_symmetry(normals)
 
 
 def _witness_key(theta: ResourceContext, alpha: IType, text: str):
@@ -259,12 +258,14 @@ def class_counts_check(report: WitnessReport) -> list[str]:
 def esp_explicit(report: WitnessReport) -> int:
     """Count witness triples by counting the polarized morphisms.
 
-    For each witness d at (theta, alpha), in the enumerator's order and
-    with theta read off d once, the negative context morphisms gamma ->
-    theta are counted one variable at a time and multiplied, and the
-    positive morphisms alpha -> a beside them.  The counts are
-    permanents and products over the pairs of types, so this never reads a
-    degree or a symmetry class.  A witness whose theta or alpha no
+    For each derivation d of the normal form at (theta, alpha), in the
+    enumerator's order and with theta read off d once, the negative
+    context morphisms gamma -> theta are counted one variable at a time
+    and multiplied, and the positive morphisms alpha -> a beside them.
+    Reading d back changes theta by a negative isomorphism and alpha by a
+    positive one, which leave both counts as they are.  The counts are
+    permanents and products over the pairs of types, so this never reads
+    a degree or a symmetry class.  A derivation whose theta or alpha no
     polarized morphism reaches would count 0 here, and the factorization
     would fail.  The count is kept in the term's memo under the point,
     which fixes the witnesses.
@@ -277,7 +278,7 @@ def esp_explicit(report: WitnessReport) -> int:
     if total is None:
         counts: dict = {}
         total = 0
-        for d in report.derivations:
+        for d in report.normal_derivations:
             theta = rt_context(subject.ctx.bindings, d)
             negs = prod(count_negative_seq(seq, theta.lookup(x), counts)
                         for x, seq, _ in gamma.entries)

@@ -25,8 +25,9 @@ derivations are one object, and equality is identity.  rt_type and
 endo_count are facts (interning.fact), computed once and kept on the
 resource term: a label or a count, which costs its node a slot.
 
-Witnesses are enumerated on the term's beta-normal form and read back.
-The normal form is reached in one pass (_normalized), which runs the term
+Witnesses are enumerated on the term's beta-normal form
+(normal_witnesses), and read back (read_back) only to be listed.  The
+normal form is reached in one pass (_normalized), which runs the term
 as a machine with a stack of pending applications and records a trace:
 each node of the normal form comes from a head, an application pending at
 it, or a lambda with nothing pending, and each occurrence of a binder that
@@ -45,7 +46,8 @@ polarized isomorphisms, negative at a context variable and positive at the
 result, so reading back is a bijection between the derivations of the
 normal form and those of the term that keeps every point up to symmetry,
 the witnesses' classes and their degrees: Taylor expansion commutes with
-normalization.
+normalization.  So every count a query checks is taken on the normal
+form's derivations.
 
 Contexts are linear: each element is consumed by exactly one occurrence,
 and the occurrences of a variable consume its sequence in order, left to
@@ -67,8 +69,8 @@ at every rigid context a negative morphism reaches from the start, and
 each derivation's context is read off its labels.  A bag is canonical, so
 equal values sit together and an occurrence tries each distinct value
 once.  The run lists a value's targets, read off the value alone, once.
-The result is read alike
-(_Pos, by polar_class), and each derivation's result is its rt_type.
+The result is read alike (_Pos, by polar_class), and each derivation's
+result is its rt_type.
 enumerate_witnesses, at one rigid point, keeps those of the read-back
 derivations that conclude it exactly.
 
@@ -82,20 +84,17 @@ listing are test oracles in tests/reference.py, beside groupoid's listing
 of type hom-sets and the contraction of a derivation's redexes; listing
 takes factorial time, so no query calls it.  Two derivations of a normal
 term are symmetric (some morphism joins them) iff they have the same
-multiset collapse, the paper's quotient to multiset resource terms,
-because
+multiset collapse, the paper's quotient to multiset resource terms, so
+that collapse keys the classes:
   - a label hom-set is non-empty iff both labels have one canonical form;
   - a permanent of counts is non-zero iff the copies match in some order.
-So that collapse keys the classes, which the normal form's derivations
-give.
 
 Inputs are checked where they arrive: enumerate_witnesses checks the term
 against the point, and collapse.prepare a query's subject, once.
-witness_set, the enumeration itself, checks nothing.
-
-Each witness_set call is one run (_Run), which keeps the labels it lists
-and the subproblems it solves in tables of its own.  Neither they, nor
-the trace, nor the derivations read back outlive the call.
+normal_witnesses, the enumeration itself, checks nothing.  Each of its
+calls is one run (_Run), which keeps the labels it lists and the
+subproblems it solves in tables that die with the call; the trace it
+returns lives as long as its caller keeps it.
 """
 
 from __future__ import annotations
@@ -400,7 +399,7 @@ def enumerate_witnesses(ctx: TypingContext, term: Term, theta: ResourceContext,
     shape = theta.shape()
     # two labels of theta may lie in one negative class, and a derivation
     # that takes either is found once from each
-    found = dict.fromkeys(d for d, _ in witness_set(term, theta, alpha)
+    found = dict.fromkeys(d for d in read_back(*normal_witnesses(term, theta, alpha))
                           if rt_type(d) == alpha and rt_context(shape, d) == theta)
     return WitnessSet(tuple(sorted(found, key=resource_to_text)))
 
@@ -422,33 +421,31 @@ def _checked_term(ctx: TypingContext, term: Term, theta: ResourceContext,
     return term
 
 
-def witness_set(term: Term, theta: ResourceContext,
-                alpha: IType) -> list[tuple[ResourceTerm, ResourceTerm]]:
-    """Every derivation of term at a rigid point that a negative context
-    morphism reaches from theta and that a positive morphism takes to
-    alpha, paired with the derivation of term's normal form it is read
-    back from, in the enumerator's order, on a subject already checked:
-    the term annotated, its binders distinct and apart from the context's
-    names, theta over the context's variables and refining them, and alpha
-    refining the term's type.  Nothing is checked here."""
-    if is_beta_normal(term):
-        return [(r, r) for r in _normal_witnesses(term, theta, alpha)]
-    normal, trace = _normalized(term, {x for x, _, _ in theta.entries})
-    return [(_read_back(trace, r), r) for r in _normal_witnesses(normal, theta, alpha)]
-
-
-def _normal_witnesses(normal: Term, theta: ResourceContext, alpha: IType) -> list[ResourceTerm]:
-    """The derivations of a normal term that witness_set reads back, in the
-    enumerator's order."""
-    fvs = free_vars(normal)
+def normal_witnesses(term: Term, theta: ResourceContext,
+                     alpha: IType) -> tuple[list[ResourceTerm], list | None]:
+    """Every derivation of term's beta-normal form at a rigid point that a
+    negative context morphism reaches from theta and that a positive
+    morphism takes to alpha, in the enumerator's order, and the trace that
+    reads them back (None where term is normal).  The subject is checked
+    already: the term annotated, its binders distinct and apart from the
+    context's names, theta over the context's variables and refining them,
+    and alpha refining the term's type."""
+    term, trace = ((term, None) if is_beta_normal(term)
+                   else _normalized(term, {x for x, _, _ in theta.entries}))
+    fvs = free_vars(term)
     bags = {x: seq for x, seq, _ in theta.entries}
     # a start context fixes the variables that are not free in the term
     # too, which must be used up
     if len(bags) > len(fvs) and any(seq for x, seq in bags.items() if x not in fvs):
-        return []
+        return [], trace
     start = tuple([(bags[x], True) for x in fvs])
     target = _Pos(alpha) if isinstance(alpha, IArrow) else alpha
-    return [r for r, _ in _enum(normal, start, target, _Run(), (True,) * len(fvs))]
+    return [r for r, _ in _enum(term, start, target, _Run(), (True,) * len(fvs))], trace
+
+
+def read_back(normals: list[ResourceTerm], trace: list | None) -> list[ResourceTerm]:
+    """normal_witnesses' derivations read back along its trace, in order."""
+    return list(normals) if trace is None else [_read_back(trace, r) for r in normals]
 
 
 # The enumerator threads the context through a normal term, left to right,

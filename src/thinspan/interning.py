@@ -59,11 +59,9 @@ normal form), and the facts.  What a call derives for itself alone are
 every subproblem the witness enumerator (derivation) solves and every
 subproblem of the coefficient recursion, each kept in a table of the
 call's; the labels an enumeration gives a bag value; the normal form's
-trace, along which the witnesses are read back; the witnesses
-themselves, which a report holds only while its caller does; and the
-derivations of the normal form they were read back from, which a query
-reads while it partitions and counts, and whose results its report
-keeps.
+trace, along which the witnesses are read back; the derivations of the
+normal form, which a query partitions and counts, and the witnesses read
+back from them, which a report holds only while its caller does.
 """
 
 from __future__ import annotations

@@ -49,7 +49,8 @@ contracts a derivation's redexes, and count_derivation_morphisms, which
 counts the morphisms between derivations of any term through it, the
 oracles of the read-back from the normal form, beside
 stepwise_witness_set, which reads witnesses back one
-leftmost-outermost step at a time; count_negative_it, the
+leftmost-outermost step at a time, and traced_witness_set, which pairs
+derivation's read-back with what it reads back from; count_negative_it, the
 negative hom-set count of a type; and alpha_eq on terms.
 """
 
@@ -70,8 +71,8 @@ from thinspan.rigidtypes import (
 from thinspan.symmetry import MorphismError, _count_it
 from thinspan.derivation import (
     DerivationError, RApp, RLam, RVar, ResourceTerm, Shape, WitnessSet,
-    _checked_term, _count_morphisms, _normal_witnesses, resource_to_text,
-    rt_occurrence_labels, rt_type, witness_set,
+    _checked_term, _count_morphisms, normal_witnesses, read_back, resource_to_text,
+    rt_occurrence_labels, rt_type,
 )
 from thinspan.groupoid import (
     STAR_ID, ArrowMorphism, CtxMorphism, ITMorphism, SeqMorphism, StarId,
@@ -591,7 +592,7 @@ def enumerate_bag_witnesses(ctx: TypingContext, term: Term, gamma: ResourceConte
     if not is_canonical(alpha):
         raise DerivationError(f"result {it_to_text(alpha)} is not canonical")
     term = _checked_term(ctx, term, gamma, alpha)
-    found = [d for d, _ in witness_set(term, gamma, alpha)]
+    found = read_back(*normal_witnesses(term, gamma, alpha))
     return WitnessSet(tuple(sorted(found, key=resource_to_text)))
 
 
@@ -708,15 +709,25 @@ def count_derivation_morphisms(r1: ResourceTerm, r2: ResourceTerm) -> int:
 ####################################################################
 # the step-by-step read-back
 
+def traced_witness_set(term: Term, theta: ResourceContext,
+                       alpha: IType) -> list[tuple[ResourceTerm, ResourceTerm]]:
+    """Each derivation of term that derivation.read_back lists from the
+    normal form's, paired with the one it is read back from, in the
+    enumerator's order.  On a subject already checked."""
+    normals, trace = normal_witnesses(term, theta, alpha)
+    return list(zip(read_back(normals, trace), normals))
+
+
 def stepwise_witness_set(term: Term, theta: ResourceContext,
                          alpha: IType) -> list[tuple[ResourceTerm, ResourceTerm]]:
-    """derivation.witness_set as it read a redex's witnesses back before its
-    reducer traced the normal form: the term reduced one leftmost-outermost
-    step at a time, each intermediate term kept, the normal form's
-    derivations enumerated by derivation's enumerator, and each read back
-    one step at a time, last first.  On a subject already checked."""
+    """traced_witness_set as derivation read a redex's witnesses back before
+    its reducer traced the normal form: the term reduced one
+    leftmost-outermost step at a time, each intermediate term kept, the
+    normal form's derivations enumerated by derivation's enumerator, and
+    each read back one step at a time, last first.  On a subject already
+    checked."""
     steps, normal = _normalized(term, {x for x, _, _ in theta.entries})
-    return [(_read_back(steps, normal, r), r) for r in _normal_witnesses(normal, theta, alpha)]
+    return [(_read_back(steps, normal, r), r) for r in normal_witnesses(normal, theta, alpha)[0]]
 
 
 def _normalized(term: Term, reserved: set[str]) -> tuple[list[Term], Term]:

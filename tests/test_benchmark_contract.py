@@ -40,8 +40,9 @@ from thinspan.wrel import wrel_coefficient
 
 import reference
 from support import (
-    chain_point, child_env, church_point, clear_memos, distinct_g_point,
-    fanout_point, higher_order_cut_point, third_order_cut_point, load_corpus, load_tracing, parse_entry, point_subject,
+    built_nodes, chain_point, child_env, church_point, church_tower_point, clear_memos,
+    distinct_g_point, fanout_point, higher_order_cut_point, third_order_cut_point,
+    third_order_label_point, load_corpus, load_tracing, parse_entry, point_subject,
     positive_source_point, stars, symmetric_point, WORKLOADS_PATH,
 )
 
@@ -386,8 +387,8 @@ def refuse_sources(*args):
 def test_positive_sources_are_not_listed(monkeypatch, cold_memo):
     monkeypatch.setattr(thinspan.collapse, "pos_sources_it", refuse_sources)
     calls = []
-    monkeypatch.setattr(thinspan.collapse, "witness_set",
-                        counting_calls(thinspan.collapse.witness_set, calls))
+    monkeypatch.setattr(thinspan.collapse, "normal_witnesses",
+                        counting_calls(thinspan.collapse.normal_witnesses, calls))
     ctx, term, _, point = point_subject(*positive_source_point(6))
     rep = verify_identities(ctx, term, point)
     assert rep.ok and rep.wrel.value == 1
@@ -659,10 +660,11 @@ def test_a_subproblem_under_context_names_dies_with_its_call(cold_memo):
         assert not [k for k in keys if k[0] == "wrel" or not isinstance(k[0], str)], t
 
 
-# A kept query holds only what a later query reads.  Its witness keeps no
-# contractum, the derivation of the normal form it was read back from,
-# which only the partition and the morphism count read, and its normal
-# form keeps the coefficient alone, not the leftovers it was read from.
+# A kept query holds only what a later query reads.  Its listed witness
+# keeps no contractum, the derivation of the normal form it was read back
+# from, which the counts read: the report drops the normal form's
+# derivations once it lists the witnesses.  Its normal form keeps the
+# coefficient alone, not the leftovers it was read from.
 def test_a_kept_query_holds_no_contractum_and_the_coefficient_alone(cold_memo):
     entry = next(e for e in load_corpus() if e["name"] == "church-two-twice")
     ctx = thinspan.syntax.parse_context("g_held:o->o, y_held:o")
@@ -698,8 +700,8 @@ def test_a_kept_query_keeps_its_counts_not_its_witnesses(monkeypatch, cold_memo,
     enumerated, listed = [], []
     monkeypatch.setattr(thinspan.derivation, "_enum_raw",
                         counting_calls(thinspan.derivation._enum_raw, enumerated))
-    monkeypatch.setattr(thinspan.collapse, "witness_set",
-                        counting_calls(thinspan.collapse.witness_set, listed))
+    monkeypatch.setattr(thinspan.collapse, "normal_witnesses",
+                        counting_calls(thinspan.collapse.normal_witnesses, listed))
     second = verify_identities(ctx, term, pt)
     assert second.checks == first.checks and second.report == first.report
     assert not enumerated and not listed
@@ -868,7 +870,7 @@ def test_a_bag_values_labels_are_listed_once_per_run(monkeypatch, cold_memo):
     calls = []
     monkeypatch.setattr(thinspan.derivation, "neg_targets_it",
                         counting_calls(thinspan.derivation.neg_targets_it, calls))
-    assert thinspan.derivation.witness_set(term, gamma, a)
+    assert thinspan.derivation.normal_witnesses(term, gamma, a)[0]
     values = {v for _, seq, _ in gamma.entries for v in seq}
     assert len(values) == 3 and len(calls) == len(set(calls)) <= len(values), calls
 
@@ -915,3 +917,42 @@ def test_a_query_leaves_no_cyclic_garbage(cold_memo):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# Work-growth guards: the nodes verify_identities builds with cold memos,
+# a deterministic measure of its work, at consecutive rungs of a family.
+# Symmetric, Church, chain and fan-out grow at most linearly: rung n
+# builds at most 2 * n times what rung 1 builds (today at most 1, 1, 1
+# and 1.4 times).  Distinct-g and the third-order label still do
+# factorial work, so the bound fails on them; when it holds, the marker
+# must come off.
+def nodes_built(point) -> int:
+    ctx, term, _, pt = point_subject(*point)
+    clear_memos()
+    with built_nodes() as built:
+        assert verify_identities(ctx, term, pt).ok
+    return len(built)
+
+
+@pytest.mark.parametrize("family, top", [
+    pytest.param(symmetric_point, 6, id="symmetric"),
+    pytest.param(church_point, 8, id="church"),
+    pytest.param(chain_point, 8, id="chain"),
+    pytest.param(fanout_point, 4, id="fanout"),
+    pytest.param(distinct_g_point, 5, id="distinct-g", marks=pytest.mark.xfail(
+        strict=True, reason="lists its k! witnesses and counts them one by one "
+                            "(ROADMAP items 11 and 32)")),
+    pytest.param(third_order_label_point, 5, id="third-order-label", marks=pytest.mark.xfail(
+        strict=True, reason="lists the k! orders of F's label (ROADMAP item 21)")),
+])
+def test_work_grows_at_most_linearly(cold_memo, family, top):
+    built = [nodes_built(family(n)) for n in range(1, top + 1)]
+    assert all(b <= 2 * n * built[0] for n, b in enumerate(built, 1)), built
+
+
+# The Church tower's normal form doubles with each m, and its work at most
+# doubles too: rung m + 1 builds at most twice what rung m builds, plus
+# what rung 1 builds (today 27, 59, 121, ..., 967 nodes up to m = 6).
+def test_the_church_towers_work_at_most_doubles_per_step(cold_memo):
+    built = [nodes_built(church_tower_point(m)) for m in range(1, 7)]
+    assert all(b <= 2 * a + built[0] for a, b in zip(built, built[1:])), built

@@ -358,7 +358,8 @@ def test_a_closed_stdout_exits_1_quietly():
     # stderr, whether stdout is buffered or not
     commands = [["check", "--ctx", "y:o", "--term", "y"],
                 ["verify", "--corpus", str(CORPUS_PATH)],
-                ["verify", "--corpus", str(CORPUS_PATH), "--json"]]
+                ["verify", "--corpus", str(CORPUS_PATH), "--json"],
+                ["--help"], ["verify", "--help"]]
     env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
     for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
         for args in commands:

@@ -1,18 +1,21 @@
 import copy
 import pickle
+from math import prod
 
 import pytest
 
 import thinspan
-from thinspan.syntax import TypeCheckError, parse_context, parse_term
+from thinspan.syntax import (
+    Base, TypeCheckError, is_beta_normal, parse_context, parse_term, term_to_text,
+)
 from thinspan.rigidtypes import (
     PointSpec, RefinementError, canonicalize_it, is_canonical, parse_itype, parse_mit,
     parse_mset,
 )
 from thinspan.groupoid import enumerate_homs_ctx, enumerate_homs_it
-from thinspan.derivation import rt_context, rt_type
+from thinspan.derivation import read_back, rt_context, rt_type
 from thinspan.interning import memo as term_memo
-from thinspan.symmetry import neg_targets_it, permanent
+from thinspan.symmetry import count_negative_seq, count_positive_it, neg_targets_it, permanent
 from thinspan.collapse import (
     WitnessReport, class_counts_check, esp_explicit, positive_witnesses, prepare,
     verify_identities, weight_by_classes,
@@ -22,10 +25,10 @@ from reference import (
     check_derivation, count_derivation_morphisms, is_negative_ctx, is_positive_it,
 )
 from support import (
-    church_point, copies_in_every_order, distinct_g_point, fanout_point, generated_points,
-    higher_order_cut_point, listed_esp, load_corpus, parse_entry, per_target_witnesses,
-    point_subject, point_width, redex_subjects, ryser_permanent, split_witnesses,
-    symmetric_point, third_order_cut_point,
+    church_point, church_tower_point, copies_in_every_order, distinct_g_point, fanout_point,
+    generated_points, higher_order_cut_point, listed_esp, load_corpus, parse_entry,
+    per_target_witnesses, point_subject, point_width, redex_subjects, ryser_permanent,
+    small_points, small_terms, split_witnesses, symmetric_point, third_order_cut_point,
 )
 
 BY_NAME = {e["name"]: e for e in load_corpus()}
@@ -412,25 +415,93 @@ def test_copies_in_every_order_are_classes_of_their_own():
         assert len(rep.report.classes) == rep.report.wit_plus == coefficient, label
 
 
-# The classes are keyed by the collapse of the normal form's derivations,
-# which the witnesses contract to; keyed by the collapse of the redexes
-# themselves, the orders of the argument copies fall into one class, and
-# the class checks fail on every such subject, though each degree is
-# counted through the contraction.  The memos start empty, or the reports
-# the session kept would answer.
+# verify counts on the normal form's derivations, which the witnesses
+# contract to; counting on the redexes' own derivations, read back, the
+# orders of the argument copies collapse into one class, and the class
+# checks fail on every such subject, though each degree is counted through
+# the contraction.  The memos start empty, or the reports the session kept
+# would answer.
 def test_a_class_key_before_contraction_fails_the_checks(monkeypatch, cold_memo):
-    witness_set = thinspan.collapse.witness_set
+    normal_witnesses = thinspan.collapse.normal_witnesses
 
     def uncontracted(term, theta, alpha):
-        return [(d, d) for d, _ in witness_set(term, theta, alpha)]
+        return read_back(*normal_witnesses(term, theta, alpha)), None
 
-    monkeypatch.setattr(thinspan.collapse, "witness_set", uncontracted)
+    monkeypatch.setattr(thinspan.collapse, "normal_witnesses", uncontracted)
     monkeypatch.setattr(thinspan.collapse, "endo_count",
                         lambda r: count_derivation_morphisms(r, r))
     for label, ctx, term, pt, _ in copies_in_every_order():
         rep = verify_identities(ctx, term, pt)
         failed = {c.name for c in rep.checks if not c.ok}
         assert failed == {"class-weights-sum", "class-sizes"}, label
+
+
+def redex_points():
+    """(label, ctx, term, point): the corpus redexes, the Church numerals up
+    to k = 4, the Church towers up to m = 5, the redexes whose copies meet
+    in every order, and the redexes among the small terms at their points."""
+    for entry in load_corpus():
+        ctx, term, _, point = parse_entry(entry)
+        if not is_beta_normal(term):
+            yield entry["name"], ctx, term, point
+    for label, family, top in (("church", church_point, 4), ("tower", church_tower_point, 5)):
+        for n in range(1, top + 1):
+            ctx, term, _, point = point_subject(*family(n))
+            yield f"{label}-{n}", ctx, term, point
+    for label, ctx, term, point, _ in copies_in_every_order():
+        yield label, ctx, term, point
+    ctx = parse_context("f:o->o, g:o->o->o, y:o")
+    for term in small_terms(ctx, Base(), 8):
+        if not is_beta_normal(term):
+            for point in small_points(ctx, term):
+                yield term_to_text(term), ctx, term, point
+
+
+def read_back_triple_count(report: WitnessReport) -> int:
+    """The triple count taken on the witnesses read back, each at its own
+    context and result: per witness, the negative context morphisms into
+    its context, one variable at a time, times the positive morphisms out
+    of its result."""
+    gamma, a = report.subject.gamma, report.subject.result
+    counts: dict = {}
+    return sum(prod(count_negative_seq(seq, w.theta.lookup(x), counts)
+                    for x, seq, _ in gamma.entries) * count_positive_it(w.alpha, a, counts)
+               for w in report.witnesses)
+
+
+# verify counts on the normal form's derivations and reads no witness
+# back, so its checks no longer see the read-back.  Reading back must
+# still keep every point up to polarized symmetry, negative at a context
+# variable and positive at the result: the triple count taken on the
+# witnesses it lists is the report's.
+def test_the_read_back_keeps_the_triple_count():
+    seen = {"subjects": 0, "witnesses": 0}
+    for label, ctx, term, point in redex_points():
+        rep = verify_identities(ctx, term, point)
+        assert rep.ok, (label, point)
+        report = rep.report
+        assert read_back_triple_count(report) == esp_explicit(report) == report.esp, label
+        seen["subjects"] += 1
+        seen["witnesses"] += report.wit_plus
+    assert seen == {"subjects": 3988, "witnesses": 396}, seen
+
+
+def test_verify_reads_no_witness_back(monkeypatch, cold_memo):
+    def refuse(*args):
+        raise AssertionError("a witness read back on verify's path")
+
+    monkeypatch.setattr(thinspan.derivation, "_read_back", refuse)
+    for entry in load_corpus():
+        ctx, term, _, point = parse_entry(entry)
+        assert verify_identities(ctx, term, point).ok, entry["name"]
+    for label, ctx, term, point in redex_points():
+        assert verify_identities(ctx, term, point).ok, (label, point)
+    # listing still reads back
+    ctx, term, _, point = point_subject(*church_point(2))
+    rep = verify_identities(ctx, term, point)
+    assert rep.ok and rep.report.wit_plus == 1
+    with pytest.raises(AssertionError, match="read back"):
+        rep.report.witnesses
 
 
 def multiset_point(entries: dict, result: str = "*") -> PointSpec:

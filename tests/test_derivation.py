@@ -23,7 +23,7 @@ from thinspan.collapse import positive_witnesses, prepare, verify_identities
 from reference import (
     check_derivation, contract, count_derivation_morphisms, dm_occurrences,
     enumerate_bag_witnesses, enumerate_derivation_morphisms, identity_dm, omega_substitute,
-    src_it, src_seq, stepwise_witness_set, tgt_it, tgt_seq,
+    src_it, src_seq, stepwise_witness_set, tgt_it, tgt_seq, traced_witness_set,
 )
 from support import (
     across_points, binders, bounded_refinements, bounded_seqs, built_nodes, church_point,
@@ -657,7 +657,7 @@ def check_read_back(label, ctx, term, point, split=None, cache=None) -> tuple[in
     number of witnesses and of classes."""
     term, ty = annotate(ctx, term)
     gamma, a = canonicalize_point(point, ctx, ty)
-    pairs = derivation.witness_set(term, gamma, a)
+    pairs = traced_witness_set(term, gamma, a)
     ds, normal = [d for d, _ in pairs], [n for _, n in pairs]
     assert [contract(d) for d in ds] == normal, label
     nf = beta_normalize(term, set(ctx.names()))
@@ -705,7 +705,7 @@ def test_a_head_above_the_redex_takes_the_types_its_arguments_now_conclude():
     rep = verify_identities(ctx, term, point)
     assert rep.ok and rep.wrel.value == rep.report.wit_plus == 2
     gamma, a = canonicalize_point(point, ctx, ty)
-    pairs = derivation.witness_set(term, gamma, a)
+    pairs = traced_witness_set(term, gamma, a)
     split = per_target_witnesses(ctx, term, gamma, a,
                                  lambda *args: split_witnesses(*args, point_width(point)))
     assert {d for d, _ in pairs} == {d for _, _, d in split} and len(pairs) == len(split) == 2
@@ -764,7 +764,7 @@ def test_the_trace_reads_back_what_the_steps_read_back():
     seen = Counter()
     for label, ctx, term, point in read_back_subjects():
         gamma, a = canonicalize_point(point, ctx, annotate(ctx, term)[1])
-        traced = derivation.witness_set(term, gamma, a)
+        traced = traced_witness_set(term, gamma, a)
         assert read_back_summary(traced) == read_back_summary(
             stepwise_witness_set(term, gamma, a)), (label, point)
         seen["subjects"] += 1

@@ -83,8 +83,8 @@ def test_no_query_module_reaches_the_listings():
 # (wrel) reads nothing the witness enumeration, the degrees or the collapse
 # compute, and neither the enumeration nor the degrees read the
 # coefficient.  The triple count is the check on the degrees, so it reads
-# the witnesses' derivations and no degree, no class's size and no class's
-# endomorphism count.
+# the derivations of the normal form the witnesses are read back from, and
+# no degree, no class's size and no class's endomorphism count.
 PATHS_APART = {
     "wrel": {"derivation", "symmetry", "collapse"},
     "derivation": {"wrel"},
@@ -112,7 +112,7 @@ def test_the_counting_paths_stay_apart():
     [esp] = [node for node in parse("collapse").body
              if isinstance(node, ast.FunctionDef) and node.name == "esp_explicit"]
     read = {n.attr for n in ast.walk(esp) if isinstance(n, ast.Attribute)}
-    assert "derivations" in read and not read & DEGREE_READS, sorted(read & DEGREE_READS)
+    assert "normal_derivations" in read and not read & DEGREE_READS, sorted(read & DEGREE_READS)
     # the witness path reads a result's class under positive morphisms with
     # its own key, not with the triple count's counts
     counts = {name for _, name, _ in imports(parse("derivation"))} & TRIPLE_COUNTS
